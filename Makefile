@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-json bench-msm bench-sumcheck bench-pipeline bench-mem bench-cluster mem-smoke chaos-smoke soak-smoke fmt vet lint fuzz-smoke docs
+.PHONY: build test race bench-smoke bench-json bench-msm bench-sumcheck bench-mem bench-cluster mem-smoke chaos-smoke soak-smoke fmt vet lint fuzz-smoke docs
 
 build:
 	$(GO) build ./...
@@ -43,7 +43,6 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -quick -o /tmp/bench_smoke.json
 	$(GO) run ./cmd/benchjson -quick -msm -o /tmp/bench_smoke_msm.json
 	$(GO) run ./cmd/benchjson -quick -sumcheck -o /tmp/bench_smoke_sumcheck.json
-	$(GO) run ./cmd/benchjson -quick -pipeline -o /tmp/bench_smoke_pipeline.json
 
 # Full kernel measurement at the sizes the bench trajectory tracks
 # (2^16–2^20 MSMs; end-to-end Prove at logGates=16). Takes minutes.
@@ -65,14 +64,6 @@ bench-msm:
 # Override the output record with OUT=... as above.
 bench-sumcheck:
 	$(GO) run ./cmd/benchjson -sumcheck -o $(or $(OUT),BENCH_pr5.json)
-
-# The schedule (pipelined stage-DAG) record: the PR 5 kernel set plus the
-# end-to-end Prove under both the pipelined and the strict sequential
-# schedule at workers=1 and GOMAXPROCS, against the PR 5 serial baselines.
-# Compare the two schedules' rows of the same record at equal budgets for
-# the overlap win. Minutes. Override the output with OUT=... as above.
-bench-pipeline:
-	$(GO) run ./cmd/benchjson -pipeline -o $(or $(OUT),BENCH_pr7.json)
 
 # The memory (streaming out-of-core prover) record: end-to-end Prove at
 # logGates=18 in-core vs streamed under a half-peak memory budget, both

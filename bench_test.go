@@ -1,8 +1,9 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation (Section VI). Each benchmark drives the same code path
-// the cmd/experiments subcommand uses, so `go test -bench=.` regenerates the
-// measured side of EXPERIMENTS.md. Benchmarks report custom metrics (model
-// milliseconds, speedups) alongside wall-clock time of the models themselves.
+// the cmd/experiments subcommand uses. Benchmarks report custom metrics (model
+// milliseconds, speedups) alongside wall-clock time of the models themselves;
+// the measured-vs-modelled comparison is bench/README.md's replay-vs-cpumodel
+// table.
 package zkphire
 
 import (
@@ -363,8 +364,8 @@ func BenchmarkTable9CrossAccelerator(b *testing.B) {
 
 // BenchmarkSessionAmortization quantifies what the session API buys a
 // proving service: per-proof cost with compilation + preprocessing re-paid
-// every time (one throwaway session per proof — the shape the deprecated
-// ProveCircuit shim used to hide) vs amortized through one Prover.
+// every time (one throwaway session per proof) vs amortized through one
+// Prover.
 func BenchmarkSessionAmortization(b *testing.B) {
 	srs := SetupDeterministic(8, 11)
 	build := func() *CircuitBuilder {

@@ -14,7 +14,6 @@
 //	go run ./cmd/benchjson -o BENCH_pr4.json           # full sizes (minutes)
 //	go run ./cmd/benchjson -msm -o BENCH_pr4.json      # MSM 2^16–2^20 only
 //	go run ./cmd/benchjson -sumcheck -o BENCH_pr5.json # scalar-field record
-//	go run ./cmd/benchjson -pipeline -o BENCH_pr7.json # schedule record
 //	go run ./cmd/benchjson -quick -o /tmp/b.json       # CI smoke (seconds)
 //
 // Every kernel row also carries total_allocs and a peak-RSS gauge
@@ -54,15 +53,13 @@ type kernelResult struct {
 	AllocsPerOp int64  `json:"allocs_per_op"`
 	BytesPerOp  int64  `json:"bytes_per_op"`
 	// TotalAllocs is the benchmark's total heap allocation count across all
-	// iterations — the raw counter allocs_per_op is derived from, useful when
-	// comparing pipelined vs sequential schedules whose op counts differ.
+	// iterations — the raw counter allocs_per_op is derived from.
 	TotalAllocs int64 `json:"total_allocs"`
 	// PeakRSSBytes is the process's high-water resident set (VmHWM from
 	// /proc/self/status on Linux, runtime.ReadMemStats Sys elsewhere),
 	// sampled right after the kernel's benchmark loop. It is a process-level
 	// gauge: monotone across the record's rows, so the interesting signal is
-	// the delta a kernel adds over the row before it — the pipelined
-	// schedule's overlap must not balloon it.
+	// the delta a kernel adds over the row before it.
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
 	// BaselineNsPerOp is the serial pre-engine number measured at the seed
 	// commit (adf6bae) on this runner; zero when not measured (quick mode).
@@ -121,33 +118,12 @@ var pr4Baselines = map[string]int64{
 	"session.Prove/logGates=16":       6_787_008_120,
 }
 
-// pr5Baselines holds the PR 5 serial timings (ns/op) recorded in
-// BENCH_pr5.json on its (single-core) runner — the state of each kernel
-// before the pipelined stage scheduler. The end-to-end row annotates both
-// schedule variants with the same serial number: the sequential row's
-// speedup is runner drift, the pipelined workers=1 row must stay within a
-// few percent of 1.0 (the DAG degenerates to the sequential schedule at
-// budget 1), and the cross-schedule comparison at equal budgets — pipelined
-// ns/op vs the sequential row of the same record — is the overlap win.
-var pr5Baselines = map[string]int64{
-	"sumcheck.Round/vanilla/2^16":          72_273_819,
-	"sumcheck.Round/vanilla/2^18":          289_001_271,
-	"sumcheck.Round/vanilla/2^20":          1_134_642_817,
-	"sumcheck.ProveZero/vanilla/2^16":      138_260_390,
-	"sumcheck.ProveZero/vanilla/2^18":      547_002_438,
-	"perm.Build/2^16/k=3":                  50_374_085,
-	"mle.Evaluate/2^16":                    3_850_705,
-	"session.Prove/logGates=16/pipelined":  5_542_674_997,
-	"session.Prove/logGates=16/sequential": 5_542_674_997,
-}
-
 func main() {
 	out := flag.String("o", "BENCH_pr4.json", "output path")
 	quick := flag.Bool("quick", false, "small sizes for a CI smoke pass")
 	sessions := flag.Bool("sessions", false, "only the PR 3 cold- vs cached-session prove benchmarks")
 	msmOnly := flag.Bool("msm", false, "only the curve.MSM series (the GLV before/after record)")
 	sumcheckOnly := flag.Bool("sumcheck", false, "the PR 5 scalar-field record: per-round SumCheck scan, eq-factorized ZeroCheck, perm.Build, mle.Evaluate, and end-to-end Prove against the PR 4 baselines")
-	pipeline := flag.Bool("pipeline", false, "the PR 7 schedule record: the PR 5 kernel set plus end-to-end Prove under both the pipelined and the sequential schedule at each budget, against the PR 5 baselines")
 	memMode := flag.Bool("mem", false, "the PR 8 memory record: end-to-end Prove in-core vs streamed under a half-peak memory budget, peaks sampled by internal/membench")
 	memLg := flag.Int("mem-loggates", 18, "circuit size for the -mem record (quick mode overrides to 14)")
 	clusterMode := flag.Bool("cluster", false, "the PR 10 distribution record: end-to-end prove throughput through an in-process coordinator + N-worker pool over the real HTTP dispatch protocol")
@@ -215,32 +191,7 @@ func main() {
 			"win — unrolled field arithmetic, compiled straight-line " +
 			"evaluation, compressed-point scan, eq factorization, and the " +
 			"lazy-reduction vector kernels together."
-		benchSumcheck(rec, budgets, *quick, pr4Baselines, true)
-		writeRecord(rec, *out)
-		return
-	}
-
-	if *pipeline {
-		// The schedule record is the PR 7 trajectory file: don't clobber the
-		// committed kernel records unless explicitly asked to (same guard as
-		// the other modes above).
-		if *out == "BENCH_pr4.json" {
-			*out = "BENCH_pr7.json"
-		}
-		rec.PR = 7
-		rec.Note = "PR 7 schedule record: baseline_ns_per_op is the PR 5 serial " +
-			"number on its single-core runner. session.Prove runs under both " +
-			"schedules at each budget — compare the pipelined row against the " +
-			"sequential row of the SAME record at the same workers for the " +
-			"dependency-DAG overlap win (MSM commits over SumCheck rounds, " +
-			"commit-as-you-build product tree, deferred opening witnesses); at " +
-			"workers=1 the DAG degenerates to the sequential schedule and the " +
-			"two rows must agree within a few percent. Schedule rows are " +
-			"min-of-N floors with iterations interleaved across schedules " +
-			"(see benchSchedules); peak_rss_bytes is the process high-water " +
-			"mark after each row (monotone; read deltas)."
-		benchSumcheck(rec, budgets, *quick, pr5Baselines, false)
-		benchSchedules(rec, budgets, *quick)
+		benchSumcheck(rec, budgets, *quick, pr4Baselines)
 		writeRecord(rec, *out)
 		return
 	}
@@ -501,9 +452,8 @@ func buildRoleTables(c *poly.Composite, numVars int, rng *ff.Rand) []*mle.Table 
 // benchSumcheck measures the scalar-field side of the prover: the
 // compressed round-polynomial scan (on the appended-eq assignment shape the
 // PR 4 baseline was captured on), the full eq-factorized ZeroCheck prover,
-// perm.Build, mle.Evaluate, and (when includeE2E) the end-to-end session
-// Prove. Rows annotate against the given baseline generation.
-func benchSumcheck(rec *record, budgets []int, quick bool, baselines map[string]int64, includeE2E bool) {
+// perm.Build, mle.Evaluate, and the end-to-end session Prove. Rows annotate against the given baseline generation.
+func benchSumcheck(rec *record, budgets []int, quick bool, baselines map[string]int64) {
 	roundLgs, proveLgs := []int{16, 18, 20}, []int{16, 18}
 	permLg, evalLg, e2eLg := 16, 16, 16
 	if quick {
@@ -601,7 +551,7 @@ func benchSumcheck(rec *record, budgets []int, quick bool, baselines map[string]
 
 	// End-to-end session Prove: everything between the circuit tables and
 	// the transcript now runs on the fast paths.
-	if includeE2E {
+	{
 		srs, compiled := setupBenchSession(e2eLg, quick)
 		for _, w := range budgets {
 			prover, err := zkphire.NewProver(srs, compiled, zkphire.WithWorkers(w))
@@ -645,75 +595,6 @@ func setupBenchSession(lg int, quick bool) (*zkphire.SRS, *zkphire.CompiledCircu
 		log.Fatal(err)
 	}
 	return srs, compiled
-}
-
-// benchSchedules measures the end-to-end prover under the pipelined and the
-// strict sequential schedule at each budget — the PR 7 comparison rows. Both
-// prove the same compiled circuit against the same SRS, so the ns/op gap at
-// equal workers is purely the dependency-DAG overlap.
-//
-// Unlike the kernel rows, each schedule row is the MINIMUM of several timed
-// proofs (after one warmup), not a testing.Benchmark mean: an ~8 s op gets
-// b.N=1, so a single sample on a shared runner is dominated by neighbour
-// noise, and the floor is the robust estimator of what the schedule actually
-// costs. Iterations alternate between the two schedules at each budget so
-// slow phases of the machine hit both rows alike.
-func benchSchedules(rec *record, budgets []int, quick bool) {
-	lg := 16
-	iters := 5
-	if quick {
-		lg = 8
-		iters = 2
-	}
-	srs, compiled := setupBenchSession(lg, quick)
-	type cell struct {
-		name   string
-		prover *zkphire.Prover
-		best   time.Duration
-		allocs uint64
-		bytes  uint64
-	}
-	for _, w := range budgets {
-		seqProver, err := zkphire.NewProver(srs, compiled, zkphire.WithWorkers(w), zkphire.WithSequentialSchedule())
-		if err != nil {
-			log.Fatal(err)
-		}
-		pipProver, err := zkphire.NewProver(srs, compiled, zkphire.WithWorkers(w))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cells := []*cell{
-			{name: "sequential", prover: seqProver},
-			{name: "pipelined", prover: pipProver},
-		}
-		for _, c := range cells {
-			if _, err := c.prover.Prove(context.Background()); err != nil {
-				log.Fatal(err)
-			}
-		}
-		for i := 0; i < iters; i++ {
-			for _, c := range cells {
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				t0 := time.Now()
-				if _, err := c.prover.Prove(context.Background()); err != nil {
-					log.Fatal(err)
-				}
-				d := time.Since(t0)
-				runtime.ReadMemStats(&m1)
-				log.Printf("schedule %-10s workers=%d iter %d: %v", c.name, w, i, d)
-				if i == 0 || d < c.best {
-					c.best = d
-					c.allocs = m1.Mallocs - m0.Mallocs
-					c.bytes = m1.TotalAlloc - m0.TotalAlloc
-				}
-			}
-		}
-		for _, c := range cells {
-			res := testing.BenchmarkResult{N: 1, T: c.best, MemAllocs: c.allocs, MemBytes: c.bytes}
-			add(rec, fmt.Sprintf("session.Prove/logGates=%d/%s", lg, c.name), w, res, pr5Baselines)
-		}
-	}
 }
 
 // benchMem produces the PR 8 memory rows: one in-core prove and one
@@ -761,7 +642,7 @@ func benchMem(rec *record, lg int, quick bool) {
 		srs := buildSRS()
 		var d time.Duration
 		r := membench.Sample(func() {
-			p, err := zkphire.NewProver(srs, compiled, zkphire.WithSequentialSchedule(), zkphire.WithWorkers(w))
+			p, err := zkphire.NewProver(srs, compiled, zkphire.WithWorkers(w))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the zkPHIRE
 // paper's evaluation (Section VI). Each subcommand prints the same rows or
-// series the paper reports; EXPERIMENTS.md records paper-vs-reproduced
-// values.
+// series the paper reports; bench/README.md's replay-vs-cpumodel table sets
+// the measured prover beside the modelled one.
 //
 // Usage:
 //

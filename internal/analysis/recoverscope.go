@@ -20,10 +20,10 @@ const recoverBoundary = "runGuarded"
 //     is that there is exactly one place where "job died" is turned into
 //     a structured error; stray recovers silently fork that policy.
 //
-//  2. A lease acquired from parallel.Budget (Acquire, AcquireUpTo,
-//     TryAcquire) must be released on every exit path, including
-//     panicking ones: the acquiring function either runs
-//     `defer lease.Release()` or provably hands the lease away (returns
+//  2. A lease acquired from parallel.Budget (Acquire, TryAcquire) must
+//     be released on every exit path, including panicking ones: the
+//     acquiring function either runs `defer lease.Release()` or
+//     provably hands the lease away (returns
 //     it, passes it to a call, or uses lease.Release as a value). A bare
 //     inline Release is a finding even though it "works" on the happy
 //     path — a panic between Acquire and Release leaks the workers and
@@ -115,7 +115,7 @@ func checkRecoverCalls(pass *Pass, f *ast.File, parents map[ast.Node]ast.Node) {
 // parallel.Budget's lease constructors.
 func budgetAcquire(pass *Pass, call *ast.CallExpr) (string, bool) {
 	obj := calleeObj(pass.Info, call)
-	for _, name := range [...]string{"Acquire", "AcquireUpTo", "TryAcquire"} {
+	for _, name := range [...]string{"Acquire", "TryAcquire"} {
 		if objIsFunc(obj, parallelPath, "Budget", name) {
 			return name, true
 		}

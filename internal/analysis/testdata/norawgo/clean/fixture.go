@@ -1,57 +1,37 @@
 // Package fixture shows the sanctioned concurrency patterns outside
-// internal/parallel: stage DAGs via parallel.Stage (every goroutine is
-// spawned inside the engine against its worker budget) and futures
-// resolved without hand-rolled spawns. None of these are findings.
+// internal/parallel: independent tasks via parallel.Run and chunked loops
+// via parallel.For (every goroutine is spawned inside the engine against
+// its worker budget). None of these are findings.
 package fixture
 
-import (
-	"context"
+import "zkphire/internal/parallel"
 
-	"zkphire/internal/parallel"
-)
-
-// stagedPipeline runs a two-stage DAG; the scheduler owns the spawns.
-func stagedPipeline(ctx context.Context) (int, error) {
-	g := parallel.NewGraph(ctx, 4)
-	a := parallel.Stage(g, "produce", parallel.Span(1, 2),
-		func(ctx context.Context, workers int) (int, error) {
-			return workers, nil
-		})
-	b := parallel.Stage(g, "consume", parallel.Coordinate(),
-		func(ctx context.Context, _ int) (int, error) {
-			return a.MustWait() + 1, nil
-		}, a)
-	if err := g.Wait(); err != nil {
-		return 0, err
-	}
-	return b.MustWait(), nil
+// sideBySide runs k independent tasks, the budget divided among them; the
+// engine owns the spawns.
+func sideBySide(workers int, items []int) []int {
+	out := make([]int, len(items))
+	per := parallel.Split(workers, len(items))
+	parallel.Run(workers, len(items), func(i int) {
+		out[i] = items[i] * per
+	})
+	return out
 }
 
-// fanOut leases per item through the graph's budget — bounded
-// concurrency without a single go statement in this package.
-func fanOut(ctx context.Context, items []int) ([]int, error) {
-	g := parallel.NewGraph(ctx, 2)
-	futs := make([]*parallel.Future[int], len(items))
-	for i, it := range items {
-		futs[i] = parallel.Stage(g, "item", parallel.Span(1, 1),
-			func(ctx context.Context, _ int) (int, error) {
-				return it * it, nil
-			})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	out := make([]int, len(futs))
-	for i, f := range futs {
-		out[i] = f.MustWait()
-	}
-	return out, nil
+// chunked squares a slice in contiguous chunks — bounded concurrency
+// without a single go statement in this package.
+func chunked(workers int, vals []int) {
+	parallel.For(workers, len(vals), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			vals[i] *= vals[i]
+		}
+	})
 }
 
-// externalResolve completes a future from the current goroutine — a
-// future is a result slot, not a licence to spawn.
-func externalResolve(v int) *parallel.Future[int] {
-	f, resolve := parallel.NewFuture[int]()
-	resolve(v, nil)
-	return f
+// nested calls a chunked kernel from inside a task: still the engine's
+// goroutines, still one budget.
+func nested(workers int, rows [][]int) {
+	per := parallel.Split(workers, len(rows))
+	parallel.Run(workers, len(rows), func(i int) {
+		chunked(per, rows[i])
+	})
 }

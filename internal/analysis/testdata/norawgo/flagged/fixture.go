@@ -1,7 +1,7 @@
 // Package fixture spawns raw goroutines outside internal/parallel;
-// both the loop and non-loop forms are findings, and resolving a
-// parallel.Future from a hand-rolled goroutine is no exemption — the
-// future is a result slot, the spawn still escapes the worker budget.
+// both the loop and non-loop forms are findings, and calling an engine
+// kernel from a hand-rolled goroutine is no exemption — the kernel is
+// budgeted, the spawn around it still escapes the worker budget.
 package fixture
 
 import "zkphire/internal/parallel"
@@ -16,18 +16,18 @@ func spawnLoop(ch chan int) {
 	}
 }
 
-func handRolledFuture(v int) *parallel.Future[int] {
-	f, resolve := parallel.NewFuture[int]()
-	go func() { resolve(v, nil) }() // want "raw go statement outside internal/parallel"
-	return f
+func handRolledBackground(vals []int, done chan struct{}) {
+	go func() { // want "raw go statement outside internal/parallel"
+		parallel.For(2, len(vals), func(lo, hi int) {})
+		close(done)
+	}()
 }
 
-func handRolledFanOut(vs []int) []*parallel.Future[int] {
-	futs := make([]*parallel.Future[int], len(vs))
-	for i, v := range vs {
-		f, resolve := parallel.NewFuture[int]()
-		go func() { resolve(v, nil) }() // want "goroutine spawned in a loop outside internal/parallel"
-		futs[i] = f
+func handRolledFanOut(rows [][]int, done chan struct{}) {
+	for _, row := range rows {
+		go func() { // want "goroutine spawned in a loop outside internal/parallel"
+			parallel.For(1, len(row), func(lo, hi int) {})
+			done <- struct{}{}
+		}()
 	}
-	return futs
 }

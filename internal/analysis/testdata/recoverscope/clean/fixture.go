@@ -60,10 +60,9 @@ func tryDeferred() error {
 	return work(lease.Workers())
 }
 
-// escapesAsValue hands the release duty to the caller as a method value
-// (the pipeline's elastic acquire does exactly this).
+// escapesAsValue hands the release duty to the caller as a method value.
 func escapesAsValue(ctx context.Context) (int, func(), error) {
-	lease, err := budget.AcquireUpTo(ctx, 1, 4)
+	lease, err := budget.Acquire(ctx, 4)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -63,14 +63,3 @@ func discarded() {
 func tryDiscarded() {
 	_ = budget.TryAcquire(1) // want "assigned to _"
 }
-
-// upToInline: the elastic constructor follows the same rule.
-func upToInline(ctx context.Context) error {
-	lease, err := budget.AcquireUpTo(ctx, 1, 4) // want "released without defer"
-	if err != nil {
-		return err
-	}
-	work()
-	lease.Release()
-	return nil
-}

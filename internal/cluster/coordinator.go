@@ -312,6 +312,7 @@ func (c *Coordinator) runJob(j *job) {
 			c.metrics.JobsRedispatchedTotal.Add(1)
 		}
 		if err := c.dispatch(m, j, epoch); err != nil {
+			m.release()
 			c.metrics.DispatchErrorsTotal.Add(1)
 			// The lease never (observably) started; fence it so a worker
 			// that did receive the request past our timeout cannot settle
@@ -364,6 +365,7 @@ func (c *Coordinator) watchLease(j *job, m *member, epoch uint64) (settled bool)
 				// lease under it. An undelivered hedge epoch simply never
 				// completes.
 				if err := c.dispatch(m2, j, e2); err != nil {
+					m2.release()
 					c.metrics.DispatchErrorsTotal.Add(1)
 				} else {
 					c.metrics.JobsDispatchedTotal.Add(1)
@@ -397,21 +399,17 @@ func (c *Coordinator) failJob(j *job, msg string) {
 	c.metrics.JobsFailedTotal.Add(1)
 }
 
-// dispatch posts one lease to a worker.
+// dispatch posts one lease to a worker whose slot pick already reserved;
+// on error the caller releases it.
 func (c *Coordinator) dispatch(m *member, j *job, epoch uint64) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err := retry.PostJSON(ctx, c.client, m.addr+"/cluster/dispatch", DispatchRequest{
+	return retry.PostJSON(ctx, c.client, m.addr+"/cluster/dispatch", DispatchRequest{
 		JobID:     j.id,
 		CircuitID: j.circuitID,
 		Epoch:     epoch,
 		TimeoutMS: j.timeoutMS,
 	}, nil, c.cfg.Retry)
-	if err != nil {
-		return err
-	}
-	m.load.Add(1)
-	return nil
 }
 
 // ---- HTTP plumbing ----------------------------------------------------
@@ -493,15 +491,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if m, ok := c.members.get(req.WorkerID); ok {
-		// Floor at zero: a worker re-pushing a completion whose response it
-		// lost would otherwise decrement twice and over-admit the worker
-		// past its capacity.
-		for {
-			cur := m.load.Load()
-			if cur <= 0 || m.load.CompareAndSwap(cur, cur-1) {
-				break
-			}
-		}
+		m.release()
 	}
 	j, ok := c.jobs.get(req.JobID)
 	if !ok {
@@ -574,6 +564,7 @@ func (c *Coordinator) registerOnWorker(ctx context.Context, spec *service.Circui
 	if m == nil {
 		return nil, errNoWorkers
 	}
+	defer m.release() // preprocessing holds the slot only while it runs
 	var resp service.RegisterResponse
 	if err := retry.PostJSON(ctx, c.client, m.addr+"/circuits", spec, &resp, c.cfg.Retry); err != nil {
 		return nil, err

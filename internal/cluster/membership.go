@@ -10,13 +10,14 @@ import (
 // member is one registered worker, as the coordinator sees it.
 type member struct {
 	id      string
+	seq     uint64 // the number in id: join order, the placement tie-break
 	addr    string
 	workers int
 
 	// lastBeat is the wall time of the last heartbeat, unix nanos.
 	lastBeat atomic.Int64
 	// load counts this coordinator's outstanding dispatches to the
-	// worker; placement picks the least-loaded live member.
+	// worker, reserved slots included: pick raises it, release lowers it.
 	load atomic.Int64
 	// gone flips when the member is evicted or leaves; lease-watch loops
 	// poll it to re-dispatch without waiting out the lease deadline.
@@ -35,6 +36,19 @@ func (m *member) capacity() int64 {
 		return 1
 	}
 	return int64(m.workers)
+}
+
+// release gives back one slot taken by pick: the dispatch failed, or the
+// worker pushed a completion. Floored at zero: a worker re-pushing a
+// completion whose response it lost would otherwise decrement twice and
+// over-admit the worker past its capacity.
+func (m *member) release() {
+	for {
+		cur := m.load.Load()
+		if cur <= 0 || m.load.CompareAndSwap(cur, cur-1) {
+			return
+		}
+	}
 }
 
 func (m *member) beatAge(now time.Time) time.Duration {
@@ -59,7 +73,7 @@ func (t *memberTable) join(addr string, workers int, now time.Time) *member {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	m := &member{id: fmt.Sprintf("w%d", t.seq), addr: addr, workers: workers}
+	m := &member{id: fmt.Sprintf("w%d", t.seq), seq: t.seq, addr: addr, workers: workers}
 	m.beat(now)
 	t.members[m.id] = m
 	return m
@@ -117,23 +131,35 @@ func (t *memberTable) size() int {
 	return len(t.members)
 }
 
-// pick returns the least-loaded member with spare capacity, skipping IDs
-// in exclude; nil when none qualify (empty, all excluded, or all
-// saturated — the caller waits in every case). Exclusion is how
-// re-dispatch avoids handing a job straight back to the worker whose
-// lease just expired, and how hedging picks a different worker than the
-// primary.
+// pick returns the least-loaded member with spare capacity — the earliest
+// joined among equals — skipping IDs in exclude; nil when none qualify
+// (empty, all excluded, or all saturated — the caller waits in every
+// case). Exclusion is how re-dispatch avoids handing a job straight back
+// to the worker whose lease just expired, and how hedging picks a
+// different worker than the primary.
+//
+// The slot is reserved here, under the table lock, not after the dispatch
+// RPC returns: jobs accepted together would otherwise all read the same
+// idle member as least loaded and pile onto it while the rest of the pool
+// idles. The caller owns the reservation and must release() it if the
+// dispatch does not go out; a delivered lease is released by the worker's
+// completion push.
 func (t *memberTable) pick(exclude map[string]bool) *member {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var best *member
+	var bestLoad int64
 	for _, m := range t.members {
-		if exclude[m.id] || m.load.Load() >= m.capacity() {
+		load := m.load.Load()
+		if exclude[m.id] || load >= m.capacity() {
 			continue
 		}
-		if best == nil || m.load.Load() < best.load.Load() {
-			best = m
+		if best == nil || load < bestLoad || (load == bestLoad && m.seq < best.seq) {
+			best, bestLoad = m, load
 		}
+	}
+	if best != nil {
+		best.load.Add(1)
 	}
 	return best
 }

@@ -1,0 +1,96 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"sync"
+	"testing"
+	"time"
+
+	"zkphire/internal/service"
+)
+
+// TestConcurrentAcceptsSpreadAcrossIdleWorkers fires N proofs at once at a
+// coordinator with N idle single-slot workers and requires one lease on
+// each. Placement used to read a worker's load when picking but raise it
+// only after the dispatch RPC returned, so jobs accepted together all saw
+// the same idle worker as least loaded and queued behind each other on it
+// while the rest of the pool idled.
+func TestConcurrentAcceptsSpreadAcrossIdleWorkers(t *testing.T) {
+	const n = 8
+	c, ts := newCoordinator(t, Config{
+		EvictAfter:   time.Minute,
+		LeaseTimeout: time.Minute,
+	})
+	workers := make([]*blackholeWorker, n)
+	for i := range workers {
+		workers[i] = newBlackhole(t, ts.URL, false)
+	}
+	id := registerViaStore(t, c, 5)
+
+	// The blackholes never complete, so the requests never answer: abandon
+	// them once the placements are in.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	body, _ := json.Marshal(service.ProveRequest{CircuitID: id})
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/prove", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			<-start
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	close(start)
+
+	waitFor(t, "all dispatches", func() bool { return c.Metrics().JobsDispatchedTotal.Load() >= n })
+	for _, b := range workers {
+		if got := len(b.dispatches); got != 1 {
+			t.Errorf("worker %s holds %d leases, want exactly 1 of the %d concurrent jobs", b.id, got, n)
+		}
+	}
+}
+
+// TestPickReservesAndBreaksTiesByJoinOrder pins pick's contract directly:
+// among equally loaded members the earliest joined wins (w2 before w10, and
+// never Go's map order), a pick holds its slot until released, and a
+// saturated table yields nil.
+func TestPickReservesAndBreaksTiesByJoinOrder(t *testing.T) {
+	tab := newMemberTable()
+	now := time.Now()
+	for i := 0; i < 12; i++ {
+		tab.join("http://unused", 1, now)
+	}
+	var picked []*member
+	for i := 1; i <= 12; i++ {
+		m := tab.pick(nil)
+		if m == nil || m.seq != uint64(i) {
+			t.Fatalf("pick %d on an idle pool = %+v, want w%d", i, m, i)
+		}
+		picked = append(picked, m)
+	}
+	if m := tab.pick(nil); m != nil {
+		t.Fatalf("pick on a saturated pool = %s, want nil", m.id)
+	}
+	picked[9].release()
+	picked[1].release()
+	picked[1].release() // a duplicate release must not over-admit
+	if m := tab.pick(map[string]bool{"w2": true}); m == nil || m.id != "w10" {
+		t.Fatalf("pick excluding w2 = %+v, want w10", m)
+	}
+	if m := tab.pick(nil); m == nil || m.id != "w2" {
+		t.Fatalf("pick = %+v, want w2", m)
+	}
+	if m := tab.pick(nil); m != nil {
+		t.Fatalf("pick after refilling = %s, want nil", m.id)
+	}
+}

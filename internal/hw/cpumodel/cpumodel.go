@@ -3,7 +3,8 @@
 // multiplications and group operations the protocol performs and applies
 // per-operation costs calibrated against the paper's published EPYC-7502
 // measurements; the companion calibration helpers measure this machine's
-// actual Go kernels so EXPERIMENTS.md can record paper-vs-local constants.
+// actual Go kernels, and bench/README.md's replay-vs-cpumodel table records
+// the measured prover beside this model.
 package cpumodel
 
 import (

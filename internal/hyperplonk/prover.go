@@ -21,31 +21,35 @@ type Config struct {
 	// permutation construction, SumCheck scans, batch evaluations, and PCS
 	// openings all share it. 0 = GOMAXPROCS.
 	Workers int
-	// Sequential forces the strict five-step schedule (each protocol step
-	// finishes before the next starts). The default pipelined schedule
-	// overlaps stages across Fiat-Shamir barriers via the dependency DAG in
-	// pipeline.go; both produce byte-identical proofs for every budget.
+	// Sequential selects nothing: there is one schedule. The field stays only
+	// because the frozen bench/library.go sets it; the next benchmark PR
+	// drops it.
 	Sequential bool
-	// MemoryBudget, when positive, selects the bounded-memory streamed
-	// schedule (stream.go): spilled preprocessed tables load only for the
-	// steps that read them, the permutation argument's check tables drop
-	// the moment the PermCheck SumCheck ends, and every MSM against an
-	// offloaded SRS streams basis chunks through arena scratch. The proof
-	// bytes are identical to the other schedules at every budget; the
-	// budget bounds the prover's live set, and the harness pairs it with
-	// GOMEMLIMIT to bound the process RSS (DESIGN.md §8).
+	// MemoryBudget, when positive, is a residency policy of the one
+	// schedule, not a different one: the wire commitments run one MSM at a
+	// time instead of side by side, and a spilled index (PreprocessSpilled)
+	// becomes provable — its σ tables load from disk only for the steps
+	// that read them. Every MSM against an offloaded SRS streams basis
+	// chunks through arena scratch at any setting. The proof bytes are
+	// identical at every budget; the budget bounds the prover's live set,
+	// and the harness pairs it with GOMEMLIMIT to bound the process RSS
+	// (DESIGN.md §8).
 	MemoryBudget int64
 }
 
 // Prove generates a HyperPlonk proof that the circuit is satisfied by its
-// embedded witness. Cancelling ctx aborts the prover promptly — stage
-// boundaries plus mid-kernel polls inside the MSM and SumCheck scans; a nil
-// ctx never cancels. Prove only reads srs, idx and c, so many proofs of the
-// same index may run concurrently.
+// embedded witness: the five protocol steps, in order, on one transcript.
+// Cancelling ctx aborts the prover promptly — the MSM and SumCheck kernels
+// poll it inside their hot loops and every step boundary checks it — and
+// Prove then returns ctx.Err() itself, unwrapped; a nil ctx never cancels.
+// Prove only reads srs, idx and c, so many proofs of the same index may run
+// concurrently.
 //
-// The default schedule is the pipelined dependency DAG (pipeline.go);
-// cfg.Sequential selects the strict five-step reference schedule. The
-// proof bytes are identical either way.
+// Schedule invariance: worker counts and table residency never reach the
+// transcript. Group addition is exact and associative and FromJacobian is
+// canonical, so MSM segmentation cannot change a commitment; table
+// evaluation and SumCheck arithmetic never depend on how many workers ran
+// them or where the operands were loaded from.
 func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg Config) (*Proof, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -53,163 +57,284 @@ func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg 
 	if c.NumVars != idx.NumVars {
 		return nil, fmt.Errorf("hyperplonk: circuit/index size mismatch")
 	}
-	if cfg.MemoryBudget > 0 {
-		return proveStreamed(ctx, srs, idx, c, cfg)
-	}
-	if idx.SigmaSpill != nil && idx.SigmaTabs == nil {
+	budgeted := cfg.MemoryBudget > 0
+	if !budgeted && idx.SigmaSpill != nil && idx.SigmaTabs == nil {
 		return nil, fmt.Errorf("hyperplonk: index is spilled to disk; prove with a memory budget (Config.MemoryBudget)")
 	}
-	if cfg.Sequential {
-		return proveSequential(ctx, srs, idx, c, cfg)
+	p := newProver(ctx, srs, idx, c, cfg.Workers)
+	// A cancelled step reports ctx.Err() bare, not its own wrapping of it.
+	fail := func(err error) (*Proof, error) {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		return nil, err
 	}
-	return provePipelined(ctx, srs, idx, c, cfg)
+	if err := p.commitWires(budgeted); err != nil {
+		return fail(err)
+	}
+	rGate, err := p.gateZeroCheck()
+	if err != nil {
+		return fail(err)
+	}
+	v, rPerm, err := p.permCheck()
+	if err != nil {
+		return fail(err)
+	}
+	if err := p.batchEvals(v, rPerm); err != nil {
+		return fail(err)
+	}
+	if err := p.openings(v, rGate, rPerm); err != nil {
+		return fail(err)
+	}
+	return p.proof, nil
 }
 
-// proveSequential is the strict five-step reference schedule with a
-// Fiat-Shamir barrier between steps; the schedule-equivalence tests pin the
-// pipelined prover against it byte-for-byte.
-func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg Config) (*Proof, error) {
-	tr := newTranscript(idx)
-	proof := &Proof{}
-	workers := parallel.Workers(cfg.Workers)
-	scCfg := sumcheck.Config{Workers: workers}
+// prover is the state the five steps share: the inputs, the live transcript
+// and the proof under construction. Each step method is one protocol step —
+// the one place that step starts and ends.
+type prover struct {
+	ctx     context.Context
+	srs     *pcs.SRS
+	idx     *Index
+	wires   []*mle.Table
+	workers int
+	tr      *transcript.Transcript
+	proof   *Proof
+}
 
-	// ---- Step 1: Witness commitments (Sparse MSMs in hardware). ----
-	// The per-wire MSMs are independent; run them concurrently, dividing the
-	// budget so the step uses ~workers goroutines overall. Commitments are
-	// appended to the transcript in wire order afterwards, so the transcript
-	// is identical to the sequential schedule.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+func newProver(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, workers int) *prover {
+	return &prover{
+		ctx: ctx, srs: srs, idx: idx, wires: c.Wires,
+		workers: parallel.Workers(workers),
+		tr:      newTranscript(idx),
+		proof:   &Proof{},
 	}
-	wireComms := make([]pcs.Commitment, len(c.Wires))
-	wireErrs := make([]error, len(c.Wires))
-	perWire := parallel.Split(workers, len(c.Wires))
-	parallel.Run(workers, len(c.Wires), func(j int) {
-		wireComms[j], wireErrs[j] = srs.CommitWorkers(c.Wires[j], perWire)
+}
+
+func (p *prover) scCfg() sumcheck.Config { return sumcheck.Config{Workers: p.workers} }
+
+// commitWires is Step 1: the witness commitments (Sparse MSMs in hardware).
+// The per-wire MSMs are independent. In core they run side by side, the
+// budget divided among them; under a memory budget one MSM is live at a time
+// at full width, so only one wire's Pippenger scratch (and, on an offloaded
+// SRS, one stream of basis chunks) is resident. Commitments are absorbed in
+// wire order afterwards either way.
+func (p *prover) commitWires(oneAtATime bool) error {
+	k := len(p.wires)
+	inFlight, perWire := p.workers, parallel.Split(p.workers, k)
+	if oneAtATime {
+		inFlight, perWire = 1, p.workers
+	}
+	comms := make([]pcs.Commitment, k)
+	errs := make([]error, k)
+	parallel.Run(inFlight, k, func(j int) {
+		if errs[j] = p.ctx.Err(); errs[j] == nil {
+			comms[j], errs[j] = p.srs.CommitCtx(p.ctx, p.wires[j], perWire)
+		}
 	})
-	for j, err := range wireErrs {
+	for j, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("hyperplonk: wire %d commit: %w", j, err)
+			return fmt.Errorf("hyperplonk: wire %d commit: %w", j, err)
 		}
 	}
-	for _, comm := range wireComms {
-		proof.WireComms = append(proof.WireComms, comm)
-		appendComm(tr, "wire", comm)
+	p.proof.WireComms = comms
+	for _, comm := range comms {
+		appendComm(p.tr, "wire", comm)
 	}
+	return nil
+}
 
-	// ---- Step 2: Gate Identity (ZeroCheck). ----
-	if err := ctx.Err(); err != nil {
+// gateZeroCheck is Step 2: the gate identity. Selectors and wires alias the
+// compiled circuit, so nothing loads. It returns the ZeroCheck point.
+func (p *prover) gateZeroCheck() ([]ff.Element, error) {
+	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
-	gate := idx.Gate
-	gateTabs, err := bindGateTables(gate, idx, c.Wires)
+	gate := p.idx.Gate
+	gateTabs, err := bindGateTables(gate, p.idx, p.wires)
 	if err != nil {
 		return nil, err
 	}
-	gateAssign, err := sumcheck.NewAssignment(gate, gateTabs)
+	assign, err := sumcheck.NewAssignment(gate, gateTabs)
 	if err != nil {
 		return nil, err
 	}
-	gateZC, rGate, err := sumcheck.ProveZero(tr, gateAssign, scCfg)
+	zc, rGate, err := sumcheck.ProveZeroCtx(p.ctx, p.tr, assign, p.scCfg())
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: gate zerocheck: %w", err)
 	}
-	proof.GateZC = gateZC
+	p.proof.GateZC = zc
 	// Batch evaluation claims at the gate point: every gate constituent
 	// except the trailing eq (which the verifier computes itself).
-	proof.GateEvals = append([]ff.Element(nil), gateZC.Inner.FinalEvals[:gate.NumVars()]...)
-	tr.AppendScalars("gate/evals", proof.GateEvals)
+	p.proof.GateEvals = append([]ff.Element(nil), zc.Inner.FinalEvals[:gate.NumVars()]...)
+	p.tr.AppendScalars("gate/evals", p.proof.GateEvals)
+	return rGate, nil
+}
 
-	// ---- Step 3: Wire Identity (PermCheck). ----
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// permCheck is Step 3: the wire identity — build the permutation argument,
+// commit its product tree V, and run the PermCheck ZeroCheck. It returns V
+// (the only argument table steps 4–5 read) and the ZeroCheck point.
+func (p *prover) permCheck() (*mle.Table, []ff.Element, error) {
+	if err := p.ctx.Err(); err != nil {
+		return nil, nil, err
 	}
-	beta := tr.ChallengeScalar("perm/beta")
-	gamma := tr.ChallengeScalar("perm/gamma")
-	arg := perm.BuildWorkers(c.Wires, idx.SigmaTabs, beta, gamma, workers)
-	vComm, err := srs.CommitWorkers(arg.V, workers)
+	beta := p.tr.ChallengeScalar("perm/beta")
+	gamma := p.tr.ChallengeScalar("perm/gamma")
+	sigmas, err := loadSigmas(p.ctx, p.idx)
 	if err != nil {
-		return nil, fmt.Errorf("hyperplonk: product-tree commit: %w", err)
+		return nil, nil, err
 	}
-	proof.VComm = vComm
-	appendComm(tr, "perm/v", vComm)
-	alpha := tr.ChallengeScalar("perm/alpha")
+	arg := perm.BuildWorkers(p.wires, sigmas, beta, gamma, p.workers)
+	sigmas = nil // the argument owns its buffers; drop a loaded σ copy
+	vComm, err := p.srs.CommitCtx(p.ctx, arg.V, p.workers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hyperplonk: product-tree commit: %w", err)
+	}
+	p.proof.VComm = vComm
+	appendComm(p.tr, "perm/v", vComm)
+	alpha := p.tr.ChallengeScalar("perm/alpha")
 
-	permComp, permTabs := buildPermCheck(idx.Wires, alpha, arg)
-	permAssign, err := sumcheck.NewAssignment(permComp, permTabs)
+	permComp, permTabs := buildPermCheck(p.idx.Wires, alpha, arg)
+	assign, err := sumcheck.NewAssignment(permComp, permTabs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	permZC, rPerm, err := sumcheck.ProveZero(tr, permAssign, scCfg)
+	// The (2k+4)·N check tables are the proof's peak residency. Once the
+	// SumCheck's first fold materializes its half-size working tables it
+	// never reads them again, so free them mid-SumCheck rather than after:
+	// steps 4–5 evaluate and open only V, which the drop preserves.
+	cfg := p.scCfg()
+	cfg.ReleaseSources = func() {
+		arg.DropCheckTables()
+		for i := range permTabs {
+			permTabs[i] = nil
+		}
+	}
+	zc, rPerm, err := sumcheck.ProveZeroCtx(p.ctx, p.tr, assign, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("hyperplonk: perm zerocheck: %w", err)
+		return nil, nil, fmt.Errorf("hyperplonk: perm zerocheck: %w", err)
 	}
-	proof.PermZC = permZC
+	p.proof.PermZC = zc
+	return arg.V, rPerm, nil
+}
 
-	// ---- Step 4: Batch Evaluations (Multifunction Forest in hardware). ----
-	// All 4 + 2k evaluations are independent; run them concurrently with the
-	// budget divided among them. Transcript appends keep the sequential
-	// order below.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// batchEvals is Step 4: the batch evaluations (Multifunction Forest in
+// hardware). All 4 + 2k evaluations are independent; they run concurrently
+// with the budget divided among them and are absorbed in a fixed order.
+func (p *prover) batchEvals(v *mle.Table, rPerm []ff.Element) error {
+	if err := p.ctx.Err(); err != nil {
+		return err
 	}
-	piPt, p1Pt, p2Pt, phiPt := perm.ViewPoints(rPerm)
-	proof.WirePermEvals = make([]ff.Element, idx.Wires)
-	proof.SigmaPermEvals = make([]ff.Element, idx.Wires)
+	sigmas, err := loadSigmas(p.ctx, p.idx)
+	if err != nil {
+		return err
+	}
+	proof, k := p.proof, p.idx.Wires
+	proof.WirePermEvals = make([]ff.Element, k)
+	proof.SigmaPermEvals = make([]ff.Element, k)
 	type evalJob struct {
 		dst *ff.Element
 		tab *mle.Table
 		pt  []ff.Element
 	}
-	jobs := []evalJob{
-		{&proof.VEvals[0], arg.V, piPt},
-		{&proof.VEvals[1], arg.V, p1Pt},
-		{&proof.VEvals[2], arg.V, p2Pt},
-		{&proof.VEvals[3], arg.V, phiPt},
+	var jobs []evalJob
+	for i, pt := range vViewPoints(rPerm) {
+		jobs = append(jobs, evalJob{&proof.VEvals[i], v, pt.coords})
 	}
-	for j := 0; j < idx.Wires; j++ {
+	for j := 0; j < k; j++ {
 		jobs = append(jobs,
-			evalJob{&proof.WirePermEvals[j], c.Wires[j], rPerm},
-			evalJob{&proof.SigmaPermEvals[j], idx.SigmaTabs[j], rPerm})
+			evalJob{&proof.WirePermEvals[j], p.wires[j], rPerm},
+			evalJob{&proof.SigmaPermEvals[j], sigmas[j], rPerm})
 	}
-	perEval := parallel.Split(workers, len(jobs))
-	parallel.Run(workers, len(jobs), func(i int) {
+	perEval := parallel.Split(p.workers, len(jobs))
+	parallel.Run(p.workers, len(jobs), func(i int) {
 		*jobs[i].dst = jobs[i].tab.EvaluateWorkers(jobs[i].pt, perEval)
 	})
-	tr.AppendScalars("perm/vevals", proof.VEvals[:])
-	tr.AppendScalars("perm/wevals", proof.WirePermEvals)
-	tr.AppendScalars("perm/sevals", proof.SigmaPermEvals)
+	p.tr.AppendScalars("perm/vevals", proof.VEvals[:])
+	p.tr.AppendScalars("perm/wevals", proof.WirePermEvals)
+	p.tr.AppendScalars("perm/sevals", proof.SigmaPermEvals)
+	return nil
+}
 
-	// ---- Step 5: Polynomial Opening (OpenCheck + batched PCS opening). ----
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// openings is Step 5: two OpenChecks, each followed by its batched PCS
+// opening — the µ-variable selectors/wires/σ at the two ZeroCheck points,
+// then the (µ+1)-variable V at its four view points.
+func (p *prover) openings(v *mle.Table, rGate, rPerm []ff.Element) error {
+	if err := p.ctx.Err(); err != nil {
+		return err
 	}
-	mainPolys, mainComms := openingSet(idx, c.Wires, proof)
-	mainClaims := mainClaimList(idx, proof, rGate, rPerm)
-	proof.OpenMain, err = proveOpenCheck(tr, srs, "open/main", mainPolys, mainComms.tables, mainClaims, []openPoint{{name: "gate", coords: rGate}, {name: "perm", coords: rPerm}}, scCfg)
+	sigmas, err := loadSigmas(p.ctx, p.idx)
+	if err != nil {
+		return err
+	}
+	// Distinct-polynomial order (openingComms mirrors it): selectors, wires, σ.
+	mainPolys := make([]*mle.Table, 0, len(p.idx.SelectorTabs)+len(p.wires)+len(sigmas))
+	mainPolys = append(mainPolys, p.idx.SelectorTabs...)
+	mainPolys = append(mainPolys, p.wires...)
+	mainPolys = append(mainPolys, sigmas...)
+	sigmas = nil
+	mainClaims := mainClaimList(p.idx, p.proof, rGate, rPerm)
+	mainPoints := []openPoint{{name: "gate", coords: rGate}, {name: "perm", coords: rPerm}}
+	p.proof.OpenMain, err = p.openCheck("open/main", mainPolys, mainClaims, mainPoints)
+	if err != nil {
+		return err
+	}
+	mainPolys = nil // a loaded σ copy dies here, before V's opening chain
+
+	vClaims := make([]evalClaim, len(p.proof.VEvals))
+	for i := range vClaims {
+		vClaims[i] = evalClaim{Poly: 0, Point: i, Value: p.proof.VEvals[i]}
+	}
+	p.proof.OpenV, err = p.openCheck("open/v", []*mle.Table{v}, vClaims, vViewPoints(rPerm))
+	return err
+}
+
+// openCheck runs one OpenCheck instance end to end: the transcript-
+// interactive SumCheck, then the witness MSMs of the batched opening.
+func (p *prover) openCheck(label string, polys []*mle.Table, claims []evalClaim, points []openPoint) (*OpenProof, error) {
+	d, err := proveOpenCheckStream(p.ctx, p.tr, label, polys, claims, points, p.scCfg())
 	if err != nil {
 		return nil, err
 	}
-
-	vPolys := []*mle.Table{arg.V}
-	vClaims := []evalClaim{
-		{Poly: 0, Point: 0, Value: proof.VEvals[0]},
-		{Poly: 0, Point: 1, Value: proof.VEvals[1]},
-		{Poly: 0, Point: 2, Value: proof.VEvals[2]},
-		{Poly: 0, Point: 3, Value: proof.VEvals[3]},
+	if err := d.computeWitness(p.ctx, p.srs, p.workers); err != nil {
+		return nil, err
 	}
-	vPoints := []openPoint{
+	return d.op, nil
+}
+
+// vViewPoints names the four points of V whose evaluations reconstruct
+// π, p₁, p₂, ϕ at r, in the order of Proof.VEvals.
+func vViewPoints(r []ff.Element) []openPoint {
+	piPt, p1Pt, p2Pt, phiPt := perm.ViewPoints(r)
+	return []openPoint{
 		{name: "pi", coords: piPt},
 		{name: "p1", coords: p1Pt},
 		{name: "p2", coords: p2Pt},
 		{name: "phi", coords: phiPt},
 	}
-	proof.OpenV, err = proveOpenCheck(tr, srs, "open/v", vPolys, nil, vClaims, vPoints, scCfg)
-	if err != nil {
-		return nil, err
+}
+
+// loadSigmas returns the σ tables for one protocol step: the resident ones
+// when the index is in core, a freshly loaded copy from the spill store when
+// it is spilled. Callers drop the returned slice when the step ends; the
+// table values are identical either way (the spill codec round-trips raw
+// Montgomery limbs), so the choice cannot affect proof bytes.
+func loadSigmas(ctx context.Context, idx *Index) ([]*mle.Table, error) {
+	if idx.SigmaTabs != nil {
+		return idx.SigmaTabs, nil
 	}
-	return proof, nil
+	if idx.SigmaSpill == nil {
+		return nil, fmt.Errorf("hyperplonk: index has neither resident nor spilled σ tables")
+	}
+	tabs := make([]*mle.Table, len(idx.SigmaSpill))
+	for i, h := range idx.SigmaSpill {
+		t, err := h.Load(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("hyperplonk: reload σ_%d: %w", i+1, err)
+		}
+		tabs[i] = t
+	}
+	return tabs, nil
 }
 
 // --- shared helpers (used by both prover and verifier) ---
@@ -305,14 +430,9 @@ func permCheckCore(k int, alpha ff.Element) *poly.Composite {
 	if k == 5 {
 		full = poly.JellyfishPermCheck(alpha)
 	} else if k != 3 {
-		full = genericPermCheck(k, alpha)
+		full = poly.PermCheckK(k, alpha)
 	}
 	return stripEq(full)
-}
-
-func genericPermCheck(k int, alpha ff.Element) *poly.Composite {
-	// Reuse the registry construction path for arbitrary wire counts.
-	return poly.PermCheckK(k, alpha)
 }
 
 // stripEq removes the trailing fr factor from a registry PermCheck
@@ -347,25 +467,8 @@ func stripEq(c *poly.Composite) *poly.Composite {
 	return out
 }
 
-// openingSet lists the distinct µ-variable committed polynomials in a fixed
-// order: selectors, wires, sigmas.
-type commSet struct {
-	tables []*mle.Table
-	comms  []pcs.Commitment
-}
-
-func openingSet(idx *Index, wires []*mle.Table, proof *Proof) ([]*mle.Table, commSet) {
-	var tabs []*mle.Table
-	var comms []pcs.Commitment
-	tabs = append(tabs, idx.SelectorTabs...)
-	comms = append(comms, idx.SelectorComms...)
-	tabs = append(tabs, wires...)
-	comms = append(comms, proof.WireComms...)
-	tabs = append(tabs, idx.SigmaTabs...)
-	comms = append(comms, idx.SigmaComms...)
-	return tabs, commSet{tables: tabs, comms: comms}
-}
-
+// openingComms lists the commitments of the distinct µ-variable polynomials
+// the main OpenCheck opens, in its fixed order: selectors, wires, sigmas.
 func openingComms(idx *Index, proof *Proof) []pcs.Commitment {
 	var comms []pcs.Commitment
 	comms = append(comms, idx.SelectorComms...)

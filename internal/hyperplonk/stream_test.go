@@ -6,16 +6,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
-
-	"zkphire/internal/pcs"
-	"zkphire/internal/spill"
 )
 
 // TestProofBytesGoldenStreamed proves the PR 4 golden circuits through the
-// full bounded-memory stack — offloaded SRS, spilled σ tables, streamed
-// schedule — and pins the SAME sha256 digests as TestProofBytesGoldenPR4:
-// the streamed prover must be byte-identical to the in-core schedules, and
-// both must still match the wire format captured two generations ago.
+// full bounded-memory stack — offloaded SRS, spilled σ tables, a memory
+// budget — and pins the SAME sha256 digests as TestProofBytesGoldenPR4:
+// the budgeted prover must be byte-identical to the in-core one, and both
+// must still match the wire format captured two generations ago.
 //
 // A fresh SRS per case (same SetupDeterministic parameters as testSRS)
 // keeps the shared in-core SRS untouched: Offload is sticky.
@@ -26,19 +23,8 @@ func TestProofBytesGoldenStreamed(t *testing.T) {
 			if g.name == "jellyfish" {
 				c = buildJellyfishCircuit(t, g.numVars)
 			}
-			srs := pcs.SetupDeterministic(9, 777) // testSRS's parameters
-			if err := srs.Offload(t.TempDir(), 1); err != nil {
-				t.Fatal(err)
-			}
-			store, err := spill.NewStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.Close()
-			idx, err := PreprocessSpilled(srs, c, 1, store)
-			if err != nil {
-				t.Fatal(err)
-			}
+			srs, idx, cfg := residency{"budgeted", true}.setup(t, testSRS.MaxVars, c)
+			cfg.Workers = 1
 			if idx.SigmaTabs != nil {
 				t.Fatal("spilled index still holds resident σ tables")
 			}
@@ -51,7 +37,7 @@ func TestProofBytesGoldenStreamed(t *testing.T) {
 				t.Fatal("Prove on a spilled index without a memory budget succeeded")
 			}
 
-			proof, err := Prove(context.Background(), srs, idx, c, Config{Workers: 1, MemoryBudget: 1 << 20})
+			proof, err := Prove(context.Background(), srs, idx, c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,10 +59,9 @@ func TestProofBytesGoldenStreamed(t *testing.T) {
 	}
 }
 
-// TestStreamedInCoreIndex checks the streamed schedule also runs on a fully
-// resident index/SRS (MemoryBudget set, nothing offloaded) and still
-// produces the in-core bytes — the schedule alone must not change the
-// proof.
+// TestStreamedInCoreIndex checks a memory budget on a fully resident
+// index/SRS (MemoryBudget set, nothing offloaded) still produces the
+// in-core bytes — the residency policy alone must not change the proof.
 func TestStreamedInCoreIndex(t *testing.T) {
 	c := buildVanillaCircuit(t, 3, 5)
 	idx, err := PreprocessWorkers(testSRS, c, 2)
@@ -103,27 +88,5 @@ func TestStreamedInCoreIndex(t *testing.T) {
 		if string(gotBytes) != string(refBytes) {
 			t.Fatalf("streamed proof (workers=%d, resident index) differs from in-core", w)
 		}
-	}
-}
-
-// TestStreamedCancellation cancels mid-proof and checks the streamed
-// schedule aborts with the context error instead of wedging on a spill
-// read.
-func TestStreamedCancellation(t *testing.T) {
-	c := buildVanillaCircuit(t, 3, 5)
-	srs := pcs.SetupDeterministic(9, 777)
-	store, err := spill.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	idx, err := PreprocessSpilled(srs, c, 1, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Prove(ctx, srs, idx, c, Config{Workers: 1, MemoryBudget: 1 << 20}); err == nil {
-		t.Fatal("cancelled streamed prove succeeded")
 	}
 }

@@ -37,12 +37,12 @@ type Index struct {
 	// Gate is the circuit's constraint composite (without the eq factor).
 	Gate *poly.Composite
 	// SigmaSpill, when non-nil, holds the wiring-permutation tables parked
-	// on disk by PreprocessSpilled (SigmaTabs is nil then): the streamed
-	// prover loads them only for the protocol steps that read them and
-	// drops each copy as soon as the step ends. Selector tables are never
-	// spilled — they alias the compiled circuit's own tables, which stay
-	// resident for the circuit's lifetime anyway, so a disk copy would
-	// add I/O without freeing a byte.
+	// on disk by PreprocessSpilled (SigmaTabs is nil then): the prover,
+	// given a memory budget, loads them only for the protocol steps that
+	// read them and drops each copy as soon as the step ends. Selector
+	// tables are never spilled — they alias the compiled circuit's own
+	// tables, which stay resident for the circuit's lifetime anyway, so a
+	// disk copy would add I/O without freeing a byte.
 	SigmaSpill []*spill.Table
 	// Endo pins the SRS GLV φ-tables (one per commitment-basis level the
 	// prover touches, x-coordinates only) in the preprocessed key.
@@ -125,7 +125,7 @@ func PreprocessWorkers(srs *pcs.SRS, c *gates.Circuit, workers int) (*Index, err
 
 // PreprocessSpilled is PreprocessWorkers for a bounded-memory session: the
 // wiring-permutation tables are committed, then spilled into store and
-// freed (the streamed prover reloads them step by step), and the GLV
+// freed (the prover reloads them step by step), and the GLV
 // φ-tables are not pinned in the key — on an offloaded SRS they live in the
 // backing's bounded cache instead. Proofs from a spilled index are
 // byte-identical to an in-core one's.

@@ -30,12 +30,8 @@ type Budget struct {
 }
 
 type waiter struct {
-	n   int // minimum workers the request needs
-	max int // most it can use; the grant tops up to this from free capacity
-	// granted is the actual grant, set (under the budget mutex) before ready
-	// is closed.
-	granted int
-	ready   chan struct{}
+	n     int // workers requested; counted against the budget before ready closes
+	ready chan struct{}
 }
 
 // NewBudget returns a budget of `total` leasable workers (<= 0 means
@@ -100,42 +96,24 @@ func (b *Budget) OutstandingLeases() int {
 // are free or ctx is done. The returned lease MUST be released exactly
 // once; Release is idempotent so `defer lease.Release()` is always safe.
 func (b *Budget) Acquire(ctx context.Context, n int) (*Lease, error) {
-	return b.AcquireUpTo(ctx, n, n)
-}
-
-// AcquireUpTo leases between min and max workers: it blocks until min are
-// free (FIFO-fair, honouring ctx), then tops the grant up with whatever
-// additional capacity is free at that moment, capped at max. Pipelined
-// prover stages use it to make progress with one worker while an earlier
-// stage still holds the rest, without ever oversubscribing the budget.
-// Lease.Workers reports the actual grant.
-func (b *Budget) AcquireUpTo(ctx context.Context, min, max int) (*Lease, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	b.mu.Lock()
-	min = b.clamp(min)
-	max = b.clamp(max)
-	if max < min {
-		max = min
-	}
-	if len(b.waiters) == 0 && b.inUse+min <= b.total {
-		n := b.total - b.inUse
-		if n > max {
-			n = max
-		}
+	n = b.clamp(n)
+	if len(b.waiters) == 0 && b.inUse+n <= b.total {
 		b.inUse += n
 		b.leases++
 		b.mu.Unlock()
 		return &Lease{b: b, n: n}, nil
 	}
-	w := &waiter{n: min, max: max, ready: make(chan struct{})}
+	w := &waiter{n: n, ready: make(chan struct{})}
 	b.waiters = append(b.waiters, w)
 	b.mu.Unlock()
 
 	select {
 	case <-w.ready:
-		return &Lease{b: b, n: w.granted}, nil
+		return &Lease{b: b, n: n}, nil
 	case <-ctx.Done():
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -143,7 +121,7 @@ func (b *Budget) AcquireUpTo(ctx context.Context, min, max int) (*Lease, error) 
 		case <-w.ready:
 			// The grant raced the cancellation: the workers were already
 			// counted against the budget, so hand them straight back.
-			b.inUse -= w.granted
+			b.inUse -= n
 			b.leases--
 			b.wake()
 			return nil, ctx.Err()
@@ -159,21 +137,14 @@ func (b *Budget) AcquireUpTo(ctx context.Context, min, max int) (*Lease, error) 
 	}
 }
 
-// wake grants queued requests from the head while their minimum fits,
-// topping each grant up to its max from the capacity left after the
-// minimum is reserved. Caller holds mu.
+// wake grants queued requests from the head while they fit. Caller holds mu.
 func (b *Budget) wake() {
 	for len(b.waiters) > 0 {
 		w := b.waiters[0]
 		if b.inUse+w.n > b.total {
 			return
 		}
-		g := b.total - b.inUse
-		if g > w.max {
-			g = w.max
-		}
-		w.granted = g
-		b.inUse += g
+		b.inUse += w.n
 		b.leases++
 		b.waiters = b.waiters[1:]
 		close(w.ready)

@@ -215,3 +215,50 @@ func TestOutstandingLeases(t *testing.T) {
 		t.Fatalf("outstanding after cancelled waiter = %d, want 0", n)
 	}
 }
+
+// TestBudgetExactGrantAfterPartialRelease keeps the blocked-waiter assertions
+// of the removed elastic-lease test, re-aimed at Acquire: a parked request is
+// not woken by a release that frees less than it asked for, and when it is
+// woken it is granted exactly its request — never topped up from whatever
+// else is free.
+func TestBudgetExactGrantAfterPartialRelease(t *testing.T) {
+	b := NewBudget(4)
+	l1, err := b.Acquire(nil, 3)
+	if err != nil || l1.Workers() != 3 {
+		t.Fatalf("Acquire(3) = %d workers, err %v; want 3", l1.Workers(), err)
+	}
+	l2, err := b.Acquire(nil, 1)
+	if err != nil || l2.Workers() != 1 {
+		t.Fatalf("Acquire(1) = %d workers, err %v; want 1", l2.Workers(), err)
+	}
+	done := make(chan int)
+	go func() {
+		l3, err := b.Acquire(context.Background(), 2)
+		if err != nil {
+			t.Error(err)
+			done <- -1
+			return
+		}
+		n := l3.Workers()
+		l3.Release()
+		done <- n
+	}()
+	stillBlocked := func(when string) {
+		t.Helper()
+		select {
+		case n := <-done:
+			t.Fatalf("blocked Acquire(2) returned %d %s", n, when)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	stillBlocked("before any capacity freed")
+	l2.Release() // 1 free: less than the request
+	stillBlocked("after a release that freed only 1 worker")
+	l1.Release() // 4 free
+	if n := <-done; n != 2 {
+		t.Fatalf("woken Acquire(2) granted %d, want exactly 2", n)
+	}
+	if b.InUse() != 0 {
+		t.Fatalf("budget not drained: %s", b)
+	}
+}

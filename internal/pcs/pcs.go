@@ -162,21 +162,33 @@ func (s *SRS) Commit(t *mle.Table) (Commitment, error) {
 // CommitWorkers is Commit with an explicit worker budget (<= 0 means
 // GOMAXPROCS). The resulting commitment is identical for every budget.
 func (s *SRS) CommitWorkers(t *mle.Table, workers int) (Commitment, error) {
+	return s.CommitCtx(nil, t, workers)
+}
+
+// CommitCtx is CommitWorkers with mid-MSM cancellation: a cancel lands
+// inside the Pippenger accumulation (curve.MSMEndoWorkersCtx) instead of
+// waiting out the whole commitment. The successful result is identical to
+// CommitWorkers for every budget.
+func (s *SRS) CommitCtx(ctx context.Context, t *mle.Table, workers int) (Commitment, error) {
 	k := t.NumVars
 	if k > s.MaxVars {
 		return Commitment{}, fmt.Errorf("pcs: table has %d vars, SRS supports %d", k, s.MaxVars)
 	}
 	if s.Levels[k] == nil {
-		return s.commitBacked(nil, t, workers)
+		return s.commitBacked(ctx, t, workers)
 	}
 	basis := s.Levels[k]
 	endoX := s.EndoPoints(k, workers)
 	sp := t.AnalyzeSparsityWorkers(workers)
 	var acc curve.G1Jac
+	var err error
 	if sp.DenseFraction() < 0.5 {
-		acc = curve.SparseMSMEndoWorkers(basis, endoX, t.Evals, workers)
+		acc, err = curve.SparseMSMEndoWorkersCtx(ctx, basis, endoX, t.Evals, workers)
 	} else {
-		acc = curve.MSMEndoWorkers(basis, endoX, t.Evals, workers)
+		acc, err = curve.MSMEndoWorkersCtx(ctx, basis, endoX, t.Evals, workers)
+	}
+	if err != nil {
+		return Commitment{}, err
 	}
 	var aff curve.G1Affine
 	aff.FromJacobian(&acc)
@@ -189,28 +201,17 @@ func (s *SRS) Open(t *mle.Table, z []ff.Element) (ff.Element, *OpeningProof, err
 	return s.OpenWorkers(t, z, 0)
 }
 
-// OpenWorkers is Open with an explicit worker budget. The quotient tables
+// OpenWorkers is Open with an explicit worker budget.
+func (s *SRS) OpenWorkers(t *mle.Table, z []ff.Element, workers int) (ff.Element, *OpeningProof, error) {
+	return s.OpenWorkersCtx(nil, t, z, workers)
+}
+
+// OpenWorkersCtx is OpenWorkers with mid-MSM cancellation: every level's
+// witness MSM polls ctx (nil means never cancelled). The quotient tables
 // live in pooled arena scratch (no per-level allocation), the quotient
 // construction and folds are chunked, and each level's witness MSM runs on
 // the same budget.
-func (s *SRS) OpenWorkers(t *mle.Table, z []ff.Element, workers int) (ff.Element, *OpeningProof, error) {
-	return s.openWorkers(nil, t, z, workers)
-}
-
-// openWorkers is the shared Open core; ctx may be nil (never cancelled).
-func (s *SRS) openWorkers(ctx context.Context, t *mle.Table, z []ff.Element, workers int) (ff.Element, *OpeningProof, error) {
-	return s.OpenElasticCtx(ctx, t, z, func() (int, func(), error) { return workers, func() {}, nil })
-}
-
-// OpenElasticCtx is openWorkers with a per-level worker lease: before each
-// fold level (one quotient scan, one witness MSM, one fold) it calls
-// acquire, runs the level on the granted width, and calls the returned
-// release. The pipelined prover's witness-chain stages use it to pick up
-// workers a drained sibling stage frees mid-chain, instead of running the
-// whole halving chain at their launch-time width. Worker counts never
-// change results (DESIGN.md §2), so the proof is identical to OpenWorkers
-// at any grant sequence.
-func (s *SRS) OpenElasticCtx(ctx context.Context, t *mle.Table, z []ff.Element, acquire func() (int, func(), error)) (ff.Element, *OpeningProof, error) {
+func (s *SRS) OpenWorkersCtx(ctx context.Context, t *mle.Table, z []ff.Element, workers int) (ff.Element, *OpeningProof, error) {
 	k := t.NumVars
 	if len(z) != k {
 		return ff.Element{}, nil, fmt.Errorf("pcs: point arity %d for %d-var table", len(z), k)
@@ -228,23 +229,14 @@ func (s *SRS) OpenElasticCtx(ctx context.Context, t *mle.Table, z []ff.Element, 
 	defer parallel.PutScratch(work)
 	defer parallel.PutScratch(qBuf)
 
-	workers, release, err := acquire()
-	if err != nil {
-		return ff.Element{}, nil, err
-	}
 	src := t.Evals
 	parallel.For(workers, len(src), func(lo, hi int) {
 		copy(work[lo:hi], src[lo:hi])
 	})
-	release()
 
 	cur := mle.FromEvals(work)
 	proof := &OpeningProof{Qs: make([]curve.G1Affine, k)}
 	for i := 0; i < k; i++ {
-		workers, release, err := acquire()
-		if err != nil {
-			return ff.Element{}, nil, err
-		}
 		half := cur.Size() / 2
 		q := qBuf[:half]
 		evals := cur.Evals
@@ -255,12 +247,10 @@ func (s *SRS) OpenElasticCtx(ctx context.Context, t *mle.Table, z []ff.Element, 
 		})
 		acc, err := s.msmRangeCtx(ctx, k-i-1, 0, q, workers, false)
 		if err != nil {
-			release()
 			return ff.Element{}, nil, err
 		}
 		proof.Qs[i].FromJacobian(&acc)
 		cur.FoldWorkers(&z[i], workers)
-		release()
 	}
 	return cur.Evals[0], proof, nil
 }

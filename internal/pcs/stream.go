@@ -7,47 +7,7 @@ import (
 
 	"zkphire/internal/curve"
 	"zkphire/internal/ff"
-	"zkphire/internal/mle"
 )
-
-// CommitCtx is CommitWorkers with mid-MSM cancellation: a cancel lands
-// inside the Pippenger accumulation (curve.MSMEndoWorkersCtx) instead of
-// waiting out the whole commitment. The successful result is identical to
-// CommitWorkers for every budget.
-func (s *SRS) CommitCtx(ctx context.Context, t *mle.Table, workers int) (Commitment, error) {
-	k := t.NumVars
-	if k > s.MaxVars {
-		return Commitment{}, fmt.Errorf("pcs: table has %d vars, SRS supports %d", k, s.MaxVars)
-	}
-	if s.Levels[k] == nil {
-		return s.commitBacked(ctx, t, workers)
-	}
-	basis := s.Levels[k]
-	endoX := s.EndoPoints(k, workers)
-	sp := t.AnalyzeSparsityWorkers(workers)
-	var acc curve.G1Jac
-	var err error
-	if sp.DenseFraction() < 0.5 {
-		acc, err = curve.SparseMSMEndoWorkersCtx(ctx, basis, endoX, t.Evals, workers)
-	} else {
-		acc, err = curve.MSMEndoWorkersCtx(ctx, basis, endoX, t.Evals, workers)
-	}
-	if err != nil {
-		return Commitment{}, err
-	}
-	var aff curve.G1Affine
-	aff.FromJacobian(&acc)
-	return Commitment{Point: aff, NumVars: k}, nil
-}
-
-// OpenWorkersCtx is OpenWorkers with per-level and mid-MSM cancellation:
-// every witness MSM polls ctx, and the fold loop checks it between levels.
-func (s *SRS) OpenWorkersCtx(ctx context.Context, t *mle.Table, z []ff.Element, workers int) (ff.Element, *OpeningProof, error) {
-	if ctx == nil {
-		return s.OpenWorkers(t, z, workers)
-	}
-	return s.openWorkers(ctx, t, z, workers)
-}
 
 // streamGatherThreshold is the minimum segment size the stream committer
 // sends to the MSM directly. The Pippenger amortization (one bucket-table
@@ -72,8 +32,10 @@ const streamGatherThreshold = 1 << 15
 // materializes its basis ranges only at flush time, into arena scratch —
 // the committer never holds more than one chunk of basis points.
 //
-// Feed may be called from one goroutine at a time (the prover's build
-// stage); the committer is not otherwise concurrency-safe.
+// Feed may be called from one goroutine at a time; the committer is not
+// otherwise concurrency-safe. The prover commits assembled tables
+// (CommitCtx); the one caller left is the frozen benchmark's
+// pcs.stream_commit16_s layer metric.
 type StreamCommitter struct {
 	srs     *SRS
 	numVars int

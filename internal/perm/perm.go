@@ -157,65 +157,16 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 	if k == 0 || len(sigmaTabs) != k {
 		panic("perm: column count mismatch")
 	}
-	return Prepare(k, wires[0].NumVars).Run(wires, sigmaTabs, beta, gamma, workers, nil)
-}
-
-// Prepared holds every buffer the argument build writes into. Allocating
-// (and faulting in) these tables costs real time at prover scale, and none
-// of it depends on the β/γ challenges — so the pipelined prover runs
-// Prepare as a stage overlapping the Step-1 wire MSMs, then calls Run the
-// moment the challenges land.
-type Prepared struct {
-	k, numVars   int
-	nTabs, dTabs []*mle.Table
-	phi          *mle.Table
-	tEvals       []ff.Element
-	pi, p1, p2   []ff.Element
-}
-
-// Prepare allocates the build buffers for k columns of 2^numVars rows.
-func Prepare(k, numVars int) *Prepared {
-	n := 1 << uint(numVars)
-	p := &Prepared{k: k, numVars: numVars}
-	p.nTabs = make([]*mle.Table, k)
-	p.dTabs = make([]*mle.Table, k)
-	for j := 0; j < k; j++ {
-		p.nTabs[j] = mle.New(numVars)
-		p.dTabs[j] = mle.New(numVars)
-	}
-	p.phi = mle.New(numVars)
-	p.tEvals = make([]ff.Element, 2*n)
-	p.pi = make([]ff.Element, n)
-	p.p1 = make([]ff.Element, n)
-	p.p2 = make([]ff.Element, n)
-	return p
-}
-
-// Run executes the challenge-dependent build into the prepared buffers and
-// returns the argument. A Prepared is single-use: the argument aliases its
-// buffers.
-//
-// If emit is non-nil it is called with each completed segment of the
-// product-tree table V — emit(offset, vals) meaning V.Evals[offset:offset+
-// len(vals)] is final — in ascending offset order: the N leaves (ϕ), then
-// each tree level, then the root/pad pair. The pipelined prover feeds these
-// straight into pcs.CommitStream so the V commitment accumulates while
-// upper levels are still multiplying. Emitted slices alias the table; the
-// callee must not mutate them.
-func (p *Prepared) Run(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers int, emit func(offset int, vals []ff.Element)) *Argument {
-	k := p.k
-	if len(wires) != k || len(sigmaTabs) != k {
-		panic("perm: column count mismatch")
-	}
-	nv := p.numVars
-	if wires[0].NumVars != nv {
-		panic("perm: numVars mismatch with Prepare")
-	}
+	nv := wires[0].NumVars
 	n := 1 << uint(nv)
 
 	a := &Argument{Beta: beta, Gamma: gamma}
-	a.NTabs = p.nTabs
-	a.DTabs = p.dTabs
+	a.NTabs = make([]*mle.Table, k)
+	a.DTabs = make([]*mle.Table, k)
+	for j := 0; j < k; j++ {
+		a.NTabs[j] = mle.New(nv)
+		a.DTabs[j] = mle.New(nv)
+	}
 	parallel.For(workers, n, func(lo, hi int) {
 		var base, id ff.Element
 		for j := 0; j < k; j++ {
@@ -243,7 +194,7 @@ func (p *Prepared) Run(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, wo
 	defer parallel.PutScratch(num)
 	defer parallel.PutScratch(den)
 	defer parallel.PutScratch(inv)
-	phi := p.phi
+	phi := mle.New(nv)
 	parallel.For(workers, n, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			num[x] = a.NTabs[0].Evals[x]
@@ -261,45 +212,28 @@ func (p *Prepared) Run(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, wo
 	a.Phi = phi
 
 	// Product tree T of size 2N, built level by level; within a level every
-	// node is independent. Each finished segment is emitted as soon as its
-	// last entry is written: the leaves after ϕ lands, then one chunk per
-	// level — exactly the granularity the streamed commitment consumes.
-	tEvals := p.tEvals
+	// node is independent.
+	tEvals := make([]ff.Element, 2*n)
 	parallel.For(workers, n, func(lo, hi int) {
 		copy(tEvals[lo:hi], phi.Evals[lo:hi])
 	})
-	if emit != nil && n > 1 {
-		// n == 1 degenerates to the root/pad emission below covering [0, 2).
-		emit(0, tEvals[:n])
-	}
 	for width := n / 2; width >= 1; width /= 2 {
 		// This level's nodes are T[n+off .. n+off+width) with children at
 		// T[2·off .. 2·(off+width)).
 		off := n - 2*width
-		if width == 1 {
-			// Root T[2N−2] plus the fixed pad T[2N−1] = 1.
-			tEvals[2*n-2].Mul(&tEvals[2*off], &tEvals[2*off+1])
-			break
-		}
 		parallel.For(workers, width, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				tEvals[n+off+j].Mul(&tEvals[2*(off+j)], &tEvals[2*(off+j)+1])
 			}
 		})
-		if emit != nil {
-			emit(n+off, tEvals[n+off:n+off+width])
-		}
 	}
 	tEvals[2*n-1] = ff.One()
-	if emit != nil {
-		emit(2*n-2, tEvals[2*n-2:])
-	}
 	a.V = mle.FromEvals(tEvals)
 
 	// Views.
-	pi := p.pi
-	p1 := p.p1
-	p2 := p.p2
+	pi := make([]ff.Element, n)
+	p1 := make([]ff.Element, n)
+	p2 := make([]ff.Element, n)
 	parallel.For(workers, n, func(lo, hi int) {
 		copy(pi[lo:hi], tEvals[n+lo:n+hi])
 		for x := lo; x < hi; x++ {
@@ -316,10 +250,10 @@ func (p *Prepared) Run(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, wo
 // DropCheckTables releases every table the argument only needs through the
 // PermCheck ZeroCheck — the per-column numerators/denominators, ϕ, and the
 // π/p₁/p₂ views. The committed product tree V (and the challenges) survive:
-// the remaining protocol steps evaluate and open only V. The bounded-memory
-// prover calls this right after the PermCheck SumCheck to shed ~(2k+4)·N
-// field elements at the peak step; safe because Run's buffers are owned by
-// the argument once Prepared is consumed.
+// the remaining protocol steps evaluate and open only V. The prover calls
+// this once the PermCheck SumCheck stops reading them, shedding ~(2k+4)·N
+// field elements at the peak step; safe because the argument owns every
+// buffer BuildWorkers allocated.
 func (a *Argument) DropCheckTables() {
 	a.NTabs, a.DTabs = nil, nil
 	a.Phi = nil

@@ -1,5 +1,5 @@
 // Package spill is a small tmpfile-backed chunk store for out-of-core prover
-// state: preprocessed tables the bounded-memory schedule parks on disk
+// state: preprocessed tables a memory-budgeted prover parks on disk
 // between protocol steps, and the offloaded SRS commitment-basis levels
 // (internal/pcs loads those back level- or chunk-at-a-time).
 //

@@ -99,8 +99,8 @@ type Config struct {
 	// after the first fold materializes the prover's half-size working
 	// tables. From that point the prover never reads the assignment's
 	// original tables again, so a caller that owns them may free or spill
-	// them in the callback — the bounded-memory HyperPlonk schedule drops
-	// the (2k+4)·N PermCheck tables here, mid-SumCheck, instead of holding
+	// them in the callback — the HyperPlonk prover drops the (2k+4)·N
+	// PermCheck tables here, mid-SumCheck, instead of holding
 	// them to the final round. Never called when the assignment has zero
 	// variables (no folds happen; the final evaluations then read the
 	// originals). Purely a residency hook: it must not mutate table values.
@@ -171,8 +171,8 @@ func ProveCtx(ctx context.Context, tr *transcript.Transcript, a *Assignment, cla
 // cloning construction). Rounds after the first fold in place as before.
 // The caller's tables are never written; release returns the arena buffers.
 //
-// Halving the prover's scratch footprint matters most to the bounded-memory
-// schedule (hyperplonk/stream.go), where the SumCheck working set over the
+// Halving the prover's scratch footprint matters most under a memory budget
+// (hyperplonk.Config.MemoryBudget), where the SumCheck working set over the
 // full-width wire/permutation tables dominates the prove-time peak.
 type lazyWork struct {
 	work       *Assignment  // aliases the caller's tables until the first fold

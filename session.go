@@ -105,27 +105,16 @@ func WithWorkers(n int) ProverOption {
 	return func(p *Prover) { p.workers = n }
 }
 
-// WithSequentialSchedule forces the strict five-step prover schedule (each
-// protocol step finishes before the next starts) instead of the default
-// pipelined dependency-DAG schedule that overlaps MSM commits, SumCheck
-// rounds, and batch evaluations across Fiat-Shamir barriers. The proof bytes
-// are identical either way — this option exists for benchmarking the overlap
-// and as a diagnostic fallback.
-func WithSequentialSchedule() ProverOption {
-	return func(p *Prover) { p.sequential = true }
-}
-
 // WithMemoryBudget bounds the session's working set to roughly bytes of
-// live prover data, selecting the streaming out-of-core schedule end to
-// end: NewProver offloads the SRS commitment bases to disk behind a bounded
-// lazily-loaded level cache, parks the wiring-permutation tables in a
-// spill store (checksummed tmpfile pages), and Prove runs the
-// bounded-memory pass schedule — spilled tables load only for the protocol
-// steps that read them, MSMs against the offloaded basis stream chunks
-// through arena scratch, and the permutation argument's check tables drop
-// the moment the PermCheck SumCheck ends.
+// live prover data. It is a residency policy of the one prover schedule,
+// end to end: NewProver offloads the SRS commitment bases to disk behind a
+// bounded lazily-loaded level cache and parks the wiring-permutation tables
+// in a spill store (checksummed tmpfile pages); Prove then runs the same
+// five steps with spilled tables loaded only for the steps that read them,
+// the wire commitments one MSM at a time, and every MSM against the
+// offloaded basis streaming chunks through arena scratch.
 //
-// Proof bytes are identical to the in-core schedules at every budget (the
+// Proof bytes are identical to an in-core session's at every budget (the
 // conformance suite in streaming_test.go pins this). The budget bounds
 // zkphire's own live data, not the Go runtime's total footprint; pair it
 // with GOMEMLIMIT (or debug.SetMemoryLimit) to make the process RSS follow.
@@ -145,13 +134,12 @@ func WithMemoryBudget(bytes int64) ProverOption {
 // construction (the spill store of a memory-budgeted session serves
 // concurrent readers behind its own lock).
 type Prover struct {
-	srs        *SRS
-	compiled   *CompiledCircuit
-	vk         *hyperplonk.Index
-	workers    int
-	sequential bool
-	memBudget  int64
-	store      *spill.Store
+	srs       *SRS
+	compiled  *CompiledCircuit
+	vk        *hyperplonk.Index
+	workers   int
+	memBudget int64
+	store     *spill.Store
 }
 
 // NewProver preprocesses the compiled circuit against the SRS and returns a
@@ -230,7 +218,9 @@ func (p *Prover) ProveWorkers(ctx context.Context, workers int) (*Proof, error) 
 	return p.prove(ctx, workers)
 }
 
-// Prove generates one proof. Cancelling ctx aborts between protocol steps.
+// Prove generates one proof. Cancelling ctx aborts it promptly — inside the
+// MSM and SumCheck kernels, not only between protocol steps — and Prove
+// then returns ctx.Err() unwrapped (see hyperplonk.Prove).
 func (p *Prover) Prove(ctx context.Context) (*Proof, error) {
 	return p.prove(ctx, p.workers)
 }
@@ -241,7 +231,7 @@ func (p *Prover) Verify(proof *Proof) error {
 }
 
 func (p *Prover) prove(ctx context.Context, workers int) (*Proof, error) {
-	return hyperplonk.Prove(ctx, p.srs, p.vk, p.compiled.circ, hyperplonk.Config{Workers: workers, Sequential: p.sequential, MemoryBudget: p.memBudget})
+	return hyperplonk.Prove(ctx, p.srs, p.vk, p.compiled.circ, hyperplonk.Config{Workers: workers, MemoryBudget: p.memBudget})
 }
 
 // BatchProve generates n proofs from the one-time preprocessing, proving up

@@ -49,7 +49,7 @@ func TestStreamingConformance(t *testing.T) {
 	compiled := buildStreamingCircuit(t, lg)
 
 	srs := SetupDeterministic(lg+1, seed)
-	inCore, err := NewProver(srs, compiled, WithSequentialSchedule())
+	inCore, err := NewProver(srs, compiled)
 	if err != nil {
 		t.Fatal(err)
 	}

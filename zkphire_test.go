@@ -311,39 +311,3 @@ func TestAcceleratorEstimates(t *testing.T) {
 		t.Fatal("unknown constraint accepted")
 	}
 }
-
-// TestDeprecatedShims keeps the pre-session entry points alive.
-func TestDeprecatedShims(t *testing.T) {
-	srs := SetupDeterministic(8, 1)
-	b := NewCircuitBuilder()
-	x := b.Secret(3)
-	x2 := b.Mul(x, x)
-	x3 := b.Mul(x2, x)
-	s := b.Add(x3, x)
-	out := b.AddConst(s, 5)
-	b.AssertEqualConst(out, 35)
-	proof, vk, err := ProveCircuit(srs, b, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCircuit(srs, vk, proof); err != nil {
-		t.Fatal(err)
-	}
-
-	jb := NewJellyfishBuilder()
-	y := jb.Secret(2)
-	z := jb.Power5(y)                // 32
-	w := jb.DoubleMulAdd(z, y, y, y) // 64 + 4 = 68
-	jb.AssertEqualConst(w, 68)
-	jproof, jvk, err := ProveJellyfish(srs, jb, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCircuit(srs, jvk, jproof); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := DefaultAccelerator().EstimateProver(true, 24); err != nil {
-		t.Fatal(err)
-	}
-}
