@@ -1,12 +1,22 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-json bench-msm bench-sumcheck bench-mem bench-cluster mem-smoke chaos-smoke soak-smoke fmt vet lint fuzz-smoke docs
+.PHONY: build test test-purego cross-build race bench-smoke bench-json bench-msm bench-sumcheck bench-mem bench-cluster mem-smoke chaos-smoke soak-smoke fmt vet lint fuzz-smoke docs
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The reference leg: -tags purego compiles the amd64 fp.Mul kernel out
+# (internal/fp/mul_amd64.s), so fp, the curve/pcs layers on top of it and
+# the golden proof-byte pins in hyperplonk run on the portable Go path.
+test-purego:
+	$(GO) test -tags purego ./internal/fp ./internal/curve ./internal/pcs ./internal/hyperplonk
+
+# The non-amd64 fallback must keep compiling.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
 
 race:
 	$(GO) test -race ./...

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -141,15 +142,23 @@ func (l *Loader) check(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Keep the files `go build` would: build.Default.MatchFile applies the
+	// _GOOS/_GOARCH name suffixes and //go:build lines (and drops "."/"_"
+	// prefixes), so a file pair split on a constraint contributes one side,
+	// not a redeclaration.
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("zkvet: no buildable Go files in %s", dir)

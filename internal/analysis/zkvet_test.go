@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 
@@ -189,5 +190,19 @@ func TestIgnoreMalformed(t *testing.T) {
 	}
 	if suppressed != 3 {
 		t.Errorf("malformed directives must not suppress: want 3 norawgo findings, got %d in %v", suppressed, diags)
+	}
+}
+
+// TestLoaderBuildConstraints: a package split into build-constrained file
+// pairs (a _GOARCH suffix pair and a //go:build tag pair, each declaring the
+// same names) loads clean — the loader keeps the three files `go build`
+// would, on any host architecture, instead of all five.
+func TestLoaderBuildConstraints(t *testing.T) {
+	pkg := analysistest.Load(t, "testdata/buildtags", fixturePath)
+	if len(pkg.Files) != 3 {
+		t.Errorf("loaded %d files, want 3 (kernel.go, one kernel_* side, tag_off.go)", len(pkg.Files))
+	}
+	if c, ok := pkg.Types.Scope().Lookup("tagged").(*types.Const); !ok || c.Val().String() != "1" {
+		t.Errorf("tagged = %v, want the constant 1 from tag_off.go", pkg.Types.Scope().Lookup("tagged"))
 	}
 }

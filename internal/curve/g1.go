@@ -319,7 +319,8 @@ func (p *G1Jac) ScalarMulBig(q *G1Jac, k *big.Int) *G1Jac {
 }
 
 // pointGrain is the minimum chunk size for loops whose iterations are curve
-// point operations (microseconds each, vs ~100ns for field elements).
+// point operations (~0.7–1 µs per addition with the ADX fp.Mul, ~1.2–1.7 µs
+// on the portable path, vs ~50–100 ns for one field multiplication).
 const pointGrain = 64
 
 // BatchFromJacobian converts a slice of Jacobian points to affine with one

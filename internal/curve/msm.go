@@ -579,10 +579,15 @@ func extractDigit(words *[ff.Limbs]uint64, bit, width int) uint32 {
 // ceil(128/c): versus the pre-GLV model both the window count (255→128
 // bits) and the bucket count (2^c−1 → 2^(c−1)) are halved, so the same
 // cache footprint carries a one-bit-wider window and the reduction term
-// shrinks ~4×. Tiers measured with BenchmarkMSMWindowSweep on the 1-core
-// runner (c=16 beats c=13 by ~8% at 2^20 and keeps the bucket array at
-// 3 MiB; past that the array falls out of cache and the curve turns back
-// up).
+// shrinks ~4×. Tiers re-checked with BenchmarkMSMWindowSweep (tier ±2, one
+// worker, alternating passes, 2-core runner) after fp.Mul moved to the ADX
+// kernel, which halves costAffine and costJac alike and leaves the memory
+// traffic where it was. None moved: at 2^16 c=13 (0.67–0.76 s) is ≥ 8% ahead
+// of c=12 and c=14 in every pass; at 2^10 c=8 (18–22 ms) ties c=9; at 2^15
+// c=12 (324–468 ms vs c=13's 298–471) and at 2^17 c=14 (1.34–1.53 s vs
+// c=15's 1.44–1.61) won some of five passes by 5–12% and lost or tied
+// others — short of "> 5% in every pass" on a runner that wanders by more.
+// The tiers from 2^18 up are PR 4's and were not re-measured.
 func windowSize(n int) int {
 	switch {
 	case n < 32:

@@ -28,9 +28,10 @@ type Element [Limbs]uint64
 const modulusHex = "1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab"
 
 // Modulus limbs and the Montgomery constant as untyped constants so the
-// unrolled Mul below can fold them into immediates instead of burning six
-// registers; init cross-checks them against modulusHex (the single trusted
-// literal) and panics on mismatch.
+// unrolled mulGeneric below can fold them into immediates instead of burning
+// six registers; init cross-checks them against modulusHex (the single
+// trusted literal) and panics on mismatch. The amd64 kernel reads the same
+// values from the checked variables p and pInvNeg.
 const (
 	pc0 = 0xb9feffffffffaaab
 	pc1 = 0x1eabfffeb153ffff
@@ -230,18 +231,6 @@ func (z *Element) Equal(x *Element) bool {
 		z[3] == x[3] && z[4] == x[4] && z[5] == x[5]
 }
 
-func smallerThanModulus(z *Element) bool {
-	for i := Limbs - 1; i >= 0; i-- {
-		if z[i] < p[i] {
-			return true
-		}
-		if z[i] > p[i] {
-			return false
-		}
-	}
-	return false
-}
-
 // Add sets z = x + y mod p and returns z. The body is unrolled with the
 // modulus limbs as immediates — the MSM bucket loop calls this (via Sub/Neg
 // too) several times per point addition.
@@ -330,14 +319,36 @@ func madd0(a, b, c uint64) uint64 {
 	return hi + carry
 }
 
-// Mul sets z = x*y mod p (Montgomery CIOS, fused "no-carry" variant) and
-// returns z. Because the top limb of p is < 2^62, the intermediate
-// accumulator never overflows the Limbs+1st word, so the multiplication and
-// Montgomery reduction interleave in a single unrolled pass with the
-// accumulator in scalar locals (registers). This is the prover's single
-// hottest instruction sequence — every curve-point operation in an MSM runs
-// through it.
+// Mul sets z = x*y mod p and returns z. This is the prover's single hottest
+// instruction sequence — every curve-point operation in an MSM runs through
+// it — so on amd64 CPUs with BMI2+ADX it is the assembly kernel in
+// mul_amd64.s; everywhere else (and under -tags purego) it is mulGeneric.
+// The two compute the same fully reduced value.
 func (z *Element) Mul(x, y *Element) *Element {
+	if hasADX {
+		mulADX(z, x, y)
+		return z
+	}
+	return z.mulGeneric(x, y)
+}
+
+// Square sets z = x² and returns z; see Mul for the dispatch. The kernel has
+// no dedicated squaring: mulADX(x, x) already beats squareGeneric's 21-product
+// SOS form (BenchmarkSquare).
+func (z *Element) Square(x *Element) *Element {
+	if hasADX {
+		mulADX(z, x, x)
+		return z
+	}
+	return z.squareGeneric(x)
+}
+
+// mulGeneric is the portable Mul: Montgomery CIOS, fused "no-carry" variant.
+// Because the top limb of p is < 2^62, the intermediate accumulator never
+// overflows the Limbs+1st word, so the multiplication and Montgomery
+// reduction interleave in a single unrolled pass with the accumulator in
+// scalar locals (registers).
+func (z *Element) mulGeneric(x, y *Element) *Element {
 	var t0, t1, t2, t3, t4, t5 uint64
 	x0, x1, x2, x3, x4, x5 := x[0], x[1], x[2], x[3], x[4], x[5]
 
@@ -473,11 +484,11 @@ func (z *Element) Mul(x, y *Element) *Element {
 	return z
 }
 
-// Square sets z = x² and returns z. Dedicated SOS squaring: the 12-word
+// squareGeneric is the portable Square. Dedicated SOS squaring: the 12-word
 // square needs only 21 word products (15 doubled cross terms + 6 diagonals)
-// against Mul's 36, followed by a 6-round Montgomery reduction — ~20% fewer
-// single-word multiplies than Mul on the squaring-heavy Jacobian formulas.
-func (z *Element) Square(x *Element) *Element {
+// against mulGeneric's 36, followed by a 6-round Montgomery reduction — ~20%
+// fewer single-word multiplies on the squaring-heavy Jacobian formulas.
+func (z *Element) squareGeneric(x *Element) *Element {
 	x0, x1, x2, x3, x4, x5 := x[0], x[1], x[2], x[3], x[4], x[5]
 
 	// Upper-triangle products Σ_{i<j} x_i·x_j·2^{64(i+j)} in w[1..10].
