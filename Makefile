@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-purego cross-build race bench-smoke bench-json bench-msm bench-sumcheck bench-mem bench-cluster mem-smoke chaos-smoke soak-smoke fmt vet lint fuzz-smoke docs
+.PHONY: build test test-purego cross-build race bench-smoke mem-smoke chaos-smoke soak-smoke fmt vet lint fuzz-smoke docs
 
 build:
 	$(GO) build ./...
@@ -40,68 +40,27 @@ lint:
 fuzz-smoke:
 	sh scripts/fuzzsmoke.sh
 
-# Documentation gate: every package must carry a godoc package comment.
+# Documentation gate: every package carries a godoc package comment, and
+# README/DESIGN/ARCHITECTURE, this Makefile and ci.yml name no cmd/<dir>,
+# BENCH*.json or *.md file, or make target, that does not exist.
 docs:
 	sh scripts/checkdocs.sh
 
-# Quick kernel benchmarks: one iteration of the small parallel-engine
-# benchmarks plus quick benchjson passes (all kernels, then the MSM-only
-# GLV series). Used by CI as a smoke signal that the hot kernels still run
-# and report.
+# Every BENCHMARK.json workload and its traced pass at logGates 8, with
+# the runner's correctness checks (`go test ./bench` runs the same pass).
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkMLEFold/2\^16|BenchmarkMLEEvaluate/2\^16|BenchmarkCurveMSM/2\^16|BenchmarkProveSession' -benchtime=1x .
-	$(GO) run ./cmd/benchjson -quick -o /tmp/bench_smoke.json
-	$(GO) run ./cmd/benchjson -quick -msm -o /tmp/bench_smoke_msm.json
-	$(GO) run ./cmd/benchjson -quick -sumcheck -o /tmp/bench_smoke_sumcheck.json
-
-# Full kernel measurement at the sizes the bench trajectory tracks
-# (2^16–2^20 MSMs; end-to-end Prove at logGates=16). Takes minutes.
-# Override the output record per PR: `make bench-json OUT=BENCH_pr6.json`
-# (the default preserves the PR 4 record name for continuity).
-bench-json:
-	$(GO) run ./cmd/benchjson -o $(or $(OUT),BENCH_pr4.json)
-
-# The GLV before/after record alone: curve.MSM at 2^16–2^20 against the
-# BENCH_pr2.json serial numbers. Minutes, not tens of minutes. Writes a
-# separate file (override with OUT=...) so the full-kernel record is
-# never clobbered by a 3-series run.
-bench-msm:
-	$(GO) run ./cmd/benchjson -msm -o $(or $(OUT),BENCH_pr4_msm.json)
-
-# The scalar-field (SumCheck fast path) record alone: per-round scan at
-# 2^16–2^20, eq-factorized ZeroCheck, perm.Build, mle.Evaluate, and the
-# end-to-end Prove, against the PR 4 serial baselines. Minutes.
-# Override the output record with OUT=... as above.
-bench-sumcheck:
-	$(GO) run ./cmd/benchjson -sumcheck -o $(or $(OUT),BENCH_pr5.json)
-
-# The memory (streaming out-of-core prover) record: end-to-end Prove at
-# logGates=18 in-core vs streamed under a half-peak memory budget, both
-# peaks sampled by internal/membench and the proof bytes compared before
-# the record is written. Minutes. Override the output with OUT=... and the
-# size with LG=... (e.g. `make bench-mem LG=16` on small runners).
-bench-mem:
-	$(GO) run ./cmd/benchjson -mem -mem-loggates $(or $(LG),18) -o $(or $(OUT),BENCH_pr8.json)
+	$(GO) run ./bench -smoke
 
 # Memory-budget conformance smoke: the regression test at logGates=16
-# (CI-sized; the checked-in default is 18) plus a quick -mem record.
-# GOMEMLIMIT is set per-row by the harness (membench.SampleUnderLimit); the
-# ulimit is a 4 GiB hard address-space backstop so a prover that ignores its
-# budget fails fast with an allocation error instead of paging the runner or
-# waking the OOM killer. (Virtual size, not RSS: the Go runtime's reserved
-# arenas sit far above any resident peak, so the backstop is loose by
-# design.)
+# (CI-sized; the checked-in default is 18). GOMEMLIMIT is set per-row by
+# the harness (membench.SampleUnderLimit); the ulimit is a 4 GiB hard
+# address-space backstop so a prover that ignores its budget fails fast
+# with an allocation error instead of paging the runner or waking the OOM
+# killer. (Virtual size, not RSS: the Go runtime's reserved arenas sit far
+# above any resident peak, so the backstop is loose by design.)
 mem-smoke:
 	ulimit -v 4194304 && \
-	ZKPHIRE_MEMBUDGET_LOGGATES=16 $(GO) test -run TestMemoryBudgetRegression -v -count=1 . && \
-	$(GO) run ./cmd/benchjson -mem -quick -o /tmp/bench_mem_smoke.json
-
-# The distribution (coordinator + worker pool) record: end-to-end prove
-# throughput through an in-process cluster at pool sizes 1-4 over the
-# real HTTP dispatch protocol. Minutes. Override the output with OUT=...
-# as above.
-bench-cluster:
-	$(GO) run ./cmd/benchjson -cluster -o $(or $(OUT),BENCH_pr10.json)
+	ZKPHIRE_MEMBUDGET_LOGGATES=16 $(GO) test -run TestMemoryBudgetRegression -v -count=1 .
 
 # Chaos smoke: the fault-injection suite under the race detector — the
 # in-process randomized fault rounds, the re-exec crash/replay
@@ -120,8 +79,6 @@ chaos-smoke:
 # network faults), a worker SIGKILLed and replaced mid-batch, then the
 # coordinator SIGKILLed and restarted on the same address and journal;
 # every keyed job must settle exactly once with golden proof bytes. The
-# -timeout is the wall-clock cap. See DESIGN.md §10. A quick -cluster
-# throughput record rides along for the CI artifact.
+# -timeout is the wall-clock cap. See DESIGN.md §10.
 soak-smoke:
 	$(GO) test -race -count=1 -v -timeout 300s ./internal/cluster/
-	$(GO) run ./cmd/benchjson -cluster -quick -o /tmp/bench_cluster_smoke.json

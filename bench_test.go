@@ -8,9 +8,7 @@ package zkphire
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"zkphire/internal/core"
@@ -22,7 +20,6 @@ import (
 	"zkphire/internal/hw/system"
 	"zkphire/internal/hw/zkspeed"
 	"zkphire/internal/mle"
-	"zkphire/internal/pcs"
 	"zkphire/internal/poly"
 	"zkphire/internal/sumcheck"
 	"zkphire/internal/transcript"
@@ -527,152 +524,4 @@ func BenchmarkAblationSparseMSM(b *testing.B) {
 			curve.SparseMSM(points, sparseScalars)
 		}
 	})
-}
-
-// --- PR 2: parallel-engine micro-benchmarks (mle.Fold / curve.MSM /
-// pcs.Commit at 2^16–2^20) and the worker-budget sweep. These are the
-// kernels BENCH_pr2.json tracks; run with -benchtime=1x for a smoke pass —
-// the large sizes cost seconds per op on a laptop core. ---
-
-// benchPoints returns n distinct affine points (i·G) cheaply.
-func benchPoints(n int) []curve.G1Affine {
-	g := curve.Generator()
-	jacs := make([]curve.G1Jac, n)
-	var acc curve.G1Jac
-	acc.SetInfinity()
-	for i := range jacs {
-		acc.AddMixed(&g)
-		jacs[i] = acc
-	}
-	return curve.BatchFromJacobian(jacs)
-}
-
-// workerBudgets is the sweep each kernel benchmark runs: the serial
-// baseline and the full machine.
-func workerBudgets() []int {
-	if runtime.GOMAXPROCS(0) == 1 {
-		return []int{1}
-	}
-	return []int{1, runtime.GOMAXPROCS(0)}
-}
-
-func BenchmarkMLEFold(b *testing.B) {
-	rng := ff.NewRand(61)
-	for _, lg := range []int{16, 18, 20} {
-		base := rng.Elements(1 << lg)
-		work := make([]ff.Element, len(base))
-		r := rng.Element()
-		for _, w := range workerBudgets() {
-			b.Run(fmt.Sprintf("2^%d/workers=%d", lg, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					copy(work, base)
-					tab := mle.FromEvals(work)
-					b.StartTimer()
-					tab.FoldWorkers(&r, w)
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkMLEEvaluate(b *testing.B) {
-	rng := ff.NewRand(62)
-	for _, lg := range []int{16, 18} {
-		tab := mle.FromEvals(rng.Elements(1 << lg))
-		point := rng.Elements(lg)
-		for _, w := range workerBudgets() {
-			b.Run(fmt.Sprintf("2^%d/workers=%d", lg, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					tab.EvaluateWorkers(point, w)
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkCurveMSM(b *testing.B) {
-	rng := ff.NewRand(63)
-	points := benchPoints(1 << 20)
-	for _, lg := range []int{16, 18, 20} {
-		n := 1 << lg
-		scalars := rng.Elements(n)
-		for _, w := range workerBudgets() {
-			b.Run(fmt.Sprintf("2^%d/workers=%d", lg, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					curve.MSMWorkers(points[:n], scalars, w)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPCSCommit uses a synthetic SRS level (the basis points' values do
-// not affect MSM cost) to avoid a multi-minute trusted setup at 2^20.
-func BenchmarkPCSCommit(b *testing.B) {
-	rng := ff.NewRand(64)
-	points := benchPoints(1 << 20)
-	srs := &pcs.SRS{MaxVars: 20, Levels: make([][]curve.G1Affine, 21)}
-	for k := 16; k <= 20; k++ {
-		srs.Levels[k] = points[:1<<k]
-	}
-	for _, lg := range []int{16, 18, 20} {
-		dense := mle.FromEvals(rng.Elements(1 << lg))
-		sparse := mle.FromEvals(rng.SparseElements(1<<lg, 0.1))
-		for _, w := range workerBudgets() {
-			b.Run(fmt.Sprintf("dense/2^%d/workers=%d", lg, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := srs.CommitWorkers(dense, w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("sparse/2^%d/workers=%d", lg, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := srs.CommitWorkers(sparse, w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkProveSession is a small end-to-end Prove (2^10 rows) across
-// worker budgets; cmd/benchjson measures the full logGates=16 point.
-func BenchmarkProveSession(b *testing.B) {
-	srs := SetupDeterministic(11, 65)
-	cb := NewCircuitBuilder()
-	x := cb.Secret(3)
-	acc := x
-	for i := 0; i < 600; i++ {
-		if i%2 == 0 {
-			acc = cb.Mul(acc, x)
-		} else {
-			acc = cb.Add(acc, x)
-		}
-	}
-	compiled, err := Compile(cb, WithLogGates(10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range workerBudgets() {
-		prover, err := NewProver(srs, compiled, WithWorkers(w))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("logGates=10/workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := prover.Prove(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -108,9 +108,3 @@ type CompleteRequest struct {
 	// transient fault) rather than settling the job as failed.
 	Transient bool `json:"transient,omitempty"`
 }
-
-// apiError mirrors the service's error envelope so cluster endpoints
-// speak the same JSON dialect.
-type apiError struct {
-	Error string `json:"error"`
-}

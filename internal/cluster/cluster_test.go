@@ -522,6 +522,120 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !pr.Replayed {
 		t.Fatalf("retry after recovery = %d replayed=%v: %s", resp.StatusCode, pr.Replayed, raw)
 	}
+
+	// Verify by circuit_id: incarnation 2 never saw this circuit's
+	// registration, so the key can only come from vkFor re-deriving it
+	// from the journaled spec through a worker.
+	resp, raw = postJSON(t, ts2.URL+"/verify", service.VerifyRequest{CircuitID: id, Proof: pr.Proof})
+	var vr service.VerifyResponse
+	if err := json.Unmarshal(raw, &vr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !vr.Valid {
+		t.Fatalf("verify after restart: status %d valid %v: %s", resp.StatusCode, vr.Valid, raw)
+	}
+}
+
+// TestCoordinatorVerifyErrors runs the single-node server's /verify
+// contract against the coordinator's handler: malformed inputs are 400
+// with the JSON error envelope, an unknown circuit is 404, an inline
+// verifying_key works without a registry hit, and a well-formed proof of
+// another circuit is 200 valid:false.
+func TestCoordinatorVerifyErrors(t *testing.T) {
+	c, ts := newCoordinator(t, Config{})
+	newWorker(t, ts.URL)
+	waitFor(t, "one worker", func() bool { return c.WorkersLive() == 1 })
+
+	resp, raw := postJSON(t, ts.URL+"/circuits", cubicSpec(5))
+	var reg service.RegisterResponse
+	if err := json.Unmarshal(raw, &reg); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, raw)
+	}
+	other := registerCubic(t, ts.URL, 7)
+	resp, pr, raw := proveOnce(t, ts.URL, service.ProveRequest{CircuitID: reg.CircuitID})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prove = %d: %s", resp.StatusCode, raw)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		body   any
+		status int
+	}{
+		{"no key source", service.VerifyRequest{Proof: pr.Proof}, http.StatusBadRequest},
+		{"key not base64", service.VerifyRequest{VerifyingKey: "!!", Proof: pr.Proof}, http.StatusBadRequest},
+		{"key malformed", service.VerifyRequest{VerifyingKey: "AAAA", Proof: pr.Proof}, http.StatusBadRequest},
+		{"proof not base64", service.VerifyRequest{CircuitID: reg.CircuitID, Proof: "!!"}, http.StatusBadRequest},
+		{"proof malformed", service.VerifyRequest{CircuitID: reg.CircuitID, Proof: "AAAA"}, http.StatusBadRequest},
+		{"unknown field", map[string]string{"circuit": reg.CircuitID}, http.StatusBadRequest},
+		{"unknown circuit", service.VerifyRequest{CircuitID: "ff", Proof: pr.Proof}, http.StatusNotFound},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, raw := postJSON(t, ts.URL+"/verify", tc.body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, raw)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+				t.Fatalf("expected a JSON error envelope, got %s", raw)
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name  string
+		req   service.VerifyRequest
+		valid bool
+	}{
+		{"inline key", service.VerifyRequest{VerifyingKey: reg.VerifyingKey, Proof: pr.Proof}, true},
+		{"inline key wins over circuit_id", service.VerifyRequest{CircuitID: other, VerifyingKey: reg.VerifyingKey, Proof: pr.Proof}, true},
+		{"proof of another circuit", service.VerifyRequest{CircuitID: other, Proof: pr.Proof}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, raw := postJSON(t, ts.URL+"/verify", tc.req)
+			var vr service.VerifyResponse
+			if err := json.Unmarshal(raw, &vr); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || vr.Valid != tc.valid || (!vr.Valid && vr.Reason == "") {
+				t.Fatalf("status %d valid %v reason %q, want 200 valid %v: %s", resp.StatusCode, vr.Valid, vr.Reason, tc.valid, raw)
+			}
+		})
+	}
+}
+
+// TestCoordinatorUnavailableRetryAfter: every 503 the coordinator
+// originates (empty pool, draining) tells the client when to come back —
+// one heartbeat interval rounded up to whole seconds — like the
+// single-node server's, so retry.PostJSON paces itself against both.
+func TestCoordinatorUnavailableRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		beat time.Duration
+		want string
+	}{
+		{50 * time.Millisecond, "1"},
+		{2500 * time.Millisecond, "3"},
+	} {
+		c, ts := newCoordinator(t, Config{HeartbeatInterval: tc.beat})
+		check := func(what, path string, body any) {
+			t.Helper()
+			resp, raw := postJSON(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("%s = %d, want 503: %s", what, resp.StatusCode, raw)
+			}
+			if got := resp.Header.Get("Retry-After"); got != tc.want {
+				t.Fatalf("%s: Retry-After = %q, want %q (heartbeat %v)", what, got, tc.want, tc.beat)
+			}
+		}
+		check("register on an empty pool", "/circuits", cubicSpec(5))
+		if err := c.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		check("register while draining", "/circuits", cubicSpec(5))
+		check("prove while draining", "/prove", service.ProveRequest{CircuitID: "ff"})
+	}
 }
 
 // TestFreshKeyAfterRestartCompact: the daemon compacts the journal on

@@ -412,49 +412,28 @@ func (c *Coordinator) dispatch(m *member, j *job, epoch uint64) error {
 	}, nil, c.cfg.Retry)
 }
 
-// ---- HTTP plumbing ----------------------------------------------------
-
-const maxBodyBytes = 64 << 20
-
-func (c *Coordinator) fail(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(apiError{Error: fmt.Sprintf(format, args...)})
+// unavailable answers 503 with a Retry-After of one heartbeat interval —
+// the cadence at which the pool can have changed — rounded up to whole
+// seconds, so never below 1 (New makes the interval positive).
+func (c *Coordinator) unavailable(w http.ResponseWriter, format string, args ...any) {
+	secs := int((c.cfg.HeartbeatInterval + time.Second - 1) / time.Second)
+	service.FailRetryAfter(w, http.StatusServiceUnavailable, secs, format, args...)
 }
-
-func (c *Coordinator) ok(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (c *Coordinator) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		c.fail(w, http.StatusBadRequest, "decode request: %v", err)
-		return false
-	}
-	return true
-}
-
-// statusClientClosedRequest mirrors the service's 499.
-const statusClientClosedRequest = 499
 
 // ---- control-plane handlers -------------------------------------------
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !c.decode(w, r, &req) {
+	if !service.Decode(w, r, &req) {
 		return
 	}
 	if req.Addr == "" {
-		c.fail(w, http.StatusBadRequest, "join: addr is required")
+		service.Fail(w, http.StatusBadRequest, "join: addr is required")
 		return
 	}
 	m := c.members.join(req.Addr, req.Workers, time.Now())
 	c.metrics.WorkerJoinsTotal.Add(1)
-	c.ok(w, JoinResponse{
+	service.OK(w, JoinResponse{
 		WorkerID:    m.id,
 		HeartbeatMS: int(c.cfg.HeartbeatInterval / time.Millisecond),
 	})
@@ -462,32 +441,32 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !c.decode(w, r, &req) {
+	if !service.Decode(w, r, &req) {
 		return
 	}
 	if !c.members.heartbeat(req.WorkerID, time.Now()) {
 		// Evicted (or never joined): the worker must rejoin for a fresh
 		// identity — its old leases stay fenced.
-		c.fail(w, http.StatusNotFound, "unknown worker %q — rejoin", req.WorkerID)
+		service.Fail(w, http.StatusNotFound, "unknown worker %q — rejoin", req.WorkerID)
 		return
 	}
-	c.ok(w, struct{}{})
+	service.OK(w, struct{}{})
 }
 
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req LeaveRequest
-	if !c.decode(w, r, &req) {
+	if !service.Decode(w, r, &req) {
 		return
 	}
 	if c.members.remove(req.WorkerID) != nil {
 		c.metrics.WorkerLeavesTotal.Add(1)
 	}
-	c.ok(w, struct{}{})
+	service.OK(w, struct{}{})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !c.decode(w, r, &req) {
+	if !service.Decode(w, r, &req) {
 		return
 	}
 	if m, ok := c.members.get(req.WorkerID); ok {
@@ -498,7 +477,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// A completion for a job this incarnation never dispatched (the
 		// previous process's anon job, or long-settled state). 2xx stops
 		// the worker's retry loop; there is nothing to apply it to.
-		c.ok(w, struct{}{})
+		service.OK(w, struct{}{})
 		return
 	}
 	if req.Error != "" && req.Transient {
@@ -508,14 +487,14 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if j.loseLease(req.Epoch) {
 			c.metrics.ResultsFencedTotal.Add(1)
 		}
-		c.ok(w, struct{}{})
+		service.OK(w, struct{}{})
 		return
 	}
 	var proof []byte
 	if req.Error == "" {
 		var err error
 		if proof, err = base64.StdEncoding.DecodeString(req.Proof); err != nil {
-			c.fail(w, http.StatusBadRequest, "complete: proof is not base64: %v", err)
+			service.Fail(w, http.StatusBadRequest, "complete: proof is not base64: %v", err)
 			return
 		}
 	}
@@ -523,7 +502,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Journal write failed; the job stays unsettled and the worker
 		// retries the completion.
-		c.fail(w, http.StatusInternalServerError, "%v", err)
+		service.Fail(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	switch outcome {
@@ -538,7 +517,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	case outcomeDuplicate:
 		c.metrics.ResultsDuplicateTotal.Add(1)
 	}
-	c.ok(w, struct{}{})
+	service.OK(w, struct{}{})
 }
 
 func (c *Coordinator) handleCircuitFetch(w http.ResponseWriter, r *http.Request) {
@@ -547,7 +526,7 @@ func (c *Coordinator) handleCircuitFetch(w http.ResponseWriter, r *http.Request)
 	spec, ok := c.specs[id]
 	c.specMu.Unlock()
 	if !ok {
-		c.fail(w, http.StatusNotFound, "circuit %s not stored on this coordinator", id)
+		service.Fail(w, http.StatusNotFound, "circuit %s not stored on this coordinator", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -576,11 +555,11 @@ var errNoWorkers = errors.New("cluster: no live workers")
 
 func (c *Coordinator) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		c.fail(w, http.StatusServiceUnavailable, "draining: not accepting new circuits")
+		c.unavailable(w, "draining: not accepting new circuits")
 		return
 	}
 	var spec service.CircuitSpec
-	if !c.decode(w, r, &spec) {
+	if !service.Decode(w, r, &spec) {
 		return
 	}
 	resp, err := c.registerOnWorker(r.Context(), &spec)
@@ -588,20 +567,20 @@ func (c *Coordinator) handleCircuits(w http.ResponseWriter, r *http.Request) {
 		var se *retry.StatusError
 		switch {
 		case errors.Is(err, errNoWorkers):
-			c.fail(w, http.StatusServiceUnavailable, "no live workers to preprocess on — retry once the pool has members")
+			c.unavailable(w, "no live workers to preprocess on — retry once the pool has members")
 		case errors.As(err, &se):
 			// Pass the worker's verdict (400/422/...) through verbatim.
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(se.StatusCode)
 			fmt.Fprint(w, se.Body)
 		default:
-			c.fail(w, http.StatusBadGateway, "register on worker: %v", err)
+			service.Fail(w, http.StatusBadGateway, "register on worker: %v", err)
 		}
 		return
 	}
 	raw, err := json.Marshal(&spec)
 	if err != nil {
-		c.fail(w, http.StatusInternalServerError, "encode spec: %v", err)
+		service.Fail(w, http.StatusInternalServerError, "encode spec: %v", err)
 		return
 	}
 	var vk *zkphire.VerifyingKey
@@ -616,20 +595,20 @@ func (c *Coordinator) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	c.specMu.Unlock()
 	if c.jnl != nil {
 		if jerr := c.jnl.RecordCircuit(resp.CircuitID, raw); jerr != nil {
-			c.fail(w, http.StatusInternalServerError, "journal circuit: %v", jerr)
+			service.Fail(w, http.StatusInternalServerError, "journal circuit: %v", jerr)
 			return
 		}
 	}
-	c.ok(w, resp)
+	service.OK(w, resp)
 }
 
 func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		c.fail(w, http.StatusServiceUnavailable, "draining: not accepting new proofs")
+		c.unavailable(w, "draining: not accepting new proofs")
 		return
 	}
 	var req service.ProveRequest
-	if !c.decode(w, r, &req) {
+	if !service.Decode(w, r, &req) {
 		return
 	}
 	keyed := c.jnl != nil && req.IdempotencyKey != ""
@@ -638,7 +617,7 @@ func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 			switch rec.State {
 			case journal.StateDone:
 				c.metrics.ReplaysTotal.Add(1)
-				c.ok(w, service.ProveResponse{
+				service.OK(w, service.ProveResponse{
 					CircuitID:  rec.CircuitID,
 					Proof:      base64.StdEncoding.EncodeToString(rec.Proof),
 					ProofBytes: len(rec.Proof),
@@ -652,7 +631,7 @@ func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 					c.awaitJob(w, r, j)
 					return
 				}
-				c.fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
+				service.Fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
 				return
 			}
 			// StateFailed falls through: the retry re-accepts the key. The
@@ -667,7 +646,7 @@ func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 	specRaw, known := c.specs[req.CircuitID]
 	c.specMu.Unlock()
 	if !known {
-		c.fail(w, http.StatusNotFound, "circuit %s not registered — POST /circuits first", req.CircuitID)
+		service.Fail(w, http.StatusNotFound, "circuit %s not registered — POST /circuits first", req.CircuitID)
 		return
 	}
 	timeoutMS := int(c.clampTimeout(time.Duration(req.TimeoutMS)*time.Millisecond) / time.Millisecond)
@@ -690,9 +669,9 @@ func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				c.jobs.remove(jobID)
 				if errors.Is(err, journal.ErrDuplicateKey) {
-					c.fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
+					service.Fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
 				} else {
-					c.fail(w, http.StatusInternalServerError, "journal accept: %v", err)
+					service.Fail(w, http.StatusInternalServerError, "journal accept: %v", err)
 				}
 				return
 			}
@@ -711,21 +690,21 @@ func (c *Coordinator) awaitJob(w http.ResponseWriter, r *http.Request, j *job) {
 	select {
 	case <-j.done:
 	case <-time.After(wait):
-		c.fail(w, http.StatusGatewayTimeout, "job %s still unfinished after %v — it keeps running; retry with the same idempotency key", j.id, wait)
+		service.Fail(w, http.StatusGatewayTimeout, "job %s still unfinished after %v — it keeps running; retry with the same idempotency key", j.id, wait)
 		return
 	case <-r.Context().Done():
-		c.fail(w, statusClientClosedRequest, "request abandoned; job %s keeps running", j.id)
+		service.Fail(w, service.StatusClientClosedRequest, "request abandoned; job %s keeps running", j.id)
 		return
 	case <-c.closed:
-		c.fail(w, http.StatusServiceUnavailable, "coordinator shutting down")
+		c.unavailable(w, "coordinator shutting down")
 		return
 	}
 	proof, errMsg := j.result()
 	if errMsg != "" {
-		c.fail(w, http.StatusInternalServerError, "prove: %s", errMsg)
+		service.Fail(w, http.StatusInternalServerError, "prove: %s", errMsg)
 		return
 	}
-	c.ok(w, service.ProveResponse{
+	service.OK(w, service.ProveResponse{
 		CircuitID:  j.circuitID,
 		Proof:      base64.StdEncoding.EncodeToString(proof),
 		ProofBytes: len(proof),
@@ -768,47 +747,14 @@ func (c *Coordinator) vkFor(ctx context.Context, circuitID string) (*zkphire.Ver
 }
 
 func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req service.VerifyRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	var vk *zkphire.VerifyingKey
-	switch {
-	case req.VerifyingKey != "":
-		raw, err := base64.StdEncoding.DecodeString(req.VerifyingKey)
+	service.ServeVerify(w, r, c.cfg.SRS, func(id string) *zkphire.VerifyingKey {
+		vk, err := c.vkFor(r.Context(), id)
 		if err != nil {
-			c.fail(w, http.StatusBadRequest, "verifying_key is not base64: %v", err)
-			return
+			service.Fail(w, http.StatusNotFound, "verifying key: %v", err)
+			return nil
 		}
-		if vk, err = zkphire.UnmarshalVerifyingKey(raw); err != nil {
-			c.fail(w, http.StatusBadRequest, "verifying_key: %v", err)
-			return
-		}
-	case req.CircuitID != "":
-		var err error
-		if vk, err = c.vkFor(r.Context(), req.CircuitID); err != nil {
-			c.fail(w, http.StatusNotFound, "verifying key: %v", err)
-			return
-		}
-	default:
-		c.fail(w, http.StatusBadRequest, "need circuit_id or verifying_key")
-		return
-	}
-	raw, err := base64.StdEncoding.DecodeString(req.Proof)
-	if err != nil {
-		c.fail(w, http.StatusBadRequest, "proof is not base64: %v", err)
-		return
-	}
-	var proof zkphire.Proof
-	if err := proof.UnmarshalBinary(raw); err != nil {
-		c.fail(w, http.StatusBadRequest, "proof: %v", err)
-		return
-	}
-	if err := zkphire.Verify(c.cfg.SRS, vk, &proof); err != nil {
-		c.ok(w, service.VerifyResponse{Valid: false, Reason: err.Error()})
-		return
-	}
-	c.ok(w, service.VerifyResponse{Valid: true})
+		return vk
+	})
 }
 
 // ClusterHealth is the coordinator's /healthz payload.
@@ -829,7 +775,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.specMu.Lock()
 	circuits := len(c.specs)
 	c.specMu.Unlock()
-	c.ok(w, ClusterHealth{
+	service.OK(w, ClusterHealth{
 		Status:        status,
 		Role:          "coordinator",
 		UptimeSeconds: time.Since(c.start).Seconds(),

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -197,17 +196,15 @@ func (w *Worker) heartbeatLoop() {
 func (w *Worker) handleDispatch(rw http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Hit(PointDispatch); err != nil {
 		// Injected partition: refuse the lease as a network failure would.
-		writeJSONError(rw, http.StatusServiceUnavailable, "dispatch: %v", err)
+		service.Fail(rw, http.StatusServiceUnavailable, "dispatch: %v", err)
 		return
 	}
 	var req DispatchRequest
-	r.Body = http.MaxBytesReader(rw, r.Body, maxBodyBytes)
-	if err := decodeStrict(r, &req); err != nil {
-		writeJSONError(rw, http.StatusBadRequest, "decode dispatch: %v", err)
+	if !service.Decode(rw, r, &req) {
 		return
 	}
 	if req.JobID == "" || req.CircuitID == "" {
-		writeJSONError(rw, http.StatusBadRequest, "dispatch: job_id and circuit_id are required")
+		service.Fail(rw, http.StatusBadRequest, "dispatch: job_id and circuit_id are required")
 		return
 	}
 	w.wg.Add(1)
@@ -282,17 +279,4 @@ func (w *Worker) fetchCircuit(ctx context.Context, circuitID string) error {
 		return fmt.Errorf("replicated spec hashes to %s, want %s", got, circuitID)
 	}
 	return nil
-}
-
-// decodeStrict decodes a JSON body, rejecting unknown fields.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(apiError{Error: fmt.Sprintf(format, args...)})
 }

@@ -1,6 +1,6 @@
 // Package membench measures process memory around a function call — the
-// gauge behind cmd/benchjson's peak_rss_bytes column and the PR 8
-// memory-regression harness.
+// gauge behind the benchmark's peak_rss_mib (bench/) and the PR 8
+// memory-regression harness (membudget_test.go).
 //
 // Two gauges, because containers differ:
 //

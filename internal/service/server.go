@@ -267,34 +267,51 @@ func (s *Server) retryAfterSeconds() int {
 // unavailable writes a 503/429-style response with the queue-derived
 // Retry-After header.
 func (s *Server) unavailable(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	s.fail(w, status, format, args...)
+	FailRetryAfter(w, status, s.retryAfterSeconds(), format, args...)
 }
+
+// The JSON request plumbing below is the one copy every HTTP role uses:
+// this server, and internal/cluster's coordinator and worker agent.
 
 // maxBodyBytes bounds request bodies (a 2^20-op program is ~64 MB JSON).
 const maxBodyBytes = 64 << 20
+
+// StatusClientClosedRequest is nginx's 499: the client went away before
+// the response. Go's stdlib has no constant for it.
+const StatusClientClosedRequest = 499
 
 // apiError is the JSON error envelope every non-2xx response carries.
 type apiError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
+// Fail writes the JSON error envelope with the given status.
+func Fail(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) ok(w http.ResponseWriter, v any) {
+// FailRetryAfter is Fail for the back-off statuses (429, 503): it tells
+// the client — retry.PostJSON honours it — how many seconds to wait.
+func FailRetryAfter(w http.ResponseWriter, status, seconds int, format string, args ...any) {
+	w.Header().Set("Retry-After", strconv.Itoa(seconds))
+	Fail(w, status, format, args...)
+}
+
+// OK writes v as a 200 JSON response.
+func OK(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// Decode reads the size-bounded JSON request body into v, rejecting
+// unknown fields; on failure it answers 400 and returns false.
+func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		Fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -373,28 +390,28 @@ func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec CircuitSpec
-	if !s.decode(w, r, &spec) {
+	if !Decode(w, r, &spec) {
 		return
 	}
 	sess, cached, err := s.RegisterSpec(r.Context(), &spec)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrBadRequest):
-			s.fail(w, http.StatusBadRequest, "%v", err)
+			Fail(w, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, errJournalWrite):
-			s.fail(w, http.StatusInternalServerError, "%v", err)
+			Fail(w, http.StatusInternalServerError, "%v", err)
 		case r.Context().Err() != nil:
-			s.fail(w, statusClientClosedRequest, "registration abandoned: %v", err)
+			Fail(w, StatusClientClosedRequest, "registration abandoned: %v", err)
 		case errors.Is(err, context.DeadlineExceeded):
 			// The preprocessing lease timed out waiting on a saturated
 			// worker budget — the registration analogue of the queue's 429.
 			s.unavailable(w, http.StatusServiceUnavailable, "register: %v", err)
 		default:
-			s.fail(w, http.StatusUnprocessableEntity, "register: %v", err)
+			Fail(w, http.StatusUnprocessableEntity, "register: %v", err)
 		}
 		return
 	}
-	s.ok(w, RegisterResponse{
+	OK(w, RegisterResponse{
 		CircuitID:       sess.Hash.String(),
 		Arithmetization: sess.Kind.String(),
 		LogGates:        sess.LogGates,
@@ -430,17 +447,13 @@ type ProveResponse struct {
 	Replayed bool `json:"replayed,omitempty"`
 }
 
-// statusClientClosedRequest is nginx's 499: the client went away before
-// the response. Go's stdlib has no constant for it.
-const statusClientClosedRequest = 499
-
 func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.unavailable(w, http.StatusServiceUnavailable, "draining: not accepting new proofs")
 		return
 	}
 	var req ProveRequest
-	if !s.decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 
@@ -457,7 +470,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 				// Answered once, answered forever: the stored proof is the
 				// proof — no re-prove, byte-identical to the first reply.
 				s.metrics.ProofsReplayed.Add(1)
-				s.ok(w, ProveResponse{
+				OK(w, ProveResponse{
 					CircuitID:  rec.CircuitID,
 					Proof:      base64.StdEncoding.EncodeToString(rec.Proof),
 					ProofBytes: len(rec.Proof),
@@ -466,7 +479,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 				})
 				return
 			case journal.StatePending:
-				s.fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
+				Fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
 				return
 			}
 			// StateFailed falls through: the retry re-accepts the key.
@@ -482,15 +495,15 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 
 	if journaled {
 		if _, ok := s.journal.Spec(req.CircuitID); !ok {
-			s.fail(w, http.StatusNotFound, "circuit %s was never journaled — POST /circuits again", req.CircuitID)
+			Fail(w, http.StatusNotFound, "circuit %s was never journaled — POST /circuits again", req.CircuitID)
 			return
 		}
 		if err := s.journal.Accept(req.IdempotencyKey, req.CircuitID, req.TimeoutMS); err != nil {
 			if errors.Is(err, journal.ErrDuplicateKey) {
 				// A concurrent request with the same key won the race.
-				s.fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
+				Fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
 			} else {
-				s.fail(w, http.StatusInternalServerError, "journal accept: %v", err)
+				Fail(w, http.StatusInternalServerError, "journal accept: %v", err)
 			}
 			return
 		}
@@ -506,11 +519,11 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		// replays.
 		if err == nil {
 			if jerr := s.journal.Complete(req.IdempotencyKey, data); jerr != nil {
-				s.fail(w, http.StatusInternalServerError, "journal complete: %v", jerr)
+				Fail(w, http.StatusInternalServerError, "journal complete: %v", jerr)
 				return
 			}
 		} else if jerr := s.journal.Fail(req.IdempotencyKey, err.Error()); jerr != nil {
-			s.fail(w, http.StatusInternalServerError, "journal fail (after %v): %v", err, jerr)
+			Fail(w, http.StatusInternalServerError, "journal fail (after %v): %v", err, jerr)
 			return
 		}
 	}
@@ -520,18 +533,18 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, http.StatusTooManyRequests, "prover saturated: %v", err)
 		return
 	case errors.Is(err, context.DeadlineExceeded):
-		s.fail(w, http.StatusGatewayTimeout, "proof deadline exceeded after %v", timeout)
+		Fail(w, http.StatusGatewayTimeout, "proof deadline exceeded after %v", timeout)
 		return
 	case errors.Is(err, context.Canceled):
-		s.fail(w, statusClientClosedRequest, "proof abandoned: %v", err)
+		Fail(w, StatusClientClosedRequest, "proof abandoned: %v", err)
 		return
 	default:
-		s.fail(w, http.StatusInternalServerError, "prove: %v", err)
+		Fail(w, http.StatusInternalServerError, "prove: %v", err)
 		return
 	}
 	elapsed := time.Since(started)
 
-	s.ok(w, ProveResponse{
+	OK(w, ProveResponse{
 		CircuitID:  req.CircuitID,
 		Proof:      base64.StdEncoding.EncodeToString(data),
 		ProofBytes: len(data),
@@ -557,8 +570,22 @@ type VerifyResponse struct {
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+	ServeVerify(w, r, s.cfg.SRS, func(id string) *zkphire.VerifyingKey {
+		sess, ok := s.lookup(w, id)
+		if !ok {
+			return nil
+		}
+		return sess.Prover.VerifyingKey()
+	})
+}
+
+// ServeVerify is the whole of POST /verify. The single-node server and
+// the cluster coordinator differ only in how a circuit_id resolves to a
+// verifying key: byID does that, writing its own error response and
+// returning nil when it cannot.
+func ServeVerify(w http.ResponseWriter, r *http.Request, srs *zkphire.SRS, byID func(circuitID string) *zkphire.VerifyingKey) {
 	var req VerifyRequest
-	if !s.decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	var vk *zkphire.VerifyingKey
@@ -566,39 +593,37 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	case req.VerifyingKey != "":
 		raw, err := base64.StdEncoding.DecodeString(req.VerifyingKey)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, "verifying_key is not base64: %v", err)
+			Fail(w, http.StatusBadRequest, "verifying_key is not base64: %v", err)
 			return
 		}
 		if vk, err = zkphire.UnmarshalVerifyingKey(raw); err != nil {
-			s.fail(w, http.StatusBadRequest, "verifying_key: %v", err)
+			Fail(w, http.StatusBadRequest, "verifying_key: %v", err)
 			return
 		}
 	case req.CircuitID != "":
-		sess, ok := s.lookup(w, req.CircuitID)
-		if !ok {
+		if vk = byID(req.CircuitID); vk == nil {
 			return
 		}
-		vk = sess.Prover.VerifyingKey()
 	default:
-		s.fail(w, http.StatusBadRequest, "need circuit_id or verifying_key")
+		Fail(w, http.StatusBadRequest, "need circuit_id or verifying_key")
 		return
 	}
 
 	raw, err := base64.StdEncoding.DecodeString(req.Proof)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "proof is not base64: %v", err)
+		Fail(w, http.StatusBadRequest, "proof is not base64: %v", err)
 		return
 	}
 	var proof zkphire.Proof
 	if err := proof.UnmarshalBinary(raw); err != nil {
-		s.fail(w, http.StatusBadRequest, "proof: %v", err)
+		Fail(w, http.StatusBadRequest, "proof: %v", err)
 		return
 	}
-	if err := zkphire.Verify(s.cfg.SRS, vk, &proof); err != nil {
-		s.ok(w, VerifyResponse{Valid: false, Reason: err.Error()})
+	if err := zkphire.Verify(srs, vk, &proof); err != nil {
+		OK(w, VerifyResponse{Valid: false, Reason: err.Error()})
 		return
 	}
-	s.ok(w, VerifyResponse{Valid: true})
+	OK(w, VerifyResponse{Valid: true})
 }
 
 // parseCircuitID decodes a hex circuit ID into a CircuitHash.
@@ -617,12 +642,12 @@ func parseCircuitID(id string) (zkphire.CircuitHash, error) {
 func (s *Server) lookup(w http.ResponseWriter, id string) (*Session, bool) {
 	h, err := parseCircuitID(id)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		Fail(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
 	sess, ok := s.registry.Get(h)
 	if !ok {
-		s.fail(w, http.StatusNotFound, "circuit %s not registered (or evicted) — POST /circuits again", id)
+		Fail(w, http.StatusNotFound, "circuit %s not registered (or evicted) — POST /circuits again", id)
 		return nil, false
 	}
 	return sess, true
@@ -700,7 +725,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	s.ok(w, HealthResponse{
+	OK(w, HealthResponse{
 		Status:        status,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Circuits:      s.registry.Len(),

@@ -315,8 +315,8 @@ func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Pr
 // RoundPolynomial computes the compressed round polynomial
 // [s(0), s(2), ..., s(d)] for the assignment's current tables on the given
 // worker budget, compiling the composite on first use. Exposed for the
-// kernel benchmarks (cmd/benchjson -sumcheck) and the hardware-model
-// experiment harness; the prover calls the same scan internally.
+// benchmark's sumcheck.round18_* metrics (bench/sweep.go); the prover
+// calls the same scan internally.
 func RoundPolynomial(a *Assignment, workers int) []ff.Element {
 	prog := a.Composite.Compile()
 	return roundPolynomialCompressed(nil, a, prog, a.Composite.Degree(), nil, parallel.Workers(workers))
