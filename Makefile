@@ -62,19 +62,19 @@ mem-smoke:
 	ulimit -v 4194304 && \
 	ZKPHIRE_MEMBUDGET_LOGGATES=16 $(GO) test -run TestMemoryBudgetRegression -v -count=1 .
 
-# Chaos smoke: the fault-injection suite under the race detector — the
-# in-process randomized fault rounds, the re-exec crash/replay
-# conformance harness (children are killed without unwinding at
-# journal/queue fault points), and the journal + panic-isolation +
-# retry + drain tests they build on. See DESIGN.md §9.
+# Chaos smoke: the whole internal/service suite under the race detector
+# (no -run list to fall out of date) — the in-process randomized fault
+# rounds, the re-exec crash/replay conformance harness (children are
+# killed without unwinding at journal/queue fault points), cancel
+# mid-proof, and the journal + panic-isolation + retry + drain tests they
+# build on. See DESIGN.md §9.
 chaos-smoke:
-	$(GO) test -race -count=1 -v \
-		-run 'TestChaos|TestPanicIsolation|TestTransientFailureRetried|TestIdempotencyKeyLifecycle|TestRecoverJournalReplaysPending|TestReplayAfterRestartAndCompact|TestDrainStopsAdmission' \
-		./internal/service/
+	$(GO) test -race -count=1 -v ./internal/service/
 	$(GO) test -race -count=1 ./internal/journal/ ./internal/faultinject/ ./internal/retry/
 
 # Distributed soak: the full internal/cluster suite under the race
-# detector, ending in the multi-process kill-and-restart soak — a real
+# detector — the client-API conformance table against both topologies
+# included — ending in the multi-process kill-and-restart soak — a real
 # coordinator child and three worker children (one behind injected
 # network faults), a worker SIGKILLed and replaced mid-batch, then the
 # coordinator SIGKILLed and restarted on the same address and journal;

@@ -39,7 +39,9 @@
 //	zkphired -role coordinator -addr :8080 -seed 42 -journal jobs.journal
 //	zkphired -role worker -addr :8081 -seed 42 -coordinator http://coord:8080
 //
-// The coordinator owns the client API and the journal and never proves;
+// The coordinator is the same client front-end as the single daemon —
+// same routes, keys, journal, drain and recovery (internal/service) — over
+// a pool of remote workers instead of a local prover: it never proves;
 // workers join it, heartbeat, and prove dispatched jobs. Every role uses
 // the same SRS flags — coordinator and workers must agree on the SRS
 // (same -seed) or proofs will not verify. -role single (the default) is
@@ -56,7 +58,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -111,15 +112,13 @@ func main() {
 	flag.Parse()
 
 	var err error
-	switch o.role {
-	case "single":
-		err = runSingle(o)
-	case "coordinator":
-		err = runCoordinator(o)
-	case "worker":
-		err = runWorker(o)
-	default:
+	switch {
+	case o.role != "single" && o.role != "coordinator" && o.role != "worker":
 		err = fmt.Errorf("unknown -role %q (want single, coordinator, or worker)", o.role)
+	case o.role == "worker" && o.coordinator == "":
+		err = fmt.Errorf("worker role requires -coordinator")
+	default:
+		err = run(o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -169,8 +168,8 @@ func openJournal(path string) (*journal.Journal, error) {
 }
 
 // serve runs handler on addr until SIGTERM/SIGINT, then calls drain
-// before shutting the listener down. ready (optional) receives the
-// bound listener address once serving.
+// before shutting the listener down. ready receives the bound listener
+// address once serving.
 func serve(addr string, handler http.Handler, drainTimeout time.Duration, drain func(context.Context), ready func(net.Addr)) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -185,9 +184,7 @@ func serve(addr string, handler http.Handler, drainTimeout time.Duration, drain 
 	errc := make(chan error, 1)
 	//zkvet:ignore norawgo daemon lifecycle: the HTTP listener is not prover concurrency and must outlive any worker budget
 	go func() { errc <- httpSrv.Serve(l) }()
-	if ready != nil {
-		ready(l.Addr())
-	}
+	ready(l.Addr())
 	select {
 	case err := <-errc:
 		return err
@@ -205,7 +202,16 @@ func serve(addr string, handler http.Handler, drainTimeout time.Duration, drain 
 	return nil
 }
 
-func runSingle(o options) error {
+// run is every role: setup, journal, build the front-end (plus, for a
+// worker, the agent that joins it to a pool), finish what the previous
+// process left pending, compact, serve, drain.
+func run(o options) error {
+	if o.role == "worker" && o.journalPath != "" {
+		// Durability lives on the coordinator: its front-end journals keyed
+		// jobs before dispatch. A worker-side journal would double-count.
+		log.Printf("worker role ignores -journal (the coordinator owns the job journal)")
+		o.journalPath = ""
+	}
 	srs, err := setup(o)
 	if err != nil {
 		return err
@@ -218,170 +224,115 @@ func runSingle(o options) error {
 		defer jnl.Close()
 	}
 
-	svc, err := service.New(service.Config{
-		SRS:            srs,
-		Workers:        o.workers,
-		MaxInflight:    o.inflight,
-		QueueDepth:     o.queue,
-		CacheSize:      o.cache,
-		DefaultTimeout: o.timeout,
-		Journal:        jnl,
-	})
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-
-	if jnl != nil {
+	// Every role drives the same front-end; what is behind it, and so how
+	// it recovers, is all that differs.
+	var (
+		srv    *service.Server
+		replay func() (int, error)
+		agent  *cluster.Worker // worker role only
+	)
+	if o.role == "coordinator" {
+		c, err := cluster.New(cluster.Config{
+			SRS:               srs,
+			Journal:           jnl,
+			HeartbeatInterval: o.heartbeat,
+			EvictAfter:        o.evictAfter,
+			LeaseTimeout:      o.lease,
+			HedgeDelay:        o.hedgeDelay,
+			DefaultTimeout:    o.timeout,
+		})
+		if err != nil {
+			return err
+		}
+		// Recovery is asynchronous here: the replays need workers, and
+		// workers join after we listen. The journal already holds
+		// everything they need.
+		srv, replay = c.Server, c.StartRecovery
+		log.Printf("zkphired coordinator on %s (heartbeat %v, evict-after %v, hedge %v)", o.addr, o.heartbeat, o.evictAfter, o.hedgeDelay)
+	} else {
+		svc, err := service.New(service.Config{
+			SRS:            srs,
+			Workers:        o.workers,
+			MaxInflight:    o.inflight,
+			QueueDepth:     o.queue,
+			CacheSize:      o.cache,
+			DefaultTimeout: o.timeout,
+			Journal:        jnl,
+		})
+		if err != nil {
+			return err
+		}
 		// Finish what the previous process started before taking traffic:
 		// replayed proofs are byte-identical to the uninterrupted run.
-		n, err := svc.RecoverJournal(context.Background())
+		srv, replay = svc, func() (int, error) { return svc.RecoverJournal(nil) }
+		budget := svc.Budget().Total()
+		log.Printf("zkphired %s on %s (budget %d workers, %d in-flight × %d workers/proof, queue %d, cache %d circuits)",
+			o.role, o.addr, budget, o.inflight, max(1, budget/max(1, o.inflight)), o.queue, o.cache)
+		if o.role == "worker" {
+			agent, err = cluster.NewWorker(cluster.WorkerConfig{
+				Service:        svc,
+				CoordinatorURL: o.coordinator,
+				AdvertiseURL:   o.advertise, // may be empty; join fills it from the bound address
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	defer srv.Close()
+
+	if jnl != nil {
+		n, err := replay()
 		if err != nil {
 			return fmt.Errorf("journal recovery: %w", err)
 		}
 		if n > 0 {
-			log.Printf("journal: replayed %d interrupted job(s)", n)
+			log.Printf("journal: re-running %d interrupted job(s)", n)
 		}
 		if err := jnl.Compact(); err != nil {
 			return fmt.Errorf("journal compact: %w", err)
 		}
 	}
 
-	budget := o.workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	log.Printf("zkphired listening on %s (budget %d workers, %d in-flight × %d workers/proof, queue %d, cache %d circuits)",
-		o.addr, budget, o.inflight, max(1, budget/max(1, o.inflight)), o.queue, o.cache)
 	// Graceful drain: stop admission first (503 + Retry-After), let the
-	// queued and running proofs finish inside the deadline, then shut the
-	// listener down. Jobs that miss the deadline stay pending in the
-	// journal and the next start replays them — SIGTERM never loses an
-	// accepted job.
-	return serve(o.addr, svc.Handler(), o.drainTimeout, func(ctx context.Context) {
-		if err := svc.Drain(ctx); err != nil {
-			log.Printf("drain deadline passed with jobs still running; they remain journaled for restart")
+	// unsettled jobs finish inside the deadline, then shut the listener
+	// down. Keyed jobs that miss the deadline stay pending in the journal
+	// and the next start re-runs them — SIGTERM never loses an accepted
+	// job. A worker leaves its pool first, so the coordinator re-dispatches
+	// instead of waiting out lease deadlines.
+	return serve(o.addr, srv.Handler(), o.drainTimeout, func(ctx context.Context) {
+		if agent != nil {
+			agent.Close()
 		}
-	}, nil)
-}
-
-func runCoordinator(o options) error {
-	srs, err := setup(o)
-	if err != nil {
-		return err
-	}
-	jnl, err := openJournal(o.journalPath)
-	if err != nil {
-		return err
-	}
-	if jnl != nil {
-		defer jnl.Close()
-	}
-
-	c, err := cluster.New(cluster.Config{
-		SRS:               srs,
-		Journal:           jnl,
-		HeartbeatInterval: o.heartbeat,
-		EvictAfter:        o.evictAfter,
-		LeaseTimeout:      o.lease,
-		HedgeDelay:        o.hedgeDelay,
-		DefaultTimeout:    o.timeout,
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	if jnl != nil {
-		// Unlike the single-node daemon, recovery is asynchronous: the
-		// replays need workers, and workers join after we listen. The
-		// journal already holds everything they need.
-		n, err := c.Recover()
-		if err != nil {
-			return fmt.Errorf("journal recovery: %w", err)
-		}
-		if n > 0 {
-			log.Printf("journal: re-dispatching %d interrupted job(s) as workers join", n)
-		}
-		if err := jnl.Compact(); err != nil {
-			return fmt.Errorf("journal compact: %w", err)
-		}
-	}
-
-	log.Printf("zkphired coordinator listening on %s (heartbeat %v, evict-after %v, hedge %v)",
-		o.addr, o.heartbeat, o.evictAfter, o.hedgeDelay)
-	return serve(o.addr, c.Handler(), o.drainTimeout, func(ctx context.Context) {
-		if err := c.Drain(ctx); err != nil {
-			log.Printf("drain deadline passed with jobs in flight; keyed jobs remain journaled for restart")
-		}
-	}, nil)
-}
-
-func runWorker(o options) error {
-	if o.coordinator == "" {
-		return fmt.Errorf("worker role requires -coordinator")
-	}
-	if o.journalPath != "" {
-		// Durability lives on the coordinator: it journals keyed jobs
-		// before dispatch. A worker-side journal would double-count.
-		log.Printf("worker role ignores -journal (the coordinator owns the job journal)")
-	}
-	srs, err := setup(o)
-	if err != nil {
-		return err
-	}
-	svc, err := service.New(service.Config{
-		SRS:            srs,
-		Workers:        o.workers,
-		MaxInflight:    o.inflight,
-		QueueDepth:     o.queue,
-		CacheSize:      o.cache,
-		DefaultTimeout: o.timeout,
-	})
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-
-	w, err := cluster.NewWorker(cluster.WorkerConfig{
-		Service:        svc,
-		CoordinatorURL: o.coordinator,
-		AdvertiseURL:   o.advertise, // may be empty; filled from the bound address below
-	})
-	if err != nil {
-		return err
-	}
-
-	// The agent joins from serve's ready hook, once the listener is bound
-	// — the advertised URL must be dialable before the coordinator learns
-	// it.
-	joinErr := make(chan error, 1)
-	return serve(o.addr, w.Handler(), o.drainTimeout, func(ctx context.Context) {
-		// Leave the pool first so the coordinator re-dispatches instead of
-		// waiting out lease deadlines, then finish the local queue.
-		w.Close()
-		if err := svc.Drain(ctx); err != nil {
-			log.Printf("drain deadline passed with leases still proving; the coordinator re-dispatches them")
+		if err := srv.Drain(ctx); err != nil {
+			log.Printf("drain deadline passed with jobs still running; keyed jobs remain journaled, leases are re-dispatched")
 		}
 	}, func(bound net.Addr) {
-		if w.AdvertiseURL() == "" {
-			w.SetAdvertiseURL("http://" + dialableHostPort(bound))
+		if agent != nil {
+			join(agent, o, bound)
 		}
-		log.Printf("zkphired worker listening on %s, joining %s as %s", o.addr, o.coordinator, w.AdvertiseURL())
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		if err := w.Start(ctx); err != nil {
-			log.Printf("join failed: %v", err)
-			joinErr <- err
-			// Joining failed for two straight minutes: the coordinator URL
-			// is almost certainly wrong. Die loudly rather than serve a
-			// pool we never joined.
-			p, _ := os.FindProcess(os.Getpid())
-			p.Signal(syscall.SIGTERM)
-			return
-		}
-		log.Printf("joined %s as worker %s", o.coordinator, w.ID())
 	})
+}
+
+// join runs from serve's ready hook, once the listener is bound — the
+// advertised URL must be dialable before the coordinator learns it.
+func join(w *cluster.Worker, o options, bound net.Addr) {
+	if w.AdvertiseURL() == "" {
+		w.SetAdvertiseURL("http://" + dialableHostPort(bound))
+	}
+	log.Printf("joining %s as %s", o.coordinator, w.AdvertiseURL())
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := w.Start(ctx); err != nil {
+		// Joining failed for two straight minutes: the coordinator URL is
+		// almost certainly wrong. Die loudly rather than serve a pool we
+		// never joined.
+		log.Printf("join failed: %v", err)
+		p, _ := os.FindProcess(os.Getpid())
+		p.Signal(syscall.SIGTERM)
+		return
+	}
+	log.Printf("joined %s as worker %s", o.coordinator, w.ID())
 }
 
 // dialableHostPort rewrites a bound listener address into one another

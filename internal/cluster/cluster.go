@@ -1,8 +1,11 @@
 // Package cluster is zkphired's distributed control plane: a coordinator
-// that owns the client-facing API plus the crash-safe job journal, and a
-// pool of prover workers that each wrap a full single-node service.
-// Robustness — surviving worker loss without losing or double-counting
-// jobs — is the design center, not sharding:
+// — the service package's client front-end (routes, idempotency keys,
+// journal, drain, recovery: one implementation for every topology) over a
+// remote backend, the worker pool — and prover workers that each wrap a
+// full single-node service. This package decides which worker runs a job
+// and which lease may settle it; how a key is made exactly-once is the
+// front-end's business. Robustness — surviving worker loss without losing
+// or double-counting jobs — is the design center, not sharding:
 //
 //   - Membership. Workers join the coordinator and heartbeat on a fixed
 //     interval; a worker that misses heartbeats for EvictAfter is evicted
@@ -13,17 +16,18 @@
 //     job's fence past that epoch, so a presumed-dead worker that
 //     finishes late is rejected by a pure epoch comparison — no wall
 //     clocks compared across machines. Settle-once under the job lock
-//     plus the journal's idempotency keys make the client-visible proof
-//     at-most-one even when several leases race. DESIGN.md §10 has the
-//     full argument.
+//     plus the front-end's journaled idempotency keys make the
+//     client-visible proof at-most-one even when several leases race.
+//     DESIGN.md §10 has the full argument.
 //   - Replication. Circuits travel by content hash: a worker missing a
 //     dispatched circuit fetches the spec from the coordinator
 //     (GET /cluster/circuits/{id}) with internal/retry backoff and
 //     registers it locally — the hash makes the fetch idempotent.
-//   - Recovery. The coordinator journals every keyed job before
-//     dispatch, so its own restart replays pending jobs from the journal
-//     exactly like the single-node daemon — the workers just happen to
-//     be remote.
+//   - Recovery. The front-end journals every keyed job before it reaches
+//     Prove, so a coordinator restart re-runs pending jobs from the
+//     journal exactly like the single-node daemon (service.StartRecovery)
+//     — the workers just happen to be remote, and the jobs wait for them
+//     to rejoin.
 //   - Hedging. Optionally, a job still unfinished after HedgeDelay is
 //     dispatched a second time to a different worker WITHOUT raising the
 //     fence: both leases stay valid and the first completion wins.

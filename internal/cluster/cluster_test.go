@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -345,6 +346,79 @@ func TestEvictionRedispatchAndFencing(t *testing.T) {
 	}
 }
 
+// TestSettledJobsLeaveTheTables: the front-end's table holds only
+// unsettled jobs, and the pool keeps a settled job's epoch/fence state —
+// not its proof — only until its last lease deadline: a late completion
+// from a fenced lease inside that window still counts as fenced, and
+// after it both tables are empty and the same completion finds no job.
+func TestSettledJobsLeaveTheTables(t *testing.T) {
+	jnl := openTestJournal(t)
+	c, ts := newCoordinator(t, Config{
+		Journal:           jnl,
+		HeartbeatInterval: 20 * time.Millisecond,
+		EvictAfter:        80 * time.Millisecond,
+		LeaseTimeout:      1500 * time.Millisecond,
+		MaxAttempts:       20,
+	})
+	b := newBlackhole(t, ts.URL, false)
+	id := registerViaStore(t, c, 5)
+
+	// Job 0 is leased to the blackhole first, so it settles with a fenced
+	// epoch behind it; the rest go straight to the healthy worker.
+	const jobs = 3
+	done := make(chan service.ProveResponse, jobs)
+	prove := func(i int) {
+		_, pr, _ := proveOnceNoFatal(ts.URL, service.ProveRequest{CircuitID: id, IdempotencyKey: fmt.Sprintf("settled-%d", i)})
+		done <- pr
+	}
+	go prove(0)
+	var lease DispatchRequest
+	select {
+	case lease = <-b.dispatches:
+	case <-time.After(5 * time.Second):
+		t.Fatal("job never dispatched to the blackhole")
+	}
+	newWorker(t, ts.URL)
+	waitFor(t, "eviction", func() bool { return c.Metrics().WorkerEvictionsTotal.Load() == 1 })
+	for i := 1; i < jobs; i++ {
+		go prove(i)
+	}
+	for i := 0; i < jobs; i++ {
+		if pr := <-done; pr.Proof == "" {
+			t.Fatal("a job did not complete")
+		}
+	}
+	if n := c.Unsettled(); n != 0 {
+		t.Fatalf("front-end still holds %d jobs after all settled", n)
+	}
+
+	late := CompleteRequest{JobID: lease.JobID, WorkerID: b.id, Epoch: lease.Epoch, Proof: base64.StdEncoding.EncodeToString(goldenProof(t, 5))}
+	if j, ok := c.pool.jobs.get(lease.JobID); !ok {
+		t.Fatal("settled job dropped before its last lease deadline")
+	} else if proof, _, _ := j.take(); proof != nil {
+		t.Fatal("settled job still holds its proof bytes")
+	}
+	fenced := c.Metrics().ResultsFencedTotal.Load()
+	if resp, raw := postJSON(t, ts.URL+"/cluster/complete", late); resp.StatusCode != http.StatusOK {
+		t.Fatalf("late complete inside the window = %d: %s", resp.StatusCode, raw)
+	}
+	if got := c.Metrics().ResultsFencedTotal.Load(); got != fenced+1 {
+		t.Fatalf("ResultsFencedTotal = %d after a late fenced completion, want %d", got, fenced+1)
+	}
+
+	waitFor(t, "the lease window to pass", func() bool {
+		c.pool.jobs.mu.Lock()
+		defer c.pool.jobs.mu.Unlock()
+		return len(c.pool.jobs.jobs) == 0
+	})
+	if resp, raw := postJSON(t, ts.URL+"/cluster/complete", late); resp.StatusCode != http.StatusOK {
+		t.Fatalf("late complete after the window = %d: %s", resp.StatusCode, raw)
+	}
+	if got := c.Metrics().ResultsFencedTotal.Load(); got != fenced+1 {
+		t.Fatalf("ResultsFencedTotal = %d after the window, want %d (unknown job)", got, fenced+1)
+	}
+}
+
 // TestLeaseTimeoutRedispatch: a live-but-stuck worker (heartbeats fine,
 // never finishes) loses the lease at the deadline and the job moves on.
 func TestLeaseTimeoutRedispatch(t *testing.T) {
@@ -499,7 +573,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	defer jnl2.Close()
 	jnl2.SetSync(false)
 	c2, ts2 := newCoordinator(t, Config{Journal: jnl2})
-	n, err := c2.Recover()
+	n, err := c2.StartRecovery()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -533,76 +607,6 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || !vr.Valid {
 		t.Fatalf("verify after restart: status %d valid %v: %s", resp.StatusCode, vr.Valid, raw)
-	}
-}
-
-// TestCoordinatorVerifyErrors runs the single-node server's /verify
-// contract against the coordinator's handler: malformed inputs are 400
-// with the JSON error envelope, an unknown circuit is 404, an inline
-// verifying_key works without a registry hit, and a well-formed proof of
-// another circuit is 200 valid:false.
-func TestCoordinatorVerifyErrors(t *testing.T) {
-	c, ts := newCoordinator(t, Config{})
-	newWorker(t, ts.URL)
-	waitFor(t, "one worker", func() bool { return c.WorkersLive() == 1 })
-
-	resp, raw := postJSON(t, ts.URL+"/circuits", cubicSpec(5))
-	var reg service.RegisterResponse
-	if err := json.Unmarshal(raw, &reg); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("register: %d %s", resp.StatusCode, raw)
-	}
-	other := registerCubic(t, ts.URL, 7)
-	resp, pr, raw := proveOnce(t, ts.URL, service.ProveRequest{CircuitID: reg.CircuitID})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prove = %d: %s", resp.StatusCode, raw)
-	}
-
-	for _, tc := range []struct {
-		name   string
-		body   any
-		status int
-	}{
-		{"no key source", service.VerifyRequest{Proof: pr.Proof}, http.StatusBadRequest},
-		{"key not base64", service.VerifyRequest{VerifyingKey: "!!", Proof: pr.Proof}, http.StatusBadRequest},
-		{"key malformed", service.VerifyRequest{VerifyingKey: "AAAA", Proof: pr.Proof}, http.StatusBadRequest},
-		{"proof not base64", service.VerifyRequest{CircuitID: reg.CircuitID, Proof: "!!"}, http.StatusBadRequest},
-		{"proof malformed", service.VerifyRequest{CircuitID: reg.CircuitID, Proof: "AAAA"}, http.StatusBadRequest},
-		{"unknown field", map[string]string{"circuit": reg.CircuitID}, http.StatusBadRequest},
-		{"unknown circuit", service.VerifyRequest{CircuitID: "ff", Proof: pr.Proof}, http.StatusNotFound},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, raw := postJSON(t, ts.URL+"/verify", tc.body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, raw)
-			}
-			var e struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
-				t.Fatalf("expected a JSON error envelope, got %s", raw)
-			}
-		})
-	}
-
-	for _, tc := range []struct {
-		name  string
-		req   service.VerifyRequest
-		valid bool
-	}{
-		{"inline key", service.VerifyRequest{VerifyingKey: reg.VerifyingKey, Proof: pr.Proof}, true},
-		{"inline key wins over circuit_id", service.VerifyRequest{CircuitID: other, VerifyingKey: reg.VerifyingKey, Proof: pr.Proof}, true},
-		{"proof of another circuit", service.VerifyRequest{CircuitID: other, Proof: pr.Proof}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, raw := postJSON(t, ts.URL+"/verify", tc.req)
-			var vr service.VerifyResponse
-			if err := json.Unmarshal(raw, &vr); err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK || vr.Valid != tc.valid || (!vr.Valid && vr.Reason == "") {
-				t.Fatalf("status %d valid %v reason %q, want 200 valid %v: %s", resp.StatusCode, vr.Valid, vr.Reason, tc.valid, raw)
-			}
-		})
 	}
 }
 
@@ -677,7 +681,7 @@ func TestFreshKeyAfterRestartCompact(t *testing.T) {
 	defer jnl2.Close()
 	jnl2.SetSync(false)
 	c2, ts2 := newCoordinator(t, Config{Journal: jnl2})
-	if _, err := c2.Recover(); err != nil {
+	if _, err := c2.StartRecovery(); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	if err := jnl2.Compact(); err != nil {
@@ -719,9 +723,9 @@ func registerViaStore(t *testing.T, c *Coordinator, k uint64) string {
 		t.Fatal(err)
 	}
 	id := compiled.Hash().String()
-	c.specMu.Lock()
-	c.specs[id] = raw
-	c.specMu.Unlock()
+	c.pool.specMu.Lock()
+	c.pool.specs[id] = raw
+	c.pool.specMu.Unlock()
 	return id
 }
 

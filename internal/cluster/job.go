@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
-
-	"zkphire/internal/journal"
+	"time"
 )
 
-// job is one proof the coordinator owes a client (or the journal). Its
-// lease-epoch pair is the whole fencing mechanism:
+// job is one proof the pool is running for the front-end. Its lease-epoch
+// pair is the whole fencing mechanism:
 //
 //   - next is the next epoch a dispatch will run under; every dispatch
 //     (initial, re-dispatch, hedge) takes the current value and
@@ -19,43 +17,41 @@ import (
 //     what keeps both racing leases valid.
 //
 // A completion settles the job iff epoch >= fence and nothing settled it
-// first. The journal write happens inside the same critical section,
-// before settled flips, so "client-visible" and "journal-durable" cannot
-// disagree across a crash.
+// first. Settling only hands the proof to the front-end, which journals
+// it before any client sees it (DESIGN.md §10).
 type job struct {
 	id        string // idempotency key for keyed jobs, synthetic otherwise
 	circuitID string
 	timeoutMS int
-	keyed     bool // journaled under id
 
-	mu       sync.Mutex
-	fence    uint64
-	next     uint64
-	attempts int // dispatches issued (hedges included)
-	settled  bool
-	proof    []byte
-	errMsg   string
-	done     chan struct{} // closed exactly once, on settle
+	mu         sync.Mutex
+	fence      uint64
+	next       uint64
+	attempts   int       // dispatches issued (hedges included)
+	leaseUntil time.Time // latest deadline of any lease issued
+	settled    bool
+	proof      []byte
+	errMsg     string
+	done       chan struct{} // closed exactly once, on settle
 }
 
-func newJob(id, circuitID string, timeoutMS int, keyed bool) *job {
-	return &job{
-		id:        id,
-		circuitID: circuitID,
-		timeoutMS: timeoutMS,
-		keyed:     keyed,
-		done:      make(chan struct{}),
-	}
+func newJob(id, circuitID string, timeoutMS int) *job {
+	return &job{id: id, circuitID: circuitID, timeoutMS: timeoutMS, done: make(chan struct{})}
 }
 
-// lease hands out the next epoch for a dispatch attempt.
-func (j *job) lease() uint64 {
+// lease hands out the next epoch for a dispatch attempt that may run for
+// d, and that attempt's deadline.
+func (j *job) lease(d time.Duration) (epoch uint64, deadline time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := j.next
+	epoch = j.next
 	j.next++
 	j.attempts++
-	return e
+	deadline = time.Now().Add(d)
+	if deadline.After(j.leaseUntil) {
+		j.leaseUntil = deadline
+	}
+	return epoch, deadline
 }
 
 // loseLease declares the lease at epoch dead: completions at or below it
@@ -91,11 +87,15 @@ func (j *job) dispatches() int {
 	return j.attempts
 }
 
-// result reads the settled outcome (valid only after done is closed).
-func (j *job) result() (proof []byte, errMsg string) {
+// take moves the settled outcome out of the job (valid only after done is
+// closed): what stays behind for late completions is the epoch/fence
+// state, not the proof bytes. linger is how long until the last lease
+// issued has expired and nothing can complete the job any more.
+func (j *job) take() (proof []byte, errMsg string, linger time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.proof, j.errMsg
+	proof, j.proof = j.proof, nil
+	return proof, j.errMsg, time.Until(j.leaseUntil)
 }
 
 // outcome classifies a completion attempt.
@@ -107,64 +107,46 @@ const (
 	outcomeFenced                   // lease epoch below the fence
 )
 
-// settle applies a completion under the fencing rules. For keyed jobs it
-// writes the journal record inside the critical section — if the write
-// fails the job stays unsettled (the caller treats it as a lost lease and
-// the work is re-dispatched), so a proof is never client-visible without
-// being durable first.
-func (j *job) settle(epoch uint64, proof []byte, errMsg string, jnl *journal.Journal) (outcome, error) {
+// noFence is the epoch the pool itself settles under when a job runs out
+// of attempts: no lease may ever complete it, so the fence does not apply.
+const noFence = ^uint64(0)
+
+// settle applies a completion under the fencing rules.
+func (j *job) settle(epoch uint64, proof []byte, errMsg string) outcome {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// Fence before duplicate: a below-fence completion is rejected as
 	// fenced whether or not the job has settled, so tests and operators
 	// can see late results from presumed-dead workers as fencing events.
 	if epoch < j.fence {
-		return outcomeFenced, nil
+		return outcomeFenced
 	}
 	if j.settled {
-		return outcomeDuplicate, nil
-	}
-	if j.keyed && jnl != nil {
-		var jerr error
-		if errMsg == "" {
-			jerr = jnl.Complete(j.id, proof)
-		} else {
-			jerr = jnl.Fail(j.id, errMsg)
-		}
-		if jerr != nil {
-			return outcomeFenced, fmt.Errorf("journal settle %s: %w", j.id, jerr)
-		}
+		return outcomeDuplicate
 	}
 	j.settled = true
 	j.proof = proof
 	j.errMsg = errMsg
 	close(j.done)
-	return outcomeSettled, nil
+	return outcomeSettled
 }
 
-// jobTable indexes in-flight jobs by ID so concurrent keyed retries
-// attach to the running job instead of conflicting, and completions find
-// their job in O(1).
+// jobTable indexes jobs by ID so completions find theirs in O(1). A
+// settled job stays until its last lease deadline has passed — a late
+// completion inside that window is still classified (fenced, duplicate)
+// against its epochs — and is then removed; anything later takes the
+// unknown-job path.
 type jobTable struct {
 	mu   sync.Mutex
 	jobs map[string]*job
 }
 
-func newJobTable() *jobTable {
-	return &jobTable{jobs: make(map[string]*job)}
-}
-
-// getOrCreate returns the in-flight job with this ID, creating it when
-// absent. created=false is the attach path.
-func (t *jobTable) getOrCreate(id, circuitID string, timeoutMS int, keyed bool) (j *job, created bool) {
+// put indexes j, replacing a settled job still lingering under the same
+// ID (a failed key the front-end re-opened).
+func (t *jobTable) put(j *job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if j, ok := t.jobs[id]; ok {
-		return j, false
-	}
-	j = newJob(id, circuitID, timeoutMS, keyed)
-	t.jobs[id] = j
-	return j, true
+	t.jobs[j.id] = j
 }
 
 func (t *jobTable) get(id string) (*job, bool) {
@@ -174,25 +156,11 @@ func (t *jobTable) get(id string) (*job, bool) {
 	return j, ok
 }
 
-func (t *jobTable) remove(id string) {
+// remove drops j (and only j).
+func (t *jobTable) remove(j *job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.jobs, id)
-}
-
-// inflight counts unsettled jobs.
-func (t *jobTable) inflight() int {
-	t.mu.Lock()
-	jobs := make([]*job, 0, len(t.jobs))
-	for _, j := range t.jobs {
-		jobs = append(jobs, j)
+	if t.jobs[j.id] == j {
+		delete(t.jobs, j.id)
 	}
-	t.mu.Unlock()
-	n := 0
-	for _, j := range jobs {
-		if !j.isSettled() {
-			n++
-		}
-	}
-	return n
 }

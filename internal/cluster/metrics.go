@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
+	"time"
+
+	"zkphire/internal/service"
 )
 
 // Metrics holds the coordinator's cluster-level counters. Gauges
@@ -26,36 +28,34 @@ type Metrics struct {
 	ReplaysTotal          atomic.Int64 // keyed retries served from journal
 }
 
-// heartbeatAge is one worker's scrape-time liveness sample.
-type heartbeatAge struct {
-	WorkerID string
-	Seconds  float64
-}
-
-// writePrometheus renders the cluster metrics in the text exposition
-// format, including the per-worker heartbeat-age gauge the ISSUE's
-// runbook alerts on.
-func (m *Metrics) writePrometheus(w io.Writer, workersLive int, ages []heartbeatAge) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// Scrape implements service.Backend: the cluster's counter rows, the pool
+// size, and the per-worker heartbeat-age gauge the runbook alerts on.
+func (p *pool) Scrape() ([]service.Counter, []service.Series) {
+	m := p.metrics
+	members := p.members.snapshot()
+	sort.Slice(members, func(i, k int) bool { return members[i].id < members[k].id })
+	now := time.Now()
+	ages := make([]service.Sample, len(members))
+	for i, mb := range members {
+		ages[i] = service.Sample{Suffix: fmt.Sprintf("{worker=%q}", mb.id), Value: mb.beatAge(now).Seconds()}
 	}
-	counter("zkphired_worker_joins_total", "Workers that joined the pool.", m.WorkerJoinsTotal.Load())
-	counter("zkphired_worker_leaves_total", "Workers that left gracefully.", m.WorkerLeavesTotal.Load())
-	counter("zkphired_worker_evictions_total", "Workers evicted for missed heartbeats.", m.WorkerEvictionsTotal.Load())
-	counter("zkphired_jobs_accepted_total", "Prove jobs accepted by the coordinator.", m.JobsAcceptedTotal.Load())
-	counter("zkphired_jobs_dispatched_total", "Job leases dispatched to workers.", m.JobsDispatchedTotal.Load())
-	counter("zkphired_jobs_redispatched_total", "Re-dispatches after a lost lease (eviction, lease timeout, transient failure).", m.JobsRedispatchedTotal.Load())
-	counter("zkphired_jobs_hedged_total", "Hedge leases issued for slow jobs.", m.JobsHedgedTotal.Load())
-	counter("zkphired_jobs_completed_total", "Jobs settled with a proof.", m.JobsCompletedTotal.Load())
-	counter("zkphired_jobs_failed_total", "Jobs settled with a permanent error.", m.JobsFailedTotal.Load())
-	counter("zkphired_results_fenced_total", "Late completions rejected by lease-epoch fencing.", m.ResultsFencedTotal.Load())
-	counter("zkphired_results_duplicate_total", "Completions discarded because the job had settled.", m.ResultsDuplicateTotal.Load())
-	counter("zkphired_dispatch_errors_total", "Dispatch RPCs that failed outright.", m.DispatchErrorsTotal.Load())
-	counter("zkphired_job_replays_total", "Keyed retries answered from the journal.", m.ReplaysTotal.Load())
-	fmt.Fprintf(w, "# HELP zkphired_workers_live Workers currently registered and un-evicted.\n# TYPE zkphired_workers_live gauge\nzkphired_workers_live %d\n", workersLive)
-	sort.Slice(ages, func(i, k int) bool { return ages[i].WorkerID < ages[k].WorkerID })
-	fmt.Fprintf(w, "# HELP zkphired_worker_heartbeat_age_seconds Seconds since each worker's last heartbeat.\n# TYPE zkphired_worker_heartbeat_age_seconds gauge\n")
-	for _, a := range ages {
-		fmt.Fprintf(w, "zkphired_worker_heartbeat_age_seconds{worker=%q} %g\n", a.WorkerID, a.Seconds)
-	}
+	return []service.Counter{
+			{Name: "zkphired_worker_joins_total", Help: "Workers that joined the pool.", V: &m.WorkerJoinsTotal},
+			{Name: "zkphired_worker_leaves_total", Help: "Workers that left gracefully.", V: &m.WorkerLeavesTotal},
+			{Name: "zkphired_worker_evictions_total", Help: "Workers evicted for missed heartbeats.", V: &m.WorkerEvictionsTotal},
+			{Name: "zkphired_jobs_accepted_total", Help: "Prove jobs accepted by the coordinator.", V: &m.JobsAcceptedTotal},
+			{Name: "zkphired_jobs_dispatched_total", Help: "Job leases dispatched to workers.", V: &m.JobsDispatchedTotal},
+			{Name: "zkphired_jobs_redispatched_total", Help: "Re-dispatches after a lost lease (eviction, lease timeout, transient failure).", V: &m.JobsRedispatchedTotal},
+			{Name: "zkphired_jobs_hedged_total", Help: "Hedge leases issued for slow jobs.", V: &m.JobsHedgedTotal},
+			{Name: "zkphired_jobs_completed_total", Help: "Jobs settled with a proof.", V: &m.JobsCompletedTotal},
+			{Name: "zkphired_jobs_failed_total", Help: "Jobs settled with a permanent error.", V: &m.JobsFailedTotal},
+			{Name: "zkphired_results_fenced_total", Help: "Late completions rejected by lease-epoch fencing.", V: &m.ResultsFencedTotal},
+			{Name: "zkphired_results_duplicate_total", Help: "Completions discarded because the job had settled.", V: &m.ResultsDuplicateTotal},
+			{Name: "zkphired_dispatch_errors_total", Help: "Dispatch RPCs that failed outright.", V: &m.DispatchErrorsTotal},
+			{Name: "zkphired_job_replays_total", Help: "Keyed retries answered from the journal.", V: &m.ReplaysTotal},
+		}, []service.Series{
+			{Name: "zkphired_workers_live", Help: "Workers currently registered and un-evicted.", Type: "gauge",
+				Samples: []service.Sample{{Value: float64(len(members))}}},
+			{Name: "zkphired_worker_heartbeat_age_seconds", Help: "Seconds since each worker's last heartbeat.", Type: "gauge", Samples: ages},
+		}
 }

@@ -55,7 +55,7 @@ func TestClusterNodeChild(t *testing.T) {
 			t.Fatalf("child coordinator: %v", err)
 		}
 		defer c.Close()
-		if n, err := c.Recover(); err != nil {
+		if n, err := c.StartRecovery(); err != nil {
 			t.Fatalf("child recover: %v", err)
 		} else if n > 0 {
 			fmt.Fprintf(os.Stderr, "child coordinator: re-dispatching %d journaled job(s)\n", n)

@@ -26,31 +26,25 @@ type WorkerConfig struct {
 	// SetAdvertiseURL once the listener is bound, but must be set before
 	// Start.
 	AdvertiseURL string
-	// HeartbeatInterval is the beat cadence until the join response
-	// overrides it (0 = 1 s).
-	HeartbeatInterval time.Duration
-	// Client performs cluster RPCs (nil = http.DefaultClient).
-	Client *http.Client
-	// Retry shapes the join/completion RPC retries. Completions lean on
-	// it hard: a coordinator mid-restart must not turn a finished proof
-	// into a lost one, so the default is 10 attempts backing off to 1 s.
-	Retry retry.Policy
 }
+
+// workerRetry shapes the join/completion RPC retries. Completions lean on
+// it hard: a coordinator mid-restart must not turn a finished proof into
+// a lost one, so it is 10 attempts backing off to 1 s.
+var workerRetry = retry.Policy{MaxAttempts: 10, BaseDelay: 20 * time.Millisecond, MaxDelay: time.Second}
 
 // Worker is the agent that turns a single-node service into a pool
 // member: it joins the coordinator, heartbeats, accepts dispatches,
 // replicates circuits by content hash, and pushes completions back.
 // Construct with NewWorker, mount Handler, Start, Close.
 type Worker struct {
-	cfg    WorkerConfig
-	svc    *service.Server
-	client *http.Client
+	cfg WorkerConfig
+	svc *service.Server
 
-	mux       *http.ServeMux
 	id        atomic.Value // string; empty until joined
 	advertise atomic.Value // string; settable until Start
-	// beatEvery is the heartbeat period in nanoseconds, set by the join
-	// response.
+	// beatEvery is the heartbeat period in nanoseconds: 1 s until the join
+	// response sets the coordinator's.
 	beatEvery atomic.Int64
 
 	closeOnce sync.Once
@@ -67,34 +61,18 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.CoordinatorURL == "" {
 		return nil, fmt.Errorf("cluster: WorkerConfig.CoordinatorURL is required")
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = retry.Policy{MaxAttempts: 10, BaseDelay: 20 * time.Millisecond, MaxDelay: time.Second}
-	}
-	w := &Worker{
-		cfg:    cfg,
-		svc:    cfg.Service,
-		client: cfg.Client,
-		closed: make(chan struct{}),
-	}
+	w := &Worker{cfg: cfg, svc: cfg.Service, closed: make(chan struct{})}
 	w.id.Store("")
 	w.advertise.Store(cfg.AdvertiseURL)
-	w.beatEvery.Store(int64(cfg.HeartbeatInterval))
-	mux := http.NewServeMux()
-	mux.Handle("/", cfg.Service.Handler())
-	mux.HandleFunc("POST /cluster/dispatch", w.handleDispatch)
-	w.mux = mux
+	w.beatEvery.Store(int64(time.Second))
+	cfg.Service.Handle("POST /cluster/dispatch", w.handleDispatch)
 	return w, nil
 }
 
 // Handler serves the full worker surface: the local service API (so a
-// worker is still a working single-node prover) plus /cluster/dispatch.
-func (w *Worker) Handler() http.Handler { return w.mux }
+// worker is still a working single-node prover) plus /cluster/dispatch,
+// which NewWorker mounted beside it.
+func (w *Worker) Handler() http.Handler { return w.svc.Handler() }
 
 // ID returns the coordinator-assigned worker ID ("" before the first
 // join).
@@ -131,7 +109,7 @@ func (w *Worker) Close() {
 		close(w.closed)
 		if id := w.ID(); id != "" {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			retry.PostJSON(ctx, w.client, w.cfg.CoordinatorURL+"/cluster/leave",
+			retry.PostJSON(ctx, nil, w.cfg.CoordinatorURL+"/cluster/leave",
 				LeaveRequest{WorkerID: id}, nil, retry.Policy{MaxAttempts: 1})
 			cancel()
 		}
@@ -141,10 +119,10 @@ func (w *Worker) Close() {
 
 func (w *Worker) join(ctx context.Context) error {
 	var resp JoinResponse
-	err := retry.PostJSON(ctx, w.client, w.cfg.CoordinatorURL+"/cluster/join", JoinRequest{
+	err := retry.PostJSON(ctx, nil, w.cfg.CoordinatorURL+"/cluster/join", JoinRequest{
 		Addr:    w.AdvertiseURL(),
 		Workers: w.svc.Budget().Total(),
-	}, &resp, w.cfg.Retry)
+	}, &resp, workerRetry)
 	if err != nil {
 		return err
 	}
@@ -173,7 +151,7 @@ func (w *Worker) heartbeatLoop() {
 			continue
 		}
 		queued, running := w.svc.Load()
-		err := retry.PostJSON(context.Background(), w.client, w.cfg.CoordinatorURL+"/cluster/heartbeat", HeartbeatRequest{
+		err := retry.PostJSON(context.Background(), nil, w.cfg.CoordinatorURL+"/cluster/heartbeat", HeartbeatRequest{
 			WorkerID:   w.ID(),
 			QueueDepth: queued,
 			Inflight:   running,
@@ -241,7 +219,7 @@ func (w *Worker) runLease(req DispatchRequest) {
 	// Push hard: losing a finished proof to a coordinator restart wastes
 	// the whole prove. If every attempt fails the coordinator's lease
 	// deadline re-dispatches the job — nothing is lost, only re-proved.
-	retry.PostJSON(ctx, w.client, w.cfg.CoordinatorURL+"/cluster/complete", comp, nil, w.cfg.Retry)
+	retry.PostJSON(ctx, nil, w.cfg.CoordinatorURL+"/cluster/complete", comp, nil, workerRetry)
 }
 
 // prove ensures the circuit is registered locally (fetching the spec
@@ -268,7 +246,7 @@ func (w *Worker) fetchCircuit(ctx context.Context, circuitID string) error {
 		return err
 	}
 	var spec service.CircuitSpec
-	if err := retry.GetJSON(ctx, w.client, w.cfg.CoordinatorURL+"/cluster/circuits/"+circuitID, &spec, w.cfg.Retry); err != nil {
+	if err := retry.GetJSON(ctx, nil, w.cfg.CoordinatorURL+"/cluster/circuits/"+circuitID, &spec, workerRetry); err != nil {
 		return err
 	}
 	sess, _, err := w.svc.RegisterSpec(ctx, &spec)

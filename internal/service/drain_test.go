@@ -43,7 +43,7 @@ func TestDrainTimeoutLeavesJobPendingForRecovery(t *testing.T) {
 	release := make(chan struct{})
 	blocked := make(chan error, 1)
 	go func() {
-		blocked <- s1.queue.Submit(context.Background(), func(ctx context.Context, _ int) error {
+		blocked <- s1.local.queue.Submit(context.Background(), func(ctx context.Context, _ int) error {
 			select {
 			case <-release:
 				return nil
@@ -53,7 +53,7 @@ func TestDrainTimeoutLeavesJobPendingForRecovery(t *testing.T) {
 		})
 	}()
 	deadline := time.After(5 * time.Second)
-	for s1.queue.Running() != 1 {
+	for s1.local.queue.Running() != 1 {
 		select {
 		case <-deadline:
 			t.Fatal("blocking job never started")

@@ -242,7 +242,7 @@ func TestRecoverJournalReplaysPending(t *testing.T) {
 	if err := proof.UnmarshalBinary(rec.Proof); err != nil {
 		t.Fatal(err)
 	}
-	sess, ok := s2.registry.Get(mustHash(t, id))
+	sess, ok := s2.local.registry.Get(mustHash(t, id))
 	if !ok {
 		t.Fatal("recovery did not rebuild the session")
 	}

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +35,7 @@ type Metrics struct {
 	// Fault tolerance.
 	ProofsPanicked atomic.Int64 // panics recovered at the job boundary
 	ProofsRetried  atomic.Int64 // extra attempts after a transient failure
-	ProofsReplayed atomic.Int64 // journal replays: restart recovery + idempotent re-serves
+	ProofsReplayed atomic.Int64 // keyed retries answered from the journal
 
 	// Proof latency (sum + count → average; a scraper derives the rate).
 	ProveNanos atomic.Int64
@@ -104,33 +103,63 @@ func (m *Metrics) HitRate() float64 {
 	return float64(h) / float64(h+miss)
 }
 
-// WritePrometheus renders the counters (plus the gauges the caller passes
-// in) in the Prometheus text exposition format.
-func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// Counter is one row of a role's /metrics table: each package contributes
+// its rows (Backend.Scrape) and the front-end renders them all.
+type Counter struct {
+	Name, Help string
+	V          *atomic.Int64
+}
+
+// Series is a metric family whose samples are computed at scrape time:
+// a gauge, a labelled gauge, or a summary's _sum/_count pair.
+type Series struct {
+	Name, Help, Type string // Help "" = no HELP line
+	Samples          []Sample
+}
+
+// Sample is one line of a Series; Suffix is appended to the family name
+// ("_sum", `{worker="w1"}`, or nothing).
+type Sample struct {
+	Suffix string
+	Value  float64
+}
+
+// counters is the service's row table.
+func (m *Metrics) counters() []Counter {
+	return []Counter{
+		{"zkphired_cache_hits_total", "Session-cache hits.", &m.CacheHits},
+		{"zkphired_cache_misses_total", "Session-cache misses (preprocessing paid or shared).", &m.CacheMisses},
+		{"zkphired_cache_evictions_total", "Sessions evicted from the LRU.", &m.CacheEvictions},
+		{"zkphired_singleflight_shared_total", "Registrations that piggybacked on an in-flight preprocessing.", &m.SingleFlightShared},
+		{"zkphired_preprocess_total", "NewProver preprocessing runs.", &m.Preprocesses},
+		{"zkphired_proofs_total", "Proofs completed.", &m.ProofsCompleted},
+		{"zkphired_proof_failures_total", "Proof jobs that errored.", &m.ProofsFailed},
+		{"zkphired_proofs_rejected_total", "Prove requests rejected by admission control (429).", &m.ProofsRejected},
+		{"zkphired_jobs_cancelled_total", "Prove jobs cancelled or past deadline.", &m.JobsCancelled},
+		{"zkphired_proof_panics_total", "Panics recovered at the job boundary.", &m.ProofsPanicked},
+		{"zkphired_proof_retries_total", "Extra prove attempts after transient failures.", &m.ProofsRetried},
+		{"zkphired_proof_replays_total", "Proofs served from or re-proved via the journal.", &m.ProofsReplayed},
 	}
-	counter("zkphired_cache_hits_total", "Session-cache hits.", m.CacheHits.Load())
-	counter("zkphired_cache_misses_total", "Session-cache misses (preprocessing paid or shared).", m.CacheMisses.Load())
-	counter("zkphired_cache_evictions_total", "Sessions evicted from the LRU.", m.CacheEvictions.Load())
-	counter("zkphired_singleflight_shared_total", "Registrations that piggybacked on an in-flight preprocessing.", m.SingleFlightShared.Load())
-	counter("zkphired_preprocess_total", "NewProver preprocessing runs.", m.Preprocesses.Load())
-	counter("zkphired_proofs_total", "Proofs completed.", m.ProofsCompleted.Load())
-	counter("zkphired_proof_failures_total", "Proof jobs that errored.", m.ProofsFailed.Load())
-	counter("zkphired_proofs_rejected_total", "Prove requests rejected by admission control (429).", m.ProofsRejected.Load())
-	counter("zkphired_jobs_cancelled_total", "Prove jobs cancelled or past deadline.", m.JobsCancelled.Load())
-	counter("zkphired_proof_panics_total", "Panics recovered at the job boundary.", m.ProofsPanicked.Load())
-	counter("zkphired_proof_retries_total", "Extra prove attempts after transient failures.", m.ProofsRetried.Load())
-	counter("zkphired_proof_replays_total", "Proofs served from or re-proved via the journal.", m.ProofsReplayed.Load())
-	fmt.Fprintf(w, "# HELP zkphired_proof_latency_seconds Cumulative proof latency.\n# TYPE zkphired_proof_latency_seconds summary\n")
-	fmt.Fprintf(w, "zkphired_proof_latency_seconds_sum %g\n", float64(m.ProveNanos.Load())/1e9)
-	fmt.Fprintf(w, "zkphired_proof_latency_seconds_count %d\n", m.ProveCount.Load())
-	names := make([]string, 0, len(gauges))
-	for name := range gauges {
-		names = append(names, name)
+}
+
+// writePrometheus renders a backend's counters, then its series in the
+// order given, in the Prometheus text exposition format.
+func writePrometheus(w io.Writer, b Backend) {
+	family := func(name, help, typ string) {
+		if help != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n", name, help)
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, gauges[name])
+	counters, series := b.Scrape()
+	for _, c := range counters {
+		family(c.Name, c.Help, "counter")
+		fmt.Fprintf(w, "%s %d\n", c.Name, c.V.Load())
+	}
+	for _, s := range series {
+		family(s.Name, s.Help, s.Type)
+		for _, v := range s.Samples {
+			fmt.Fprintf(w, "%s%s %g\n", s.Name, v.Suffix, v.Value)
+		}
 	}
 }

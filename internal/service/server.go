@@ -1,46 +1,91 @@
 // Package service turns the zkphire proving library into a long-running,
-// multi-tenant proving service. Three pieces compose it:
+// multi-tenant proving service. Two halves compose it:
 //
-//   - Registry — an LRU cache of proving sessions keyed by circuit content
-//     hash, with single-flight deduplication so concurrent registrations of
-//     the same circuit share one preprocessing run (the expensive selector
-//     and sigma commitments are paid once, then amortized across every
-//     proof of that circuit).
-//   - Queue — a bounded job queue with admission control: at most
-//     `inflight` proofs run at once, each under a worker lease from a
-//     shared parallel.Budget so overlapping requests split the machine
-//     instead of oversubscribing it; a full waiting room rejects
-//     immediately (HTTP 429) rather than building an unbounded backlog.
-//   - Server — an HTTP JSON API (POST /circuits, /prove, /verify;
-//     GET /healthz, /metrics) that moves circuits as straight-line
+//   - Server — the one client front-end: the HTTP JSON API (POST
+//     /circuits, /prove, /verify; GET /healthz, /metrics), draining,
+//     timeout clamping, the idempotency-key state machine over
+//     internal/journal, the table of unsettled jobs that requests attach
+//     to, and restart recovery. It moves circuits as straight-line
 //     programs (CircuitSpec) and proofs/verifying keys over the library's
-//     validated MarshalBinary wire formats.
+//     validated MarshalBinary wire formats, and knows nothing about how a
+//     proof gets made.
+//   - Backend — what makes the proof. This package holds the local one
+//     (New): Registry, an LRU cache of proving sessions keyed by circuit
+//     content hash with single-flight preprocessing, and Queue, a bounded
+//     job queue whose in-flight proofs each lease an even share of one
+//     parallel.Budget and whose full waiting room rejects immediately
+//     (HTTP 429). internal/cluster holds the remote one: a leased worker
+//     pool behind the same front-end.
 //
 // The package is embeddable: cmd/zkphired wraps it in a daemon, tests and
 // examples mount Server.Handler on httptest. See ARCHITECTURE.md for where
 // the service sits in the repository's layering and DESIGN.md §3 for the
-// cache and admission-control design.
+// front-end/backend split, the cache and the admission-control design.
 package service
 
 import (
 	"context"
 	"encoding/base64"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"zkphire"
 	"zkphire/internal/journal"
-	"zkphire/internal/parallel"
+	"zkphire/internal/retry"
 )
 
-// Config sizes a Server. The zero value of every field picks a sensible
-// default, so Config{SRS: srs} is a working single-machine setup.
+// Backend is the prover behind a Server. The front-end decides how a key
+// is made exactly-once; a backend decides only how a proof is made. Its
+// errors reach the client through Server.fail: an *Error keeps its own
+// status, a *retry.StatusError relays another node's verdict.
+type Backend interface {
+	// Register makes the circuit provable and describes it to the client.
+	Register(ctx context.Context, spec *CircuitSpec) (*RegisterResponse, error)
+	// Spec reports whether a job may name circuitID (nil error = yes). A
+	// backend that stores specs returns the raw JSON, which the front-end
+	// journals ahead of a keyed job; one that does not returns nil, and
+	// the journal must already hold it from registration.
+	Spec(circuitID string) ([]byte, error)
+	// Prove runs one job until it settles or ctx ends. key is the job's
+	// idempotency key ("" = unkeyed); timeout, already clamped, bounds one
+	// proving attempt as the backend defines it.
+	Prove(ctx context.Context, key, circuitID string, timeout time.Duration) (proof []byte, workers int, err error)
+	// VerifyingKey resolves a circuit_id for POST /verify.
+	VerifyingKey(ctx context.Context, circuitID string) (*zkphire.VerifyingKey, error)
+	// RetryAfter is the back-off in whole seconds (>= 1) on every 429/503.
+	RetryAfter() int
+	// Health is the GET /healthz payload: h plus the role's own fields
+	// (jobs is the front-end's count of unsettled jobs).
+	Health(h Health, jobs int) any
+	// Scrape is the role's contribution to GET /metrics.
+	Scrape() ([]Counter, []Series)
+	// Replayed counts one keyed retry answered from the journal.
+	Replayed()
+	// Close stops what the backend started; no Prove is running by then.
+	Close()
+}
+
+// Error is a failure that already knows its client status.
+type Error struct {
+	Status int
+	Msg    string
+}
+
+func (e *Error) Error() string { return e.Msg }
+
+// Errorf builds an *Error.
+func Errorf(status int, format string, args ...any) error {
+	return &Error{Status: status, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Config sizes a single-node Server. The zero value of every field picks
+// a sensible default, so Config{SRS: srs} is a working setup.
 type Config struct {
 	// SRS backs every session; circuits needing more variables than it
 	// supports are rejected at registration. Required.
@@ -58,10 +103,8 @@ type Config struct {
 	// CacheSize is the session-LRU capacity (0 = 32 circuits).
 	CacheSize int
 	// DefaultTimeout bounds a prove job with no explicit deadline
-	// (0 = 2 minutes); MaxTimeout caps client-requested deadlines
-	// (0 = 10 minutes).
+	// (0 = 2 minutes). Client-requested deadlines are capped at maxTimeout.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// Journal, when set, makes the server crash-safe: accepted prove jobs
 	// with idempotency keys are durably recorded before proving and marked
 	// complete after, so RecoverJournal can finish them across a restart
@@ -71,207 +114,315 @@ type Config struct {
 	Journal *journal.Journal
 }
 
-// Server is the embeddable proving service. Construct with New, mount
-// Handler, Close when done.
+// maxTimeout caps client-requested job deadlines and the wait for a
+// preprocessing lease.
+const maxTimeout = 10 * time.Minute
+
+// awaitSlack is how long past a job's own timeout a request stays parked
+// on it before answering 504.
+const awaitSlack = 5 * time.Second
+
+// Server is the client front-end over one Backend. Construct with New
+// (local prover) or cluster.New (worker pool), mount Handler, Close when
+// done.
 type Server struct {
-	cfg      Config
-	budget   *parallel.Budget
-	registry *Registry
-	queue    *Queue
-	metrics  *Metrics
-	mux      *http.ServeMux
-	start    time.Time
-	journal  *journal.Journal // nil = no durability
+	backend Backend
+	local   *local // backend, when New built it; nil over any other
+	srs     *zkphire.SRS
+	journal *journal.Journal // nil = no durability
+	timeout time.Duration    // a job's deadline when the client names none
+	mux     *http.ServeMux
+	start   time.Time
 	// draining flips once, on Drain: admission endpoints answer 503 with a
-	// Retry-After while in-flight jobs finish.
+	// Retry-After while unsettled jobs finish.
 	draining atomic.Bool
+
+	// base parents every job's context; Close cancels it (under mu, so no
+	// job is created past that point) and waits on wg for the jobs.
+	base context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
+
+	mu        sync.Mutex
+	jobs      map[string]*proofJob // unsettled keyed jobs, by idempotency key
+	unsettled int                  // unsettled jobs, keyed or not
 }
 
-// New validates cfg, applies its defaults, and starts the dispatcher pool.
+// proofJob is one proof the front-end owes. It owns its result: settle
+// writes it and then closes done, so a request that leaves early reads
+// nothing and one that stays reads it race-free.
+type proofJob struct {
+	key, circuitID string // key "" = unkeyed
+	timeout        time.Duration
+	ctx            context.Context
+	cancel         context.CancelFunc
+	done           chan struct{}
+
+	proof   []byte
+	workers int
+	elapsed time.Duration
+	err     error
+}
+
+// New builds the single-node server: the front-end over a local Registry,
+// Queue and Budget.
 func New(cfg Config) (*Server, error) {
 	if cfg.SRS == nil {
 		return nil, fmt.Errorf("service: Config.SRS is required")
 	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 2
-	}
-	switch {
-	case cfg.QueueDepth < 0:
-		cfg.QueueDepth = 0
-	case cfg.QueueDepth == 0:
-		cfg.QueueDepth = 4 * cfg.MaxInflight
-	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 32
-	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 2 * time.Minute
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 10 * time.Minute
-	}
-
-	s := &Server{
-		cfg:     cfg,
-		budget:  parallel.NewBudget(cfg.Workers),
-		metrics: &Metrics{},
-		start:   time.Now(),
-		journal: cfg.Journal,
-	}
-	s.queue = NewQueue(s.budget, cfg.MaxInflight, cfg.QueueDepth, s.metrics)
-	// Preprocessing leases the same per-job share the queue computed, and
-	// waits at most the server's deadline cap for it.
-	s.registry = NewRegistry(cfg.SRS, s.budget, cfg.CacheSize, s.queue.Workers(), cfg.MaxTimeout, s.metrics)
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /circuits", s.handleCircuits)
-	mux.HandleFunc("POST /prove", s.handleProve)
-	mux.HandleFunc("POST /verify", s.handleVerify)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux = mux
+	l := newLocal(cfg)
+	s := NewServer(l, cfg.SRS, cfg.Journal, cfg.DefaultTimeout)
+	s.local = l
 	return s, nil
+}
+
+// NewServer builds the front-end over any backend. It is the seam
+// internal/cluster uses; everything else calls New or cluster.New.
+func NewServer(b Backend, srs *zkphire.SRS, jnl *journal.Journal, defaultTimeout time.Duration) *Server {
+	if defaultTimeout <= 0 {
+		defaultTimeout = 2 * time.Minute
+	}
+	s := &Server{
+		backend: b,
+		srs:     srs,
+		journal: jnl,
+		timeout: defaultTimeout,
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		jobs:    make(map[string]*proofJob),
+	}
+	s.base, s.stop = context.WithCancel(context.Background())
+	s.mux.HandleFunc("POST /circuits", s.handleCircuits)
+	s.mux.HandleFunc("POST /prove", s.handleProve)
+	s.mux.HandleFunc("POST /verify", s.handleVerify)
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return s
 }
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the server's counters (tests and embedders read them).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+// Handle mounts a backend's own routes (the coordinator's /cluster/*)
+// beside the client API.
+func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
 
-// Budget exposes the shared worker budget; the fault and chaos tests
-// assert OutstandingLeases()==0 on it after every injected failure.
-func (s *Server) Budget() *parallel.Budget { return s.budget }
-
-// Close drains the job queue and stops the dispatchers.
-func (s *Server) Close() { s.queue.Close() }
+// Close cancels every unsettled job, waits for them, and stops the
+// backend. A cancelled keyed job is not settled in the journal: it stays
+// pending there for the next start's recovery. Idempotent.
+func (s *Server) Close() {
+	s.mu.Lock()
+	closed := s.base.Err() != nil
+	s.stop()
+	s.mu.Unlock()
+	if closed {
+		return
+	}
+	s.wg.Wait()
+	s.backend.Close()
+}
 
 // Drain stops admission — POST /circuits and /prove answer 503 with a
-// Retry-After — and waits for every queued and running job to finish.
-// It returns nil once the queue is idle, or ctx.Err() when the drain
-// deadline passes first. Jobs unfinished at the deadline remain pending
-// in the journal (their accept records were written at admission), so
-// the next start's RecoverJournal picks them up; nothing is lost either
-// way.
+// Retry-After — and waits until no job is unsettled, or returns ctx.Err()
+// when the drain deadline passes first. Keyed jobs unfinished then remain
+// pending in the journal (accepted at admission), so the next start's
+// recovery picks them up; nothing is lost either way.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
-	for {
-		if s.queue.Depth() == 0 && s.queue.Running() == 0 {
-			return nil
-		}
+	for s.Unsettled() > 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
 		}
 	}
+	return nil
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
+// Unsettled reports the jobs admitted and not yet settled.
+func (s *Server) Unsettled() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.unsettled
+}
 
-// Load snapshots the job queue — the cluster worker agent reports it in
-// heartbeats so operators can see pool imbalance.
-func (s *Server) Load() (queued, running int) { return s.queue.Depth(), s.queue.Running() }
+// clampTimeout applies the default and the cap to a requested job timeout.
+func (s *Server) clampTimeout(d time.Duration) time.Duration {
+	if d <= 0 {
+		return s.timeout
+	}
+	return min(d, maxTimeout)
+}
 
-// RecoverJournal finishes the work a previous process left behind: for
-// every pending journal record it rebuilds the circuit's proving session
-// from the journaled spec, re-proves through the normal queue (same
-// budget, same admission discipline, same retry policy), and marks the
-// record done. The prover is deterministic, so a replayed proof is
-// byte-identical to the one the uninterrupted run would have produced.
-// Call it after New and before serving traffic.
+// errClosing answers requests that meet a closing server.
+var errClosing = Errorf(http.StatusServiceUnavailable, "shutting down")
+
+// newJob returns the unsettled job under key, or creates one (always, for
+// key "") with the requested timeout clamped. The creator must launch or
+// settle what it created.
+func (s *Server) newJob(key, circuitID string, timeout time.Duration) (j *proofJob, created bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[key]; ok && key != "" {
+		return j, false, nil
+	}
+	if s.base.Err() != nil {
+		return nil, false, errClosing
+	}
+	j = &proofJob{key: key, circuitID: circuitID, timeout: s.clampTimeout(timeout), done: make(chan struct{})}
+	j.ctx, j.cancel = context.WithCancel(s.base)
+	if key != "" {
+		s.jobs[key] = j
+	}
+	s.unsettled++
+	s.wg.Add(1)
+	return j, true, nil
+}
+
+// launch starts the goroutine that owns j until it settles.
+func (s *Server) launch(j *proofJob) {
+	//zkvet:ignore norawgo one goroutine per admitted job, bounded by the backend's admission control; joined via wg.Wait in Close
+	go func() {
+		started := time.Now()
+		proof, workers, err := s.backend.Prove(j.ctx, j.key, j.circuitID, j.timeout)
+		// Settle the key before any client sees the outcome: Complete makes
+		// the proof durable, Fail re-opens the key so a retry can re-prove
+		// instead of hitting 409 forever. A crash before this point — or a
+		// Close, which is the only thing that cancels a keyed job — leaves
+		// the record pending, exactly the state recovery replays.
+		if j.key != "" && j.ctx.Err() == nil {
+			if err == nil {
+				if jerr := s.journal.Complete(j.key, proof); jerr != nil {
+					err = fmt.Errorf("journal complete: %w", jerr)
+				}
+			} else if jerr := s.journal.Fail(j.key, err.Error()); jerr != nil {
+				err = fmt.Errorf("journal fail (after %v): %w", err, jerr)
+			}
+		}
+		j.proof, j.workers, j.elapsed = proof, workers, time.Since(started)
+		s.settle(j, err)
+	}()
+}
+
+// settle publishes j's outcome and drops it from the table, so the table
+// holds only unsettled jobs.
+func (s *Server) settle(j *proofJob, err error) {
+	j.err = err
+	s.mu.Lock()
+	if s.jobs[j.key] == j {
+		delete(s.jobs, j.key)
+	}
+	s.unsettled--
+	s.mu.Unlock()
+	j.cancel()
+	close(j.done)
+	s.wg.Done()
+}
+
+// await parks the caller on j until it settles, its timeout (plus slack)
+// passes, ctx ends, or the server closes. A keyed job runs on after its
+// waiters leave — it is journaled, a retry collects it; an unkeyed job has
+// one waiter and nobody could ever collect it, so leaving cancels it.
+func (s *Server) await(ctx context.Context, j *proofJob) error {
+	wait := time.NewTimer(j.timeout + awaitSlack)
+	defer wait.Stop()
+	var err error
+	select {
+	case <-j.done:
+		return j.err
+	case <-wait.C:
+		err = Errorf(http.StatusGatewayTimeout, "job still unfinished after %v — a keyed job keeps running; retry with the same idempotency key", j.timeout+awaitSlack)
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-s.base.Done():
+		err = errClosing
+	}
+	if j.key == "" {
+		j.cancel()
+	}
+	return err
+}
+
+// RecoverJournal finishes the keyed jobs a previous process left pending:
+// each is re-run as an ordinary job (already accepted, so a client retry
+// attaches to it) and settles in the journal like any other. The prover
+// is deterministic, so a replayed proof is byte-identical to the one the
+// uninterrupted run would have produced. Each job settles before the next
+// starts, which keeps recovery inside a bounded local queue; if ctx (nil =
+// none) ends first the rest stay pending for the next start.
 //
-// It returns the number of jobs replayed and the first infrastructure
+// It returns the number of jobs re-run and the first infrastructure
 // error (a journal write failing, ctx expiring). A job whose own proof
 // fails is marked failed in the journal and does not stop the sweep.
-func (s *Server) RecoverJournal(ctx context.Context) (replayed int, err error) {
+func (s *Server) RecoverJournal(ctx context.Context) (int, error) {
+	if ctx == nil {
+		ctx = s.base
+	}
+	return s.recoverPending(ctx, true)
+}
+
+// StartRecovery is RecoverJournal without the waiting: every pending job
+// starts at once and settles in the background. It suits a backend whose
+// jobs wait for capacity — the cluster's workers join only after the
+// coordinator serves — not one that rejects what it cannot queue.
+func (s *Server) StartRecovery() (int, error) { return s.recoverPending(s.base, false) }
+
+func (s *Server) recoverPending(ctx context.Context, wait bool) (started int, err error) {
 	if s.journal == nil {
 		return 0, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for _, rec := range s.journal.Pending() {
-		specJSON, ok := s.journal.Spec(rec.CircuitID)
-		if !ok {
-			// Unreachable through the handlers (Accept requires the
-			// journaled circuit), but a hand-edited journal must not wedge
-			// recovery.
-			if jerr := s.journal.Fail(rec.Key, "replay: circuit spec missing from journal"); jerr != nil {
-				return replayed, jerr
-			}
-			continue
-		}
-		var spec CircuitSpec
-		serr := json.Unmarshal(specJSON, &spec)
-		var sess *Session
-		if serr == nil {
-			var compiled *zkphire.CompiledCircuit
-			if compiled, serr = spec.Compile(); serr == nil {
-				sess, _, serr = s.registry.Register(ctx, compiled)
-			}
-		}
-		var data []byte
-		if serr == nil {
-			timeout := s.clampTimeout(time.Duration(rec.TimeoutMS) * time.Millisecond)
-			data, _, serr = s.proveSession(ctx, sess, timeout)
-		}
-		if serr != nil {
+		if err := s.restore(ctx, rec.CircuitID); err != nil {
 			if ctx.Err() != nil {
-				// Recovery itself was cut short: leave the job pending for
-				// the next start instead of branding it failed.
-				return replayed, ctx.Err()
+				return started, ctx.Err()
 			}
-			if jerr := s.journal.Fail(rec.Key, serr.Error()); jerr != nil {
-				return replayed, jerr
+			if jerr := s.journal.Fail(rec.Key, "replay: "+err.Error()); jerr != nil {
+				return started, jerr
 			}
 			continue
 		}
-		if jerr := s.journal.Complete(rec.Key, data); jerr != nil {
-			return replayed, jerr
+		j, created, err := s.newJob(rec.Key, rec.CircuitID, time.Duration(rec.TimeoutMS)*time.Millisecond)
+		if err != nil {
+			return started, err
 		}
-		s.metrics.ProofsReplayed.Add(1)
-		replayed++
+		if !created {
+			continue // already running in this process
+		}
+		s.launch(j)
+		started++
+		if wait {
+			select {
+			case <-j.done:
+			case <-ctx.Done():
+				return started, ctx.Err()
+			}
+		}
 	}
-	return replayed, nil
+	return started, nil
 }
 
-// retryAfterSeconds estimates when capacity frees: the jobs ahead of a
-// new arrival (waiting plus running) times the windowed recent mean
-// proof latency, spread across the dispatcher pool, clamped to [1, 60]
-// seconds. The window (Metrics.RecentAvgProve) matters on a long-lived
-// daemon: a lifetime mean diluted by months of fast cached proofs would
-// under-estimate a current slow-circuit regime — and vice versa —
-// forever. Before any proof has finished the estimate falls back to one
-// second per job slot — still queue-aware, never the old hard-coded 1.
-func (s *Server) retryAfterSeconds() int {
-	avg := s.metrics.RecentAvgProve()
-	if avg <= 0 {
-		avg = time.Second
+// restore makes a journaled circuit provable again after a restart, from
+// its spec, which fully determines it (the witness is embedded).
+func (s *Server) restore(ctx context.Context, circuitID string) error {
+	if _, err := s.backend.Spec(circuitID); err == nil {
+		return nil
 	}
-	ahead := s.queue.Depth() + s.queue.Running()
-	est := time.Duration(ahead) * avg / time.Duration(s.cfg.MaxInflight)
-	sec := int((est + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
+	// Accept requires the journaled circuit, so a missing spec is
+	// unreachable through the handlers — but a hand-edited journal must
+	// fail the job (nil does not decode), not wedge recovery.
+	raw, _ := s.journal.Spec(circuitID)
+	var spec CircuitSpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return fmt.Errorf("journaled spec of circuit %s: %w", circuitID, err)
 	}
-	if sec > 60 {
-		sec = 60
-	}
-	return sec
-}
-
-// unavailable writes a 503/429-style response with the queue-derived
-// Retry-After header.
-func (s *Server) unavailable(w http.ResponseWriter, status int, format string, args ...any) {
-	FailRetryAfter(w, status, s.retryAfterSeconds(), format, args...)
+	_, err := s.backend.Register(ctx, &spec)
+	return err
 }
 
 // The JSON request plumbing below is the one copy every HTTP role uses:
-// this server, and internal/cluster's coordinator and worker agent.
+// this front-end, and internal/cluster's control plane and worker agent.
 
 // maxBodyBytes bounds request bodies (a 2^20-op program is ~64 MB JSON).
 const maxBodyBytes = 64 << 20
@@ -292,13 +443,6 @@ func Fail(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// FailRetryAfter is Fail for the back-off statuses (429, 503): it tells
-// the client — retry.PostJSON honours it — how many seconds to wait.
-func FailRetryAfter(w http.ResponseWriter, status, seconds int, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(seconds))
-	Fail(w, status, format, args...)
-}
-
 // OK writes v as a 200 JSON response.
 func OK(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -312,6 +456,46 @@ func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		Fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// fail is the one place an error becomes a client response. The back-off
+// statuses (429, 503) always carry the backend's Retry-After, which
+// retry.PostJSON honours.
+func (s *Server) fail(w http.ResponseWriter, op string, err error) {
+	var (
+		e     *Error
+		relay *retry.StatusError
+	)
+	switch {
+	case errors.As(err, &e):
+	case errors.As(err, &relay):
+		// Another node's verdict (400/422/...), passed through verbatim.
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(relay.StatusCode)
+		fmt.Fprint(w, relay.Body)
+		return
+	case errors.Is(err, ErrQueueFull):
+		e = &Error{http.StatusTooManyRequests, fmt.Sprintf("prover saturated: %v", err)}
+	case errors.Is(err, context.DeadlineExceeded):
+		e = &Error{http.StatusGatewayTimeout, fmt.Sprintf("%s deadline exceeded", op)}
+	case errors.Is(err, context.Canceled):
+		e = &Error{StatusClientClosedRequest, fmt.Sprintf("%s abandoned: %v", op, err)}
+	default:
+		e = &Error{http.StatusInternalServerError, fmt.Sprintf("%s: %v", op, err)}
+	}
+	if e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(s.backend.RetryAfter()))
+	}
+	Fail(w, e.Status, "%s", e.Msg)
+}
+
+// admitting answers 503 and returns false once Drain has started.
+func (s *Server) admitting(w http.ResponseWriter, what string) bool {
+	if s.draining.Load() {
+		s.fail(w, "", Errorf(http.StatusServiceUnavailable, "draining: not accepting new %s", what))
 		return false
 	}
 	return true
@@ -334,104 +518,59 @@ type RegisterResponse struct {
 	VerifyingKey string `json:"verifying_key"`
 }
 
-// ErrBadRequest wraps registration failures that are the client's fault
-// (malformed spec, unsatisfied witness); the handlers map it to 400/422.
-var ErrBadRequest = errors.New("service: bad request")
-
-// errJournalWrite wraps journal I/O failures so the handlers answer 500
-// (our fault) rather than a client-error status.
-var errJournalWrite = errors.New("service: journal write failed")
-
-// RegisterSpec compiles spec, materializes (or finds) its proving
-// session, and — on a journaled server — durably records the spec so a
-// restarted daemon can rebuild the session. It is the handler core of
-// POST /circuits, exported so the cluster worker agent can register
-// coordinator-replicated circuits without an HTTP round trip to itself.
-func (s *Server) RegisterSpec(ctx context.Context, spec *CircuitSpec) (sess *Session, cached bool, err error) {
-	compiled, err := spec.Compile()
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: compile: %v", ErrBadRequest, err)
-	}
-	sess, cached, err = s.registry.Register(ctx, compiled)
-	if err != nil {
-		return nil, false, err
-	}
-	if s.journal != nil {
-		// The spec fully determines the circuit (the witness is embedded),
-		// so journaling it lets a restarted daemon rebuild this session and
-		// finish the jobs that reference it.
-		raw, jerr := json.Marshal(spec)
-		if jerr == nil {
-			jerr = s.journal.RecordCircuit(sess.Hash.String(), raw)
-		}
-		if jerr != nil {
-			return nil, false, fmt.Errorf("%w: journal circuit: %v", errJournalWrite, jerr)
-		}
-	}
-	return sess, cached, nil
-}
-
-// HasCircuit reports whether the hex circuit ID resolves to a cached
-// session.
-func (s *Server) HasCircuit(id string) bool {
-	h, err := parseCircuitID(id)
-	if err != nil {
-		return false
-	}
-	_, ok := s.registry.Get(h)
-	return ok
-}
-
-// handleCircuits compiles the posted CircuitSpec and materializes (or
-// finds) its proving session.
+// handleCircuits makes the posted CircuitSpec provable on the backend
+// and — on a journaled server — durably records it, so a restarted
+// daemon can rebuild the circuit and finish the jobs that reference it.
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.unavailable(w, http.StatusServiceUnavailable, "draining: not accepting new circuits")
+	if !s.admitting(w, "circuits") {
 		return
 	}
 	var spec CircuitSpec
 	if !Decode(w, r, &spec) {
 		return
 	}
-	sess, cached, err := s.RegisterSpec(r.Context(), &spec)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrBadRequest):
-			Fail(w, http.StatusBadRequest, "%v", err)
-		case errors.Is(err, errJournalWrite):
-			Fail(w, http.StatusInternalServerError, "%v", err)
-		case r.Context().Err() != nil:
-			Fail(w, StatusClientClosedRequest, "registration abandoned: %v", err)
-		case errors.Is(err, context.DeadlineExceeded):
-			// The preprocessing lease timed out waiting on a saturated
-			// worker budget — the registration analogue of the queue's 429.
-			s.unavailable(w, http.StatusServiceUnavailable, "register: %v", err)
-		default:
-			Fail(w, http.StatusUnprocessableEntity, "register: %v", err)
+	resp, err := s.backend.Register(r.Context(), &spec)
+	if err == nil && s.journal != nil {
+		var raw []byte
+		if raw, err = json.Marshal(&spec); err == nil {
+			err = s.journal.RecordCircuit(resp.CircuitID, raw)
 		}
+		if err != nil {
+			err = fmt.Errorf("journal circuit: %w", err)
+		}
+	}
+	if err != nil {
+		s.fail(w, "register", err)
 		return
 	}
-	OK(w, RegisterResponse{
-		CircuitID:       sess.Hash.String(),
-		Arithmetization: sess.Kind.String(),
-		LogGates:        sess.LogGates,
-		GateCount:       sess.GateCount,
-		Cached:          cached,
-		VerifyingKey:    base64.StdEncoding.EncodeToString(sess.VKBytes),
-	})
+	OK(w, resp)
+}
+
+// RegisterSpec registers spec on the local backend without the HTTP
+// round trip or the journal — the cluster worker agent installs
+// coordinator-replicated circuits with it.
+func (s *Server) RegisterSpec(ctx context.Context, spec *CircuitSpec) (sess *Session, cached bool, err error) {
+	return s.local.register(ctx, spec)
+}
+
+// HasCircuit reports whether a job may name the hex circuit ID.
+func (s *Server) HasCircuit(id string) bool {
+	_, err := s.backend.Spec(id)
+	return err == nil
 }
 
 // ProveRequest asks for one proof of a registered circuit.
 type ProveRequest struct {
 	CircuitID string `json:"circuit_id"`
-	// TimeoutMS bounds the job (queue wait + proving); 0 uses the
-	// server's default, values past MaxTimeout are clamped.
+	// TimeoutMS bounds the job; 0 uses the server's default, values past
+	// the 10-minute cap are clamped.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// IdempotencyKey, on a journaled server, makes the request exactly-once
 	// across crashes and client retries: the job is durably accepted under
 	// this key before proving, a retry of a finished key is answered from
-	// the stored proof (Replayed=true), and a retry of a still-running key
-	// gets 409. Ignored when the server has no journal.
+	// the stored proof (Replayed=true), a retry while the job runs in this
+	// process attaches to it, and a key pending only in the journal gets
+	// 409. Ignored when the server has no journal.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
@@ -447,113 +586,128 @@ type ProveResponse struct {
 	Replayed bool `json:"replayed,omitempty"`
 }
 
+func proveResponse(circuitID string, proof []byte) ProveResponse {
+	return ProveResponse{CircuitID: circuitID, Proof: base64.StdEncoding.EncodeToString(proof), ProofBytes: len(proof)}
+}
+
+// inFlight is the 409 for a key some other request holds.
+const inFlight = "job %q already in flight — retry after it settles"
+
+// admit is the idempotency-key state machine: it answers a settled key
+// from the journal (replay), attaches to the key's unsettled job, refuses
+// a key that is pending only in the journal, or accepts and launches a
+// new job. Exactly one of j, replay and err is set.
+func (s *Server) admit(key string, req *ProveRequest) (j *proofJob, replay *ProveResponse, err error) {
+	// Settled and in-flight keys are answered from the journal alone,
+	// BEFORE the circuit lookup: after a restart the circuit may no longer
+	// be registered (or even journaled — Compact keeps settled entries but
+	// drops circuits only they reference), and a completed key's reply
+	// must survive that.
+	if key != "" {
+		if rec, ok := s.journal.Lookup(key); ok {
+			switch rec.State {
+			case journal.StateDone:
+				// Answered once, answered forever: the stored proof is the
+				// proof — no re-prove, byte-identical to the first reply.
+				s.backend.Replayed()
+				resp := proveResponse(rec.CircuitID, rec.Proof)
+				resp.Replayed = true
+				return nil, &resp, nil
+			case journal.StatePending:
+				s.mu.Lock()
+				j = s.jobs[key]
+				s.mu.Unlock()
+				if j == nil {
+					// Another process's job (or one a failed journal write
+					// stranded): only recovery may re-run it.
+					return nil, nil, Errorf(http.StatusConflict, inFlight, key)
+				}
+				return j, nil, nil
+			}
+			// StateFailed falls through: the retry re-accepts the key.
+		}
+	}
+	spec, err := s.backend.Spec(req.CircuitID)
+	if err != nil {
+		return nil, nil, err
+	}
+	j, created, err := s.newJob(key, req.CircuitID, time.Duration(req.TimeoutMS)*time.Millisecond)
+	if err != nil || !created {
+		return j, nil, err
+	}
+	if key != "" {
+		// Accept requires the circuit journaled, but boot-time compaction
+		// drops circuits no pending job references while a spec-storing
+		// backend keeps serving them. Re-journal first — a no-op when the
+		// circuit record is already present.
+		if spec != nil {
+			err = s.journal.RecordCircuit(req.CircuitID, spec)
+		}
+		if err == nil {
+			err = s.journal.Accept(key, req.CircuitID, req.TimeoutMS)
+		}
+		if errors.Is(err, journal.ErrDuplicateKey) {
+			// A concurrent request settled the key since the lookup.
+			err = Errorf(http.StatusConflict, inFlight, key)
+		} else if err != nil {
+			err = fmt.Errorf("journal accept: %w", err)
+		}
+		if err != nil {
+			s.settle(j, err)
+			return nil, nil, err
+		}
+	}
+	s.launch(j)
+	return j, nil, nil
+}
+
 func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.unavailable(w, http.StatusServiceUnavailable, "draining: not accepting new proofs")
+	if !s.admitting(w, "proofs") {
 		return
 	}
 	var req ProveRequest
 	if !Decode(w, r, &req) {
 		return
 	}
-
-	// Settled and in-flight idempotency keys are answered from the journal
-	// alone, BEFORE the registry lookup: after a restart the circuit may no
-	// longer be registered (or even journaled — Compact keeps settled
-	// entries but drops circuits only they reference), and a completed
-	// key's reply must survive that.
-	journaled := s.journal != nil && req.IdempotencyKey != ""
-	if journaled {
-		if rec, ok := s.journal.Lookup(req.IdempotencyKey); ok {
-			switch rec.State {
-			case journal.StateDone:
-				// Answered once, answered forever: the stored proof is the
-				// proof — no re-prove, byte-identical to the first reply.
-				s.metrics.ProofsReplayed.Add(1)
-				OK(w, ProveResponse{
-					CircuitID:  rec.CircuitID,
-					Proof:      base64.StdEncoding.EncodeToString(rec.Proof),
-					ProofBytes: len(rec.Proof),
-					Workers:    0,
-					Replayed:   true,
-				})
-				return
-			case journal.StatePending:
-				Fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
-				return
-			}
-			// StateFailed falls through: the retry re-accepts the key.
-		}
+	key := req.IdempotencyKey
+	if s.journal == nil {
+		key = ""
 	}
-
-	sess, ok := s.lookup(w, req.CircuitID)
-	if !ok {
+	j, replay, err := s.admit(key, &req)
+	if err == nil && replay != nil {
+		OK(w, replay)
 		return
 	}
-
-	timeout := s.clampTimeout(time.Duration(req.TimeoutMS) * time.Millisecond)
-
-	if journaled {
-		if _, ok := s.journal.Spec(req.CircuitID); !ok {
-			Fail(w, http.StatusNotFound, "circuit %s was never journaled — POST /circuits again", req.CircuitID)
-			return
-		}
-		if err := s.journal.Accept(req.IdempotencyKey, req.CircuitID, req.TimeoutMS); err != nil {
-			if errors.Is(err, journal.ErrDuplicateKey) {
-				// A concurrent request with the same key won the race.
-				Fail(w, http.StatusConflict, "job %q already in flight — retry after it settles", req.IdempotencyKey)
-			} else {
-				Fail(w, http.StatusInternalServerError, "journal accept: %v", err)
-			}
-			return
-		}
+	if err == nil {
+		err = s.await(r.Context(), j)
 	}
-
-	started := time.Now()
-	data, workers, err := s.proveSession(r.Context(), sess, timeout)
-	if journaled {
-		// Settle the key either way: Complete makes the proof durable
-		// before the client sees it; Fail re-opens the key so a retry can
-		// re-prove instead of hitting 409 forever. A crash before this
-		// point leaves the record pending — exactly the state RecoverJournal
-		// replays.
-		if err == nil {
-			if jerr := s.journal.Complete(req.IdempotencyKey, data); jerr != nil {
-				Fail(w, http.StatusInternalServerError, "journal complete: %v", jerr)
-				return
-			}
-		} else if jerr := s.journal.Fail(req.IdempotencyKey, err.Error()); jerr != nil {
-			Fail(w, http.StatusInternalServerError, "journal fail (after %v): %v", err, jerr)
-			return
-		}
-	}
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrQueueFull):
-		s.unavailable(w, http.StatusTooManyRequests, "prover saturated: %v", err)
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		Fail(w, http.StatusGatewayTimeout, "proof deadline exceeded after %v", timeout)
-		return
-	case errors.Is(err, context.Canceled):
-		Fail(w, StatusClientClosedRequest, "proof abandoned: %v", err)
-		return
-	default:
-		Fail(w, http.StatusInternalServerError, "prove: %v", err)
+	if err != nil {
+		s.fail(w, "proof", err)
 		return
 	}
-	elapsed := time.Since(started)
-
-	OK(w, ProveResponse{
-		CircuitID:  req.CircuitID,
-		Proof:      base64.StdEncoding.EncodeToString(data),
-		ProofBytes: len(data),
-		DurationMS: float64(elapsed) / float64(time.Millisecond),
-		Workers:    workers,
-	})
+	resp := proveResponse(j.circuitID, j.proof)
+	resp.DurationMS = float64(j.elapsed) / float64(time.Millisecond)
+	resp.Workers = j.workers
+	OK(w, resp)
 }
 
-// VerifyRequest checks a proof. The verifying key comes from the registry
+// ProveHex is an unkeyed POST /prove without the HTTP round trip: timeout
+// is clamped (0 = the default) and the job is cancelled if ctx ends first.
+// The cluster worker agent proves leases with it — keys and replay are the
+// coordinator's front-end's job.
+func (s *Server) ProveHex(ctx context.Context, circuitID string, timeout time.Duration) (data []byte, workers int, err error) {
+	j, _, err := s.newJob("", circuitID, timeout)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.launch(j)
+	if err := s.await(ctx, j); err != nil {
+		return nil, 0, err
+	}
+	return j.proof, j.workers, nil
+}
+
+// VerifyRequest checks a proof. The verifying key comes from the backend
 // (CircuitID) or inline (VerifyingKey, base64) — inline wins, so clients
 // can verify against keys from elsewhere.
 type VerifyRequest struct {
@@ -570,20 +724,6 @@ type VerifyResponse struct {
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	ServeVerify(w, r, s.cfg.SRS, func(id string) *zkphire.VerifyingKey {
-		sess, ok := s.lookup(w, id)
-		if !ok {
-			return nil
-		}
-		return sess.Prover.VerifyingKey()
-	})
-}
-
-// ServeVerify is the whole of POST /verify. The single-node server and
-// the cluster coordinator differ only in how a circuit_id resolves to a
-// verifying key: byID does that, writing its own error response and
-// returning nil when it cannot.
-func ServeVerify(w http.ResponseWriter, r *http.Request, srs *zkphire.SRS, byID func(circuitID string) *zkphire.VerifyingKey) {
 	var req VerifyRequest
 	if !Decode(w, r, &req) {
 		return
@@ -601,7 +741,9 @@ func ServeVerify(w http.ResponseWriter, r *http.Request, srs *zkphire.SRS, byID 
 			return
 		}
 	case req.CircuitID != "":
-		if vk = byID(req.CircuitID); vk == nil {
+		var err error
+		if vk, err = s.backend.VerifyingKey(r.Context(), req.CircuitID); err != nil {
+			s.fail(w, "verifying key", err)
 			return
 		}
 	default:
@@ -619,134 +761,29 @@ func ServeVerify(w http.ResponseWriter, r *http.Request, srs *zkphire.SRS, byID 
 		Fail(w, http.StatusBadRequest, "proof: %v", err)
 		return
 	}
-	if err := zkphire.Verify(srs, vk, &proof); err != nil {
+	if err := zkphire.Verify(s.srs, vk, &proof); err != nil {
 		OK(w, VerifyResponse{Valid: false, Reason: err.Error()})
 		return
 	}
 	OK(w, VerifyResponse{Valid: true})
 }
 
-// parseCircuitID decodes a hex circuit ID into a CircuitHash.
-func parseCircuitID(id string) (zkphire.CircuitHash, error) {
-	var h zkphire.CircuitHash
-	raw, err := hex.DecodeString(id)
-	if err != nil || len(raw) != len(h) {
-		return h, fmt.Errorf("circuit_id must be %d hex bytes", len(h))
-	}
-	copy(h[:], raw)
-	return h, nil
-}
-
-// lookup resolves a circuit ID to its cached session, writing the error
-// response on failure.
-func (s *Server) lookup(w http.ResponseWriter, id string) (*Session, bool) {
-	h, err := parseCircuitID(id)
-	if err != nil {
-		Fail(w, http.StatusBadRequest, "%v", err)
-		return nil, false
-	}
-	sess, ok := s.registry.Get(h)
-	if !ok {
-		Fail(w, http.StatusNotFound, "circuit %s not registered (or evicted) — POST /circuits again", id)
-		return nil, false
-	}
-	return sess, true
-}
-
-// ErrNotRegistered reports a prove against a circuit the session cache
-// does not hold (never registered, or evicted).
-var ErrNotRegistered = errors.New("service: circuit not registered")
-
-// proveSession runs one proof of a cached session through the job queue
-// (admission control, worker lease, bounded retries of transient
-// failures) and returns the serialized proof bytes. It records the
-// latency observation the Retry-After estimator feeds on.
-func (s *Server) proveSession(ctx context.Context, sess *Session, timeout time.Duration) (data []byte, workers int, err error) {
-	jctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var proof *zkphire.Proof
-	started := time.Now()
-	err = s.queue.Submit(jctx, func(ctx context.Context, w int) error {
-		workers = w
-		var err error
-		proof, err = sess.Prover.ProveWorkers(ctx, w)
-		return err
-	})
-	if err != nil {
-		return nil, workers, err
-	}
-	if data, err = proof.MarshalBinary(); err != nil {
-		return nil, workers, fmt.Errorf("serialize proof: %w", err)
-	}
-	s.metrics.ObserveProve(time.Since(started))
-	return data, workers, nil
-}
-
-// ProveHex proves a registered circuit by its hex content-hash ID,
-// clamping timeout to the server's bounds (0 = the default). It is the
-// journal-free core of POST /prove, exported for the cluster worker
-// agent: cross-node idempotency and replay are the coordinator's job, so
-// the worker path needs exactly lookup + queue + proof bytes.
-func (s *Server) ProveHex(ctx context.Context, circuitID string, timeout time.Duration) (data []byte, workers int, err error) {
-	h, err := parseCircuitID(circuitID)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	sess, ok := s.registry.Get(h)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotRegistered, circuitID)
-	}
-	return s.proveSession(ctx, sess, s.clampTimeout(timeout))
-}
-
-// clampTimeout applies the server's default and maximum to a
-// client-requested job timeout.
-func (s *Server) clampTimeout(d time.Duration) time.Duration {
-	if d <= 0 {
-		return s.cfg.DefaultTimeout
-	}
-	if d > s.cfg.MaxTimeout {
-		return s.cfg.MaxTimeout
-	}
-	return d
-}
-
-// HealthResponse answers GET /healthz.
-type HealthResponse struct {
+// Health is the part of GET /healthz every role reports; each backend
+// embeds it in its own payload.
+type Health struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	Circuits      int     `json:"circuits"`
-	QueueDepth    int     `json:"queue_depth"`
-	Inflight      int     `json:"inflight"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
+	h := Health{Status: "ok", UptimeSeconds: time.Since(s.start).Seconds()}
 	if s.draining.Load() {
-		status = "draining"
+		h.Status = "draining"
 	}
-	OK(w, HealthResponse{
-		Status:        status,
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Circuits:      s.registry.Len(),
-		QueueDepth:    s.queue.Depth(),
-		Inflight:      s.queue.Running(),
-	})
+	OK(w, s.backend.Health(h, s.Unsettled()))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WritePrometheus(w, map[string]float64{
-		"zkphired_queue_depth":     float64(s.queue.Depth()),
-		"zkphired_inflight":        float64(s.queue.Running()),
-		"zkphired_cache_entries":   float64(s.registry.Len()),
-		"zkphired_cache_hit_rate":  s.metrics.HitRate(),
-		"zkphired_worker_budget":   float64(s.budget.Total()),
-		"zkphired_workers_in_use":  float64(s.budget.InUse()),
-		"zkphired_workers_per_job": float64(s.queue.Workers()),
-		"zkphired_uptime_seconds":  time.Since(s.start).Seconds(),
-		// The Retry-After load signal: windowed, unlike the lifetime
-		// summary above.
-		"zkphired_proof_latency_recent_seconds": s.metrics.RecentAvgProve().Seconds(),
-	})
+	writePrometheus(w, s.backend)
 }

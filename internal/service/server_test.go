@@ -193,17 +193,17 @@ func TestServerAdmissionControl429(t *testing.T) {
 		}
 	}
 	done := make(chan error, 2)
-	go func() { done <- s.queue.Submit(context.Background(), occupy) }()
+	go func() { done <- s.local.queue.Submit(context.Background(), occupy) }()
 	deadline := time.After(2 * time.Second)
-	for s.queue.Running() != 1 {
+	for s.local.queue.Running() != 1 {
 		select {
 		case <-deadline:
 			t.Fatal("blocking job never started")
 		case <-time.After(time.Millisecond):
 		}
 	}
-	go func() { done <- s.queue.Submit(context.Background(), occupy) }()
-	for s.queue.Depth() != 1 {
+	go func() { done <- s.local.queue.Submit(context.Background(), occupy) }()
+	for s.local.queue.Depth() != 1 {
 		select {
 		case <-deadline:
 			t.Fatal("second blocking job never queued")
