@@ -28,9 +28,12 @@ vet:
 	$(GO) vet ./...
 
 # Invariant gate: gofmt + go vet + the zkvet analyzer suite
-# (internal/analysis) over the whole module — proof-path determinism,
-# lazy-reduction window guards, arena Get/Put pairing, raw goroutines,
-# error paths. See DESIGN.md §6.
+# (internal/analysis) over the whole module — determinism (proof path),
+# lazyreduce (overflow-window guards), release (arena buffers and worker
+# leases released by defer; one recover), norawgo (raw goroutines),
+# errorpath (Unmarshal panics, %w wrapping). `go test ./...` runs the same
+# suite (TestModuleClean), so CI needs no separate lint step. See
+# DESIGN.md §6.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...

@@ -2,7 +2,8 @@
 // internal/analysis suite — over module packages and reports findings
 // in vet style (file:line:col: [analyzer] message). It exits non-zero
 // if any finding survives //zkvet:ignore suppression, so `make lint`
-// and the CI lint job fail on an invariant break.
+// fails on an invariant break (as does `go test ./internal/analysis`,
+// which runs the same suite over the module).
 //
 // Usage:
 //

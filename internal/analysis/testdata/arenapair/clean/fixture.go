@@ -1,6 +1,7 @@
-// Package fixture holds the release patterns the arenapair analyzer
-// must accept: defer pairing, branch-scoped pairs, nil-guarded
-// lazy Get/Put, alias releases, panic guards, and ownership transfers.
+// Package fixture holds every arena-buffer form the release rule
+// accepts: a direct defer after the Get, a deferred func literal over a
+// lazily taken buffer, a Get with its own defer inside a worker closure,
+// and the field/index hand-offs.
 package fixture
 
 import "zkphire/internal/parallel"
@@ -11,109 +12,79 @@ var pool parallel.Arena[uint64]
 func deferred(n int) int {
 	buf := parallel.GetScratch(n)
 	defer parallel.PutScratch(buf)
-	m := len(buf)
-	if m > 4 {
+	if len(buf) > 4 {
 		return 4
 	}
-	return m
+	return len(buf)
 }
 
-// branchScoped gets and puts entirely inside one branch.
-func branchScoped(n int, have []uint64) int {
-	total := len(have)
-	if total < n {
-		buf := pool.Get(n)
-		copy(buf, have)
-		total = len(buf)
-		pool.Put(buf)
-	}
-	return total
+// declared uses the var form of the same pairing.
+func declared(n int) int {
+	var buf = pool.Get(n)
+	defer pool.Put(buf)
+	return len(buf)
 }
 
-// lazy is the MSM Jacobian-overflow idiom: a conditionally obtained
-// buffer released behind the matching nil guard.
-func lazy(n int, need bool) {
+// lazy is the MSM Jacobian-overflow form: the buffer is taken only on
+// demand, inside a helper closure, and a deferred literal Puts whatever
+// the variable holds at exit (Put(nil) is a no-op).
+func lazy(n int, need []bool) {
 	var buf []uint64
-	if need {
-		buf = pool.Get(n)
+	defer func() { pool.Put(buf) }()
+	take := func() {
+		if buf == nil {
+			buf = pool.Get(n)
+		}
 	}
-	if buf != nil {
-		buf[0] = 1
-	}
-	if buf != nil {
-		pool.Put(buf)
+	for i, ok := range need {
+		if ok {
+			take()
+			buf[i%n]++
+		}
 	}
 }
 
-// aliasPut releases through a reslice alias of the buffer.
-func aliasPut(n int) {
-	buf := pool.Get(n)
-	cur := buf[:0]
-	for i := 0; i < n; i++ {
-		cur = append(cur, uint64(i))
-	}
-	pool.Put(cur)
+// perWorker takes and defers its own buffer inside each worker closure.
+func perWorker(n int) {
+	parallel.For(2, n, func(lo, hi int) {
+		tmp := pool.Get(hi - lo)
+		defer pool.Put(tmp)
+		clear(tmp)
+	})
 }
 
-// guarded panics on a bound violation before the release; panic is a
-// terminator, not a leak.
-func guarded(n int) {
-	buf := pool.Get(n)
-	if n > 1<<30 {
-		panic("bound")
-	}
-	pool.Put(buf)
+type holder struct {
+	buf     []uint64
+	scratch [][]uint64
 }
 
-type holder struct{ buf []uint64 }
+// release is the holder's Put, run under its owner's defer.
+func (h *holder) release() {
+	pool.Put(h.buf)
+	for _, b := range h.scratch {
+		pool.Put(b)
+	}
+}
 
-// transfer stores the buffer into a field: ownership moves to the
-// holder, which is responsible for the Put.
-func transfer(h *holder, n int) {
+// fieldHandOff stores the buffer into a field at birth.
+func fieldHandOff(h *holder, n int) {
 	h.buf = pool.Get(n)
 }
 
-// handoff returns the buffer to the caller, who now owns the Put.
-func handoff(n int) []uint64 {
-	buf := pool.Get(n)
-	return buf
-}
-
-// streamHandoff is the streamed-commit chunk pattern: each scratch
-// buffer is sent to a consumer stage over a channel, transferring
-// ownership; the consumer Puts after feeding the committer.
-func streamHandoff(ch chan<- []uint64, n, chunks int) {
-	for i := 0; i < chunks; i++ {
+// indexHandOff fills a buffer through a local and then stores it into a
+// slot, the SumCheck working-table form.
+func indexHandOff(h *holder, sizes []int) {
+	h.scratch = make([][]uint64, len(sizes))
+	for i, n := range sizes {
 		buf := pool.Get(n)
-		for j := range buf {
-			buf[j] = uint64(i)
-		}
-		ch <- buf
+		clear(buf)
+		h.scratch[i] = buf
 	}
-	close(ch)
 }
 
-type chunk struct {
-	off int
-	buf []uint64
-}
-
-// streamHandoffWrapped transfers ownership inside a chunk descriptor —
-// the composite literal is the escape, the send just carries it.
-func streamHandoffWrapped(ch chan<- chunk, n, off int) {
-	buf := pool.Get(n)
-	ch <- chunk{off: off, buf: buf}
-}
-
-// streamConsume is the receiving half: the loop owns each received
-// buffer and returns it to the arena once consumed.
-func streamConsume(ch <-chan []uint64) uint64 {
-	var total uint64
-	for buf := range ch {
-		for _, v := range buf {
-			total += v
-		}
-		pool.Put(buf)
-	}
-	return total
+func owner(n int) {
+	h := &holder{}
+	defer h.release()
+	fieldHandOff(h, n)
+	indexHandOff(h, []int{n, n / 2})
 }

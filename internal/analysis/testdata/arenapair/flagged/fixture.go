@@ -1,35 +1,62 @@
-// Package fixture contains every arena-pairing violation class the
-// arenapair analyzer reports.
+// Package fixture holds the arena-buffer violations of the release rule:
+// every buffer must be Put by a defer in the function that declares it,
+// or stored into a field or index.
 package fixture
 
 import "zkphire/internal/parallel"
 
 var pool parallel.Arena[uint64]
 
-func earlyReturn(n int) {
-	buf := parallel.GetScratch(n)
+func sum(xs []uint64) (s uint64) {
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// neverPut has no release at all (M1: the deleted defer).
+func neverPut(n int) uint64 {
+	buf := parallel.GetScratch(n) // want "buf from parallel.GetScratch is neither released by a deferred parallel.PutScratch"
+	return uint64(len(buf))
+}
+
+// inlinePut releases on the fall-through path only; an early return or
+// a panic in between strands the buffer (M2).
+func inlinePut(n int) uint64 {
+	buf := pool.Get(n) // want "buf from Arena.Get is neither released"
 	if n > 1<<20 {
-		return // want "return leaks buf"
+		return 0
 	}
-	parallel.PutScratch(buf)
+	s := sum(buf)
+	pool.Put(buf)
+	return s
 }
 
-func neverPut(n int) {
-	buf := parallel.GetScratch(n) // want "never returned to the arena in neverPut"
-	_ = buf[0]
-}
-
+// dropped discards the buffer outright (M3).
 func dropped(n int) {
-	_ = parallel.GetScratch(n) // want "assigned to _ is never returned to the pool"
+	_ = parallel.GetScratch(n) // want "result of parallel.GetScratch is discarded"
 }
 
-func unassigned(n int) int {
-	return len(parallel.GetScratch(n)) // want "not assigned to a variable"
+// unassigned passes the buffer straight into a call (M3).
+func unassigned(n int) uint64 {
+	return sum(pool.Get(n)) // want "result of Arena.Get is not assigned"
 }
 
-func fallThrough(n int, flush bool) {
-	buf := pool.Get(n) // want "may reach the end of fallThrough"
-	if flush {
-		pool.Put(buf)
-	}
+// deferredTooEarly defers the Put before the Get: the deferred call has
+// already captured the nil slice.
+func deferredTooEarly(n int) uint64 {
+	var buf []uint64
+	defer pool.Put(buf)
+	buf = pool.Get(n) // want "buf from Arena.Get is neither released"
+	return sum(buf)
+}
+
+// releasedByWorker defers the Put inside a worker closure, which runs it
+// once per chunk instead of once at the owner's exit.
+func releasedByWorker(n int) {
+	buf := pool.Get(n) // want "buf from Arena.Get is neither released"
+	parallel.For(2, n, func(lo, hi int) {
+		defer pool.Put(buf)
+		clear(buf[lo:hi])
+	})
 }

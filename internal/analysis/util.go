@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Module is the module path every path-scoped rule below is anchored to.
@@ -74,29 +73,13 @@ func objPkgPath(obj types.Object) string {
 	return obj.Pkg().Path()
 }
 
-// funcName renders a function declaration's name for diagnostics,
-// including the receiver type for methods.
-func funcName(decl *ast.FuncDecl) string {
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return decl.Name.Name
+// isBuiltin reports whether id resolves to a language builtin (or to
+// nothing at all, which only happens for builtins under partial info).
+func isBuiltin(info *types.Info, id *ast.Ident) bool {
+	obj, ok := info.Uses[id]
+	if !ok || obj == nil {
+		return true
 	}
-	t := decl.Recv.List[0].Type
-	var b strings.Builder
-	writeRecvType(&b, t)
-	return b.String() + "." + decl.Name.Name
-}
-
-func writeRecvType(b *strings.Builder, t ast.Expr) {
-	switch t := t.(type) {
-	case *ast.StarExpr:
-		writeRecvType(b, t.X)
-	case *ast.Ident:
-		b.WriteString(t.Name)
-	case *ast.IndexExpr:
-		writeRecvType(b, t.X)
-	case *ast.IndexListExpr:
-		writeRecvType(b, t.X)
-	default:
-		b.WriteString("?")
-	}
+	_, builtin := obj.(*types.Builtin)
+	return builtin
 }

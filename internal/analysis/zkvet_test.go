@@ -45,12 +45,14 @@ func TestLazyReduceClean(t *testing.T) {
 	analysistest.Run(t, one(analysis.LazyReduce), "testdata/lazyreduce/clean", fixturePath)
 }
 
+// TestArenaPairFlagged and TestArenaPairClean hold the release rule's
+// arena half: the scratch-buffer violations, and every sanctioned form.
 func TestArenaPairFlagged(t *testing.T) {
-	analysistest.Run(t, one(analysis.ArenaPair), "testdata/arenapair/flagged", fixturePath)
+	analysistest.Run(t, one(analysis.Release), "testdata/arenapair/flagged", fixturePath)
 }
 
 func TestArenaPairClean(t *testing.T) {
-	analysistest.Run(t, one(analysis.ArenaPair), "testdata/arenapair/clean", fixturePath)
+	analysistest.Run(t, one(analysis.Release), "testdata/arenapair/clean", fixturePath)
 }
 
 func TestNoRawGoFlagged(t *testing.T) {
@@ -107,24 +109,25 @@ func TestErrorWrapScope(t *testing.T) {
 	}
 }
 
-// TestRecoverscopeFlagged loads the violation fixture as the service
-// layer itself — the findings are the ones no package may contain.
+// TestRecoverscopeFlagged holds the release rule's lease half and the
+// recover boundary, loaded as the service layer itself — the findings
+// are the ones no package may contain.
 func TestRecoverscopeFlagged(t *testing.T) {
-	analysistest.Run(t, one(analysis.Recoverscope), "testdata/recoverscope/flagged", "zkphire/internal/service")
+	analysistest.Run(t, one(analysis.Release), "testdata/recoverscope/flagged", "zkphire/internal/service")
 }
 
 // TestRecoverscopeClean: the sanctioned recover boundary and every
-// blessed lease shape, also loaded as the service layer.
+// sanctioned lease form, also loaded as the service layer.
 func TestRecoverscopeClean(t *testing.T) {
-	analysistest.Run(t, one(analysis.Recoverscope), "testdata/recoverscope/clean", "zkphire/internal/service")
+	analysistest.Run(t, one(analysis.Release), "testdata/recoverscope/clean", "zkphire/internal/service")
 }
 
 // TestRecoverscopeScope: the same clean fixture loaded anywhere else
 // loses runGuarded's exemption — its recover becomes the one finding —
-// while the lease shapes stay clean.
+// while the lease forms stay clean.
 func TestRecoverscopeScope(t *testing.T) {
 	pkg := analysistest.Load(t, "testdata/recoverscope/clean", fixturePath)
-	diags, err := analysis.Run(pkg, one(analysis.Recoverscope))
+	diags, err := analysis.Run(pkg, one(analysis.Release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +136,25 @@ func TestRecoverscopeScope(t *testing.T) {
 	}
 }
 
-// TestRecoverscopeParallelExempt: internal/parallel implements the lease
-// and is exempt from the lease rule (recover is still policed).
+// TestRecoverscopeParallelExempt: internal/parallel implements both pools
+// and is exempt from the release rule; recover is still policed there.
 func TestRecoverscopeParallelExempt(t *testing.T) {
-	pkg := analysistest.Load(t, "testdata/recoverscope/flagged", "zkphire/internal/parallel")
-	diags, err := analysis.Run(pkg, one(analysis.Recoverscope))
-	if err != nil {
-		t.Fatal(err)
+	recovers := 0
+	for _, dir := range []string{"testdata/arenapair/flagged", "testdata/recoverscope/flagged"} {
+		pkg := analysistest.Load(t, dir, "zkphire/internal/parallel")
+		diags, err := analysis.Run(pkg, one(analysis.Release))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			if !strings.Contains(d.Message, "job boundary") {
+				t.Errorf("release rule fired inside internal/parallel: %s", d)
+			}
+			recovers++
+		}
 	}
-	for _, d := range diags {
-		if strings.Contains(d.Message, "Budget.") {
-			t.Errorf("lease rule fired inside internal/parallel: %s", d)
-		}
-		if !strings.Contains(d.Message, "job boundary") {
-			t.Errorf("unexpected finding: %s", d)
-		}
+	if recovers != 2 {
+		t.Errorf("want the fixture's 2 stray recovers reported inside internal/parallel, got %d", recovers)
 	}
 }
 
@@ -204,5 +211,36 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	}
 	if c, ok := pkg.Types.Scope().Lookup("tagged").(*types.Const); !ok || c.Val().String() != "1" {
 		t.Errorf("tagged = %v, want the constant 1 from tag_off.go", pkg.Types.Scope().Lookup("tagged"))
+	}
+}
+
+// TestModuleClean runs the whole suite over every package of the module,
+// as `go run ./cmd/zkvet ./...` does, so an invariant break fails
+// `go test ./...` and not only the lint target.
+func TestModuleClean(t *testing.T) {
+	root, err := analysis.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := l.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		pkg, err := l.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := analysis.Run(pkg, analysis.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Error(d)
+		}
 	}
 }

@@ -71,12 +71,10 @@ type JoinResponse struct {
 	HeartbeatMS int `json:"heartbeat_ms"`
 }
 
-// HeartbeatRequest is the worker's liveness beat.
+// HeartbeatRequest is the worker's liveness beat. Placement counts each
+// worker's outstanding dispatches itself, so the beat carries no load.
 type HeartbeatRequest struct {
 	WorkerID string `json:"worker_id"`
-	// QueueDepth and Inflight snapshot the worker's local prover load.
-	QueueDepth int `json:"queue_depth"`
-	Inflight   int `json:"inflight"`
 }
 
 // LeaveRequest is a graceful goodbye: the worker is removed without

@@ -150,11 +150,8 @@ func (w *Worker) heartbeatLoop() {
 			// like a dead link. The process keeps running.
 			continue
 		}
-		queued, running := w.svc.Load()
 		err := retry.PostJSON(context.Background(), nil, w.cfg.CoordinatorURL+"/cluster/heartbeat", HeartbeatRequest{
-			WorkerID:   w.ID(),
-			QueueDepth: queued,
-			Inflight:   running,
+			WorkerID: w.ID(),
 		}, nil, retry.Policy{MaxAttempts: 1})
 		var se *retry.StatusError
 		if errors.As(err, &se) && se.StatusCode == http.StatusNotFound {

@@ -133,11 +133,8 @@ func (e *Emulator) Fold(r *ff.Element) {
 	e.round++
 }
 
-// NumVarsLeft returns the rounds remaining.
-func (e *Emulator) NumVarsLeft() int { return e.Tables[0].NumVars }
-
-// FinalEvals returns each constituent's fully folded value (valid after
-// NumVarsLeft() reaches zero).
+// FinalEvals returns each constituent's fully folded value (valid once
+// every round has folded the tables down to zero variables).
 func (e *Emulator) FinalEvals() []ff.Element {
 	out := make([]ff.Element, len(e.Tables))
 	for i, t := range e.Tables {

@@ -89,11 +89,6 @@ func MSMWorkers(points []G1Affine, scalars []ff.Element, workers int) G1Jac {
 	return msmGLV(points, nil, scalars, workers, windowSize(len(points)))
 }
 
-// MSMEndo is MSMEndoWorkers with the full machine.
-func MSMEndo(points []G1Affine, endoX []fp.Element, scalars []ff.Element) G1Jac {
-	return MSMEndoWorkers(points, endoX, scalars, 0)
-}
-
 // MSMEndoWorkers computes the MSM against a precomputed φ-table (from
 // EndoPoints): endoX[i] must equal β·points[i].X. The PCS layer caches the
 // table per SRS level so committing and opening never recompute βx.
@@ -294,6 +289,7 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 	m := 0
 
 	pend := pendArena.Get(maxBatch)
+	defer pendArena.Put(pend)
 	nPend := 0
 
 	flush := func() {
@@ -339,6 +335,7 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 	// batch-affine cost instead.
 	const minAmortize = 192
 	var jacOverflow []G1Jac
+	defer func() { jacArena.Put(jacOverflow) }()
 
 	// enqueue adds ±(px, py) to bucket b; py is already sign-adjusted by the
 	// caller. px/py may point into pend[nPend] itself during a drain — the
@@ -535,7 +532,6 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 	}
 	drainLoop()
 	flush()
-	pendArena.Put(pend)
 
 	var running, sum G1Jac
 	var aff G1Affine
@@ -550,9 +546,6 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 			running.AddAssign(&jacOverflow[b])
 		}
 		sum.AddAssign(&running)
-	}
-	if jacOverflow != nil {
-		jacArena.Put(jacOverflow)
 	}
 	return sum
 }

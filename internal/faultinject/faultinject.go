@@ -14,7 +14,7 @@
 // partition a worker (its RPCs fail, the process lives) instead of
 // killing it; the name constants live in internal/cluster.
 //
-// Faults arm programmatically (Arm/Disarm/Reset) or from the environment
+// Faults arm programmatically (Arm/Reset) or from the environment
 // (ArmFromEnv reads ZKPHIRE_FAULTS), which is how the crash/replay
 // harness reaches into a child daemon process:
 //
@@ -124,16 +124,6 @@ func Arm(point string, f Fault) {
 	}
 	points[point] = &armedFault{Fault: f}
 	armed.Store(true)
-}
-
-// Disarm removes the fault at point, if any.
-func Disarm(point string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(points, point)
-	if len(points) == 0 {
-		armed.Store(false)
-	}
 }
 
 // Reset disarms everything and reseeds the draw sequence.

@@ -684,11 +684,5 @@ func (z *Element) Cmp(x *Element) int {
 	return 0
 }
 
-// MulAssign sets z *= x and returns z.
-func (z *Element) MulAssign(x *Element) *Element { return z.Mul(z, x) }
-
 // AddAssign sets z += x and returns z.
 func (z *Element) AddAssign(x *Element) *Element { return z.Add(z, x) }
-
-// SubAssign sets z -= x and returns z.
-func (z *Element) SubAssign(x *Element) *Element { return z.Sub(z, x) }

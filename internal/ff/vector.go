@@ -8,9 +8,6 @@ import (
 // Vector is a slice of field elements with common bulk operations.
 type Vector []Element
 
-// NewVector returns a zeroed vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Sum returns the sum of all entries (lazy-reduction kernel, one boundary
 // reduction per call).
 func (v Vector) Sum() Element {

@@ -149,6 +149,3 @@ func gatePolys(kind workloads.GateKind) (gate, permCheck, open *poly.Composite) 
 	}
 	return poly.VanillaZeroCheck(), poly.VanillaPermCheck(alpha), poly.OpenCheck(6)
 }
-
-// msmSparsity returns the default workload sparsity.
-func (c Config) msmSparsity() hw.SparsityProfile { return hw.DefaultSparsity }

@@ -76,12 +76,12 @@ func (t *Table) FoldWorkers(r *ff.Element, workers int) {
 		foldSerialInPlace(t.Evals, r)
 	} else {
 		dst := parallel.GetScratch(half)
+		defer parallel.PutScratch(dst)
 		foldInto(dst, t.Evals, r, workers)
 		src := t.Evals
 		parallel.For(workers, half, func(lo, hi int) {
 			copy(src[lo:hi], dst[lo:hi])
 		})
-		parallel.PutScratch(dst)
 	}
 	t.Evals = t.Evals[:half]
 	t.NumVars--
@@ -142,8 +142,10 @@ func (t *Table) EvaluateWorkers(point []ff.Element, workers int) ff.Element {
 	}
 	half := len(t.Evals) / 2
 	bufA := parallel.GetScratch(half)
+	defer parallel.PutScratch(bufA)
 	foldInto(bufA, t.Evals, &point[0], workers)
 	var bufB []ff.Element
+	defer func() { parallel.PutScratch(bufB) }()
 	cur, inA := bufA, true
 	for i := 1; i < len(point); i++ {
 		if bufB == nil {
@@ -159,10 +161,7 @@ func (t *Table) EvaluateWorkers(point []ff.Element, workers int) ff.Element {
 		foldInto(dst, cur, &point[i], workers)
 		cur, inA = dst, !inA
 	}
-	res := cur[0]
-	parallel.PutScratch(bufA)
-	parallel.PutScratch(bufB)
-	return res
+	return cur[0]
 }
 
 // Sum's lazy-reduction kernel adds one raw 4-limb term per table entry

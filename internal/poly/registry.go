@@ -115,15 +115,6 @@ func Registered(id int) *Composite {
 	}
 }
 
-// AllRegistered returns every Table I constraint in order.
-func AllRegistered() []*Composite {
-	out := make([]*Composite, NumRegistered)
-	for i := range out {
-		out[i] = Registered(i)
-	}
-	return out
-}
-
 // curveEq is y² − x³ − 5 (the Pallas-style curve equation used by Halo2's
 // ECC gadget constraints in Table I).
 func curveEq() expr.Expr {

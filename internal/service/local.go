@@ -59,11 +59,6 @@ func (s *Server) Metrics() *Metrics { return s.local.metrics }
 // assert OutstandingLeases()==0 on it after every injected failure.
 func (s *Server) Budget() *parallel.Budget { return s.local.budget }
 
-// Load snapshots the local job queue. The cluster worker agent sends it
-// in heartbeats; the coordinator decodes and ignores it (placement uses
-// its own outstanding-dispatch count).
-func (s *Server) Load() (queued, running int) { return s.local.queue.Depth(), s.local.queue.Running() }
-
 // Close drains the job queue and stops the dispatchers.
 func (l *local) Close() { l.queue.Close() }
 

@@ -161,11 +161,7 @@ func (q *Queue) dispatch() {
 			}
 			// Each attempt leases afresh: holding workers across a backoff
 			// sleep would starve the jobs that could use them meanwhile.
-			lease, err := q.budget.Acquire(ctx, q.perJob)
-			if err != nil {
-				return err
-			}
-			return q.runGuarded(j, lease)
+			return q.runGuarded(ctx, j)
 		})
 		q.running.Add(-1)
 		switch {
@@ -180,14 +176,18 @@ func (q *Queue) dispatch() {
 	}
 }
 
-// runGuarded is the designated panic boundary: it runs one job attempt
-// under its worker lease and converts a panic anywhere below into
+// runGuarded is the designated panic boundary: it leases workers for one
+// job attempt, runs it, and converts a panic anywhere below into
 // ErrJobPanicked instead of unwinding the dispatcher (and with it the
-// daemon). The lease release is deferred BEFORE the job body runs, so it
-// provably happens on every exit — normal return, error, or panic — and
-// the budget never shrinks from a crashed job. recover() anywhere else in
-// this package is a zkvet recoverscope violation.
-func (q *Queue) runGuarded(j *job, lease *parallel.Lease) (err error) {
+// daemon). The lease is acquired and its release deferred here, BEFORE
+// the job body runs, so it provably happens on every exit — normal
+// return, error, or panic — and the budget never shrinks from a crashed
+// job. recover() anywhere else in the module is a zkvet release finding.
+func (q *Queue) runGuarded(ctx context.Context, j *job) (err error) {
+	lease, err := q.budget.Acquire(ctx, q.perJob)
+	if err != nil {
+		return err
+	}
 	defer lease.Release()
 	defer func() {
 		if r := recover(); r != nil {

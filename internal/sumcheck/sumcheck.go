@@ -370,15 +370,6 @@ func FinalCheck(c *poly.Composite, finalEvals []ff.Element, want *ff.Element) er
 	return nil
 }
 
-// CompressRound drops s(1) from a round polynomial's evaluations
-// [s(0), s(1), ..., s(d)], returning [s(0), s(2), ..., s(d)].
-func CompressRound(evals []ff.Element) []ff.Element {
-	out := make([]ff.Element, 0, len(evals)-1)
-	out = append(out, evals[0])
-	out = append(out, evals[2:]...)
-	return out
-}
-
 // DecompressRound reconstructs the full evaluation vector from a compressed
 // round and the running claim: s(1) = claim − s(0).
 func DecompressRound(compressed []ff.Element, claim *ff.Element) []ff.Element {

@@ -1,15 +1,16 @@
 // Package transcript implements the Fiat–Shamir transcript used to derive
 // verifier challenges non-interactively. Every prover message is absorbed
 // under a label; challenges are squeezed by hashing the running state with
-// SHA3, matching the SHA3 unit in the zkPHIRE datapath that hashes round
-// evaluations into the next MLE-update challenge (Fig. 1).
+// SHA3-256 (the standard library's crypto/sha3), matching the SHA3 unit in
+// the zkPHIRE datapath that hashes round evaluations into the next
+// MLE-update challenge (Fig. 1).
 package transcript
 
 import (
+	"crypto/sha3"
 	"encoding/binary"
 
 	"zkphire/internal/ff"
-	"zkphire/internal/keccak"
 )
 
 // Transcript is a stateful Fiat–Shamir sponge. It is not safe for concurrent
@@ -22,13 +23,13 @@ type Transcript struct {
 // New returns a transcript domain-separated by label.
 func New(label string) *Transcript {
 	t := &Transcript{}
-	t.state = keccak.SHA3256([]byte("zkphire/v1/" + label))
+	t.state = sha3.Sum256([]byte("zkphire/v1/" + label))
 	return t
 }
 
 // absorb folds data into the state under a label.
 func (t *Transcript) absorb(label string, data []byte) {
-	h := keccak.NewSHA3256()
+	h := sha3.New256()
 	h.Write(t.state[:])
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(label)))
@@ -37,7 +38,7 @@ func (t *Transcript) absorb(label string, data []byte) {
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(data)))
 	h.Write(lenBuf[:])
 	h.Write(data)
-	t.state = h.Sum()
+	t.state = [32]byte(h.Sum(nil))
 }
 
 // AppendBytes absorbs raw bytes under a label.
@@ -53,13 +54,12 @@ func (t *Transcript) AppendScalar(label string, e *ff.Element) {
 
 // AppendScalars absorbs a slice of field elements.
 func (t *Transcript) AppendScalars(label string, es []ff.Element) {
-	h := keccak.NewSHA3256()
+	h := sha3.New256()
 	for i := range es {
 		b := es[i].Bytes()
 		h.Write(b[:])
 	}
-	d := h.Sum()
-	t.absorb(label, d[:])
+	t.absorb(label, h.Sum(nil))
 }
 
 // AppendUint64 absorbs an integer.
@@ -72,24 +72,24 @@ func (t *Transcript) AppendUint64(label string, v uint64) {
 // ChallengeScalar squeezes one field-element challenge.
 func (t *Transcript) ChallengeScalar(label string) ff.Element {
 	t.count++
-	h := keccak.NewSHA3256()
+	h := sha3.New256()
 	h.Write(t.state[:])
 	h.Write([]byte("challenge/" + label))
 	var cnt [8]byte
 	binary.LittleEndian.PutUint64(cnt[:], t.count)
 	h.Write(cnt[:])
-	d1 := h.Sum()
+	d1 := h.Sum(nil)
 
 	// A second squeeze widens to 64 bytes so the modular reduction bias is
 	// negligible (~2^-257).
-	h2 := keccak.NewSHA3256()
-	h2.Write(d1[:])
+	h2 := sha3.New256()
+	h2.Write(d1)
 	h2.Write([]byte{0x01})
-	d2 := h2.Sum()
+	d2 := h2.Sum(nil)
 
-	t.state = d1
+	t.state = [32]byte(d1)
 	var e ff.Element
-	e.SetBytes(append(d1[:], d2[:]...))
+	e.SetBytes(append(d1, d2...))
 	return e
 }
 
