@@ -29,9 +29,9 @@ vet:
 
 # Invariant gate: gofmt + go vet + the zkvet analyzer suite
 # (internal/analysis) over the whole module — determinism (proof path),
-# lazyreduce (overflow-window guards), release (arena buffers and worker
-# leases released by defer; one recover), norawgo (raw goroutines),
-# errorpath (Unmarshal panics, %w wrapping). `go test ./...` runs the same
+# release (arena buffers and worker leases released by defer; one
+# recover), norawgo (raw goroutines), errorpath (Unmarshal panics, %w
+# wrapping). `go test ./...` runs the same
 # suite (TestModuleClean), so CI needs no separate lint step. See
 # DESIGN.md §6.
 lint:
@@ -54,16 +54,17 @@ docs:
 bench-smoke:
 	$(GO) run ./bench -smoke
 
-# Memory-budget conformance smoke: the regression test at logGates=16
-# (CI-sized; the checked-in default is 18). GOMEMLIMIT is set per-row by
-# the harness (membench.SampleUnderLimit); the ulimit is a 4 GiB hard
+# Memory-budget regression: the test at its checked-in 2^18 gates, where
+# the streamed peak must stay within the budget and under half the in-core
+# peak. GOMEMLIMIT is set per-row by the harness
+# (membench.SampleUnderLimit); the ulimit is a 4 GiB hard
 # address-space backstop so a prover that ignores its budget fails fast
 # with an allocation error instead of paging the runner or waking the OOM
 # killer. (Virtual size, not RSS: the Go runtime's reserved arenas sit far
 # above any resident peak, so the backstop is loose by design.)
 mem-smoke:
 	ulimit -v 4194304 && \
-	ZKPHIRE_MEMBUDGET_LOGGATES=16 $(GO) test -run TestMemoryBudgetRegression -v -count=1 .
+	$(GO) test -run TestMemoryBudgetRegression -v -count=1 .
 
 # Chaos smoke: the whole internal/service suite under the race detector
 # (no -run list to fall out of date) — the in-process randomized fault

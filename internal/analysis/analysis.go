@@ -1,12 +1,11 @@
 // Package analysis is zkvet: a static-analysis suite that mechanically
 // checks the invariants the prover stack's performance work rests on.
-// PRs 2–5 made proofs byte-identical across worker budgets, layered
-// lazy-reduction accumulators that are only sound below documented
-// overflow windows (DESIGN.md §5), routed all scratch memory through
-// paired arena Get/Put calls, and promised never-panic deserialization —
-// and each of those contracts was enforced only by convention and a
-// handful of tests. This package encodes them as analyzers so every CI
-// run re-proves them over the whole tree (DESIGN.md §6).
+// PRs 2–5 made proofs byte-identical across worker budgets, routed all
+// scratch memory through paired arena Get/Put calls, and promised
+// never-panic deserialization — and each of those contracts was enforced
+// only by convention and a handful of tests. This package encodes them as
+// analyzers so every CI run re-proves them over the whole tree
+// (DESIGN.md §6).
 //
 // The suite mirrors the golang.org/x/tools/go/analysis API shapes
 // (Analyzer, Pass, Diagnostic) but is built on the standard library
@@ -80,7 +79,6 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		LazyReduce,
 		Release,
 		NoRawGo,
 		ErrorPath,

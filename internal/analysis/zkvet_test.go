@@ -37,14 +37,6 @@ func TestDeterminismScope(t *testing.T) {
 	}
 }
 
-func TestLazyReduceFlagged(t *testing.T) {
-	analysistest.Run(t, one(analysis.LazyReduce), "testdata/lazyreduce/flagged", fixturePath)
-}
-
-func TestLazyReduceClean(t *testing.T) {
-	analysistest.Run(t, one(analysis.LazyReduce), "testdata/lazyreduce/clean", fixturePath)
-}
-
 // TestArenaPairFlagged and TestArenaPairClean hold the release rule's
 // arena half: the scratch-buffer violations, and every sanctioned form.
 func TestArenaPairFlagged(t *testing.T) {

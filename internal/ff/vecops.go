@@ -40,17 +40,21 @@ import (
 // Each addend of SumVec is < q < 2^255, so the 320-bit sum accumulator
 // holds ~2^65 raw adds before its fifth limb could overflow; each
 // product fed to LazyAcc/InnerProductVec is < q² < 2^510, so the
-// 576-bit product accumulator holds ~2^66 products. Callers outside
-// this package must tie their maximum chunk length to these constants
-// with a compile-time guard — `const _ = uint(ff.SumWindowLog2 - maxLog2)`
-// goes negative (and stops compiling) the moment a bound outgrows the
-// window. The zkvet lazyreduce analyzer enforces the guard's presence
-// (DESIGN.md §6.2).
+// 576-bit product accumulator holds ~2^66 products.
 const (
 	// SumWindowLog2 bounds raw 4-limb adds per SumVec/Vector.Sum call.
 	SumWindowLog2 = 65
 	// ProductWindowLog2 bounds 512-bit products per LazyAcc before Reduce.
 	ProductWindowLog2 = 66
+)
+
+// Every windowed call's count is a Go slice length or an int loop count,
+// so it is below 2^63 and no caller can leave the windows above. These
+// conversions go negative, and the package stops compiling, if a window
+// ever shrinks under that bound.
+const (
+	_ = uint(SumWindowLog2 - 63)
+	_ = uint(ProductWindowLog2 - 63)
 )
 
 // shrinkFix = 2^384 mod q as plain limbs, derived at init. For a sum

@@ -5,10 +5,10 @@ import "testing"
 // TestLazyReductionWindows pins the exported overflow-window constants
 // to the accumulator geometry they are derived from (DESIGN.md §5):
 // SumVec adds <2^255 values into a 5-limb (320-bit) accumulator, and
-// LazyAcc adds <2^510 products into a 9-limb (576-bit) one. Downstream
-// packages stake compile-time guards (`const _ = uint(ff.SumWindowLog2
-// - maxLog2)`) on these values, so if an accumulator is ever narrowed
-// this must fail before any guard silently over-promises.
+// LazyAcc adds <2^510 products into a 9-limb (576-bit) one. The
+// compile-time guards beside the constants (`const _ = uint(SumWindowLog2
+// - 63)`) stake every caller on these values, so if an accumulator is ever
+// narrowed this must fail before a guard silently over-promises.
 func TestLazyReductionWindows(t *testing.T) {
 	const (
 		sumAccBits = 5 * 64 // SumVec's five-limb accumulator

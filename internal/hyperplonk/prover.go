@@ -25,16 +25,6 @@ type Config struct {
 	// because the frozen bench/library.go sets it; the next benchmark PR
 	// drops it.
 	Sequential bool
-	// MemoryBudget, when positive, is a residency policy of the one
-	// schedule, not a different one: the wire commitments run one MSM at a
-	// time instead of side by side, and a spilled index (PreprocessSpilled)
-	// becomes provable — its σ tables load from disk only for the steps
-	// that read them. Every MSM against an offloaded SRS streams basis
-	// chunks through arena scratch at any setting. The proof bytes are
-	// identical at every budget; the budget bounds the prover's live set,
-	// and the harness pairs it with GOMEMLIMIT to bound the process RSS
-	// (DESIGN.md §8).
-	MemoryBudget int64
 }
 
 // Prove generates a HyperPlonk proof that the circuit is satisfied by its
@@ -45,6 +35,8 @@ type Config struct {
 // Prove only reads srs, idx and c, so many proofs of the same index may run
 // concurrently.
 //
+// Residency is decided before Prove runs — the SRS offload (pcs.Offload)
+// and the σ spill (PreprocessSpilled) — and Prove has no branch on it.
 // Schedule invariance: worker counts and table residency never reach the
 // transcript. Group addition is exact and associative and FromJacobian is
 // canonical, so MSM segmentation cannot change a commitment; table
@@ -57,10 +49,6 @@ func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg 
 	if c.NumVars != idx.NumVars {
 		return nil, fmt.Errorf("hyperplonk: circuit/index size mismatch")
 	}
-	budgeted := cfg.MemoryBudget > 0
-	if !budgeted && idx.SigmaSpill != nil && idx.SigmaTabs == nil {
-		return nil, fmt.Errorf("hyperplonk: index is spilled to disk; prove with a memory budget (Config.MemoryBudget)")
-	}
 	p := newProver(ctx, srs, idx, c, cfg.Workers)
 	// A cancelled step reports ctx.Err() bare, not its own wrapping of it.
 	fail := func(err error) (*Proof, error) {
@@ -69,7 +57,7 @@ func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg 
 		}
 		return nil, err
 	}
-	if err := p.commitWires(budgeted); err != nil {
+	if err := p.commitWires(); err != nil {
 		return fail(err)
 	}
 	rGate, err := p.gateZeroCheck()
@@ -114,28 +102,20 @@ func newProver(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, 
 func (p *prover) scCfg() sumcheck.Config { return sumcheck.Config{Workers: p.workers} }
 
 // commitWires is Step 1: the witness commitments (Sparse MSMs in hardware).
-// The per-wire MSMs are independent. In core they run side by side, the
-// budget divided among them; under a memory budget one MSM is live at a time
-// at full width, so only one wire's Pippenger scratch (and, on an offloaded
-// SRS, one stream of basis chunks) is resident. Commitments are absorbed in
-// wire order afterwards either way.
-func (p *prover) commitWires(oneAtATime bool) error {
-	k := len(p.wires)
-	inFlight, perWire := p.workers, parallel.Split(p.workers, k)
-	if oneAtATime {
-		inFlight, perWire = 1, p.workers
-	}
-	comms := make([]pcs.Commitment, k)
-	errs := make([]error, k)
-	parallel.Run(inFlight, k, func(j int) {
-		if errs[j] = p.ctx.Err(); errs[j] == nil {
-			comms[j], errs[j] = p.srs.CommitCtx(p.ctx, p.wires[j], perWire)
+// One MSM is live at a time at the full worker budget, so only one wire's
+// Pippenger scratch (and, on an offloaded SRS, one stream of basis chunks)
+// is resident. Commitments are absorbed in wire order.
+func (p *prover) commitWires() error {
+	comms := make([]pcs.Commitment, len(p.wires))
+	for j, w := range p.wires {
+		if err := p.ctx.Err(); err != nil {
+			return err
 		}
-	})
-	for j, err := range errs {
+		comm, err := p.srs.CommitCtx(p.ctx, w, p.workers)
 		if err != nil {
 			return fmt.Errorf("hyperplonk: wire %d commit: %w", j, err)
 		}
+		comms[j] = comm
 	}
 	p.proof.WireComms = comms
 	for _, comm := range comms {

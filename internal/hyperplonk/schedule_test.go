@@ -17,8 +17,8 @@ import (
 )
 
 // residency is one way of holding the prover's inputs: everything in core, or
-// the full bounded-memory stack (offloaded SRS, spilled σ tables, a memory
-// budget). There is one schedule; these are its two residency policies.
+// the full bounded-memory stack (offloaded SRS, spilled σ tables). There is
+// one schedule; these are its two residency policies.
 type residency struct {
 	name     string
 	budgeted bool
@@ -54,7 +54,7 @@ func (r residency) setup(t testing.TB, srsVars int, c *gates.Circuit) (*pcs.SRS,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srs, idx, Config{MemoryBudget: 1 << 20}
+	return srs, idx, Config{}
 }
 
 // TestScheduleMatrix pins the one schedule against the golden digests at
@@ -163,7 +163,7 @@ func TestCancellationMidStep(t *testing.T) {
 			ref := newPollCtx(0)
 			p := newProver(ref, srs, idx, c, workers)
 			start := time.Now()
-			if err := p.commitWires(r.budgeted); err != nil {
+			if err := p.commitWires(); err != nil {
 				t.Fatal(err)
 			}
 			step1Polls, step1Time := ref.polls.Load(), time.Since(start)

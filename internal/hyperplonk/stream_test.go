@@ -9,10 +9,10 @@ import (
 )
 
 // TestProofBytesGoldenStreamed proves the PR 4 golden circuits through the
-// full bounded-memory stack — offloaded SRS, spilled σ tables, a memory
-// budget — and pins the SAME sha256 digests as TestProofBytesGoldenPR4:
-// the budgeted prover must be byte-identical to the in-core one, and both
-// must still match the wire format captured two generations ago.
+// full bounded-memory stack — offloaded SRS, spilled σ tables — and expects
+// the SAME sha256 digests as TestProofBytesGoldenPR4: the budgeted prover
+// must be byte-identical to the in-core one, and both must still match the
+// wire format captured two generations ago.
 //
 // A fresh SRS per case (same SetupDeterministic parameters as testSRS)
 // keeps the shared in-core SRS untouched: Offload is sticky.
@@ -30,11 +30,6 @@ func TestProofBytesGoldenStreamed(t *testing.T) {
 			}
 			if len(idx.SigmaSpill) != idx.Wires {
 				t.Fatalf("%d spilled σ handles for %d wires", len(idx.SigmaSpill), idx.Wires)
-			}
-
-			// A spilled index without a budget must refuse, not misprove.
-			if _, err := Prove(context.Background(), srs, idx, c, Config{Workers: 1}); err == nil {
-				t.Fatal("Prove on a spilled index without a memory budget succeeded")
 			}
 
 			proof, err := Prove(context.Background(), srs, idx, c, cfg)
@@ -56,37 +51,5 @@ func TestProofBytesGoldenStreamed(t *testing.T) {
 				t.Fatalf("verify streamed proof: %v", err)
 			}
 		})
-	}
-}
-
-// TestStreamedInCoreIndex checks a memory budget on a fully resident
-// index/SRS (MemoryBudget set, nothing offloaded) still produces the
-// in-core bytes — the residency policy alone must not change the proof.
-func TestStreamedInCoreIndex(t *testing.T) {
-	c := buildVanillaCircuit(t, 3, 5)
-	idx, err := PreprocessWorkers(testSRS, c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Prove(context.Background(), testSRS, idx, c, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBytes, err := ref.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2} {
-		got, err := Prove(context.Background(), testSRS, idx, c, Config{Workers: w, MemoryBudget: 1 << 30})
-		if err != nil {
-			t.Fatalf("streamed workers=%d: %v", w, err)
-		}
-		gotBytes, err := got.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(gotBytes) != string(refBytes) {
-			t.Fatalf("streamed proof (workers=%d, resident index) differs from in-core", w)
-		}
 	}
 }

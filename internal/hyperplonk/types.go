@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"zkphire/internal/ff"
-	"zkphire/internal/fp"
 	"zkphire/internal/gates"
 	"zkphire/internal/mle"
 	"zkphire/internal/parallel"
@@ -37,21 +36,13 @@ type Index struct {
 	// Gate is the circuit's constraint composite (without the eq factor).
 	Gate *poly.Composite
 	// SigmaSpill, when non-nil, holds the wiring-permutation tables parked
-	// on disk by PreprocessSpilled (SigmaTabs is nil then): the prover,
-	// given a memory budget, loads them only for the protocol steps that
-	// read them and drops each copy as soon as the step ends. Selector
-	// tables are never spilled — they alias the compiled circuit's own
-	// tables, which stay resident for the circuit's lifetime anyway, so a
-	// disk copy would add I/O without freeing a byte.
+	// on disk by PreprocessSpilled (SigmaTabs is nil then): the prover
+	// loads them only for the protocol steps that read them and drops each
+	// copy as soon as the step ends. Selector tables are never spilled —
+	// they alias the compiled circuit's own tables, which stay resident for
+	// the circuit's lifetime anyway, so a disk copy would add I/O without
+	// freeing a byte.
 	SigmaSpill []*spill.Table
-	// Endo pins the SRS GLV φ-tables (one per commitment-basis level the
-	// prover touches, x-coordinates only) in the preprocessed key.
-	// PreprocessWorkers warms them so no Prove on this key ever pays the
-	// lazy βx build; the prover itself reads the tables through the shared
-	// SRS cache (pcs.SRS.EndoPoints) — this reference only documents the
-	// dependency and keeps the set alive for as long as the key is cached.
-	// Not part of the verifying-key wire format.
-	Endo [][]fp.Element
 }
 
 // Proof is a complete HyperPlonk proof.
@@ -125,10 +116,8 @@ func PreprocessWorkers(srs *pcs.SRS, c *gates.Circuit, workers int) (*Index, err
 
 // PreprocessSpilled is PreprocessWorkers for a bounded-memory session: the
 // wiring-permutation tables are committed, then spilled into store and
-// freed (the prover reloads them step by step), and the GLV
-// φ-tables are not pinned in the key — on an offloaded SRS they live in the
-// backing's bounded cache instead. Proofs from a spilled index are
-// byte-identical to an in-core one's.
+// freed (the prover reloads them step by step). Proofs from a spilled index
+// are byte-identical to an in-core one's.
 func PreprocessSpilled(srs *pcs.SRS, c *gates.Circuit, workers int, store *spill.Store) (*Index, error) {
 	if store == nil {
 		return nil, fmt.Errorf("hyperplonk: PreprocessSpilled needs a spill store")
@@ -142,13 +131,11 @@ func preprocess(srs *pcs.SRS, c *gates.Circuit, workers int, store *spill.Store)
 	}
 	idx := &Index{NumVars: c.NumVars, Wires: len(c.Wires), Gate: c.Gate}
 
-	if store == nil {
-		// Warm the GLV φ-tables for every SRS level this circuit's proofs
-		// use (wire/selector commitments at NumVars, the permutation product
-		// tree at NumVars+1, and the opening witness MSMs at every level
-		// below), and pin them in the key.
-		idx.Endo = srs.WarmEndo(c.NumVars+1, workers)
-	}
+	// Warm the SRS's cached GLV φ-tables for every resident level this
+	// circuit's proofs use (wire/selector commitments at NumVars, the
+	// permutation product tree at NumVars+1, and the opening witness MSMs at
+	// every level below).
+	srs.WarmEndo(c.NumVars+1, workers)
 
 	names := make([]string, 0, len(c.Selectors))
 	//zkvet:ignore determinism keys are collected then sorted two lines below; only the sorted order reaches the index and the transcript

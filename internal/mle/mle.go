@@ -164,14 +164,6 @@ func (t *Table) EvaluateWorkers(point []ff.Element, workers int) ff.Element {
 	return cur[0]
 }
 
-// Sum's lazy-reduction kernel adds one raw 4-limb term per table entry
-// into ff's 320-bit accumulator, which is sound below the 2^65-add
-// window (DESIGN.md §5). A table is a single Go slice, so its length is
-// below 2^63; the conversion goes negative — and stops compiling — if
-// the window ever shrinks under that bound. zkvet's lazyreduce analyzer
-// requires this guard in every package calling a windowed kernel.
-const _ = uint(ff.SumWindowLog2 - 63)
-
 // Sum returns Σ_x f(x) over the hypercube.
 func (t *Table) Sum() ff.Element {
 	return ff.Vector(t.Evals).Sum()

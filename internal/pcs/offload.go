@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"zkphire/internal/curve"
 	"zkphire/internal/faultinject"
@@ -15,99 +14,74 @@ import (
 	"zkphire/internal/spill"
 )
 
-// The offloaded-SRS backing layer. Offload spills the large commitment-basis
-// levels to an internal/spill store and serves them back on demand through a
-// bounded cache:
+// The offloaded-SRS backing layer. Offload decides once, by size, where each
+// commitment-basis level lives:
 //
-//   - whole levels that fit half the cache budget load with single-flight
-//     fetch per level, pin while in use, and evict LRU when the resident
-//     bytes exceed the budget;
-//   - larger levels never materialize: the MSM paths stream fixed-size basis
-//     chunks through arena scratch, computing each chunk's GLV φ-table on
-//     the fly (curve.EndoPointsInto).
+//   - a level whose points and φ-table fit half the budget stays resident
+//     and is used exactly as in core (Levels[k] plus the shared EndoPoints
+//     cache);
+//   - every larger level moves to an internal/spill store and never
+//     materializes again: the MSM paths stream fixed-size basis chunks
+//     through arena scratch, computing each chunk's GLV φ-table on the fly
+//     (curve.EndoPointsInto).
+//
+// Levels are powers of two, so the resident levels together stay under the
+// budget: their sizes sum to less than twice the largest, which is at most
+// half the budget.
 //
 // Group addition is exact and associative and FromJacobian is canonical, so
 // every chunked MSM below produces the commitment byte-identical to the
-// in-core path regardless of chunk geometry, cache state, or worker budget.
-
-// smallLevelElems is the largest level kept resident by Offload: levels of
-// at most 2^12 points total under ~1.3 MB across the whole SRS, and the
-// opening chain's deep levels would otherwise pay an I/O round trip for
-// microscopic MSMs.
-const smallLevelElems = 1 << 12
+// in-core path regardless of chunk geometry or worker budget.
 
 // pointBytes is the on-disk size of one basis point: X and Y limbs
 // little-endian plus an infinity flag.
 const pointBytes = 2*fp.Limbs*8 + 1
 
-// pointMemBytes/endoMemBytes approximate the in-RAM cost per cached basis
+// pointMemBytes/endoMemBytes approximate the in-RAM cost per resident basis
 // point (G1Affine with padding, and its φ-table x-coordinate).
 const (
 	pointMemBytes = 104
 	endoMemBytes  = 48
 )
 
-type levelEntry struct {
-	pts  []curve.G1Affine
-	endo []fp.Element
-	pins int
-	use  int64
-	// flight is the in-progress load, if any: concurrent acquirers of a
-	// missing level share one fetch. The flight is removed the moment the
-	// load settles — on failure the error reaches only the callers that
-	// were already waiting on that attempt, and the next caller starts a
-	// fresh load. An error result is never cached: a transient spill read
-	// failure must not poison the level for the life of the process.
-	flight *levelFlight
-}
-
-// levelFlight is one single-flight load of an offloaded level.
-type levelFlight struct {
-	done chan struct{}
-	err  error
-}
+// minBudget is the floor Offload clamps budgets to. At the floor level 12
+// (~0.6 MB) stays resident and level 13 streams.
+const minBudget = 2 << 20
 
 type backing struct {
-	store       *spill.Store
-	ownStore    bool
-	cacheBudget int64
-	chunkElems  int
-
-	mu       sync.Mutex
-	lev      []levelEntry
-	tick     int64
-	resident int64
+	store      *spill.Store
+	chunkElems int
 }
 
 func levelMemBytes(k int) int64 {
 	return int64(pointMemBytes+endoMemBytes) << uint(k)
 }
 
-// Offload spills every commitment-basis level larger than smallLevelElems
-// points into a spill store rooted at dir (empty = a private temp directory)
-// and frees the in-RAM copies, including their cached φ-tables. Afterwards
-// the SRS serves basis data through a cache bounded by cacheBudget bytes;
-// all commit/open paths work unchanged and produce byte-identical results.
+// Offload keeps every commitment-basis level whose in-RAM cost is at most
+// half of budget bytes resident, spills every larger level into a spill
+// store rooted at dir (empty = a private temp directory), and frees the
+// spilled levels' in-RAM copies, including their cached φ-tables. All
+// commit/open paths work unchanged and produce byte-identical results;
+// spilled levels stream through chunkElemsFor(budget)-point chunks.
 //
 // Offload is idempotent (the first call's parameters win) and must not run
 // concurrently with proofs on this SRS: callers offload before proving.
 // The backing files live until CloseBacking or process exit.
-func (s *SRS) Offload(dir string, cacheBudget int64) error {
+func (s *SRS) Offload(dir string, budget int64) error {
 	if s.back != nil {
 		return nil
 	}
-	const minCacheBudget = 1 << 20
-	if cacheBudget < minCacheBudget {
-		cacheBudget = minCacheBudget
+	if budget < minBudget {
+		budget = minBudget
 	}
 	store, err := spill.NewStore(dir)
 	if err != nil {
 		return err
 	}
-	b := &backing{store: store, ownStore: true, cacheBudget: cacheBudget, lev: make([]levelEntry, len(s.Levels))}
-	b.chunkElems = chunkElemsFor(cacheBudget)
+	b := &backing{store: store, chunkElems: chunkElemsFor(budget)}
+	spilled := func(k int) bool { return levelMemBytes(k) > budget/2 }
 	for k := range s.Levels {
-		if len(s.Levels[k]) <= smallLevelElems {
+		if !spilled(k) {
 			continue
 		}
 		if err := b.writeLevel(k, s.Levels[k]); err != nil {
@@ -115,10 +89,10 @@ func (s *SRS) Offload(dir string, cacheBudget int64) error {
 			return err
 		}
 	}
-	// Point of no return: drop the in-RAM levels and their φ-tables.
+	// Point of no return: drop the spilled levels and their φ-tables.
 	s.endoMu.Lock()
 	for k := range s.Levels {
-		if len(s.Levels[k]) > smallLevelElems {
+		if spilled(k) {
 			s.Levels[k] = nil
 			if s.endo != nil {
 				s.endo[k] = nil
@@ -130,9 +104,6 @@ func (s *SRS) Offload(dir string, cacheBudget int64) error {
 	return nil
 }
 
-// Backed reports whether Offload has run.
-func (s *SRS) Backed() bool { return s.back != nil }
-
 // CloseBacking removes the backing store. The SRS can no longer serve
 // offloaded levels afterwards — only for teardown in tests and short-lived
 // processes that own the SRS outright.
@@ -142,17 +113,14 @@ func (s *SRS) CloseBacking() error {
 	}
 	b := s.back
 	s.back = nil
-	if b.ownStore {
-		return b.store.Close()
-	}
-	return nil
+	return b.store.Close()
 }
 
 // chunkElemsFor sizes the streamed-MSM basis chunk so one chunk's points,
-// φ-table, and staging bytes stay well inside the cache budget: an eighth
-// of the budget, clamped to [2^12, 2^20] points.
-func chunkElemsFor(cacheBudget int64) int {
-	n := cacheBudget / 8 / (pointMemBytes + endoMemBytes)
+// φ-table, and staging bytes stay well inside the budget: an eighth of the
+// budget, clamped to [2^12, 2^20] points.
+func chunkElemsFor(budget int64) int {
+	n := budget / 8 / (pointMemBytes + endoMemBytes)
 	if n < 1<<12 {
 		n = 1 << 12
 	}
@@ -238,157 +206,22 @@ func (b *backing) readPointsRange(ctx context.Context, k, off int, dst []curve.G
 	return nil
 }
 
-// acquireLevel returns level k's full basis and φ-table, loading it into the
-// cache if needed (single-flight per level) and pinning it against eviction
-// until release is called. Resident (never-offloaded) levels return the
-// shared in-RAM slices with a no-op release.
-//
-// Failure semantics: a load error reaches the caller that ran the load and
-// every caller that joined that flight, but it is never cached — the flight
-// is cleared before the error is delivered, so the next acquire starts a
-// fresh read from the store. A transient spill I/O error therefore costs
-// one failed attempt, not the level.
-func (s *SRS) acquireLevel(ctx context.Context, k, workers int) (pts []curve.G1Affine, endo []fp.Element, release func(), err error) {
-	if s.Levels[k] != nil {
-		return s.Levels[k], s.EndoPoints(k, workers), func() {}, nil
-	}
-	b := s.back
-	if b == nil {
-		return nil, nil, nil, fmt.Errorf("pcs: level %d is neither resident nor backed", k)
-	}
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
-	var f *levelFlight
-	b.mu.Lock()
-	for {
-		e := &b.lev[k]
-		if e.pts != nil {
-			e.pins++
-			b.tick++
-			e.use = b.tick
-			pts, endo = e.pts, e.endo
-			b.mu.Unlock()
-			return pts, endo, func() { b.unpin(k) }, nil
-		}
-		if e.flight == nil {
-			f = &levelFlight{done: make(chan struct{})}
-			e.flight = f
-			break // this caller runs the load
-		}
-		joined := e.flight
-		b.mu.Unlock()
-		//zkvet:ignore determinism flight-join wait; the loaded basis is identical whichever case wins, and the ctx arm only aborts an already-cancelled proof
-		select {
-		case <-joined.done:
-			if joined.err != nil {
-				return nil, nil, nil, joined.err
-			}
-		case <-ctxDone:
-			return nil, nil, nil, ctx.Err()
-		}
-		b.mu.Lock() // loaded: loop back around and pin it
-	}
-	b.mu.Unlock()
-
-	n := 1 << uint(k)
-	loaded := make([]curve.G1Affine, n)
-	err = b.readPointsRange(ctx, k, 0, loaded)
-	var endoT []fp.Element
-	if err == nil {
-		endoT = curve.EndoPointsWorkers(loaded, workers)
-	}
-
-	b.mu.Lock()
-	e := &b.lev[k]
-	e.flight = nil // success or failure, the flight is over — never cached
-	if err != nil {
-		f.err = err
-		close(f.done)
-		b.mu.Unlock()
-		return nil, nil, nil, err
-	}
-	e.pts, e.endo = loaded, endoT
-	e.pins = 1
-	b.tick++
-	e.use = b.tick
-	b.resident += levelMemBytes(k)
-	b.evictLocked()
-	close(f.done)
-	b.mu.Unlock()
-	return loaded, endoT, func() { b.unpin(k) }, nil
-}
-
-func (b *backing) unpin(k int) {
-	b.mu.Lock()
-	b.lev[k].pins--
-	b.evictLocked()
-	b.mu.Unlock()
-}
-
-// evictLocked drops least-recently-used unpinned levels until the resident
-// bytes fit the budget. Caller holds b.mu.
-func (b *backing) evictLocked() {
-	for b.resident > b.cacheBudget {
-		victim := -1
-		var oldest int64
-		for k := range b.lev {
-			e := &b.lev[k]
-			if e.pts == nil || e.pins > 0 {
-				continue
-			}
-			if victim < 0 || e.use < oldest {
-				victim, oldest = k, e.use
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		b.lev[victim].pts = nil
-		b.lev[victim].endo = nil
-		b.resident -= levelMemBytes(victim)
-	}
-}
-
-// readBasisEndoRange fills pts (and, when endoOut is non-nil, endoOut) with
-// level k's basis points [off, off+len(pts)) and their φ-table, serving from
-// the cache when the level happens to be loaded and streaming from the store
-// otherwise.
-func (s *SRS) readBasisEndoRange(ctx context.Context, k, off int, pts []curve.G1Affine, endoOut []fp.Element, workers int) error {
+// readBasisEndoRange fills pts and endo with level k's basis points
+// [off, off+len(pts)) and their φ-table: copied from a resident level, read
+// from the store and φ-mapped for a spilled one.
+func (s *SRS) readBasisEndoRange(ctx context.Context, k, off int, pts []curve.G1Affine, endo []fp.Element, workers int) error {
 	if s.Levels[k] != nil {
 		copy(pts, s.Levels[k][off:])
-		if endoOut != nil {
-			copy(endoOut, s.EndoPoints(k, workers)[off:])
-		}
+		copy(endo, s.EndoPoints(k, workers)[off:])
 		return nil
 	}
-	b := s.back
-	if b == nil {
+	if s.back == nil {
 		return fmt.Errorf("pcs: level %d is neither resident nor backed", k)
 	}
-	b.mu.Lock()
-	e := &b.lev[k]
-	if e.pts != nil {
-		e.pins++
-		b.tick++
-		e.use = b.tick
-		src, srcEndo := e.pts, e.endo
-		b.mu.Unlock()
-		copy(pts, src[off:])
-		if endoOut != nil {
-			copy(endoOut, srcEndo[off:])
-		}
-		b.unpin(k)
-		return nil
-	}
-	b.mu.Unlock()
-	if err := b.readPointsRange(ctx, k, off, pts); err != nil {
+	if err := s.back.readPointsRange(ctx, k, off, pts); err != nil {
 		return err
 	}
-	if endoOut != nil {
-		curve.EndoPointsInto(endoOut, pts, workers)
-	}
+	curve.EndoPointsInto(endo, pts, workers)
 	return nil
 }
 
@@ -399,31 +232,28 @@ var (
 	endoArena  parallel.Arena[fp.Element]
 )
 
-// msmRangeCtx computes Σ_i scalars[i] · Levels[k][off+i] without ever
-// materializing more of an offloaded level than the cache policy allows:
-// levels that fit half the cache budget are acquired whole (and stay for
-// the next call); larger levels stream chunk by chunk through arena
+// msmRangeCtx computes Σ_i scalars[i] · Levels[k][off+i], the one basis
+// path of every commit and opening MSM. A resident level runs one MSM over
+// its in-RAM segment; a spilled level streams chunk by chunk through arena
 // scratch. sparse routes each MSM through the sparse path when its scalar
 // segment is mostly 0/1 (the routing never changes the group result).
 func (s *SRS) msmRangeCtx(ctx context.Context, k, off int, scalars []ff.Element, workers int, sparse bool) (curve.G1Jac, error) {
-	b := s.back
-	if s.Levels[k] != nil || b == nil || levelMemBytes(k) <= b.cacheBudget/2 {
-		pts, endo, release, err := s.acquireLevel(ctx, k, workers)
-		if err != nil {
-			var zero curve.G1Jac
-			return zero, err
-		}
-		defer release()
-		return msmSegmentCtx(ctx, pts[off:off+len(scalars)], endo[off:off+len(scalars)], scalars, workers, sparse)
+	if pts := s.Levels[k]; pts != nil {
+		endo := s.EndoPoints(k, workers)
+		end := off + len(scalars)
+		return msmSegmentCtx(ctx, pts[off:end], endo[off:end], scalars, workers, sparse)
 	}
-
-	var acc curve.G1Jac
-	acc.SetInfinity()
-	chunk := b.chunkElems
+	var zero curve.G1Jac
+	if s.back == nil {
+		return zero, fmt.Errorf("pcs: level %d is neither resident nor backed", k)
+	}
+	chunk := s.back.chunkElems
 	pts := basisArena.Get(chunk)
 	endo := endoArena.Get(chunk)
 	defer basisArena.Put(pts)
 	defer endoArena.Put(endo)
+	var acc curve.G1Jac
+	acc.SetInfinity()
 	for lo := 0; lo < len(scalars); lo += chunk {
 		hi := lo + chunk
 		if hi > len(scalars) {
@@ -431,12 +261,10 @@ func (s *SRS) msmRangeCtx(ctx context.Context, k, off int, scalars []ff.Element,
 		}
 		n := hi - lo
 		if err := s.readBasisEndoRange(ctx, k, off+lo, pts[:n], endo[:n], workers); err != nil {
-			var zero curve.G1Jac
 			return zero, err
 		}
 		part, err := msmSegmentCtx(ctx, pts[:n], endo[:n], scalars[lo:hi], workers, sparse)
 		if err != nil {
-			var zero curve.G1Jac
 			return zero, err
 		}
 		acc.AddAssign(&part)
@@ -451,17 +279,4 @@ func msmSegmentCtx(ctx context.Context, pts []curve.G1Affine, endo []fp.Element,
 		return curve.SparseMSMEndoWorkersCtx(ctx, pts, endo, scalars, workers)
 	}
 	return curve.MSMEndoWorkersCtx(ctx, pts, endo, scalars, workers)
-}
-
-// commitBacked is the commit path for offloaded levels: the table streams
-// through msmRangeCtx in bounded chunks, each chunk routed by its own
-// sparsity (preprocessing's 0/1 selector tables stay on the sparse path).
-func (s *SRS) commitBacked(ctx context.Context, t *mle.Table, workers int) (Commitment, error) {
-	acc, err := s.msmRangeCtx(ctx, t.NumVars, 0, t.Evals, workers, true)
-	if err != nil {
-		return Commitment{}, err
-	}
-	var aff curve.G1Affine
-	aff.FromJacobian(&acc)
-	return Commitment{Point: aff, NumVars: t.NumVars}, nil
 }

@@ -10,15 +10,14 @@ import (
 	"zkphire/internal/faultinject"
 	"zkphire/internal/ff"
 	"zkphire/internal/mle"
-	"zkphire/internal/spill"
 )
 
 // TestOffloadByteIdentical offloads an SRS mid-test and checks that every
 // commit/open path produces results identical to the in-core ones computed
 // moments before on the same (then-resident) levels. maxVars 13 makes the
-// top level ~1.2 MB in RAM — larger than half the minimum cache budget — so
-// the top-level commitment exercises the chunk-streamed MSM, while the
-// opening chain's shrinking levels exercise the whole-level cache.
+// top level ~1.2 MB in RAM — larger than half the minimum budget — so the
+// top-level commitment exercises the chunk-streamed MSM, while the opening
+// chain's shrinking levels stay resident.
 func TestOffloadByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("offload identity test builds a 2^13 SRS")
@@ -46,14 +45,21 @@ func TestOffloadByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := srs.Offload(t.TempDir(), 1); err != nil { // clamps to the 8 MiB floor
+	if err := srs.Offload(t.TempDir(), 1); err != nil { // clamps to the 2 MiB floor
 		t.Fatalf("Offload: %v", err)
-	}
-	if !srs.Backed() {
-		t.Fatal("SRS not backed after Offload")
 	}
 	if srs.Levels[nv] != nil {
 		t.Fatal("top level still resident after Offload")
+	}
+	// The resident levels together fit the budget.
+	var resident int64
+	for k := range srs.Levels {
+		if srs.Levels[k] != nil {
+			resident += levelMemBytes(k)
+		}
+	}
+	if resident > minBudget {
+		t.Fatalf("resident levels take %d bytes, budget %d", resident, minBudget)
 	}
 
 	denseComm2, err := srs.Commit(dense)
@@ -108,22 +114,8 @@ func TestOffloadByteIdentical(t *testing.T) {
 		t.Fatal("streamed commitment on backed SRS differs from in-core")
 	}
 
-	// The cache respects its byte budget once nothing is pinned.
-	b := srs.back
-	b.mu.Lock()
-	resident, budget := b.resident, b.cacheBudget
-	for k := range b.lev {
-		if b.lev[k].pins != 0 {
-			t.Errorf("level %d still pinned (%d)", k, b.lev[k].pins)
-		}
-	}
-	b.mu.Unlock()
-	if resident > budget {
-		t.Fatalf("cache resident %d exceeds budget %d", resident, budget)
-	}
-
-	// Concurrent backed commits share the single-flight cache safely and
-	// agree with the in-core result.
+	// Concurrent backed commits each stream their own chunks and agree with
+	// the in-core result.
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	comms := make([]Commitment, 4)
@@ -160,7 +152,7 @@ func TestOffloadIdempotent(t *testing.T) {
 	if err := srs.Offload(t.TempDir(), 64<<20); err != nil {
 		t.Fatal(err)
 	}
-	// 2^8 levels are all under smallLevelElems: everything stays resident.
+	// 2^8 levels all fit half the budget: everything stays resident.
 	for k := range srs.Levels {
 		if srs.Levels[k] == nil {
 			t.Fatalf("small level %d offloaded", k)
@@ -179,143 +171,55 @@ func TestOffloadIdempotent(t *testing.T) {
 	}
 }
 
-// offloadLevelForTest spills level k of a small SRS into a fresh store and
-// drops the resident copy, regardless of the smallLevelElems threshold, so
-// single-flight cache tests run on a cheap 2^6 setup instead of a 2^13 one.
-func offloadLevelForTest(t *testing.T, srs *SRS, k int) {
-	t.Helper()
-	store, err := spill.NewStore(t.TempDir())
+// TestOffloadPlacement fixes the residency split at the benchmark's budget:
+// a 64 MiB session hands Offload an eighth of it, which keeps levels ≤ 14
+// resident and streams 15–17. Placement looks only at level sizes, so the
+// levels hold zero points instead of a real setup.
+func TestOffloadPlacement(t *testing.T) {
+	const maxVars = 17
+	srs := &SRS{MaxVars: maxVars, Levels: make([][]curve.G1Affine, maxVars+1)}
+	for k := range srs.Levels {
+		srs.Levels[k] = make([]curve.G1Affine, 1<<k)
+	}
+	if err := srs.Offload(t.TempDir(), 64<<20/8); err != nil {
+		t.Fatal(err)
+	}
+	defer srs.CloseBacking()
+	for k := range srs.Levels {
+		if resident := srs.Levels[k] != nil; resident != (k <= 14) {
+			t.Errorf("level %d resident = %v, want %v", k, resident, k <= 14)
+		}
+	}
+}
+
+// TestOffloadReadFaultIsTransient: a spill read error fails the one commit
+// that hit it and leaves nothing behind — the next commit streams the level
+// again and equals the in-core commitment. maxVars 13 is the smallest SRS
+// whose top level streams at the minimum budget.
+func TestOffloadReadFaultIsTransient(t *testing.T) {
+	const nv = 13
+	srs := SetupDeterministic(nv, 11)
+	tab := mle.FromEvals(ff.NewRand(3).Elements(1 << nv))
+	want, err := srs.Commit(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &backing{store: store, ownStore: true, cacheBudget: 64 << 20, lev: make([]levelEntry, len(srs.Levels))}
-	b.chunkElems = chunkElemsFor(b.cacheBudget)
-	if err := b.writeLevel(k, srs.Levels[k]); err != nil {
+	if err := srs.Offload(t.TempDir(), 1); err != nil {
 		t.Fatal(err)
 	}
-	srs.endoMu.Lock()
-	srs.Levels[k] = nil
-	if srs.endo != nil {
-		srs.endo[k] = nil
-	}
-	srs.endoMu.Unlock()
-	srs.back = b
-}
-
-// TestAcquireLevelErrorNotCached pins the single-flight failure contract: a
-// load that dies on a transient read error reports it to that attempt's
-// callers only, and the very next acquire runs a fresh load and succeeds.
-func TestAcquireLevelErrorNotCached(t *testing.T) {
-	const k = 6
-	srs := SetupDeterministic(k, 11)
-	want := append([]curve.G1Affine(nil), srs.Levels[k]...)
-	offloadLevelForTest(t, srs, k)
 	defer srs.CloseBacking()
 
 	faultinject.Reset()
 	defer faultinject.Reset()
 	faultinject.Arm("pcs.offload.read", faultinject.Fault{Mode: faultinject.ModeError, Count: 1})
-
-	_, _, _, err := srs.acquireLevel(context.Background(), k, 1)
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("first acquire = %v, want injected error", err)
+	if _, err := srs.CommitCtx(context.Background(), tab, 2); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("first commit = %v, want the injected read error", err)
 	}
-	srs.back.mu.Lock()
-	if srs.back.lev[k].flight != nil {
-		t.Fatal("failed flight left behind")
-	}
-	if srs.back.lev[k].pts != nil {
-		t.Fatal("failed load cached points")
-	}
-	srs.back.mu.Unlock()
-
-	// The error was not cached: the next caller reloads and succeeds.
-	pts, endo, release, err := srs.acquireLevel(context.Background(), k, 1)
+	got, err := srs.CommitCtx(context.Background(), tab, 2)
 	if err != nil {
-		t.Fatalf("acquire after transient failure: %v", err)
+		t.Fatalf("commit after a transient read failure: %v", err)
 	}
-	defer release()
-	if len(pts) != len(want) || len(endo) != len(want) {
-		t.Fatalf("reloaded level sized %d/%d, want %d", len(pts), len(endo), len(want))
-	}
-	for i := range want {
-		if !pts[i].Equal(&want[i]) {
-			t.Fatalf("reloaded point %d differs from pre-offload basis", i)
-		}
-	}
-}
-
-// TestAcquireLevelConcurrentFailure hammers a fail-once level from many
-// goroutines: every failure is the injected error (never a stale cached
-// one), the survivors agree on the loaded points, and a final serial
-// acquire always succeeds.
-func TestAcquireLevelConcurrentFailure(t *testing.T) {
-	const k = 6
-	srs := SetupDeterministic(k, 12)
-	offloadLevelForTest(t, srs, k)
-	defer srs.CloseBacking()
-
-	faultinject.Reset()
-	defer faultinject.Reset()
-	faultinject.Arm("pcs.offload.read", faultinject.Fault{Mode: faultinject.ModeError, Count: 1})
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, release, err := srs.acquireLevel(context.Background(), k, 1)
-			if err == nil {
-				release()
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("goroutine %d: unexpected error %v", i, err)
-		}
-	}
-	if _, _, release, err := srs.acquireLevel(context.Background(), k, 1); err != nil {
-		t.Fatalf("serial acquire after concurrent failure round: %v", err)
-	} else {
-		release()
-	}
-}
-
-// TestAcquireLevelJoinerHonoursContext: a caller waiting on someone else's
-// flight must abandon the wait when its own context dies, without
-// disturbing the flight.
-func TestAcquireLevelJoinerHonoursContext(t *testing.T) {
-	const k = 6
-	srs := SetupDeterministic(k, 13)
-	offloadLevelForTest(t, srs, k)
-	defer srs.CloseBacking()
-
-	// Park a fake flight so the joiner has something to wait on.
-	b := srs.back
-	f := &levelFlight{done: make(chan struct{})}
-	b.mu.Lock()
-	b.lev[k].flight = f
-	b.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, _, err := srs.acquireLevel(ctx, k, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled joiner = %v, want context.Canceled", err)
-	}
-
-	// Settle the fake flight as a failure; the level must still load fresh.
-	b.mu.Lock()
-	b.lev[k].flight = nil
-	b.mu.Unlock()
-	close(f.done)
-	if _, _, release, err := srs.acquireLevel(context.Background(), k, 1); err != nil {
-		t.Fatalf("acquire after abandoned flight: %v", err)
-	} else {
-		release()
+	if !got.Point.Equal(&want.Point) {
+		t.Fatal("commit after a transient read failure differs from in-core")
 	}
 }

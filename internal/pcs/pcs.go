@@ -56,7 +56,7 @@ type SRS struct {
 
 	// back, when non-nil, is the offloaded-SRS backing (see Offload in
 	// offload.go): large levels live in a spill store and Levels[k] is nil
-	// for them; every commit/open path routes basis access through it.
+	// for them; every commit/open path streams them through msmRangeCtx.
 	back *backing
 }
 
@@ -64,11 +64,11 @@ type SRS struct {
 // building and caching it on first use (single-flight under a mutex; the
 // build itself runs on the given worker budget). The returned slice is
 // shared and must be treated as read-only. Only valid for resident levels —
-// an offloaded level's φ-table lives in the backing cache and is reached
-// through the routed commit/open paths instead.
+// an offloaded level's φ-table is computed chunk by chunk on the
+// commit/open paths instead.
 func (s *SRS) EndoPoints(k, workers int) []fp.Element {
 	if s.Levels[k] == nil {
-		panic("pcs: EndoPoints on an offloaded SRS level — use the commit/open paths, which route through the backing cache")
+		panic("pcs: EndoPoints on an offloaded SRS level — use the commit/open paths, which stream it")
 	}
 	s.endoMu.Lock()
 	defer s.endoMu.Unlock()
@@ -81,24 +81,19 @@ func (s *SRS) EndoPoints(k, workers int) []fp.Element {
 	return s.endo[k]
 }
 
-// WarmEndo builds and returns the φ-tables for every level up to maxLevel.
-// Preprocessing calls it so a session's first Prove never pays the lazy
-// build; the returned set is the one stored in the preprocessed key.
-// Offloaded levels are skipped (their entry stays nil): pinning a full
-// φ-table set would defeat the memory bound the offload exists for — those
-// levels' tables live in the bounded backing cache instead.
-func (s *SRS) WarmEndo(maxLevel, workers int) [][]fp.Element {
+// WarmEndo builds the cached φ-tables for every resident level up to
+// maxLevel. Preprocessing calls it so a session's first Prove never pays
+// the lazy build. Offloaded levels are skipped: their tables are computed
+// per streamed chunk and never kept.
+func (s *SRS) WarmEndo(maxLevel, workers int) {
 	if maxLevel > s.MaxVars {
 		maxLevel = s.MaxVars
 	}
-	out := make([][]fp.Element, maxLevel+1)
 	for k := 0; k <= maxLevel; k++ {
-		if s.Levels[k] == nil {
-			continue
+		if s.Levels[k] != nil {
+			s.EndoPoints(k, workers)
 		}
-		out[k] = s.EndoPoints(k, workers)
 	}
-	return out
 }
 
 // Commitment is a hiding-free binding commitment to an MLE.
@@ -168,25 +163,14 @@ func (s *SRS) CommitWorkers(t *mle.Table, workers int) (Commitment, error) {
 // CommitCtx is CommitWorkers with mid-MSM cancellation: a cancel lands
 // inside the Pippenger accumulation (curve.MSMEndoWorkersCtx) instead of
 // waiting out the whole commitment. The successful result is identical to
-// CommitWorkers for every budget.
+// CommitWorkers for every budget. The MSM takes the sparse path when the
+// table (or, on a spilled level, each streamed chunk) is mostly 0/1.
 func (s *SRS) CommitCtx(ctx context.Context, t *mle.Table, workers int) (Commitment, error) {
 	k := t.NumVars
 	if k > s.MaxVars {
 		return Commitment{}, fmt.Errorf("pcs: table has %d vars, SRS supports %d", k, s.MaxVars)
 	}
-	if s.Levels[k] == nil {
-		return s.commitBacked(ctx, t, workers)
-	}
-	basis := s.Levels[k]
-	endoX := s.EndoPoints(k, workers)
-	sp := t.AnalyzeSparsityWorkers(workers)
-	var acc curve.G1Jac
-	var err error
-	if sp.DenseFraction() < 0.5 {
-		acc, err = curve.SparseMSMEndoWorkersCtx(ctx, basis, endoX, t.Evals, workers)
-	} else {
-		acc, err = curve.MSMEndoWorkersCtx(ctx, basis, endoX, t.Evals, workers)
-	}
+	acc, err := s.msmRangeCtx(ctx, k, 0, t.Evals, workers, true)
 	if err != nil {
 		return Commitment{}, err
 	}
@@ -310,15 +294,6 @@ func CombineCommitments(cs []Commitment, coeffs []ff.Element) (Commitment, error
 	return Commitment{Point: aff, NumVars: k}, nil
 }
 
-// CombineTablesWorkers' per-entry ff.LazyAcc gathers one 512-bit
-// product per table before reducing, sound below ff's 2^66-product
-// window (DESIGN.md §5). tables is a single Go slice, so the count is
-// below 2^63; if the window ever shrinks under that bound this constant
-// goes negative and the package stops compiling. zkvet's lazyreduce
-// analyzer requires this guard in every package calling a windowed
-// kernel.
-const _ = uint(ff.ProductWindowLog2 - 63)
-
 // CombineTables returns Σ coeffs[i]·tables[i] as a new table.
 func CombineTables(tables []*mle.Table, coeffs []ff.Element) (*mle.Table, error) {
 	return CombineTablesWorkers(tables, coeffs, 1)
@@ -349,7 +324,7 @@ func CombineTablesWorkers(tables []*mle.Table, coeffs []ff.Element, workers int)
 			// One accumulator gathers len(tables) 512-bit products
 			// before its single Reduce; tables is a Go slice, so the
 			// count stays below 2^63 — inside the 2^66-product window
-			// the guard above ties to DESIGN.md §5.
+			// (DESIGN.md §5).
 			var acc ff.LazyAcc
 			for i := range cols {
 				acc.MulAcc(&coeffs[i], &cols[i][j])

@@ -45,7 +45,7 @@ type Queue struct {
 	m      *Metrics
 	// retry bounds the dispatcher's transient-failure retries: a job whose
 	// error classifies as transient (spill I/O wobble, an injected fault,
-	// an offload read that the single-flight path will happily rerun) is
+	// an offload read the next attempt simply streams again) is
 	// retried with exponential backoff instead of surfacing a 500 for a
 	// failure the next attempt would not see. Permanent errors and panics
 	// return on the first attempt.

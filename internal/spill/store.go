@@ -1,7 +1,7 @@
 // Package spill is a small tmpfile-backed chunk store for out-of-core prover
 // state: preprocessed tables a memory-budgeted prover parks on disk
 // between protocol steps, and the offloaded SRS commitment-basis levels
-// (internal/pcs loads those back level- or chunk-at-a-time).
+// (internal/pcs streams those back chunk by chunk).
 //
 // Every object is one file of fixed-size checksummed pages:
 //
@@ -19,8 +19,7 @@
 // (wrapping ErrCorrupt), never panics.
 //
 // Writes poll ctx between pages and remove the partial file on error or
-// cancellation, so an aborted spill leaks nothing. An optional gate lets
-// the prover lease spill I/O through the same budget as any other stage.
+// cancellation, so an aborted spill leaks nothing.
 package spill
 
 import (
@@ -32,7 +31,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"zkphire/internal/faultinject"
@@ -75,7 +73,6 @@ type Store struct {
 
 	mu     sync.Mutex
 	objs   map[string]int64 // key -> payload length
-	gate   func(context.Context) (func(), error)
 	closed bool
 }
 
@@ -95,37 +92,18 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir, ownDir: own, pageSize: DefaultPageSize, objs: make(map[string]int64)}, nil
 }
 
-// Dir returns the store's backing directory.
-func (s *Store) Dir() string { return s.dir }
-
-// SetGate installs an I/O lease hook: every Put/Read/Delete acquires it for
-// the duration of the call. The prover points it at a parallel.Budget so
-// spill traffic is leased like any other stage. gate must return a release
-// func on success; a nil gate (the default) means unrestricted I/O.
-func (s *Store) SetGate(gate func(context.Context) (func(), error)) {
+// enter checks liveness and ctx.
+func (s *Store) enter(ctx context.Context) error {
 	s.mu.Lock()
-	s.gate = gate
-	s.mu.Unlock()
-}
-
-// enter checks liveness and ctx, then acquires the gate.
-func (s *Store) enter(ctx context.Context) (func(), error) {
-	s.mu.Lock()
-	gate := s.gate
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		return ctx.Err()
 	}
-	if gate == nil {
-		return func() {}, nil
-	}
-	return gate(ctx)
+	return nil
 }
 
 // path maps a key to its file. The readable prefix aids debugging; the FNV
@@ -152,30 +130,26 @@ func (s *Store) path(key string) string {
 // between pages — poisons the writer: Close then removes the partial file
 // and returns the error, so no failed spill leaves a file behind.
 type Writer struct {
-	s       *Store
-	ctx     context.Context
-	key     string
-	f       *os.File
-	release func()
-	buf     []byte
-	total   int64
-	err     error
-	done    bool
+	s     *Store
+	ctx   context.Context
+	key   string
+	f     *os.File
+	buf   []byte
+	total int64
+	err   error
+	done  bool
 }
 
 // Create starts writing the object for key, replacing any existing one.
 func (s *Store) Create(ctx context.Context, key string) (*Writer, error) {
-	release, err := s.enter(ctx)
-	if err != nil {
+	if err := s.enter(ctx); err != nil {
 		return nil, err
 	}
-	p := s.path(key)
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := os.OpenFile(s.path(key), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
-		release()
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	w := &Writer{s: s, ctx: ctx, key: key, f: f, release: release, buf: make([]byte, 0, s.pageSize)}
+	w := &Writer{s: s, ctx: ctx, key: key, f: f, buf: make([]byte, 0, s.pageSize)}
 	var hdr [fileHeaderSize]byte
 	copy(hdr[:8], fileMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(s.pageSize))
@@ -203,7 +177,6 @@ func (w *Writer) cleanup(remove bool) {
 	if remove {
 		os.Remove(w.f.Name())
 	}
-	w.release()
 }
 
 // Write appends p to the object (io.Writer).
@@ -292,12 +265,10 @@ func (w *Writer) Close() error {
 	if err := w.f.Close(); err != nil {
 		w.done = true
 		os.Remove(w.f.Name())
-		w.release()
 		w.err = fmt.Errorf("spill: %s: %w", w.key, err)
 		return w.err
 	}
 	w.done = true
-	w.release()
 	w.s.mu.Lock()
 	if !w.s.closed {
 		w.s.objs[w.key] = w.total
@@ -349,11 +320,9 @@ func (s *Store) ReadAll(ctx context.Context, key string) ([]byte, error) {
 // ReadAt fills dst with the object's payload bytes [off, off+len(dst)),
 // verifying the checksum of every covering page. It reads only those pages.
 func (s *Store) ReadAt(ctx context.Context, key string, off int64, dst []byte) error {
-	release, err := s.enter(ctx)
-	if err != nil {
+	if err := s.enter(ctx); err != nil {
 		return err
 	}
-	defer release()
 	if err := faultinject.Hit("spill.read"); err != nil {
 		return fmt.Errorf("spill: %s: %w", key, err)
 	}
@@ -444,18 +413,6 @@ func (s *Store) Delete(key string) error {
 		return fmt.Errorf("spill: %s: %w", key, err)
 	}
 	return nil
-}
-
-// Keys returns the stored keys in sorted order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.objs))
-	for k := range s.objs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Len returns the number of live objects.

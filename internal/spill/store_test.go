@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"os"
-	"sync/atomic"
 	"testing"
 
 	"zkphire/internal/ff"
@@ -202,40 +201,6 @@ func TestCancelMidSpillLeaksNothing(t *testing.T) {
 	}
 }
 
-func TestGateLeasesBalanced(t *testing.T) {
-	s := newTestStore(t)
-	var live, total atomic.Int64
-	s.SetGate(func(ctx context.Context) (func(), error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		live.Add(1)
-		total.Add(1)
-		return func() { live.Add(-1) }, nil
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	if err := s.Put(ctx, "a", make([]byte, DefaultPageSize+5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReadAt(ctx, "a", 10, make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	// A cancelled write releases its lease through the failure path too.
-	w, err := s.Create(ctx, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	w.Write(make([]byte, 2*DefaultPageSize))
-	w.Close()
-	if got := live.Load(); got != 0 {
-		t.Fatalf("%d leases still held", got)
-	}
-	if total.Load() < 3 {
-		t.Fatalf("gate acquired %d times, want >= 3", total.Load())
-	}
-}
-
 func TestElementsRoundTrip(t *testing.T) {
 	s := newTestStore(t)
 	rng := ff.NewRand(7)
@@ -302,7 +267,7 @@ func TestCloseRemovesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := s.Dir()
+	dir := s.dir
 	if err := s.Put(context.Background(), "a", make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func ProveCtx(ctx context.Context, tr *transcript.Transcript, a *Assignment, cla
 // The caller's tables are never written; release returns the arena buffers.
 //
 // Halving the prover's scratch footprint matters most under a memory budget
-// (hyperplonk.Config.MemoryBudget), where the SumCheck working set over the
+// (zkphire.WithMemoryBudget), where the SumCheck working set over the
 // full-width wire/permutation tables dominates the prove-time peak.
 type lazyWork struct {
 	work       *Assignment  // aliases the caller's tables until the first fold

@@ -106,19 +106,19 @@ func WithWorkers(n int) ProverOption {
 }
 
 // WithMemoryBudget bounds the session's working set to roughly bytes of
-// live prover data. It is a residency policy of the one prover schedule,
-// end to end: NewProver offloads the SRS commitment bases to disk behind a
-// bounded lazily-loaded level cache and parks the wiring-permutation tables
-// in a spill store (checksummed tmpfile pages); Prove then runs the same
-// five steps with spilled tables loaded only for the steps that read them,
-// the wire commitments one MSM at a time, and every MSM against the
-// offloaded basis streaming chunks through arena scratch.
+// live prover data. It decides residency once, in NewProver: the SRS keeps
+// its small commitment bases in RAM and moves the large ones to disk, and
+// the wiring-permutation tables park in a spill store (checksummed tmpfile
+// pages). Prove then runs the same five steps as an in-core session, with
+// spilled tables loaded only for the steps that read them and every MSM
+// against an offloaded basis streaming chunks through arena scratch.
 //
 // Proof bytes are identical to an in-core session's at every budget (the
-// conformance suite in streaming_test.go pins this). The budget bounds
+// conformance suite in streaming_test.go checks this). The budget bounds
 // zkphire's own live data, not the Go runtime's total footprint; pair it
 // with GOMEMLIMIT (or debug.SetMemoryLimit) to make the process RSS follow.
-// Budgets below ~1 MiB are clamped up to keep chunk geometry sane.
+// Below 16 MiB the SRS share is clamped up to Offload's 2 MiB floor to keep
+// chunk geometry sane.
 //
 // A budgeted session owns tmpfiles: call Close when done with the Prover.
 // The SRS offload is sticky — the SRS keeps its disk backing (usable by
@@ -147,10 +147,9 @@ type Prover struct {
 // set) also caps the preprocessing commitments.
 //
 // Preprocessing also warms the SRS's GLV φ-tables (the βx coordinates every
-// endomorphism-accelerated MSM runs against) and pins them in the
-// preprocessed key, so Prove and BatchProve never pay that build; provers
-// sharing one SRS — and the serving layer's session cache — share the
-// tables.
+// endomorphism-accelerated MSM runs against) for its resident levels, so
+// Prove and BatchProve never pay that build; provers sharing one SRS — and
+// the serving layer's session cache — share the tables.
 func NewProver(srs *SRS, compiled *CompiledCircuit, opts ...ProverOption) (*Prover, error) {
 	if compiled == nil || compiled.circ == nil {
 		return nil, fmt.Errorf("zkphire: nil compiled circuit")
@@ -160,11 +159,11 @@ func NewProver(srs *SRS, compiled *CompiledCircuit, opts ...ProverOption) (*Prov
 		opt(p)
 	}
 	if p.memBudget > 0 {
-		// An eighth of the budget funds the SRS level cache (whole-level
-		// pins for the small opening-chain levels, chunk scratch for the
-		// big commitment bases, which re-stream from disk each commit);
-		// the rest is headroom for the prover's own tables. Offload clamps
-		// tiny budgets to its floor.
+		// An eighth of the budget funds the SRS: the levels that fit half
+		// of it stay resident, and the chunk scratch of the big bases,
+		// which re-stream from disk each commit, fits too. The rest is
+		// headroom for the prover's own tables. Offload clamps tiny
+		// budgets to its floor.
 		if err := srs.Offload("", p.memBudget/8); err != nil {
 			return nil, fmt.Errorf("zkphire: offload SRS: %w", err)
 		}
@@ -231,7 +230,7 @@ func (p *Prover) Verify(proof *Proof) error {
 }
 
 func (p *Prover) prove(ctx context.Context, workers int) (*Proof, error) {
-	return hyperplonk.Prove(ctx, p.srs, p.vk, p.compiled.circ, hyperplonk.Config{Workers: workers, MemoryBudget: p.memBudget})
+	return hyperplonk.Prove(ctx, p.srs, p.vk, p.compiled.circ, hyperplonk.Config{Workers: workers})
 }
 
 // BatchProve generates n proofs from the one-time preprocessing, proving up

@@ -114,7 +114,7 @@ func TestStreamingConformance(t *testing.T) {
 }
 
 // TestStreamingSessionReuse proves twice on one budgeted session — the
-// spill store and SRS cache must serve repeated proofs — and checks Close
+// spill store and offloaded SRS must serve repeated proofs — and checks Close
 // ends the session cleanly (later proofs fail, earlier proofs stay valid).
 func TestStreamingSessionReuse(t *testing.T) {
 	const lg = 8
