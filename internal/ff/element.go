@@ -42,9 +42,11 @@ var q = Element{
 const modulusHex = "73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001"
 
 // Modulus limbs and the Montgomery constant as untyped constants so the
-// unrolled Mul/Square/Add/Sub/Neg below fold them into immediates instead of
-// burning four registers; init cross-checks them against modulusHex (the
-// single trusted literal) and panics on mismatch.
+// unrolled mulGeneric/squareGeneric/Add/Sub/Neg below fold them into
+// immediates instead of burning four registers; init cross-checks them
+// against modulusHex (the single trusted literal) and panics on mismatch.
+// The amd64 kernel reads the same values from the checked variables q and
+// qInvNeg.
 const (
 	qc0 = 0xffffffff00000001
 	qc1 = 0x53bda402fffe5bfe
@@ -376,13 +378,25 @@ func madd0(a, b, c uint64) uint64 {
 	return hi + carry
 }
 
-// Mul sets z = x*y mod q (Montgomery CIOS, fused "no-carry" variant) and
-// returns z. The top limb of q is < 2^63, so the accumulator never
+// Mul sets z = x*y mod q and returns z. On amd64 CPUs with BMI2+ADX it is
+// the assembly kernel in mul_amd64.s; everywhere else (and under -tags
+// purego) it is mulGeneric. The two compute the same fully reduced value.
+// Slice loops should call MulVec/ScalarMulVec, which keep the whole loop
+// inside the kernel.
+func (z *Element) Mul(x, y *Element) *Element {
+	if hasADX {
+		mulADX(z, x, y)
+		return z
+	}
+	return z.mulGeneric(x, y)
+}
+
+// mulGeneric is the portable Mul: Montgomery CIOS, fused "no-carry"
+// variant. The top limb of q is < 2^63, so the accumulator never
 // overflows the Limbs+1st word and the multiplication and Montgomery
 // reduction interleave in a single fully unrolled pass held in scalar
-// locals, with the modulus limbs folded in as immediates — the hot
-// instruction sequence of the SumCheck scan and every MLE fold.
-func (z *Element) Mul(x, y *Element) *Element {
+// locals, with the modulus limbs folded in as immediates.
+func (z *Element) mulGeneric(x, y *Element) *Element {
 	var t0, t1, t2, t3 uint64
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 
@@ -462,12 +476,19 @@ func (z *Element) Mul(x, y *Element) *Element {
 	return z
 }
 
-// Square sets z = x² mod q and returns z. Dedicated SOS squaring: the 8-word
-// square needs only 10 word products (6 doubled cross terms + 4 diagonals)
-// against Mul's 16, followed by a 4-round Montgomery reduction — the power
-// chains of the compiled composite evaluator and the Fermat inversion ladder
-// run through it.
+// Square sets z = x² mod q and returns z; see Mul for the dispatch.
 func (z *Element) Square(x *Element) *Element {
+	if hasADX {
+		mulADX(z, x, x)
+		return z
+	}
+	return z.squareGeneric(x)
+}
+
+// squareGeneric is the portable Square. Dedicated SOS squaring: the 8-word
+// square needs only 10 word products (6 doubled cross terms + 4 diagonals)
+// against mulGeneric's 16, followed by a 4-round Montgomery reduction.
+func (z *Element) squareGeneric(x *Element) *Element {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 
 	// Upper-triangle products Σ_{i<j} x_i·x_j·2^{64(i+j)} in w1..w6, all in

@@ -395,15 +395,6 @@ func TestExtendEvals(t *testing.T) {
 	}
 }
 
-func BenchmarkMul(b *testing.B) {
-	rng := NewRand(1)
-	x, y := rng.Element(), rng.Element()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Mul(&x, &y)
-	}
-}
-
 func BenchmarkAdd(b *testing.B) {
 	rng := NewRand(1)
 	x, y := rng.Element(), rng.Element()

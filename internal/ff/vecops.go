@@ -5,9 +5,11 @@ import (
 	"math/bits"
 )
 
-// This file implements the lazy-reduction batch kernels of the scalar-field
-// hot loops: SumVec, InnerProductVec, FoldVec, and MulAccVec, plus the
-// LazyAcc accumulator they are built on. The idea is always the same — keep
+// This file implements the slice kernels of the scalar-field hot loops:
+// MulVec and ScalarMulVec (the assembly multiply run over a whole slice),
+// and the lazy-reduction kernels SumVec, InnerProductVec, FoldVec, and
+// MulAccVec, plus the LazyAcc accumulator they are built on. The idea of
+// the lazy ones is always the same — keep
 // an accumulator UNREDUCED across a whole chunk and pay the Montgomery
 // reduction (and its conditional subtractions) once at the chunk boundary
 // instead of once per element:
@@ -318,6 +320,45 @@ func MulAccVec(acc []Element, c *Element, v []Element) {
 	}
 	for j := range acc {
 		acc[j] = mulAddRed(c, &v[j], &acc[j])
+	}
+}
+
+// MulVec sets z[i] = x[i]·y[i] for every i. On amd64 with BMI2+ADX the
+// whole loop runs inside the assembly kernel (mulVec in mul_amd64.s), one
+// call per slice instead of one per element; elsewhere it is a mulGeneric
+// loop. z may alias x or y (index for index). It panics if lengths differ.
+func MulVec(z, x, y []Element) {
+	if len(x) != len(z) || len(y) != len(z) {
+		panic("ff: mul vec length mismatch")
+	}
+	if len(z) == 0 {
+		return
+	}
+	if hasADX {
+		mulVec(&z[0], &x[0], &y[0], len(z))
+		return
+	}
+	for i := range z {
+		z[i].mulGeneric(&x[i], &y[i])
+	}
+}
+
+// ScalarMulVec sets z[i] = x[i]·c for every i, with the same dispatch as
+// MulVec. z may alias x (index for index); c is read once per element, so
+// it must not point into z. It panics if lengths differ.
+func ScalarMulVec(z, x []Element, c *Element) {
+	if len(x) != len(z) {
+		panic("ff: scalar mul vec length mismatch")
+	}
+	if len(z) == 0 {
+		return
+	}
+	if hasADX {
+		scalarMulVec(&z[0], &x[0], c, len(z))
+		return
+	}
+	for i := range z {
+		z[i].mulGeneric(&x[i], c)
 	}
 }
 

@@ -231,16 +231,6 @@ func TestMulAddRedRandomBig(t *testing.T) {
 	}
 }
 
-func BenchmarkSquare(b *testing.B) {
-	var x Element
-	x.SetUint64(0xdeadbeef12345)
-	x.Inverse(&x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Square(&x)
-	}
-}
-
 func BenchmarkInnerProductVec(b *testing.B) {
 	rng := NewRand(9)
 	u, v := rng.Elements(1<<12), rng.Elements(1<<12)

@@ -20,11 +20,9 @@ func (v Vector) InnerProduct(w Vector) Element {
 	return InnerProductVec(v, w)
 }
 
-// ScaleInPlace multiplies every entry by c.
+// ScaleInPlace multiplies every entry by c (ScalarMulVec).
 func (v Vector) ScaleInPlace(c *Element) {
-	for i := range v {
-		v[i].Mul(&v[i], c)
-	}
+	ScalarMulVec(v, v, c)
 }
 
 // AddInPlace sets v[i] += w[i].
@@ -37,14 +35,9 @@ func (v Vector) AddInPlace(w Vector) {
 	}
 }
 
-// MulInPlace sets v[i] *= w[i].
+// MulInPlace sets v[i] *= w[i] (MulVec). It panics if lengths differ.
 func (v Vector) MulInPlace(w Vector) {
-	if len(v) != len(w) {
-		panic("ff: vector mul length mismatch")
-	}
-	for i := range v {
-		v[i].Mul(&v[i], &w[i])
-	}
+	MulVec(v, v, w)
 }
 
 // Clone returns a deep copy of v.

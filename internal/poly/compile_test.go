@@ -8,40 +8,64 @@ import (
 	"zkphire/internal/ff"
 )
 
-// evalBoth runs the tree-walk interpreter and the compiled program on the
-// same assignment and fails on any divergence. Both sides are exact field
-// arithmetic, so equality is limb equality.
-func evalBoth(t *testing.T, c *Composite, assign []ff.Element) {
+// evalBoth runs the tree-walk interpreter at each assignment and the
+// compiled program over all of them as one block, and fails on any
+// divergence. Both sides are exact field arithmetic, so equality is limb
+// equality.
+func evalBoth(t *testing.T, c *Composite, assigns ...[]ff.Element) {
 	t.Helper()
-	want := c.Evaluate(assign)
 	prog := c.Compile()
-	regs := make([]ff.Element, prog.NumRegs)
-	copy(regs, assign)
-	got := prog.Eval(regs)
-	if !got.Equal(&want) {
-		t.Fatalf("compiled evaluator diverges on %s:\n%s", c.Name, prog.String())
+	n := len(assigns)
+	regs := make([]ff.Element, prog.NumRegs*BlockWidth)
+	for i, assign := range assigns {
+		for v := range assign {
+			regs[v*BlockWidth+i] = assign[v]
+		}
+	}
+	inputs := append([]ff.Element(nil), regs[:prog.NumInputs*BlockWidth]...)
+	out := make([]ff.Element, BlockWidth+1)
+	sentinel := ff.NewElement(0xdead)
+	out[n] = sentinel
+	prog.EvalBlock(regs, n, out)
+	for i, assign := range assigns {
+		if want := c.Evaluate(assign); !out[i].Equal(&want) {
+			t.Fatalf("compiled evaluator diverges on %s at point %d of %d:\n%s", c.Name, i, n, prog.String())
+		}
+	}
+	if !out[n].Equal(&sentinel) {
+		t.Fatalf("EvalBlock(n=%d) wrote past out[:n] on %s", n, c.Name)
 	}
 	// Inputs must survive evaluation (the SumCheck scan steps them
 	// incrementally between calls).
-	for i := range assign {
-		if !regs[i].Equal(&assign[i]) {
-			t.Fatalf("program clobbered input register %d of %s", i, c.Name)
+	for i := range inputs {
+		if !regs[i].Equal(&inputs[i]) {
+			t.Fatalf("program clobbered input register %d, point %d of %s", i/BlockWidth, i%BlockWidth, c.Name)
 		}
 	}
 }
 
+// randomBlock returns n random assignments for c.
+func randomBlock(rng *ff.Rand, c *Composite, n int) [][]ff.Element {
+	block := make([][]ff.Element, n)
+	for i := range block {
+		block[i] = rng.Elements(c.NumVars())
+	}
+	return block
+}
+
 func TestCompiledMatchesEvaluateRegistry(t *testing.T) {
 	rng := ff.NewRand(41)
+	comps := []*Composite{}
 	for id := 0; id < NumRegistered; id++ {
-		c := Registered(id)
-		for trial := 0; trial < 8; trial++ {
-			evalBoth(t, c, rng.Elements(c.NumVars()))
-		}
+		comps = append(comps, Registered(id))
 	}
 	for _, d := range []int{2, 5, 13, 30} {
-		c := HighDegree(d)
-		for trial := 0; trial < 8; trial++ {
-			evalBoth(t, c, rng.Elements(c.NumVars()))
+		comps = append(comps, HighDegree(d))
+	}
+	for _, c := range comps {
+		// A single point, a full block, and a ragged tail block.
+		for _, n := range []int{1, BlockWidth, 5} {
+			evalBoth(t, c, randomBlock(rng, c, n)...)
 		}
 	}
 }
@@ -92,17 +116,15 @@ func TestCompiledMatchesEvaluateRandomExpr(t *testing.T) {
 		}
 		c := FromExpr(fmt.Sprintf("rand%d", trial), -1, e, nil)
 		built++
-		for i := 0; i < 5; i++ {
-			evalBoth(t, c, rng.Elements(c.NumVars()))
-		}
-		// Edge assignments: all zeros, all ones.
+		// Five random points and the edge assignments all zeros and all
+		// ones, as one block.
+		block := randomBlock(rng, c, 5)
 		zeros := make([]ff.Element, c.NumVars())
-		evalBoth(t, c, zeros)
 		ones := make([]ff.Element, c.NumVars())
 		for i := range ones {
 			ones[i] = ff.One()
 		}
-		evalBoth(t, c, ones)
+		evalBoth(t, c, append(block, zeros, ones)...)
 	}
 }
 
@@ -115,9 +137,7 @@ func TestCompiledNestedPow(t *testing.T) {
 	if got := c.Degree(); got != 12 {
 		t.Fatalf("nested pow degree = %d, want 12", got)
 	}
-	for i := 0; i < 20; i++ {
-		evalBoth(t, c, rng.Elements(1))
-	}
+	evalBoth(t, c, randomBlock(rng, c, 20)...)
 	// Mixed: x¹²·y + 7·y³ − x.
 	e2 := expr.Sum(
 		expr.Prod(expr.P(expr.P(expr.V("x"), 4), 3), expr.V("y")),
@@ -125,9 +145,7 @@ func TestCompiledNestedPow(t *testing.T) {
 		expr.Neg{Operand: expr.V("x")},
 	)
 	c2 := FromExpr("mixed-pow", -1, e2, nil)
-	for i := 0; i < 20; i++ {
-		evalBoth(t, c2, rng.Elements(2))
-	}
+	evalBoth(t, c2, randomBlock(rng, c2, 20)...)
 }
 
 // TestCompileHoistsPowers checks the compiler's shared-power hoisting: a

@@ -1,8 +1,8 @@
 package sumcheck
 
-// Equivalence coverage for the PR 5 fast paths: the eq-factorized ZeroCheck
-// against the appended-table reference, and the compiled compressed round
-// polynomial against a naive tree-walk evaluation.
+// Equivalence coverage for the fast paths: the eq-factorized ZeroCheck
+// against the appended-table reference, and the blocked compiled round
+// polynomial scan against a naive pair-by-pair tree-walk evaluation.
 
 import (
 	"fmt"
@@ -148,47 +148,84 @@ func TestEqFactoredVerifies(t *testing.T) {
 	}
 }
 
-// TestRoundPolynomialMatchesNaive checks the compiled compressed scan
-// against a from-scratch tree-walk computation of s(t) at t = 0, 2, .., d.
-func TestRoundPolynomialMatchesNaive(t *testing.T) {
-	comps := []*poly.Composite{poly.VanillaGate(), poly.JellyfishGate(), poly.HighDegree(5)}
-	for ci, c := range comps {
-		rng := ff.NewRand(int64(800 + ci))
-		a := buildAssignment(t, c, 5, rng)
-		d := c.Degree()
-		got := RoundPolynomial(a, 2)
+// naiveRoundPolynomial is the scan's independent reference: pair by pair,
+// each constituent extended to x(t) = tab[2j] + t·(tab[2j+1] − tab[2j]) by
+// a multiplication (not the scan's incremental steps), the composite
+// interpreted per point by the tree walk, and the value weighted by
+// weights[j] when weights is non-nil — s(t) at t = 0, 2, .., d.
+func naiveRoundPolynomial(a *Assignment, d int, weights []ff.Element) []ff.Element {
+	half := a.Tables[0].Size() / 2
+	ts := []int{0}
+	for tt := 2; tt <= d; tt++ {
+		ts = append(ts, tt)
+	}
+	want := make([]ff.Element, len(ts))
+	assign := make([]ff.Element, len(a.Tables))
+	var diff, step ff.Element
+	for j := 0; j < half; j++ {
+		for ti, tt := range ts {
+			for v, tab := range a.Tables {
+				evals := tab.Evals
+				diff.Sub(&evals[2*j+1], &evals[2*j])
+				step.SetUint64(uint64(tt))
+				step.Mul(&step, &diff)
+				assign[v].Add(&evals[2*j], &step)
+			}
+			val := a.Composite.Evaluate(assign)
+			if weights != nil {
+				val.Mul(&val, &weights[j])
+			}
+			want[ti].Add(&want[ti], &val)
+		}
+	}
+	return want
+}
 
-		// Naive: s(t) = Σ_j f(tab₀(t,j), ..) with each constituent extended
-		// linearly and the composite interpreted per point.
-		half := a.Tables[0].Size() / 2
-		nv := len(a.Tables)
-		ts := []int{0}
-		for tt := 2; tt <= d; tt++ {
-			ts = append(ts, tt)
-		}
-		want := make([]ff.Element, len(ts))
-		assign := make([]ff.Element, nv)
-		var diff, step ff.Element
-		for j := 0; j < half; j++ {
-			for ti, tt := range ts {
-				for v := 0; v < nv; v++ {
-					evals := a.Tables[v].Evals
-					diff.Sub(&evals[2*j+1], &evals[2*j])
-					step.SetUint64(uint64(tt))
-					step.Mul(&step, &diff)
-					assign[v].Add(&evals[2*j], &step)
+// TestRoundPolynomialMatchesNaive checks the blocked scan against the naive
+// reference for the six sumcheck_sweep16 gates, at sizes whose pair counts
+// (1, 4, 64, 1024, 4096) give a lone partial block, whole blocks, and — at
+// 3 workers over 4096 pairs — chunks of 1366 pairs that end mid-block; at
+// worker budgets 1, 2 and 3; unweighted (Prove's scan, degree d) and
+// weighted (the eq-factored ZeroCheck's scan, degree d+1).
+func TestRoundPolynomialMatchesNaive(t *testing.T) {
+	alpha := ff.NewRand(799).Element()
+	comps := []*poly.Composite{
+		poly.VanillaGate(), poly.JellyfishGate(), poly.HighDegree(8), poly.HighDegree(16),
+		poly.PermCheckK(3, alpha), poly.PermCheckK(5, alpha),
+	}
+	for ci, c := range comps {
+		for _, nv := range []int{1, 3, 7, 11, 13} {
+			rng := ff.NewRand(int64(800 + 16*ci + nv))
+			a := buildAssignment(t, c, nv, rng)
+			prog := c.Compile()
+			weights := rng.Elements(a.Tables[0].Size() / 2)
+			for _, weighted := range []bool{false, true} {
+				d, w := c.Degree(), []ff.Element(nil)
+				if weighted {
+					d, w = d+1, weights
 				}
-				val := c.Evaluate(assign)
-				want[ti].Add(&want[ti], &val)
+				want := naiveRoundPolynomial(a, d, w)
+				for _, workers := range []int{1, 2, 3} {
+					got := roundPolynomialCompressed(nil, a, prog, d, w, workers)
+					if len(got) != len(want) {
+						t.Fatalf("%s nv=%d: compressed length %d, want %d", c.Name, nv, len(got), len(want))
+					}
+					for i := range got {
+						if !got[i].Equal(&want[i]) {
+							t.Fatalf("%s nv=%d weighted=%v workers=%d: point %d of %d differs from the reference",
+								c.Name, nv, weighted, workers, i, len(want))
+						}
+					}
+				}
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: compressed length %d, want %d", c.Name, len(got), len(want))
-		}
-		for i := range got {
-			if !got[i].Equal(&want[i]) {
-				t.Fatalf("%s: s(%d) mismatch", c.Name, ts[i])
-			}
+	}
+	// RoundPolynomial is the same scan, unweighted at the composite's degree.
+	a := buildAssignment(t, poly.JellyfishGate(), 6, ff.NewRand(798))
+	got, want := RoundPolynomial(a, 2), naiveRoundPolynomial(a, a.Composite.Degree(), nil)
+	for i := range want {
+		if !got[i].Equal(&want[i]) {
+			t.Fatalf("RoundPolynomial point %d differs from the reference", i)
 		}
 	}
 }

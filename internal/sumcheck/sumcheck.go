@@ -229,11 +229,15 @@ func (l *lazyWork) release() {
 // because the wire format drops it (the verifier reconstructs it from the
 // running claim), which saves one of the d+1 composite evaluations per pair.
 //
-// Per pair the constituents' extensions advance incrementally from the table
-// deltas (ext(t+1) = ext(t) + diff; the skipped t=1 point is bridged by
-// adding the delta twice) and each point is evaluated with the composite's
-// compiled straight-line program — the paper's Fig. 1 dataflow with the
-// expression-tree interpreter replaced by a register machine. The scan is
+// The scan runs over blocks of poly.BlockWidth pairs. Each block's a0 =
+// tab[2j] and diff = tab[2j+1] − tab[2j] rows are loaded once; the
+// constituents' extensions then advance incrementally across the points
+// (ext(t+1) = ext(t) + diff; the skipped t=1 point is bridged by adding the
+// delta twice), and at each point the composite's compiled program runs over
+// the whole block (poly.EvalBlock, every op one ff slice kernel) — the
+// paper's Fig. 1 dataflow, with the pairs streaming through one program. A
+// block's values fold into the point's slot with one lazy reduction
+// (ff.SumVec, or ff.InnerProductVec against the weights). The scan is
 // chunked over the pair index through the shared engine, and the merge adds
 // partial accumulators in ascending chunk order, so the round polynomial is
 // identical for every budget (and bit-identical to the tree-walk evaluation,
@@ -244,10 +248,11 @@ func (l *lazyWork) release() {
 // accumulating, and d may exceed the program's own degree (the eq factor
 // raises the round polynomial's degree by one, so one extra point is
 // evaluated).
-// A non-nil ctx is polled every few thousand pairs; once it fires the scan
-// returns garbage, so the caller must check ctx.Err() and discard the result
+// A non-nil ctx is polled once per block; once it fires the scan returns
+// garbage, so the caller must check ctx.Err() and discard the result
 // (ProveCtx does).
 func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Program, d int, weights []ff.Element, workers int) []ff.Element {
+	const bw = poly.BlockWidth
 	half := a.Tables[0].Size() / 2
 	nv := len(a.Tables)
 	nPts := d // t = 0, 2, ..., d
@@ -257,49 +262,59 @@ func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Pr
 
 	return parallel.MapReduce(workers, half, func(lo, hi int) []ff.Element {
 		acc := make([]ff.Element, nPts)
-		// One flat arena buffer: the program's register file followed by the
-		// per-constituent deltas.
-		scratch := parallel.GetScratch(prog.NumRegs + nv)
+		// One flat arena buffer: the program's register file (its first nv
+		// rows are the extensions), the per-constituent delta rows, and the
+		// block's program values.
+		scratch := parallel.GetScratch((prog.NumRegs + nv + 1) * bw)
 		defer parallel.PutScratch(scratch)
-		regs := scratch[:prog.NumRegs]
-		diffs := scratch[prog.NumRegs:]
-		evs := make([][]ff.Element, nv)
-		for v := range evs {
-			evs[v] = a.Tables[v].Evals
-		}
-		var val ff.Element
-		accumulate := func(j, slot int) {
-			val = prog.Eval(regs)
-			if weights != nil {
-				val.Mul(&val, &weights[j])
-			}
-			acc[slot].Add(&acc[slot], &val)
-		}
-		for j := lo; j < hi; j++ {
-			// Cancellation poll (see ProveCtx): cheap relative to the d+1
-			// composite evaluations the 4096 pairs between checks cost.
-			if j&4095 == 0 && ctx != nil && ctx.Err() != nil {
+		regs := scratch[:prog.NumRegs*bw]
+		diffs := scratch[prog.NumRegs*bw : (prog.NumRegs+nv)*bw]
+		vals := scratch[(prog.NumRegs+nv)*bw:]
+		for b0 := lo; b0 < hi; b0 += bw {
+			if ctx != nil && ctx.Err() != nil {
 				break
 			}
-			for v := 0; v < nv; v++ {
-				e := evs[v]
-				a0 := e[2*j]
-				regs[v] = a0
-				diffs[v].Sub(&e[2*j+1], &a0)
+			n := min(bw, hi-b0)
+			var w []ff.Element
+			if weights != nil {
+				w = weights[b0 : b0+n]
 			}
-			accumulate(j, 0) // t = 0
+			accumulate := func(slot int) {
+				prog.EvalBlock(regs, n, vals)
+				var s ff.Element
+				if w != nil {
+					s = ff.InnerProductVec(vals[:n], w)
+				} else {
+					s = ff.SumVec(vals[:n])
+				}
+				acc[slot].Add(&acc[slot], &s)
+			}
+			// step advances every extension row by its delta row.
+			step := func() {
+				for v := 0; v < nv; v++ {
+					ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
+					for i := range ext {
+						ext[i].Add(&ext[i], &dv[i])
+					}
+				}
+			}
+			for v := 0; v < nv; v++ {
+				e := a.Tables[v].Evals[2*b0 : 2*(b0+n)]
+				ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
+				for i := range ext {
+					ext[i] = e[2*i]
+					dv[i].Sub(&e[2*i+1], &ext[i])
+				}
+			}
+			accumulate(0) // t = 0
 			if d >= 2 {
 				// Bridge over the skipped t=1 by stepping the delta twice.
-				for v := 0; v < nv; v++ {
-					regs[v].Add(&regs[v], &diffs[v])
-					regs[v].Add(&regs[v], &diffs[v])
-				}
-				accumulate(j, 1) // t = 2
+				step()
+				step()
+				accumulate(1) // t = 2
 				for t := 3; t <= d; t++ {
-					for v := 0; v < nv; v++ {
-						regs[v].Add(&regs[v], &diffs[v])
-					}
-					accumulate(j, t-1)
+					step()
+					accumulate(t - 1)
 				}
 			}
 		}
