@@ -157,12 +157,7 @@ func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scala
 	// window×point digit matrix is materialized.
 	splits := splitArena.Get(n)
 	defer splitArena.Put(splits)
-	parallel.For(w, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := &splits[i]
-			s.k1, s.k2, s.neg1, s.neg2 = scalars[i].SplitGLV()
-		}
-	})
+	ones := splitScalars(w, points, scalars, splits)
 
 	numWindows := (glvScalarBits + c - 1) / c
 
@@ -192,24 +187,59 @@ func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scala
 		partials[task] = bucketSumGLV(ctx, points[lo:hi], endoX[lo:hi], splits[lo:hi], wi, c)
 	})
 
-	// Merge chunk sums per window (ascending chunk order), then combine
-	// windows: res = Σ 2^{wc} · windowSums[w].
-	windowSum := func(wi int) G1Jac {
+	// Merge chunk sums per window (ascending chunk order), then combine the
+	// windows.
+	sums := make([]G1Jac, numWindows)
+	for wi := range sums {
 		sum := partials[wi*numChunks]
 		for ci := 1; ci < numChunks; ci++ {
 			sum.AddAssign(&partials[wi*numChunks+ci])
 		}
-		return sum
+		sums[wi] = sum
 	}
-	res = windowSum(numWindows - 1)
-	for wi := numWindows - 2; wi >= 0; wi-- {
+	res = combineWindows(sums, c)
+	res.AddAssign(&ones)
+	return res
+}
+
+// combineWindows returns Σ 2^{wc} · sums[w], Horner-style from the top
+// window down.
+func combineWindows(sums []G1Jac, c int) G1Jac {
+	res := sums[len(sums)-1]
+	for wi := len(sums) - 2; wi >= 0; wi-- {
 		for k := 0; k < c; k++ {
 			res.Double(&res)
 		}
-		s := windowSum(wi)
-		res.AddAssign(&s)
+		res.AddAssign(&sums[wi])
 	}
 	return res
+}
+
+// splitScalars writes each scalar's GLV decomposition into splits and
+// returns the sum of the points whose scalar is one. A 0 or 1 scalar gets
+// the all-zero split, so no window adds its point: zeros drop out and the
+// ones never pile into window 0's first bucket.
+func splitScalars(workers int, points []G1Affine, scalars []ff.Element, splits []glvSplit) G1Jac {
+	return parallel.MapReduce(workers, len(scalars), func(lo, hi int) G1Jac {
+		var ones G1Jac
+		ones.SetInfinity()
+		for i := lo; i < hi; i++ {
+			s := &splits[i]
+			switch {
+			case scalars[i].IsZero():
+				*s = glvSplit{}
+			case scalars[i].IsOne():
+				*s = glvSplit{}
+				ones.AddMixed(&points[i])
+			default:
+				s.k1, s.k2, s.neg1, s.neg2 = scalars[i].SplitGLV()
+			}
+		}
+		return ones
+	}, func(a, b G1Jac) G1Jac {
+		a.AddAssign(&b)
+		return a
+	})
 }
 
 // glvDigit extracts the signed width-c digit of window wi from a half-width
@@ -243,11 +273,53 @@ func glvDigit(k *[2]uint64, wi, c int) int {
 	return d
 }
 
-// bucketSumGLV accumulates one signed-digit window over one point range:
-// each point pair (Pᵢ, φ(Pᵢ)) contributes its two digits; |d| selects the
-// bucket and the digit sign (xor the half's sign) selects P or −P, negation
-// being one fp.Neg of y. The weighted sum Σ d·bucket[d] is formed with a
-// running suffix sum over 2^(c−1) buckets.
+// bucketSumGLV accumulates one signed-digit window over one point range
+// and returns its weighted bucket sum: the one-shot use of a bucketTable.
+func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, wi, c int) G1Jac {
+	t := newBucketTable(c)
+	defer t.release()
+	t.accumulate(ctx, points, endoX, splits, wi)
+	return t.reduce()
+}
+
+// bucketTable is one window's bucket state: 2^(c−1) affine buckets with
+// their occupancy flags, plus the Jacobian overflow buckets allocated
+// lazily for degenerate remnants. The one-shot MSM builds a table per
+// (window, chunk) task; StreamMSM keeps one per window for the whole
+// stream. Either way accumulate leaves nothing parked when it returns, so
+// the table between calls is buckets, flags and overflow, and reduce adds
+// all three.
+type bucketTable struct {
+	c        int
+	buckets  []affPair
+	full     []bool
+	overflow []G1Jac // nil until a drain meets a degenerate remnant
+}
+
+func newBucketTable(c int) bucketTable {
+	numBuckets := 1 << uint(c-1)
+	t := bucketTable{c: c}
+	// The bucket table stores bare (X, Y) pairs — 96 bytes per bucket, no
+	// Infinity-flag padding — so at c=16 the accumulation loop's random
+	// accesses walk a 3 MiB table of adjacent-line pairs.
+	t.buckets = pairArena.Get(numBuckets)
+	t.full = boolArena.Get(numBuckets)
+	clear(t.full)
+	return t
+}
+
+// release returns the table's buffers to their arenas.
+func (t *bucketTable) release() {
+	pairArena.Put(t.buckets)
+	boolArena.Put(t.full)
+	jacArena.Put(t.overflow)
+	*t = bucketTable{}
+}
+
+// accumulate adds window wi of one point range into the buckets: each point
+// pair (Pᵢ, φ(Pᵢ)) contributes its two digits; |d| selects the bucket and
+// the digit sign (xor the half's sign) selects P or −P, negation being one
+// fp.Neg of y.
 //
 // Buckets are kept in AFFINE coordinates and updated with batch-affine
 // additions: each addition needs one field inversion for its slope, and one
@@ -257,18 +329,11 @@ func glvDigit(k *[2]uint64, wi, c int) int {
 // queued slope reads the bucket value at queue time); a second addition to
 // the same bucket is deferred to a follow-up pass instead of flushing, so
 // the inversion stays amortized over full batches even for narrow windows.
-func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, wi, c int) G1Jac {
-	numBuckets := 1 << uint(c-1)
-	// The bucket table stores bare (X, Y) pairs — 96 bytes per bucket, no
-	// Infinity-flag padding — so at c=16 the accumulation loop's random
-	// accesses walk a 3 MiB table of adjacent-line pairs.
-	buckets := pairArena.Get(numBuckets)
-	full := boolArena.Get(numBuckets)
+func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, wi int) {
+	c, buckets, full := t.c, t.buckets, t.full
+	numBuckets := len(buckets)
 	inQueue := boolArena.Get(numBuckets)
-	clear(full)
 	clear(inQueue)
-	defer pairArena.Put(buckets)
-	defer boolArena.Put(full)
 	defer boolArena.Put(inQueue)
 
 	const maxBatch = 4096
@@ -294,7 +359,7 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 
 	flush := func() {
 		batchInvertFpScratch(opDen[:m], invScratch)
-		var lambda, t, x3, y3 fp.Element
+		var lambda, tmp, x3, y3 fp.Element
 		for i := 0; i < m; i++ {
 			lambda.Mul(&opNum[i], &opDen[i])
 			x3.Square(&lambda)
@@ -302,8 +367,8 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 				bk := &buckets[b]
 				x3.Sub(&x3, &bk.X)
 				x3.Sub(&x3, &opX[i])
-				t.Sub(&bk.X, &x3)
-				y3.Mul(&lambda, &t)
+				tmp.Sub(&bk.X, &x3)
+				y3.Mul(&lambda, &tmp)
 				y3.Sub(&y3, &bk.Y)
 				bk.X, bk.Y = x3, y3
 				inQueue[b] = false
@@ -313,8 +378,8 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 				dst := &pend[-b-1]
 				x3.Sub(&x3, &opX1[i])
 				x3.Sub(&x3, &opX[i])
-				t.Sub(&opX1[i], &x3)
-				y3.Mul(&lambda, &t)
+				tmp.Sub(&opX1[i], &x3)
+				y3.Mul(&lambda, &tmp)
 				y3.Sub(&y3, &opY1[i])
 				dst.x, dst.y = x3, y3
 			}
@@ -325,7 +390,8 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 	// minAmortize is the batch size below which a flush wastes the shared
 	// field inversion; the drain loop's degenerate guard below dumps what is
 	// left into Jacobian overflow buckets rather than flushing nearly-empty
-	// batches. Conflicting additions themselves ALWAYS defer to `pend`: the
+	// batches.
+	// Conflicting additions themselves ALWAYS defer to `pend`: the
 	// earlier scheme sent every conflict that arrived while the batch was
 	// short through full Jacobian arithmetic, and because the signed-digit
 	// bucket count (2^(c−1)) no longer exceeds maxBatch, queue occupancy —
@@ -334,8 +400,6 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 	// Pair-merging in the drain loop handles the conflicts at amortized
 	// batch-affine cost instead.
 	const minAmortize = 192
-	var jacOverflow []G1Jac
-	defer func() { jacArena.Put(jacOverflow) }()
 
 	// enqueue adds ±(px, py) to bucket b; py is already sign-adjusted by the
 	// caller. px/py may point into pend[nPend] itself during a drain — the
@@ -468,10 +532,10 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 				nPend++
 			}
 			if nPend > 0 && nPend < minAmortize && m < minAmortize {
-				if jacOverflow == nil {
-					jacOverflow = jacArena.Get(numBuckets)
-					for i := range jacOverflow {
-						jacOverflow[i].SetInfinity()
+				if t.overflow == nil {
+					t.overflow = jacArena.Get(numBuckets)
+					for i := range t.overflow {
+						t.overflow[i].SetInfinity()
 					}
 				}
 				flush() // finalize in-flight pair merges before reading pend
@@ -481,7 +545,7 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 						continue
 					}
 					aff.X, aff.Y = pend[i].x, pend[i].y
-					jacOverflow[pend[i].b].AddMixed(&aff)
+					t.overflow[pend[i].b].AddMixed(&aff)
 				}
 				nPend = 0
 			}
@@ -501,7 +565,9 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 		if nPend >= maxBatch-2 {
 			drainLoop()
 		}
-		if points[i].Infinity {
+		// A 0 or 1 scalar has the all-zero split (splitScalars): skip it
+		// before touching its point.
+		if s.k1 == [2]uint64{} && s.k2 == [2]uint64{} || points[i].Infinity {
 			continue
 		}
 		if d := glvDigit(&s.k1, wi, c); d != 0 {
@@ -532,18 +598,22 @@ func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, sp
 	}
 	drainLoop()
 	flush()
+}
 
+// reduce forms the window's weighted sum Σ d·bucket[d] with a running
+// suffix sum over the 2^(c−1) buckets.
+func (t *bucketTable) reduce() G1Jac {
 	var running, sum G1Jac
 	var aff G1Affine
 	running.SetInfinity()
 	sum.SetInfinity()
-	for b := numBuckets - 1; b >= 0; b-- {
-		if full[b] {
-			aff.X, aff.Y = buckets[b].X, buckets[b].Y
+	for b := len(t.buckets) - 1; b >= 0; b-- {
+		if t.full[b] {
+			aff.X, aff.Y = t.buckets[b].X, t.buckets[b].Y
 			running.AddMixed(&aff)
 		}
-		if jacOverflow != nil && !jacOverflow[b].IsInfinity() {
-			running.AddAssign(&jacOverflow[b])
+		if t.overflow != nil && !t.overflow[b].IsInfinity() {
+			running.AddAssign(&t.overflow[b])
 		}
 		sum.AddAssign(&running)
 	}

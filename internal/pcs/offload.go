@@ -180,103 +180,85 @@ func decodePoint(src []byte, p *curve.G1Affine) {
 	p.Infinity = src[2*fp.Limbs*8] != 0
 }
 
-// readPointsRange decodes level k's points [off, off+len(dst)) from the
-// store into dst.
-func (b *backing) readPointsRange(ctx context.Context, k, off int, dst []curve.G1Affine) error {
-	const stagePts = 4096
-	stage := make([]byte, stagePts*pointBytes)
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > stagePts {
-			n = stagePts
-		}
-		buf := stage[:n*pointBytes]
-		if err := faultinject.Hit("pcs.offload.read"); err != nil {
-			return fmt.Errorf("pcs: offload read level %d: %w", k, err)
-		}
-		if err := b.store.ReadAt(ctx, levelKey(k), int64(off)*pointBytes, buf); err != nil {
-			return fmt.Errorf("pcs: offload read level %d: %w", k, err)
-		}
-		for i := 0; i < n; i++ {
-			decodePoint(buf[i*pointBytes:], &dst[i])
-		}
-		dst = dst[n:]
-		off += n
-	}
-	return nil
-}
-
-// readBasisEndoRange fills pts and endo with level k's basis points
-// [off, off+len(pts)) and their φ-table: copied from a resident level, read
-// from the store and φ-mapped for a spilled one.
-func (s *SRS) readBasisEndoRange(ctx context.Context, k, off int, pts []curve.G1Affine, endo []fp.Element, workers int) error {
-	if s.Levels[k] != nil {
-		copy(pts, s.Levels[k][off:])
-		copy(endo, s.EndoPoints(k, workers)[off:])
-		return nil
-	}
-	if s.back == nil {
-		return fmt.Errorf("pcs: level %d is neither resident nor backed", k)
-	}
-	if err := s.back.readPointsRange(ctx, k, off, pts); err != nil {
-		return err
-	}
-	curve.EndoPointsInto(endo, pts, workers)
-	return nil
-}
-
-// Arena pools for chunk-streamed basis points and φ-tables: one chunk of
-// scratch per in-flight streamed MSM, reused across chunks and calls.
+// Arena pools for the streamed MSM's per-call scratch: the raw bytes, the
+// decoded points and the φ-table of one basis chunk, reused across chunks
+// and calls.
 var (
+	stageArena parallel.Arena[byte]
 	basisArena parallel.Arena[curve.G1Affine]
 	endoArena  parallel.Arena[fp.Element]
 )
 
 // msmRangeCtx computes Σ_i scalars[i] · Levels[k][off+i], the one basis
 // path of every commit and opening MSM. A resident level runs one MSM over
-// its in-RAM segment; a spilled level streams chunk by chunk through arena
-// scratch. sparse routes each MSM through the sparse path when its scalar
-// segment is mostly 0/1 (the routing never changes the group result).
+// its in-RAM segment; a spilled level runs one StreamMSM fed chunk by chunk
+// from the spill store. sparse asks for the sparse routing when the scalars
+// are mostly 0/1: in core the sparse MSM, streamed a window sized by the
+// scalars other than 0 and 1 (the routing never changes the group result).
 func (s *SRS) msmRangeCtx(ctx context.Context, k, off int, scalars []ff.Element, workers int, sparse bool) (curve.G1Jac, error) {
+	dense := len(scalars)
+	if sparse {
+		if sp := mle.AnalyzeSparsitySlice(scalars, workers); sp.DenseFraction() < 0.5 {
+			dense = sp.Dense
+		}
+	}
 	if pts := s.Levels[k]; pts != nil {
 		endo := s.EndoPoints(k, workers)
 		end := off + len(scalars)
-		return msmSegmentCtx(ctx, pts[off:end], endo[off:end], scalars, workers, sparse)
+		if dense < len(scalars) {
+			return curve.SparseMSMEndoWorkersCtx(ctx, pts[off:end], endo[off:end], scalars, workers)
+		}
+		return curve.MSMEndoWorkersCtx(ctx, pts[off:end], endo[off:end], scalars, workers)
 	}
 	var zero curve.G1Jac
 	if s.back == nil {
 		return zero, fmt.Errorf("pcs: level %d is neither resident nor backed", k)
 	}
-	chunk := s.back.chunkElems
-	pts := basisArena.Get(chunk)
-	endo := endoArena.Get(chunk)
-	defer basisArena.Put(pts)
-	defer endoArena.Put(endo)
-	var acc curve.G1Jac
-	acc.SetInfinity()
-	for lo := 0; lo < len(scalars); lo += chunk {
-		hi := lo + chunk
-		if hi > len(scalars) {
-			hi = len(scalars)
-		}
-		n := hi - lo
-		if err := s.readBasisEndoRange(ctx, k, off+lo, pts[:n], endo[:n], workers); err != nil {
-			return zero, err
-		}
-		part, err := msmSegmentCtx(ctx, pts[:n], endo[:n], scalars[lo:hi], workers, sparse)
-		if err != nil {
-			return zero, err
-		}
-		acc.AddAssign(&part)
+	m := curve.NewStreamMSM(dense, workers)
+	if err := s.back.stream(ctx, k, off, scalars, m, workers); err != nil {
+		return zero, err
 	}
-	return acc, nil
+	return m.Sum(), nil
 }
 
-// msmSegmentCtx is one MSM over an explicit basis segment, optionally
-// routed by the segment's own sparsity.
-func msmSegmentCtx(ctx context.Context, pts []curve.G1Affine, endo []fp.Element, scalars []ff.Element, workers int, sparse bool) (curve.G1Jac, error) {
-	if sparse && mle.AnalyzeSparsitySlice(scalars, workers).DenseFraction() < 0.5 {
-		return curve.SparseMSMEndoWorkersCtx(ctx, pts, endo, scalars, workers)
+// stream adds level k's basis points [off, off+len(scalars)) times their
+// scalars into m, reading the spill file front to back once: per chunk, one
+// read, a parallel decode and the chunk's φ-table.
+func (b *backing) stream(ctx context.Context, k, off int, scalars []ff.Element, m *curve.StreamMSM, workers int) error {
+	r, err := b.store.OpenReader(ctx, levelKey(k), int64(off)*pointBytes)
+	if err != nil {
+		return fmt.Errorf("pcs: offload read level %d: %w", k, err)
 	}
-	return curve.MSMEndoWorkersCtx(ctx, pts, endo, scalars, workers)
+	defer r.Close()
+	chunk := min(b.chunkElems, len(scalars))
+	stage := stageArena.Get(chunk * pointBytes)
+	pts := basisArena.Get(chunk)
+	endo := endoArena.Get(chunk)
+	defer stageArena.Put(stage)
+	defer basisArena.Put(pts)
+	defer endoArena.Put(endo)
+	for lo := 0; lo < len(scalars); lo += chunk {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if err := faultinject.Hit("pcs.offload.read"); err != nil {
+			return fmt.Errorf("pcs: offload read level %d: %w", k, err)
+		}
+		sc := scalars[lo:min(lo+chunk, len(scalars))]
+		n := len(sc)
+		buf := stage[:n*pointBytes]
+		if err := r.ReadFull(ctx, buf); err != nil {
+			return fmt.Errorf("pcs: offload read level %d: %w", k, err)
+		}
+		parallel.For(workers, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				decodePoint(buf[i*pointBytes:], &pts[i])
+			}
+		})
+		curve.EndoPointsInto(endo[:n], pts[:n], workers)
+		if err := m.Add(ctx, pts[:n], endo[:n], sc); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -223,3 +223,71 @@ func TestOffloadReadFaultIsTransient(t *testing.T) {
 		t.Fatal("commit after a transient read failure differs from in-core")
 	}
 }
+
+// TestOffloadStreamedMSMMatchesInCore: offloaded commits and openings equal
+// the in-core ones, for a dense table and for a sparse one (mostly 0/1, so
+// the streamed MSM skips zeros and sums ones on the side), at the 2 MiB
+// floor (4 096-point chunks; a 2^14 SRS streams levels 13 and 14, the
+// opening's first witness MSM on 13) and at the benchmark's 8 MiB SRS share
+// (6 898-point chunks, which divide no level; a 2^16 SRS streams 15 and 16).
+func TestOffloadStreamedMSMMatchesInCore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2^16 SRS")
+	}
+	for _, tc := range []struct {
+		nv     int
+		budget int64
+		chunk  int
+	}{{14, 1, 4096}, {16, 8 << 20, 6898}} {
+		srs := SetupDeterministic(tc.nv, 77)
+		rng := ff.NewRand(78)
+		dense := mle.FromEvals(rng.Elements(1 << tc.nv))
+		sparse := mle.New(tc.nv)
+		for i := range sparse.Evals {
+			switch {
+			case i%7 == 0:
+				sparse.Evals[i] = rng.Element()
+			case i%3 == 0:
+				sparse.Evals[i] = ff.One()
+			}
+		}
+		z := rng.Elements(tc.nv)
+		run := func() (out []curve.G1Affine, vals []ff.Element) {
+			for _, tab := range []*mle.Table{dense, sparse} {
+				c, err := srs.CommitCtx(context.Background(), tab, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, proof, err := srs.OpenWorkers(tab, z, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(append(out, c.Point), proof.Qs...)
+				vals = append(vals, v)
+			}
+			return out, vals
+		}
+		want, wantVals := run()
+		if err := srs.Offload(t.TempDir(), tc.budget); err != nil {
+			t.Fatal(err)
+		}
+		if srs.back.chunkElems != tc.chunk || srs.Levels[tc.nv] != nil || srs.Levels[tc.nv-1] != nil {
+			t.Fatalf("nv=%d: chunk %d, top levels resident %v/%v; want chunk %d, both streamed",
+				tc.nv, srs.back.chunkElems, srs.Levels[tc.nv] != nil, srs.Levels[tc.nv-1] != nil, tc.chunk)
+		}
+		got, gotVals := run()
+		for i := range want {
+			if !got[i].Equal(&want[i]) {
+				t.Fatalf("nv=%d: offloaded point %d differs from in-core", tc.nv, i)
+			}
+		}
+		for i := range wantVals {
+			if !gotVals[i].Equal(&wantVals[i]) {
+				t.Fatalf("nv=%d: offloaded opening value %d differs", tc.nv, i)
+			}
+		}
+		if err := srs.CloseBacking(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -98,6 +98,29 @@ func TestCommitStreamCoverage(t *testing.T) {
 	}
 }
 
+// TestCommitStreamFeedErrorSticks: a Feed that fails (here on a cancelled
+// context) may leave part of its segment added, so Finish must return that
+// error rather than a commitment, although the fed count covers the table.
+func TestCommitStreamFeedErrorSticks(t *testing.T) {
+	srs := SetupDeterministic(4, 5)
+	sc, err := srs.CommitStream(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := ff.NewRand(6).Elements(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := sc.Feed(ctx, 0, vals, 1); err != context.Canceled {
+		t.Fatalf("Feed on cancelled ctx = %v, want context.Canceled", err)
+	}
+	if err := sc.Feed(context.Background(), 0, vals, 1); err != context.Canceled {
+		t.Fatalf("Feed after a failed Feed = %v, want the first error", err)
+	}
+	if _, err := sc.Finish(context.Background(), 1); err != context.Canceled {
+		t.Fatalf("Finish after a failed Feed = %v, want the first error", err)
+	}
+}
+
 // TestCommitCtxCancelled checks CommitCtx returns promptly with ctx.Err()
 // on a pre-cancelled context and that the error propagates from the MSM.
 func TestCommitCtxCancelled(t *testing.T) {

@@ -11,12 +11,13 @@
 //
 // All integers are little-endian; the checksum is CRC-64/ECMA over the
 // payload. Every page except the last carries exactly pageSize payload
-// bytes, so a byte range maps to its covering pages arithmetically and
-// ReadAt never touches more of the file than the range needs. The header's
-// totalLen is patched in when a write completes — an interrupted write
-// leaves the sentinel ^0, so a half-written object can never be read back
-// as valid data. Corrupt, truncated, or torn objects surface as errors
-// (wrapping ErrCorrupt), never panics.
+// bytes, so a byte range maps to its covering pages arithmetically and a
+// read never touches more of the file than the range needs. Reads go
+// through a Reader (ReadAt is a one-shot one), which verifies each page it
+// loads once. The header's totalLen is patched in when a write completes —
+// an interrupted write leaves the sentinel ^0, so a half-written object can
+// never be read back as valid data. Corrupt, truncated, or torn objects
+// surface as errors (wrapping ErrCorrupt), never panics.
 //
 // Writes poll ctx between pages and remove the partial file on error or
 // cancellation, so an aborted spill leaks nothing.
@@ -320,65 +321,104 @@ func (s *Store) ReadAll(ctx context.Context, key string) ([]byte, error) {
 // ReadAt fills dst with the object's payload bytes [off, off+len(dst)),
 // verifying the checksum of every covering page. It reads only those pages.
 func (s *Store) ReadAt(ctx context.Context, key string, off int64, dst []byte) error {
-	if err := s.enter(ctx); err != nil {
+	r, err := s.OpenReader(ctx, key, off)
+	if err != nil {
 		return err
 	}
-	if err := faultinject.Hit("spill.read"); err != nil {
-		return fmt.Errorf("spill: %s: %w", key, err)
+	defer r.Close()
+	return r.ReadFull(ctx, dst)
+}
+
+// Reader reads one object front to back from a start offset: one open and
+// one header check, one page frame reused for every page, and every page
+// read and checksummed once however the reads straddle it. A Reader is not
+// safe for concurrent use; after an error only Close is meaningful.
+type Reader struct {
+	key   string
+	f     *os.File
+	total int64 // payload length
+	off   int64 // next payload byte to deliver
+	ps    int64
+	frame []byte // page header + payload, reused for every page
+	page  int64  // index of the page whose verified payload is in frame, or −1
+	pay   []byte // that payload
+}
+
+// OpenReader opens the object stored under key for sequential reads
+// starting at payload byte off.
+func (s *Store) OpenReader(ctx context.Context, key string, off int64) (*Reader, error) {
+	if err := s.enter(ctx); err != nil {
+		return nil, err
 	}
 	total, err := s.Size(key)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if off < 0 || off+int64(len(dst)) > total {
-		return fmt.Errorf("spill: %s: range [%d,%d) outside object of %d bytes", key, off, off+int64(len(dst)), total)
-	}
-	if len(dst) == 0 {
-		return nil
+	if off < 0 || off > total {
+		return nil, fmt.Errorf("spill: %s: offset %d outside object of %d bytes", key, off, total)
 	}
 	f, err := os.Open(s.path(key))
 	if err != nil {
-		return fmt.Errorf("spill: %s: %w", key, err)
+		return nil, fmt.Errorf("spill: %s: %w", key, err)
 	}
-	defer f.Close()
 	if err := s.checkHeader(f, key, total); err != nil {
-		return err
+		f.Close()
+		return nil, err
 	}
-
 	ps := int64(s.pageSize)
-	page := make([]byte, pageHeaderSize+s.pageSize)
+	return &Reader{key: key, f: f, total: total, off: off, ps: ps,
+		frame: make([]byte, pageHeaderSize+min(ps, total)), page: -1}, nil
+}
+
+// ReadFull fills dst with the next len(dst) payload bytes, polling ctx
+// before each page it loads.
+func (r *Reader) ReadFull(ctx context.Context, dst []byte) error {
+	if end := r.off + int64(len(dst)); end > r.total {
+		return fmt.Errorf("spill: %s: range [%d,%d) outside object of %d bytes", r.key, r.off, end, r.total)
+	}
 	for len(dst) > 0 {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
+		if idx := r.off / r.ps; idx != r.page {
+			if err := r.loadPage(ctx, idx); err != nil {
 				return err
 			}
 		}
-		pageIdx := off / ps
-		inPage := off % ps
-		payLen := ps
-		if rest := total - pageIdx*ps; rest < payLen {
-			payLen = rest
-		}
-		fileOff := int64(fileHeaderSize) + pageIdx*(pageHeaderSize+ps)
-		frame := page[:pageHeaderSize+payLen]
-		if _, err := f.ReadAt(frame, fileOff); err != nil {
-			return fmt.Errorf("%w: %s: page %d: %v", ErrCorrupt, key, pageIdx, err)
-		}
-		gotLen := binary.LittleEndian.Uint32(frame[0:4])
-		if int64(gotLen) != payLen {
-			return fmt.Errorf("%w: %s: page %d: length %d, want %d", ErrCorrupt, key, pageIdx, gotLen, payLen)
-		}
-		payload := frame[pageHeaderSize:]
-		wantCRC := binary.LittleEndian.Uint64(frame[8:16])
-		if crc64.Checksum(payload, crcTable) != wantCRC {
-			return fmt.Errorf("%w: %s: page %d: checksum mismatch", ErrCorrupt, key, pageIdx)
-		}
-		n := copy(dst, payload[inPage:])
+		n := copy(dst, r.pay[r.off-r.page*r.ps:])
 		dst = dst[n:]
-		off += int64(n)
+		r.off += int64(n)
 	}
 	return nil
 }
+
+// loadPage reads page idx into the frame and verifies its length and
+// checksum.
+func (r *Reader) loadPage(ctx context.Context, idx int64) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	if err := faultinject.Hit("spill.read"); err != nil {
+		return fmt.Errorf("spill: %s: %w", r.key, err)
+	}
+	r.page = -1
+	payLen := min(r.ps, r.total-idx*r.ps)
+	fileOff := int64(fileHeaderSize) + idx*(pageHeaderSize+r.ps)
+	frame := r.frame[:pageHeaderSize+payLen]
+	if _, err := r.f.ReadAt(frame, fileOff); err != nil {
+		return fmt.Errorf("%w: %s: page %d: %v", ErrCorrupt, r.key, idx, err)
+	}
+	if gotLen := binary.LittleEndian.Uint32(frame[0:4]); int64(gotLen) != payLen {
+		return fmt.Errorf("%w: %s: page %d: length %d, want %d", ErrCorrupt, r.key, idx, gotLen, payLen)
+	}
+	if crc64.Checksum(frame[pageHeaderSize:], crcTable) != binary.LittleEndian.Uint64(frame[8:16]) {
+		return fmt.Errorf("%w: %s: page %d: checksum mismatch", ErrCorrupt, r.key, idx)
+	}
+	r.page, r.pay = idx, frame[pageHeaderSize:]
+	return nil
+}
+
+// Close releases the reader's file.
+func (r *Reader) Close() error { return r.f.Close() }
 
 // checkHeader validates the file header against the registered length.
 func (s *Store) checkHeader(f *os.File, key string, total int64) error {

@@ -16,7 +16,7 @@ import (
 // to/from-Montgomery conversion per element.
 const ElemBytes = ff.Limbs * 8
 
-// stagePages is the number of elements encoded per staging buffer: exactly
+// stageElems is the number of elements encoded per staging buffer: exactly
 // one page's worth, so spilling a table keeps one page of bytes resident,
 // not a second copy of the table.
 const stageElems = DefaultPageSize / ElemBytes
@@ -60,16 +60,18 @@ func (s *Store) ElementCount(key string) (int, error) {
 }
 
 // ReadElementsRange decodes elements [off, off+len(dst)) of the object into
-// dst, reading only the covering pages.
+// dst through one Reader: one open, and each covering page read once.
 func ReadElementsRange(ctx context.Context, s *Store, key string, off int, dst []ff.Element) error {
-	stage := make([]byte, stageElems*ElemBytes)
+	r, err := s.OpenReader(ctx, key, int64(off)*ElemBytes)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	stage := make([]byte, min(len(dst), stageElems)*ElemBytes)
 	for len(dst) > 0 {
-		n := len(dst)
-		if n > stageElems {
-			n = stageElems
-		}
+		n := min(len(dst), stageElems)
 		stage := stage[:n*ElemBytes]
-		if err := s.ReadAt(ctx, key, int64(off)*ElemBytes, stage); err != nil {
+		if err := r.ReadFull(ctx, stage); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -78,7 +80,6 @@ func ReadElementsRange(ctx context.Context, s *Store, key string, off int, dst [
 			}
 		}
 		dst = dst[n:]
-		off += n
 	}
 	return nil
 }
