@@ -45,9 +45,11 @@ lint:
 fuzz-smoke:
 	sh scripts/fuzzsmoke.sh
 
-# Documentation gate: every package carries a godoc package comment, and
+# Documentation gate: every package carries a godoc package comment;
 # README/DESIGN/ARCHITECTURE, this Makefile and ci.yml name no cmd/<dir>,
-# BENCH*.json or *.md file, or make target, that does not exist.
+# BENCH*.json or *.md file, or make target, that does not exist; and
+# README/DESIGN/ARCHITECTURE name no backticked pkg.Ident that its
+# internal/ package no longer declares.
 docs:
 	sh scripts/checkdocs.sh
 

@@ -220,7 +220,6 @@ func cmdSimulate(args []string) error {
 func cmdEstimate(args []string) error {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
 	gatesFlag := fs.String("gates", "vanilla", "gate system: vanilla or jellyfish")
-	jellyfish := fs.Bool("jellyfish", false, "shorthand for -gates jellyfish")
 	logn := fs.Int("logn", 24, "log2 gates")
 	backend := fs.String("backend", "all", "zkphire, zkspeed, cpu, or all")
 	fs.Parse(args)
@@ -228,9 +227,6 @@ func cmdEstimate(args []string) error {
 	kind, err := parseKind(*gatesFlag)
 	if err != nil {
 		return err
-	}
-	if *jellyfish {
-		kind = zkphire.Jellyfish
 	}
 	ests, err := backends(*backend)
 	if err != nil {

@@ -287,6 +287,26 @@ func TestKeyedReplayAcrossCluster(t *testing.T) {
 	}
 }
 
+// TestJobsCompletedCountedBeforeResponse: a client that holds a proof
+// finds it counted. The pool counts a job's outcome in Prove, before the
+// front-end journals it and answers; counted in the completion handler
+// after the job had settled, the count raced that answer.
+func TestJobsCompletedCountedBeforeResponse(t *testing.T) {
+	c, ts := newCoordinator(t, Config{Journal: openTestJournal(t)})
+	newWorker(t, ts.URL)
+	waitFor(t, "worker", func() bool { return c.WorkersLive() == 1 })
+	id := registerCubic(t, ts.URL, 5)
+	for i := int64(1); i <= 20; i++ {
+		resp, _, raw := proveOnce(t, ts.URL, service.ProveRequest{CircuitID: id, IdempotencyKey: fmt.Sprintf("k-%d", i)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("prove %d = %d: %s", i, resp.StatusCode, raw)
+		}
+		if got := c.Metrics().JobsCompletedTotal.Load(); got != i {
+			t.Fatalf("client holds proof %d, JobsCompletedTotal = %d", i, got)
+		}
+	}
+}
+
 // TestEvictionRedispatchAndFencing is the tentpole's core scenario: the
 // job lands on a worker that goes silent, the failure detector evicts
 // it, the job is re-dispatched to a healthy worker and completes — and

@@ -197,9 +197,7 @@ func (p *pool) Prove(ctx context.Context, key, circuitID string, timeout time.Du
 			return nil, 0, ctx.Err()
 		}
 		if n := j.dispatches(); n >= p.cfg.MaxAttempts {
-			if j.settle(noFence, nil, fmt.Sprintf("job %s: no success after %d dispatch attempts", j.id, n)) == outcomeSettled {
-				p.metrics.JobsFailedTotal.Add(1)
-			}
+			j.settle(noFence, nil, fmt.Sprintf("job %s: no success after %d dispatch attempts", j.id, n))
 			break
 		}
 		m := p.members.pick(map[string]bool{excludeID: true})
@@ -234,11 +232,15 @@ func (p *pool) Prove(ctx context.Context, key, circuitID string, timeout time.Du
 		p.watchLease(ctx, j, m, epoch, deadline)
 		excludeID = m.id
 	}
+	// Count the outcome here, before the front-end sees it: a client that
+	// holds the proof must find it counted.
 	proof, errMsg, linger := j.take()
 	time.AfterFunc(linger, func() { p.jobs.remove(j) })
 	if errMsg != "" {
+		p.metrics.JobsFailedTotal.Add(1)
 		return nil, 0, errors.New(errMsg)
 	}
+	p.metrics.JobsCompletedTotal.Add(1)
 	return proof, 0, nil
 }
 
@@ -385,13 +387,9 @@ func (p *pool) handleComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// A settled outcome is counted by Prove, which hands it to the
+	// front-end.
 	switch j.settle(req.Epoch, proof, req.Error) {
-	case outcomeSettled:
-		if req.Error == "" {
-			p.metrics.JobsCompletedTotal.Add(1)
-		} else {
-			p.metrics.JobsFailedTotal.Add(1)
-		}
 	case outcomeFenced:
 		p.metrics.ResultsFencedTotal.Add(1)
 	case outcomeDuplicate:

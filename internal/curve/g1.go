@@ -1,8 +1,8 @@
 // Package curve implements the BLS12-381 G1 group (y² = x³ + 4 over Fp) with
 // Jacobian-coordinate arithmetic and Pippenger multi-scalar multiplication.
-// MSM is the polynomial-commitment kernel the zkPHIRE MSM unit accelerates;
-// the sparse variants here mirror the paper's Sparse MSM path for 0/1 and
-// mostly-zero scalar vectors.
+// MSM is the polynomial-commitment kernel the zkPHIRE MSM unit accelerates.
+// Every MSM here follows the paper's Sparse MSM rule: 0 and 1 scalars never
+// reach a bucket, and the window is sized by the scalars that do.
 package curve
 
 import (

@@ -203,18 +203,6 @@ func TestMSMEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSparseMSM(t *testing.T) {
-	rng := ff.NewRand(8)
-	n := 256
-	points := randomPoints(rng, n)
-	scalars := rng.SparseElements(n, 0.1)
-	got := SparseMSM(points, scalars)
-	want := MSMNaive(points, scalars)
-	if !got.Equal(&want) {
-		t.Fatal("sparse MSM mismatch")
-	}
-}
-
 func TestExtractDigit(t *testing.T) {
 	words := [4]uint64{0x7766554433221100, 0xffeeddccbbaa9988, 0, 0}
 	if got := extractDigit(&words, 0, 8); got != 0x00 {

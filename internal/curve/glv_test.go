@@ -83,8 +83,9 @@ func negHeavyScalars(rng *ff.Rand, n int) []ff.Element {
 }
 
 // TestMSMGLVEquivalence pits the GLV+signed-digit MSM against the naive
-// double-and-add reference over dense, sparse, and negative-heavy scalar
-// vectors at worker budgets 1/2/GOMAXPROCS.
+// double-and-add reference over dense, sparse, zero/one-mixed and
+// negative-heavy scalar vectors at worker budgets 1/2/GOMAXPROCS, with and
+// without a precomputed φ-table.
 func TestMSMGLVEquivalence(t *testing.T) {
 	rng := ff.NewRand(53)
 	n := 600
@@ -94,6 +95,7 @@ func TestMSMGLVEquivalence(t *testing.T) {
 	vectors := map[string][]ff.Element{
 		"dense":          rng.Elements(n),
 		"sparse":         rng.SparseElements(n, 0.15),
+		"zeros and ones": withZerosAndOnes(rng.Elements(n)),
 		"negative-heavy": negHeavyScalars(rng, n),
 	}
 	for name, scalars := range vectors {
@@ -102,14 +104,8 @@ func TestMSMGLVEquivalence(t *testing.T) {
 			if got := MSMWorkers(points, scalars, w); !got.Equal(&want) {
 				t.Fatalf("%s workers=%d: MSM disagrees with naive reference", name, w)
 			}
-			if got := MSMEndoWorkers(points, endoX, scalars, w); !got.Equal(&want) {
+			if got, err := MSMEndoWorkersCtx(nil, points, endoX, scalars, w); err != nil || !got.Equal(&want) {
 				t.Fatalf("%s workers=%d: table MSM disagrees with naive reference", name, w)
-			}
-			if got := SparseMSMWorkers(points, scalars, w); !got.Equal(&want) {
-				t.Fatalf("%s workers=%d: sparse MSM disagrees with naive reference", name, w)
-			}
-			if got := SparseMSMEndoWorkers(points, endoX, scalars, w); !got.Equal(&want) {
-				t.Fatalf("%s workers=%d: sparse table MSM disagrees with naive reference", name, w)
 			}
 		}
 	}

@@ -76,7 +76,7 @@ func MSM(points []G1Affine, scalars []ff.Element) G1Jac {
 // MSMWorkers is MSM with an explicit worker budget (<= 0 means GOMAXPROCS).
 // The φ-table is built on the fly (one fp.Mul per point, from the pooled
 // arena); callers that reuse a base set should precompute it once with
-// EndoPoints and call MSMEndoWorkers instead.
+// EndoPoints and call MSMEndoWorkersCtx instead.
 //
 // Work splits over (window, point-range chunk) tasks, so parallelism scales
 // with the input size N instead of stopping at the ~8 window count; window
@@ -86,29 +86,21 @@ func MSMWorkers(points []G1Affine, scalars []ff.Element, workers int) G1Jac {
 	if len(points) != len(scalars) {
 		panic("curve: MSM length mismatch")
 	}
-	return msmGLV(points, nil, scalars, workers, windowSize(len(points)))
+	return msmGLVCtx(nil, points, nil, scalars, workers, 0)
 }
 
-// MSMEndoWorkers computes the MSM against a precomputed φ-table (from
+// MSMEndoWorkersCtx computes the MSM against a precomputed φ-table (from
 // EndoPoints): endoX[i] must equal β·points[i].X. The PCS layer caches the
-// table per SRS level so committing and opening never recompute βx.
-func MSMEndoWorkers(points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers int) G1Jac {
-	if len(points) != len(scalars) || len(endoX) != len(points) {
-		panic("curve: MSM length mismatch")
-	}
-	return msmGLV(points, endoX, scalars, workers, windowSize(len(points)))
-}
-
-// MSMEndoWorkersCtx is MSMEndoWorkers with mid-MSM cancellation: the bucket
-// accumulation checks ctx every few thousand point visits, so a cancel lands
-// in milliseconds instead of waiting out a multi-second MSM. On cancellation
-// it returns ctx's error; the partial sum is discarded. The successful result
-// is identical to MSMEndoWorkers.
+// table per SRS level so committing and opening never recompute βx. The
+// bucket accumulation checks ctx (nil means never cancelled) every few
+// thousand point visits, so a cancel lands in milliseconds instead of
+// waiting out a multi-second MSM; on cancellation it returns ctx's error and
+// the partial sum is discarded.
 func MSMEndoWorkersCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers int) (G1Jac, error) {
 	if len(points) != len(scalars) || len(endoX) != len(points) {
 		panic("curve: MSM length mismatch")
 	}
-	res := msmGLVCtx(ctx, points, endoX, scalars, workers, windowSize(len(points)))
+	res := msmGLVCtx(ctx, points, endoX, scalars, workers, 0)
 	if ctx != nil && ctx.Err() != nil {
 		return G1Jac{}, ctx.Err()
 	}
@@ -120,16 +112,12 @@ func MSMEndoWorkersCtx(ctx context.Context, points []G1Affine, endoX []fp.Elemen
 // the top, so windows must cover 128 bits.
 const glvScalarBits = 128
 
-// msmGLV is the GLV Pippenger core with an explicit window width; the
-// window-tuning benchmark drives it directly. endoX may be nil, in which
-// case the φ-table is materialized from the arena for the duration of the
-// call (one fp.Mul per point).
-func msmGLV(points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers, c int) G1Jac {
-	return msmGLVCtx(nil, points, endoX, scalars, workers, c)
-}
-
-// msmGLVCtx is msmGLV with an optional cancellation context (nil means never
-// cancelled). When ctx fires, in-flight bucket accumulations bail out at
+// msmGLVCtx is the GLV Pippenger core. c is the window width; c <= 0 sizes
+// it from the count of scalars other than 0 and 1, the only ones that reach
+// a bucket (tests and the window-tuning benchmark pass c explicitly). endoX
+// may be nil, in which case the φ-table is materialized from the arena for
+// the duration of the call (one fp.Mul per point). ctx may be nil (never
+// cancelled); when it fires, in-flight bucket accumulations bail out at
 // their next poll and the returned sum is garbage — callers must check
 // ctx.Err() and discard it (MSMEndoWorkersCtx does).
 func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers, c int) G1Jac {
@@ -140,6 +128,19 @@ func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scala
 		return res
 	}
 	w := parallel.Workers(workers)
+
+	// Decompose every scalar once; windows extract their signed digits from
+	// the halves on the fly (a handful of shifts per digit), so no
+	// window×point digit matrix is materialized.
+	splits := splitArena.Get(n)
+	defer splitArena.Put(splits)
+	ones, count := splitScalars(w, points, scalars, splits)
+	if count == 0 {
+		return ones
+	}
+	if c <= 0 {
+		c = windowSize(count)
+	}
 
 	if endoX == nil {
 		buf := fpArena.Get(n)
@@ -152,20 +153,13 @@ func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scala
 		endoX = buf
 	}
 
-	// Decompose every scalar once; windows extract their signed digits from
-	// the halves on the fly (a handful of shifts per digit), so no
-	// window×point digit matrix is materialized.
-	splits := splitArena.Get(n)
-	defer splitArena.Put(splits)
-	ones := splitScalars(w, points, scalars, splits)
-
 	numWindows := (glvScalarBits + c - 1) / c
 
 	// Bucket accumulation over (window, chunk) tasks. Chunks are capped so
 	// each still amortizes its 2^(c−1) bucket reduction over at least that
-	// many point pairs.
+	// many point pairs that reach a bucket.
 	numChunks := (w + numWindows - 1) / numWindows
-	if maxChunks := (2 * n) >> uint(c-1); numChunks > maxChunks {
+	if maxChunks := (2 * count) >> uint(c-1); numChunks > maxChunks {
 		numChunks = maxChunks
 	}
 	if numChunks < 1 {
@@ -216,30 +210,60 @@ func combineWindows(sums []G1Jac, c int) G1Jac {
 }
 
 // splitScalars writes each scalar's GLV decomposition into splits and
-// returns the sum of the points whose scalar is one. A 0 or 1 scalar gets
-// the all-zero split, so no window adds its point: zeros drop out and the
-// ones never pile into window 0's first bucket.
-func splitScalars(workers int, points []G1Affine, scalars []ff.Element, splits []glvSplit) G1Jac {
-	return parallel.MapReduce(workers, len(scalars), func(lo, hi int) G1Jac {
-		var ones G1Jac
-		ones.SetInfinity()
+// returns the sum of the points whose scalar is one and the count of
+// scalars that are neither 0 nor 1. A 0 or 1 scalar gets the all-zero
+// split, so no window adds its point: zeros drop out and the ones never
+// pile into window 0's first bucket. This is the zkPHIRE Sparse MSM rule,
+// and every MSM here runs it.
+func splitScalars(workers int, points []G1Affine, scalars []ff.Element, splits []glvSplit) (ones G1Jac, count int) {
+	type part struct {
+		ones  G1Jac
+		count int
+	}
+	r := parallel.MapReduce(workers, len(scalars), func(lo, hi int) part {
+		var p part
+		p.ones.SetInfinity()
 		for i := lo; i < hi; i++ {
 			s := &splits[i]
-			switch {
-			case scalars[i].IsZero():
-				*s = glvSplit{}
-			case scalars[i].IsOne():
-				*s = glvSplit{}
-				ones.AddMixed(&points[i])
-			default:
+			if bucketScalar(&scalars[i]) {
 				s.k1, s.k2, s.neg1, s.neg2 = scalars[i].SplitGLV()
+				p.count++
+				continue
+			}
+			*s = glvSplit{}
+			if scalars[i].IsOne() {
+				p.ones.AddMixed(&points[i])
 			}
 		}
-		return ones
-	}, func(a, b G1Jac) G1Jac {
-		a.AddAssign(&b)
+		return p
+	}, func(a, b part) part {
+		a.ones.AddAssign(&b.ones)
+		a.count += b.count
 		return a
 	})
+	return r.ones, r.count
+}
+
+// bucketScalar reports whether a scalar reaches the buckets: 0 drops out
+// and 1 is summed on the side (splitScalars).
+func bucketScalar(s *ff.Element) bool { return !s.IsZero() && !s.IsOne() }
+
+// CountDense returns how many scalars are neither 0 nor 1 — the points an
+// MSM over them actually buckets, by splitScalars' own test. A caller that
+// streams the scalars sizes NewStreamMSM with it.
+func CountDense(scalars []ff.Element, workers int) int {
+	if len(scalars) == 0 {
+		return 0
+	}
+	return parallel.MapReduce(workers, len(scalars), func(lo, hi int) int {
+		n := 0
+		for i := lo; i < hi; i++ {
+			if bucketScalar(&scalars[i]) {
+				n++
+			}
+		}
+		return n
+	}, func(a, b int) int { return a + b })
 }
 
 // glvDigit extracts the signed width-c digit of window wi from a half-width
@@ -636,8 +660,9 @@ func extractDigit(words *[ff.Limbs]uint64, bit, width int) uint32 {
 	return uint32(v & ((1 << uint(width)) - 1))
 }
 
-// windowSize picks the Pippenger window width for n points (2n point pairs
-// after the GLV doubling). The cost model is
+// windowSize picks the Pippenger window width for n points whose scalars
+// reach the buckets (2n point pairs after the GLV doubling; 0 and 1 scalars
+// are split out first and cost no bucket work). The cost model is
 // numWindows·(2n·costAffine + 2·2^(c−1)·costJac) with numWindows =
 // ceil(128/c): versus the pre-GLV model both the window count (255→128
 // bits) and the bucket count (2^c−1 → 2^(c−1)) are halved, so the same
@@ -683,95 +708,4 @@ func MSMNaive(points []G1Affine, scalars []ff.Element) G1Jac {
 		acc.AddAssign(&tmp)
 	}
 	return acc
-}
-
-// SparseMSM computes an MSM where most scalars are 0 or 1, the statistics of
-// HyperPlonk witness commitments, using the full machine. Zero scalars are
-// skipped, one scalars reduce to plain point additions, and only the dense
-// remainder runs through Pippenger. This mirrors the paper's Sparse MSM
-// datapath.
-func SparseMSM(points []G1Affine, scalars []ff.Element) G1Jac {
-	return SparseMSMWorkers(points, scalars, 0)
-}
-
-// SparseMSMWorkers is SparseMSM with an explicit worker budget; the dense
-// remainder's φ-points are computed on the fly.
-func SparseMSMWorkers(points []G1Affine, scalars []ff.Element, workers int) G1Jac {
-	return SparseMSMEndoWorkers(points, nil, scalars, workers)
-}
-
-// sparsePart is one chunk's contribution to a sparse MSM: the sum of the
-// one-scalar points plus the dense remainder, collected in index order.
-type sparsePart struct {
-	ones         G1Jac
-	densePoints  []G1Affine
-	denseEndoX   []fp.Element
-	denseScalars []ff.Element
-}
-
-// SparseMSMEndoWorkers is SparseMSM with an explicit worker budget and an
-// optional precomputed φ-table (endo may be nil). The 0/1/dense
-// classification runs chunked; chunk results merge in ascending index order,
-// so the dense remainder reaches Pippenger in the same order as the serial
-// scan and the result is budget-independent. The 0/1 fast path never touches
-// the GLV machinery — adding P directly is already cheaper than any
-// decomposition.
-func SparseMSMEndoWorkers(points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers int) G1Jac {
-	res, _ := sparseMSMEndoCtx(nil, points, endoX, scalars, workers)
-	return res
-}
-
-// SparseMSMEndoWorkersCtx is SparseMSMEndoWorkers with mid-MSM cancellation
-// (see MSMEndoWorkersCtx): the 0/1/dense classification is cheap and runs to
-// completion, the dense Pippenger remainder polls ctx.
-func SparseMSMEndoWorkersCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers int) (G1Jac, error) {
-	return sparseMSMEndoCtx(ctx, points, endoX, scalars, workers)
-}
-
-func sparseMSMEndoCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers int) (G1Jac, error) {
-	if len(points) != len(scalars) || (endoX != nil && len(endoX) != len(points)) {
-		panic("curve: MSM length mismatch")
-	}
-	if len(points) == 0 {
-		var res G1Jac
-		res.SetInfinity()
-		return res, nil
-	}
-	part := parallel.MapReduce(workers, len(scalars), func(lo, hi int) sparsePart {
-		var p sparsePart
-		p.ones.SetInfinity()
-		oneE := ff.One()
-		for i := lo; i < hi; i++ {
-			switch {
-			case scalars[i].IsZero():
-				// skip
-			case scalars[i].Equal(&oneE):
-				p.ones.AddMixed(&points[i])
-			default:
-				p.densePoints = append(p.densePoints, points[i])
-				if endoX != nil {
-					p.denseEndoX = append(p.denseEndoX, endoX[i])
-				}
-				p.denseScalars = append(p.denseScalars, scalars[i])
-			}
-		}
-		return p
-	}, func(a, b sparsePart) sparsePart {
-		a.ones.AddAssign(&b.ones)
-		a.densePoints = append(a.densePoints, b.densePoints...)
-		a.denseEndoX = append(a.denseEndoX, b.denseEndoX...)
-		a.denseScalars = append(a.denseScalars, b.denseScalars...)
-		return a
-	})
-	var dense G1Jac
-	if endoX != nil {
-		dense = msmGLVCtx(ctx, part.densePoints, part.denseEndoX, part.denseScalars, workers, windowSize(len(part.densePoints)))
-	} else {
-		dense = msmGLVCtx(ctx, part.densePoints, nil, part.denseScalars, workers, windowSize(len(part.densePoints)))
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return G1Jac{}, ctx.Err()
-	}
-	part.ones.AddAssign(&dense)
-	return part.ones, nil
 }

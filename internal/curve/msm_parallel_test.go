@@ -23,16 +23,43 @@ func TestMSMWorkersBudgetIndependent(t *testing.T) {
 	}
 }
 
-func TestSparseMSMWorkersBudgetIndependent(t *testing.T) {
+// TestMSMZeroOneSplit covers the 0/1 rule at its edges against MSMNaive,
+// through MSMWorkers and MSMEndoWorkersCtx at budgets 1/2/3: all-zero and
+// all-one vectors (nothing reaches a bucket), a mix of zeros, ones and
+// dense scalars, and one dense scalar among 2^12 zeros (a window sized for
+// one point). An explicit window width must not change the all-0/1 result.
+func TestMSMZeroOneSplit(t *testing.T) {
 	rng := ff.NewRand(32)
-	n := 1 << 10
-	points := randomPoints(rng, n)
-	scalars := rng.SparseElements(n, 0.1)
-	want := MSMNaive(points, scalars)
-	for _, w := range []int{1, 3, 16, 0} {
-		got := SparseMSMWorkers(points, scalars, w)
-		if !got.Equal(&want) {
-			t.Fatalf("workers=%d: sparse MSM disagrees with naive", w)
+	const n = 1 << 12
+	points := multiplesOfG(n)
+	endoX := EndoPoints(points)
+	allOnes := make([]ff.Element, n)
+	for i := range allOnes {
+		allOnes[i] = ff.One()
+	}
+	lone := make([]ff.Element, n)
+	lone[n/3] = rng.Element()
+	for name, scalars := range map[string][]ff.Element{
+		"all zero":       make([]ff.Element, n),
+		"all one":        allOnes,
+		"zeros and ones": withZerosAndOnes(rng.Elements(1 << 10)),
+		"lone dense":     lone,
+	} {
+		pts, endo := points[:len(scalars)], endoX[:len(scalars)]
+		want := MSMNaive(pts, scalars)
+		for _, w := range []int{1, 2, 3} {
+			if got := MSMWorkers(pts, scalars, w); !got.Equal(&want) {
+				t.Fatalf("%s workers=%d: MSMWorkers disagrees with naive", name, w)
+			}
+			got, err := MSMEndoWorkersCtx(nil, pts, endo, scalars, w)
+			if err != nil || !got.Equal(&want) {
+				t.Fatalf("%s workers=%d: MSMEndoWorkersCtx disagrees with naive (%v)", name, w, err)
+			}
+			if CountDense(scalars, w) == 0 {
+				if got := msmGLVCtx(nil, pts, nil, scalars, w, 9); !got.Equal(&want) {
+					t.Fatalf("%s workers=%d: count 0 at c=9 disagrees with naive", name, w)
+				}
+			}
 		}
 	}
 }
@@ -98,7 +125,7 @@ func TestMSMBatchAffineEdgeCases(t *testing.T) {
 
 	want := MSMNaive(points, scalars)
 	for _, c := range []int{3, 5, 8, 13} {
-		got := msmGLV(points, nil, scalars, 1, c)
+		got := msmGLVCtx(nil, points, nil, scalars, 1, c)
 		if !got.Equal(&want) {
 			t.Fatalf("c=%d: batch-affine MSM disagrees with naive", c)
 		}
@@ -110,7 +137,7 @@ func TestMSMBatchAffineEdgeCases(t *testing.T) {
 	want = MSMNaive(pts, sc)
 	for _, c := range []int{4, 9, 12} {
 		for _, w := range []int{1, 4} {
-			got := msmGLV(pts, nil, sc, w, c)
+			got := msmGLVCtx(nil, pts, nil, sc, w, c)
 			if !got.Equal(&want) {
 				t.Fatalf("c=%d w=%d: MSM mismatch", c, w)
 			}
@@ -138,9 +165,9 @@ func TestMSMFlushPathsAtScale(t *testing.T) {
 	points := BatchFromJacobian(jacs)
 	scalars := rng.Elements(n)
 
-	ref := msmGLV(points, nil, scalars, 1, 5) // overflow-heavy narrow windows
-	for _, c := range []int{9, 13} {          // 13: queue reaches maxBatch
-		got := msmGLV(points, nil, scalars, 1, c)
+	ref := msmGLVCtx(nil, points, nil, scalars, 1, 5) // overflow-heavy narrow windows
+	for _, c := range []int{9, 13} {                  // 13: queue reaches maxBatch
+		got := msmGLVCtx(nil, points, nil, scalars, 1, c)
 		if !got.Equal(&ref) {
 			t.Fatalf("c=%d disagrees with c=5 on the same sum", c)
 		}

@@ -26,7 +26,8 @@ const streamMaxWindow = 12
 // MSM over the concatenated input, whatever the chunking, and the sum is the
 // same group element. Chunks may arrive in any order. As in every MSM here,
 // zero scalars drop out and one scalars are summed beside the buckets, so a
-// mostly-0/1 table streams at the cost of its other entries.
+// mostly-0/1 table streams at the cost of its other entries, and a chunk
+// with no other entry runs no window task.
 //
 // Add may be called from one goroutine at a time. Its parallelism is the
 // window count — each window's table is one task per chunk, ⌈128/12⌉ = 11
@@ -43,8 +44,8 @@ type StreamMSM struct {
 
 // NewStreamMSM starts a streamed MSM on a worker budget (<= 0 means
 // GOMAXPROCS). n sizes the window: the number of points whose scalar is
-// neither 0 nor 1 if the caller knows it, else the total. It bounds
-// nothing; any number of points may be added.
+// neither 0 nor 1 (CountDense) if the caller knows it, else the total. It
+// bounds nothing; any number of points may be added.
 func NewStreamMSM(n, workers int) *StreamMSM {
 	c := min(windowSize(n), streamMaxWindow)
 	m := &StreamMSM{c: c, workers: workers, windows: make([]bucketTable, (glvScalarBits+c-1)/c)}
@@ -65,11 +66,13 @@ func (m *StreamMSM) Add(ctx context.Context, points []G1Affine, endoX []fp.Eleme
 	if len(points) > 0 {
 		splits := splitArena.Get(len(points))
 		defer splitArena.Put(splits)
-		ones := splitScalars(m.workers, points, scalars, splits)
+		ones, count := splitScalars(m.workers, points, scalars, splits)
 		m.ones.AddAssign(&ones)
-		parallel.Run(m.workers, len(m.windows), func(wi int) {
-			m.windows[wi].accumulate(ctx, points, endoX, splits, wi)
-		})
+		if count > 0 {
+			parallel.Run(m.workers, len(m.windows), func(wi int) {
+				m.windows[wi].accumulate(ctx, points, endoX, splits, wi)
+			})
+		}
 	}
 	if ctx != nil {
 		return ctx.Err()

@@ -29,7 +29,7 @@ func BenchmarkMSMWindowSweep(b *testing.B) {
 		for c := tier - 2; c <= tier+2; c++ {
 			b.Run(fmt.Sprintf("2^%d/c=%d", lg, c), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					msmGLV(points[:1<<lg], nil, scalars, 1, c)
+					msmGLVCtx(nil, points[:1<<lg], nil, scalars, 1, c)
 				}
 			})
 		}

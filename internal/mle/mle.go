@@ -268,56 +268,3 @@ func (t *Table) FixLastVariable(r *ff.Element) {
 	t.Evals = t.Evals[:half]
 	t.NumVars--
 }
-
-// Sparsity statistics of a table, used to drive the hardware memory model's
-// per-tile offset-buffer compression (Section IV-B1).
-type Sparsity struct {
-	Zeros int
-	Ones  int
-	Dense int
-	Total int
-}
-
-// AnalyzeSparsity counts zero / one / dense entries.
-func (t *Table) AnalyzeSparsity() Sparsity {
-	return t.AnalyzeSparsityWorkers(1)
-}
-
-// AnalyzeSparsityWorkers is AnalyzeSparsity with a worker budget.
-func (t *Table) AnalyzeSparsityWorkers(workers int) Sparsity {
-	return AnalyzeSparsitySlice(t.Evals, workers)
-}
-
-// AnalyzeSparsitySlice is AnalyzeSparsityWorkers over a bare evaluation
-// segment — the chunk-streamed commitment paths route each table chunk's
-// MSM by its own sparsity, and a chunk is a slice, not a table.
-func AnalyzeSparsitySlice(evals []ff.Element, workers int) Sparsity {
-	if len(evals) == 0 {
-		return Sparsity{}
-	}
-	return parallel.MapReduce(workers, len(evals), func(lo, hi int) Sparsity {
-		s := Sparsity{Total: hi - lo}
-		oneE := ff.One()
-		for i := lo; i < hi; i++ {
-			switch {
-			case evals[i].IsZero():
-				s.Zeros++
-			case evals[i].Equal(&oneE):
-				s.Ones++
-			default:
-				s.Dense++
-			}
-		}
-		return s
-	}, func(a, b Sparsity) Sparsity {
-		return Sparsity{Zeros: a.Zeros + b.Zeros, Ones: a.Ones + b.Ones, Dense: a.Dense + b.Dense, Total: a.Total + b.Total}
-	})
-}
-
-// DenseFraction returns the fraction of entries that are neither 0 nor 1.
-func (s Sparsity) DenseFraction() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Dense) / float64(s.Total)
-}

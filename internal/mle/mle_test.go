@@ -156,20 +156,6 @@ func TestArithmeticOps(t *testing.T) {
 	}
 }
 
-func TestSparsityAnalysis(t *testing.T) {
-	rng := ff.NewRand(7)
-	evals := rng.SparseElements(1024, 0.1)
-	tab := FromEvals(evals)
-	s := tab.AnalyzeSparsity()
-	if s.Total != 1024 || s.Zeros+s.Ones+s.Dense != 1024 {
-		t.Fatal("sparsity counts inconsistent")
-	}
-	df := s.DenseFraction()
-	if df < 0.05 || df > 0.2 {
-		t.Fatalf("dense fraction %f outside expected band", df)
-	}
-}
-
 func TestQuickFoldSumConsistency(t *testing.T) {
 	// Property: folding at r=0 keeps even entries; folding at r=1 keeps odd.
 	rng := ff.NewRand(8)

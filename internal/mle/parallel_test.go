@@ -70,17 +70,6 @@ func TestEqWorkersMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSparsityWorkersMatchesSerial(t *testing.T) {
-	rng := ff.NewRand(25)
-	tab := FromEvals(rng.SparseElements(1<<13, 0.2))
-	want := tab.AnalyzeSparsity()
-	for _, w := range budgets {
-		if got := tab.AnalyzeSparsityWorkers(w); got != want {
-			t.Fatalf("w=%d: sparsity %+v, want %+v", w, got, want)
-		}
-	}
-}
-
 // TestEvaluateWorkersZeroAlloc pins the serial EvaluateWorkers at zero
 // steady-state allocations: ping-pong buffers come from the arena (whose
 // Get/Put cycle recycles its slice-header boxes), and the serial fold path

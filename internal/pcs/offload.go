@@ -9,7 +9,6 @@ import (
 	"zkphire/internal/faultinject"
 	"zkphire/internal/ff"
 	"zkphire/internal/fp"
-	"zkphire/internal/mle"
 	"zkphire/internal/parallel"
 	"zkphire/internal/spill"
 )
@@ -192,29 +191,18 @@ var (
 // msmRangeCtx computes Σ_i scalars[i] · Levels[k][off+i], the one basis
 // path of every commit and opening MSM. A resident level runs one MSM over
 // its in-RAM segment; a spilled level runs one StreamMSM fed chunk by chunk
-// from the spill store. sparse asks for the sparse routing when the scalars
-// are mostly 0/1: in core the sparse MSM, streamed a window sized by the
-// scalars other than 0 and 1 (the routing never changes the group result).
-func (s *SRS) msmRangeCtx(ctx context.Context, k, off int, scalars []ff.Element, workers int, sparse bool) (curve.G1Jac, error) {
-	dense := len(scalars)
-	if sparse {
-		if sp := mle.AnalyzeSparsitySlice(scalars, workers); sp.DenseFraction() < 0.5 {
-			dense = sp.Dense
-		}
-	}
+// from the spill store, its window sized by curve.CountDense.
+func (s *SRS) msmRangeCtx(ctx context.Context, k, off int, scalars []ff.Element, workers int) (curve.G1Jac, error) {
 	if pts := s.Levels[k]; pts != nil {
 		endo := s.EndoPoints(k, workers)
 		end := off + len(scalars)
-		if dense < len(scalars) {
-			return curve.SparseMSMEndoWorkersCtx(ctx, pts[off:end], endo[off:end], scalars, workers)
-		}
 		return curve.MSMEndoWorkersCtx(ctx, pts[off:end], endo[off:end], scalars, workers)
 	}
 	var zero curve.G1Jac
 	if s.back == nil {
 		return zero, fmt.Errorf("pcs: level %d is neither resident nor backed", k)
 	}
-	m := curve.NewStreamMSM(dense, workers)
+	m := curve.NewStreamMSM(curve.CountDense(scalars, workers), workers)
 	if err := s.back.stream(ctx, k, off, scalars, m, workers); err != nil {
 		return zero, err
 	}

@@ -225,8 +225,10 @@ func TestOffloadReadFaultIsTransient(t *testing.T) {
 }
 
 // TestOffloadStreamedMSMMatchesInCore: offloaded commits and openings equal
-// the in-core ones, for a dense table and for a sparse one (mostly 0/1, so
-// the streamed MSM skips zeros and sums ones on the side), at the 2 MiB
+// the in-core ones, for a dense table, a sparse one (mostly 0/1, so the
+// streamed MSM skips zeros and sums ones on the side) and a 0/1-only one
+// (its commit buckets nothing: every streamed chunk skips its window tasks
+// and the commitment is the ones sum alone), at the 2 MiB
 // floor (4 096-point chunks; a 2^14 SRS streams levels 13 and 14, the
 // opening's first witness MSM on 13) and at the benchmark's 8 MiB SRS share
 // (6 898-point chunks, which divide no level; a 2^16 SRS streams 15 and 16).
@@ -251,9 +253,15 @@ func TestOffloadStreamedMSMMatchesInCore(t *testing.T) {
 				sparse.Evals[i] = ff.One()
 			}
 		}
+		zeroOne := mle.New(tc.nv)
+		for i := range zeroOne.Evals {
+			if i%3 == 1 {
+				zeroOne.Evals[i] = ff.One()
+			}
+		}
 		z := rng.Elements(tc.nv)
 		run := func() (out []curve.G1Affine, vals []ff.Element) {
-			for _, tab := range []*mle.Table{dense, sparse} {
+			for _, tab := range []*mle.Table{dense, sparse, zeroOne} {
 				c, err := srs.CommitCtx(context.Background(), tab, 2)
 				if err != nil {
 					t.Fatal(err)

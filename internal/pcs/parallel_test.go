@@ -9,7 +9,8 @@ import (
 
 // TestCommitWorkersBudgetIndependent checks that commitments are identical
 // (as affine points, hence byte-identical on the wire) for every budget, on
-// both the dense and sparse MSM paths.
+// a dense table and on a mostly-0/1 one, whose window is sized by its few
+// other entries.
 func TestCommitWorkersBudgetIndependent(t *testing.T) {
 	srs := SetupDeterministic(12, 41)
 	rng := ff.NewRand(42)

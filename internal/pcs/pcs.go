@@ -147,9 +147,9 @@ func setupWithTau(maxVars int, tau []ff.Element) *SRS {
 // tauSuffix returns the trapdoor coordinates used by a k-variable MLE.
 func (s *SRS) tauSuffix(k int) []ff.Element { return s.Tau[s.MaxVars-k:] }
 
-// Commit commits to an MLE with the full machine. Sparse tables
-// automatically take the Sparse MSM path (the hardware's witness-commitment
-// mode).
+// Commit commits to an MLE with the full machine. Its 0 and 1 entries
+// never reach an MSM bucket (curve's Sparse MSM rule, the hardware's
+// witness-commitment mode), whatever the table's density.
 func (s *SRS) Commit(t *mle.Table) (Commitment, error) {
 	return s.CommitWorkers(t, 0)
 }
@@ -163,14 +163,13 @@ func (s *SRS) CommitWorkers(t *mle.Table, workers int) (Commitment, error) {
 // CommitCtx is CommitWorkers with mid-MSM cancellation: a cancel lands
 // inside the Pippenger accumulation (curve.MSMEndoWorkersCtx) instead of
 // waiting out the whole commitment. The successful result is identical to
-// CommitWorkers for every budget. The MSM takes the sparse path when the
-// table (or, on a spilled level, each streamed chunk) is mostly 0/1.
+// CommitWorkers for every budget.
 func (s *SRS) CommitCtx(ctx context.Context, t *mle.Table, workers int) (Commitment, error) {
 	k := t.NumVars
 	if k > s.MaxVars {
 		return Commitment{}, fmt.Errorf("pcs: table has %d vars, SRS supports %d", k, s.MaxVars)
 	}
-	acc, err := s.msmRangeCtx(ctx, k, 0, t.Evals, workers, true)
+	acc, err := s.msmRangeCtx(ctx, k, 0, t.Evals, workers)
 	if err != nil {
 		return Commitment{}, err
 	}
@@ -229,7 +228,7 @@ func (s *SRS) OpenWorkersCtx(ctx context.Context, t *mle.Table, z []ff.Element, 
 				q[j].Sub(&evals[2*j+1], &evals[2*j])
 			}
 		})
-		acc, err := s.msmRangeCtx(ctx, k-i-1, 0, q, workers, false)
+		acc, err := s.msmRangeCtx(ctx, k-i-1, 0, q, workers)
 		if err != nil {
 			return ff.Element{}, nil, err
 		}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# checkdocs.sh — the CI docs gate (`make docs`). Two checks:
+# checkdocs.sh — the CI docs gate (`make docs`). Three checks:
 #
 #  1. Every package in the module (internal layers, the public API,
 #     commands, examples) carries a godoc package comment, so
@@ -8,6 +8,11 @@
 #     no cmd/<dir>, BENCH*.json or *.md file, or `make <target>`, that
 #     does not exist — a deleted tool or record must take its mentions
 #     with it.
+#  3. A backticked `pkg.Ident` (or `pkg.Type.Method`) in README.md,
+#     DESIGN.md or ARCHITECTURE.md, where pkg is an internal/ package,
+#     names something that package's non-test files still declare. Only
+#     identifiers with an upper-case letter count: the all-lower-case
+#     dotted names in those files are metrics and fault points.
 #
 # Run from the repository root:  sh scripts/checkdocs.sh
 set -eu
@@ -59,3 +64,27 @@ if [ "$dangling" -ne 0 ]; then
     exit 1
 fi
 echo "doc references OK (cmd/ dirs, BENCH*.json, *.md, make targets)"
+
+pkgs=$(go list -f '{{.Name}} {{.Dir}}' ./internal/...)
+stale=0
+for f in README.md DESIGN.md ARCHITECTURE.md; do
+    for ref in $(grep -o '`[^`]*`' "$f" | grep -oE '(^|[^A-Za-z0-9_.])[a-z][a-z0-9]*(\.[A-Za-z_][A-Za-z0-9_]*)+' | sed 's/^[^a-z]//' | sort -u); do
+        dir=$(echo "$pkgs" | awk -v p="${ref%%.*}" '$1 == p { print $2 }')
+        [ -n "$dir" ] || continue
+        for id in $(echo "${ref#*.}" | tr . ' '); do
+            case $id in *[A-Z]*) ;; *) continue ;; esac
+            # A func, method, type, var or const, or a name inside a
+            # grouped declaration (or a struct field).
+            if ! cat $(ls "$dir"/*.go | grep -v '_test\.go$') |
+                grep -qE "^(func (\([^)]*\) )?|type |var |const )$id([^A-Za-z0-9_]|\$)|^	$id([ ,=]|\$)"; then
+                echo "$f: names \`$ref\`, but ${dir#"$PWD"/} declares no $id" >&2
+                stale=1
+            fi
+        done
+    done
+done
+if [ "$stale" -ne 0 ]; then
+    echo "rename the reference, or delete it with the identifier it named." >&2
+    exit 1
+fi
+echo "doc identifiers OK (backticked pkg.Ident of internal/ packages)"
