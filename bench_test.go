@@ -510,7 +510,7 @@ func BenchmarkAblationSparseMSM(b *testing.B) {
 		k := rng.Element()
 		jacs[i].ScalarMul(&g, &k)
 	}
-	points := curve.BatchFromJacobian(jacs)
+	points := curve.BatchFromJacobianWorkers(jacs, 0)
 	denseScalars := rng.Elements(n)
 	sparseScalars := rng.SparseElements(n, 0.1)
 	b.ResetTimer()

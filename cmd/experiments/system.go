@@ -392,7 +392,8 @@ func measuredProofKB() (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return proof.SizeBytes(), nil
+		data, err := proof.MarshalBinary()
+		return len(data), err
 	}
 	s6, err := sizeAt(6)
 	if err != nil {

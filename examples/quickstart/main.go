@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("proof generated in %v (%d bytes)\n", time.Since(start).Round(time.Millisecond), proof.SizeBytes())
+	proveTime := time.Since(start)
 
 	// Ship the proof and verifying key over the wire and verify the decoded
 	// copies — what a separate verifier service would do.
@@ -56,6 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("proof generated in %v (%d bytes)\n", proveTime.Round(time.Millisecond), len(proofBytes))
 	vkBytes, err := prover.VerifyingKey().MarshalBinary()
 	if err != nil {
 		log.Fatal(err)

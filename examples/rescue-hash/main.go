@@ -72,8 +72,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	proveTime := time.Since(start)
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("proved hash-chain preimage in %v (%d-byte proof)\n",
-		time.Since(start).Round(time.Millisecond), proof.SizeBytes())
+		proveTime.Round(time.Millisecond), len(data))
 	if err := zkphire.Verify(srs, prover.VerifyingKey(), proof); err != nil {
 		log.Fatal("verify: ", err)
 	}

@@ -16,22 +16,13 @@ type FixedBaseTable struct {
 	entries [][]G1Affine // entries[w][d-1] = d·2^{w·window}·base
 }
 
-// NewFixedBaseTable builds a table for base with the given window width in
-// bits. The per-window digit multiples are built concurrently (each window's
-// chain needs only its own base power, produced by one serial doubling run),
-// the Jacobian intermediates live in the pooled scratch arena, and a single
-// batch normalization converts the whole table at once.
-func NewFixedBaseTable(base G1Affine, window int) *FixedBaseTable {
-	return newFixedBaseTableWorkers(base, window, 0)
-}
-
 // NewFixedBaseTableSized picks the window width from the expected number of
 // scalar multiplications the table will serve: wider windows cost more to
 // build (2^w points per window) but make each multiplication cheaper (fewer
 // windows). SRS setup sizes its table this way — the table for a 2^20-entry
 // setup is worth several extra bits of window.
 func NewFixedBaseTableSized(base G1Affine, expectedMuls int) *FixedBaseTable {
-	return newFixedBaseTableWorkers(base, fixedBaseWindow(expectedMuls), 0)
+	return NewFixedBaseTable(base, fixedBaseWindow(expectedMuls))
 }
 
 // fixedBaseWindow minimizes build + usage point-additions over the window
@@ -51,7 +42,12 @@ func fixedBaseWindow(expectedMuls int) int {
 	return best
 }
 
-func newFixedBaseTableWorkers(base G1Affine, window, workers int) *FixedBaseTable {
+// NewFixedBaseTable builds a table for base with the given window width in
+// bits. The per-window digit multiples are built concurrently (each window's
+// chain needs only its own base power, produced by one serial doubling run),
+// the Jacobian intermediates live in the pooled scratch arena, and a single
+// batch normalization converts the whole table at once.
+func NewFixedBaseTable(base G1Affine, window int) *FixedBaseTable {
 	if window < 1 || window > 16 {
 		panic("curve: unreasonable fixed-base window")
 	}
@@ -80,7 +76,7 @@ func newFixedBaseTableWorkers(base G1Affine, window, workers int) *FixedBaseTabl
 	// normalize the whole table with a single batch inversion pass.
 	jacs := jacArena.Get(numWindows * count)
 	defer jacArena.Put(jacs)
-	parallel.Run(workers, numWindows, func(w int) {
+	parallel.Run(0, numWindows, func(w int) {
 		row := jacs[w*count : (w+1)*count]
 		var acc G1Jac
 		acc.SetInfinity()
@@ -89,7 +85,7 @@ func newFixedBaseTableWorkers(base G1Affine, window, workers int) *FixedBaseTabl
 			row[d] = acc
 		}
 	})
-	t.flat = BatchFromJacobianWorkers(jacs, workers)
+	t.flat = BatchFromJacobianWorkers(jacs, 0)
 	for w := 0; w < numWindows; w++ {
 		t.entries[w] = t.flat[w*count : (w+1)*count]
 	}
@@ -111,15 +107,10 @@ func (t *FixedBaseTable) Mul(k *ff.Element) G1Jac {
 	return acc
 }
 
-// MulMany applies Mul to each scalar, returning affine points. It uses the
-// full machine; use MulManyWorkers for an explicit budget.
-func (t *FixedBaseTable) MulMany(ks []ff.Element) []G1Affine {
-	return t.MulManyWorkers(ks, 0)
-}
-
-// MulManyWorkers is MulMany with a worker budget (<= 0 means GOMAXPROCS).
-// Each scalar multiplication is independent and lands in its own slot, so
-// the result is identical across budgets.
+// MulManyWorkers applies Mul to each scalar on a worker budget (<= 0 means
+// GOMAXPROCS), returning affine points. Each scalar multiplication is
+// independent and lands in its own slot, so the result is identical across
+// budgets.
 func (t *FixedBaseTable) MulManyWorkers(ks []ff.Element, workers int) []G1Affine {
 	jacs := jacArena.Get(len(ks))
 	defer jacArena.Put(jacs)

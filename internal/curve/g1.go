@@ -323,16 +323,10 @@ func (p *G1Jac) ScalarMulBig(q *G1Jac, k *big.Int) *G1Jac {
 // on the portable path, vs ~50–100 ns for one field multiplication).
 const pointGrain = 64
 
-// BatchFromJacobian converts a slice of Jacobian points to affine with one
-// field inversion per chunk (Montgomery batching), mirroring the hardware's
-// batched-inverse unit.
-func BatchFromJacobian(in []G1Jac) []G1Affine {
-	return BatchFromJacobianWorkers(in, 0)
-}
-
-// BatchFromJacobianWorkers is BatchFromJacobian with a worker budget. Each
-// chunk runs its own Montgomery batch inversion; the per-point results are
-// independent of the chunking.
+// BatchFromJacobianWorkers converts a slice of Jacobian points to affine on
+// a worker budget (<= 0 means GOMAXPROCS) with one field inversion per chunk
+// (Montgomery batching), mirroring the hardware's batched-inverse unit. The
+// per-point results are independent of the chunking.
 func BatchFromJacobianWorkers(in []G1Jac, workers int) []G1Affine {
 	n := len(in)
 	out := make([]G1Affine, n)
@@ -345,7 +339,7 @@ func BatchFromJacobianWorkers(in []G1Jac, workers int) []G1Affine {
 				zs[i-lo] = in[i].Z
 			}
 		}
-		batchInvertFp(zs)
+		batchInvertFp(zs, nil)
 		for i := lo; i < hi; i++ {
 			if in[i].IsInfinity() {
 				out[i].SetInfinity()
@@ -361,13 +355,10 @@ func BatchFromJacobianWorkers(in []G1Jac, workers int) []G1Affine {
 	return out
 }
 
-func batchInvertFp(a []fp.Element) {
-	batchInvertFpScratch(a, nil)
-}
-
-// batchInvertFpScratch is batchInvertFp with an optional caller-owned
+// batchInvertFp inverts every nonzero entry of a in place with one field
+// inversion (Montgomery batching). scratch is an optional caller-owned
 // prefix buffer (len >= len(a)) so hot loops can amortize the allocation.
-func batchInvertFpScratch(a, scratch []fp.Element) {
+func batchInvertFp(a, scratch []fp.Element) {
 	n := len(a)
 	if n == 0 {
 		return

@@ -1,9 +1,11 @@
 package curve
 
 import (
+	"math/big"
 	"testing"
 
 	"zkphire/internal/ff"
+	"zkphire/internal/fp"
 )
 
 func TestGeneratorOnCurve(t *testing.T) {
@@ -20,6 +22,78 @@ func TestGroupOrder(t *testing.T) {
 	p.ScalarMulBig(&g, ff.Modulus())
 	if !p.IsInfinity() {
 		t.Fatal("q·G != identity")
+	}
+}
+
+// onCurvePoints returns the first n points of E(Fp) with x = 1, 2, …: y is
+// (x³ + 4)^((p+1)/4), a square root because p ≡ 3 mod 4. Nearly all of them
+// lie outside G1 (the cofactor is ≈ 2^125).
+func onCurvePoints(n int) []G1Affine {
+	e := new(big.Int).Add(fp.Modulus(), big.NewInt(1))
+	e.Rsh(e, 2)
+	var out []G1Affine
+	for x := uint64(1); len(out) < n; x++ {
+		var p G1Affine
+		p.X.SetUint64(x)
+		var rhs, y2 fp.Element
+		rhs.Square(&p.X)
+		rhs.Mul(&rhs, &p.X)
+		rhs.Add(&rhs, &bCoeff)
+		p.Y.Exp(&rhs, e)
+		if y2.Square(&p.Y); y2.Equal(&rhs) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestIsInSubgroup checks the φ test against [r]P = O, the definition, on
+// arbitrary on-curve points, on the same points with the cofactor cleared,
+// and on multiples of G. The test's premise is that ff's λ is the integer
+// z² − 1.
+func TestIsInSubgroup(t *testing.T) {
+	z, _ := new(big.Int).SetString("d201000000010000", 16)
+	zz := new(big.Int).Mul(z, z)
+	if zz.Sub(zz, big.NewInt(1)); zz.Cmp(ff.Lambda()) != 0 {
+		t.Fatalf("λ = %x, want z² − 1", ff.Lambda())
+	}
+	// The G1 cofactor h = (z − 1)²/3 for z = −0xd201000000010000.
+	h := new(big.Int).Add(z, big.NewInt(1))
+	h.Mul(h, h)
+	h.Div(h, big.NewInt(3))
+	var pts []G1Affine
+	outside := 0
+	for _, p := range onCurvePoints(8) {
+		var pj, hp G1Jac
+		pj.FromAffine(&p)
+		hp.ScalarMulBig(&pj, h)
+		var cleared G1Affine
+		cleared.FromJacobian(&hp)
+		pts = append(pts, p, cleared)
+	}
+	rng := ff.NewRand(37)
+	g := GeneratorJac()
+	for i := 0; i < 4; i++ {
+		k := rng.Element()
+		var kg G1Jac
+		kg.ScalarMul(&g, &k)
+		var a G1Affine
+		pts = append(pts, *a.FromJacobian(&kg))
+	}
+	for i, p := range pts {
+		var pj, rp G1Jac
+		pj.FromAffine(&p)
+		rp.ScalarMulBig(&pj, ff.Modulus())
+		in := p.IsInSubgroup()
+		if in != rp.IsInfinity() {
+			t.Fatalf("point %d: IsInSubgroup = %v, [r]P = O is %v", i, in, !in)
+		}
+		if !in {
+			outside++
+		}
+	}
+	if outside < 4 {
+		t.Fatalf("only %d of the sampled points lie outside G1; the test lost its negatives", outside)
 	}
 }
 
@@ -155,7 +229,7 @@ func TestBatchFromJacobian(t *testing.T) {
 		jacs[i].ScalarMul(&g, &k)
 	}
 	jacs[7].SetInfinity()
-	affs := BatchFromJacobian(jacs)
+	affs := BatchFromJacobianWorkers(jacs, 0)
 	for i := range affs {
 		var single G1Affine
 		single.FromJacobian(&jacs[i])
@@ -172,7 +246,7 @@ func randomPoints(rng *ff.Rand, n int) []G1Affine {
 		k := rng.Element()
 		jacs[i].ScalarMul(&g, &k)
 	}
-	return BatchFromJacobian(jacs)
+	return BatchFromJacobianWorkers(jacs, 0)
 }
 
 func TestMSMAgainstNaive(t *testing.T) {

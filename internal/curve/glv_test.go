@@ -43,7 +43,7 @@ func TestEndoPointsTable(t *testing.T) {
 	rng := ff.NewRand(52)
 	points := randomPoints(rng, 100)
 	for _, w := range []int{1, 3, 0} {
-		table := EndoPointsWorkers(points, w)
+		table := EndoPoints(points, w)
 		for i := range points {
 			var phi G1Affine
 			phi.Endo(&points[i])
@@ -90,7 +90,7 @@ func TestMSMGLVEquivalence(t *testing.T) {
 	rng := ff.NewRand(53)
 	n := 600
 	points := randomPoints(rng, n)
-	endoX := EndoPoints(points)
+	endoX := EndoPoints(points, 0)
 
 	vectors := map[string][]ff.Element{
 		"dense":          rng.Elements(n),

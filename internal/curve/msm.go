@@ -78,10 +78,10 @@ func MSM(points []G1Affine, scalars []ff.Element) G1Jac {
 // arena); callers that reuse a base set should precompute it once with
 // EndoPoints and call MSMEndoWorkersCtx instead.
 //
-// Work splits over (window, point-range chunk) tasks, so parallelism scales
-// with the input size N instead of stopping at the ~8 window count; window
-// totals merge the chunk sums in ascending chunk order (group addition is
-// exact, so the result is identical for every budget).
+// The points are one final chunk of a StreamMSM, whose lanes split them so
+// parallelism scales with the input size N instead of stopping at the
+// window count (group addition is exact, so the result is identical for
+// every budget).
 func MSMWorkers(points []G1Affine, scalars []ff.Element, workers int) G1Jac {
 	if len(points) != len(scalars) {
 		panic("curve: MSM length mismatch")
@@ -112,21 +112,17 @@ func MSMEndoWorkersCtx(ctx context.Context, points []G1Affine, endoX []fp.Elemen
 // the top, so windows must cover 128 bits.
 const glvScalarBits = 128
 
-// msmGLVCtx is the GLV Pippenger core. c is the window width; c <= 0 sizes
-// it from the count of scalars other than 0 and 1, the only ones that reach
-// a bucket (tests and the window-tuning benchmark pass c explicitly). endoX
+// msmGLVCtx is the one-shot MSM: a StreamMSM with the uncapped window, fed
+// all points as one final chunk. c is the window width; c <= 0 sizes it
+// from the count of scalars other than 0 and 1, the only ones that reach a
+// bucket (tests and the window-tuning benchmark pass c explicitly). endoX
 // may be nil, in which case the φ-table is materialized from the arena for
 // the duration of the call (one fp.Mul per point). ctx may be nil (never
 // cancelled); when it fires, in-flight bucket accumulations bail out at
 // their next poll and the returned sum is garbage — callers must check
 // ctx.Err() and discard it (MSMEndoWorkersCtx does).
 func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scalars []ff.Element, workers, c int) G1Jac {
-	var res G1Jac
-	res.SetInfinity()
 	n := len(points)
-	if n == 0 {
-		return res
-	}
 	w := parallel.Workers(workers)
 
 	// Decompose every scalar once; windows extract their signed digits from
@@ -145,68 +141,13 @@ func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scala
 	if endoX == nil {
 		buf := fpArena.Get(n)
 		defer fpArena.Put(buf)
-		parallel.For(w, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				buf[i].Mul(&points[i].X, &endoBeta)
-			}
-		})
+		EndoPointsInto(buf, points, w)
 		endoX = buf
 	}
 
-	numWindows := (glvScalarBits + c - 1) / c
-
-	// Bucket accumulation over (window, chunk) tasks. Chunks are capped so
-	// each still amortizes its 2^(c−1) bucket reduction over at least that
-	// many point pairs that reach a bucket.
-	numChunks := (w + numWindows - 1) / numWindows
-	if maxChunks := (2 * count) >> uint(c-1); numChunks > maxChunks {
-		numChunks = maxChunks
-	}
-	if numChunks < 1 {
-		numChunks = 1
-	}
-	chunkLen := (n + numChunks - 1) / numChunks
-	partials := make([]G1Jac, numWindows*numChunks)
-	parallel.Run(w, numWindows*numChunks, func(task int) {
-		wi, ci := task/numChunks, task%numChunks
-		lo := ci * chunkLen
-		hi := lo + chunkLen
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi || (ctx != nil && ctx.Err() != nil) {
-			partials[task].SetInfinity()
-			return
-		}
-		partials[task] = bucketSumGLV(ctx, points[lo:hi], endoX[lo:hi], splits[lo:hi], wi, c)
-	})
-
-	// Merge chunk sums per window (ascending chunk order), then combine the
-	// windows.
-	sums := make([]G1Jac, numWindows)
-	for wi := range sums {
-		sum := partials[wi*numChunks]
-		for ci := 1; ci < numChunks; ci++ {
-			sum.AddAssign(&partials[wi*numChunks+ci])
-		}
-		sums[wi] = sum
-	}
-	res = combineWindows(sums, c)
-	res.AddAssign(&ones)
-	return res
-}
-
-// combineWindows returns Σ 2^{wc} · sums[w], Horner-style from the top
-// window down.
-func combineWindows(sums []G1Jac, c int) G1Jac {
-	res := sums[len(sums)-1]
-	for wi := len(sums) - 2; wi >= 0; wi-- {
-		for k := 0; k < c; k++ {
-			res.Double(&res)
-		}
-		res.AddAssign(&sums[wi])
-	}
-	return res
+	m := newStreamMSM(c, count, w)
+	m.ones = ones
+	return m.combine(m.pass(ctx, points, endoX, splits, true))
 }
 
 // splitScalars writes each scalar's GLV decomposition into splits and
@@ -216,6 +157,9 @@ func combineWindows(sums []G1Jac, c int) G1Jac {
 // pile into window 0's first bucket. This is the zkPHIRE Sparse MSM rule,
 // and every MSM here runs it.
 func splitScalars(workers int, points []G1Affine, scalars []ff.Element, splits []glvSplit) (ones G1Jac, count int) {
+	if len(scalars) == 0 {
+		return *ones.SetInfinity(), 0
+	}
 	type part struct {
 		ones  G1Jac
 		count int
@@ -297,22 +241,12 @@ func glvDigit(k *[2]uint64, wi, c int) int {
 	return d
 }
 
-// bucketSumGLV accumulates one signed-digit window over one point range
-// and returns its weighted bucket sum: the one-shot use of a bucketTable.
-func bucketSumGLV(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, wi, c int) G1Jac {
-	t := newBucketTable(c)
-	defer t.release()
-	t.accumulate(ctx, points, endoX, splits, wi)
-	return t.reduce()
-}
-
-// bucketTable is one window's bucket state: 2^(c−1) affine buckets with
-// their occupancy flags, plus the Jacobian overflow buckets allocated
-// lazily for degenerate remnants. The one-shot MSM builds a table per
-// (window, chunk) task; StreamMSM keeps one per window for the whole
-// stream. Either way accumulate leaves nothing parked when it returns, so
-// the table between calls is buckets, flags and overflow, and reduce adds
-// all three.
+// bucketTable is one (window, lane) cell of a StreamMSM: 2^(c−1) affine
+// buckets with their occupancy flags, plus the Jacobian overflow buckets
+// allocated lazily for degenerate remnants. accumulate leaves nothing
+// parked when it returns, so the table between chunks is buckets, flags and
+// overflow, and reduce adds all three. The zero value is a table no chunk
+// has reached: it reduces to the identity.
 type bucketTable struct {
 	c        int
 	buckets  []affPair
@@ -382,7 +316,7 @@ func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX [
 	nPend := 0
 
 	flush := func() {
-		batchInvertFpScratch(opDen[:m], invScratch)
+		batchInvertFp(opDen[:m], invScratch)
 		var lambda, tmp, x3, y3 fp.Element
 		for i := 0; i < m; i++ {
 			lambda.Mul(&opNum[i], &opDen[i])

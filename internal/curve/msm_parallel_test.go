@@ -6,7 +6,7 @@ import (
 	"zkphire/internal/ff"
 )
 
-// TestMSMWorkersBudgetIndependent checks that the chunked Pippenger path
+// TestMSMWorkersBudgetIndependent checks that the laned Pippenger path
 // returns the exact same group element for every worker budget, including
 // sizes that force multi-chunk bucket accumulation.
 func TestMSMWorkersBudgetIndependent(t *testing.T) {
@@ -24,7 +24,7 @@ func TestMSMWorkersBudgetIndependent(t *testing.T) {
 }
 
 // TestMSMZeroOneSplit covers the 0/1 rule at its edges against MSMNaive,
-// through MSMWorkers and MSMEndoWorkersCtx at budgets 1/2/3: all-zero and
+// through MSMWorkers and MSMEndoWorkersCtx at every stream budget: all-zero and
 // all-one vectors (nothing reaches a bucket), a mix of zeros, ones and
 // dense scalars, and one dense scalar among 2^12 zeros (a window sized for
 // one point). An explicit window width must not change the all-0/1 result.
@@ -32,7 +32,7 @@ func TestMSMZeroOneSplit(t *testing.T) {
 	rng := ff.NewRand(32)
 	const n = 1 << 12
 	points := multiplesOfG(n)
-	endoX := EndoPoints(points)
+	endoX := EndoPoints(points, 0)
 	allOnes := make([]ff.Element, n)
 	for i := range allOnes {
 		allOnes[i] = ff.One()
@@ -47,7 +47,7 @@ func TestMSMZeroOneSplit(t *testing.T) {
 	} {
 		pts, endo := points[:len(scalars)], endoX[:len(scalars)]
 		want := MSMNaive(pts, scalars)
-		for _, w := range []int{1, 2, 3} {
+		for _, w := range streamBudgets {
 			if got := MSMWorkers(pts, scalars, w); !got.Equal(&want) {
 				t.Fatalf("%s workers=%d: MSMWorkers disagrees with naive", name, w)
 			}
@@ -162,7 +162,7 @@ func TestMSMFlushPathsAtScale(t *testing.T) {
 		acc.AddMixed(&g)
 		jacs[i] = acc
 	}
-	points := BatchFromJacobian(jacs)
+	points := BatchFromJacobianWorkers(jacs, 0)
 	scalars := rng.Elements(n)
 
 	ref := msmGLVCtx(nil, points, nil, scalars, 1, 5) // overflow-heavy narrow windows

@@ -8,50 +8,55 @@ import (
 	"zkphire/internal/parallel"
 )
 
-// streamMaxWindow caps StreamMSM's window width. A stream keeps one bucket
-// table per window alive from the first chunk to Sum — ⌈128/c⌉ tables of
-// 2^(c−1) 96-byte affine buckets and, once a drain needs them, as many
-// 144-byte Jacobian overflow buckets: 2.2 + 3.2 MB at c = 12 — where the
-// one-shot MSM holds only the tables of its tasks in flight. On the
-// memory-budgeted workload c = 13 moved proof latency by less than the
-// run-to-run spread for twice the resident tables (DESIGN.md §8 has the
-// table).
+// streamMaxWindow caps the window NewStreamMSM picks. A multi-chunk stream
+// keeps every table it has touched alive from the first chunk to Sum —
+// 2^(c−1) 96-byte affine buckets each and, once a drain needs them, as many
+// 144-byte Jacobian overflow buckets: 2.2 + 3.2 MB per lane at c = 12 —
+// where the one-shot MSM holds only the tables of its tasks in flight and
+// keeps the uncapped windowSize. On the memory-budgeted workload c = 13
+// moved proof latency by less than the run-to-run spread for twice the
+// resident tables (DESIGN.md §8 has the table).
 const streamMaxWindow = 12
 
-// StreamMSM is one Pippenger pass over a point set that arrives in chunks —
-// an offloaded SRS level streaming its basis from disk. The window width
-// comes from the total point count given to NewStreamMSM, not from the
-// chunk size, and each window's bucket table persists across chunks: the
-// bucket additions and the one reduction per window are those of a single
-// MSM over the concatenated input, whatever the chunking, and the sum is the
-// same group element. Chunks may arrive in any order. As in every MSM here,
-// zero scalars drop out and one scalars are summed beside the buckets, so a
-// mostly-0/1 table streams at the cost of its other entries, and a chunk
-// with no other entry runs no window task.
+// StreamMSM is the one Pippenger driver: a pass over a point set that
+// arrives in chunks — an offloaded SRS level streaming its basis from disk,
+// or all at once as the one-shot MSM. The window comes from the point count
+// given up front, and the bucket tables persist across chunks, so the
+// bucket additions and the one reduction per table are those of a single
+// MSM over the concatenated input, whatever the chunking, and chunks may
+// arrive in any order. As in every MSM here, 0 and 1 scalars never reach a
+// bucket, and a chunk with no other scalar runs no table task.
 //
-// Add may be called from one goroutine at a time. Its parallelism is the
-// window count — each window's table is one task per chunk, ⌈128/12⌉ = 11
-// at the cap — so on a host with more cores than windows the rest sit idle
-// during a streamed MSM, where the one-shot MSM also splits the points
-// into chunks. After an Add error the stream is unusable. Sum is called
-// once and returns the tables to the arenas.
+// The tables form a (window × lane) grid, one task per table per chunk:
+// each chunk is cut into one slice per lane. Lanes fill the workers the
+// windows leave idle, ⌈workers ÷ windows⌉, capped so every lane amortizes
+// its 2^(c−1)-bucket reduction over at least as many point pairs; they are
+// 1 whenever workers ≤ windows. A table is created by the first chunk that
+// reaches it; Sum adds the lane sums in one Horner pass over the windows.
+//
+// Add may be called from one goroutine at a time; after an Add error the
+// stream is unusable. Sum is called once and returns the tables to the
+// arenas.
 type StreamMSM struct {
-	c       int
-	workers int
-	windows []bucketTable
-	ones    G1Jac
+	c, workers, lanes int
+	tables            []bucketTable // window wi, lane li at wi·lanes+li
+	ones              G1Jac
 }
 
 // NewStreamMSM starts a streamed MSM on a worker budget (<= 0 means
-// GOMAXPROCS). n sizes the window: the number of points whose scalar is
-// neither 0 nor 1 (CountDense) if the caller knows it, else the total. It
-// bounds nothing; any number of points may be added.
+// GOMAXPROCS). n sizes the window and lanes: the number of points whose
+// scalar is neither 0 nor 1 (CountDense) if the caller knows it, else the
+// total. It bounds nothing; any number of points may be added.
 func NewStreamMSM(n, workers int) *StreamMSM {
-	c := min(windowSize(n), streamMaxWindow)
-	m := &StreamMSM{c: c, workers: workers, windows: make([]bucketTable, (glvScalarBits+c-1)/c)}
-	for wi := range m.windows {
-		m.windows[wi] = newBucketTable(c)
-	}
+	return newStreamMSM(min(windowSize(n), streamMaxWindow), n, workers)
+}
+
+// newStreamMSM lays out the grid for count bucketed points at width c.
+func newStreamMSM(c, count, workers int) *StreamMSM {
+	w := parallel.Workers(workers)
+	numWindows := (glvScalarBits + c - 1) / c
+	lanes := max(1, min((w+numWindows-1)/numWindows, (2*count)>>uint(c-1)))
+	m := &StreamMSM{c: c, workers: w, lanes: lanes, tables: make([]bucketTable, numWindows*lanes)}
 	m.ones.SetInfinity()
 	return m
 }
@@ -63,16 +68,12 @@ func (m *StreamMSM) Add(ctx context.Context, points []G1Affine, endoX []fp.Eleme
 	if len(points) != len(scalars) || len(endoX) != len(points) {
 		panic("curve: MSM length mismatch")
 	}
-	if len(points) > 0 {
-		splits := splitArena.Get(len(points))
-		defer splitArena.Put(splits)
-		ones, count := splitScalars(m.workers, points, scalars, splits)
-		m.ones.AddAssign(&ones)
-		if count > 0 {
-			parallel.Run(m.workers, len(m.windows), func(wi int) {
-				m.windows[wi].accumulate(ctx, points, endoX, splits, wi)
-			})
-		}
+	splits := splitArena.Get(len(points))
+	defer splitArena.Put(splits)
+	ones, count := splitScalars(m.workers, points, scalars, splits)
+	m.ones.AddAssign(&ones)
+	if count > 0 {
+		m.pass(ctx, points, endoX, splits, false)
 	}
 	if ctx != nil {
 		return ctx.Err()
@@ -80,15 +81,50 @@ func (m *StreamMSM) Add(ctx context.Context, points []G1Affine, endoX []fp.Eleme
 	return nil
 }
 
-// Sum reduces every window and returns the MSM.
-func (m *StreamMSM) Sum() G1Jac {
-	sums := make([]G1Jac, len(m.windows))
-	parallel.Run(m.workers, len(m.windows), func(wi int) {
-		sums[wi] = m.windows[wi].reduce()
-		m.windows[wi].release()
+// pass runs one chunk through the grid. With final set, each task then
+// reduces its table and releases it, so a one-chunk MSM holds only the
+// tables of the tasks in flight, and pass returns the reductions.
+func (m *StreamMSM) pass(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, final bool) (sums []G1Jac) {
+	n := len(points)
+	laneLen := (n + m.lanes - 1) / m.lanes
+	if final {
+		sums = make([]G1Jac, len(m.tables))
+	}
+	parallel.Run(m.workers, len(m.tables), func(task int) {
+		t := &m.tables[task]
+		lo := min(task%m.lanes*laneLen, n)
+		hi := min(lo+laneLen, n)
+		if lo < hi && (ctx == nil || ctx.Err() == nil) {
+			if t.buckets == nil {
+				*t = newBucketTable(m.c)
+			}
+			t.accumulate(ctx, points[lo:hi], endoX[lo:hi], splits[lo:hi], task/m.lanes)
+		}
+		if final {
+			sums[task] = t.reduce()
+			t.release()
+		}
 	})
-	m.windows = nil
-	res := combineWindows(sums, m.c)
-	res.AddAssign(&m.ones)
-	return res
+	return sums
+}
+
+// Sum reduces every table and returns the MSM.
+func (m *StreamMSM) Sum() G1Jac {
+	return m.combine(m.pass(nil, nil, nil, nil, true))
+}
+
+// combine returns Σ 2^{wi·c} · (window wi's lane sums) plus the ones,
+// Horner-style from the top window down.
+func (m *StreamMSM) combine(sums []G1Jac) G1Jac {
+	var res G1Jac
+	res.SetInfinity()
+	for wi := len(sums)/m.lanes - 1; wi >= 0; wi-- {
+		for k := 0; k < m.c; k++ {
+			res.Double(&res)
+		}
+		for li := range m.lanes {
+			res.AddAssign(&sums[wi*m.lanes+li])
+		}
+	}
+	return *res.AddAssign(&m.ones)
 }

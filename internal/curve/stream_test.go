@@ -19,8 +19,28 @@ func multiplesOfG(n int) []G1Affine {
 		acc.AddMixed(&g)
 		jacs[i] = acc
 	}
-	return BatchFromJacobian(jacs)
+	return BatchFromJacobianWorkers(jacs, 0)
 }
+
+// multiplesOfGMSM is Σ scalars[i]·(i+1)·G, the MSM over multiplesOfG's
+// points, computed as one scalar sum and one ScalarMul: a reference that
+// shares no code with the buckets.
+func multiplesOfGMSM(scalars []ff.Element) G1Jac {
+	var k, term ff.Element
+	for i := range scalars {
+		term = ff.NewElement(uint64(i + 1))
+		term.Mul(&term, &scalars[i])
+		k.Add(&k, &term)
+	}
+	g := GeneratorJac()
+	var res G1Jac
+	return *res.ScalarMul(&g, &k)
+}
+
+// streamBudgets are the worker budgets the stream tests run: the ones a
+// 2-core host has, and 16 and 32, more workers than windows, so the lanes
+// split every chunk.
+var streamBudgets = []int{1, 2, 3, 16, 32}
 
 // withZerosAndOnes overwrites every 5th scalar with 0 and every 7th with 1.
 func withZerosAndOnes(scalars []ff.Element) []ff.Element {
@@ -39,7 +59,7 @@ func withZerosAndOnes(scalars []ff.Element) []ff.Element {
 // given size, fed last chunk first: arrival order must not matter.
 func streamChunked(ctx context.Context, points []G1Affine, scalars []ff.Element, chunk, workers int) (G1Jac, error) {
 	m := NewStreamMSM(len(points), workers)
-	endo := EndoPoints(points)
+	endo := EndoPoints(points, 0)
 	var los []int
 	for lo := 0; lo < len(points); lo += chunk {
 		los = append(los, lo)
@@ -54,10 +74,11 @@ func streamChunked(ctx context.Context, points []G1Affine, scalars []ff.Element,
 	return m.Sum(), nil
 }
 
-// TestStreamMSMMatchesMSM: a streamed MSM equals the one-shot MSM for every
-// chunking and budget, both below the window cap (n = 300, against the
-// naive sum) and above it (2^15 + 3 points size the one-shot window at 13,
-// the stream's at the cap of 12).
+// TestStreamMSMMatchesMSM: a streamed MSM equals an independent reference
+// for every chunking and budget, both below the window cap (n = 300,
+// against the naive sum) and above it (2^15 + 3 points size the one-shot
+// window at 13, the stream's at the cap of 12; the reference is
+// multiplesOfGMSM, and the one-shot MSM must match it too).
 func TestStreamMSMMatchesMSM(t *testing.T) {
 	rng := ff.NewRand(41)
 	small := randomPoints(rng, 300)
@@ -71,14 +92,17 @@ func TestStreamMSMMatchesMSM(t *testing.T) {
 		chunks  []int
 	}{
 		{small, smallScalars, MSMNaive(small, smallScalars), []int{1, 7, len(small)}},
-		{large, largeScalars, MSMWorkers(large, largeScalars, 0), []int{4095, 4096, len(large)}},
+		{large, largeScalars, multiplesOfGMSM(largeScalars), []int{4095, 4096, len(large)}},
 	}
 	if windowSize(len(large)) <= streamMaxWindow {
 		t.Fatalf("the large case no longer reaches the window cap")
 	}
 	for _, tc := range cases {
+		if got := MSMWorkers(tc.points, tc.scalars, 0); !got.Equal(&tc.want) {
+			t.Fatalf("n=%d: one-shot MSM differs", len(tc.points))
+		}
 		for _, chunk := range tc.chunks {
-			for _, w := range []int{1, 2, 3} {
+			for _, w := range streamBudgets {
 				got, err := streamChunked(context.Background(), tc.points, tc.scalars, chunk, w)
 				if err != nil {
 					t.Fatal(err)
@@ -125,11 +149,13 @@ func TestStreamMSMDegenerate(t *testing.T) {
 			coef[b].Add(&coef[b], &s)
 		}
 		want := MSMNaive(base, coef)
-		if got := MSMWorkers(points, scalars, 2); !got.Equal(&want) {
-			t.Fatalf("%d base points: one-shot MSM differs", nb)
+		for _, w := range []int{2, 16, 32} {
+			if got := MSMWorkers(points, scalars, w); !got.Equal(&want) {
+				t.Fatalf("%d base points, workers=%d: one-shot MSM differs", nb, w)
+			}
 		}
 		for _, chunk := range []int{64, 4095, 4096, n} {
-			for _, w := range []int{1, 2} {
+			for _, w := range []int{1, 2, 16, 32} {
 				got, err := streamChunked(context.Background(), points, scalars, chunk, w)
 				if err != nil {
 					t.Fatal(err)
@@ -146,7 +172,7 @@ func TestStreamMSMDegenerate(t *testing.T) {
 // ctx.Err(), also when the cancel lands between chunks of a live stream.
 func TestStreamMSMCancel(t *testing.T) {
 	points := multiplesOfG(2 * 4096)
-	endo := EndoPoints(points)
+	endo := EndoPoints(points, 0)
 	scalars := ff.NewRand(43).Elements(len(points))
 	ctx, cancel := context.WithCancel(context.Background())
 	m := NewStreamMSM(len(points), 2)
@@ -159,19 +185,20 @@ func TestStreamMSMCancel(t *testing.T) {
 	}
 }
 
-// FuzzStreamMSMChunking: a stream fed in arbitrary chunk lengths equals one
-// MSMWorkers over the same input.
+// FuzzStreamMSMChunking: a stream fed in arbitrary chunk lengths on a
+// worker budget of 1–40 equals multiplesOfGMSM over the same input.
 func FuzzStreamMSMChunking(f *testing.F) {
-	f.Add(int64(1), uint16(100), []byte{3, 0, 17})
-	f.Add(int64(2), uint16(1), []byte{})
-	f.Add(int64(3), uint16(300), []byte{255, 1, 1, 64})
+	f.Add(int64(1), uint16(100), uint8(1), []byte{3, 0, 17})
+	f.Add(int64(2), uint16(1), uint8(1), []byte{})
+	f.Add(int64(3), uint16(300), uint8(1), []byte{255, 1, 1, 64})
+	f.Add(int64(4), uint16(299), uint8(31), []byte{40, 200})
 	pool := multiplesOfG(300)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, cuts []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, budget uint8, cuts []byte) {
 		points := pool[:1+int(n)%len(pool)]
 		scalars := withZerosAndOnes(ff.NewRand(seed).Elements(len(points)))
-		want := MSMWorkers(points, scalars, 1)
-		m := NewStreamMSM(len(points), 2)
-		endo := EndoPoints(points)
+		want := multiplesOfGMSM(scalars)
+		m := NewStreamMSM(len(points), 1+int(budget)%40)
+		endo := EndoPoints(points, 0)
 		for lo, i := 0, 0; lo < len(points); i++ {
 			ln := len(points) - lo
 			if len(cuts) > 0 {
@@ -183,7 +210,27 @@ func FuzzStreamMSMChunking(f *testing.F) {
 			lo += ln
 		}
 		if got := m.Sum(); !got.Equal(&want) {
-			t.Fatalf("n=%d cuts=%v: streamed MSM differs", len(points), cuts)
+			t.Fatalf("n=%d budget=%d cuts=%v: streamed MSM differs", len(points), 1+int(budget)%40, cuts)
 		}
 	})
+}
+
+// TestStreamMSMLanes pins the grid's shape. A streamed 2^16 MSM (c = 12,
+// 11 windows) at 32 workers has 11 × 3 = 33 tables, so each chunk offers
+// at least 32 runnable tasks; whenever workers ≤ windows there is one lane,
+// so the stream keeps one table per window. This is the many-core scaling
+// claim, stated structurally: no test host has more cores than windows.
+func TestStreamMSMLanes(t *testing.T) {
+	if m := NewStreamMSM(1<<16, 32); m.lanes != 3 || len(m.tables) < 32 {
+		t.Fatalf("2^16 at 32 workers: %d lanes, %d tasks; want 3 lanes, >= 32 tasks", m.lanes, len(m.tables))
+	}
+	for _, n := range []int{1, 300, 1 << 12, 1 << 16, 1 << 20} {
+		c := min(windowSize(n), streamMaxWindow)
+		windows := (glvScalarBits + c - 1) / c
+		for w := 1; w <= windows; w++ {
+			if m := NewStreamMSM(n, w); m.lanes != 1 || len(m.tables) != windows {
+				t.Fatalf("n=%d workers=%d <= %d windows: %d lanes, %d tables", n, w, windows, m.lanes, len(m.tables))
+			}
+		}
+	}
 }

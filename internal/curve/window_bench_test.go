@@ -22,7 +22,7 @@ func BenchmarkMSMWindowSweep(b *testing.B) {
 		acc.AddMixed(&g)
 		jacs[i] = acc
 	}
-	points := BatchFromJacobian(jacs)
+	points := BatchFromJacobianWorkers(jacs, 0)
 	for _, lg := range []int{10, 15, 16, 17} {
 		scalars := rng.Elements(1 << lg)
 		tier := windowSize(1 << lg)

@@ -219,7 +219,11 @@ func TestProofSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := proof.SizeBytes()
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(data)
 	// Succinct: a handful of KB, never linear in circuit size.
 	if size < 500 || size > 64*1024 {
 		t.Fatalf("proof size %d bytes out of expected range", size)

@@ -16,8 +16,9 @@ import (
 // Binary proof serialization. Scalars are 32-byte big-endian canonical
 // encodings; points are 96-byte uncompressed affine (x‖y) with a one-byte
 // infinity flag. Deserialization validates every scalar (canonical range)
-// and every point (on-curve), so a proof from an untrusted wire cannot
-// smuggle invalid group elements into verification.
+// and every point (on-curve and in the order-r subgroup), so a proof from
+// an untrusted wire cannot smuggle invalid group elements into
+// verification.
 
 const proofMagic = "zkphire/proof/v1"
 
@@ -102,7 +103,13 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 	return e.buf.Bytes(), nil
 }
 
-type decoder struct{ r *bytes.Reader }
+// decoder reads the wire format. A point is checked on-curve as it is read
+// and in the subgroup (a 128-bit scalar multiplication) by subgroup, once
+// the whole input has parsed, so malformed bytes fail on the cheap checks.
+type decoder struct {
+	r      *bytes.Reader
+	points []*curve.G1Affine
+}
 
 func (d *decoder) uvarint() (uint64, error) {
 	return binary.ReadUvarint(d.r)
@@ -184,6 +191,17 @@ func (d *decoder) point(out *curve.G1Affine) error {
 	out.X, out.Y, out.Infinity = x, y, false
 	if !out.IsOnCurve() {
 		return fmt.Errorf("hyperplonk: point not on curve")
+	}
+	d.points = append(d.points, out)
+	return nil
+}
+
+// subgroup checks every decoded point against the order-r subgroup.
+func (d *decoder) subgroup() error {
+	for _, p := range d.points {
+		if !p.IsInSubgroup() {
+			return fmt.Errorf("hyperplonk: point not in the order-r subgroup")
+		}
 	}
 	return nil
 }
@@ -299,5 +317,5 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	if d.r.Len() != 0 {
 		return fmt.Errorf("hyperplonk: %d trailing bytes", d.r.Len())
 	}
-	return nil
+	return d.subgroup()
 }

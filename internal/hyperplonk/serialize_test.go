@@ -1,12 +1,15 @@
 package hyperplonk
 
 import (
-	"context"
-
 	"bytes"
+	"context"
+	"math/big"
+	"strings"
 	"testing"
 
+	"zkphire/internal/curve"
 	"zkphire/internal/ff"
+	"zkphire/internal/fp"
 )
 
 func makeProof(t *testing.T) (*Proof, *Index) {
@@ -47,16 +50,60 @@ func TestProofRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProofWireSizeMatchesEstimate(t *testing.T) {
-	proof, _ := makeProof(t)
-	data, _ := proof.MarshalBinary()
-	est := proof.SizeBytes()
-	// The estimate uses compressed points (48 B) while the wire format is
-	// uncompressed (97 B); allow that spread.
-	if len(data) < est/2 || len(data) > est*3 {
-		t.Fatalf("wire size %d vs estimate %d", len(data), est)
+// nonSubgroupPoint returns an on-curve point outside the order-r subgroup:
+// the first x = 1, 2, … whose x³ + 4 is a square, y = (x³ + 4)^((p+1)/4)
+// (p ≡ 3 mod 4), kept only if [r]P ≠ O.
+func nonSubgroupPoint(t *testing.T) curve.G1Affine {
+	t.Helper()
+	e := new(big.Int).Add(fp.Modulus(), big.NewInt(1))
+	e.Rsh(e, 2)
+	var four fp.Element
+	four.SetUint64(4)
+	for x := uint64(1); x < 100; x++ {
+		var p curve.G1Affine
+		p.X.SetUint64(x)
+		var rhs, y2 fp.Element
+		rhs.Square(&p.X)
+		rhs.Mul(&rhs, &p.X)
+		rhs.Add(&rhs, &four)
+		p.Y.Exp(&rhs, e)
+		if y2.Square(&p.Y); !y2.Equal(&rhs) {
+			continue
+		}
+		var pj, rp curve.G1Jac
+		pj.FromAffine(&p)
+		if rp.ScalarMulBig(&pj, ff.Modulus()); !rp.IsInfinity() {
+			return p
+		}
 	}
-	t.Logf("wire %d bytes, estimate %d bytes", len(data), est)
+	t.Fatal("no on-curve point outside the subgroup with small x")
+	return curve.G1Affine{}
+}
+
+// TestDecodersRejectNonSubgroupPoint: an on-curve point outside the order-r
+// subgroup decodes in neither a proof nor a verifying key.
+func TestDecodersRejectNonSubgroupPoint(t *testing.T) {
+	bad := nonSubgroupPoint(t)
+	if !bad.IsOnCurve() {
+		t.Fatal("the test point is not on the curve")
+	}
+	proof, idx := makeProof(t)
+	proof.WireComms[0].Point = bad
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(Proof).UnmarshalBinary(data); err == nil || !strings.Contains(err.Error(), "subgroup") {
+		t.Fatalf("proof decoder: %v, want a subgroup error", err)
+	}
+	idx.SelectorComms[0].Point = bad
+	vk, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalVerifyingKey(vk); err == nil || !strings.Contains(err.Error(), "subgroup") {
+		t.Fatalf("verifying-key decoder: %v, want a subgroup error", err)
+	}
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {

@@ -80,27 +80,6 @@ type OpenProof struct {
 	PCS *pcs.OpeningProof
 }
 
-// SizeBytes estimates the wire-format proof size: 48 bytes per G1 point
-// (compressed) and 32 per scalar — the quantity Table IX reports (4–5 KB).
-func (p *Proof) SizeBytes() int {
-	const ptSize, scSize = 48, 32
-	size := ptSize * (len(p.WireComms) + 1)
-	count := func(sc *sumcheck.Proof) int {
-		n := 1 // claim
-		for _, r := range sc.RoundEvals {
-			n += len(r)
-		}
-		return n
-	}
-	size += scSize * (count(p.GateZC.Inner) + count(p.PermZC.Inner))
-	size += scSize * (len(p.GateEvals) + 4 + len(p.WirePermEvals) + len(p.SigmaPermEvals))
-	for _, op := range []*OpenProof{p.OpenMain, p.OpenV} {
-		size += scSize * (count(op.Sumcheck) + len(op.PolyEvals) + 1)
-		size += ptSize * len(op.PCS.Qs)
-	}
-	return size
-}
-
 // Preprocess commits the circuit's selectors and wiring permutation on the
 // full machine.
 func Preprocess(srs *pcs.SRS, c *gates.Circuit) (*Index, error) {

@@ -66,7 +66,8 @@ func (idx *Index) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalVerifyingKey deserializes and validates a verifying key written
-// by Index.MarshalBinary. Every point is checked on-curve.
+// by Index.MarshalBinary. Every point is checked on-curve and in the
+// order-r subgroup.
 func UnmarshalVerifyingKey(data []byte) (*Index, error) {
 	if len(data) < len(vkMagic)+1 || string(data[:len(vkMagic)]) != vkMagic {
 		return nil, fmt.Errorf("hyperplonk: bad verifying-key magic")
@@ -128,6 +129,9 @@ func UnmarshalVerifyingKey(data []byte) (*Index, error) {
 		return nil, fmt.Errorf("hyperplonk: %d trailing bytes in verifying key", d.r.Len())
 	}
 	if err := idx.validateShape(); err != nil {
+		return nil, err
+	}
+	if err := d.subgroup(); err != nil {
 		return nil, err
 	}
 	return idx, nil

@@ -189,62 +189,77 @@ var (
 )
 
 // msmRangeCtx computes Σ_i scalars[i] · Levels[k][off+i], the one basis
-// path of every commit and opening MSM. A resident level runs one MSM over
-// its in-RAM segment; a spilled level runs one StreamMSM fed chunk by chunk
-// from the spill store, its window sized by curve.CountDense.
-func (s *SRS) msmRangeCtx(ctx context.Context, k, off int, scalars []ff.Element, workers int) (curve.G1Jac, error) {
-	if pts := s.Levels[k]; pts != nil {
-		endo := s.EndoPoints(k, workers)
-		end := off + len(scalars)
-		return curve.MSMEndoWorkersCtx(ctx, pts[off:end], endo[off:end], scalars, workers)
+// path of every commit and opening MSM. A range whose basis arrives in one
+// piece (a resident level) is one MSM; a streamed one feeds one StreamMSM
+// chunk by chunk, its window sized by curve.CountDense.
+func (s *SRS) msmRangeCtx(ctx context.Context, k, off int, scalars []ff.Element, workers int) (res curve.G1Jac, err error) {
+	var m *curve.StreamMSM
+	err = s.basisChunks(ctx, k, off, len(scalars), workers, func(lo int, pts []curve.G1Affine, endo []fp.Element) (err error) {
+		if len(pts) == len(scalars) {
+			res, err = curve.MSMEndoWorkersCtx(ctx, pts, endo, scalars, workers)
+			return err
+		}
+		if m == nil {
+			m = curve.NewStreamMSM(curve.CountDense(scalars, workers), workers)
+		}
+		return m.Add(ctx, pts, endo, scalars[lo:lo+len(pts)])
+	})
+	if m != nil && err == nil {
+		res = m.Sum()
 	}
-	var zero curve.G1Jac
-	if s.back == nil {
-		return zero, fmt.Errorf("pcs: level %d is neither resident nor backed", k)
-	}
-	m := curve.NewStreamMSM(curve.CountDense(scalars, workers), workers)
-	if err := s.back.stream(ctx, k, off, scalars, m, workers); err != nil {
-		return zero, err
-	}
-	return m.Sum(), nil
+	return res, err
 }
 
-// stream adds level k's basis points [off, off+len(scalars)) times their
-// scalars into m, reading the spill file front to back once: per chunk, one
-// read, a parallel decode and the chunk's φ-table.
-func (b *backing) stream(ctx context.Context, k, off int, scalars []ff.Element, m *curve.StreamMSM, workers int) error {
+// basisChunks hands level k's basis points [off, off+n) and their φ-table
+// to add, lo being each piece's offset within the range: a resident level's
+// segment in one call, straight from RAM, a spilled level's chunk by chunk
+// from the spill store. It is the one place that tells the two apart.
+func (s *SRS) basisChunks(ctx context.Context, k, off, n, workers int, add func(lo int, pts []curve.G1Affine, endo []fp.Element) error) error {
+	if pts := s.Levels[k]; pts != nil {
+		endo := s.EndoPoints(k, workers)
+		return add(0, pts[off:off+n], endo[off:off+n])
+	}
+	if s.back == nil {
+		return fmt.Errorf("pcs: level %d is neither resident nor backed", k)
+	}
+	return s.back.stream(ctx, k, off, n, workers, add)
+}
+
+// stream hands level k's basis points [off, off+n) to add chunk by chunk,
+// reading the spill file front to back once: per chunk, one read, a
+// parallel decode and the chunk's φ-table.
+func (b *backing) stream(ctx context.Context, k, off, n, workers int, add func(lo int, pts []curve.G1Affine, endo []fp.Element) error) error {
 	r, err := b.store.OpenReader(ctx, levelKey(k), int64(off)*pointBytes)
 	if err != nil {
 		return fmt.Errorf("pcs: offload read level %d: %w", k, err)
 	}
 	defer r.Close()
-	chunk := min(b.chunkElems, len(scalars))
+	chunk := min(b.chunkElems, n)
 	stage := stageArena.Get(chunk * pointBytes)
 	pts := basisArena.Get(chunk)
 	endo := endoArena.Get(chunk)
 	defer stageArena.Put(stage)
 	defer basisArena.Put(pts)
 	defer endoArena.Put(endo)
-	for lo := 0; lo < len(scalars); lo += chunk {
+	for lo := 0; lo < n; lo += chunk {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		if err := faultinject.Hit("pcs.offload.read"); err != nil {
 			return fmt.Errorf("pcs: offload read level %d: %w", k, err)
 		}
-		sc := scalars[lo:min(lo+chunk, len(scalars))]
-		n := len(sc)
-		buf := stage[:n*pointBytes]
+		cn := min(chunk, n-lo)
+		buf := stage[:cn*pointBytes]
 		if err := r.ReadFull(ctx, buf); err != nil {
 			return fmt.Errorf("pcs: offload read level %d: %w", k, err)
 		}
-		parallel.For(workers, n, func(lo, hi int) {
+		parallel.For(workers, cn, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				decodePoint(buf[i*pointBytes:], &pts[i])
 			}
 		})
-		curve.EndoPointsInto(endo[:n], pts[:n], workers)
-		if err := m.Add(ctx, pts[:n], endo[:n], sc); err != nil {
+		curve.EndoPointsInto(endo[:cn], pts[:cn], workers)
+		if err := add(lo, pts[:cn], endo[:cn]); err != nil {
 			return err
 		}
 	}

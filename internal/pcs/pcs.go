@@ -76,7 +76,7 @@ func (s *SRS) EndoPoints(k, workers int) []fp.Element {
 		s.endo = make([][]fp.Element, len(s.Levels))
 	}
 	if s.endo[k] == nil {
-		s.endo[k] = curve.EndoPointsWorkers(s.Levels[k], workers)
+		s.endo[k] = curve.EndoPoints(s.Levels[k], workers)
 	}
 	return s.endo[k]
 }
@@ -132,14 +132,14 @@ func SetupDeterministic(maxVars int, seed int64) *SRS {
 func setupWithTau(maxVars int, tau []ff.Element) *SRS {
 	g := curve.Generator()
 	// One fixed-base table serves every level; its window is sized for the
-	// Σ_k 2^k ≈ 2^{maxVars+1} scalar multiplications below, and MulMany
+	// Σ_k 2^k ≈ 2^{maxVars+1} scalar multiplications below, and MulManyWorkers
 	// fans the per-scalar work over the machine.
 	fb := curve.NewFixedBaseTableSized(g, 2<<uint(maxVars))
 	srs := &SRS{MaxVars: maxVars, Tau: tau, G: g, Levels: make([][]curve.G1Affine, maxVars+1)}
 	for k := 0; k <= maxVars; k++ {
 		suffix := tau[maxVars-k:]
 		eq := mle.EqWorkers(suffix, 0)
-		srs.Levels[k] = fb.MulMany(eq.Evals)
+		srs.Levels[k] = fb.MulManyWorkers(eq.Evals, 0)
 	}
 	return srs
 }

@@ -7,6 +7,7 @@ import (
 
 	"zkphire/internal/curve"
 	"zkphire/internal/ff"
+	"zkphire/internal/fp"
 )
 
 // StreamCommitter accumulates a commitment to a table that is produced in
@@ -64,17 +65,9 @@ func (c *StreamCommitter) Feed(ctx context.Context, offset int, vals []ff.Elemen
 		c.msm = curve.NewStreamMSM(c.size, workers)
 	}
 	c.fed += len(vals)
-	k := c.numVars
-	switch pts := c.srs.Levels[k]; {
-	case pts != nil:
-		endo := c.srs.EndoPoints(k, workers)
-		end := offset + len(vals)
-		c.err = c.msm.Add(ctx, pts[offset:end], endo[offset:end], vals)
-	case c.srs.back == nil:
-		c.err = fmt.Errorf("pcs: level %d is neither resident nor backed", k)
-	default:
-		c.err = c.srs.back.stream(ctx, k, offset, vals, c.msm, workers)
-	}
+	c.err = c.srs.basisChunks(ctx, c.numVars, offset, len(vals), workers, func(lo int, pts []curve.G1Affine, endo []fp.Element) error {
+		return c.msm.Add(ctx, pts, endo, vals[lo:lo+len(pts)])
+	})
 	return c.err
 }
 

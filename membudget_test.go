@@ -40,7 +40,7 @@ func syntheticSRS(maxVars int) *SRS {
 		acc.AddMixed(&g)
 		jacs[i] = acc
 	}
-	all := curve.BatchFromJacobian(jacs)
+	all := curve.BatchFromJacobianWorkers(jacs, 0)
 	for k := 0; k <= maxVars; k++ {
 		lvl := make([]curve.G1Affine, 1<<k)
 		copy(lvl, all[:1<<k])
