@@ -9,6 +9,7 @@ package zkphire
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"zkphire/internal/core"
@@ -422,6 +423,58 @@ func BenchmarkSessionAmortization(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCompile16 builds and compiles the benchmark's 2^16-row circuits:
+// a 40 000-gate chain of seeded Mul/Add rows (Vanilla) and the same count of
+// seeded Power5/DoubleMulAdd/Add rows (Jellyfish).
+func BenchmarkCompile16(b *testing.B) {
+	const logGates, count = 16, 40000
+	build := map[Arithmetization]func() Builder{
+		Vanilla: func() Builder {
+			cb := NewCircuitBuilder()
+			rng := rand.New(rand.NewSource(1))
+			x := cb.Secret(7)
+			acc := x
+			for i := 0; i < count; i++ {
+				if rng.Intn(2) == 0 {
+					acc = cb.Mul(acc, x)
+				} else {
+					acc = cb.Add(acc, x)
+				}
+			}
+			return cb
+		},
+		Jellyfish: func() Builder {
+			jb := NewJellyfishBuilder()
+			rng := rand.New(rand.NewSource(1))
+			x := jb.Secret(7)
+			acc, prev := x, x
+			for i := 0; i < count; i++ {
+				var next Wire
+				switch rng.Intn(3) {
+				case 0:
+					next = jb.Power5(acc)
+				case 1:
+					next = jb.DoubleMulAdd(acc, x, prev, x)
+				default:
+					next = jb.Add(acc, x)
+				}
+				prev, acc = acc, next
+			}
+			return jb
+		},
+	}
+	for _, kind := range []Arithmetization{Vanilla, Jellyfish} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compile(build[kind](), WithLogGates(logGates)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // --- Design-choice ablation benchmarks (DESIGN.md index) ---

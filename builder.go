@@ -6,40 +6,28 @@ import (
 	"zkphire/internal/workloads"
 )
 
-// Arithmetization selects the gate system a circuit is expressed in.
-type Arithmetization int
+// Arithmetization selects the gate system a circuit is expressed in. It is
+// the hardware models' gate kind, so the estimators take it as is, and its
+// value is part of every circuit hash.
+type Arithmetization = workloads.GateKind
 
 const (
 	// Vanilla is the 3-wire, 5-selector Plonk gate.
-	Vanilla Arithmetization = iota
+	Vanilla = workloads.Vanilla
 	// Jellyfish is the 5-wire, 13-selector high-degree custom gate (power-5
 	// S-boxes, double-mul, 4-way ECC products) — the arithmetization behind
 	// the paper's headline gate-count reductions.
-	Jellyfish
+	Jellyfish = workloads.Jellyfish
 )
-
-func (a Arithmetization) String() string {
-	if a == Jellyfish {
-		return "jellyfish"
-	}
-	return "vanilla"
-}
-
-// gateKind maps the public constant onto the workload-model enum.
-func (a Arithmetization) gateKind() workloads.GateKind {
-	if a == Jellyfish {
-		return workloads.Jellyfish
-	}
-	return workloads.Vanilla
-}
 
 // Wire is a circuit variable handle.
 type Wire = gates.Variable
 
-// Builder is the common surface of both gate-system builders. Obtain one
-// with NewBuilder (or the concrete constructors when gate-system-specific
-// methods such as Power5 are needed) and pass it to Compile. Values attached
-// to wires form the witness.
+// Builder is the common surface of both gate-system builders, which share
+// one implementation of it and differ only in the gate forms they add
+// (Jellyfish's Power5, DoubleMulAdd, Power5Round and EccProduct). Obtain one
+// with NewBuilder (or the concrete constructors when those forms are needed)
+// and pass it to Compile. Values attached to wires form the witness.
 type Builder interface {
 	// Arithmetization reports which gate system the builder emits.
 	Arithmetization() Arithmetization
@@ -71,87 +59,77 @@ func NewBuilder(kind Arithmetization) Builder {
 	return NewCircuitBuilder()
 }
 
+// gateBuilder is the surface of the internal builders the shared core uses.
+type gateBuilder interface {
+	NewVariable(v ff.Element) gates.Variable
+	Value(v gates.Variable) ff.Element
+	Add(a, b gates.Variable) gates.Variable
+	Mul(a, b gates.Variable) gates.Variable
+	AddConst(a gates.Variable, k ff.Element) gates.Variable
+	AssertConst(a gates.Variable, k ff.Element)
+	GateCount() int
+	Build(numVars int) (*gates.Circuit, error)
+}
+
+// builder is the gate-system-independent half of both public builders.
+type builder[B gateBuilder] struct {
+	b    B
+	kind Arithmetization
+}
+
+// Arithmetization reports the builder's gate system.
+func (c *builder[B]) Arithmetization() Arithmetization { return c.kind }
+
+// Secret introduces a secret witness value.
+func (c *builder[B]) Secret(v uint64) Wire { return c.b.NewVariable(ff.NewElement(v)) }
+
+// SecretElement introduces a secret field element.
+func (c *builder[B]) SecretElement(v ff.Element) Wire { return c.b.NewVariable(v) }
+
+// Add emits out = a + b.
+func (c *builder[B]) Add(a, b Wire) Wire { return c.b.Add(a, b) }
+
+// Mul emits out = a · b.
+func (c *builder[B]) Mul(a, b Wire) Wire { return c.b.Mul(a, b) }
+
+// AddConst emits out = a + k.
+func (c *builder[B]) AddConst(a Wire, k uint64) Wire { return c.b.AddConst(a, ff.NewElement(k)) }
+
+// AssertEqualConst constrains a == k.
+func (c *builder[B]) AssertEqualConst(a Wire, k uint64) { c.b.AssertConst(a, ff.NewElement(k)) }
+
+// AssertEqualElement constrains a == k for a full field element.
+func (c *builder[B]) AssertEqualElement(a Wire, k ff.Element) { c.b.AssertConst(a, k) }
+
+// Value returns the witness value currently assigned to a wire.
+func (c *builder[B]) Value(a Wire) ff.Element { return c.b.Value(a) }
+
+// GateCount returns the number of gates emitted so far.
+func (c *builder[B]) GateCount() int { return c.b.GateCount() }
+
+func (c *builder[B]) compile(logGates int) (*gates.Circuit, error) { return c.b.Build(logGates) }
+
 // CircuitBuilder builds Vanilla-gate circuits with a value-carrying witness.
 // It implements Builder.
 type CircuitBuilder struct {
-	b *gates.VanillaBuilder
+	builder[*gates.VanillaBuilder]
 }
 
 // NewCircuitBuilder returns an empty Vanilla-gate builder.
 func NewCircuitBuilder() *CircuitBuilder {
-	return &CircuitBuilder{b: gates.NewVanillaBuilder()}
-}
-
-// Arithmetization reports Vanilla.
-func (c *CircuitBuilder) Arithmetization() Arithmetization { return Vanilla }
-
-// Secret introduces a secret witness value.
-func (c *CircuitBuilder) Secret(v uint64) Wire { return c.b.NewVariable(ff.NewElement(v)) }
-
-// SecretElement introduces a secret field element.
-func (c *CircuitBuilder) SecretElement(v ff.Element) Wire { return c.b.NewVariable(v) }
-
-// Add emits an addition gate.
-func (c *CircuitBuilder) Add(a, b Wire) Wire { return c.b.Add(a, b) }
-
-// Mul emits a multiplication gate.
-func (c *CircuitBuilder) Mul(a, b Wire) Wire { return c.b.Mul(a, b) }
-
-// AddConst emits out = a + k.
-func (c *CircuitBuilder) AddConst(a Wire, k uint64) Wire {
-	return c.b.AddConst(a, ff.NewElement(k))
-}
-
-// AssertEqualConst constrains a == k.
-func (c *CircuitBuilder) AssertEqualConst(a Wire, k uint64) {
-	c.b.AssertConst(a, ff.NewElement(k))
-}
-
-// AssertEqualElement constrains a == k for a full field element.
-func (c *CircuitBuilder) AssertEqualElement(a Wire, k ff.Element) {
-	c.b.AssertConst(a, k)
-}
-
-// Value returns the witness value currently assigned to a wire.
-func (c *CircuitBuilder) Value(a Wire) ff.Element { return c.b.Value(a) }
-
-// GateCount returns the number of gates emitted so far.
-func (c *CircuitBuilder) GateCount() int { return c.b.GateCount() }
-
-func (c *CircuitBuilder) compile(logGates int) (*gates.Circuit, error) {
-	return c.b.Build(logGates)
+	return &CircuitBuilder{builder[*gates.VanillaBuilder]{gates.NewVanillaBuilder(), Vanilla}}
 }
 
 // JellyfishBuilder builds circuits from high-degree Jellyfish custom gates.
 // It implements Builder and additionally exposes the gate forms one
 // Jellyfish row can absorb (Power5, DoubleMulAdd, Power5Round, EccProduct).
 type JellyfishBuilder struct {
-	b *gates.JellyfishBuilder
+	builder[*gates.JellyfishBuilder]
 }
 
 // NewJellyfishBuilder returns an empty Jellyfish-gate builder.
 func NewJellyfishBuilder() *JellyfishBuilder {
-	return &JellyfishBuilder{b: gates.NewJellyfishBuilder()}
-}
-
-// Arithmetization reports Jellyfish.
-func (c *JellyfishBuilder) Arithmetization() Arithmetization { return Jellyfish }
-
-// Secret introduces a secret witness value.
-func (c *JellyfishBuilder) Secret(v uint64) Wire { return c.b.NewVariable(ff.NewElement(v)) }
-
-// SecretElement introduces a secret field element.
-func (c *JellyfishBuilder) SecretElement(v ff.Element) Wire { return c.b.NewVariable(v) }
-
-// Add emits out = a + b.
-func (c *JellyfishBuilder) Add(a, b Wire) Wire { return c.b.Add(a, b) }
-
-// Mul emits out = a · b.
-func (c *JellyfishBuilder) Mul(a, b Wire) Wire { return c.b.Mul(a, b) }
-
-// AddConst emits out = a + k via a one-input linear-combination gate.
-func (c *JellyfishBuilder) AddConst(a Wire, k uint64) Wire {
-	return c.b.LinearCombination([]Wire{a}, []ff.Element{ff.One()}, ff.NewElement(k))
+	return &JellyfishBuilder{builder[*gates.JellyfishBuilder]{gates.NewJellyfishBuilder(), Jellyfish}}
 }
 
 // Power5 emits out = a⁵ in a single gate.
@@ -172,26 +150,6 @@ func (c *JellyfishBuilder) Power5Round(ins [4]Wire, coeffs [4]uint64, k uint64) 
 
 // EccProduct emits out = a·b·d·e via the qecc selector.
 func (c *JellyfishBuilder) EccProduct(a, b, d, e Wire) Wire { return c.b.EccProduct(a, b, d, e) }
-
-// AssertEqualConst constrains a == k.
-func (c *JellyfishBuilder) AssertEqualConst(a Wire, k uint64) {
-	c.b.AssertConst(a, ff.NewElement(k))
-}
-
-// AssertEqualElement constrains a == k for a full field element.
-func (c *JellyfishBuilder) AssertEqualElement(a Wire, k ff.Element) {
-	c.b.AssertConst(a, k)
-}
-
-// Value returns the witness value currently assigned to a wire.
-func (c *JellyfishBuilder) Value(a Wire) ff.Element { return c.b.Value(a) }
-
-// GateCount returns the number of gates emitted so far.
-func (c *JellyfishBuilder) GateCount() int { return c.b.GateCount() }
-
-func (c *JellyfishBuilder) compile(logGates int) (*gates.Circuit, error) {
-	return c.b.Build(logGates)
-}
 
 var (
 	_ Builder = (*CircuitBuilder)(nil)

@@ -86,7 +86,7 @@ func (a *Accelerator) EstimateSumCheck(tableID, logGates int) (Estimate, error) 
 // EstimateProtocol models the full HyperPlonk protocol for 2^logGates gates
 // on the Table V system schedule.
 func (a *Accelerator) EstimateProtocol(kind Arithmetization, logGates int) (Estimate, error) {
-	r, err := a.cfg.ProveTime(kind.gateKind(), logGates, hw.DefaultSparsity)
+	r, err := a.cfg.ProveTime(kind, logGates, hw.DefaultSparsity)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -192,7 +192,7 @@ func (z *ZKSpeedEstimator) EstimateProtocol(kind Arithmetization, logGates int) 
 		return Estimate{}, fmt.Errorf("zkphire: zkSpeed scales to 2^%d gates, got 2^%d", zkspeed.MaxLogGates, logGates)
 	}
 	cfg := z.referenceConfig()
-	r, err := cfg.ProveTime(kind.gateKind(), logGates, hw.DefaultSparsity)
+	r, err := cfg.ProveTime(kind, logGates, hw.DefaultSparsity)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -254,7 +254,7 @@ func (c *CPUEstimator) EstimateProtocol(kind Arithmetization, logGates int) (Est
 	if logGates < 4 || logGates > 34 {
 		return Estimate{}, fmt.Errorf("zkphire: unreasonable log gate count %d", logGates)
 	}
-	r := system.CPUProveTime(c.model, kind.gateKind(), logGates)
+	r := system.CPUProveTime(c.model, kind, logGates)
 	return Estimate{
 		Seconds: r.Total(),
 		PowerW:  cpumodel.TDPWatts,

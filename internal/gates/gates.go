@@ -1,9 +1,9 @@
 // Package gates provides circuit builders for the two HyperPlonk
 // arithmetizations the paper evaluates: Vanilla Plonk gates (3 wires, 5
 // selectors) and Jellyfish custom gates (5 wires, 13 selectors, power-5 hash
-// terms and a 4-way ECC product). Builders track copy constraints through
-// variables and emit the selector/wire MLEs plus the wiring permutation that
-// the HyperPlonk prover consumes.
+// terms and a 4-way ECC product). Both share one row store, whose Build
+// tracks copy constraints through variables and emits the selector/wire MLEs
+// plus the wiring permutation that the HyperPlonk prover consumes.
 package gates
 
 import (
@@ -33,23 +33,35 @@ type Circuit struct {
 	Gate *poly.Composite
 }
 
+// GateTables returns the tables bound to the gate composite's variables, in
+// its variable order: a selector by name, wN as wire column N.
+func (c *Circuit) GateTables() ([]*mle.Table, error) {
+	tabs := make([]*mle.Table, c.Gate.NumVars())
+	for i, name := range c.Gate.VarNames {
+		if t, ok := c.Selectors[name]; ok {
+			tabs[i] = t
+			continue
+		}
+		var w int
+		if _, err := fmt.Sscanf(name, "w%d", &w); err != nil || w < 1 || w > len(c.Wires) {
+			return nil, fmt.Errorf("gates: gate variable %q has no bound table", name)
+		}
+		tabs[i] = c.Wires[w-1]
+	}
+	return tabs, nil
+}
+
 // Satisfied reports whether every gate constraint holds for the embedded
 // witness (diagnostic; the prover proves this via ZeroCheck).
 func (c *Circuit) Satisfied() bool {
-	n := 1 << uint(c.NumVars)
-	assign := make([]ff.Element, c.Gate.NumVars())
-	for x := 0; x < n; x++ {
-		for i, name := range c.Gate.VarNames {
-			if t, ok := c.Selectors[name]; ok {
-				assign[i] = t.Evals[x]
-				continue
-			}
-			var w int
-			if _, err := fmt.Sscanf(name, "w%d", &w); err == nil && w >= 1 && w <= len(c.Wires) {
-				assign[i] = c.Wires[w-1].Evals[x]
-				continue
-			}
-			panic("gates: unbound constraint variable " + name)
+	tabs, err := c.GateTables()
+	if err != nil {
+		panic(err)
+	}
+	assign := make([]ff.Element, len(tabs))
+	for x := 0; x < 1<<uint(c.NumVars); x++ {
+		for i, t := range tabs {
+			assign[i] = t.Evals[x]
 		}
 		if v := c.Gate.Evaluate(assign); !v.IsZero() {
 			return false
@@ -73,153 +85,163 @@ func (c *Circuit) CopySatisfied() bool {
 	return true
 }
 
-// position is (column, row) of a wire slot.
-type position struct{ col, row int }
+var one = ff.One()
 
-// varUse tracks where a variable's value is wired.
-type varUse struct {
-	value ff.Element
-	slots []position
+// rowStore is the state both builders share: a gate system's row layout (its
+// selector columns in row order, wire count and gate composite), the witness
+// values, and each gate's selector values and wire slots, flat by row.
+type rowStore struct {
+	selectors []string
+	wires     int
+	gate      func() *poly.Composite
+	values    []ff.Element
+	sel       []ff.Element // len(selectors) per gate
+	slots     []Variable   // wires per gate; -1 marks an unused slot
 }
-
-// VanillaBuilder assembles circuits from Vanilla Plonk gates.
-type VanillaBuilder struct {
-	vars []varUse
-	rows []vanillaRow
-}
-
-type vanillaRow struct {
-	qL, qR, qO, qM, qC ff.Element
-	in1, in2, out      Variable // -1 if the slot is unused
-}
-
-// NewVanillaBuilder returns an empty builder.
-func NewVanillaBuilder() *VanillaBuilder { return &VanillaBuilder{} }
 
 // NewVariable introduces a witness value.
-func (b *VanillaBuilder) NewVariable(v ff.Element) Variable {
-	b.vars = append(b.vars, varUse{value: v})
-	return Variable(len(b.vars) - 1)
+func (s *rowStore) NewVariable(v ff.Element) Variable {
+	s.values = append(s.values, v)
+	return Variable(len(s.values) - 1)
 }
 
 // Value returns the assigned value of a variable.
-func (b *VanillaBuilder) Value(v Variable) ff.Element { return b.vars[v].value }
+func (s *rowStore) Value(v Variable) ff.Element { return s.values[v] }
+
+// GateCount returns the number of gates emitted so far.
+func (s *rowStore) GateCount() int { return len(s.slots) / s.wires }
+
+// row appends a gate wired to ins from the first column on and to out in
+// the last (-1 leaves a slot unused), and returns its selector values, all
+// zero, for the caller to set.
+func (s *rowStore) row(out Variable, ins ...Variable) []ff.Element {
+	s.slots = append(s.slots, ins...)
+	for i := len(ins); i < s.wires-1; i++ {
+		s.slots = append(s.slots, -1)
+	}
+	s.slots = append(s.slots, out)
+	n := len(s.sel)
+	s.sel = append(s.sel, make([]ff.Element, len(s.selectors))...)
+	return s.sel[n:]
+}
+
+// output is row for a gate whose output is a new variable of value v.
+func (s *rowStore) output(v ff.Element, ins ...Variable) (Variable, []ff.Element) {
+	out := s.NewVariable(v)
+	return out, s.row(out, ins...)
+}
+
+// Build compiles the circuit, padding to 2^numVars rows with no-op gates.
+// Each variable's wire slots, in row then column order, form one copy cycle.
+func (s *rowStore) Build(numVars int) (*Circuit, error) {
+	n, k, ns, rows := 1<<uint(numVars), s.wires, len(s.selectors), s.GateCount()
+	if rows > n {
+		return nil, fmt.Errorf("gates: %d gates exceed capacity 2^%d", rows, numVars)
+	}
+	c := &Circuit{
+		NumVars:   numVars,
+		GateCount: rows,
+		Selectors: make(map[string]*mle.Table, ns),
+		Wires:     make([]*mle.Table, k),
+		Perm:      perm.Identity(k, n),
+		Gate:      s.gate(),
+	}
+	for j, name := range s.selectors {
+		t := mle.New(numVars)
+		for i := range rows {
+			t.Evals[i] = s.sel[i*ns+j]
+		}
+		c.Selectors[name] = t
+	}
+	for col := range c.Wires {
+		c.Wires[col] = mle.New(numVars)
+	}
+	uses := make([][]int, len(s.values))
+	for i := range rows {
+		for col, v := range s.slots[i*k : (i+1)*k] {
+			if v >= 0 {
+				c.Wires[col].Evals[i] = s.values[v]
+				uses[v] = append(uses[v], col*n+i)
+			}
+		}
+	}
+	for _, cycle := range uses {
+		c.Perm.AddCycle(cycle)
+	}
+	if err := c.Perm.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Vanilla selector columns, in row order.
+const (
+	qL = iota
+	qR
+	qO
+	qM
+	qC
+)
+
+// VanillaBuilder assembles circuits from Vanilla Plonk gates
+// q_L·w₁ + q_R·w₂ − q_O·w₃ + q_M·w₁w₂ + q_C = 0.
+type VanillaBuilder struct{ rowStore }
+
+// NewVanillaBuilder returns an empty builder.
+func NewVanillaBuilder() *VanillaBuilder {
+	return &VanillaBuilder{rowStore{
+		selectors: []string{"qL", "qR", "qO", "qM", "qC"},
+		wires:     3,
+		gate:      poly.VanillaGate,
+	}}
+}
 
 // Add emits an addition gate: out = a + b.
 func (b *VanillaBuilder) Add(a, c Variable) Variable {
 	var sum ff.Element
-	av, cv := b.vars[a].value, b.vars[c].value
-	sum.Add(&av, &cv)
-	out := b.NewVariable(sum)
-	oneE := ff.One()
-	b.rows = append(b.rows, vanillaRow{qL: oneE, qR: oneE, qO: oneE, in1: a, in2: c, out: out})
+	sum.Add(&b.values[a], &b.values[c])
+	out, q := b.output(sum, a, c)
+	q[qL], q[qR], q[qO] = one, one, one
 	return out
 }
 
 // Mul emits a multiplication gate: out = a · b.
 func (b *VanillaBuilder) Mul(a, c Variable) Variable {
 	var prod ff.Element
-	av, cv := b.vars[a].value, b.vars[c].value
-	prod.Mul(&av, &cv)
-	out := b.NewVariable(prod)
-	oneE := ff.One()
-	b.rows = append(b.rows, vanillaRow{qM: oneE, qO: oneE, in1: a, in2: c, out: out})
+	prod.Mul(&b.values[a], &b.values[c])
+	out, q := b.output(prod, a, c)
+	q[qM], q[qO] = one, one
 	return out
 }
 
 // AddConst emits out = a + k.
 func (b *VanillaBuilder) AddConst(a Variable, k ff.Element) Variable {
 	var sum ff.Element
-	av := b.vars[a].value
-	sum.Add(&av, &k)
-	out := b.NewVariable(sum)
-	oneE := ff.One()
-	b.rows = append(b.rows, vanillaRow{qL: oneE, qO: oneE, qC: k, in1: a, in2: -1, out: out})
+	sum.Add(&b.values[a], &k)
+	out, q := b.output(sum, a)
+	q[qL], q[qO], q[qC] = one, one, k
 	return out
 }
 
 // ScaleConst emits out = k·a (a single gate with qL = k).
 func (b *VanillaBuilder) ScaleConst(a Variable, k ff.Element) Variable {
 	var v ff.Element
-	av := b.vars[a].value
-	v.Mul(&k, &av)
-	out := b.NewVariable(v)
-	oneE := ff.One()
-	b.rows = append(b.rows, vanillaRow{qL: k, qO: oneE, in1: a, in2: -1, out: out})
+	v.Mul(&k, &b.values[a])
+	out, q := b.output(v, a)
+	q[qL], q[qO] = k, one
 	return out
 }
 
 // AssertConst constrains a == k with a gate qL·a − k = 0.
 func (b *VanillaBuilder) AssertConst(a Variable, k ff.Element) {
-	oneE := ff.One()
-	var negK ff.Element
-	negK.Neg(&k)
-	b.rows = append(b.rows, vanillaRow{qL: oneE, qC: negK, in1: a, in2: -1, out: -1})
+	q := b.row(-1, a)
+	q[qL] = one
+	q[qC].Neg(&k)
 }
 
-// AssertEqual constrains a == b via copy wiring on an addition-style gate.
+// AssertEqual constrains a == b with the gate a − b = 0 (qL = 1, qR = −1).
 func (b *VanillaBuilder) AssertEqual(a, c Variable) {
-	oneE := ff.One()
-	var negOne ff.Element
-	negOne.Neg(&oneE)
-	// qL·a − qR·b = 0 encoded as qL=1, qR=-1.
-	b.rows = append(b.rows, vanillaRow{qL: oneE, qR: negOne, in1: a, in2: c, out: -1})
-}
-
-// GateCount returns the number of gates emitted so far.
-func (b *VanillaBuilder) GateCount() int { return len(b.rows) }
-
-// Build compiles the circuit, padding to 2^numVars rows with no-op gates.
-func (b *VanillaBuilder) Build(numVars int) (*Circuit, error) {
-	n := 1 << uint(numVars)
-	if len(b.rows) > n {
-		return nil, fmt.Errorf("gates: %d gates exceed capacity 2^%d", len(b.rows), numVars)
-	}
-	sel := map[string]*mle.Table{
-		"qL": mle.New(numVars), "qR": mle.New(numVars), "qO": mle.New(numVars),
-		"qM": mle.New(numVars), "qC": mle.New(numVars),
-	}
-	wires := []*mle.Table{mle.New(numVars), mle.New(numVars), mle.New(numVars)}
-	p := perm.Identity(3, n)
-
-	uses := make([][]position, len(b.vars))
-	for i, row := range b.rows {
-		sel["qL"].Evals[i] = row.qL
-		sel["qR"].Evals[i] = row.qR
-		sel["qO"].Evals[i] = row.qO
-		sel["qM"].Evals[i] = row.qM
-		sel["qC"].Evals[i] = row.qC
-		place := func(col int, v Variable) {
-			if v < 0 {
-				return
-			}
-			wires[col].Evals[i] = b.vars[v].value
-			uses[v] = append(uses[v], position{col, i})
-		}
-		place(0, row.in1)
-		place(1, row.in2)
-		place(2, row.out)
-	}
-	for _, slots := range uses {
-		if len(slots) < 2 {
-			continue
-		}
-		flat := make([]int, len(slots))
-		for i, s := range slots {
-			flat[i] = s.col*n + s.row
-		}
-		p.AddCycle(flat)
-	}
-	c := &Circuit{
-		NumVars:   numVars,
-		GateCount: len(b.rows),
-		Selectors: sel,
-		Wires:     wires,
-		Perm:      p,
-		Gate:      poly.VanillaGate(),
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	q := b.row(-1, a, c)
+	q[qL] = one
+	q[qR].Neg(&one)
 }

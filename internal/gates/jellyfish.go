@@ -1,12 +1,19 @@
 package gates
 
 import (
-	"fmt"
-
 	"zkphire/internal/ff"
-	"zkphire/internal/mle"
-	"zkphire/internal/perm"
 	"zkphire/internal/poly"
+)
+
+// Jellyfish selector columns, in the row order NewJellyfishBuilder lists.
+const (
+	jLin = 0 // q1..q4: wᵢ
+	jM1  = 4 // w1·w2
+	jM2  = 5 // w3·w4
+	jPow = 6 // qH1..qH4: wᵢ⁵
+	jOut = 10
+	jEcc = 11 // w1·w2·w3·w4
+	jK   = 12
 )
 
 // JellyfishBuilder assembles circuits from Jellyfish custom gates
@@ -14,36 +21,16 @@ import (
 // product and two multiplication terms per gate). One Jellyfish gate absorbs
 // what would take several Vanilla gates — the table-size reduction the
 // paper's Figure 13 and Tables VII–VIII quantify.
-type JellyfishBuilder struct {
-	vars []varUse
-	rows []jellyfishRow
-}
-
-type jellyfishRow struct {
-	q   [4]ff.Element // q1..q4 linear selectors
-	qM1 ff.Element    // w1·w2
-	qM2 ff.Element    // w3·w4
-	qH  [4]ff.Element // w_i^5 selectors
-	qO  ff.Element
-	qE  ff.Element // qecc: w1·w2·w3·w4
-	qC  ff.Element
-	in  [4]Variable // -1 when unused
-	out Variable
-}
+type JellyfishBuilder struct{ rowStore }
 
 // NewJellyfishBuilder returns an empty builder.
-func NewJellyfishBuilder() *JellyfishBuilder { return &JellyfishBuilder{} }
-
-// NewVariable introduces a witness value.
-func (b *JellyfishBuilder) NewVariable(v ff.Element) Variable {
-	b.vars = append(b.vars, varUse{value: v})
-	return Variable(len(b.vars) - 1)
+func NewJellyfishBuilder() *JellyfishBuilder {
+	return &JellyfishBuilder{rowStore{
+		selectors: []string{"q1", "q2", "q3", "q4", "qM1", "qM2", "qH1", "qH2", "qH3", "qH4", "qO", "qecc", "qC"},
+		wires:     5,
+		gate:      poly.JellyfishGate,
+	}}
 }
-
-// Value returns the assigned value of a variable.
-func (b *JellyfishBuilder) Value(v Variable) ff.Element { return b.vars[v].value }
-
-func noneIn() [4]Variable { return [4]Variable{-1, -1, -1, -1} }
 
 // LinearCombination emits out = Σ coeffs[i]·ins[i] + k (up to 4 inputs).
 func (b *JellyfishBuilder) LinearCombination(ins []Variable, coeffs []ff.Element, k ff.Element) Variable {
@@ -53,62 +40,51 @@ func (b *JellyfishBuilder) LinearCombination(ins []Variable, coeffs []ff.Element
 	acc := k
 	for i := range ins {
 		var t ff.Element
-		v := b.vars[ins[i]].value
-		t.Mul(&coeffs[i], &v)
+		t.Mul(&coeffs[i], &b.values[ins[i]])
 		acc.Add(&acc, &t)
 	}
-	out := b.NewVariable(acc)
-	row := jellyfishRow{qO: ff.One(), qC: k, in: noneIn(), out: out}
-	for i := range ins {
-		row.q[i] = coeffs[i]
-		row.in[i] = ins[i]
-	}
-	b.rows = append(b.rows, row)
+	out, q := b.output(acc, ins...)
+	copy(q[jLin:], coeffs)
+	q[jOut], q[jK] = one, k
 	return out
 }
 
 // Add emits out = a + c.
 func (b *JellyfishBuilder) Add(a, c Variable) Variable {
-	oneE := ff.One()
-	return b.LinearCombination([]Variable{a, c}, []ff.Element{oneE, oneE}, ff.Zero())
+	return b.LinearCombination([]Variable{a, c}, []ff.Element{one, one}, ff.Zero())
+}
+
+// AddConst emits out = a + k.
+func (b *JellyfishBuilder) AddConst(a Variable, k ff.Element) Variable {
+	return b.LinearCombination([]Variable{a}, []ff.Element{one}, k)
 }
 
 // Mul emits out = a · c using the qM1 term.
 func (b *JellyfishBuilder) Mul(a, c Variable) Variable {
 	var prod ff.Element
-	av, cv := b.vars[a].value, b.vars[c].value
-	prod.Mul(&av, &cv)
-	out := b.NewVariable(prod)
-	row := jellyfishRow{qM1: ff.One(), qO: ff.One(), in: noneIn(), out: out}
-	row.in[0] = a
-	row.in[1] = c
-	b.rows = append(b.rows, row)
+	prod.Mul(&b.values[a], &b.values[c])
+	out, q := b.output(prod, a, c)
+	q[jM1], q[jOut] = one, one
 	return out
 }
 
 // DoubleMulAdd emits out = a·b + c·d in a single gate (qM1 + qM2).
 func (b *JellyfishBuilder) DoubleMulAdd(a, c, d, e Variable) Variable {
-	var p1, p2, sum ff.Element
-	av, cv, dv, ev := b.vars[a].value, b.vars[c].value, b.vars[d].value, b.vars[e].value
-	p1.Mul(&av, &cv)
-	p2.Mul(&dv, &ev)
-	sum.Add(&p1, &p2)
-	out := b.NewVariable(sum)
-	row := jellyfishRow{qM1: ff.One(), qM2: ff.One(), qO: ff.One(), in: [4]Variable{a, c, d, e}, out: out}
-	b.rows = append(b.rows, row)
+	var p1, p2 ff.Element
+	p1.Mul(&b.values[a], &b.values[c])
+	p2.Mul(&b.values[d], &b.values[e])
+	p1.Add(&p1, &p2)
+	out, q := b.output(p1, a, c, d, e)
+	q[jM1], q[jM2], q[jOut] = one, one, one
 	return out
 }
 
 // Power5 emits out = a⁵ — the Rescue/Poseidon S-box absorbed by one gate.
 func (b *JellyfishBuilder) Power5(a Variable) Variable {
 	var v ff.Element
-	av := b.vars[a].value
-	v.ExpUint64(&av, 5)
-	out := b.NewVariable(v)
-	row := jellyfishRow{qO: ff.One(), in: noneIn(), out: out}
-	row.qH[0] = ff.One()
-	row.in[0] = a
-	b.rows = append(b.rows, row)
+	v.ExpUint64(&b.values[a], 5)
+	out, q := b.output(v, a)
+	q[jPow], q[jOut] = one, one
 	return out
 }
 
@@ -118,109 +94,30 @@ func (b *JellyfishBuilder) Power5Round(ins [4]Variable, coeffs [4]ff.Element, k 
 	acc := k
 	for i := 0; i < 4; i++ {
 		var t ff.Element
-		v := b.vars[ins[i]].value
-		t.ExpUint64(&v, 5)
+		t.ExpUint64(&b.values[ins[i]], 5)
 		t.Mul(&t, &coeffs[i])
 		acc.Add(&acc, &t)
 	}
-	out := b.NewVariable(acc)
-	row := jellyfishRow{qO: ff.One(), qC: k, in: ins, out: out}
-	row.qH = coeffs
-	b.rows = append(b.rows, row)
+	out, q := b.output(acc, ins[:]...)
+	copy(q[jPow:], coeffs[:])
+	q[jOut], q[jK] = one, k
 	return out
 }
 
 // EccProduct emits out = a·b·c·d via the qecc selector.
 func (b *JellyfishBuilder) EccProduct(a, c, d, e Variable) Variable {
-	var prod ff.Element
-	prod = b.vars[a].value
-	cv, dv, ev := b.vars[c].value, b.vars[d].value, b.vars[e].value
-	prod.Mul(&prod, &cv)
-	prod.Mul(&prod, &dv)
-	prod.Mul(&prod, &ev)
-	out := b.NewVariable(prod)
-	row := jellyfishRow{qE: ff.One(), qO: ff.One(), in: [4]Variable{a, c, d, e}, out: out}
-	b.rows = append(b.rows, row)
+	prod := b.values[a]
+	prod.Mul(&prod, &b.values[c])
+	prod.Mul(&prod, &b.values[d])
+	prod.Mul(&prod, &b.values[e])
+	out, q := b.output(prod, a, c, d, e)
+	q[jEcc], q[jOut] = one, one
 	return out
 }
 
 // AssertConst constrains a == k.
 func (b *JellyfishBuilder) AssertConst(a Variable, k ff.Element) {
-	var negK ff.Element
-	negK.Neg(&k)
-	row := jellyfishRow{qC: negK, in: noneIn(), out: -1}
-	row.q[0] = ff.One()
-	row.in[0] = a
-	b.rows = append(b.rows, row)
-}
-
-// GateCount returns the number of gates emitted so far.
-func (b *JellyfishBuilder) GateCount() int { return len(b.rows) }
-
-var jellyfishSelectorNames = []string{
-	"q1", "q2", "q3", "q4", "qM1", "qM2", "qH1", "qH2", "qH3", "qH4", "qO", "qecc", "qC",
-}
-
-// Build compiles the circuit, padding to 2^numVars rows.
-func (b *JellyfishBuilder) Build(numVars int) (*Circuit, error) {
-	n := 1 << uint(numVars)
-	if len(b.rows) > n {
-		return nil, fmt.Errorf("gates: %d gates exceed capacity 2^%d", len(b.rows), numVars)
-	}
-	sel := map[string]*mle.Table{}
-	for _, name := range jellyfishSelectorNames {
-		sel[name] = mle.New(numVars)
-	}
-	wires := make([]*mle.Table, 5)
-	for i := range wires {
-		wires[i] = mle.New(numVars)
-	}
-	p := perm.Identity(5, n)
-
-	uses := make([][]position, len(b.vars))
-	for i, row := range b.rows {
-		for j := 0; j < 4; j++ {
-			sel[fmt.Sprintf("q%d", j+1)].Evals[i] = row.q[j]
-			sel[fmt.Sprintf("qH%d", j+1)].Evals[i] = row.qH[j]
-		}
-		sel["qM1"].Evals[i] = row.qM1
-		sel["qM2"].Evals[i] = row.qM2
-		sel["qO"].Evals[i] = row.qO
-		sel["qecc"].Evals[i] = row.qE
-		sel["qC"].Evals[i] = row.qC
-
-		place := func(col int, v Variable) {
-			if v < 0 {
-				return
-			}
-			wires[col].Evals[i] = b.vars[v].value
-			uses[v] = append(uses[v], position{col, i})
-		}
-		for j := 0; j < 4; j++ {
-			place(j, row.in[j])
-		}
-		place(4, row.out)
-	}
-	for _, slots := range uses {
-		if len(slots) < 2 {
-			continue
-		}
-		flat := make([]int, len(slots))
-		for i, s := range slots {
-			flat[i] = s.col*n + s.row
-		}
-		p.AddCycle(flat)
-	}
-	c := &Circuit{
-		NumVars:   numVars,
-		GateCount: len(b.rows),
-		Selectors: sel,
-		Wires:     wires,
-		Perm:      p,
-		Gate:      poly.JellyfishGate(),
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	q := b.row(-1, a)
+	q[jLin] = one
+	q[jK].Neg(&k)
 }

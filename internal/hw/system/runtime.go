@@ -44,6 +44,22 @@ func (r RuntimeBreakdown) Total() float64 {
 // ProveTime schedules the full HyperPlonk protocol on the design for a
 // workload of 2^logGates gates of the given kind.
 func (c Config) ProveTime(kind workloads.GateKind, logGates int, sparsity hw.SparsityProfile) (RuntimeBreakdown, error) {
+	gate, permP := gatePolys(kind)
+	return c.schedule(gate, permP, kind.Wires(), logGates, sparsity)
+}
+
+// HighDegreeProtocol runs the Figure 14 experiment: the full protocol with
+// the custom gate family f = q₁w₁ + q₂w₂ + q₃·w₁^{d−1}·w₂ + q_c. The
+// witness count is fixed (two wires), so MSM time is constant across d and
+// the SumCheck share grows with degree.
+func (c Config) HighDegreeProtocol(d, logGates int) (RuntimeBreakdown, error) {
+	return c.schedule(poly.HighDegree(d).MulByEq("fr"), poly.PermCheckK(2, newAlpha()), 2, logGates, hw.DefaultSparsity)
+}
+
+// schedule runs the five protocol steps for a gate ZeroCheck composite, its
+// PermCheck composite over the given number of wires, and the witness
+// sparsity, on 2^logGates rows.
+func (c Config) schedule(gate, permP *poly.Composite, wires, logGates int, sparsity hw.SparsityProfile) (RuntimeBreakdown, error) {
 	if err := c.Validate(); err != nil {
 		return RuntimeBreakdown{}, err
 	}
@@ -51,9 +67,9 @@ func (c Config) ProveTime(kind workloads.GateKind, logGates int, sparsity hw.Spa
 		return RuntimeBreakdown{}, fmt.Errorf("system: unreasonable log gate count %d", logGates)
 	}
 	n := float64(uint64(1) << uint(logGates))
-	k := float64(kind.Wires())
+	k := float64(wires)
 	mem := hw.NewMemory(c.BandwidthGBps)
-	gate, permP, openP := gatePolys(kind)
+	openP := poly.OpenCheck(6)
 	forest := c.Forest()
 
 	var r RuntimeBreakdown
@@ -120,68 +136,6 @@ func (c Config) ProveTime(kind workloads.GateKind, logGates int, sparsity hw.Spa
 	return r, nil
 }
 
-// HighDegreeProtocol runs the Figure 14 experiment: the full protocol with
-// the custom gate family f = q₁w₁ + q₂w₂ + q₃·w₁^{d−1}·w₂ + q_c. The
-// witness count is fixed (two wires), so MSM time is constant across d and
-// the SumCheck share grows with degree.
-func (c Config) HighDegreeProtocol(d, logGates int) (RuntimeBreakdown, error) {
-	if err := c.Validate(); err != nil {
-		return RuntimeBreakdown{}, err
-	}
-	n := float64(uint64(1) << uint(logGates))
-	k := 2.0
-	mem := hw.NewMemory(c.BandwidthGBps)
-	gate := poly.HighDegree(d).MulByEq("fr")
-	permP := stripAlphaPermCheck(2)
-	openP := poly.OpenCheck(6)
-	forest := c.Forest()
-
-	var r RuntimeBreakdown
-	msmTime := func(res unitsResult) float64 {
-		return math.Max(res.Cycles, mem.TransferCycles(res.OffchipBytes)) / (hw.ClockGHz * 1e9)
-	}
-
-	sp := c.MSM.SparseCycles(n, hw.DefaultSparsity)
-	r.WitnessMSM = k * msmTime(unitsResult{sp.Cycles, sp.OffchipBytes})
-
-	for _, step := range []struct {
-		comp *poly.Composite
-		out  *float64
-	}{
-		{gate, &r.ZeroCheck},
-		{permP, &r.PermCheck},
-		{openP, &r.OpenCheck},
-	} {
-		w := core.Workload{Composite: step.comp, NumVars: logGates, Sparsity: hw.DefaultSparsity, BuildEqInRound1: true}
-		res, err := core.Simulate(c.SumCheck, w, mem)
-		if err != nil {
-			return r, err
-		}
-		*step.out = res.Seconds
-	}
-
-	pg := c.PermQ.GenerateCycles(k, n)
-	tree := forest.ProductMLECycles(n)
-	r.PermGen = msmTime(unitsResult{pg.Cycles, pg.OffchipBytes}) + msmTime(unitsResult{tree.Cycles, tree.OffchipBytes})
-	vc := c.MSM.DenseCycles(2 * n)
-	r.WiringMSM = msmTime(unitsResult{vc.Cycles, vc.OffchipBytes})
-	ev := forest.EvalCycles(4+2*k, n)
-	r.BatchEval = msmTime(unitsResult{ev.Cycles, ev.OffchipBytes})
-	om1 := c.MSM.DenseCycles(n)
-	om2 := c.MSM.DenseCycles(2 * n)
-	r.OpenMSM = msmTime(unitsResult{om1.Cycles, om1.OffchipBytes}) + msmTime(unitsResult{om2.Cycles, om2.OffchipBytes})
-	if c.MaskZeroCheck {
-		r.Masked = true
-		r.MaskSavings = math.Min(r.ZeroCheck, r.WiringMSM+r.PermGen)
-	}
-	return r, nil
-}
-
-// stripAlphaPermCheck returns a k-wire PermCheck composite.
-func stripAlphaPermCheck(k int) *poly.Composite {
-	return poly.PermCheckK(k, newAlpha())
-}
-
 type unitsResult struct {
 	Cycles       float64
 	OffchipBytes float64
@@ -201,7 +155,8 @@ func denseProfile(s hw.SparsityProfile) hw.SparsityProfile {
 func CPUProveTime(m CPUModel, kind workloads.GateKind, logGates int) RuntimeBreakdown {
 	n := float64(uint64(1) << uint(logGates))
 	k := float64(kind.Wires())
-	gate, permP, openP := gatePolys(kind)
+	gate, permP := gatePolys(kind)
+	openP := poly.OpenCheck(6)
 	const protocolOverhead = 1.5
 
 	var r RuntimeBreakdown

@@ -142,10 +142,10 @@ func (c Config) Validate() error {
 
 // gatePolys returns the gate and perm composites for a gate kind. The α
 // scalar is representative; runtimes do not depend on its value.
-func gatePolys(kind workloads.GateKind) (gate, permCheck, open *poly.Composite) {
+func gatePolys(kind workloads.GateKind) (gate, permCheck *poly.Composite) {
 	alpha := newAlpha()
 	if kind == workloads.Jellyfish {
-		return poly.JellyfishZeroCheck(), poly.JellyfishPermCheck(alpha), poly.OpenCheck(6)
+		return poly.JellyfishZeroCheck(), poly.JellyfishPermCheck(alpha)
 	}
-	return poly.VanillaZeroCheck(), poly.VanillaPermCheck(alpha), poly.OpenCheck(6)
+	return poly.VanillaZeroCheck(), poly.VanillaPermCheck(alpha)
 }

@@ -84,7 +84,7 @@ type prover struct {
 	ctx     context.Context
 	srs     *pcs.SRS
 	idx     *Index
-	wires   []*mle.Table
+	circ    *gates.Circuit
 	workers int
 	tr      *transcript.Transcript
 	proof   *Proof
@@ -92,7 +92,7 @@ type prover struct {
 
 func newProver(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, workers int) *prover {
 	return &prover{
-		ctx: ctx, srs: srs, idx: idx, wires: c.Wires,
+		ctx: ctx, srs: srs, idx: idx, circ: c,
 		workers: parallel.Workers(workers),
 		tr:      newTranscript(idx),
 		proof:   &Proof{},
@@ -106,8 +106,8 @@ func (p *prover) scCfg() sumcheck.Config { return sumcheck.Config{Workers: p.wor
 // Pippenger scratch (and, on an offloaded SRS, one stream of basis chunks)
 // is resident. Commitments are absorbed in wire order.
 func (p *prover) commitWires() error {
-	comms := make([]pcs.Commitment, len(p.wires))
-	for j, w := range p.wires {
+	comms := make([]pcs.Commitment, len(p.circ.Wires))
+	for j, w := range p.circ.Wires {
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
@@ -131,7 +131,7 @@ func (p *prover) gateZeroCheck() ([]ff.Element, error) {
 		return nil, err
 	}
 	gate := p.idx.Gate
-	gateTabs, err := bindGateTables(gate, p.idx, p.wires)
+	gateTabs, err := p.circ.GateTables()
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func (p *prover) permCheck() (*mle.Table, []ff.Element, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	arg := perm.BuildWorkers(p.wires, sigmas, beta, gamma, p.workers)
+	arg := perm.BuildWorkers(p.circ.Wires, sigmas, beta, gamma, p.workers)
 	sigmas = nil // the argument owns its buffers; drop a loaded σ copy
 	vComm, err := p.srs.CommitCtx(p.ctx, arg.V, p.workers)
 	if err != nil {
@@ -223,7 +223,7 @@ func (p *prover) batchEvals(v *mle.Table, rPerm []ff.Element) error {
 	}
 	for j := 0; j < k; j++ {
 		jobs = append(jobs,
-			evalJob{&proof.WirePermEvals[j], p.wires[j], rPerm},
+			evalJob{&proof.WirePermEvals[j], p.circ.Wires[j], rPerm},
 			evalJob{&proof.SigmaPermEvals[j], sigmas[j], rPerm})
 	}
 	perEval := parallel.Split(p.workers, len(jobs))
@@ -248,9 +248,9 @@ func (p *prover) openings(v *mle.Table, rGate, rPerm []ff.Element) error {
 		return err
 	}
 	// Distinct-polynomial order (openingComms mirrors it): selectors, wires, σ.
-	mainPolys := make([]*mle.Table, 0, len(p.idx.SelectorTabs)+len(p.wires)+len(sigmas))
+	mainPolys := make([]*mle.Table, 0, len(p.idx.SelectorTabs)+len(p.circ.Wires)+len(sigmas))
 	mainPolys = append(mainPolys, p.idx.SelectorTabs...)
-	mainPolys = append(mainPolys, p.wires...)
+	mainPolys = append(mainPolys, p.circ.Wires...)
 	mainPolys = append(mainPolys, sigmas...)
 	sigmas = nil
 	mainClaims := mainClaimList(p.idx, p.proof, rGate, rPerm)
@@ -345,24 +345,6 @@ func appendComm(tr *transcript.Transcript, label string, c pcs.Commitment) {
 	tr.AppendBytes(label, commBytes(c))
 }
 
-// bindGateTables maps the gate composite's variable names to circuit tables.
-func bindGateTables(gate *poly.Composite, idx *Index, wires []*mle.Table) ([]*mle.Table, error) {
-	tabs := make([]*mle.Table, gate.NumVars())
-	for i, name := range gate.VarNames {
-		if si := indexOf(idx.SelectorNames, name); si >= 0 {
-			tabs[i] = idx.SelectorTabs[si]
-			continue
-		}
-		var w int
-		if _, err := fmt.Sscanf(name, "w%d", &w); err == nil && w >= 1 && w <= len(wires) {
-			tabs[i] = wires[w-1]
-			continue
-		}
-		return nil, fmt.Errorf("hyperplonk: gate variable %q has no bound table", name)
-	}
-	return tabs, nil
-}
-
 func indexOf(ss []string, s string) int {
 	for i, v := range ss {
 		if v == s {
@@ -406,13 +388,7 @@ func buildPermCheck(k int, alpha ff.Element, arg *perm.Argument) (*poly.Composit
 // permCheckCore is Table I poly 21/23 WITHOUT the trailing eq factor
 // (ProveZero wraps it).
 func permCheckCore(k int, alpha ff.Element) *poly.Composite {
-	full := poly.VanillaPermCheck(alpha)
-	if k == 5 {
-		full = poly.JellyfishPermCheck(alpha)
-	} else if k != 3 {
-		full = poly.PermCheckK(k, alpha)
-	}
-	return stripEq(full)
+	return stripEq(poly.PermCheckK(k, alpha))
 }
 
 // stripEq removes the trailing fr factor from a registry PermCheck
