@@ -74,10 +74,13 @@ mem-smoke:
 # (no -run list to fall out of date) — the in-process randomized fault
 # rounds, the re-exec crash/replay conformance harness (children are
 # killed without unwinding at journal/queue fault points), cancel
-# mid-proof, and the journal + panic-isolation + retry + drain tests they
-# build on. See DESIGN.md §9.
+# mid-proof, the cycling test, and the journal + panic-isolation + retry
+# + drain tests they build on — then the queue's own tests 50 more times,
+# since they prove nothing and the admission gate's ordering races only
+# show across repeats. See DESIGN.md §9.
 chaos-smoke:
 	$(GO) test -race -count=1 -v ./internal/service/
+	$(GO) test -race -count=50 -run '^TestQueue' ./internal/service/
 	$(GO) test -race -count=1 ./internal/journal/ ./internal/faultinject/ ./internal/retry/
 
 # Distributed soak: the full internal/cluster suite under the race

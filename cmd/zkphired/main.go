@@ -272,7 +272,6 @@ func run(o options) error {
 			agent, err = cluster.NewWorker(cluster.WorkerConfig{
 				Service:        svc,
 				CoordinatorURL: o.coordinator,
-				AdvertiseURL:   o.advertise, // may be empty; join fills it from the bound address
 			})
 			if err != nil {
 				return err
@@ -317,10 +316,12 @@ func run(o options) error {
 // join runs from serve's ready hook, once the listener is bound — the
 // advertised URL must be dialable before the coordinator learns it.
 func join(w *cluster.Worker, o options, bound net.Addr) {
-	if w.AdvertiseURL() == "" {
-		w.SetAdvertiseURL("http://" + dialableHostPort(bound))
+	u := o.advertise
+	if u == "" {
+		u = "http://" + dialableHostPort(bound)
 	}
-	log.Printf("joining %s as %s", o.coordinator, w.AdvertiseURL())
+	w.SetAdvertiseURL(u)
+	log.Printf("joining %s as %s", o.coordinator, u)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := w.Start(ctx); err != nil {

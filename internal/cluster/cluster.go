@@ -59,9 +59,9 @@ type JoinRequest struct {
 	// Addr is the worker's advertised base URL ("http://host:port") the
 	// coordinator dispatches to.
 	Addr string `json:"addr"`
-	// Workers is the worker's prover parallelism, reported for operators;
-	// placement uses outstanding-dispatch load, not capacity.
-	Workers int `json:"workers"`
+	// Slots is how many proofs the worker runs at once: placement never
+	// has more of its leases outstanding.
+	Slots int `json:"slots"`
 }
 
 // JoinResponse tells the worker its identity and cadence.

@@ -182,7 +182,7 @@ func newBlackhole(t *testing.T, coordURL string, beat bool) *blackholeWorker {
 		w.Write([]byte("{}\n"))
 	})
 	b.ts = httptest.NewServer(mux)
-	resp, raw := postJSON(t, coordURL+"/cluster/join", JoinRequest{Addr: b.ts.URL, Workers: 1})
+	resp, raw := postJSON(t, coordURL+"/cluster/join", JoinRequest{Addr: b.ts.URL, Slots: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("blackhole join: %d %s", resp.StatusCode, raw)
 	}

@@ -320,7 +320,7 @@ func (p *pool) handleJoin(w http.ResponseWriter, r *http.Request) {
 		service.Fail(w, http.StatusBadRequest, "join: addr is required")
 		return
 	}
-	m := p.members.join(req.Addr, req.Workers, time.Now())
+	m := p.members.join(req.Addr, req.Slots, time.Now())
 	p.metrics.WorkerJoinsTotal.Add(1)
 	service.OK(w, JoinResponse{
 		WorkerID:    m.id,

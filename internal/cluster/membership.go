@@ -9,10 +9,10 @@ import (
 
 // member is one registered worker, as the coordinator sees it.
 type member struct {
-	id      string
-	seq     uint64 // the number in id: join order, the placement tie-break
-	addr    string
-	workers int
+	id    string
+	seq   uint64 // the number in id: join order, the placement tie-break
+	addr  string
+	slots int
 
 	// lastBeat is the wall time of the last heartbeat, unix nanos.
 	lastBeat atomic.Int64
@@ -27,15 +27,15 @@ type member struct {
 func (m *member) beat(now time.Time) { m.lastBeat.Store(now.UnixNano()) }
 
 // capacity is how many leases the worker can run without queueing: its
-// advertised worker budget (minimum 1). Placement never exceeds it, so
+// advertised slot count (minimum 1). Placement never exceeds it, so
 // a slow pool backs jobs up on the coordinator — where waiting is free
 // and consumes no dispatch attempts — instead of overflowing worker
 // queues into transient failures.
 func (m *member) capacity() int64 {
-	if m.workers < 1 {
+	if m.slots < 1 {
 		return 1
 	}
-	return int64(m.workers)
+	return int64(m.slots)
 }
 
 // release gives back one slot taken by pick: the dispatch failed, or the
@@ -69,11 +69,11 @@ func newMemberTable() *memberTable {
 	return &memberTable{members: make(map[string]*member)}
 }
 
-func (t *memberTable) join(addr string, workers int, now time.Time) *member {
+func (t *memberTable) join(addr string, slots int, now time.Time) *member {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	m := &member{id: fmt.Sprintf("w%d", t.seq), seq: t.seq, addr: addr, workers: workers}
+	m := &member{id: fmt.Sprintf("w%d", t.seq), seq: t.seq, addr: addr, slots: slots}
 	m.beat(now)
 	t.members[m.id] = m
 	return m

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -92,5 +93,38 @@ func TestPickReservesAndBreaksTiesByJoinOrder(t *testing.T) {
 	}
 	if m := tab.pick(nil); m != nil {
 		t.Fatalf("pick after refilling = %s, want nil", m.id)
+	}
+}
+
+// TestWorkerJoinsWithItsSlotCount: a worker's placement capacity is the
+// number of proofs its service runs at once, not its worker budget. A
+// four-worker service with one in-flight slot would otherwise take four
+// leases and queue three of them with their lease clocks running.
+func TestWorkerJoinsWithItsSlotCount(t *testing.T) {
+	c, ts := newCoordinator(t, Config{})
+	svc, err := service.New(service.Config{SRS: testSRS, Workers: 4, MaxInflight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{Service: svc, CoordinatorURL: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wts := httptest.NewServer(w.Handler())
+	w.SetAdvertiseURL(wts.URL)
+	if err := w.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		w.Close()
+		wts.Close()
+		svc.Close()
+	})
+	m, ok := c.pool.members.get(w.ID())
+	if !ok {
+		t.Fatalf("worker %q is not in the member table", w.ID())
+	}
+	if got := m.capacity(); got != 1 {
+		t.Fatalf("capacity of a Workers: 4, MaxInflight: 1 worker = %d, want 1", got)
 	}
 }

@@ -21,11 +21,6 @@ type WorkerConfig struct {
 	Service *service.Server
 	// CoordinatorURL is the coordinator's base URL. Required.
 	CoordinatorURL string
-	// AdvertiseURL is this worker's base URL as the coordinator should
-	// dial it. May be left empty at construction and filled via
-	// SetAdvertiseURL once the listener is bound, but must be set before
-	// Start.
-	AdvertiseURL string
 }
 
 // workerRetry shapes the join/completion RPC retries. Completions lean on
@@ -63,7 +58,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	w := &Worker{cfg: cfg, svc: cfg.Service, closed: make(chan struct{})}
 	w.id.Store("")
-	w.advertise.Store(cfg.AdvertiseURL)
+	w.advertise.Store("")
 	w.beatEvery.Store(int64(time.Second))
 	cfg.Service.Handle("POST /cluster/dispatch", w.handleDispatch)
 	return w, nil
@@ -82,8 +77,9 @@ func (w *Worker) ID() string { return w.id.Load().(string) }
 // coordinator.
 func (w *Worker) AdvertiseURL() string { return w.advertise.Load().(string) }
 
-// SetAdvertiseURL sets the advertised URL; call before Start, once the
-// listener is bound and the dialable address is known.
+// SetAdvertiseURL sets this worker's base URL as the coordinator should
+// dial it; call before Start, once the listener is bound and the dialable
+// address is known.
 func (w *Worker) SetAdvertiseURL(u string) { w.advertise.Store(u) }
 
 // Start joins the coordinator (retrying under the configured policy) and
@@ -120,8 +116,8 @@ func (w *Worker) Close() {
 func (w *Worker) join(ctx context.Context) error {
 	var resp JoinResponse
 	err := retry.PostJSON(ctx, nil, w.cfg.CoordinatorURL+"/cluster/join", JoinRequest{
-		Addr:    w.AdvertiseURL(),
-		Workers: w.svc.Budget().Total(),
+		Addr:  w.AdvertiseURL(),
+		Slots: w.svc.Slots(),
 	}, &resp, workerRetry)
 	if err != nil {
 		return err

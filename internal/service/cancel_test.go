@@ -13,8 +13,8 @@ import (
 )
 
 // TestCancelMidProof: a client that disconnects while its proof is
-// running reads nothing the dispatcher is still writing (the -race leg is
-// the assertion), every worker lease comes back, an unkeyed job is
+// running reads nothing its proving goroutine is still writing (the -race
+// leg is the assertion), every worker lease comes back, an unkeyed job is
 // cancelled with its last waiter, and a keyed job runs on to settle Done
 // so that a retry replays it.
 func TestCancelMidProof(t *testing.T) {
@@ -58,7 +58,7 @@ func TestCancelMidProof(t *testing.T) {
 					resp.Body.Close()
 				}
 			}()
-			waitUntil(t, "the job to reach a dispatcher", func() bool { return s.local.queue.Running() == 1 })
+			waitUntil(t, "the job to take the slot", func() bool { return s.local.queue.Running() == 1 })
 			cancel()
 			<-gone
 
@@ -74,7 +74,7 @@ func TestCancelMidProof(t *testing.T) {
 					t.Fatalf("retry of the abandoned key = %d replayed=%v: %s", resp.StatusCode, pr.Replayed, raw)
 				}
 			}
-			waitUntil(t, "the dispatcher to go idle", func() bool { return s.local.queue.Running() == 0 })
+			waitUntil(t, "the slot to free", func() bool { return s.local.queue.Running() == 0 })
 			if n := s.Budget().OutstandingLeases(); n != 0 {
 				t.Fatalf("%d leases outstanding after a cancelled request", n)
 			}

@@ -29,7 +29,7 @@ func TestDrainTimeoutLeavesJobPendingForRecovery(t *testing.T) {
 	}
 	jnl.SetSync(false)
 
-	// One dispatcher, so a single blocking job wedges the queue.
+	// One slot, so a single blocking job wedges the queue.
 	s1, ts1 := newTestServer(t, Config{Workers: 2, MaxInflight: 1, QueueDepth: 2, Journal: jnl})
 	id := registerCubic(t, ts1.URL, 5)
 
@@ -39,7 +39,7 @@ func TestDrainTimeoutLeavesJobPendingForRecovery(t *testing.T) {
 		t.Fatalf("golden prove = %d: %s", resp.StatusCode, raw)
 	}
 
-	// Wedge the dispatcher so the next prove is admitted but never runs.
+	// Wedge the slot so the next prove is admitted but never runs.
 	release := make(chan struct{})
 	blocked := make(chan error, 1)
 	go func() {

@@ -5,10 +5,14 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,7 +87,7 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestTransientFailureRetried: a fail-once injected fault at the job
-// boundary is retried by the dispatcher and the request still succeeds —
+// boundary is retried by the queue and the request still succeeds —
 // the client never sees the wobble.
 func TestTransientFailureRetried(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
@@ -376,5 +380,42 @@ func TestDrainStopsAdmission(t *testing.T) {
 	}
 	if health.Status != "draining" {
 		t.Fatalf("healthz status = %q, want draining", health.Status)
+	}
+}
+
+// proveCounter is a backend that counts the Prove calls reaching it.
+type proveCounter struct {
+	Backend
+	proves atomic.Int64
+}
+
+func (b *proveCounter) Prove(ctx context.Context, key, circuitID string, timeout time.Duration) ([]byte, int, error) {
+	b.proves.Add(1)
+	return b.Backend.Prove(ctx, key, circuitID, timeout)
+}
+
+// TestClosedServerRefusesJobs: after Close, POST /prove and ProveHex
+// answer 503 "shutting down" and the backend never sees the job.
+func TestClosedServerRefusesJobs(t *testing.T) {
+	b := &proveCounter{Backend: newLocal(Config{SRS: testSRS, Workers: 1})}
+	s := NewServer(b, testSRS, nil, 0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	id := registerCubic(t, ts.URL, 5)
+	if resp, _, raw := proveOnce(t, ts.URL, ProveRequest{CircuitID: id}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("prove before Close = %d: %s", resp.StatusCode, raw)
+	}
+	s.Close()
+
+	resp, _, raw := proveOnce(t, ts.URL, ProveRequest{CircuitID: id})
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(raw), "shutting down") {
+		t.Fatalf("POST /prove after Close = %d %s, want 503 shutting down", resp.StatusCode, raw)
+	}
+	var e *Error
+	if _, _, err := s.ProveHex(context.Background(), id, 0); !errors.As(err, &e) || e.Status != http.StatusServiceUnavailable || e.Msg != "shutting down" {
+		t.Fatalf("ProveHex after Close = %v, want 503 shutting down", err)
+	}
+	if n := b.proves.Load(); n != 1 {
+		t.Fatalf("backend saw %d proves, want only the one before Close", n)
 	}
 }

@@ -14,17 +14,16 @@ import (
 )
 
 // local is the single-node Backend: sessions come from a Registry, proofs
-// run through a Queue, and both lease workers from one Budget.
+// pass the Queue's admission gate, and both lease workers from one Budget.
 type local struct {
 	budget   *parallel.Budget
 	registry *Registry
 	queue    *Queue
 	metrics  *Metrics
-	inflight int // dispatcher pool size, for the Retry-After estimate
 	start    time.Time
 }
 
-// newLocal applies cfg's defaults and starts the dispatcher pool.
+// newLocal applies cfg's defaults and builds the backend.
 func newLocal(cfg Config) *local {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 2
@@ -39,10 +38,9 @@ func newLocal(cfg Config) *local {
 		cfg.CacheSize = 32
 	}
 	l := &local{
-		budget:   parallel.NewBudget(cfg.Workers),
-		metrics:  &Metrics{},
-		inflight: cfg.MaxInflight,
-		start:    time.Now(),
+		budget:  parallel.NewBudget(cfg.Workers),
+		metrics: &Metrics{},
+		start:   time.Now(),
 	}
 	l.queue = NewQueue(l.budget, cfg.MaxInflight, cfg.QueueDepth, l.metrics)
 	// Preprocessing leases the same per-job share the queue computed, and
@@ -59,8 +57,13 @@ func (s *Server) Metrics() *Metrics { return s.local.metrics }
 // assert OutstandingLeases()==0 on it after every injected failure.
 func (s *Server) Budget() *parallel.Budget { return s.local.budget }
 
-// Close drains the job queue and stops the dispatchers.
-func (l *local) Close() { l.queue.Close() }
+// Slots is how many proofs run at once (Config.MaxInflight after its
+// default); a cluster worker advertises it as its placement capacity.
+func (s *Server) Slots() int { return s.local.queue.Slots() }
+
+// Close implements Backend: every job ran in its caller's goroutine, so
+// there is nothing left to stop.
+func (l *local) Close() {}
 
 // Replayed counts one keyed retry answered from the journal.
 func (l *local) Replayed() { l.metrics.ProofsReplayed.Add(1) }
@@ -132,9 +135,9 @@ func (l *local) VerifyingKey(_ context.Context, id string) (*zkphire.VerifyingKe
 
 // Prove runs one proof of a cached session through the job queue
 // (admission control, worker lease, bounded retries of transient
-// failures) with timeout bounding queue wait plus proving, and returns
-// the serialized proof bytes. It records the latency observation the
-// Retry-After estimator feeds on.
+// failures) in the caller's goroutine, with timeout bounding queue wait
+// plus proving, and returns the serialized proof bytes. It records the
+// latency observation the Retry-After estimator feeds on.
 func (l *local) Prove(ctx context.Context, _, circuitID string, timeout time.Duration) ([]byte, int, error) {
 	sess, err := l.session(circuitID)
 	if err != nil {
@@ -154,9 +157,6 @@ func (l *local) Prove(ctx context.Context, _, circuitID string, timeout time.Dur
 		return err
 	})
 	if err != nil {
-		// Submit returns on a dead ctx without waiting for the dispatcher,
-		// so the closure may still be writing proof and workers: read
-		// neither.
 		return nil, 0, err
 	}
 	data, err := proof.MarshalBinary()
@@ -169,7 +169,7 @@ func (l *local) Prove(ctx context.Context, _, circuitID string, timeout time.Dur
 
 // RetryAfter estimates when capacity frees: the jobs ahead of a new
 // arrival (waiting plus running) times the windowed recent mean proof
-// latency, spread across the dispatcher pool, clamped to [1, 60] seconds.
+// latency, spread across the slots, clamped to [1, 60] seconds.
 // The window (Metrics.RecentAvgProve) matters on a long-lived daemon: a
 // lifetime mean diluted by months of fast cached proofs would
 // under-estimate a current slow-circuit regime — and vice versa —
@@ -181,7 +181,7 @@ func (l *local) RetryAfter() int {
 		avg = time.Second
 	}
 	ahead := l.queue.Depth() + l.queue.Running()
-	est := time.Duration(ahead) * avg / time.Duration(l.inflight)
+	est := time.Duration(ahead) * avg / time.Duration(l.queue.Slots())
 	return min(max(int((est+time.Second-1)/time.Second), 1), 60)
 }
 

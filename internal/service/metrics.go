@@ -15,7 +15,7 @@ import (
 const ProveWindowSize = 32
 
 // Metrics holds the service's operational counters. All fields are atomic
-// so the hot paths (registry lookups, the dispatcher) update them without
+// so the hot paths (registry lookups, the queue's gate) update them without
 // a lock; the /metrics handler reads them racily-but-coherently, which is
 // all a scrape needs.
 type Metrics struct {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,12 +30,11 @@ func blockingJob(release <-chan struct{}) (func(ctx context.Context, workers int
 func TestQueueAdmissionControl(t *testing.T) {
 	m := &Metrics{}
 	q := NewQueue(parallel.NewBudget(1), 1, 1, m)
-	defer q.Close()
 
 	release := make(chan struct{})
 	defer close(release)
 
-	// Job 1 occupies the single dispatcher.
+	// Job 1 holds the single slot.
 	run1, started := blockingJob(release)
 	err1 := make(chan error, 1)
 	go func() { err1 <- q.Submit(context.Background(), run1) }()
@@ -68,7 +68,6 @@ func TestQueueCancelFreesBudgetLease(t *testing.T) {
 	budget := parallel.NewBudget(2)
 	m := &Metrics{}
 	q := NewQueue(budget, 1, 4, m)
-	defer q.Close()
 
 	release := make(chan struct{})
 	defer close(release)
@@ -85,10 +84,8 @@ func TestQueueCancelFreesBudgetLease(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Submit = %v, want context.Canceled", err)
 	}
-	// The dispatcher aborts the job (its context is dead) and releases the
-	// lease; poll briefly since Submit returns before the dispatcher
-	// finishes bookkeeping. The lease release precedes the counter bump, so
-	// poll both with the same deadline.
+	// The job aborts (its context is dead), releases the lease and counts
+	// the cancellation; poll both with the same deadline.
 	deadline := time.After(2 * time.Second)
 	for budget.InUse() != 0 || m.JobsCancelled.Load() != 1 {
 		select {
@@ -103,15 +100,14 @@ func TestQueueCancelFreesBudgetLease(t *testing.T) {
 func TestQueueSkipsDeadJobs(t *testing.T) {
 	m := &Metrics{}
 	q := NewQueue(parallel.NewBudget(1), 1, 2, m)
-	defer q.Close()
 
 	release := make(chan struct{})
 	run1, started := blockingJob(release)
 	go q.Submit(context.Background(), run1)
 	<-started
 
-	// Queue a job whose context dies while it waits; the dispatcher must
-	// discard it without running it.
+	// Queue a job whose context dies while it waits; it must be abandoned
+	// without running.
 	ran := false
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -126,29 +122,55 @@ func TestQueueSkipsDeadJobs(t *testing.T) {
 	}
 	cancel()
 	<-errc
-	close(release) // unblock job 1 so the dispatcher reaches job 2
-	q.Close()      // drain
+	close(release) // free job 1
 	if ran {
-		t.Fatal("dispatcher ran a job whose context was already cancelled")
+		t.Fatal("queue ran a job whose context was already cancelled")
 	}
 	if got := m.JobsCancelled.Load(); got != 1 {
 		t.Fatalf("JobsCancelled = %d, want 1", got)
 	}
 }
 
-func TestQueueSubmitAfterClose(t *testing.T) {
-	q := NewQueue(parallel.NewBudget(1), 1, 1, &Metrics{})
-	q.Close()
-	err := q.Submit(context.Background(), func(context.Context, int) error { return nil })
-	if !errors.Is(err, ErrQueueClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrQueueClosed", err)
+func TestQueueWorkerSplit(t *testing.T) {
+	q := NewQueue(parallel.NewBudget(8), 4, 0, &Metrics{})
+	if q.Workers() != 2 {
+		t.Fatalf("per-job workers = %d, want 8/4 = 2", q.Workers())
 	}
 }
 
-func TestQueueWorkerSplit(t *testing.T) {
-	q := NewQueue(parallel.NewBudget(8), 4, 0, &Metrics{})
-	defer q.Close()
-	if q.Workers() != 2 {
-		t.Fatalf("per-job workers = %d, want 8/4 = 2", q.Workers())
+// TestQueueRunsWaitingJobsInArrivalOrder: while the one slot is held, jobs
+// submitted A, B, C wait; once it frees they run in that order.
+func TestQueueRunsWaitingJobsInArrivalOrder(t *testing.T) {
+	q := NewQueue(parallel.NewBudget(1), 1, 3, &Metrics{})
+	release := make(chan struct{})
+	hold, started := blockingJob(release)
+	go q.Submit(context.Background(), hold)
+	<-started
+
+	// One slot runs the jobs one after another, so appending needs no lock.
+	var (
+		order []string
+		wg    sync.WaitGroup
+	)
+	for i, name := range []string{"A", "B", "C"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := q.Submit(context.Background(), func(context.Context, int) error {
+				order = append(order, name)
+				return nil
+			}); err != nil {
+				t.Errorf("Submit %s = %v", name, err)
+			}
+		}()
+		// Depth counts a job from admission; give it a moment more to park
+		// before the next one arrives.
+		waitUntil(t, name+" to wait", func() bool { return q.Depth() == i+1 })
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	if got := strings.Join(order, ""); got != "ABC" {
+		t.Fatalf("waiting jobs ran in order %q, want ABC", got)
 	}
 }

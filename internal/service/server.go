@@ -11,9 +11,10 @@
 //     proof gets made.
 //   - Backend — what makes the proof. This package holds the local one
 //     (New): Registry, an LRU cache of proving sessions keyed by circuit
-//     content hash with single-flight preprocessing, and Queue, a bounded
-//     job queue whose in-flight proofs each lease an even share of one
-//     parallel.Budget and whose full waiting room rejects immediately
+//     content hash with single-flight preprocessing, and Queue, an
+//     admission gate that runs each proof in the goroutine submitting it
+//     once one of its in-flight slots frees, under an even share of one
+//     parallel.Budget, and whose full waiting room rejects immediately
 //     (HTTP 429). internal/cluster holds the remote one: a leased worker
 //     pool behind the same front-end.
 //
@@ -260,8 +261,8 @@ func (s *Server) clampTimeout(d time.Duration) time.Duration {
 var errClosing = Errorf(http.StatusServiceUnavailable, "shutting down")
 
 // newJob returns the unsettled job under key, or creates one (always, for
-// key "") with the requested timeout clamped. The creator must launch or
-// settle what it created.
+// key "") with the requested timeout clamped. The creator must run,
+// launch or settle what it created.
 func (s *Server) newJob(key, circuitID string, timeout time.Duration) (j *proofJob, created bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -284,26 +285,29 @@ func (s *Server) newJob(key, circuitID string, timeout time.Duration) (j *proofJ
 // launch starts the goroutine that owns j until it settles.
 func (s *Server) launch(j *proofJob) {
 	//zkvet:ignore norawgo one goroutine per admitted job, bounded by the backend's admission control; joined via wg.Wait in Close
-	go func() {
-		started := time.Now()
-		proof, workers, err := s.backend.Prove(j.ctx, j.key, j.circuitID, j.timeout)
-		// Settle the key before any client sees the outcome: Complete makes
-		// the proof durable, Fail re-opens the key so a retry can re-prove
-		// instead of hitting 409 forever. A crash before this point — or a
-		// Close, which is the only thing that cancels a keyed job — leaves
-		// the record pending, exactly the state recovery replays.
-		if j.key != "" && j.ctx.Err() == nil {
-			if err == nil {
-				if jerr := s.journal.Complete(j.key, proof); jerr != nil {
-					err = fmt.Errorf("journal complete: %w", jerr)
-				}
-			} else if jerr := s.journal.Fail(j.key, err.Error()); jerr != nil {
-				err = fmt.Errorf("journal fail (after %v): %w", err, jerr)
+	go s.run(j)
+}
+
+// run proves j and settles it.
+func (s *Server) run(j *proofJob) {
+	started := time.Now()
+	proof, workers, err := s.backend.Prove(j.ctx, j.key, j.circuitID, j.timeout)
+	// Settle the key before any client sees the outcome: Complete makes
+	// the proof durable, Fail re-opens the key so a retry can re-prove
+	// instead of hitting 409 forever. A crash before this point — or a
+	// Close, which is the only thing that cancels a keyed job — leaves
+	// the record pending, exactly the state recovery replays.
+	if j.key != "" && j.ctx.Err() == nil {
+		if err == nil {
+			if jerr := s.journal.Complete(j.key, proof); jerr != nil {
+				err = fmt.Errorf("journal complete: %w", jerr)
 			}
+		} else if jerr := s.journal.Fail(j.key, err.Error()); jerr != nil {
+			err = fmt.Errorf("journal fail (after %v): %w", err, jerr)
 		}
-		j.proof, j.workers, j.elapsed = proof, workers, time.Since(started)
-		s.settle(j, err)
-	}()
+	}
+	j.proof, j.workers, j.elapsed = proof, workers, time.Since(started)
+	s.settle(j, err)
 }
 
 // settle publishes j's outcome and drops it from the table, so the table
@@ -691,18 +695,20 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	OK(w, resp)
 }
 
-// ProveHex is an unkeyed POST /prove without the HTTP round trip: timeout
-// is clamped (0 = the default) and the job is cancelled if ctx ends first.
-// The cluster worker agent proves leases with it — keys and replay are the
-// coordinator's front-end's job.
+// ProveHex is an unkeyed POST /prove without the HTTP round trip, run in
+// the caller's goroutine: timeout is clamped (0 = the default) and the job
+// is cancelled if ctx ends first. It is still a front-end job, so Drain
+// and Unsettled count it. The cluster worker agent proves leases with it —
+// keys and replay are the coordinator's front-end's job.
 func (s *Server) ProveHex(ctx context.Context, circuitID string, timeout time.Duration) (data []byte, workers int, err error) {
 	j, _, err := s.newJob("", circuitID, timeout)
 	if err != nil {
 		return nil, 0, err
 	}
-	s.launch(j)
-	if err := s.await(ctx, j); err != nil {
-		return nil, 0, err
+	defer context.AfterFunc(ctx, j.cancel)()
+	s.run(j)
+	if j.err != nil {
+		return nil, 0, j.err
 	}
 	return j.proof, j.workers, nil
 }

@@ -181,8 +181,8 @@ func TestServerAdmissionControl429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deterministically saturate the prover: one blocking job occupies the
-	// single dispatcher, a second fills the one waiting-room slot.
+	// Deterministically saturate the prover: one blocking job holds the
+	// single slot, a second fills the one waiting-room place.
 	release := make(chan struct{})
 	occupy := func(ctx context.Context, workers int) error {
 		select {
