@@ -6,6 +6,9 @@
 package curve
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/big"
 
 	"zkphire/internal/ff"
@@ -86,6 +89,85 @@ func (p *G1Affine) SetInfinity() *G1Affine {
 	p.X.SetZero()
 	p.Y.SetZero()
 	return p
+}
+
+// CompressedSize is the byte length of a compressed G1 point.
+const CompressedSize = fp.Bytes
+
+// The ZCash/IETF BLS12-381 flags, in the top three bits of a compressed
+// point's first byte (p < 2^381 leaves them free in x).
+const (
+	flagCompressed = 0x80
+	flagInfinity   = 0x40
+	flagLargerY    = 0x20
+)
+
+// compressedInfinity is the one accepted encoding of the identity.
+var compressedInfinity = [CompressedSize]byte{flagCompressed | flagInfinity}
+
+// ErrInvalidEncoding is wrapped by every SetCompressed failure.
+var ErrInvalidEncoding = errors.New("curve: invalid compressed point")
+
+// Compressed returns p in the 48-byte ZCash/IETF layout: x big-endian with
+// the compression flag set, and the y-sign flag set when y is the larger of
+// y and −y. The identity is 0xc0 followed by 47 zero bytes.
+func (p *G1Affine) Compressed() [CompressedSize]byte {
+	if p.Infinity {
+		return compressedInfinity
+	}
+	b := p.X.Bytes()
+	b[0] |= flagCompressed
+	if largerY(&p.Y) {
+		b[0] |= flagLargerY
+	}
+	return b
+}
+
+// SetCompressed decodes Compressed's output into p, recovering y with one
+// square root. Each point has exactly one accepted encoding: the
+// compression flag must be set, the identity must be compressedInfinity,
+// and x must be below p with x³ + 4 a square. The result is on the curve;
+// subgroup membership is the caller's check (IsInSubgroup).
+func (p *G1Affine) SetCompressed(b []byte) error {
+	if len(b) != CompressedSize {
+		return fmt.Errorf("%w: %d bytes, want %d", ErrInvalidEncoding, len(b), CompressedSize)
+	}
+	if b[0]&flagCompressed == 0 {
+		return fmt.Errorf("%w: compression flag clear", ErrInvalidEncoding)
+	}
+	if b[0]&flagInfinity != 0 {
+		if [CompressedSize]byte(b) != compressedInfinity {
+			return fmt.Errorf("%w: point at infinity with a sign flag or payload", ErrInvalidEncoding)
+		}
+		p.SetInfinity()
+		return nil
+	}
+	xb := [CompressedSize]byte(b)
+	xb[0] &^= flagCompressed | flagLargerY
+	var x, y, rhs fp.Element
+	// SetBytes reduces mod p: x ≥ p would be a second encoding of x − p.
+	if x.SetBytes(xb[:]); x.Bytes() != xb {
+		return fmt.Errorf("%w: x not below p", ErrInvalidEncoding)
+	}
+	rhs.Square(&x)
+	rhs.Mul(&rhs, &x)
+	rhs.Add(&rhs, &bCoeff)
+	if !y.Sqrt(&rhs) {
+		return fmt.Errorf("%w: no point with this x", ErrInvalidEncoding)
+	}
+	if largerY(&y) != (b[0]&flagLargerY != 0) {
+		y.Neg(&y)
+	}
+	p.X, p.Y, p.Infinity = x, y, false
+	return nil
+}
+
+// largerY reports whether y > −y as integers in [0, p).
+func largerY(y *fp.Element) bool {
+	var neg fp.Element
+	neg.Neg(y)
+	yb, nb := y.Bytes(), neg.Bytes()
+	return bytes.Compare(yb[:], nb[:]) > 0
 }
 
 // FromJacobian converts q to affine coordinates and returns p.

@@ -1,7 +1,10 @@
 package curve
 
 import (
+	"encoding/hex"
+	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"zkphire/internal/ff"
@@ -25,22 +28,19 @@ func TestGroupOrder(t *testing.T) {
 	}
 }
 
-// onCurvePoints returns the first n points of E(Fp) with x = 1, 2, …: y is
-// (x³ + 4)^((p+1)/4), a square root because p ≡ 3 mod 4. Nearly all of them
-// lie outside G1 (the cofactor is ≈ 2^125).
+// onCurvePoints returns the first n points of E(Fp) with x = 1, 2, …
+// (y = Sqrt(x³ + 4)). Nearly all of them lie outside G1 (the cofactor is
+// ≈ 2^125).
 func onCurvePoints(n int) []G1Affine {
-	e := new(big.Int).Add(fp.Modulus(), big.NewInt(1))
-	e.Rsh(e, 2)
 	var out []G1Affine
 	for x := uint64(1); len(out) < n; x++ {
 		var p G1Affine
 		p.X.SetUint64(x)
-		var rhs, y2 fp.Element
+		var rhs fp.Element
 		rhs.Square(&p.X)
 		rhs.Mul(&rhs, &p.X)
 		rhs.Add(&rhs, &bCoeff)
-		p.Y.Exp(&rhs, e)
-		if y2.Square(&p.Y); y2.Equal(&rhs) {
+		if p.Y.Sqrt(&rhs) {
 			out = append(out, p)
 		}
 	}
@@ -366,5 +366,100 @@ func TestFixedBaseMatchesScalarMul(t *testing.T) {
 	got := table.Mul(&z)
 	if !got.IsInfinity() {
 		t.Fatal("0·G != identity via fixed base")
+	}
+}
+
+// TestCompressedKnownAnswers pins the ZCash/IETF encoding of the standard
+// generator, its negation and the identity.
+func TestCompressedKnownAnswers(t *testing.T) {
+	const gHex = "97f1d3a73197d7942695638c4fa9ac0fc3688c4f9774b905a14e3a3f171bac586c55e83ff97a1aeffb3af00adb22c6bb"
+	g := Generator()
+	var neg, inf G1Affine
+	neg.Neg(&g)
+	inf.SetInfinity()
+	for _, tc := range []struct {
+		name string
+		p    G1Affine
+		want string
+	}{
+		{"generator", g, gHex},
+		{"-generator", neg, "b7" + gHex[2:]},
+		{"infinity", inf, "c0" + strings.Repeat("00", CompressedSize-1)},
+	} {
+		b := tc.p.Compressed()
+		if got := hex.EncodeToString(b[:]); got != tc.want {
+			t.Fatalf("%s compresses to\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+		var back G1Affine
+		if err := back.SetCompressed(b[:]); err != nil || !back.Equal(&tc.p) {
+			t.Fatalf("%s: SetCompressed = %v, equal %v", tc.name, err, back.Equal(&tc.p))
+		}
+	}
+}
+
+// TestCompressedRoundTrip decodes the encoding of multiples of G and of
+// on-curve points outside G1 (the codec does not check the subgroup), with
+// both signs of y.
+func TestCompressedRoundTrip(t *testing.T) {
+	pts := onCurvePoints(8)
+	rng := ff.NewRand(41)
+	g := GeneratorJac()
+	for i := 0; i < 8; i++ {
+		k := rng.Element()
+		var kg G1Jac
+		kg.ScalarMul(&g, &k)
+		var a G1Affine
+		pts = append(pts, *a.FromJacobian(&kg))
+	}
+	signs := 0
+	for i := range pts {
+		var neg G1Affine
+		for _, p := range []G1Affine{pts[i], *neg.Neg(&pts[i])} {
+			b := p.Compressed()
+			if b[0]&flagLargerY != 0 {
+				signs++
+			}
+			var back G1Affine
+			if err := back.SetCompressed(b[:]); err != nil {
+				t.Fatalf("point %d: %v", i, err)
+			}
+			if !back.Equal(&p) {
+				t.Fatalf("point %d decoded to a different point", i)
+			}
+		}
+	}
+	if signs != len(pts) {
+		t.Fatalf("%d of %d encodings carry the sign flag, want exactly half", signs, 2*len(pts))
+	}
+}
+
+// TestSetCompressedRejects covers the rejections a proof decoder cannot
+// reach or does not tell apart; the hyperplonk decoder's table has the rest
+// (flags, infinity payloads, x = p, no square root, outside G1).
+func TestSetCompressedRejects(t *testing.T) {
+	g := Generator()
+	gb := g.Compressed()
+	// x = p + x₀ for an on-curve x₀: it reduces to a valid x, so only the
+	// range check can reject it.
+	var x0 big.Int
+	onCurvePoints(1)[0].X.BigInt(&x0)
+	xp := x0.Add(&x0, fp.Modulus()).FillBytes(make([]byte, CompressedSize))
+	xp[0] |= flagCompressed
+	infOnPoint := gb
+	infOnPoint[0] |= flagInfinity
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"empty", nil},
+		{"short", gb[:CompressedSize-1]},
+		{"long", append(gb[:], 0)},
+		{"infinity flag on a point", infOnPoint[:]},
+		{"x = p + x0", xp},
+	} {
+		var p G1Affine
+		if err := p.SetCompressed(tc.b); !errors.Is(err, ErrInvalidEncoding) {
+			t.Errorf("%s: SetCompressed = %v, want ErrInvalidEncoding", tc.name, err)
+		}
 	}
 }

@@ -612,11 +612,15 @@ func (z *Element) squareGeneric(x *Element) *Element {
 	return z
 }
 
-var pMinus2 *big.Int
+var pMinus2, sqrtExp *big.Int
 
 func init() {
 	pm, _ := new(big.Int).SetString(modulusHex, 16)
-	pMinus2 = pm.Sub(pm, big.NewInt(2))
+	pMinus2 = new(big.Int).Sub(pm, big.NewInt(2))
+	if pm.Bit(0) != 1 || pm.Bit(1) != 1 {
+		panic("fp: p ≢ 3 (mod 4); Sqrt's exponent does not apply")
+	}
+	sqrtExp = pm.Rsh(pm.Add(pm, big.NewInt(1)), 2)
 }
 
 // Exp sets z = x^e and returns z.
@@ -642,6 +646,19 @@ func (z *Element) Inverse(x *Element) *Element {
 		return z.SetZero()
 	}
 	return z.Exp(x, pMinus2)
+}
+
+// Sqrt sets z to x^((p+1)/4) and returns true when that is a square root
+// of x, i.e. when x is a square (p ≡ 3 mod 4). Otherwise it leaves z
+// unchanged and returns false. −z is the other root.
+func (z *Element) Sqrt(x *Element) bool {
+	var r, sq Element
+	r.Exp(x, sqrtExp)
+	if !sq.Square(&r).Equal(x) {
+		return false
+	}
+	*z = r
+	return true
 }
 
 // String returns the decimal representation.

@@ -192,3 +192,42 @@ func TestSetHex(t *testing.T) {
 		t.Fatal("SetHex mismatch")
 	}
 }
+
+// TestSqrtAgainstBig checks Sqrt against big.Int.ModSqrt on random squares
+// (the same root, not just a root), on random elements (which are squares
+// half the time), and on 0.
+func TestSqrtAgainstBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var residues, nonResidues int
+	check := func(av *big.Int) {
+		var a, z Element
+		a.SetBigInt(av)
+		z.SetUint64(7)
+		want := new(big.Int).ModSqrt(av, pBig)
+		ok := z.Sqrt(&a)
+		switch {
+		case want == nil && ok:
+			t.Fatalf("Sqrt found a root of the non-residue %v", av)
+		case want == nil:
+			nonResidues++
+			if toBig(&z).Cmp(big.NewInt(7)) != 0 {
+				t.Fatal("Sqrt changed z on a non-residue")
+			}
+		case !ok:
+			t.Fatalf("Sqrt found no root of the residue %v", av)
+		case toBig(&z).Cmp(want) != 0:
+			t.Fatalf("Sqrt(%v) = %v, ModSqrt = %v", av, toBig(&z), want)
+		default:
+			residues++
+		}
+	}
+	for i := 0; i < 100; i++ {
+		r := randBig(rng)
+		check(r.Mul(r, r).Mod(r, pBig))
+		check(randBig(rng))
+	}
+	check(big.NewInt(0))
+	if nonResidues == 0 || residues <= 100 {
+		t.Fatalf("%d residues and %d non-residues: the random half did not exercise both", residues, nonResidues)
+	}
+}

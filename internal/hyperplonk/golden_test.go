@@ -6,26 +6,110 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"zkphire/internal/curve"
+	"zkphire/internal/ff"
+	"zkphire/internal/sumcheck"
 )
 
-// Golden proof-byte pins, captured at the PR 4 commit (a014b1b) with the
-// appended-eq ZeroCheck, the tree-walk composite evaluator, and the looped
-// scalar-field Mul. The PR 5 fast paths — eq-factorized ZeroCheck, compiled
-// straight-line evaluation, unrolled/lazy ff arithmetic, compressed-point
-// round scan — are required to reproduce these bytes EXACTLY: the protocol
-// is deterministic, and every optimization is value-preserving.
+// Golden proof pins. The protocol is deterministic and every optimization
+// is value-preserving, so a fast path must reproduce these EXACTLY.
+//
+// content is format-independent: sha256 over every scalar's 32 bytes and
+// every point's uncompressed x‖y, in wire order (contentDigest). It pins
+// the proofs these circuits have produced since commit a014b1b and moves
+// only when the protocol does — a new challenge, scalar or point. size
+// and sha pin the wire bytes, and move also when the encoding does.
 //
 // If a future change intentionally alters the transcript or wire format,
-// recapture these with the printf in the loop below.
-var goldenProofs = []struct {
+// recapture these with a printf in checkGolden.
+type goldenProof struct {
 	name    string
 	numVars int
 	size    int
 	sha     string
-}{
-	{"vanilla", 4, 4191, "ba722c5d4bbe00d31ddd541187a929c83865f9c21a7f51e1bc65cb8fe6a754e3"},
-	{"vanilla", 6, 5419, "777fbb08e5819d244195bd4868a0c6eb5e0f72c9e4772d923b176e68f5a20cac"},
-	{"jellyfish", 5, 6633, "dc3bfd6de21b31f1236de1295eb5347173cec06564ad7797f4249c1b1b3a3d7d"},
+	content string
+}
+
+var goldenProofs = []goldenProof{
+	{"vanilla", 4, 3554, "68b13b447524c70b297d0d03d7dfcc2af8cc3ad8550efd513e7bcd93bb79bc78",
+		"f38e3e8973ea0bbd8b23ddcc1d0ede550857b97d5ad89307178b3a095c830618"},
+	{"vanilla", 6, 4586, "36615b99f2e22e73c7d59e08d852dfbcdc2a45f48a892925b18e439d30842b2e",
+		"a3c931192854c3014d0098e5c3add19e3e0720549cfb0a3967d3e6aef48a009d"},
+	{"jellyfish", 5, 5800, "40c61a18af423d458946157b58735305d8e1332ffe4a919eb4e650b8289416c6",
+		"e3a646ef2c219bc318c897a1bddb3fc30ae133cca34f2c283cf5eec6f692d2f8"},
+}
+
+// contentDigest hashes what a proof says rather than how it is written:
+// every scalar and every point (as uncompressed x‖y) in wire order.
+func contentDigest(p *Proof) string {
+	h := sha256.New()
+	points := func(ps ...curve.G1Affine) {
+		for i := range ps {
+			x, y := ps[i].X.Bytes(), ps[i].Y.Bytes()
+			h.Write(x[:])
+			h.Write(y[:])
+		}
+	}
+	scalars := func(ss ...ff.Element) {
+		for i := range ss {
+			b := ss[i].Bytes()
+			h.Write(b[:])
+		}
+	}
+	sc := func(s *sumcheck.Proof) {
+		scalars(s.Claim)
+		for _, r := range s.RoundEvals {
+			scalars(r...)
+		}
+	}
+	open := func(o *OpenProof) {
+		sc(o.Sumcheck)
+		scalars(o.PolyEvals...)
+		scalars(o.Opened)
+		points(o.PCS.Qs...)
+	}
+	for i := range p.WireComms {
+		points(p.WireComms[i].Point)
+	}
+	points(p.VComm.Point)
+	sc(p.GateZC.Inner)
+	scalars(p.GateEvals...)
+	sc(p.PermZC.Inner)
+	scalars(p.VEvals[:]...)
+	scalars(p.WirePermEvals...)
+	scalars(p.SigmaPermEvals...)
+	open(p.OpenMain)
+	open(p.OpenV)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// checkGolden holds a proof of golden case g to its pins: the wire size and
+// sha256, the content digest, and the content digest again after a decode,
+// so the decoder recovers exactly what the prover wrote.
+func checkGolden(t *testing.T, g goldenProof, proof *Proof) {
+	t.Helper()
+	b, err := proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != g.size {
+		t.Fatalf("proof size %d, want %d", len(b), g.size)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != g.sha {
+		t.Fatalf("proof bytes diverged from the golden:\n got %s\nwant %s", got, g.sha)
+	}
+	if got := contentDigest(proof); got != g.content {
+		t.Fatalf("proof content diverged from the golden:\n got %s\nwant %s", got, g.content)
+	}
+	var back Proof
+	if err := back.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := contentDigest(&back); got != g.content {
+		t.Fatalf("decoded proof content diverged from the golden:\n got %s\nwant %s", got, g.content)
+	}
 }
 
 func TestProofBytesGoldenPR4(t *testing.T) {
@@ -43,17 +127,7 @@ func TestProofBytesGoldenPR4(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := proof.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(b) != g.size {
-				t.Fatalf("proof size %d, want %d", len(b), g.size)
-			}
-			sum := sha256.Sum256(b)
-			if got := hex.EncodeToString(sum[:]); got != g.sha {
-				t.Fatalf("proof bytes diverged from the PR 4 golden:\n got %s\nwant %s", got, g.sha)
-			}
+			checkGolden(t, g, proof)
 		})
 	}
 }

@@ -2,12 +2,13 @@ package hyperplonk
 
 import (
 	"context"
-
+	"encoding/binary"
 	"testing"
 
 	"zkphire/internal/ff"
 	"zkphire/internal/gates"
 	"zkphire/internal/pcs"
+	"zkphire/internal/sumcheck"
 )
 
 var testSRS = pcs.SetupDeterministic(9, 777)
@@ -212,23 +213,74 @@ func TestCopyConstraintViolationRejected(t *testing.T) {
 	}
 }
 
-func TestProofSize(t *testing.T) {
-	c := buildVanillaCircuit(t, 3, 4)
-	idx, _ := Preprocess(testSRS, c)
-	proof, err := Prove(context.Background(), testSRS, idx, c, Config{})
-	if err != nil {
-		t.Fatal(err)
+// TestProofByteBudget accounts for every byte a proof puts on the wire:
+// the magic, one uvarint per list length and commitment size, 48 bytes per
+// point and 32 per scalar, counted from the proof's own lists. A format
+// change has to change this count.
+func TestProofByteBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *gates.Circuit
+	}{
+		{"vanilla/nv=4", buildVanillaCircuit(t, 3, 4)},
+		{"jellyfish/nv=5", buildJellyfishCircuit(t, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx, err := Preprocess(testSRS, tc.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proof, err := Prove(context.Background(), testSRS, idx, tc.c, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := proof.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var varints, points, scalars int
+			uvarint := func(n int) {
+				var tmp [binary.MaxVarintLen64]byte
+				varints += binary.PutUvarint(tmp[:], uint64(n))
+			}
+			list := func(n int) { uvarint(n); scalars += n }
+			zc := func(s *sumcheck.Proof) {
+				scalars++ // the claim
+				uvarint(len(s.RoundEvals))
+				for _, r := range s.RoundEvals {
+					list(len(r))
+				}
+			}
+			open := func(o *OpenProof) {
+				zc(o.Sumcheck)
+				list(len(o.PolyEvals))
+				scalars++ // Opened
+				uvarint(len(o.PCS.Qs))
+				points += len(o.PCS.Qs)
+			}
+			uvarint(len(proof.WireComms))
+			for _, c := range proof.WireComms {
+				uvarint(c.NumVars)
+			}
+			uvarint(proof.VComm.NumVars)
+			points += len(proof.WireComms) + 1
+			zc(proof.GateZC.Inner)
+			list(len(proof.GateEvals))
+			zc(proof.PermZC.Inner)
+			list(len(proof.VEvals))
+			list(len(proof.WirePermEvals))
+			list(len(proof.SigmaPermEvals))
+			open(proof.OpenMain)
+			open(proof.OpenV)
+
+			want := len(proofMagic) + varints + 48*points + 32*scalars
+			if len(data) != want {
+				t.Fatalf("proof is %d bytes, its lists account for %d", len(data), want)
+			}
+			t.Logf("%d B = %d magic + %d varint + %d points × 48 + %d scalars × 32",
+				len(data), len(proofMagic), varints, points, scalars)
+		})
 	}
-	data, err := proof.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := len(data)
-	// Succinct: a handful of KB, never linear in circuit size.
-	if size < 500 || size > 64*1024 {
-		t.Fatalf("proof size %d bytes out of expected range", size)
-	}
-	t.Logf("proof size: %d bytes", size)
 }
 
 func TestIndexMismatchRejected(t *testing.T) {

@@ -2,8 +2,6 @@ package hyperplonk
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -60,7 +58,7 @@ func (r residency) setup(t testing.TB, srsVars int, c *gates.Circuit) (*pcs.SRS,
 // TestScheduleMatrix pins the one schedule against the golden digests at
 // every worker budget and under both residency policies: worker counts and
 // table residency never reach the transcript, so every cell must reproduce
-// the bytes captured at PR 4 — the reference is the pin, not another run.
+// the pinned bytes — the reference is the pin, not another run.
 func TestScheduleMatrix(t *testing.T) {
 	for _, g := range goldenProofs {
 		c := buildVanillaCircuit(t, 3, g.numVars)
@@ -76,14 +74,7 @@ func TestScheduleMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := proof.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum := sha256.Sum256(b)
-					if got := hex.EncodeToString(sum[:]); got != g.sha {
-						t.Fatalf("proof bytes diverged from the PR 4 golden:\n got %s\nwant %s", got, g.sha)
-					}
+					checkGolden(t, g, proof)
 					if err := Verify(srs, idx, proof); err != nil {
 						t.Fatal(err)
 					}

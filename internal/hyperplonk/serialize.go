@@ -3,24 +3,40 @@ package hyperplonk
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"zkphire/internal/curve"
 	"zkphire/internal/ff"
-	"zkphire/internal/fp"
 	"zkphire/internal/pcs"
 	"zkphire/internal/sumcheck"
 )
 
-// Binary proof serialization. Scalars are 32-byte big-endian canonical
-// encodings; points are 96-byte uncompressed affine (x‖y) with a one-byte
-// infinity flag. Deserialization validates every scalar (canonical range)
-// and every point (on-curve and in the order-r subgroup), so a proof from
+// Binary proof serialization, wire format v2. Scalars are 32-byte
+// big-endian canonical encodings; points are 48-byte compressed G1
+// (curve.G1Affine.Compressed); list lengths and commitment sizes are
+// minimal uvarints. Each proof has exactly one encoding, and the decoder
+// checks every scalar's range and every point's encoding and subgroup, so
 // an untrusted wire cannot smuggle invalid group elements into
-// verification.
+// verification. The transcript absorbs uncompressed x‖y, not these bytes,
+// so the encoding can change without changing a proof; bytes of any other
+// version fail with ErrWireFormat.
 
-const proofMagic = "zkphire/proof/v1"
+const proofMagic = "zkphire/proof/v2"
+
+// ErrWireFormat is wrapped by the proof and verifying-key decoders when the
+// input does not start with the current magic — v1 bytes included.
+var ErrWireFormat = errors.New("hyperplonk: unsupported wire format")
+
+// checkMagic consumes magic from the front of data.
+func checkMagic(data []byte, magic string) ([]byte, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(magic))
+	if !ok {
+		return nil, fmt.Errorf("%w: want %s", ErrWireFormat, magic)
+	}
+	return rest, nil
+}
 
 type encoder struct{ buf bytes.Buffer }
 
@@ -43,16 +59,8 @@ func (e *encoder) scalars(ss []ff.Element) {
 }
 
 func (e *encoder) point(p *curve.G1Affine) {
-	if p.Infinity {
-		e.buf.WriteByte(1)
-		e.buf.Write(make([]byte, 96))
-		return
-	}
-	e.buf.WriteByte(0)
-	xb := p.X.Bytes()
-	yb := p.Y.Bytes()
-	e.buf.Write(xb[:])
-	e.buf.Write(yb[:])
+	b := p.Compressed()
+	e.buf.Write(b[:])
 }
 
 func (e *encoder) commitment(c *pcs.Commitment) {
@@ -103,16 +111,28 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 	return e.buf.Bytes(), nil
 }
 
-// decoder reads the wire format. A point is checked on-curve as it is read
-// and in the subgroup (a 128-bit scalar multiplication) by subgroup, once
-// the whole input has parsed, so malformed bytes fail on the cheap checks.
+// decoder reads the wire format. A point is decoded onto the curve as it is
+// read and checked in the subgroup (a 128-bit scalar multiplication) by
+// subgroup, once the whole input has parsed, so malformed bytes fail on the
+// cheap checks.
 type decoder struct {
 	r      *bytes.Reader
 	points []*curve.G1Affine
 }
 
+// uvarint reads a minimal uvarint: a padded one (0x81 0x00 for 1) would be
+// a second encoding of the same proof.
 func (d *decoder) uvarint() (uint64, error) {
-	return binary.ReadUvarint(d.r)
+	before := d.r.Len()
+	v, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return 0, err
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	if before-d.r.Len() != binary.PutUvarint(tmp[:], v) {
+		return 0, fmt.Errorf("hyperplonk: padded uvarint")
+	}
+	return v, nil
 }
 
 // maxList bounds list lengths against corrupt/hostile inputs.
@@ -154,43 +174,12 @@ func (d *decoder) scalars() ([]ff.Element, error) {
 }
 
 func (d *decoder) point(out *curve.G1Affine) error {
-	flag, err := d.r.ReadByte()
-	if err != nil {
+	var b [curve.CompressedSize]byte
+	if _, err := io.ReadFull(d.r, b[:]); err != nil {
 		return err
 	}
-	var xy [96]byte
-	if _, err := io.ReadFull(d.r, xy[:]); err != nil {
+	if err := out.SetCompressed(b[:]); err != nil {
 		return err
-	}
-	switch flag {
-	case 1:
-		// Infinity's coordinate block must be all zero — anything else is a
-		// malleable second encoding of the same point.
-		for _, b := range xy {
-			if b != 0 {
-				return fmt.Errorf("hyperplonk: nonzero coordinates on infinity point")
-			}
-		}
-		out.SetInfinity()
-		return nil
-	case 0:
-		// fall through to the finite-point path
-	default:
-		return fmt.Errorf("hyperplonk: bad point flag %d", flag)
-	}
-	var x, y fp.Element
-	x.SetBytes(xy[:48])
-	y.SetBytes(xy[48:])
-	// Canonicality: SetBytes reduces mod p, so coordinates ≥ p would give a
-	// second byte encoding of the same point. Re-encoding must reproduce
-	// the input exactly.
-	xb, yb := x.Bytes(), y.Bytes()
-	if !bytes.Equal(xb[:], xy[:48]) || !bytes.Equal(yb[:], xy[48:]) {
-		return fmt.Errorf("hyperplonk: non-canonical point coordinates")
-	}
-	out.X, out.Y, out.Infinity = x, y, false
-	if !out.IsOnCurve() {
-		return fmt.Errorf("hyperplonk: point not on curve")
 	}
 	d.points = append(d.points, out)
 	return nil
@@ -263,10 +252,11 @@ type pcsOpening = pcs.OpeningProof
 
 // UnmarshalBinary deserializes and validates a proof.
 func (p *Proof) UnmarshalBinary(data []byte) error {
-	if len(data) < len(proofMagic) || string(data[:len(proofMagic)]) != proofMagic {
-		return fmt.Errorf("hyperplonk: bad proof magic")
+	body, err := checkMagic(data, proofMagic)
+	if err != nil {
+		return err
 	}
-	d := &decoder{r: bytes.NewReader(data[len(proofMagic):])}
+	d := &decoder{r: bytes.NewReader(body)}
 
 	n, err := d.length()
 	if err != nil {

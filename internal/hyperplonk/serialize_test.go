@@ -3,7 +3,7 @@ package hyperplonk
 import (
 	"bytes"
 	"context"
-	"math/big"
+	"errors"
 	"strings"
 	"testing"
 
@@ -12,7 +12,7 @@ import (
 	"zkphire/internal/fp"
 )
 
-func makeProof(t *testing.T) (*Proof, *Index) {
+func makeProof(t testing.TB) (*Proof, *Index) {
 	t.Helper()
 	c := buildVanillaCircuit(t, 3, 4)
 	idx, err := Preprocess(testSRS, c)
@@ -51,23 +51,13 @@ func TestProofRoundTrip(t *testing.T) {
 }
 
 // nonSubgroupPoint returns an on-curve point outside the order-r subgroup:
-// the first x = 1, 2, … whose x³ + 4 is a square, y = (x³ + 4)^((p+1)/4)
-// (p ≡ 3 mod 4), kept only if [r]P ≠ O.
+// the first x = 1, 2, … with x³ + 4 a square, kept only if [r]P ≠ O.
 func nonSubgroupPoint(t *testing.T) curve.G1Affine {
 	t.Helper()
-	e := new(big.Int).Add(fp.Modulus(), big.NewInt(1))
-	e.Rsh(e, 2)
-	var four fp.Element
-	four.SetUint64(4)
 	for x := uint64(1); x < 100; x++ {
 		var p curve.G1Affine
 		p.X.SetUint64(x)
-		var rhs, y2 fp.Element
-		rhs.Square(&p.X)
-		rhs.Mul(&rhs, &p.X)
-		rhs.Add(&rhs, &four)
-		p.Y.Exp(&rhs, e)
-		if y2.Square(&p.Y); !y2.Equal(&rhs) {
+		if !p.Y.Sqrt(curveRHS(&p.X)) {
 			continue
 		}
 		var pj, rp curve.G1Jac
@@ -78,6 +68,15 @@ func nonSubgroupPoint(t *testing.T) curve.G1Affine {
 	}
 	t.Fatal("no on-curve point outside the subgroup with small x")
 	return curve.G1Affine{}
+}
+
+// curveRHS returns x³ + 4.
+func curveRHS(x *fp.Element) *fp.Element {
+	var rhs, four fp.Element
+	four.SetUint64(4)
+	rhs.Square(x)
+	rhs.Mul(&rhs, x)
+	return rhs.Add(&rhs, &four)
 }
 
 // TestDecodersRejectNonSubgroupPoint: an on-curve point outside the order-r
@@ -130,17 +129,148 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 }
 
+// firstPoint is the offset of the first wire commitment's point: after the
+// magic, uvarint(len(WireComms)) and uvarint(NumVars), one byte each here.
+const firstPoint = len(proofMagic) + 2
+
+// TestUnmarshalRejectsOffCurvePoint corrupts x of the first wire
+// commitment, one byte at a time. A corrupted x has no point about half the
+// time and otherwise names a point outside the order-r subgroup; either way
+// the proof must not decode, and the test needs both outcomes.
 func TestUnmarshalRejectsOffCurvePoint(t *testing.T) {
 	proof, _ := makeProof(t)
 	data, _ := proof.MarshalBinary()
-	// The first wire commitment's point starts after magic + uvarint(count)
-	// + uvarint(numVars) + flag byte. Corrupt a coordinate byte there.
-	ofs := len(proofMagic) + 1 + 1 + 1 + 10
-	bad := append([]byte(nil), data...)
-	bad[ofs] ^= 0x55
-	if err := new(Proof).UnmarshalBinary(bad); err == nil {
-		t.Fatal("off-curve point accepted")
+	var noPoint, outside int
+	for i := 1; i < curve.CompressedSize; i++ {
+		bad := append([]byte(nil), data...)
+		bad[firstPoint+i] ^= 0x55
+		err := new(Proof).UnmarshalBinary(bad)
+		switch {
+		case err == nil:
+			t.Fatalf("x corrupted at byte %d accepted", i)
+		case errors.Is(err, curve.ErrInvalidEncoding):
+			noPoint++
+		case strings.Contains(err.Error(), "subgroup"):
+			outside++
+		default:
+			t.Fatalf("x corrupted at byte %d: unexpected error %v", i, err)
+		}
 	}
+	if noPoint == 0 || outside == 0 {
+		t.Fatalf("%d corruptions had no point and %d left the subgroup; want both", noPoint, outside)
+	}
+}
+
+// TestUnmarshalRejectsPointEncodings splices each way a 48-byte string can
+// fail to be the one encoding of a subgroup point into the first wire
+// commitment.
+func TestUnmarshalRejectsPointEncodings(t *testing.T) {
+	proof, _ := makeProof(t)
+	data, _ := proof.MarshalBinary()
+	splice := func(pt [curve.CompressedSize]byte) []byte {
+		bad := append([]byte(nil), data...)
+		copy(bad[firstPoint:], pt[:])
+		return bad
+	}
+	flagClear := proof.WireComms[0].Point.Compressed()
+	flagClear[0] &^= 0x80
+	infSign := [curve.CompressedSize]byte{0xe0}
+	infPayload := [curve.CompressedSize]byte{0xc0}
+	infPayload[curve.CompressedSize-1] = 1
+	var xIsP [curve.CompressedSize]byte
+	fp.Modulus().FillBytes(xIsP[:])
+	xIsP[0] |= 0x80
+	var noRoot [curve.CompressedSize]byte
+	for x := uint64(1); noRoot[0] == 0; x++ {
+		var xe, y fp.Element
+		if xe.SetUint64(x); !y.Sqrt(curveRHS(&xe)) {
+			noRoot = xe.Bytes()
+			noRoot[0] |= 0x80
+		}
+	}
+	outside := nonSubgroupPoint(t)
+
+	for _, tc := range []struct {
+		name, want string
+		bad        []byte
+	}{
+		{"compression flag clear", "compression flag clear", splice(flagClear)},
+		{"infinity with sign flag", "point at infinity", splice(infSign)},
+		{"infinity with payload", "point at infinity", splice(infPayload)},
+		{"x = p", "x not below p", splice(xIsP)},
+		{"x with no square root", "no point with this x", splice(noRoot)},
+		{"on the curve, outside the subgroup", "subgroup", splice(outside.Compressed())},
+	} {
+		if err := new(Proof).UnmarshalBinary(tc.bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestDecodersRejectV1 feeds both decoders their v1 magic: neither has a
+// v1 path, and both name the reason with ErrWireFormat.
+func TestDecodersRejectV1(t *testing.T) {
+	proof, idx := makeProof(t)
+	data, _ := proof.MarshalBinary()
+	vk, _ := idx.MarshalBinary()
+	v1 := func(b []byte, magic string) []byte {
+		return append([]byte(strings.Replace(magic, "/v2", "/v1", 1)), b[len(magic):]...)
+	}
+	if err := new(Proof).UnmarshalBinary(v1(data, proofMagic)); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("v1 proof: %v, want ErrWireFormat", err)
+	}
+	if _, err := UnmarshalVerifyingKey(v1(vk, vkMagic)); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("v1 verifying key: %v, want ErrWireFormat", err)
+	}
+}
+
+// TestSignFlipDecodesToNegation: the y-sign flag alone turns the encoding
+// of P into that of −P, which is a valid point, so the proof decodes — and
+// then fails Verify.
+func TestSignFlipDecodesToNegation(t *testing.T) {
+	proof, idx := makeProof(t)
+	data, _ := proof.MarshalBinary()
+	data[firstPoint] ^= 0x20
+	var back Proof
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	var neg curve.G1Affine
+	if neg.Neg(&proof.WireComms[0].Point); !back.WireComms[0].Point.Equal(&neg) {
+		t.Fatal("the sign flip did not decode to −P")
+	}
+	if err := Verify(testSRS, idx, &back); err == nil {
+		t.Fatal("proof with a negated wire commitment verified")
+	}
+}
+
+// FuzzUnmarshalProof: no input panics the decoder, and an input that
+// decodes re-encodes to the identical bytes — each proof has one encoding.
+func FuzzUnmarshalProof(f *testing.F) {
+	proof, _ := makeProof(f)
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(proofMagic))
+	// The wire-commitment count padded to two bytes: the same proof, were
+	// padded uvarints accepted.
+	padded := append([]byte(proofMagic), data[len(proofMagic)]|0x80, 0)
+	f.Add(append(padded, data[len(proofMagic)+1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Proof
+		if p.UnmarshalBinary(data) != nil {
+			return
+		}
+		again, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%d decoded bytes re-encode to %d different bytes", len(data), len(again))
+		}
+	})
 }
 
 func TestUnmarshalRejectsNonCanonicalScalar(t *testing.T) {

@@ -2,8 +2,6 @@ package hyperplonk
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"testing"
 )
@@ -36,17 +34,7 @@ func TestProofBytesGoldenStreamed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := proof.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(b) != g.size {
-				t.Fatalf("proof size %d, want %d", len(b), g.size)
-			}
-			sum := sha256.Sum256(b)
-			if got := hex.EncodeToString(sum[:]); got != g.sha {
-				t.Fatalf("streamed proof bytes diverged from the PR 4 golden:\n got %s\nwant %s", got, g.sha)
-			}
+			checkGolden(t, g, proof)
 			if err := Verify(srs, idx, proof); err != nil {
 				t.Fatalf("verify streamed proof: %v", err)
 			}

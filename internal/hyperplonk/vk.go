@@ -16,8 +16,12 @@ import (
 //
 // The gate composite itself is not serialized: the public API admits
 // exactly the two registry arithmetizations, so a one-byte tag rebuilds it.
+//
+// Commitments share the proof codec (serialize.go): a uvarint size and a
+// 48-byte compressed point. The magic's version moves with the proof's; a
+// key of another version fails with ErrWireFormat.
 
-const vkMagic = "zkphire/vk/v1"
+const vkMagic = "zkphire/vk/v2"
 
 const (
 	vkGateVanilla   = 0
@@ -66,22 +70,27 @@ func (idx *Index) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalVerifyingKey deserializes and validates a verifying key written
-// by Index.MarshalBinary. Every point is checked on-curve and in the
-// order-r subgroup.
+// by Index.MarshalBinary. Every point is decoded onto the curve and checked
+// in the order-r subgroup.
 func UnmarshalVerifyingKey(data []byte) (*Index, error) {
-	if len(data) < len(vkMagic)+1 || string(data[:len(vkMagic)]) != vkMagic {
-		return nil, fmt.Errorf("hyperplonk: bad verifying-key magic")
+	body, err := checkMagic(data, vkMagic)
+	if err != nil {
+		return nil, err
+	}
+	d := &decoder{r: bytes.NewReader(body)}
+	tag, err := d.r.ReadByte()
+	if err != nil {
+		return nil, err
 	}
 	idx := &Index{}
-	switch data[len(vkMagic)] {
+	switch tag {
 	case vkGateVanilla:
 		idx.Gate = poly.VanillaGate()
 	case vkGateJellyfish:
 		idx.Gate = poly.JellyfishGate()
 	default:
-		return nil, fmt.Errorf("hyperplonk: unknown gate tag %d", data[len(vkMagic)])
+		return nil, fmt.Errorf("hyperplonk: unknown gate tag %d", tag)
 	}
-	d := &decoder{r: bytes.NewReader(data[len(vkMagic)+1:])}
 
 	nv, err := d.length()
 	if err != nil {

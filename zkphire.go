@@ -75,6 +75,11 @@ type Proof = hyperplonk.Proof
 // verifier's view (commitments only); see UnmarshalVerifyingKey.
 type VerifyingKey = hyperplonk.Index
 
+// ErrWireFormat is wrapped by Proof.UnmarshalBinary and
+// UnmarshalVerifyingKey when the bytes are not wire format v2 (48-byte
+// compressed points), proofs and keys written in v1 included.
+var ErrWireFormat = hyperplonk.ErrWireFormat
+
 // Verify checks a proof against its verifying key.
 func Verify(srs *SRS, vk *VerifyingKey, proof *Proof) error {
 	return hyperplonk.Verify(srs, vk, proof)

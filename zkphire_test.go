@@ -3,6 +3,7 @@ package zkphire
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -163,8 +164,8 @@ func TestProofAndKeyRoundTripViaPublicAPI(t *testing.T) {
 	// Corrupted keys are rejected, not mis-verified.
 	bad := append([]byte(nil), vkBytes...)
 	bad[0] ^= 0xff
-	if _, err := UnmarshalVerifyingKey(bad); err == nil {
-		t.Fatal("bad vk magic accepted")
+	if _, err := UnmarshalVerifyingKey(bad); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("bad vk magic: %v, want ErrWireFormat", err)
 	}
 	// Truncation at EVERY offset must fail — the decoder may never
 	// short-read its way to a "valid" key (regression: bytes.Reader.Read
