@@ -9,7 +9,7 @@
 //
 // where <name> is one of: table1, fig6, fig7, fig8, fig9, table2, fig10,
 // fig11, fig12, fig13, fig14, table5, table6, table7, table8, table9,
-// calibrate, all.
+// ablations, all.
 package main
 
 import (
@@ -44,7 +44,6 @@ var experiments = []experiment{
 	{"table8", "Table VIII: iso-application zkSpeed+ vs zkPHIRE", runTable8},
 	{"table9", "Table IX: comparison with prior ZKP accelerators", runTable9},
 	{"ablations", "design-choice ablations (scheduler modes, primes, masking)", runAblations},
-	{"calibrate", "measure this machine's kernels vs the analytic model", runCalibrate},
 }
 
 func main() {

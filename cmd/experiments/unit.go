@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 
 	"zkphire/internal/core"
 	"zkphire/internal/hw"
@@ -272,21 +271,5 @@ func runTable2(args []string) error {
 			r.name, r.count, cpuMS, r.paperCPUms, gpu, res.Seconds*1e3, cpuMS/(res.Seconds*1e3))
 	}
 	fmt.Println("\nPaper reference: zkPHIRE 600–1070x over CPU, ~70x over the A100.")
-	return nil
-}
-
-func runCalibrate(args []string) error {
-	cal := cpumodel.Calibrate(14)
-	fmt.Printf("Local machine calibration (2^%d Vanilla ZeroCheck, 1 thread):\n", cal.CalibrationVars)
-	fmt.Printf("  measured modular multiplication: %.1f ns\n", cal.MeasuredNsPerMul)
-	fmt.Printf("  measured SumCheck:               %.2f ms\n", cal.MeasuredSumcheckNs/1e6)
-	fmt.Printf("  op-count model prediction:       %.2f ms\n", cal.PredictedSumcheckNs/1e6)
-	fmt.Printf("  measured/predicted:              %.2f\n", cal.MeasuredSumcheckNs/cal.PredictedSumcheckNs)
-	fmt.Printf("\nPaper-calibrated model constants: %.0f ns/mul, %.0f ns/point-op (EPYC 7502 anchors).\n",
-		cpumodel.PaperCPU(4).NsPerMul, cpumodel.PaperCPU(4).NsPerPointOp)
-	if math.Abs(cal.MeasuredNsPerMul-cpumodel.PaperCPU(4).NsPerMul) > 40 {
-		fmt.Println("note: this machine's mul cost differs substantially from the paper's CPU;")
-		fmt.Println("speedup *ratios* are unaffected (both sides use the same op counts).")
-	}
 	return nil
 }

@@ -105,25 +105,13 @@ func (a *Accelerator) EstimateProtocol(kind Arithmetization, logGates int) (Esti
 // published Fig. 9 per-check ratios. The backend is fixed-function: it only
 // accepts Vanilla-gate workloads and scales to 2^24 gates (its global
 // scratchpad grows with gate count).
-type ZKSpeedEstimator struct {
-	// plus selects zkSpeed+ (MLE updates pipelined into the datapath,
-	// ~10% faster) over base zkSpeed.
-	plus bool
-}
+type ZKSpeedEstimator struct{}
 
 // NewZKSpeedEstimator returns the zkSpeed+ model.
-func NewZKSpeedEstimator() *ZKSpeedEstimator { return &ZKSpeedEstimator{plus: true} }
-
-// NewZKSpeedBaseEstimator returns the base (non-plus) zkSpeed model.
-func NewZKSpeedBaseEstimator() *ZKSpeedEstimator { return &ZKSpeedEstimator{plus: false} }
+func NewZKSpeedEstimator() *ZKSpeedEstimator { return &ZKSpeedEstimator{} }
 
 // Name identifies the backend.
-func (z *ZKSpeedEstimator) Name() string {
-	if z.plus {
-		return "zkSpeed+"
-	}
-	return "zkSpeed"
-}
+func (z *ZKSpeedEstimator) Name() string { return "zkSpeed+" }
 
 // referenceConfig is the zkPHIRE design the published ratios are anchored
 // to: the Table V schedule without zkPHIRE's Masked-ZeroCheck optimization
@@ -169,12 +157,8 @@ func (z *ZKSpeedEstimator) EstimateSumCheck(tableID, logGates int) (Estimate, er
 	if err != nil {
 		return Estimate{}, err
 	}
-	sec := res.Seconds * ratio
-	if !z.plus {
-		sec *= zkspeed.PlusSpeedupOverBase
-	}
 	return Estimate{
-		Seconds: sec,
+		Seconds: res.Seconds * ratio,
 		AreaMM2: zkspeed.SumcheckUnitAreaMM2,
 		PowerW:  zkspeed.PowerW,
 	}, nil
@@ -202,9 +186,6 @@ func (z *ZKSpeedEstimator) EstimateProtocol(kind Arithmetization, logGates int) 
 		OpenCheckMS: r.OpenCheck * 1e3,
 	}
 	checks := zkspeed.PlusChecksFrom(ref)
-	if !z.plus {
-		checks = zkspeed.BaseChecksFrom(ref)
-	}
 	rest := r.WitnessMSM + r.PermGen + r.WiringMSM + r.BatchEval + r.OpenMSM
 	return Estimate{
 		Seconds: rest + checks.Total()/1e3,

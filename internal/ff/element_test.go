@@ -286,10 +286,10 @@ func TestQuickAlgebra(t *testing.T) {
 
 func TestVectorOps(t *testing.T) {
 	rng := NewRand(23)
-	v := Vector(rng.Elements(16))
-	w := Vector(rng.Elements(16))
+	v := rng.Elements(16)
+	w := rng.Elements(16)
 
-	ip := v.InnerProduct(w)
+	ip := InnerProductVec(v, w)
 	var want Element
 	for i := range v {
 		var t2 Element
@@ -301,8 +301,8 @@ func TestVectorOps(t *testing.T) {
 	}
 
 	c := rng.Element()
-	v2 := v.Clone()
-	v2.ScaleInPlace(&c)
+	v2 := make([]Element, len(v))
+	ScalarMulVec(v2, v, &c)
 	for i := range v {
 		var w2 Element
 		w2.Mul(&v[i], &c)
@@ -311,7 +311,7 @@ func TestVectorOps(t *testing.T) {
 		}
 	}
 
-	sum := v.Sum()
+	sum := SumVec(v)
 	var s Element
 	for i := range v {
 		s.Add(&s, &v[i])

@@ -235,13 +235,6 @@ func TestMulVecKernels(t *testing.T) {
 		z = clone(x)
 		ScalarMulVec(z, z, &c)
 		check("ScalarMulVec z==x", z, wantScale)
-
-		zs := clone(x)
-		Vector(zs).MulInPlace(y)
-		check("Vector.MulInPlace", zs, wantMul)
-		zs = clone(x)
-		Vector(zs).ScaleInPlace(&c)
-		check("Vector.ScaleInPlace", zs, wantScale)
 	}
 }
 

@@ -5,48 +5,6 @@ import (
 	"math/rand"
 )
 
-// Vector is a slice of field elements with common bulk operations.
-type Vector []Element
-
-// Sum returns the sum of all entries (lazy-reduction kernel, one boundary
-// reduction per call).
-func (v Vector) Sum() Element {
-	return SumVec(v)
-}
-
-// InnerProduct returns Σ v[i]*w[i] (lazy-reduction kernel, one boundary
-// reduction per call). It panics if lengths differ.
-func (v Vector) InnerProduct(w Vector) Element {
-	return InnerProductVec(v, w)
-}
-
-// ScaleInPlace multiplies every entry by c (ScalarMulVec).
-func (v Vector) ScaleInPlace(c *Element) {
-	ScalarMulVec(v, v, c)
-}
-
-// AddInPlace sets v[i] += w[i].
-func (v Vector) AddInPlace(w Vector) {
-	if len(v) != len(w) {
-		panic("ff: vector add length mismatch")
-	}
-	for i := range v {
-		v[i].Add(&v[i], &w[i])
-	}
-}
-
-// MulInPlace sets v[i] *= w[i] (MulVec). It panics if lengths differ.
-func (v Vector) MulInPlace(w Vector) {
-	MulVec(v, v, w)
-}
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
 // Rand is a deterministic field-element source for tests and benchmarks.
 type Rand struct{ src *rand.Rand }
 

@@ -44,7 +44,7 @@ import (
 // product fed to LazyAcc/InnerProductVec is < q² < 2^510, so the
 // 576-bit product accumulator holds ~2^66 products.
 const (
-	// SumWindowLog2 bounds raw 4-limb adds per SumVec/Vector.Sum call.
+	// SumWindowLog2 bounds raw 4-limb adds per SumVec call.
 	SumWindowLog2 = 65
 	// ProductWindowLog2 bounds 512-bit products per LazyAcc before Reduce.
 	ProductWindowLog2 = 66

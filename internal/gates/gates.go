@@ -8,6 +8,7 @@ package gates
 
 import (
 	"fmt"
+	"maps"
 
 	"zkphire/internal/ff"
 	"zkphire/internal/mle"
@@ -34,21 +35,15 @@ type Circuit struct {
 }
 
 // GateTables returns the tables bound to the gate composite's variables, in
-// its variable order: a selector by name, wN as wire column N.
+// its variable order: each selector under its name, wire column j under
+// poly.WireName(j).
 func (c *Circuit) GateTables() ([]*mle.Table, error) {
-	tabs := make([]*mle.Table, c.Gate.NumVars())
-	for i, name := range c.Gate.VarNames {
-		if t, ok := c.Selectors[name]; ok {
-			tabs[i] = t
-			continue
-		}
-		var w int
-		if _, err := fmt.Sscanf(name, "w%d", &w); err != nil || w < 1 || w > len(c.Wires) {
-			return nil, fmt.Errorf("gates: gate variable %q has no bound table", name)
-		}
-		tabs[i] = c.Wires[w-1]
+	vars := make(map[string]*mle.Table, len(c.Selectors)+len(c.Wires))
+	maps.Copy(vars, c.Selectors)
+	for j, w := range c.Wires {
+		vars[poly.WireName(j+1)] = w
 	}
-	return tabs, nil
+	return poly.Bind(c.Gate, vars)
 }
 
 // Satisfied reports whether every gate constraint holds for the embedded

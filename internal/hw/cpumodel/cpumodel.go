@@ -2,19 +2,13 @@
 // baselines throughout the evaluation. The model counts the same modular
 // multiplications and group operations the protocol performs and applies
 // per-operation costs calibrated against the paper's published EPYC-7502
-// measurements; the companion calibration helpers measure this machine's
-// actual Go kernels, and bench/README.md's replay-vs-cpumodel table records
-// the measured prover beside this model.
+// measurements; bench/README.md's replay-vs-cpumodel table records the
+// measured prover beside this model.
 package cpumodel
 
 import (
-	"time"
-
-	"zkphire/internal/ff"
-	"zkphire/internal/mle"
 	"zkphire/internal/poly"
 	"zkphire/internal/sumcheck"
-	"zkphire/internal/transcript"
 )
 
 // TDPWatts is the EPYC-7502's rated TDP — the power figure baseline
@@ -102,64 +96,4 @@ var GPUTable2MS = map[string]float64{
 	"ABC6":     1440,
 	"ABC4":     3460,
 	"HPPoly20": 1089,
-}
-
-// Calibration measures this machine's actual Go kernels so reported CPU
-// baselines can be cross-checked against the analytic model.
-type Calibration struct {
-	MeasuredNsPerMul    float64
-	MeasuredSumcheckNs  float64 // one Vanilla ZeroCheck at CalibrationVars
-	PredictedSumcheckNs float64
-	CalibrationVars     int
-}
-
-// Calibrate runs a small real SumCheck and a multiplication microbenchmark.
-func Calibrate(numVars int) Calibration {
-	cal := Calibration{CalibrationVars: numVars}
-
-	// Microbench: chained modular multiplications.
-	rng := ff.NewRand(1)
-	a, b := rng.Element(), rng.Element()
-	const iters = 200000
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		a.Mul(&a, &b)
-	}
-	cal.MeasuredNsPerMul = float64(time.Since(start).Nanoseconds()) / iters
-
-	// Real SumCheck at a modest size.
-	c := poly.VanillaZeroCheck()
-	n := 1 << uint(numVars)
-	tables := make([]*mle.Table, c.NumVars())
-	for i := range tables {
-		switch c.Roles[i] {
-		case poly.RoleEq:
-			tables[i] = mle.Eq(rng.Elements(numVars))
-		case poly.RoleWitness:
-			tables[i] = mle.FromEvals(rng.SparseElements(n, 0.1))
-		default:
-			evals := make([]ff.Element, n)
-			for j := range evals {
-				if rng.Intn(2) == 1 {
-					evals[j] = ff.One()
-				}
-			}
-			tables[i] = mle.FromEvals(evals)
-		}
-	}
-	assign, err := sumcheck.NewAssignment(c, tables)
-	if err != nil {
-		panic(err)
-	}
-	claim := assign.SumAll()
-	tr := transcript.New("cal")
-	start = time.Now()
-	if _, _, err := sumcheck.Prove(tr, assign, claim, sumcheck.Config{Workers: 1}); err != nil {
-		panic(err)
-	}
-	cal.MeasuredSumcheckNs = float64(time.Since(start).Nanoseconds())
-
-	m := Model{NsPerMul: cal.MeasuredNsPerMul, Threads: 1, ParallelEfficiency: 1}
-	cal.PredictedSumcheckNs = m.SumcheckSeconds(c, numVars) * 1e9
-	return cal
 }

@@ -51,23 +51,6 @@ func TestMSMModel(t *testing.T) {
 	}
 }
 
-func TestCalibrationRuns(t *testing.T) {
-	cal := Calibrate(10)
-	if cal.MeasuredNsPerMul <= 0 || cal.MeasuredNsPerMul > 10000 {
-		t.Fatalf("measured mul cost %.1f ns implausible", cal.MeasuredNsPerMul)
-	}
-	if cal.MeasuredSumcheckNs <= 0 {
-		t.Fatal("sumcheck measurement failed")
-	}
-	// The analytic op-count model should predict the measured Go runtime
-	// within a small factor (memory effects, bookkeeping).
-	ratio := cal.MeasuredSumcheckNs / cal.PredictedSumcheckNs
-	if ratio < 0.2 || ratio > 8 {
-		t.Fatalf("model/measurement ratio %.2f too far off", ratio)
-	}
-	t.Logf("measured %.1f ns/mul; sumcheck measured/predicted = %.2f", cal.MeasuredNsPerMul, ratio)
-}
-
 func TestGPUReferenceTable(t *testing.T) {
 	if len(GPUTable2MS) < 6 {
 		t.Fatal("missing GPU reference entries")

@@ -1,12 +1,12 @@
 package hyperplonk
 
 import (
-	"context"
 	"fmt"
 
 	"zkphire/internal/ff"
 	"zkphire/internal/mle"
 	"zkphire/internal/pcs"
+	"zkphire/internal/perm"
 	"zkphire/internal/poly"
 	"zkphire/internal/sumcheck"
 	"zkphire/internal/transcript"
@@ -21,21 +21,96 @@ import (
 // whose hypercube sum is Σ_k α^k·y_k by construction. The SumCheck reduces
 // everything to the polynomials' values at one point r*, which are proven
 // with a single batched PCS opening of Σ_i β^i f_i.
+//
+// The prover and the verifier describe each OpenCheck once, with the helpers
+// below: the opening set (claims and points), the α-composite with its
+// claimed sum, and the β-combination of the values at r*.
 
-// buildOpenCheckComposite constructs the composite for numPolys distinct
-// polynomials and the given claims. Variables: f0..f{n-1} then eq0..eq{m-1}.
-func buildOpenCheckComposite(numPolys int, numPoints int, claims []evalClaim, alpha ff.Element) *poly.Composite {
+// evalClaim says: distinct polynomial Poly evaluates to Value at point
+// index Point.
+type evalClaim struct {
+	Poly  int
+	Point int
+	Value ff.Element
+}
+
+// openSet is what one OpenCheck proves: its evaluation claims and the
+// points they index. The polynomials — the prover's tables, the verifier's
+// commitments — come beside it in the same distinct-polynomial order.
+type openSet struct {
+	claims []evalClaim
+	points [][]ff.Element
+}
+
+// mainOrder is the main OpenCheck's distinct-polynomial order: selectors,
+// wires, σ.
+func mainOrder[T any](selectors, wires, sigmas []T) []T {
+	out := make([]T, 0, len(selectors)+len(wires)+len(sigmas))
+	out = append(out, selectors...)
+	out = append(out, wires...)
+	return append(out, sigmas...)
+}
+
+// mainOpenSet is the main OpenCheck at the gate and perm points. Its claim
+// order fixes the α powers: the gate constituents at the gate point, in the
+// gate composite's variable order (that of GateEvals), then each wire and
+// its σ at the perm point.
+func mainOpenSet(idx *Index, proof *Proof, rGate, rPerm []ff.Element) openSet {
+	numSel, k := len(idx.SelectorNames), idx.Wires
+	slot := make(map[string]int, numSel+k)
+	for i, name := range idx.SelectorNames {
+		slot[name] = i
+	}
+	for j := range k {
+		slot[poly.WireName(j+1)] = numSel + j
+	}
+	set := openSet{points: [][]ff.Element{rGate, rPerm}}
+	for gi, name := range idx.Gate.VarNames {
+		if p, ok := slot[name]; ok {
+			set.claims = append(set.claims, evalClaim{Poly: p, Point: 0, Value: proof.GateEvals[gi]})
+		}
+	}
+	for j := range k {
+		set.claims = append(set.claims,
+			evalClaim{Poly: numSel + j, Point: 1, Value: proof.WirePermEvals[j]},
+			evalClaim{Poly: numSel + k + j, Point: 1, Value: proof.SigmaPermEvals[j]})
+	}
+	return set
+}
+
+// vViewPoints are the four points of V whose evaluations reconstruct
+// π, p₁, p₂, ϕ at r, in the order of Proof.VEvals.
+func vViewPoints(r []ff.Element) [][]ff.Element {
+	pi, p1, p2, phi := perm.ViewPoints(r)
+	return [][]ff.Element{pi, p1, p2, phi}
+}
+
+// vOpenSet is V's OpenCheck: V at its four view points, valued by VEvals.
+func vOpenSet(proof *Proof, rPerm []ff.Element) openSet {
+	set := openSet{points: vViewPoints(rPerm)}
+	for i, v := range proof.VEvals {
+		set.claims = append(set.claims, evalClaim{Poly: 0, Point: i, Value: v})
+	}
+	return set
+}
+
+// openCheckComposite draws the OpenCheck's α and returns g over numPolys
+// distinct polynomials — variables f0..f{n-1}, then eq0..eq{m-1} — with its
+// claimed hypercube sum Σ_k α^k·y_k.
+func openCheckComposite(tr *transcript.Transcript, label string, numPolys int, set openSet) (*poly.Composite, ff.Element) {
+	alpha := tr.ChallengeScalar(label + "/alpha")
 	c := &poly.Composite{Name: "OpenCheck", ID: 24}
 	for i := 0; i < numPolys; i++ {
 		c.VarNames = append(c.VarNames, fmt.Sprintf("f%d", i))
 		c.Roles = append(c.Roles, poly.RoleDense)
 	}
-	for i := 0; i < numPoints; i++ {
+	for i := range set.points {
 		c.VarNames = append(c.VarNames, fmt.Sprintf("eq%d", i))
 		c.Roles = append(c.Roles, poly.RoleEq)
 	}
+	var claim, t ff.Element
 	coeff := ff.One()
-	for _, cl := range claims {
+	for _, cl := range set.claims {
 		c.Terms = append(c.Terms, poly.Term{
 			Coeff: coeff,
 			Factors: []poly.Factor{
@@ -43,104 +118,69 @@ func buildOpenCheckComposite(numPolys int, numPoints int, claims []evalClaim, al
 				{Var: numPolys + cl.Point, Power: 1},
 			},
 		})
-		coeff.Mul(&coeff, &alpha)
-	}
-	return c
-}
-
-// openCheckClaim computes Σ_k α^k·y_k.
-func openCheckClaim(claims []evalClaim, alpha ff.Element) ff.Element {
-	var sum ff.Element
-	coeff := ff.One()
-	var t ff.Element
-	for _, cl := range claims {
 		t.Mul(&coeff, &cl.Value)
-		sum.Add(&sum, &t)
+		claim.Add(&claim, &t)
 		coeff.Mul(&coeff, &alpha)
 	}
-	return sum
+	return c, claim
 }
 
-// openDeferred carries an OpenCheck whose transcript traffic is complete but
-// whose witness commitments (the batched PCS opening's Qs) are still owed.
-// Nothing in the remaining transcript depends on the Qs, so the two halves
-// are separate functions: the SumCheck-bound stream and the MSM-bound
-// witness chain are the two spans a step-5 breakdown wants apart.
-type openDeferred struct {
-	op     *OpenProof
-	label  string
-	polys  []*mle.Table
-	coeffs []ff.Element
-	rStar  []ff.Element
+// betaCombine draws the batching challenge β and returns its powers with
+// Σ βⁱ·evals[i], the value the batched opening of Σ βⁱ·f_i opens to.
+func betaCombine(tr *transcript.Transcript, label string, evals []ff.Element) ([]ff.Element, ff.Element) {
+	beta := tr.ChallengeScalar(label + "/beta")
+	coeffs := make([]ff.Element, len(evals))
+	coeffs[0] = ff.One()
+	for i := 1; i < len(coeffs); i++ {
+		coeffs[i].Mul(&coeffs[i-1], &beta)
+	}
+	return coeffs, ff.InnerProductVec(coeffs, evals)
 }
 
-// proveOpenCheckStream runs the transcript-interactive part of one
-// OpenCheck: the α challenge, the SumCheck, the finals absorption, the β
-// challenge, and the opened-value absorption. The opened value is computed
-// as the dot product Σ βⁱ·f_i(r*) over the SumCheck's final evaluations —
-// field arithmetic is exact and the batched table Σ βⁱ·f_i is linear, so
-// this is the SAME field element the OpenWorkersCtx fold produces
-// (computeWitness asserts it).
-func proveOpenCheckStream(ctx context.Context, tr *transcript.Transcript, label string, polys []*mle.Table, claims []evalClaim, points []openPoint, cfg sumcheck.Config) (*openDeferred, error) {
-	alpha := tr.ChallengeScalar(label + "/alpha")
-	comp := buildOpenCheckComposite(len(polys), len(points), claims, alpha)
-
-	tabs := make([]*mle.Table, 0, len(polys)+len(points))
+// openCheck proves one OpenCheck end to end: the SumCheck that reduces the
+// set's claims to the polynomials' values at r*, then the batched PCS
+// opening of Σ βⁱ·f_i there. Field arithmetic is exact and the batched
+// table is linear, so the opening's value is the β-combination already
+// absorbed; a mismatch is a prover fault.
+func (p *prover) openCheck(label string, polys []*mle.Table, set openSet) (*OpenProof, error) {
+	comp, claim := openCheckComposite(p.tr, label, len(polys), set)
+	tabs := make([]*mle.Table, 0, len(polys)+len(set.points))
 	tabs = append(tabs, polys...)
-	for _, pt := range points {
-		tabs = append(tabs, mle.EqWorkers(pt.coords, cfg.Workers))
+	for _, pt := range set.points {
+		tabs = append(tabs, mle.EqWorkers(pt, p.workers))
 	}
 	assign, err := sumcheck.NewAssignment(comp, tabs)
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: %s: %w", label, err)
 	}
-	claim := openCheckClaim(claims, alpha)
-	inner, rStar, err := sumcheck.ProveCtx(ctx, tr, assign, claim, cfg)
+	inner, rStar, err := sumcheck.ProveCtx(p.ctx, p.tr, assign, claim, p.scCfg())
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: %s sumcheck: %w", label, err)
 	}
 
 	op := &OpenProof{Sumcheck: inner}
 	op.PolyEvals = append([]ff.Element(nil), inner.FinalEvals[:len(polys)]...)
-	tr.AppendScalars(label+"/finals", op.PolyEvals)
+	p.tr.AppendScalars(label+"/finals", op.PolyEvals)
+	coeffs, opened := betaCombine(p.tr, label, op.PolyEvals)
+	p.tr.AppendScalar(label+"/opened", &opened)
 
-	beta := tr.ChallengeScalar(label + "/beta")
-	coeffs := betaPowers(beta, len(polys))
-	var t ff.Element
-	var opened ff.Element
-	for i := range op.PolyEvals {
-		t.Mul(&coeffs[i], &op.PolyEvals[i])
-		opened.Add(&opened, &t)
+	combined, err := pcs.CombineTablesWorkers(polys, coeffs, p.workers)
+	if err != nil {
+		return nil, err
 	}
-	op.Opened = opened
-	tr.AppendScalar(label+"/opened", &opened)
-	return &openDeferred{op: op, label: label, polys: polys, coeffs: coeffs, rStar: rStar}, nil
+	op.Opened, op.PCS, err = p.srs.OpenWorkersCtx(p.ctx, combined, rStar, p.workers)
+	if err != nil {
+		return nil, fmt.Errorf("hyperplonk: %s opening: %w", label, err)
+	}
+	if !op.Opened.Equal(&opened) {
+		return nil, fmt.Errorf("hyperplonk: %s: opening fold diverged from the combined evaluations", label)
+	}
+	return op, nil
 }
 
-// computeWitness produces the batched single-point opening Σ βⁱ·f_i at r*
-// and checks the fold reproduces the already-absorbed opened value exactly.
-func (d *openDeferred) computeWitness(ctx context.Context, srs *pcs.SRS, workers int) error {
-	combined, err := pcs.CombineTablesWorkers(d.polys, d.coeffs, workers)
-	if err != nil {
-		return err
-	}
-	opened, proofPCS, err := srs.OpenWorkersCtx(ctx, combined, d.rStar, workers)
-	if err != nil {
-		return fmt.Errorf("hyperplonk: %s opening: %w", d.label, err)
-	}
-	if !opened.Equal(&d.op.Opened) {
-		return fmt.Errorf("hyperplonk: %s: deferred opening fold diverged from absorbed value", d.label)
-	}
-	d.op.PCS = proofPCS
-	return nil
-}
-
-// verifyOpenCheck replays one OpenCheck instance against the commitments.
-func verifyOpenCheck(tr *transcript.Transcript, srs *pcs.SRS, label string, comms []pcs.Commitment, claims []evalClaim, points []openPoint, numVars int, op *OpenProof) error {
-	alpha := tr.ChallengeScalar(label + "/alpha")
-	comp := buildOpenCheckComposite(len(comms), len(points), claims, alpha)
-
-	claim := openCheckClaim(claims, alpha)
+// verifyOpenCheck replays one OpenCheck against the commitments.
+func verifyOpenCheck(tr *transcript.Transcript, srs *pcs.SRS, label string, comms []pcs.Commitment, set openSet, numVars int, op *OpenProof) error {
+	comp, claim := openCheckComposite(tr, label, len(comms), set)
 	if !op.Sumcheck.Claim.Equal(&claim) {
 		return fmt.Errorf("hyperplonk: %s: claim mismatch", label)
 	}
@@ -155,8 +195,8 @@ func verifyOpenCheck(tr *transcript.Transcript, srs *pcs.SRS, label string, comm
 	// Check the final identity with verifier-computed eq values.
 	assign := make([]ff.Element, comp.NumVars())
 	copy(assign, op.PolyEvals)
-	for i, pt := range points {
-		assign[len(comms)+i] = mle.EqEval(rStar, pt.coords)
+	for i, pt := range set.points {
+		assign[len(comms)+i] = mle.EqEval(rStar, pt)
 	}
 	got := comp.Evaluate(assign)
 	if !got.Equal(&want) {
@@ -165,14 +205,7 @@ func verifyOpenCheck(tr *transcript.Transcript, srs *pcs.SRS, label string, comm
 	tr.AppendScalars(label+"/finals", op.PolyEvals)
 
 	// Batched PCS verification.
-	beta := tr.ChallengeScalar(label + "/beta")
-	coeffs := betaPowers(beta, len(comms))
-	var wantOpened ff.Element
-	var t ff.Element
-	for i := range op.PolyEvals {
-		t.Mul(&coeffs[i], &op.PolyEvals[i])
-		wantOpened.Add(&wantOpened, &t)
-	}
+	coeffs, wantOpened := betaCombine(tr, label, op.PolyEvals)
 	if !wantOpened.Equal(&op.Opened) {
 		return fmt.Errorf("hyperplonk: %s: combined value mismatch", label)
 	}
@@ -185,13 +218,4 @@ func verifyOpenCheck(tr *transcript.Transcript, srs *pcs.SRS, label string, comm
 	}
 	tr.AppendScalar(label+"/opened", &op.Opened)
 	return nil
-}
-
-func betaPowers(beta ff.Element, n int) []ff.Element {
-	coeffs := make([]ff.Element, n)
-	coeffs[0] = ff.One()
-	for i := 1; i < n; i++ {
-		coeffs[i].Mul(&coeffs[i-1], &beta)
-	}
-	return coeffs
 }

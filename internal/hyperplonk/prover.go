@@ -174,7 +174,11 @@ func (p *prover) permCheck() (*mle.Table, []ff.Element, error) {
 	appendComm(p.tr, "perm/v", vComm)
 	alpha := p.tr.ChallengeScalar("perm/alpha")
 
-	permComp, permTabs := buildPermCheck(p.idx.Wires, alpha, arg)
+	permComp := poly.PermCheckCore(p.idx.Wires, alpha)
+	permTabs, err := poly.Bind(permComp, poly.PermCheckVars(arg.Pi, arg.P1, arg.P2, arg.Phi, arg.DTabs, arg.NTabs))
+	if err != nil {
+		return nil, nil, err
+	}
 	assign, err := sumcheck.NewAssignment(permComp, permTabs)
 	if err != nil {
 		return nil, nil, err
@@ -219,7 +223,7 @@ func (p *prover) batchEvals(v *mle.Table, rPerm []ff.Element) error {
 	}
 	var jobs []evalJob
 	for i, pt := range vViewPoints(rPerm) {
-		jobs = append(jobs, evalJob{&proof.VEvals[i], v, pt.coords})
+		jobs = append(jobs, evalJob{&proof.VEvals[i], v, pt})
 	}
 	for j := 0; j < k; j++ {
 		jobs = append(jobs,
@@ -247,51 +251,15 @@ func (p *prover) openings(v *mle.Table, rGate, rPerm []ff.Element) error {
 	if err != nil {
 		return err
 	}
-	// Distinct-polynomial order (openingComms mirrors it): selectors, wires, σ.
-	mainPolys := make([]*mle.Table, 0, len(p.idx.SelectorTabs)+len(p.circ.Wires)+len(sigmas))
-	mainPolys = append(mainPolys, p.idx.SelectorTabs...)
-	mainPolys = append(mainPolys, p.circ.Wires...)
-	mainPolys = append(mainPolys, sigmas...)
+	mainPolys := mainOrder(p.idx.SelectorTabs, p.circ.Wires, sigmas)
 	sigmas = nil
-	mainClaims := mainClaimList(p.idx, p.proof, rGate, rPerm)
-	mainPoints := []openPoint{{name: "gate", coords: rGate}, {name: "perm", coords: rPerm}}
-	p.proof.OpenMain, err = p.openCheck("open/main", mainPolys, mainClaims, mainPoints)
+	p.proof.OpenMain, err = p.openCheck("open/main", mainPolys, mainOpenSet(p.idx, p.proof, rGate, rPerm))
 	if err != nil {
 		return err
 	}
 	mainPolys = nil // a loaded σ copy dies here, before V's opening chain
-
-	vClaims := make([]evalClaim, len(p.proof.VEvals))
-	for i := range vClaims {
-		vClaims[i] = evalClaim{Poly: 0, Point: i, Value: p.proof.VEvals[i]}
-	}
-	p.proof.OpenV, err = p.openCheck("open/v", []*mle.Table{v}, vClaims, vViewPoints(rPerm))
+	p.proof.OpenV, err = p.openCheck("open/v", []*mle.Table{v}, vOpenSet(p.proof, rPerm))
 	return err
-}
-
-// openCheck runs one OpenCheck instance end to end: the transcript-
-// interactive SumCheck, then the witness MSMs of the batched opening.
-func (p *prover) openCheck(label string, polys []*mle.Table, claims []evalClaim, points []openPoint) (*OpenProof, error) {
-	d, err := proveOpenCheckStream(p.ctx, p.tr, label, polys, claims, points, p.scCfg())
-	if err != nil {
-		return nil, err
-	}
-	if err := d.computeWitness(p.ctx, p.srs, p.workers); err != nil {
-		return nil, err
-	}
-	return d.op, nil
-}
-
-// vViewPoints names the four points of V whose evaluations reconstruct
-// π, p₁, p₂, ϕ at r, in the order of Proof.VEvals.
-func vViewPoints(r []ff.Element) []openPoint {
-	piPt, p1Pt, p2Pt, phiPt := perm.ViewPoints(r)
-	return []openPoint{
-		{name: "pi", coords: piPt},
-		{name: "p1", coords: p1Pt},
-		{name: "p2", coords: p2Pt},
-		{name: "phi", coords: phiPt},
-	}
 }
 
 // loadSigmas returns the σ tables for one protocol step: the resident ones
@@ -343,131 +311,4 @@ func commBytes(c pcs.Commitment) []byte {
 
 func appendComm(tr *transcript.Transcript, label string, c pcs.Commitment) {
 	tr.AppendBytes(label, commBytes(c))
-}
-
-func indexOf(ss []string, s string) int {
-	for i, v := range ss {
-		if v == s {
-			return i
-		}
-	}
-	return -1
-}
-
-// buildPermCheck returns the PermCheck composite (without eq wrapping; the
-// ZeroCheck adds it) and its bound tables, in the composite's variable order.
-func buildPermCheck(k int, alpha ff.Element, arg *perm.Argument) (*poly.Composite, []*mle.Table) {
-	comp := permCheckCore(k, alpha)
-	tabs := make([]*mle.Table, comp.NumVars())
-	for i, name := range comp.VarNames {
-		switch name {
-		case "pi":
-			tabs[i] = arg.Pi
-		case "p1":
-			tabs[i] = arg.P1
-		case "p2":
-			tabs[i] = arg.P2
-		case "phi":
-			tabs[i] = arg.Phi
-		default:
-			var j int
-			if _, err := fmt.Sscanf(name, "D%d", &j); err == nil {
-				tabs[i] = arg.DTabs[j-1]
-				continue
-			}
-			if _, err := fmt.Sscanf(name, "N%d", &j); err == nil {
-				tabs[i] = arg.NTabs[j-1]
-				continue
-			}
-			panic("hyperplonk: unexpected permcheck variable " + name)
-		}
-	}
-	return comp, tabs
-}
-
-// permCheckCore is Table I poly 21/23 WITHOUT the trailing eq factor
-// (ProveZero wraps it).
-func permCheckCore(k int, alpha ff.Element) *poly.Composite {
-	return stripEq(poly.PermCheckK(k, alpha))
-}
-
-// stripEq removes the trailing fr factor from a registry PermCheck
-// composite, returning the bare constraint.
-func stripEq(c *poly.Composite) *poly.Composite {
-	eqIdx := c.VarIndex("fr")
-	if eqIdx < 0 {
-		return c
-	}
-	out := &poly.Composite{Name: c.Name + "/core", ID: -1}
-	// Keep all variables except fr; remap indices.
-	remap := make([]int, len(c.VarNames))
-	for i, n := range c.VarNames {
-		if i == eqIdx {
-			remap[i] = -1
-			continue
-		}
-		remap[i] = len(out.VarNames)
-		out.VarNames = append(out.VarNames, n)
-		out.Roles = append(out.Roles, c.Roles[i])
-	}
-	for _, t := range c.Terms {
-		nt := poly.Term{Coeff: t.Coeff}
-		for _, f := range t.Factors {
-			if f.Var == eqIdx {
-				continue
-			}
-			nt.Factors = append(nt.Factors, poly.Factor{Var: remap[f.Var], Power: f.Power})
-		}
-		out.Terms = append(out.Terms, nt)
-	}
-	return out
-}
-
-// openingComms lists the commitments of the distinct µ-variable polynomials
-// the main OpenCheck opens, in its fixed order: selectors, wires, sigmas.
-func openingComms(idx *Index, proof *Proof) []pcs.Commitment {
-	var comms []pcs.Commitment
-	comms = append(comms, idx.SelectorComms...)
-	comms = append(comms, proof.WireComms...)
-	comms = append(comms, idx.SigmaComms...)
-	return comms
-}
-
-// evalClaim says: distinct polynomial Poly evaluates to Value at point
-// index Point.
-type evalClaim struct {
-	Poly  int
-	Point int
-	Value ff.Element
-}
-
-type openPoint struct {
-	name   string
-	coords []ff.Element
-}
-
-// mainClaimList orders the OpenCheck claims deterministically: selectors at
-// the gate point, wires at both points, sigmas at the perm point.
-func mainClaimList(idx *Index, proof *Proof, rGate, rPerm []ff.Element) []evalClaim {
-	gate := idx.Gate
-	numSel := len(idx.SelectorNames)
-	var claims []evalClaim
-	// Gate-point claims come from GateEvals, which follow the gate
-	// composite's variable order; map them onto the opening set order.
-	for gi, name := range gate.VarNames {
-		if si := indexOf(idx.SelectorNames, name); si >= 0 {
-			claims = append(claims, evalClaim{Poly: si, Point: 0, Value: proof.GateEvals[gi]})
-			continue
-		}
-		var w int
-		if _, err := fmt.Sscanf(name, "w%d", &w); err == nil && w >= 1 && w <= idx.Wires {
-			claims = append(claims, evalClaim{Poly: numSel + w - 1, Point: 0, Value: proof.GateEvals[gi]})
-		}
-	}
-	// Perm-point claims.
-	for j := 0; j < idx.Wires; j++ {
-		claims = append(claims, evalClaim{Poly: numSel + j, Point: 1, Value: proof.WirePermEvals[j]})
-		claims = append(claims, evalClaim{Poly: numSel + idx.Wires + j, Point: 1, Value: proof.SigmaPermEvals[j]})
-	}
-	return claims
 }

@@ -6,6 +6,7 @@ import (
 	"zkphire/internal/ff"
 	"zkphire/internal/pcs"
 	"zkphire/internal/perm"
+	"zkphire/internal/poly"
 	"zkphire/internal/sumcheck"
 )
 
@@ -48,48 +49,30 @@ func Verify(srs *pcs.SRS, idx *Index, proof *Proof) error {
 	appendComm(tr, "perm/v", proof.VComm)
 	alpha := tr.ChallengeScalar("perm/alpha")
 
-	permComp := permCheckCore(idx.Wires, alpha)
+	permComp := poly.PermCheckCore(idx.Wires, alpha)
 	rPerm, wantPerm, eqPerm, err := sumcheck.VerifyZero(tr, permComp, idx.NumVars, proof.PermZC)
 	if err != nil {
 		return fmt.Errorf("hyperplonk: perm zerocheck: %w", err)
 	}
 
-	// Reconstruct the PermCheck constituents' final values from the batch
-	// evaluation claims.
-	permFinals := make([]ff.Element, permComp.NumVars())
-	for i, name := range permComp.VarNames {
-		switch name {
-		case "pi":
-			permFinals[i] = proof.VEvals[0]
-		case "p1":
-			permFinals[i] = proof.VEvals[1]
-		case "p2":
-			permFinals[i] = proof.VEvals[2]
-		case "phi":
-			permFinals[i] = proof.VEvals[3]
-		default:
-			var j int
-			if _, err := fmt.Sscanf(name, "D%d", &j); err == nil && j >= 1 && j <= idx.Wires {
-				// D_j(r) = w_j(r) + β·σ_j(r) + γ
-				var v ff.Element
-				v.Mul(&beta, &proof.SigmaPermEvals[j-1])
-				v.Add(&v, &proof.WirePermEvals[j-1])
-				v.Add(&v, &gamma)
-				permFinals[i] = v
-				continue
-			}
-			if _, err := fmt.Sscanf(name, "N%d", &j); err == nil && j >= 1 && j <= idx.Wires {
-				// N_j(r) = w_j(r) + β·id_j(r) + γ — id_j is public.
-				idEval := perm.IDEval(j-1, rPerm)
-				var v ff.Element
-				v.Mul(&beta, &idEval)
-				v.Add(&v, &proof.WirePermEvals[j-1])
-				v.Add(&v, &gamma)
-				permFinals[i] = v
-				continue
-			}
-			return fmt.Errorf("hyperplonk: unexpected permcheck var %q", name)
-		}
+	// The PermCheck constituents' final values, from the batch evaluation
+	// claims: D_j(r) = w_j(r) + β·σ_j(r) + γ and N_j(r) = w_j(r) + β·id_j(r)
+	// + γ, where id_j is public.
+	d := make([]ff.Element, idx.Wires)
+	n := make([]ff.Element, idx.Wires)
+	for j := range idx.Wires {
+		id := perm.IDEval(j, rPerm)
+		d[j].Mul(&beta, &proof.SigmaPermEvals[j])
+		d[j].Add(&d[j], &proof.WirePermEvals[j])
+		d[j].Add(&d[j], &gamma)
+		n[j].Mul(&beta, &id)
+		n[j].Add(&n[j], &proof.WirePermEvals[j])
+		n[j].Add(&n[j], &gamma)
+	}
+	v := proof.VEvals
+	permFinals, err := poly.Bind(permComp, poly.PermCheckVars(v[0], v[1], v[2], v[3], d, n))
+	if err != nil {
+		return fmt.Errorf("hyperplonk: perm final values: %w", err)
 	}
 	if err := sumcheck.FinalCheckZero(permComp, permFinals, &eqPerm, &wantPerm); err != nil {
 		return fmt.Errorf("hyperplonk: perm final check: %w", err)
@@ -99,28 +82,9 @@ func Verify(srs *pcs.SRS, idx *Index, proof *Proof) error {
 	tr.AppendScalars("perm/sevals", proof.SigmaPermEvals)
 
 	// ---- Opening. ----
-	mainComms := openingComms(idx, proof)
-	mainClaims := mainClaimList(idx, proof, rGate, rPerm)
-	mainPoints := []openPoint{{name: "gate", coords: rGate}, {name: "perm", coords: rPerm}}
-	if err := verifyOpenCheck(tr, srs, "open/main", mainComms, mainClaims, mainPoints, idx.NumVars, proof.OpenMain); err != nil {
+	mainComms := mainOrder(idx.SelectorComms, proof.WireComms, idx.SigmaComms)
+	if err := verifyOpenCheck(tr, srs, "open/main", mainComms, mainOpenSet(idx, proof, rGate, rPerm), idx.NumVars, proof.OpenMain); err != nil {
 		return err
 	}
-
-	piPt, p1Pt, p2Pt, phiPt := perm.ViewPoints(rPerm)
-	vClaims := []evalClaim{
-		{Poly: 0, Point: 0, Value: proof.VEvals[0]},
-		{Poly: 0, Point: 1, Value: proof.VEvals[1]},
-		{Poly: 0, Point: 2, Value: proof.VEvals[2]},
-		{Poly: 0, Point: 3, Value: proof.VEvals[3]},
-	}
-	vPoints := []openPoint{
-		{name: "pi", coords: piPt},
-		{name: "p1", coords: p1Pt},
-		{name: "p2", coords: p2Pt},
-		{name: "phi", coords: phiPt},
-	}
-	if err := verifyOpenCheck(tr, srs, "open/v", []pcs.Commitment{proof.VComm}, vClaims, vPoints, idx.NumVars+1, proof.OpenV); err != nil {
-		return err
-	}
-	return nil
+	return verifyOpenCheck(tr, srs, "open/v", []pcs.Commitment{proof.VComm}, vOpenSet(proof, rPerm), idx.NumVars+1, proof.OpenV)
 }

@@ -164,11 +164,6 @@ func (t *Table) EvaluateWorkers(point []ff.Element, workers int) ff.Element {
 	return cur[0]
 }
 
-// Sum returns Σ_x f(x) over the hypercube.
-func (t *Table) Sum() ff.Element {
-	return ff.Vector(t.Evals).Sum()
-}
-
 // Eq builds the eq(X, r) table in O(2^len(r)):
 //
 //	eq(x, r) = Π_i (x_i·r_i + (1-x_i)(1-r_i))
@@ -228,43 +223,4 @@ func EqEval(a, b []ff.Element) ff.Element {
 		res.Mul(&res, &term)
 	}
 	return res
-}
-
-// AddInPlace sets t += o entry-wise.
-func (t *Table) AddInPlace(o *Table) {
-	if t.Size() != o.Size() {
-		panic("mle: size mismatch")
-	}
-	ff.Vector(t.Evals).AddInPlace(ff.Vector(o.Evals))
-}
-
-// MulInPlace sets t *= o entry-wise.
-func (t *Table) MulInPlace(o *Table) {
-	if t.Size() != o.Size() {
-		panic("mle: size mismatch")
-	}
-	ff.Vector(t.Evals).MulInPlace(ff.Vector(o.Evals))
-}
-
-// ScaleInPlace multiplies every entry by c.
-func (t *Table) ScaleInPlace(c *ff.Element) {
-	ff.Vector(t.Evals).ScaleInPlace(c)
-}
-
-// FixLastVariable fixes X_µ (the most-significant index bit) to r, halving
-// the table. Used by protocol steps that restrict from the high end.
-func (t *Table) FixLastVariable(r *ff.Element) {
-	if t.NumVars == 0 {
-		panic("mle: cannot fix a 0-variable table")
-	}
-	half := len(t.Evals) / 2
-	var diff ff.Element
-	for j := 0; j < half; j++ {
-		lo := t.Evals[j]
-		diff.Sub(&t.Evals[j+half], &lo)
-		diff.Mul(&diff, r)
-		t.Evals[j].Add(&lo, &diff)
-	}
-	t.Evals = t.Evals[:half]
-	t.NumVars--
 }

@@ -84,7 +84,7 @@ func TestEqTable(t *testing.T) {
 		t.Fatal("eq table size")
 	}
 	// Σ_x eq(x,r) = 1
-	sum := eq.Sum()
+	sum := ff.SumVec(eq.Evals)
 	if !sum.IsOne() {
 		t.Fatal("eq table does not sum to 1")
 	}
@@ -110,24 +110,6 @@ func TestEqTable(t *testing.T) {
 	}
 }
 
-func TestFixLastVariable(t *testing.T) {
-	rng := ff.NewRand(5)
-	tab := randTable(rng, 4)
-	point := rng.Elements(4)
-	want := tab.Evaluate(point)
-
-	// Fix variables from the top down, then the bottom up; both orders must
-	// agree with Evaluate.
-	cur := tab.Clone()
-	cur.FixLastVariable(&point[3])
-	cur.FixLastVariable(&point[2])
-	cur.Fold(&point[0])
-	cur.Fold(&point[1])
-	if !cur.Evals[0].Equal(&want) {
-		t.Fatal("mixed-order evaluation mismatch")
-	}
-}
-
 func TestArithmeticOps(t *testing.T) {
 	rng := ff.NewRand(6)
 	a := randTable(rng, 3)
@@ -136,8 +118,10 @@ func TestArithmeticOps(t *testing.T) {
 
 	va, vb := a.Evaluate(point), b.Evaluate(point)
 
-	sum := a.Clone()
-	sum.AddInPlace(b)
+	sum := New(3)
+	for i := range sum.Evals {
+		sum.Evals[i].Add(&a.Evals[i], &b.Evals[i])
+	}
 	gotSum := sum.Evaluate(point)
 	var wantSum ff.Element
 	wantSum.Add(&va, &vb)
@@ -146,8 +130,8 @@ func TestArithmeticOps(t *testing.T) {
 	}
 
 	c := rng.Element()
-	scaled := a.Clone()
-	scaled.ScaleInPlace(&c)
+	scaled := New(3)
+	ff.ScalarMulVec(scaled.Evals, a.Evals, &c)
 	gotScaled := scaled.Evaluate(point)
 	var wantScaled ff.Element
 	wantScaled.Mul(&va, &c)

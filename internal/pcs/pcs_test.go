@@ -82,8 +82,10 @@ func TestCommitmentBindingLinear(t *testing.T) {
 	b := mle.FromEvals(rng.Elements(32))
 	ca, _ := testSRS.Commit(a)
 	cb, _ := testSRS.Commit(b)
-	sum := a.Clone()
-	sum.AddInPlace(b)
+	sum := mle.New(5)
+	for i := range sum.Evals {
+		sum.Evals[i].Add(&a.Evals[i], &b.Evals[i])
+	}
 	cSum, _ := testSRS.Commit(sum)
 
 	oneE := ff.One()
@@ -154,10 +156,8 @@ func TestSparseCommitMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force the dense path by committing a clone through MSM directly: the
-	// sparse fast path must be value-identical. Re-commit after adding 0.
+	// sparse fast path must be value-identical. Re-commit a clone.
 	dense := sparse.Clone()
-	z := mle.New(8)
-	dense.AddInPlace(z)
 	c2, err := testSRS.Commit(dense)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"strings"
 	"testing"
 
 	"zkphire/internal/expr"
@@ -225,5 +226,30 @@ func TestValidateCatchesErrors(t *testing.T) {
 	c.Terms = []Term{{Coeff: ff.One(), Factors: []Factor{{Var: 0, Power: 1}, {Var: 0, Power: 2}}}}
 	if err := c.Validate(); err == nil {
 		t.Fatal("repeated var not caught")
+	}
+}
+
+// TestPermCheckKPinned pins the Table I PermCheck composites for the two
+// wire counts the protocol uses: terms, coefficients and variable order.
+func TestPermCheckKPinned(t *testing.T) {
+	alpha := ff.NewElement(7)
+	want := map[int][2]string{
+		3: {
+			"PermCheck3 = pi·fr + 52435875175126190479447740508185965837690552500527637822603658699938581184512·p1·p2·fr + 52435875175126190479447740508185965837690552500527637822603658699938581184506·N1·N2·N3·fr + 7·D1·D2·D3·phi·fr",
+			"D1 D2 D3 N1 N2 N3 p1 p2 phi pi fr",
+		},
+		5: {
+			"PermCheck5 = pi·fr + 52435875175126190479447740508185965837690552500527637822603658699938581184512·p1·p2·fr + 52435875175126190479447740508185965837690552500527637822603658699938581184506·N1·N2·N3·N4·N5·fr + 7·D1·D2·D3·D4·D5·phi·fr",
+			"D1 D2 D3 D4 D5 N1 N2 N3 N4 N5 p1 p2 phi pi fr",
+		},
+	}
+	for k, w := range want {
+		c := PermCheckK(k, alpha)
+		if got := c.String(); got != w[0] {
+			t.Errorf("PermCheckK(%d).String() = %q, want %q", k, got, w[0])
+		}
+		if got := strings.Join(c.VarNames, " "); got != w[1] {
+			t.Errorf("PermCheckK(%d).VarNames = %q, want %q", k, got, w[1])
+		}
 	}
 }

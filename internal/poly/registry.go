@@ -179,10 +179,10 @@ func identityGate(id int, name, out string) *Composite {
 // q_L w₁ + q_R w₂ − q_O w₃ + q_M w₁w₂ + q_C.
 func VanillaGate() *Composite {
 	e := expr.Sum(
-		expr.Prod(expr.V("qL"), expr.V("w1")),
-		expr.Prod(expr.V("qR"), expr.V("w2")),
-		expr.Neg{Operand: expr.Prod(expr.V("qO"), expr.V("w3"))},
-		expr.Prod(expr.V("qM"), expr.V("w1"), expr.V("w2")),
+		expr.Prod(expr.V("qL"), wire(1)),
+		expr.Prod(expr.V("qR"), wire(2)),
+		expr.Neg{Operand: expr.Prod(expr.V("qO"), wire(3))},
+		expr.Prod(expr.V("qM"), wire(1), wire(2)),
 		expr.V("qC"),
 	)
 	return FromExpr("VanillaGate", -1, e, nil)
@@ -195,26 +195,77 @@ func VanillaZeroCheck() *Composite {
 	return c
 }
 
-// permCheck builds (π − p₁p₂ + α(ϕ·D₁…D_k − N₁…N_k))·f_r for k wires.
-func permCheck(id int, name string, k int, alpha ff.Element) *Composite {
-	dTerm := []expr.Expr{expr.V("phi")}
+// The protocol composites name their constituents by one rule, and every
+// binder looks a composite's variables up by these names (Bind): a gate's
+// wire column j is WireName(j); a PermCheck's constituents are the four
+// product-tree views PermPi, PermP1, PermP2, PermPhi and, per wire j, the
+// columns PermDName(j) = w_j + β·σ_j + γ and PermNName(j) = w_j + β·id_j + γ.
+const (
+	PermPi  = "pi"
+	PermP1  = "p1"
+	PermP2  = "p2"
+	PermPhi = "phi"
+)
+
+// WireName names wire column j (1-based) of a gate composite.
+func WireName(j int) string { return fmt.Sprintf("w%d", j) }
+
+// PermDName names the PermCheck column D_j (1-based).
+func PermDName(j int) string { return fmt.Sprintf("D%d", j) }
+
+// PermNName names the PermCheck column N_j (1-based).
+func PermNName(j int) string { return fmt.Sprintf("N%d", j) }
+
+func wire(j int) expr.Expr { return expr.V(WireName(j)) }
+
+// PermCheckVars names a PermCheck's constituents: the four product-tree
+// views and the columns D_j = d[j-1], N_j = n[j-1].
+func PermCheckVars[T any](pi, p1, p2, phi T, d, n []T) map[string]T {
+	vars := map[string]T{PermPi: pi, PermP1: p1, PermP2: p2, PermPhi: phi}
+	for j := range d {
+		vars[PermDName(j+1)] = d[j]
+		vars[PermNName(j+1)] = n[j]
+	}
+	return vars
+}
+
+// Bind returns vars' entry for each of c's variables, in c's variable
+// order, or an error naming the first variable vars has no entry for.
+func Bind[T any](c *Composite, vars map[string]T) ([]T, error) {
+	out := make([]T, len(c.VarNames))
+	for i, name := range c.VarNames {
+		v, ok := vars[name]
+		if !ok {
+			return nil, fmt.Errorf("poly: %s: nothing bound to variable %q", c.Name, name)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// permCheckCore builds π − p₁p₂ + α(ϕ·D₁…D_k − N₁…N_k) for k wires.
+func permCheckCore(id int, name string, k int, alpha ff.Element) *Composite {
+	dTerm := []expr.Expr{expr.V(PermPhi)}
 	nTerm := []expr.Expr{}
-	for i := 1; i <= k; i++ {
-		dTerm = append(dTerm, expr.V(fmt.Sprintf("D%d", i)))
-		nTerm = append(nTerm, expr.V(fmt.Sprintf("N%d", i)))
+	roles := map[string]Role{PermPi: RoleDense, PermP1: RoleDense, PermP2: RoleDense, PermPhi: RoleDense}
+	for j := 1; j <= k; j++ {
+		dTerm = append(dTerm, expr.V(PermDName(j)))
+		nTerm = append(nTerm, expr.V(PermNName(j)))
+		roles[PermDName(j)] = RoleDense
+		roles[PermNName(j)] = RoleDense
 	}
 	e := expr.Sum(
-		expr.V("pi"),
-		expr.Neg{Operand: expr.Prod(expr.V("p1"), expr.V("p2"))},
+		expr.V(PermPi),
+		expr.Neg{Operand: expr.Prod(expr.V(PermP1), expr.V(PermP2))},
 		expr.Prod(expr.CE(alpha), expr.Minus(expr.Prod(dTerm...), expr.Prod(nTerm...))),
 	)
-	roles := map[string]Role{"pi": RoleDense, "p1": RoleDense, "p2": RoleDense, "phi": RoleDense}
-	for i := 1; i <= k; i++ {
-		roles[fmt.Sprintf("D%d", i)] = RoleDense
-		roles[fmt.Sprintf("N%d", i)] = RoleDense
-	}
-	c := FromExpr(name, id, e, roles).MulByEq("fr")
-	c.Name, c.ID = name, id
+	return FromExpr(name, id, e, roles)
+}
+
+// permCheck is permCheckCore·f_r.
+func permCheck(id int, name string, k int, alpha ff.Element) *Composite {
+	c := permCheckCore(id, name, k, alpha).MulByEq("fr")
+	c.Name = name
 	return c
 }
 
@@ -228,23 +279,29 @@ func PermCheckK(k int, alpha ff.Element) *Composite {
 	return permCheck(-1, fmt.Sprintf("PermCheck%d", k), k, alpha)
 }
 
+// PermCheckCore is PermCheckK without the ZeroCheck eq factor, which the
+// ZeroCheck prover and verifier supply themselves.
+func PermCheckCore(k int, alpha ff.Element) *Composite {
+	return permCheckCore(-1, fmt.Sprintf("PermCheck%d", k), k, alpha)
+}
+
 // JellyfishGate is the Jellyfish custom gate WITHOUT the eq factor:
 // Σ qᵢwᵢ + q_{M1}w₁w₂ + q_{M2}w₃w₄ + Σ q_{Hi}wᵢ⁵ − q_O w₅ + q_ecc w₁w₂w₃w₄ + q_C.
 func JellyfishGate() *Composite {
 	terms := []expr.Expr{}
 	for i := 1; i <= 4; i++ {
-		terms = append(terms, expr.Prod(expr.V(fmt.Sprintf("q%d", i)), expr.V(fmt.Sprintf("w%d", i))))
+		terms = append(terms, expr.Prod(expr.V(fmt.Sprintf("q%d", i)), wire(i)))
 	}
 	terms = append(terms,
-		expr.Prod(expr.V("qM1"), expr.V("w1"), expr.V("w2")),
-		expr.Prod(expr.V("qM2"), expr.V("w3"), expr.V("w4")),
+		expr.Prod(expr.V("qM1"), wire(1), wire(2)),
+		expr.Prod(expr.V("qM2"), wire(3), wire(4)),
 	)
 	for i := 1; i <= 4; i++ {
-		terms = append(terms, expr.Prod(expr.V(fmt.Sprintf("qH%d", i)), expr.P(expr.V(fmt.Sprintf("w%d", i)), 5)))
+		terms = append(terms, expr.Prod(expr.V(fmt.Sprintf("qH%d", i)), expr.P(wire(i), 5)))
 	}
 	terms = append(terms,
-		expr.Neg{Operand: expr.Prod(expr.V("qO"), expr.V("w5"))},
-		expr.Prod(expr.V("qecc"), expr.V("w1"), expr.V("w2"), expr.V("w3"), expr.V("w4")),
+		expr.Neg{Operand: expr.Prod(expr.V("qO"), wire(5))},
+		expr.Prod(expr.V("qecc"), wire(1), wire(2), wire(3), wire(4)),
 		expr.V("qC"),
 	)
 	return FromExpr("JellyfishGate", -1, expr.Sum(terms...), nil)
