@@ -371,14 +371,24 @@ func TestEvictionRedispatchAndFencing(t *testing.T) {
 // not its proof — only until its last lease deadline: a late completion
 // from a fenced lease inside that window still counts as fenced, and
 // after it both tables are empty and the same completion finds no job.
+//
+// The window is job 0's: it opens when job 0 settles and closes
+// LeaseTimeout after its last dispatch. Everything checked inside it runs
+// as soon as job 0 settles: the late completion's proof is built before
+// any job starts, and jobs 1–2 start after the checks, since under -race
+// either could outlast the window.
 func TestSettledJobsLeaveTheTables(t *testing.T) {
+	lateProof := base64.StdEncoding.EncodeToString(goldenProof(t, 5))
 	jnl := openTestJournal(t)
 	c, ts := newCoordinator(t, Config{
 		Journal:           jnl,
 		HeartbeatInterval: 20 * time.Millisecond,
-		EvictAfter:        80 * time.Millisecond,
-		LeaseTimeout:      1500 * time.Millisecond,
-		MaxAttempts:       20,
+		// Long enough that the healthy worker keeps its membership while
+		// it proves on a CPU-starved -race run; only the blackhole, which
+		// never beats, is evicted.
+		EvictAfter:   300 * time.Millisecond,
+		LeaseTimeout: 1500 * time.Millisecond,
+		MaxAttempts:  20,
 	})
 	b := newBlackhole(t, ts.URL, false)
 	id := registerViaStore(t, c, 5)
@@ -400,19 +410,11 @@ func TestSettledJobsLeaveTheTables(t *testing.T) {
 	}
 	newWorker(t, ts.URL)
 	waitFor(t, "eviction", func() bool { return c.Metrics().WorkerEvictionsTotal.Load() == 1 })
-	for i := 1; i < jobs; i++ {
-		go prove(i)
-	}
-	for i := 0; i < jobs; i++ {
-		if pr := <-done; pr.Proof == "" {
-			t.Fatal("a job did not complete")
-		}
-	}
-	if n := c.Unsettled(); n != 0 {
-		t.Fatalf("front-end still holds %d jobs after all settled", n)
+	if pr := <-done; pr.Proof == "" {
+		t.Fatal("a job did not complete")
 	}
 
-	late := CompleteRequest{JobID: lease.JobID, WorkerID: b.id, Epoch: lease.Epoch, Proof: base64.StdEncoding.EncodeToString(goldenProof(t, 5))}
+	late := CompleteRequest{JobID: lease.JobID, WorkerID: b.id, Epoch: lease.Epoch, Proof: lateProof}
 	if j, ok := c.pool.jobs.get(lease.JobID); !ok {
 		t.Fatal("settled job dropped before its last lease deadline")
 	} else if proof, _, _ := j.take(); proof != nil {
@@ -424,6 +426,18 @@ func TestSettledJobsLeaveTheTables(t *testing.T) {
 	}
 	if got := c.Metrics().ResultsFencedTotal.Load(); got != fenced+1 {
 		t.Fatalf("ResultsFencedTotal = %d after a late fenced completion, want %d", got, fenced+1)
+	}
+
+	for i := 1; i < jobs; i++ {
+		go prove(i)
+	}
+	for i := 1; i < jobs; i++ {
+		if pr := <-done; pr.Proof == "" {
+			t.Fatal("a job did not complete")
+		}
+	}
+	if n := c.Unsettled(); n != 0 {
+		t.Fatalf("front-end still holds %d jobs after all settled", n)
 	}
 
 	waitFor(t, "the lease window to pass", func() bool {
@@ -519,8 +533,13 @@ func TestHedgedDispatch(t *testing.T) {
 // the circuit fetches it from the coordinator by content hash; an
 // injected fetch failure marks the lease transient and the job survives
 // via re-dispatch.
+//
+// Nothing here waits on an eviction (the first worker leaves), so the
+// sole worker is never evicted: at the default 3 × 20 ms a CPU-starved
+// -race run missed its heartbeats while it proved, and each eviction and
+// rejoin burned one of the job's dispatch attempts.
 func TestCircuitReplicationWithFaultInjection(t *testing.T) {
-	c, ts := newCoordinator(t, Config{HeartbeatInterval: 20 * time.Millisecond})
+	c, ts := newCoordinator(t, Config{HeartbeatInterval: 20 * time.Millisecond, EvictAfter: 10 * time.Second})
 
 	// Register through a first worker, then take it away: the next
 	// worker must replicate the spec to prove.

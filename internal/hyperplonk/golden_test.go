@@ -1,6 +1,7 @@
 package hyperplonk
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -38,6 +39,17 @@ var goldenProofs = []goldenProof{
 		"a3c931192854c3014d0098e5c3add19e3e0720549cfb0a3967d3e6aef48a009d"},
 	{"jellyfish", 5, 5800, "40c61a18af423d458946157b58735305d8e1332ffe4a919eb4e650b8289416c6",
 		"e3a646ef2c219bc318c897a1bddb3fc30ae133cca34f2c283cf5eec6f692d2f8"},
+}
+
+// goldenVKs pins the verifying key of each goldenProofs circuit, in the
+// same order: the size and sha256 of Index.MarshalBinary.
+var goldenVKs = []struct {
+	size int
+	sha  string
+}{
+	{425, "11597eebdf766bb0e257fefb86a6c84c0232516dfe861d3e843001820fdf3f16"},
+	{425, "80ea93a6c594bfad20c54640274836cd38cfe440a7d9c88969ad06a0aa1c0bea"},
+	{947, "ccb47926fce80e5d062fb7ea70060b4babe4bf9373221d8654b120099582c004"},
 }
 
 // contentDigest hashes what a proof says rather than how it is written:
@@ -128,6 +140,42 @@ func TestProofBytesGoldenPR4(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, g, proof)
+		})
+	}
+}
+
+// TestVerifyingKeyBytesGolden holds each golden circuit's verifying key to
+// its pins, and a decoded key to the same bytes.
+func TestVerifyingKeyBytesGolden(t *testing.T) {
+	for i, g := range goldenProofs {
+		t.Run(fmt.Sprintf("%s/nv=%d", g.name, g.numVars), func(t *testing.T) {
+			var c = buildVanillaCircuit(t, 3, g.numVars)
+			if g.name == "jellyfish" {
+				c = buildJellyfishCircuit(t, g.numVars)
+			}
+			idx, err := PreprocessWorkers(testSRS, c, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := idx.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); len(b) != goldenVKs[i].size || got != goldenVKs[i].sha {
+				t.Fatalf("verifying key diverged from the golden:\n got %d B %s\nwant %d B %s", len(b), got, goldenVKs[i].size, goldenVKs[i].sha)
+			}
+			back, err := UnmarshalVerifyingKey(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := back.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, b) {
+				t.Fatal("decoded verifying key re-encodes to different bytes")
+			}
 		})
 	}
 }

@@ -22,6 +22,10 @@ import (
 // verification. The transcript absorbs uncompressed x‖y, not these bytes,
 // so the encoding can change without changing a proof; bytes of any other
 // version fail with ErrWireFormat.
+//
+// Each layout is written once, as a walk over its fields in wire order
+// (Proof.walk here, Index.walk in vk.go). The walk hands every field to a
+// codec: the encoder writes it, the decoder overwrites it.
 
 const proofMagic = "zkphire/proof/v2"
 
@@ -38,24 +42,117 @@ func checkMagic(data []byte, magic string) ([]byte, error) {
 	return rest, nil
 }
 
+// A codec is one direction of the wire format. length is a minimal uvarint
+// (a list length or a commitment size); fixed is a length the format pins
+// to n; str is a length-prefixed string.
+type codec interface {
+	length(n *int)
+	fixed(n int)
+	scalar(s *ff.Element)
+	point(p *curve.G1Affine)
+	str(s *string)
+}
+
+// list walks a length-prefixed list; the decoder sizes it from the wire.
+func list[T any](c codec, s *[]T, walk func(codec, *T)) {
+	n := len(*s)
+	c.length(&n)
+	resize(s, n)
+	for i := range *s {
+		walk(c, &(*s)[i])
+	}
+}
+
+func resize[T any](s *[]T, n int) {
+	if len(*s) != n {
+		*s = make([]T, n)
+	}
+}
+
+// part returns *p, allocating it first if nil: the decoder walks a proof
+// whose parts do not exist yet.
+func part[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
+func scalars(c codec, s *[]ff.Element) { list(c, s, codec.scalar) }
+
+func commitment(c codec, cm *pcs.Commitment) {
+	c.length(&cm.NumVars)
+	c.point(&cm.Point)
+}
+
+// sumcheckProof walks the claim and round polynomials only: the final
+// constituent evaluations are NOT on the wire — the protocol's batch
+// evaluation claims (GateEvals, VEvals, PolyEvals, …) are the canonical
+// carriers, and serializing FinalEvals too would add malleable redundant
+// bytes the verifier never reads.
+func sumcheckProof(c codec, p *sumcheck.Proof) {
+	c.scalar(&p.Claim)
+	list(c, &p.RoundEvals, scalars)
+}
+
+func (p *OpenProof) walk(c codec) {
+	sumcheckProof(c, part(&p.Sumcheck))
+	scalars(c, &p.PolyEvals)
+	c.scalar(&p.Opened)
+	list(c, &part(&p.PCS).Qs, codec.point)
+}
+
+// walk is the proof's wire layout.
+func (p *Proof) walk(c codec) {
+	list(c, &p.WireComms, commitment)
+	commitment(c, &p.VComm)
+	sumcheckProof(c, part(&part(&p.GateZC).Inner))
+	scalars(c, &p.GateEvals)
+	sumcheckProof(c, part(&part(&p.PermZC).Inner))
+	c.fixed(len(p.VEvals))
+	for i := range p.VEvals {
+		c.scalar(&p.VEvals[i])
+	}
+	scalars(c, &p.WirePermEvals)
+	scalars(c, &p.SigmaPermEvals)
+	part(&p.OpenMain).walk(c)
+	part(&p.OpenV).walk(c)
+}
+
+// MarshalBinary serializes the proof.
+func (p *Proof) MarshalBinary() ([]byte, error) {
+	var e encoder
+	e.buf.WriteString(proofMagic)
+	p.walk(&e)
+	return e.buf.Bytes(), nil
+}
+
+// UnmarshalBinary deserializes and validates a proof.
+func (p *Proof) UnmarshalBinary(data []byte) error {
+	body, err := checkMagic(data, proofMagic)
+	if err != nil {
+		return err
+	}
+	d := &decoder{r: bytes.NewReader(body)}
+	*p = Proof{}
+	p.walk(d)
+	if err := d.finish(); err != nil {
+		return err
+	}
+	return d.subgroup()
+}
+
 type encoder struct{ buf bytes.Buffer }
 
-func (e *encoder) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	e.buf.Write(tmp[:n])
+func (e *encoder) length(n *int) {
+	e.buf.Write(binary.AppendUvarint(e.buf.AvailableBuffer(), uint64(*n)))
 }
+
+func (e *encoder) fixed(n int) { e.length(&n) }
 
 func (e *encoder) scalar(s *ff.Element) {
 	b := s.Bytes()
 	e.buf.Write(b[:])
-}
-
-func (e *encoder) scalars(ss []ff.Element) {
-	e.uvarint(uint64(len(ss)))
-	for i := range ss {
-		e.scalar(&ss[i])
-	}
 }
 
 func (e *encoder) point(p *curve.G1Affine) {
@@ -63,126 +160,96 @@ func (e *encoder) point(p *curve.G1Affine) {
 	e.buf.Write(b[:])
 }
 
-func (e *encoder) commitment(c *pcs.Commitment) {
-	e.uvarint(uint64(c.NumVars))
-	e.point(&c.Point)
+func (e *encoder) str(s *string) {
+	n := len(*s)
+	e.length(&n)
+	e.buf.WriteString(*s)
 }
 
-// sumcheckProof serializes claim and round polynomials only: the final
-// constituent evaluations are NOT on the wire — the protocol's batch
-// evaluation claims (GateEvals, VEvals, PolyEvals, …) are the canonical
-// carriers, and serializing FinalEvals too would add malleable redundant
-// bytes the verifier never reads.
-func (e *encoder) sumcheckProof(p *sumcheck.Proof) {
-	e.scalar(&p.Claim)
-	e.uvarint(uint64(len(p.RoundEvals)))
-	for _, r := range p.RoundEvals {
-		e.scalars(r)
-	}
-}
-
-func (e *encoder) openProof(p *OpenProof) {
-	e.sumcheckProof(p.Sumcheck)
-	e.scalars(p.PolyEvals)
-	e.scalar(&p.Opened)
-	e.uvarint(uint64(len(p.PCS.Qs)))
-	for i := range p.PCS.Qs {
-		e.point(&p.PCS.Qs[i])
-	}
-}
-
-// MarshalBinary serializes the proof.
-func (p *Proof) MarshalBinary() ([]byte, error) {
-	var e encoder
-	e.buf.WriteString(proofMagic)
-	e.uvarint(uint64(len(p.WireComms)))
-	for i := range p.WireComms {
-		e.commitment(&p.WireComms[i])
-	}
-	e.commitment(&p.VComm)
-	e.sumcheckProof(p.GateZC.Inner)
-	e.scalars(p.GateEvals)
-	e.sumcheckProof(p.PermZC.Inner)
-	e.scalars(p.VEvals[:])
-	e.scalars(p.WirePermEvals)
-	e.scalars(p.SigmaPermEvals)
-	e.openProof(p.OpenMain)
-	e.openProof(p.OpenV)
-	return e.buf.Bytes(), nil
-}
-
-// decoder reads the wire format. A point is decoded onto the curve as it is
-// read and checked in the subgroup (a 128-bit scalar multiplication) by
-// subgroup, once the whole input has parsed, so malformed bytes fail on the
-// cheap checks.
+// decoder reads the wire format. Its first error sticks: every later read
+// leaves its field zero and returns a zero length, so a walk runs to its
+// end without checks and finish reports the error. A point is decoded onto
+// the curve as it is read and checked in the subgroup (a 128-bit scalar
+// multiplication) by subgroup, once the whole input has parsed, so
+// malformed bytes fail on the cheap checks.
 type decoder struct {
 	r      *bytes.Reader
+	err    error
 	points []*curve.G1Affine
-}
-
-// uvarint reads a minimal uvarint: a padded one (0x81 0x00 for 1) would be
-// a second encoding of the same proof.
-func (d *decoder) uvarint() (uint64, error) {
-	before := d.r.Len()
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, err
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	if before-d.r.Len() != binary.PutUvarint(tmp[:], v) {
-		return 0, fmt.Errorf("hyperplonk: padded uvarint")
-	}
-	return v, nil
 }
 
 // maxList bounds list lengths against corrupt/hostile inputs.
 const maxList = 1 << 20
 
-func (d *decoder) length() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
+// length reads a minimal uvarint: a padded one (0x81 0x00 for 1) would be
+// a second encoding of the same proof.
+func (d *decoder) length(n *int) {
+	*n = 0
+	if d.err != nil {
+		return
 	}
-	if v > maxList {
-		return 0, fmt.Errorf("hyperplonk: list length %d exceeds limit", v)
+	before := d.r.Len()
+	v, err := binary.ReadUvarint(d.r)
+	var tmp [binary.MaxVarintLen64]byte
+	switch {
+	case err != nil:
+		d.err = err
+	case before-d.r.Len() != binary.PutUvarint(tmp[:], v):
+		d.err = fmt.Errorf("hyperplonk: padded uvarint")
+	case v > maxList:
+		d.err = fmt.Errorf("hyperplonk: list length %d exceeds limit", v)
+	default:
+		*n = int(v)
 	}
-	return int(v), nil
 }
 
-func (d *decoder) scalar(out *ff.Element) error {
+func (d *decoder) fixed(n int) {
+	var got int
+	if d.length(&got); d.err == nil && got != n {
+		d.err = fmt.Errorf("hyperplonk: a list of %d where the format fixes %d", got, n)
+	}
+}
+
+// read fills b. io.ReadFull: a plain Read on a bytes.Reader short-reads
+// without error at the end of input, which would let truncated fields
+// decode.
+func (d *decoder) read(b []byte) bool {
+	if d.err == nil {
+		_, d.err = io.ReadFull(d.r, b)
+	}
+	return d.err == nil
+}
+
+func (d *decoder) scalar(s *ff.Element) {
 	var b [32]byte
-	// io.ReadFull: a plain Read on a bytes.Reader short-reads without error
-	// at the end of input, which would let truncated scalars decode.
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
-		return err
+	if d.read(b[:]) {
+		d.err = s.SetBytesCanonical(b[:])
 	}
-	return out.SetBytesCanonical(b[:])
 }
 
-func (d *decoder) scalars() ([]ff.Element, error) {
-	n, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ff.Element, n)
-	for i := range out {
-		if err := d.scalar(&out[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (d *decoder) point(out *curve.G1Affine) error {
+func (d *decoder) point(p *curve.G1Affine) {
 	var b [curve.CompressedSize]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
-		return err
+	if d.read(b[:]) {
+		d.err = p.SetCompressed(b[:])
+		d.points = append(d.points, p)
 	}
-	if err := out.SetCompressed(b[:]); err != nil {
-		return err
+}
+
+func (d *decoder) str(s *string) {
+	var n int
+	d.length(&n)
+	b := make([]byte, n)
+	if d.read(b) {
+		*s = string(b)
 	}
-	d.points = append(d.points, out)
-	return nil
+}
+
+// finish reports the first error of the walk, then any bytes it left.
+func (d *decoder) finish() error {
+	if d.err == nil && d.r.Len() != 0 {
+		return fmt.Errorf("hyperplonk: %d trailing bytes", d.r.Len())
+	}
+	return d.err
 }
 
 // subgroup checks every decoded point against the order-r subgroup.
@@ -193,119 +260,4 @@ func (d *decoder) subgroup() error {
 		}
 	}
 	return nil
-}
-
-func (d *decoder) commitment(out *pcs.Commitment) error {
-	nv, err := d.length()
-	if err != nil {
-		return err
-	}
-	out.NumVars = nv
-	return d.point(&out.Point)
-}
-
-func (d *decoder) sumcheckProof() (*sumcheck.Proof, error) {
-	p := &sumcheck.Proof{}
-	if err := d.scalar(&p.Claim); err != nil {
-		return nil, err
-	}
-	rounds, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	p.RoundEvals = make([][]ff.Element, rounds)
-	for i := range p.RoundEvals {
-		if p.RoundEvals[i], err = d.scalars(); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-func (d *decoder) openProof() (*OpenProof, error) {
-	p := &OpenProof{PCS: &pcsOpening{}}
-	var err error
-	if p.Sumcheck, err = d.sumcheckProof(); err != nil {
-		return nil, err
-	}
-	if p.PolyEvals, err = d.scalars(); err != nil {
-		return nil, err
-	}
-	if err = d.scalar(&p.Opened); err != nil {
-		return nil, err
-	}
-	n, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	p.PCS.Qs = make([]curve.G1Affine, n)
-	for i := range p.PCS.Qs {
-		if err := d.point(&p.PCS.Qs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// pcsOpening aliases the PCS opening type for construction.
-type pcsOpening = pcs.OpeningProof
-
-// UnmarshalBinary deserializes and validates a proof.
-func (p *Proof) UnmarshalBinary(data []byte) error {
-	body, err := checkMagic(data, proofMagic)
-	if err != nil {
-		return err
-	}
-	d := &decoder{r: bytes.NewReader(body)}
-
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	p.WireComms = make([]pcs.Commitment, n)
-	for i := range p.WireComms {
-		if err := d.commitment(&p.WireComms[i]); err != nil {
-			return err
-		}
-	}
-	if err := d.commitment(&p.VComm); err != nil {
-		return err
-	}
-	gz, err := d.sumcheckProof()
-	if err != nil {
-		return err
-	}
-	p.GateZC = &sumcheck.ZeroCheckProof{Inner: gz}
-	if p.GateEvals, err = d.scalars(); err != nil {
-		return err
-	}
-	pz, err := d.sumcheckProof()
-	if err != nil {
-		return err
-	}
-	p.PermZC = &sumcheck.ZeroCheckProof{Inner: pz}
-	ve, err := d.scalars()
-	if err != nil {
-		return err
-	}
-	if len(ve) != 4 {
-		return fmt.Errorf("hyperplonk: expected 4 product-tree evaluations, got %d", len(ve))
-	}
-	copy(p.VEvals[:], ve)
-	if p.WirePermEvals, err = d.scalars(); err != nil {
-		return err
-	}
-	if p.SigmaPermEvals, err = d.scalars(); err != nil {
-		return err
-	}
-	if p.OpenMain, err = d.openProof(); err != nil {
-		return err
-	}
-	if p.OpenV, err = d.openProof(); err != nil {
-		return err
-	}
-	if d.r.Len() != 0 {
-		return fmt.Errorf("hyperplonk: %d trailing bytes", d.r.Len())
-	}
-	return d.subgroup()
 }

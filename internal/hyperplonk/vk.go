@@ -3,7 +3,6 @@ package hyperplonk
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"zkphire/internal/pcs"
 	"zkphire/internal/poly"
@@ -17,8 +16,9 @@ import (
 // The gate composite itself is not serialized: the public API admits
 // exactly the two registry arithmetizations, so a one-byte tag rebuilds it.
 //
-// Commitments share the proof codec (serialize.go): a uvarint size and a
-// 48-byte compressed point. The magic's version moves with the proof's; a
+// The layout after the magic and the tag is Index.walk, over the proof's
+// codec (serialize.go): a commitment is a uvarint size and a 48-byte
+// compressed point. The magic's version moves with the proof's; a
 // key of another version fails with ErrWireFormat.
 
 const vkMagic = "zkphire/vk/v2"
@@ -42,6 +42,21 @@ func gateTag(gate *poly.Composite) (byte, error) {
 	return 0, fmt.Errorf("hyperplonk: gate %q is not serializable (Vanilla and Jellyfish only)", gate.Name)
 }
 
+// walk is the verifying key's wire layout after the gate tag.
+func (idx *Index) walk(c codec) {
+	c.length(&idx.NumVars)
+	c.length(&idx.Wires)
+	n := len(idx.SelectorNames)
+	c.length(&n)
+	resize(&idx.SelectorNames, n)
+	resize(&idx.SelectorComms, n)
+	for i := range n {
+		c.str(&idx.SelectorNames[i])
+		commitment(c, &idx.SelectorComms[i])
+	}
+	list(c, &idx.SigmaComms, commitment)
+}
+
 // MarshalBinary serializes the verifier's view of the index.
 func (idx *Index) MarshalBinary() ([]byte, error) {
 	tag, err := gateTag(idx.Gate)
@@ -54,18 +69,7 @@ func (idx *Index) MarshalBinary() ([]byte, error) {
 	var e encoder
 	e.buf.WriteString(vkMagic)
 	e.buf.WriteByte(tag)
-	e.uvarint(uint64(idx.NumVars))
-	e.uvarint(uint64(idx.Wires))
-	e.uvarint(uint64(len(idx.SelectorNames)))
-	for i, name := range idx.SelectorNames {
-		e.uvarint(uint64(len(name)))
-		e.buf.WriteString(name)
-		e.commitment(&idx.SelectorComms[i])
-	}
-	e.uvarint(uint64(len(idx.SigmaComms)))
-	for i := range idx.SigmaComms {
-		e.commitment(&idx.SigmaComms[i])
-	}
+	idx.walk(&e)
 	return e.buf.Bytes(), nil
 }
 
@@ -91,51 +95,9 @@ func UnmarshalVerifyingKey(data []byte) (*Index, error) {
 	default:
 		return nil, fmt.Errorf("hyperplonk: unknown gate tag %d", tag)
 	}
-
-	nv, err := d.length()
-	if err != nil {
+	idx.walk(d)
+	if err := d.finish(); err != nil {
 		return nil, err
-	}
-	idx.NumVars = nv
-	wires, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	idx.Wires = wires
-
-	numSel, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	idx.SelectorNames = make([]string, numSel)
-	idx.SelectorComms = make([]pcs.Commitment, numSel)
-	for i := 0; i < numSel; i++ {
-		nameLen, err := d.length()
-		if err != nil {
-			return nil, err
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(d.r, name); err != nil {
-			return nil, err
-		}
-		idx.SelectorNames[i] = string(name)
-		if err := d.commitment(&idx.SelectorComms[i]); err != nil {
-			return nil, err
-		}
-	}
-
-	numSigma, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	idx.SigmaComms = make([]pcs.Commitment, numSigma)
-	for i := 0; i < numSigma; i++ {
-		if err := d.commitment(&idx.SigmaComms[i]); err != nil {
-			return nil, err
-		}
-	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("hyperplonk: %d trailing bytes in verifying key", d.r.Len())
 	}
 	if err := idx.validateShape(); err != nil {
 		return nil, err
@@ -148,7 +110,8 @@ func UnmarshalVerifyingKey(data []byte) (*Index, error) {
 
 // validateShape cross-checks a decoded key against its gate composite: a
 // structurally inconsistent key (wrong wire count, missing or foreign
-// selectors) must fail at decode time, not deep inside verification.
+// selectors, a commitment sized for another circuit) must fail at decode
+// time, not deep inside verification.
 func (idx *Index) validateShape() error {
 	// Gate arity = selectors + wires (the eq factor is appended at proving
 	// time), so both counts are pinned by the gate tag.
@@ -178,6 +141,13 @@ func (idx *Index) validateShape() error {
 	}
 	if idx.NumVars < 1 || idx.NumVars > 34 {
 		return fmt.Errorf("hyperplonk: unreasonable circuit size 2^%d", idx.NumVars)
+	}
+	for _, comms := range [][]pcs.Commitment{idx.SelectorComms, idx.SigmaComms} {
+		for _, cm := range comms {
+			if cm.NumVars != idx.NumVars {
+				return fmt.Errorf("hyperplonk: a 2^%d commitment in a key for 2^%d rows", cm.NumVars, idx.NumVars)
+			}
+		}
 	}
 	return nil
 }

@@ -75,6 +75,12 @@ func TestVerifyingKeyCorruptionTable(t *testing.T) {
 			b[tagOfs+5] ^= 0x20
 			return b
 		}},
+		{"selector commitment size", func(b []byte) []byte {
+			// The first selector commitment's size follows its name: it
+			// claims 7 variables for this 4-variable circuit.
+			b[tagOfs+5+int(b[tagOfs+4])] = 7
+			return b
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,10 +98,10 @@ func TestVerifyingKeyCorruptionTable(t *testing.T) {
 }
 
 // TestVerifyingKeyBitFlipsNeverPanic XORs every byte of the key with a few
-// patterns. A flip may still decode (e.g. inside an unvalidated commitment
-// size hint); what it must never do is panic — and when it does decode,
-// the key must re-serialize, i.e. the decoder only admits shapes the
-// encoder can produce.
+// patterns. A flip may still decode (e.g. the y-sign flag of a point,
+// which names its negation); what it must never do is panic — and when it
+// does decode, the key must re-serialize, i.e. the decoder only admits
+// shapes the encoder can produce.
 func TestVerifyingKeyBitFlipsNeverPanic(t *testing.T) {
 	pristine := makeVKBytes(t)
 	defer func() {
