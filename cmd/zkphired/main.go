@@ -65,6 +65,7 @@ import (
 	"zkphire/internal/cluster"
 	"zkphire/internal/faultinject"
 	"zkphire/internal/journal"
+	"zkphire/internal/pcs"
 	"zkphire/internal/service"
 )
 
@@ -134,6 +135,9 @@ func setup(o options) (*zkphire.SRS, error) {
 	}
 	if faultinject.Enabled() {
 		log.Printf("fault injection armed from %s", faultinject.EnvVar)
+	}
+	if err := pcs.CheckVars(o.srsVars); err != nil {
+		return nil, fmt.Errorf("-srs-vars: %w", err)
 	}
 	started := time.Now()
 	var (

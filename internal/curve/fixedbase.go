@@ -2,14 +2,15 @@ package curve
 
 import (
 	"zkphire/internal/ff"
+	"zkphire/internal/fp"
 	"zkphire/internal/parallel"
 )
 
 // FixedBaseTable precomputes windowed multiples of a fixed base point so
-// that scalar multiplications cost ~ceil(255/window) mixed additions instead
-// of ~255 doublings. PCS setup (thousands of multiplications of the
-// generator) uses this; it mirrors the precomputed-point ROM common in MSM
-// hardware.
+// that a scalar multiplication costs ~ceil(255/window) additions instead of
+// ~255 doublings. SRS setup computes its top level (2^maxVars multiples of
+// the generator) through MulManyWorkers; it mirrors the precomputed-point
+// ROM common in MSM hardware.
 type FixedBaseTable struct {
 	window  int
 	flat    []G1Affine   // one backing array for every window's entries
@@ -19,8 +20,8 @@ type FixedBaseTable struct {
 // NewFixedBaseTableSized picks the window width from the expected number of
 // scalar multiplications the table will serve: wider windows cost more to
 // build (2^w points per window) but make each multiplication cheaper (fewer
-// windows). SRS setup sizes its table this way — the table for a 2^20-entry
-// setup is worth several extra bits of window.
+// windows). SRS setup sizes its table by its top level: width 13 at 2^17
+// multiplications, 14 from 2^18 up.
 func NewFixedBaseTableSized(base G1Affine, expectedMuls int) *FixedBaseTable {
 	return NewFixedBaseTable(base, fixedBaseWindow(expectedMuls))
 }
@@ -28,7 +29,9 @@ func NewFixedBaseTableSized(base G1Affine, expectedMuls int) *FixedBaseTable {
 // fixedBaseWindow minimizes build + usage point-additions over the window
 // width: ceil(255/w)·(2^w − 1) build additions against expectedMuls·
 // ceil(255/w) per-use additions, with the width capped so the table stays a
-// few tens of MiB even for huge setups.
+// few tens of MiB even for huge setups. A per-use addition is batch-affine
+// and costs about half a build addition, yet counting them alike still
+// picks within 5% of the best measured width at 2^17 and 2^19 (DESIGN §4).
 func fixedBaseWindow(expectedMuls int) int {
 	const scalarBits = 255
 	best, bestCost := 8, int64(1)<<62
@@ -92,32 +95,102 @@ func NewFixedBaseTable(base G1Affine, window int) *FixedBaseTable {
 	return t
 }
 
-// Mul returns k·base.
-func (t *FixedBaseTable) Mul(k *ff.Element) G1Jac {
-	var acc G1Jac
-	acc.SetInfinity()
-	limbs := k.Regular()
-	for w := range t.entries {
-		d := extractDigit(&limbs, w*t.window, t.window)
-		if d == 0 {
-			continue
-		}
-		acc.AddMixed(&t.entries[w][d-1])
-	}
-	return acc
-}
+// fixedBaseBatch is the lane count that shares one batch inversion per
+// window in MulManyWorkers: at 1024 lanes the Fermat inversion (~570
+// multiplications) costs each addition about half a multiplication.
+const fixedBaseBatch = 1024
 
-// MulManyWorkers applies Mul to each scalar on a worker budget (<= 0 means
-// GOMAXPROCS), returning affine points. Each scalar multiplication is
-// independent and lands in its own slot, so the result is identical across
-// budgets.
+// MulManyWorkers returns k·base for every scalar on a worker budget (<= 0
+// means GOMAXPROCS). Lanes accumulate in affine coordinates, one window at
+// a time: every lane that needs a chord in window w queues its slope
+// denominator, and one batch inversion (batchInvertFp) serves the whole
+// queue, as in the MSM's bucket accumulation. Affine points are unique, so
+// the result is identical across budgets and batchings.
 func (t *FixedBaseTable) MulManyWorkers(ks []ff.Element, workers int) []G1Affine {
-	jacs := jacArena.Get(len(ks))
-	defer jacArena.Put(jacs)
+	out := make([]G1Affine, len(ks))
 	parallel.ForGrain(workers, len(ks), pointGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			jacs[i] = t.Mul(&ks[i])
+		s := newLaneScratch(min(hi-lo, fixedBaseBatch))
+		for b := lo; b < hi; b += fixedBaseBatch {
+			e := min(b+fixedBaseBatch, hi)
+			t.mulLanes(ks[b:e], out[b:e], &s)
 		}
 	})
-	return BatchFromJacobianWorkers(jacs, workers)
+	return out
+}
+
+// laneScratch holds one batch's scalars and queued chord additions.
+type laneScratch struct {
+	limbs    [][ff.Limbs]uint64
+	lane     []int32      // queued addition j adds into out[lane[j]]
+	digit    []uint32     // ... the window entry digit[j]
+	num, den []fp.Element // ... along the chord of slope num[j]/den[j]
+	inv      []fp.Element // batchInvertFp's prefix products
+}
+
+func newLaneScratch(n int) laneScratch {
+	return laneScratch{
+		limbs: make([][ff.Limbs]uint64, n),
+		lane:  make([]int32, n),
+		digit: make([]uint32, n),
+		num:   make([]fp.Element, n),
+		den:   make([]fp.Element, n),
+		inv:   make([]fp.Element, n),
+	}
+}
+
+// mulLanes sets out[i] = ks[i]·base for one batch of lanes.
+func (t *FixedBaseTable) mulLanes(ks []ff.Element, out []G1Affine, s *laneScratch) {
+	for i := range ks {
+		s.limbs[i] = ks[i].Regular()
+		out[i].SetInfinity()
+	}
+	for w, row := range t.entries {
+		m := 0
+		for i := range ks {
+			d := extractDigit(&s.limbs[i], w*t.window, t.window)
+			if d == 0 || addDirect(&out[i], &row[d-1]) {
+				continue
+			}
+			p, q := &out[i], &row[d-1]
+			s.lane[m], s.digit[m] = int32(i), d
+			s.num[m].Sub(&q.Y, &p.Y)
+			s.den[m].Sub(&q.X, &p.X)
+			m++
+		}
+		batchInvertFp(s.den[:m], s.inv)
+		var lambda, x3, y3 fp.Element
+		for j := 0; j < m; j++ {
+			p, q := &out[s.lane[j]], &row[s.digit[j]-1]
+			lambda.Mul(&s.num[j], &s.den[j])
+			x3.Square(&lambda)
+			x3.Sub(&x3, &p.X)
+			x3.Sub(&x3, &q.X)
+			y3.Sub(&p.X, &x3)
+			y3.Mul(&y3, &lambda)
+			y3.Sub(&y3, &p.Y)
+			p.X, p.Y = x3, y3
+		}
+	}
+}
+
+// addDirect sets p += q and reports true when the sum needs no chord
+// slope: p is the identity (p becomes q), or p and q share x, so q = p
+// doubles and q = −p empties. The shared-x case goes through Jacobian
+// AddMixed and its own inversion; reduced scalars essentially never reach
+// it. Otherwise addDirect leaves p alone and reports false. Table entries
+// are never the identity (d·2^{w·window} is never a multiple of the prime
+// group order).
+func addDirect(p, q *G1Affine) bool {
+	switch {
+	case p.Infinity:
+		*p = *q
+	case p.X.Equal(&q.X):
+		var j G1Jac
+		j.FromAffine(p)
+		j.AddMixed(q)
+		p.FromJacobian(&j)
+	default:
+		return false
+	}
+	return true
 }

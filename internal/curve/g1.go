@@ -437,6 +437,21 @@ func BatchFromJacobianWorkers(in []G1Jac, workers int) []G1Affine {
 	return out
 }
 
+// PairSumsWorkers returns the sums of adjacent pairs, out[i] = in[2i] +
+// in[2i+1] for len(in) even, on a worker budget (<= 0 means GOMAXPROCS):
+// one mixed addition per sum, then one BatchFromJacobianWorkers pass.
+func PairSumsWorkers(in []G1Affine, workers int) []G1Affine {
+	sums := jacArena.Get(len(in) / 2)
+	defer jacArena.Put(sums)
+	parallel.ForGrain(workers, len(sums), pointGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sums[i].FromAffine(&in[2*i])
+			sums[i].AddMixed(&in[2*i+1])
+		}
+	})
+	return BatchFromJacobianWorkers(sums, workers)
+}
+
 // batchInvertFp inverts every nonzero entry of a in place with one field
 // inversion (Montgomery batching). scratch is an optional caller-owned
 // prefix buffer (len >= len(a)) so hot loops can amortize the allocation.

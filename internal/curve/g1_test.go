@@ -369,6 +369,32 @@ func TestFixedBaseMatchesScalarMul(t *testing.T) {
 	}
 }
 
+// TestPairSumsWorkers checks adjacent-pair sums against Jacobian addition,
+// with identity operands, doubling and cancelling pairs, at two budgets.
+func TestPairSumsWorkers(t *testing.T) {
+	pts := randomPoints(ff.NewRand(13), 300)
+	var inf, neg G1Affine
+	inf.SetInfinity()
+	neg.Neg(&pts[1])
+	pts = append(pts, inf, inf, inf, pts[0], pts[0], inf, pts[0], pts[0], pts[1], neg)
+	want := make([]G1Affine, len(pts)/2)
+	for i := range want {
+		var a, b G1Jac
+		a.FromAffine(&pts[2*i])
+		b.FromAffine(&pts[2*i+1])
+		a.AddAssign(&b)
+		want[i].FromJacobian(&a)
+	}
+	for _, workers := range []int{1, 3} {
+		got := PairSumsWorkers(pts, workers)
+		for i := range want {
+			if !got[i].Equal(&want[i]) {
+				t.Fatalf("workers=%d: sum %d wrong", workers, i)
+			}
+		}
+	}
+}
+
 // TestCompressedKnownAnswers pins the ZCash/IETF encoding of the standard
 // generator, its negation and the identity.
 func TestCompressedKnownAnswers(t *testing.T) {

@@ -85,19 +85,6 @@ func TestBatchFromJacobianWorkers(t *testing.T) {
 	}
 }
 
-func TestMulManyWorkers(t *testing.T) {
-	rng := ff.NewRand(34)
-	table := NewFixedBaseTable(Generator(), 8)
-	ks := rng.Elements(200)
-	want := table.MulManyWorkers(ks, 1)
-	got := table.MulManyWorkers(ks, 4)
-	for i := range want {
-		if !got[i].Equal(&want[i]) {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
 // TestMSMBatchAffineEdgeCases drives the batch-affine bucket paths hard:
 // repeated points (forces the doubling slope), P and −P with equal digits
 // (forces bucket cancellation and refill), and narrow digit ranges (forces

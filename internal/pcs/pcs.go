@@ -107,11 +107,24 @@ type OpeningProof struct {
 	Qs []curve.G1Affine
 }
 
+// maxSetupVars is the largest SRS Setup and SetupDeterministic build: its
+// 2^26-point top level alone is ~6.5 GiB.
+const maxSetupVars = 26
+
+// CheckVars reports whether Setup and SetupDeterministic accept maxVars,
+// which must lie in 1..26.
+func CheckVars(maxVars int) error {
+	if maxVars < 1 || maxVars > maxSetupVars {
+		return fmt.Errorf("pcs: unsupported SRS variable count %d (want 1..%d)", maxVars, maxSetupVars)
+	}
+	return nil
+}
+
 // Setup generates an SRS for MLEs of up to maxVars variables. Randomness is
 // read from rng (crypto/rand in production, a seeded reader in tests).
 func Setup(maxVars int, rng io.Reader) (*SRS, error) {
-	if maxVars < 1 || maxVars > 26 {
-		return nil, fmt.Errorf("pcs: unsupported variable count %d", maxVars)
+	if err := CheckVars(maxVars); err != nil {
+		return nil, err
 	}
 	tau := make([]ff.Element, maxVars)
 	for i := range tau {
@@ -123,23 +136,32 @@ func Setup(maxVars int, rng io.Reader) (*SRS, error) {
 }
 
 // SetupDeterministic builds an SRS from a seed; for tests and benchmarks.
+// It panics if CheckVars rejects maxVars, so callers passing untrusted
+// sizes check first.
 func SetupDeterministic(maxVars int, seed int64) *SRS {
+	if err := CheckVars(maxVars); err != nil {
+		panic(err)
+	}
 	rng := ff.NewRand(seed)
 	tau := rng.Elements(maxVars)
 	return setupWithTau(maxVars, tau)
 }
 
+// setupWithTau builds the top level by fixed-base multiplication and every
+// lower level by addition. eq sums to 1 over its first coordinate, and
+// level k+1's first variable is the index's low bit, so
+//
+//	Levels[k][i] = Levels[k+1][2i] + Levels[k+1][2i+1]:
+//
+// 2^maxVars scalar multiplications in all, then one mixed addition per
+// lower-level entry and one batch normalization per level.
 func setupWithTau(maxVars int, tau []ff.Element) *SRS {
 	g := curve.Generator()
-	// One fixed-base table serves every level; its window is sized for the
-	// Σ_k 2^k ≈ 2^{maxVars+1} scalar multiplications below, and MulManyWorkers
-	// fans the per-scalar work over the machine.
-	fb := curve.NewFixedBaseTableSized(g, 2<<uint(maxVars))
+	fb := curve.NewFixedBaseTableSized(g, 1<<uint(maxVars))
 	srs := &SRS{MaxVars: maxVars, Tau: tau, G: g, Levels: make([][]curve.G1Affine, maxVars+1)}
-	for k := 0; k <= maxVars; k++ {
-		suffix := tau[maxVars-k:]
-		eq := mle.EqWorkers(suffix, 0)
-		srs.Levels[k] = fb.MulManyWorkers(eq.Evals, 0)
+	srs.Levels[maxVars] = fb.MulManyWorkers(mle.EqWorkers(tau, 0).Evals, 0)
+	for k := maxVars - 1; k >= 0; k-- {
+		srs.Levels[k] = curve.PairSumsWorkers(srs.Levels[k+1], 0)
 	}
 	return srs
 }

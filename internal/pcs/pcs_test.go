@@ -189,6 +189,33 @@ func TestSetupValidatesRange(t *testing.T) {
 	if _, err := Setup(99, ff.NewRandReader(1)); err == nil {
 		t.Fatal("accepted absurd maxVars")
 	}
+	for _, mv := range []int{-1, 0, maxSetupVars + 1, 40} {
+		if CheckVars(mv) == nil {
+			t.Fatalf("CheckVars accepted maxVars=%d", mv)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SetupDeterministic accepted maxVars=%d", mv)
+				}
+			}()
+			SetupDeterministic(mv, 1)
+		}()
+	}
+	if err := CheckVars(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckVars(maxSetupVars); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkSetup12 is SRS generation at 12 variables: the fixed-base
+// table, the top level's 2^12 multiplications and the levels below it.
+func BenchmarkSetup12(b *testing.B) {
+	for b.Loop() {
+		SetupDeterministic(12, 12)
+	}
 }
 
 func BenchmarkCommit2_8(b *testing.B) {

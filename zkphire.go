@@ -62,6 +62,7 @@ func Setup(maxVars int) (*SRS, error) {
 }
 
 // SetupDeterministic generates a reproducible SRS for tests and examples.
+// Unlike Setup, it panics when maxVars is outside 1..26.
 func SetupDeterministic(maxVars int, seed int64) *SRS {
 	return pcs.SetupDeterministic(maxVars, seed)
 }
