@@ -13,9 +13,10 @@ import (
 // loop is unbounded by anything at all.
 //
 // Every `go` statement outside internal/parallel is therefore a
-// finding. The handful of legitimate sites (the session API's
-// coarse-grained, context-aware BatchProve job pool; the daemon's HTTP
-// listener lifecycle) carry //zkvet:ignore with the reason recorded.
+// finding. The handful of legitimate sites (the daemon's HTTP listener
+// lifecycle, the service's per-job goroutine, the cluster's heartbeat,
+// monitor and lease-attempt goroutines) carry //zkvet:ignore with the
+// reason recorded. BatchProve needs none: it runs on parallel.Run.
 // See DESIGN.md §6.4.
 var NoRawGo = &Analyzer{
 	Name: "norawgo",

@@ -2,23 +2,26 @@
 // — the service package's client front-end (routes, idempotency keys,
 // journal, drain, recovery: one implementation for every topology) over a
 // remote backend, the worker pool — and prover workers that each wrap a
-// full single-node service. This package decides which worker runs a job
-// and which lease may settle it; how a key is made exactly-once is the
-// front-end's business. Robustness — surviving worker loss without losing
-// or double-counting jobs — is the design center, not sharding:
+// full single-node service. This package decides which worker runs a job;
+// how a key is made exactly-once is the front-end's business. Robustness
+// — surviving worker loss without losing or double-counting jobs — is the
+// design center, not sharding:
 //
 //   - Membership. Workers join the coordinator and heartbeat on a fixed
 //     interval; a worker that misses heartbeats for EvictAfter is evicted
-//     and every job leased to it is re-dispatched to a healthy peer.
-//   - Leases and fencing. Each dispatch carries a monotonically
-//     increasing per-job lease epoch. Declaring a lease lost (missed
-//     heartbeats, lease deadline, transient worker failure) raises the
-//     job's fence past that epoch, so a presumed-dead worker that
-//     finishes late is rejected by a pure epoch comparison — no wall
-//     clocks compared across machines. Settle-once under the job lock
-//     plus the front-end's journaled idempotency keys make the
-//     client-visible proof at-most-one even when several leases race.
-//     DESIGN.md §10 has the full argument.
+//     and every job leased to it is re-dispatched to a healthy peer. A
+//     beat counts only for the member that joined from its address, so an
+//     ID a restarted coordinator hands out again cannot be kept alive by
+//     the worker that held it before.
+//   - A lease is one request. The coordinator leases a job by one POST
+//     /cluster/dispatch, which the worker answers with the proof. The
+//     request runs under a context that the lease deadline ends and that
+//     the worker's eviction or leave cancels, so a lease the coordinator
+//     has given up on cannot answer: its request is gone, and the worker's
+//     prove stops with it. The first successful answer settles the job;
+//     the front-end's journaled idempotency keys make the client-visible
+//     proof at-most-one even when several leases race. DESIGN.md §10 has
+//     the full argument.
 //   - Replication. Circuits travel by content hash: a worker missing a
 //     dispatched circuit fetches the spec from the coordinator
 //     (GET /cluster/circuits/{id}) with internal/retry backoff and
@@ -29,8 +32,8 @@
 //     — the workers just happen to be remote, and the jobs wait for them
 //     to rejoin.
 //   - Hedging. Optionally, a job still unfinished after HedgeDelay is
-//     dispatched a second time to a different worker WITHOUT raising the
-//     fence: both leases stay valid and the first completion wins.
+//     dispatched a second time to a different worker: the first answer
+//     wins and the loser's request is cancelled.
 //
 // The wire protocol is the service's existing HTTP JSON style: internal
 // routes under /cluster/* on both roles, client routes unchanged. The
@@ -45,7 +48,7 @@ package cluster
 // of an RPC, so arming them in a worker process simulates a partition of
 // that worker: its heartbeats stop, dispatches to it fail, its circuit
 // fetches fail — but it keeps running, which is exactly the
-// presumed-dead-but-alive scenario lease fencing exists for.
+// presumed-dead-but-alive scenario lease revocation exists for.
 const (
 	PointHeartbeat = "cluster.heartbeat"
 	PointDispatch  = "cluster.dispatch"
@@ -75,38 +78,33 @@ type JoinResponse struct {
 // worker's outstanding dispatches itself, so the beat carries no load.
 type HeartbeatRequest struct {
 	WorkerID string `json:"worker_id"`
+	// Addr is the URL the worker joined with. A beat for an ID that some
+	// other address holds is refused like an unknown ID, which makes the
+	// sender rejoin: worker IDs restart at w1 with every coordinator
+	// process.
+	Addr string `json:"addr"`
 }
 
 // LeaveRequest is a graceful goodbye: the worker is removed without
-// counting as an eviction.
+// counting as an eviction. Like a heartbeat, it names the member by ID
+// and join address.
 type LeaveRequest struct {
 	WorkerID string `json:"worker_id"`
+	Addr     string `json:"addr"`
 }
 
 // DispatchRequest leases one proof job to a worker. The worker answers
-// 202 immediately and posts a CompleteRequest back when the proof
-// settles.
+// with a DispatchResponse once the proof is made, or with an error
+// status: 429 or 503 sends the job to another worker, any other status
+// fails it.
 type DispatchRequest struct {
-	JobID     string `json:"job_id"`
 	CircuitID string `json:"circuit_id"`
-	// Epoch is the lease epoch this dispatch runs under; the completion
-	// must echo it so the coordinator can fence late results.
-	Epoch uint64 `json:"epoch"`
 	// TimeoutMS bounds the worker-side prove (already clamped by the
 	// coordinator).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// CompleteRequest is the worker's result push. Exactly one of Proof and
-// Error is set.
-type CompleteRequest struct {
-	JobID    string `json:"job_id"`
-	WorkerID string `json:"worker_id"`
-	Epoch    uint64 `json:"epoch"`
-	// Proof is the base64 proof bytes on success.
-	Proof string `json:"proof,omitempty"`
-	Error string `json:"error,omitempty"`
-	// Transient marks an error worth re-dispatching (queue full, injected
-	// transient fault) rather than settling the job as failed.
-	Transient bool `json:"transient,omitempty"`
+// DispatchResponse carries the proof bytes (base64 in JSON).
+type DispatchResponse struct {
+	Proof []byte `json:"proof"`
 }

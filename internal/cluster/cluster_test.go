@@ -159,27 +159,39 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// blackholeWorker joins the pool, 202s every dispatch, and never
-// completes — the "presumed dead but maybe alive" worker the fencing
-// design exists for. If beat is true it heartbeats (a live-but-stuck
+// blackholeWorker joins the pool and takes every dispatch without ever
+// proving: its handler hangs until the coordinator ends the request — the
+// "presumed dead but maybe alive" worker that lease revocation exists
+// for. When its request context ends it records the lease in revoked and
+// still answers 200 with bogus proof bytes, the late answer that must
+// never settle a job. If beat is true it heartbeats (a live-but-stuck
 // worker); otherwise it goes silent and gets evicted.
 type blackholeWorker struct {
 	id         string
 	ts         *httptest.Server
 	dispatches chan DispatchRequest
+	revoked    chan DispatchRequest
 	stop       chan struct{}
 }
 
 func newBlackhole(t *testing.T, coordURL string, beat bool) *blackholeWorker {
 	t.Helper()
-	b := &blackholeWorker{dispatches: make(chan DispatchRequest, 16), stop: make(chan struct{})}
+	b := &blackholeWorker{
+		dispatches: make(chan DispatchRequest, 16),
+		revoked:    make(chan DispatchRequest, 16),
+		stop:       make(chan struct{}),
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/dispatch", func(w http.ResponseWriter, r *http.Request) {
 		var req DispatchRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		b.dispatches <- req
-		w.WriteHeader(http.StatusAccepted)
-		w.Write([]byte("{}\n"))
+		select {
+		case <-r.Context().Done():
+			b.revoked <- req
+		case <-b.stop:
+		}
+		json.NewEncoder(w).Encode(DispatchResponse{Proof: []byte("late")})
 	})
 	b.ts = httptest.NewServer(mux)
 	resp, raw := postJSON(t, coordURL+"/cluster/join", JoinRequest{Addr: b.ts.URL, Slots: 1})
@@ -193,7 +205,7 @@ func newBlackhole(t *testing.T, coordURL string, beat bool) *blackholeWorker {
 	b.id = jr.WorkerID
 	if beat {
 		go func() {
-			body, _ := json.Marshal(HeartbeatRequest{WorkerID: b.id})
+			body, _ := json.Marshal(HeartbeatRequest{WorkerID: b.id, Addr: b.ts.URL})
 			for {
 				select {
 				case <-b.stop:
@@ -307,16 +319,16 @@ func TestJobsCompletedCountedBeforeResponse(t *testing.T) {
 	}
 }
 
-// TestEvictionRedispatchAndFencing is the tentpole's core scenario: the
-// job lands on a worker that goes silent, the failure detector evicts
-// it, the job is re-dispatched to a healthy worker and completes — and
-// when the presumed-dead worker's result finally arrives, the lease
-// fence rejects it.
+// TestEvictionRedispatchAndFencing is the pool's core scenario: the job
+// lands on a worker that goes silent, the failure detector evicts it,
+// which revokes the lease — the presumed-dead worker's request context
+// ends, so its late answer cannot settle the job — and the job is
+// re-dispatched to a healthy worker and completes.
 func TestEvictionRedispatchAndFencing(t *testing.T) {
 	c, ts := newCoordinator(t, Config{
 		HeartbeatInterval: 20 * time.Millisecond,
 		EvictAfter:        80 * time.Millisecond,
-		LeaseTimeout:      5 * time.Second, // eviction, not lease expiry, must trigger the re-dispatch
+		LeaseTimeout:      time.Minute, // eviction, not lease expiry, must trigger the re-dispatch
 	})
 	// Only the blackhole is in the pool when the job arrives, so the
 	// first lease must land on it. It never heartbeats.
@@ -328,9 +340,8 @@ func TestEvictionRedispatchAndFencing(t *testing.T) {
 		_, pr, _ := proveOnceNoFatal(ts.URL, service.ProveRequest{CircuitID: id})
 		prCh <- pr
 	}()
-	var lease DispatchRequest
 	select {
-	case lease = <-b.dispatches:
+	case <-b.dispatches:
 	case <-time.After(5 * time.Second):
 		t.Fatal("job never dispatched to the blackhole")
 	}
@@ -350,35 +361,26 @@ func TestEvictionRedispatchAndFencing(t *testing.T) {
 		t.Fatal("re-dispatched proof differs from golden")
 	}
 
-	// The late result from the evicted worker: correct bytes, dead lease.
-	// The fence must reject it no matter what it carries.
-	resp, raw := postJSON(t, ts.URL+"/cluster/complete", CompleteRequest{
-		JobID:    lease.JobID,
-		WorkerID: b.id,
-		Epoch:    lease.Epoch,
-		Proof:    base64.StdEncoding.EncodeToString(golden),
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("late complete = %d: %s", resp.StatusCode, raw)
+	// The evicted worker's request ended, and its late answer ("late")
+	// is not what the client got.
+	select {
+	case <-b.revoked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the evicted worker's dispatch request never ended")
 	}
-	if c.Metrics().ResultsFencedTotal.Load() < 1 {
-		t.Fatalf("ResultsFencedTotal = %d, want >= 1", c.Metrics().ResultsFencedTotal.Load())
+	if c.Metrics().LeasesRevokedTotal.Load() < 1 {
+		t.Fatalf("LeasesRevokedTotal = %d, want >= 1", c.Metrics().LeasesRevokedTotal.Load())
 	}
 }
 
 // TestSettledJobsLeaveTheTables: the front-end's table holds only
-// unsettled jobs, and the pool keeps a settled job's epoch/fence state —
-// not its proof — only until its last lease deadline: a late completion
-// from a fenced lease inside that window still counts as fenced, and
-// after it both tables are empty and the same completion finds no job.
-//
-// The window is job 0's: it opens when job 0 settles and closes
-// LeaseTimeout after its last dispatch. Everything checked inside it runs
-// as soon as job 0 settles: the late completion's proof is built before
-// any job starts, and jobs 1–2 start after the checks, since under -race
-// either could outlast the window.
+// unsettled jobs, and the pool holds no per-job state at all. Job 0 is
+// leased first to a worker that goes silent; its eviction revokes the
+// lease before the worker answers. Once every job has settled, the
+// front-end's table is empty, every member's load is back to zero, the
+// revoked lease counts once as revoked and its late answer never counts
+// as a result.
 func TestSettledJobsLeaveTheTables(t *testing.T) {
-	lateProof := base64.StdEncoding.EncodeToString(goldenProof(t, 5))
 	jnl := openTestJournal(t)
 	c, ts := newCoordinator(t, Config{
 		Journal:           jnl,
@@ -386,15 +388,12 @@ func TestSettledJobsLeaveTheTables(t *testing.T) {
 		// Long enough that the healthy worker keeps its membership while
 		// it proves on a CPU-starved -race run; only the blackhole, which
 		// never beats, is evicted.
-		EvictAfter:   300 * time.Millisecond,
-		LeaseTimeout: 1500 * time.Millisecond,
-		MaxAttempts:  20,
+		EvictAfter:  300 * time.Millisecond,
+		MaxAttempts: 20,
 	})
 	b := newBlackhole(t, ts.URL, false)
 	id := registerViaStore(t, c, 5)
 
-	// Job 0 is leased to the blackhole first, so it settles with a fenced
-	// epoch behind it; the rest go straight to the healthy worker.
 	const jobs = 3
 	done := make(chan service.ProveResponse, jobs)
 	prove := func(i int) {
@@ -402,59 +401,46 @@ func TestSettledJobsLeaveTheTables(t *testing.T) {
 		done <- pr
 	}
 	go prove(0)
-	var lease DispatchRequest
 	select {
-	case lease = <-b.dispatches:
+	case <-b.dispatches:
 	case <-time.After(5 * time.Second):
 		t.Fatal("job never dispatched to the blackhole")
 	}
 	newWorker(t, ts.URL)
 	waitFor(t, "eviction", func() bool { return c.Metrics().WorkerEvictionsTotal.Load() == 1 })
-	if pr := <-done; pr.Proof == "" {
-		t.Fatal("a job did not complete")
+	select {
+	case <-b.revoked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the evicted worker's dispatch request never ended")
 	}
-
-	late := CompleteRequest{JobID: lease.JobID, WorkerID: b.id, Epoch: lease.Epoch, Proof: lateProof}
-	if j, ok := c.pool.jobs.get(lease.JobID); !ok {
-		t.Fatal("settled job dropped before its last lease deadline")
-	} else if proof, _, _ := j.take(); proof != nil {
-		t.Fatal("settled job still holds its proof bytes")
-	}
-	fenced := c.Metrics().ResultsFencedTotal.Load()
-	if resp, raw := postJSON(t, ts.URL+"/cluster/complete", late); resp.StatusCode != http.StatusOK {
-		t.Fatalf("late complete inside the window = %d: %s", resp.StatusCode, raw)
-	}
-	if got := c.Metrics().ResultsFencedTotal.Load(); got != fenced+1 {
-		t.Fatalf("ResultsFencedTotal = %d after a late fenced completion, want %d", got, fenced+1)
-	}
-
 	for i := 1; i < jobs; i++ {
 		go prove(i)
 	}
-	for i := 1; i < jobs; i++ {
-		if pr := <-done; pr.Proof == "" {
-			t.Fatal("a job did not complete")
+	golden := base64.StdEncoding.EncodeToString(goldenProof(t, 5))
+	for i := 0; i < jobs; i++ {
+		if pr := <-done; pr.Proof != golden {
+			t.Fatal("a job did not complete with the golden proof")
 		}
 	}
 	if n := c.Unsettled(); n != 0 {
 		t.Fatalf("front-end still holds %d jobs after all settled", n)
 	}
-
-	waitFor(t, "the lease window to pass", func() bool {
-		c.pool.jobs.mu.Lock()
-		defer c.pool.jobs.mu.Unlock()
-		return len(c.pool.jobs.jobs) == 0
-	})
-	if resp, raw := postJSON(t, ts.URL+"/cluster/complete", late); resp.StatusCode != http.StatusOK {
-		t.Fatalf("late complete after the window = %d: %s", resp.StatusCode, raw)
+	for _, m := range c.pool.members.snapshot() {
+		if n := m.load.Load(); n != 0 {
+			t.Fatalf("member %s holds %d slots after every job settled", m.id, n)
+		}
 	}
-	if got := c.Metrics().ResultsFencedTotal.Load(); got != fenced+1 {
-		t.Fatalf("ResultsFencedTotal = %d after the window, want %d (unknown job)", got, fenced+1)
+	if got := c.Metrics().LeasesRevokedTotal.Load(); got != 1 {
+		t.Fatalf("LeasesRevokedTotal = %d, want 1 (the evicted lease)", got)
+	}
+	if got := c.Metrics().ResultsDuplicateTotal.Load(); got != 0 {
+		t.Fatalf("ResultsDuplicateTotal = %d, want 0 (the revoked lease's answer never arrives)", got)
 	}
 }
 
 // TestLeaseTimeoutRedispatch: a live-but-stuck worker (heartbeats fine,
-// never finishes) loses the lease at the deadline and the job moves on.
+// never finishes) loses the lease at the deadline — its request context
+// ends — and the job moves on.
 func TestLeaseTimeoutRedispatch(t *testing.T) {
 	c, ts := newCoordinator(t, Config{
 		HeartbeatInterval: 20 * time.Millisecond,
@@ -490,13 +476,22 @@ func TestLeaseTimeoutRedispatch(t *testing.T) {
 	if pr.Proof == "" {
 		t.Fatalf("job did not complete after lease timeout: %s", <-rawCh)
 	}
+	if got, _ := base64.StdEncoding.DecodeString(pr.Proof); !bytes.Equal(got, goldenProof(t, 5)) {
+		t.Fatal("re-dispatched proof differs from golden")
+	}
+	select {
+	case <-b.revoked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stuck worker's dispatch request never ended")
+	}
 	if c.Metrics().WorkerEvictionsTotal.Load() != 0 {
 		t.Fatal("stuck worker was evicted despite heartbeating")
 	}
 }
 
 // TestHedgedDispatch: with hedging on, a slow primary gets a second
-// lease on another worker without being fenced, and the fast lease wins.
+// lease on another worker without being revoked, the fast lease wins, and
+// the loser's request is cancelled — its late answer never settles.
 func TestHedgedDispatch(t *testing.T) {
 	c, ts := newCoordinator(t, Config{
 		HeartbeatInterval: 20 * time.Millisecond,
@@ -520,12 +515,20 @@ func TestHedgedDispatch(t *testing.T) {
 	newWorker(t, ts.URL)
 	waitFor(t, "hedge", func() bool { return c.Metrics().JobsHedgedTotal.Load() >= 1 })
 	pr := <-prCh
-	if pr.Proof == "" {
-		t.Fatal("hedged job did not complete")
+	if got, _ := base64.StdEncoding.DecodeString(pr.Proof); !bytes.Equal(got, goldenProof(t, 5)) {
+		t.Fatal("hedged job did not complete with the golden proof")
 	}
-	// The primary lease was never declared lost — hedging must not fence.
+	select {
+	case <-b.revoked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the losing lease's request was never cancelled")
+	}
+	// The primary lease was never declared lost — hedging must not revoke.
 	if got := c.Metrics().JobsRedispatchedTotal.Load(); got != 0 {
 		t.Fatalf("JobsRedispatchedTotal = %d, want 0 (hedge is not a re-dispatch)", got)
+	}
+	if got := c.Metrics().LeasesRevokedTotal.Load(); got != 0 {
+		t.Fatalf("LeasesRevokedTotal = %d, want 0 (a hedge loser is not a revoked lease)", got)
 	}
 }
 
@@ -546,7 +549,7 @@ func TestCircuitReplicationWithFaultInjection(t *testing.T) {
 	w1, _ := newWorker(t, ts.URL)
 	id := registerCubic(t, ts.URL, 7)
 	w1.Close()
-	resp, _ := postJSON(t, ts.URL+"/cluster/leave", LeaveRequest{WorkerID: w1.ID()})
+	resp, _ := postJSON(t, ts.URL+"/cluster/leave", LeaveRequest{WorkerID: w1.ID(), Addr: w1.AdvertiseURL()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatal("leave failed")
 	}
@@ -590,7 +593,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	w1, _ := newWorker(t, ts1.URL)
 	id := registerCubic(t, ts1.URL, 5)
 	w1.Close()
-	postJSON(t, ts1.URL+"/cluster/leave", LeaveRequest{WorkerID: w1.ID()})
+	postJSON(t, ts1.URL+"/cluster/leave", LeaveRequest{WorkerID: w1.ID(), Addr: w1.AdvertiseURL()})
 	waitFor(t, "empty pool", func() bool { return c1.WorkersLive() == 0 })
 
 	go proveOnceNoFatal(ts1.URL, service.ProveRequest{CircuitID: id, IdempotencyKey: "orphan"})

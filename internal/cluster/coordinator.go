@@ -7,9 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zkphire"
@@ -34,15 +32,15 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// EvictAfter is how long a silent worker survives before eviction
 	// (0 = 3 × HeartbeatInterval). Every lease on an evicted worker is
-	// fenced and its jobs re-dispatched.
+	// revoked and its jobs re-dispatched.
 	EvictAfter time.Duration
 	// LeaseTimeout bounds one dispatch attempt end to end; a lease older
-	// than this is fenced and the job re-dispatched (0 = the job's
-	// timeout plus 15 s of dispatch/completion slack).
+	// than this is revoked and the job re-dispatched (0 = the job's
+	// timeout plus 15 s of dispatch slack).
 	LeaseTimeout time.Duration
 	// HedgeDelay, when positive, issues a second lease on a different
-	// worker for any job still unfinished after this long — without
-	// fencing the first, so the fastest completion wins.
+	// worker for any job still unfinished after this long; the first
+	// answer wins and the other lease is cancelled.
 	HedgeDelay time.Duration
 	// MaxAttempts caps dispatches per job (hedges included) before the
 	// job settles as failed (0 = 6).
@@ -61,12 +59,11 @@ type Coordinator struct {
 	pool *pool
 }
 
-// pool is the remote service.Backend: it decides which worker runs a job
-// and which lease may settle it, and nothing about keys or the journal.
+// pool is the remote service.Backend: it decides which worker runs a job,
+// and nothing about keys or the journal.
 type pool struct {
 	cfg     Config
 	members *memberTable
-	jobs    *jobTable
 	metrics *Metrics
 
 	// specs is the replication store behind GET /cluster/circuits/{id}:
@@ -75,12 +72,6 @@ type pool struct {
 	specMu sync.Mutex
 	specs  map[string][]byte
 	vks    map[string]*zkphire.VerifyingKey
-
-	// anonBase makes unkeyed job IDs unique across coordinator
-	// incarnations, so a completion from a previous process's worker can
-	// never be mistaken for a current job's.
-	anonBase string
-	anonSeq  atomic.Uint64
 
 	closed chan struct{} // stops the monitor
 	wg     sync.WaitGroup
@@ -102,14 +93,12 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.MaxAttempts = 6
 	}
 	p := &pool{
-		cfg:      cfg,
-		members:  newMemberTable(),
-		jobs:     &jobTable{jobs: make(map[string]*job)},
-		metrics:  &Metrics{},
-		specs:    make(map[string][]byte),
-		vks:      make(map[string]*zkphire.VerifyingKey),
-		anonBase: fmt.Sprintf("anon-%d-%d", os.Getpid(), time.Now().UnixNano()),
-		closed:   make(chan struct{}),
+		cfg:     cfg,
+		members: newMemberTable(),
+		metrics: &Metrics{},
+		specs:   make(map[string][]byte),
+		vks:     make(map[string]*zkphire.VerifyingKey),
+		closed:  make(chan struct{}),
 	}
 	if cfg.Journal != nil {
 		for id, spec := range cfg.Journal.Circuits() {
@@ -120,7 +109,6 @@ func New(cfg Config) (*Coordinator, error) {
 	srv.Handle("POST /cluster/join", p.handleJoin)
 	srv.Handle("POST /cluster/heartbeat", p.handleHeartbeat)
 	srv.Handle("POST /cluster/leave", p.handleLeave)
-	srv.Handle("POST /cluster/complete", p.handleComplete)
 	srv.Handle("GET /cluster/circuits/{id}", p.handleCircuitFetch)
 
 	p.wg.Add(1)
@@ -136,7 +124,7 @@ func (c *Coordinator) Metrics() *Metrics { return c.pool.metrics }
 func (c *Coordinator) WorkersLive() int { return c.pool.members.size() }
 
 // Close implements service.Backend: it stops the monitor. The front-end
-// has already cancelled and joined every job.
+// has already cancelled and joined every job, and each job its leases.
 func (p *pool) Close() {
 	close(p.closed)
 	p.wg.Wait()
@@ -144,17 +132,17 @@ func (p *pool) Close() {
 
 // leaseDuration bounds one dispatch attempt for a job with the given
 // prove timeout.
-func (p *pool) leaseDuration(timeoutMS int) time.Duration {
+func (p *pool) leaseDuration(timeout time.Duration) time.Duration {
 	if p.cfg.LeaseTimeout > 0 {
 		return p.cfg.LeaseTimeout
 	}
-	return time.Duration(timeoutMS)*time.Millisecond + 15*time.Second
+	return timeout + 15*time.Second
 }
 
 // monitor is the failure detector: it sweeps the member table at half
 // the heartbeat interval and evicts workers silent past EvictAfter.
-// Eviction flips member.gone, which every lease watcher polls — that is
-// the hand-off from failure detection to re-dispatch.
+// Eviction cancels member.ctx, which revokes every lease on the worker —
+// that is the hand-off from failure detection to re-dispatch.
 func (p *pool) monitor() {
 	defer p.wg.Done()
 	period := p.cfg.HeartbeatInterval / 2
@@ -175,131 +163,151 @@ func (p *pool) monitor() {
 	}
 }
 
-// Prove implements service.Backend: it drives one job to settlement —
-// pick the least-loaded worker, dispatch a lease, watch it, and
-// re-dispatch when the lease is lost — to eviction, the lease deadline, a
-// transient worker failure, or a dispatch RPC that never took.
-// MaxAttempts bounds the loop; running out settles the job as failed so
-// clients are not strung along forever. If ctx ends first the job is
-// dropped: whatever its leases send back later finds no job.
-func (p *pool) Prove(ctx context.Context, key, circuitID string, timeout time.Duration) ([]byte, int, error) {
-	id := key
-	if id == "" {
-		id = fmt.Sprintf("%s-%d", p.anonBase, p.anonSeq.Add(1))
-	}
-	j := newJob(id, circuitID, int(timeout/time.Millisecond))
-	p.jobs.put(j)
+// Prove implements service.Backend: it drives one job to settlement and
+// counts the outcome before the front-end sees it — a client that holds
+// the proof must find it counted.
+func (p *pool) Prove(ctx context.Context, _, circuitID string, timeout time.Duration) ([]byte, int, error) {
 	p.metrics.JobsAcceptedTotal.Add(1)
-	var excludeID string
-	for !j.isSettled() {
-		if ctx.Err() != nil {
-			p.jobs.remove(j)
-			return nil, 0, ctx.Err()
-		}
-		if n := j.dispatches(); n >= p.cfg.MaxAttempts {
-			j.settle(noFence, nil, fmt.Sprintf("job %s: no success after %d dispatch attempts", j.id, n))
-			break
-		}
-		m := p.members.pick(map[string]bool{excludeID: true})
-		if m == nil {
-			// Empty pool, only the excluded worker, or every member already
-			// at capacity: wait for joins or completions rather than burning
-			// attempts. Recovery jobs ride this path until the first worker
-			// registers; backlogs ride it until a lease frees up.
-			excludeID = ""
-			select {
-			case <-ctx.Done():
-			case <-j.done:
-			case <-time.After(50 * time.Millisecond):
-			}
-			continue
-		}
-		epoch, deadline := j.lease(p.leaseDuration(j.timeoutMS))
-		if epoch > 0 {
-			p.metrics.JobsRedispatchedTotal.Add(1)
-		}
-		if err := p.dispatch(m, j, epoch); err != nil {
-			m.release()
-			p.metrics.DispatchErrorsTotal.Add(1)
-			// The lease never (observably) started; fence it so a worker
-			// that did receive the request past our timeout cannot settle
-			// a lease we have given up on.
-			j.loseLease(epoch)
-			excludeID = m.id
-			continue
-		}
-		p.metrics.JobsDispatchedTotal.Add(1)
-		p.watchLease(ctx, j, m, epoch, deadline)
-		excludeID = m.id
-	}
-	// Count the outcome here, before the front-end sees it: a client that
-	// holds the proof must find it counted.
-	proof, errMsg, linger := j.take()
-	time.AfterFunc(linger, func() { p.jobs.remove(j) })
-	if errMsg != "" {
+	proof, err := p.lease(ctx, circuitID, timeout)
+	switch {
+	case err == nil:
+		p.metrics.JobsCompletedTotal.Add(1)
+		return proof, 0, nil
+	case ctx.Err() == nil:
 		p.metrics.JobsFailedTotal.Add(1)
-		return nil, 0, errors.New(errMsg)
 	}
-	p.metrics.JobsCompletedTotal.Add(1)
-	return proof, 0, nil
+	return nil, 0, err
 }
 
-// watchLease waits out one lease: it returns when the job settles, ctx
-// ends, or the lease is lost and the caller should re-dispatch.
-func (p *pool) watchLease(ctx context.Context, j *job, m *member, epoch uint64, deadline time.Time) {
-	var hedgeAt time.Time
-	if p.cfg.HedgeDelay > 0 {
-		hedgeAt = time.Now().Add(p.cfg.HedgeDelay)
+// answer is how one dispatch attempt ended.
+type answer struct {
+	m     *member
+	proof []byte
+	err   error
+	// final marks err as the worker's verdict on the job, not on the
+	// lease: no other worker is tried.
+	final bool
+}
+
+// lease runs the job's dispatch attempts: pick the least-loaded worker,
+// lease it the job, and re-dispatch to another worker when the lease was
+// transient — revoked, refused with 429/503, or lost in transport. The
+// first successful answer settles the job; any other error status fails
+// it. With hedging on, a job still unanswered after HedgeDelay gets a
+// second, concurrent lease on a different worker. MaxAttempts bounds the
+// dispatches, hedges included. When lease returns, every attempt still
+// running has been cancelled and has returned its slot.
+func (p *pool) lease(ctx context.Context, circuitID string, timeout time.Duration) ([]byte, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	answers := make(chan answer)
+	running, settled := 0, false
+	defer func() {
+		cancel()
+		for ; running > 0; running-- {
+			if a := <-answers; a.err == nil && settled {
+				p.metrics.ResultsDuplicateTotal.Add(1)
+			}
+		}
+	}()
+	start := func(m *member) {
+		running++
+		//zkvet:ignore norawgo one goroutine per dispatch attempt, at most MaxAttempts per job; lease cancels and joins them before it returns
+		go func() { answers <- p.dispatch(ctx, m, circuitID, timeout) }()
 	}
-	hedged := false
+	var (
+		attempts int
+		primary  *member // the worker of the latest lease; the hedge avoids it
+		exclude  string  // the worker whose lease just failed
+		hedge    <-chan time.Time
+	)
 	for {
+		if running == 0 {
+			if attempts >= p.cfg.MaxAttempts {
+				return nil, fmt.Errorf("no success after %d dispatch attempts", attempts)
+			}
+			if primary = p.members.pick(map[string]bool{exclude: true}); primary == nil {
+				// Empty pool, only the excluded worker, or every member
+				// already at capacity: wait for joins or free slots rather
+				// than burning attempts. Recovery jobs ride this path until
+				// the first worker registers; backlogs ride it until a
+				// lease frees up.
+				exclude = ""
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-time.After(50 * time.Millisecond):
+				}
+				continue
+			}
+			if attempts > 0 {
+				p.metrics.JobsRedispatchedTotal.Add(1)
+			}
+			attempts++
+			p.metrics.JobsDispatchedTotal.Add(1)
+			start(primary)
+			if p.cfg.HedgeDelay > 0 {
+				hedge = time.After(p.cfg.HedgeDelay)
+			}
+		}
 		select {
-		case <-j.done:
-			return
 		case <-ctx.Done():
-			return
-		case <-time.After(25 * time.Millisecond):
-		}
-		if j.leaseLost(epoch) {
-			// A transient completion (or a racing watcher) already fenced
-			// this lease.
-			return
-		}
-		if m.gone.Load() || time.Now().After(deadline) {
-			j.loseLease(epoch)
-			return
-		}
-		if !hedged && !hedgeAt.IsZero() && time.Now().After(hedgeAt) {
-			hedged = true
-			if m2 := p.members.pick(map[string]bool{m.id: true}); m2 != nil {
-				e2, _ := j.lease(p.leaseDuration(j.timeoutMS))
-				// Deliberately no loseLease on failure: fencing is a lower
-				// bound, and invalidating e2 would invalidate the primary
-				// lease under it. An undelivered hedge epoch simply never
-				// completes.
-				if err := p.dispatch(m2, j, e2); err != nil {
-					m2.release()
-					p.metrics.DispatchErrorsTotal.Add(1)
-				} else {
+			return nil, ctx.Err()
+		case <-hedge:
+			hedge = nil
+			if attempts < p.cfg.MaxAttempts {
+				if m := p.members.pick(map[string]bool{primary.id: true}); m != nil {
+					attempts++
 					p.metrics.JobsDispatchedTotal.Add(1)
 					p.metrics.JobsHedgedTotal.Add(1)
+					start(m)
 				}
 			}
+		case a := <-answers:
+			running--
+			switch {
+			case a.err == nil:
+				settled = true
+				return a.proof, nil
+			case ctx.Err() != nil:
+				return nil, ctx.Err()
+			case a.final:
+				return nil, a.err
+			}
+			exclude = a.m.id
 		}
 	}
 }
 
-// dispatch posts one lease to a worker whose slot pick already reserved;
-// on error the caller releases it.
-func (p *pool) dispatch(m *member, j *job, epoch uint64) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+// dispatch is one lease: a POST /cluster/dispatch to m, on the slot pick
+// reserved, that the worker answers with the proof. The request ends at
+// the lease deadline and when m is evicted or leaves (m.ctx); either way
+// the lease is revoked, the worker sees its request context end, and
+// nothing it sends later can reach the job.
+func (p *pool) dispatch(ctx context.Context, m *member, circuitID string, timeout time.Duration) answer {
+	defer m.release()
+	lctx, cancel := context.WithTimeout(ctx, p.leaseDuration(timeout))
 	defer cancel()
-	return retry.PostJSON(ctx, nil, m.addr+"/cluster/dispatch", DispatchRequest{
-		JobID:     j.id,
-		CircuitID: j.circuitID,
-		Epoch:     epoch,
-		TimeoutMS: j.timeoutMS,
-	}, nil, retry.Policy{})
+	defer context.AfterFunc(m.ctx, cancel)()
+	var resp DispatchResponse
+	err := retry.PostJSON(lctx, nil, m.addr+"/cluster/dispatch", DispatchRequest{
+		CircuitID: circuitID,
+		TimeoutMS: int(timeout / time.Millisecond),
+	}, &resp, retry.Policy{MaxAttempts: 1})
+	var se *retry.StatusError
+	switch {
+	case err == nil:
+		return answer{m: m, proof: resp.Proof}
+	case ctx.Err() != nil:
+		// The job settled on another lease, or its client left.
+	case lctx.Err() != nil:
+		p.metrics.LeasesRevokedTotal.Add(1)
+		err = fmt.Errorf("lease on worker %s revoked: %w", m.id, err)
+	case errors.As(err, &se) && se.StatusCode != http.StatusTooManyRequests && se.StatusCode != http.StatusServiceUnavailable:
+		return answer{m: m, err: err, final: true}
+	default:
+		p.metrics.DispatchErrorsTotal.Add(1)
+	}
+	return answer{m: m, err: err}
 }
 
 // RetryAfter implements service.Backend: one heartbeat interval — the
@@ -333,9 +341,9 @@ func (p *pool) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !service.Decode(w, r, &req) {
 		return
 	}
-	if !p.members.heartbeat(req.WorkerID, time.Now()) {
-		// Evicted (or never joined): the worker must rejoin for a fresh
-		// identity — its old leases stay fenced.
+	if !p.members.heartbeat(req.WorkerID, req.Addr, time.Now()) {
+		// Evicted, never joined, or the ID is another address's since a
+		// coordinator restart: the worker must rejoin for a fresh identity.
 		service.Fail(w, http.StatusNotFound, "unknown worker %q — rejoin", req.WorkerID)
 		return
 	}
@@ -347,53 +355,8 @@ func (p *pool) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if !service.Decode(w, r, &req) {
 		return
 	}
-	if p.members.remove(req.WorkerID) != nil {
+	if p.members.remove(req.WorkerID, req.Addr) != nil {
 		p.metrics.WorkerLeavesTotal.Add(1)
-	}
-	service.OK(w, struct{}{})
-}
-
-func (p *pool) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !service.Decode(w, r, &req) {
-		return
-	}
-	if m, ok := p.members.get(req.WorkerID); ok {
-		m.release()
-	}
-	j, ok := p.jobs.get(req.JobID)
-	if !ok {
-		// A completion for a job this incarnation never dispatched (the
-		// previous process's anon job, or long-settled state). 2xx stops
-		// the worker's retry loop; there is nothing to apply it to.
-		service.OK(w, struct{}{})
-		return
-	}
-	if req.Error != "" && req.Transient {
-		// The worker could not run the lease (queue full, injected
-		// transient fault, fetch failure): fence it so the watcher
-		// re-dispatches immediately instead of waiting out the deadline.
-		if j.loseLease(req.Epoch) {
-			p.metrics.ResultsFencedTotal.Add(1)
-		}
-		service.OK(w, struct{}{})
-		return
-	}
-	var proof []byte
-	if req.Error == "" {
-		var err error
-		if proof, err = base64.StdEncoding.DecodeString(req.Proof); err != nil {
-			service.Fail(w, http.StatusBadRequest, "complete: proof is not base64: %v", err)
-			return
-		}
-	}
-	// A settled outcome is counted by Prove, which hands it to the
-	// front-end.
-	switch j.settle(req.Epoch, proof, req.Error) {
-	case outcomeFenced:
-		p.metrics.ResultsFencedTotal.Add(1)
-	case outcomeDuplicate:
-		p.metrics.ResultsDuplicateTotal.Add(1)
 	}
 	service.OK(w, struct{}{})
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,10 @@ type member struct {
 	// load counts this coordinator's outstanding dispatches to the
 	// worker, reserved slots included: pick raises it, release lowers it.
 	load atomic.Int64
-	// gone flips when the member is evicted or leaves; lease-watch loops
-	// poll it to re-dispatch without waiting out the lease deadline.
-	gone atomic.Bool
+	// ctx ends when the member is evicted or leaves, and with it every
+	// lease on the worker (context.AfterFunc in pool.dispatch).
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 func (m *member) beat(now time.Time) { m.lastBeat.Store(now.UnixNano()) }
@@ -38,10 +40,9 @@ func (m *member) capacity() int64 {
 	return int64(m.slots)
 }
 
-// release gives back one slot taken by pick: the dispatch failed, or the
-// worker pushed a completion. Floored at zero: a worker re-pushing a
-// completion whose response it lost would otherwise decrement twice and
-// over-admit the worker past its capacity.
+// release gives back one slot taken by pick, once per dispatch attempt,
+// when its request returns. Floored at zero, so a stray second release
+// cannot over-admit the worker past its capacity.
 func (m *member) release() {
 	for {
 		cur := m.load.Load()
@@ -58,7 +59,8 @@ func (m *member) beatAge(now time.Time) time.Duration {
 // memberTable is the coordinator's worker registry. IDs are handed out
 // by the coordinator (w1, w2, ...) so a rejoining worker is a new
 // member — the evicted incarnation never comes back, its leases stay
-// fenced.
+// revoked. The numbering restarts with each coordinator process, so a
+// member is named by its ID and the address it joined from together.
 type memberTable struct {
 	mu      sync.Mutex
 	members map[string]*member
@@ -74,43 +76,44 @@ func (t *memberTable) join(addr string, slots int, now time.Time) *member {
 	defer t.mu.Unlock()
 	t.seq++
 	m := &member{id: fmt.Sprintf("w%d", t.seq), seq: t.seq, addr: addr, slots: slots}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.beat(now)
 	t.members[m.id] = m
 	return m
 }
 
-// heartbeat refreshes a member's liveness; false means the ID is unknown
-// (evicted or never joined) and the worker must rejoin.
-func (t *memberTable) heartbeat(id string, now time.Time) bool {
-	t.mu.Lock()
-	m, ok := t.members[id]
-	t.mu.Unlock()
-	if !ok {
-		return false
-	}
-	m.beat(now)
-	return true
-}
-
-// remove drops a member (graceful leave or eviction); the returned
-// member is nil when the ID was already gone.
-func (t *memberTable) remove(id string) *member {
+// get returns the member that id names, if it joined from addr; an ID
+// that another address holds is as unknown as one never handed out.
+func (t *memberTable) get(id, addr string) (*member, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m, ok := t.members[id]
-	if !ok {
+	return m, ok && m.addr == addr
+}
+
+// heartbeat refreshes a member's liveness; false means the member is
+// unknown (evicted, never joined, or its ID now held by another address)
+// and the worker must rejoin.
+func (t *memberTable) heartbeat(id, addr string, now time.Time) bool {
+	m, ok := t.get(id, addr)
+	if ok {
+		m.beat(now)
+	}
+	return ok
+}
+
+// remove drops a member on a graceful leave and revokes its leases; the
+// returned member is nil when it was already gone.
+func (t *memberTable) remove(id, addr string) *member {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m, ok := t.members[id]
+	if !ok || m.addr != addr {
 		return nil
 	}
 	delete(t.members, id)
-	m.gone.Store(true)
+	m.cancel()
 	return m
-}
-
-func (t *memberTable) get(id string) (*member, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m, ok := t.members[id]
-	return m, ok
 }
 
 // snapshot returns the current members (live by definition — stale ones
@@ -141,9 +144,8 @@ func (t *memberTable) size() int {
 // The slot is reserved here, under the table lock, not after the dispatch
 // RPC returns: jobs accepted together would otherwise all read the same
 // idle member as least loaded and pile onto it while the rest of the pool
-// idles. The caller owns the reservation and must release() it if the
-// dispatch does not go out; a delivered lease is released by the worker's
-// completion push.
+// idles. The dispatch attempt that takes the slot releases it when its
+// request returns.
 func (t *memberTable) pick(exclude map[string]bool) *member {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -165,8 +167,8 @@ func (t *memberTable) pick(exclude map[string]bool) *member {
 }
 
 // evictStale removes every member whose last beat is older than
-// evictAfter and returns them, so the caller can count evictions and
-// fence their leases.
+// evictAfter, revokes their leases, and returns them so the caller can
+// count evictions.
 func (t *memberTable) evictStale(now time.Time, evictAfter time.Duration) []*member {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -174,7 +176,7 @@ func (t *memberTable) evictStale(now time.Time, evictAfter time.Duration) []*mem
 	for id, m := range t.members {
 		if m.beatAge(now) > evictAfter {
 			delete(t.members, id)
-			m.gone.Store(true)
+			m.cancel()
 			evicted = append(evicted, m)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -53,7 +54,13 @@ func TestConcurrentAcceptsSpreadAcrossIdleWorkers(t *testing.T) {
 	}
 	close(start)
 
-	waitFor(t, "all dispatches", func() bool { return c.Metrics().JobsDispatchedTotal.Load() >= n })
+	waitFor(t, "all dispatches", func() bool {
+		got := 0
+		for _, b := range workers {
+			got += len(b.dispatches)
+		}
+		return got >= n
+	})
 	for _, b := range workers {
 		if got := len(b.dispatches); got != 1 {
 			t.Errorf("worker %s holds %d leases, want exactly 1 of the %d concurrent jobs", b.id, got, n)
@@ -120,11 +127,59 @@ func TestWorkerJoinsWithItsSlotCount(t *testing.T) {
 		wts.Close()
 		svc.Close()
 	})
-	m, ok := c.pool.members.get(w.ID())
+	m, ok := c.pool.members.get(w.ID(), w.AdvertiseURL())
 	if !ok {
 		t.Fatalf("worker %q is not in the member table", w.ID())
 	}
 	if got := m.capacity(); got != 1 {
 		t.Fatalf("capacity of a Workers: 4, MaxInflight: 1 worker = %d, want 1", got)
+	}
+}
+
+// TestReusedWorkerIDMakesTheOldHolderRejoin: worker IDs restart at w1
+// with every coordinator process. After a restart on the same address a
+// newcomer can join first and take w1; the worker that held w1 before
+// must then have its beats refused and rejoin under a fresh ID, instead
+// of keeping the newcomer's entry alive while it stays out of the pool.
+func TestReusedWorkerIDMakesTheOldHolderRejoin(t *testing.T) {
+	cfg := Config{SRS: testSRS, HeartbeatInterval: 50 * time.Millisecond, EvictAfter: 10 * time.Second}
+	serve := func(addr string) (*Coordinator, *httptest.Server) {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(c.Handler())
+		ts.Listener.Close()
+		ts.Listener = l
+		ts.Start()
+		return c, ts
+	}
+	c1, ts1 := serve("127.0.0.1:0")
+	a, _ := newWorker(t, ts1.URL)
+	if a.ID() != "w1" {
+		t.Fatalf("first joiner is %q, want w1", a.ID())
+	}
+	c1.Close()
+	ts1.Close()
+
+	c2, ts2 := serve(ts1.Listener.Addr().String())
+	t.Cleanup(func() {
+		c2.Close()
+		ts2.Close()
+	})
+	resp, raw := postJSON(t, ts2.URL+"/cluster/join", JoinRequest{Addr: "http://127.0.0.1:1", Slots: 1})
+	var jr JoinResponse
+	if err := json.Unmarshal(raw, &jr); err != nil || resp.StatusCode != http.StatusOK || jr.WorkerID != "w1" {
+		t.Fatalf("newcomer join = %d %s, want 200 and w1", resp.StatusCode, raw)
+	}
+	waitFor(t, "the old w1 to rejoin", func() bool { return c2.WorkersLive() == 2 && a.ID() != "w1" })
+	for _, m := range c2.pool.members.snapshot() {
+		if (m.id == "w1") != (m.addr == "http://127.0.0.1:1") {
+			t.Fatalf("member %s is at %s; w1 must stay the newcomer's", m.id, m.addr)
+		}
 	}
 }

@@ -17,14 +17,14 @@ type Metrics struct {
 	WorkerLeavesTotal     atomic.Int64
 	WorkerEvictionsTotal  atomic.Int64
 	JobsAcceptedTotal     atomic.Int64
-	JobsDispatchedTotal   atomic.Int64 // every dispatch RPC that got a 2xx
+	JobsDispatchedTotal   atomic.Int64 // every dispatch RPC issued
 	JobsRedispatchedTotal atomic.Int64 // dispatches after a lost lease
 	JobsHedgedTotal       atomic.Int64 // extra leases issued by hedging
 	JobsCompletedTotal    atomic.Int64
 	JobsFailedTotal       atomic.Int64
-	ResultsFencedTotal    atomic.Int64 // completions rejected by the fence
-	ResultsDuplicateTotal atomic.Int64 // completions after settle
-	DispatchErrorsTotal   atomic.Int64 // dispatch RPCs that never took
+	LeasesRevokedTotal    atomic.Int64 // leases revoked before they answered
+	ResultsDuplicateTotal atomic.Int64 // answers after another lease settled the job
+	DispatchErrorsTotal   atomic.Int64 // transport errors and 429/503 refusals
 	ReplaysTotal          atomic.Int64 // keyed retries served from journal
 }
 
@@ -49,8 +49,8 @@ func (p *pool) Scrape() ([]service.Counter, []service.Series) {
 			{Name: "zkphired_jobs_hedged_total", Help: "Hedge leases issued for slow jobs.", V: &m.JobsHedgedTotal},
 			{Name: "zkphired_jobs_completed_total", Help: "Jobs settled with a proof.", V: &m.JobsCompletedTotal},
 			{Name: "zkphired_jobs_failed_total", Help: "Jobs settled with a permanent error.", V: &m.JobsFailedTotal},
-			{Name: "zkphired_results_fenced_total", Help: "Late completions rejected by lease-epoch fencing.", V: &m.ResultsFencedTotal},
-			{Name: "zkphired_results_duplicate_total", Help: "Completions discarded because the job had settled.", V: &m.ResultsDuplicateTotal},
+			{Name: "zkphired_results_fenced_total", Help: "Leases revoked by eviction or deadline before they answered.", V: &m.LeasesRevokedTotal},
+			{Name: "zkphired_results_duplicate_total", Help: "Answers that arrived after another lease settled the job.", V: &m.ResultsDuplicateTotal},
 			{Name: "zkphired_dispatch_errors_total", Help: "Dispatch RPCs that failed outright.", V: &m.DispatchErrorsTotal},
 			{Name: "zkphired_job_replays_total", Help: "Keyed retries answered from the journal.", V: &m.ReplaysTotal},
 		}, []service.Series{

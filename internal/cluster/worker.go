@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"net/http"
@@ -23,14 +22,13 @@ type WorkerConfig struct {
 	CoordinatorURL string
 }
 
-// workerRetry shapes the join/completion RPC retries. Completions lean on
-// it hard: a coordinator mid-restart must not turn a finished proof into
-// a lost one, so it is 10 attempts backing off to 1 s.
+// workerRetry shapes the join and circuit-fetch retries: 10 attempts
+// backing off to 1 s, enough to ride out a coordinator mid-restart.
 var workerRetry = retry.Policy{MaxAttempts: 10, BaseDelay: 20 * time.Millisecond, MaxDelay: time.Second}
 
 // Worker is the agent that turns a single-node service into a pool
-// member: it joins the coordinator, heartbeats, accepts dispatches,
-// replicates circuits by content hash, and pushes completions back.
+// member: it joins the coordinator, heartbeats, answers dispatches with
+// proofs, and replicates circuits by content hash.
 // Construct with NewWorker, mount Handler, Start, Close.
 type Worker struct {
 	cfg WorkerConfig
@@ -106,7 +104,7 @@ func (w *Worker) Close() {
 		if id := w.ID(); id != "" {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			retry.PostJSON(ctx, nil, w.cfg.CoordinatorURL+"/cluster/leave",
-				LeaveRequest{WorkerID: id}, nil, retry.Policy{MaxAttempts: 1})
+				LeaveRequest{WorkerID: id, Addr: w.AdvertiseURL()}, nil, retry.Policy{MaxAttempts: 1})
 			cancel()
 		}
 		w.wg.Wait()
@@ -130,9 +128,9 @@ func (w *Worker) join(ctx context.Context) error {
 }
 
 // heartbeatLoop beats until Close. A 404 means this worker was evicted
-// (a partition outlived EvictAfter, say) — the loop rejoins for a fresh
-// identity, which heals the pool without restarting the process; the old
-// identity's leases stay fenced on the coordinator.
+// (a partition outlived EvictAfter, say) or the coordinator restarted —
+// the loop rejoins for a fresh identity, which heals the pool without
+// restarting the process.
 func (w *Worker) heartbeatLoop() {
 	defer w.wg.Done()
 	for {
@@ -148,6 +146,7 @@ func (w *Worker) heartbeatLoop() {
 		}
 		err := retry.PostJSON(context.Background(), nil, w.cfg.CoordinatorURL+"/cluster/heartbeat", HeartbeatRequest{
 			WorkerID: w.ID(),
+			Addr:     w.AdvertiseURL(),
 		}, nil, retry.Policy{MaxAttempts: 1})
 		var se *retry.StatusError
 		if errors.As(err, &se) && se.StatusCode == http.StatusNotFound {
@@ -161,9 +160,11 @@ func (w *Worker) heartbeatLoop() {
 	}
 }
 
-// handleDispatch accepts a lease: 202 immediately, proof in the
-// background, result pushed to /cluster/complete. The coordinator's
-// lease deadline — not this handler — bounds how long it will wait.
+// handleDispatch is one lease: it proves the job and answers with the
+// proof. The request's context is the lease — the coordinator cancels it
+// at the lease deadline, on eviction, or when a hedge wins elsewhere —
+// and the prove stops with it. 429 and 503 send the job to another
+// worker; any other error status fails it.
 func (w *Worker) handleDispatch(rw http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Hit(PointDispatch); err != nil {
 		// Injected partition: refuse the lease as a network failure would.
@@ -174,60 +175,31 @@ func (w *Worker) handleDispatch(rw http.ResponseWriter, r *http.Request) {
 	if !service.Decode(rw, r, &req) {
 		return
 	}
-	if req.JobID == "" || req.CircuitID == "" {
-		service.Fail(rw, http.StatusBadRequest, "dispatch: job_id and circuit_id are required")
+	if req.CircuitID == "" {
+		service.Fail(rw, http.StatusBadRequest, "dispatch: circuit_id is required")
 		return
 	}
-	w.wg.Add(1)
-	//zkvet:ignore norawgo per-lease prove goroutine; joined via wg.Wait in Close, bounded by the dispatch timeout
-	go w.runLease(req)
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(http.StatusAccepted)
-	rw.Write([]byte("{}\n"))
-}
-
-// runLease proves one dispatched job and pushes the completion.
-func (w *Worker) runLease(req DispatchRequest) {
-	defer w.wg.Done()
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
-	// The flow (fetch + queue wait + prove + completion push) gets the
-	// prove timeout plus slack; past that the coordinator has fenced the
-	// lease anyway.
-	ctx, cancel := context.WithTimeout(context.Background(), timeout+30*time.Second)
-	defer cancel()
-
-	comp := CompleteRequest{JobID: req.JobID, WorkerID: w.ID(), Epoch: req.Epoch}
-	data, err := w.prove(ctx, req, timeout)
-	if err != nil {
-		comp.Error = err.Error()
-		comp.Transient = retry.IsTransient(err) ||
-			errors.Is(err, service.ErrQueueFull) ||
-			errors.Is(err, context.DeadlineExceeded)
-	} else {
-		comp.Proof = base64.StdEncoding.EncodeToString(data)
-	}
-	// Push hard: losing a finished proof to a coordinator restart wastes
-	// the whole prove. If every attempt fails the coordinator's lease
-	// deadline re-dispatches the job — nothing is lost, only re-proved.
-	retry.PostJSON(ctx, nil, w.cfg.CoordinatorURL+"/cluster/complete", comp, nil, workerRetry)
-}
-
-// prove ensures the circuit is registered locally (fetching the spec
-// from the coordinator by content hash if not) and proves it.
-func (w *Worker) prove(ctx context.Context, req DispatchRequest, timeout time.Duration) ([]byte, error) {
 	if !w.svc.HasCircuit(req.CircuitID) {
-		if err := w.fetchCircuit(ctx, req.CircuitID); err != nil {
-			// Replication failures are always worth another worker: mark
-			// transient so the coordinator re-dispatches instead of
-			// failing the job.
-			return nil, retry.Transient(fmt.Errorf("replicate circuit %s: %w", req.CircuitID, err))
+		if err := w.fetchCircuit(r.Context(), req.CircuitID); err != nil {
+			// Replication failures are always worth another worker.
+			service.Fail(rw, http.StatusServiceUnavailable, "replicate circuit %s: %v", req.CircuitID, err)
+			return
 		}
 	}
-	data, _, err := w.svc.ProveHex(ctx, req.CircuitID, timeout)
-	return data, err
+	proof, _, err := w.svc.ProveHex(r.Context(), req.CircuitID, time.Duration(req.TimeoutMS)*time.Millisecond)
+	var se *service.Error
+	switch {
+	case err == nil:
+		service.OK(rw, DispatchResponse{Proof: proof})
+	case errors.Is(err, service.ErrQueueFull):
+		service.Fail(rw, http.StatusTooManyRequests, "prove: %v", err)
+	case retry.IsTransient(err), errors.Is(err, context.DeadlineExceeded):
+		service.Fail(rw, http.StatusServiceUnavailable, "prove: %v", err)
+	case errors.As(err, &se):
+		service.Fail(rw, se.Status, "prove: %v", err)
+	default:
+		service.Fail(rw, http.StatusInternalServerError, "prove: %v", err)
+	}
 }
 
 // fetchCircuit replicates a spec from the coordinator's content-hash

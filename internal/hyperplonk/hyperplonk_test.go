@@ -3,6 +3,7 @@ package hyperplonk
 import (
 	"context"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"zkphire/internal/ff"
@@ -280,6 +281,25 @@ func TestProofByteBudget(t *testing.T) {
 			t.Logf("%d B = %d magic + %d varint + %d points × 48 + %d scalars × 32",
 				len(data), len(proofMagic), varints, points, scalars)
 		})
+	}
+}
+
+// TestVerifyRejectsUndersizedSRS: a proof checked against an SRS too
+// small for its circuit is rejected with the sizes named, not a panic.
+func TestVerifyRejectsUndersizedSRS(t *testing.T) {
+	srs := pcs.SetupDeterministic(6, 1)
+	c := buildVanillaCircuit(t, 3, 5)
+	idx, err := Preprocess(srs, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := Prove(context.Background(), srs, idx, c, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Verify(pcs.SetupDeterministic(4, 1), idx, proof)
+	if err == nil || !strings.Contains(err.Error(), "SRS supports 4 vars") {
+		t.Fatalf("verify against a 4-variable SRS = %v, want an error naming its size", err)
 	}
 }
 

@@ -14,6 +14,9 @@ import (
 // evaluation claims are anchored to commitments via the two OpenChecks; the
 // only trust beyond the transcript is the PCS SRS.
 func Verify(srs *pcs.SRS, idx *Index, proof *Proof) error {
+	if idx.NumVars+1 > srs.MaxVars {
+		return fmt.Errorf("hyperplonk: SRS supports %d vars, circuit needs %d (+1 for the product tree)", srs.MaxVars, idx.NumVars)
+	}
 	if len(proof.WireComms) != idx.Wires {
 		return fmt.Errorf("hyperplonk: %d wire commitments, want %d", len(proof.WireComms), idx.Wires)
 	}

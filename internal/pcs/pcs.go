@@ -271,6 +271,9 @@ func (s *SRS) Verify(c Commitment, z []ff.Element, y ff.Element, proof *OpeningP
 	if len(z) != k || len(proof.Qs) != k {
 		return fmt.Errorf("pcs: arity mismatch in verification")
 	}
+	if k > s.MaxVars {
+		return fmt.Errorf("pcs: commitment has %d vars, SRS supports %d", k, s.MaxVars)
+	}
 	suffix := s.tauSuffix(k)
 
 	var lhs curve.G1Jac

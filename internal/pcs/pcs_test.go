@@ -240,3 +240,22 @@ func BenchmarkOpen2_8(b *testing.B) {
 		}
 	}
 }
+
+// TestVerifyRejectsOversizedCommitment: an opening of more variables than
+// the SRS has is an error, not a slice-bounds panic in the τ suffix.
+func TestVerifyRejectsOversizedCommitment(t *testing.T) {
+	rng := ff.NewRand(9)
+	tab := mle.FromEvals(rng.Elements(1 << 6))
+	c, err := testSRS.Commit(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := rng.Elements(6)
+	y, proof, err := testSRS.Open(tab, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetupDeterministic(4, 12345).Verify(c, z, y, proof); err == nil {
+		t.Fatal("a 4-variable SRS verified a 6-variable opening")
+	}
+}

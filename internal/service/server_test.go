@@ -268,6 +268,35 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestVerifyInlineKeyForLargerSRS: a proof and inline verifying key made
+// over a larger SRS than the server's is a well-formed proof that fails
+// verification — 200, valid:false, the sizes named — not a dropped
+// connection.
+func TestVerifyInlineKeyForLargerSRS(t *testing.T) {
+	_, big := newTestServer(t, Config{Workers: 2})
+	_, small := newTestServer(t, Config{SRS: zkphire.SetupDeterministic(4, 42), Workers: 2})
+	spec := cubicSpec(5)
+	spec.LogGates = 5
+	resp, raw := postJSON(t, big.URL+"/circuits", spec)
+	var reg RegisterResponse
+	if err := json.Unmarshal(raw, &reg); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, raw)
+	}
+	resp, raw = postJSON(t, big.URL+"/prove", ProveRequest{CircuitID: reg.CircuitID})
+	var pr ProveResponse
+	if err := json.Unmarshal(raw, &pr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("prove: %d %s", resp.StatusCode, raw)
+	}
+	resp, raw = postJSON(t, small.URL+"/verify", VerifyRequest{VerifyingKey: reg.VerifyingKey, Proof: pr.Proof})
+	var vr VerifyResponse
+	if err := json.Unmarshal(raw, &vr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || vr.Valid || !strings.Contains(vr.Reason, "SRS supports 4 vars") {
+		t.Fatalf("verify on a 4-variable SRS: status %d valid %v reason %q, want 200, invalid, the size named", resp.StatusCode, vr.Valid, vr.Reason)
+	}
+}
+
 func TestServerJellyfishCircuit(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// y = x⁵ with x = 2 → 32, in a single Jellyfish gate.

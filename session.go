@@ -3,7 +3,6 @@ package zkphire
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"zkphire/internal/gates"
@@ -247,12 +246,7 @@ func (p *Prover) BatchProve(ctx context.Context, n, workers int) ([]*Proof, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(parallel.Workers(workers), n)
 	innerWorkers := p.workers
 	if innerWorkers <= 0 {
 		innerWorkers = parallel.Split(0, workers)
@@ -262,40 +256,24 @@ func (p *Prover) BatchProve(ctx context.Context, n, workers int) ([]*Proof, erro
 	defer cancel()
 
 	proofs := make([]*Proof, n)
-	jobs := make(chan int)
 	var (
-		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//zkvet:ignore norawgo coarse ctx-aware job pool, bounded by the workers budget; each job leases its split share through parallel
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				proof, err := p.prove(ctx, innerWorkers)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("zkphire: batch proof %d: %w", i, err)
-						cancel()
-					})
-					return
-				}
-				proofs[i] = proof
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	parallel.Run(workers, n, func(i int) {
+		if ctx.Err() != nil {
+			return
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		proof, err := p.prove(ctx, innerWorkers)
+		if err != nil {
+			errOnce.Do(func() {
+				firstErr = fmt.Errorf("zkphire: batch proof %d: %w", i, err)
+				cancel()
+			})
+			return
+		}
+		proofs[i] = proof
+	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
