@@ -26,13 +26,21 @@
 // bits in settled records) is not silently dropped: Open fails with
 // ErrCorrupt rather than guess at job state.
 //
+// Every state change is one transition: check (a duplicate accept, a
+// complete or fail of an unknown key), then apply. Replay runs the pair on
+// each settled record and reports a failed check as ErrCorrupt; an append
+// checks, writes and fsyncs the frame, then applies — so a restart
+// rebuilds state by the same code that built it in the process.
+//
 // Compact rewrites the journal to just its live state (pending jobs, the
 // circuits they need, and finished entries still useful for idempotency)
-// through a temp file + atomic rename, so restarts bound the log instead
+// through the appends' framer, in a fixed order, into a temp file beside
+// the journal that is renamed over it, so restarts bound the log instead
 // of replaying unbounded history. See DESIGN.md §9.
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -53,8 +61,8 @@ const (
 	version = 1
 
 	// maxPayload bounds a single record (a proof is a few KB; a spec for a
-	// 2^20-op program is ~64 MB) so a corrupt length word cannot drive a
-	// giant allocation.
+	// 2^20-op program is ~64 MB), so a corrupt length word past it is
+	// reported as corruption instead of cut away as a torn tail.
 	maxPayload = 128 << 20
 )
 
@@ -112,27 +120,24 @@ func (s State) String() string {
 
 // Record is one job's journaled state.
 type Record struct {
-	Key       string `json:"key"`
-	CircuitID string `json:"circuit_id"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
-	State     State  `json:"-"`
-	Proof     []byte `json:"-"` // set when State == StateDone
-	Error     string `json:"-"` // set when State == StateFailed
+	Key       string
+	CircuitID string
+	TimeoutMS int
+	State     State
+	Proof     []byte // set when State == StateDone
+	Error     string // set when State == StateFailed
 }
 
-type circuitPayload struct {
-	CircuitID string          `json:"circuit_id"`
-	Spec      json.RawMessage `json:"spec"`
-}
-
-type completePayload struct {
-	Key   string `json:"key"`
-	Proof []byte `json:"proof"`
-}
-
-type failPayload struct {
-	Key   string `json:"key"`
-	Error string `json:"error"`
+// entry is every record kind's JSON payload; each kind sets only its own
+// fields (circuit: circuit_id, spec; accept: key, circuit_id, timeout_ms;
+// complete: key, proof; fail: key, error).
+type entry struct {
+	Key       string          `json:"key,omitempty"`
+	CircuitID string          `json:"circuit_id,omitempty"`
+	TimeoutMS int             `json:"timeout_ms,omitempty"`
+	Spec      json.RawMessage `json:"spec,omitempty"`
+	Proof     []byte          `json:"proof,omitempty"`
+	Error     string          `json:"error,omitempty"`
 }
 
 // Stats describes what Open found.
@@ -153,6 +158,7 @@ type Journal struct {
 	sync  bool
 	stats Stats
 
+	// Written only by apply (and by Compact dropping unneeded circuits).
 	circuits map[string]json.RawMessage // circuit_id -> spec
 	jobs     map[string]*Record         // idempotency key -> state
 	order    []string                   // accept order of pending+done+failed keys
@@ -199,151 +205,25 @@ func (j *Journal) Stats() Stats {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// replay loads existing records, validating header and CRCs, truncating a
-// torn tail, and rebuilding the in-memory state.
-func (j *Journal) replay() error {
-	info, err := j.f.Stat()
+// header is the file header every journal starts with.
+func header() []byte {
+	h := make([]byte, fileHeaderSize)
+	copy(h, fileMagic[:])
+	binary.LittleEndian.PutUint32(h[8:12], version)
+	return h
+}
+
+// frame encodes one record: its header, then e's JSON payload.
+func frame(kind uint32, e *entry) ([]byte, error) {
+	payload, err := json.Marshal(e)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return nil, err
 	}
-	if info.Size() == 0 {
-		var hdr [fileHeaderSize]byte
-		copy(hdr[:8], fileMagic[:])
-		binary.LittleEndian.PutUint32(hdr[8:12], version)
-		if _, err := j.f.Write(hdr[:]); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		return j.syncFile()
-	}
-	if info.Size() < fileHeaderSize {
-		// A torn header can only come from a crash during the very first
-		// create: nothing was journaled, start over.
-		return j.reset()
-	}
-	var hdr [fileHeaderSize]byte
-	if _, err := j.f.ReadAt(hdr[:], 0); err != nil {
-		return fmt.Errorf("journal: header: %w", err)
-	}
-	if [8]byte(hdr[:8]) != fileMagic {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != version {
-		return fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, version)
-	}
-
-	off := int64(fileHeaderSize)
-	size := info.Size()
-	var rh [recHeaderSize]byte
-	for off < size {
-		if size-off < recHeaderSize {
-			return j.truncate(off, size-off) // torn record header at the tail
-		}
-		if _, err := j.f.ReadAt(rh[:], off); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		payLen := int64(binary.LittleEndian.Uint32(rh[0:4]))
-		kind := binary.LittleEndian.Uint32(rh[4:8])
-		wantCRC := binary.LittleEndian.Uint64(rh[8:16])
-		if payLen > maxPayload {
-			return fmt.Errorf("%w: record at %d claims %d payload bytes", ErrCorrupt, off, payLen)
-		}
-		if size-off-recHeaderSize < payLen {
-			return j.truncate(off, size-off) // torn payload at the tail
-		}
-		payload := make([]byte, payLen)
-		if _, err := j.f.ReadAt(payload, off+recHeaderSize); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		if recordCRC(kind, payload) != wantCRC {
-			if off+recHeaderSize+payLen == size {
-				return j.truncate(off, size-off) // torn tail: half-written frame
-			}
-			return fmt.Errorf("%w: checksum mismatch at offset %d (not the tail)", ErrCorrupt, off)
-		}
-		if err := j.apply(kind, payload); err != nil {
-			return err
-		}
-		j.stats.Records++
-		off += recHeaderSize + payLen
-	}
-	return nil
-}
-
-// reset restarts an unreadably-young journal file (torn during creation).
-func (j *Journal) reset() error {
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	var hdr [fileHeaderSize]byte
-	copy(hdr[:8], fileMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], version)
-	if _, err := j.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return j.syncFile()
-}
-
-// truncate cuts a torn tail and records how much was dropped.
-func (j *Journal) truncate(off, torn int64) error {
-	if err := j.f.Truncate(off); err != nil {
-		return fmt.Errorf("journal: truncating torn tail: %w", err)
-	}
-	j.stats.TruncatedBytes = torn
-	return j.syncFile()
-}
-
-// apply folds one settled record into the in-memory state. Replay
-// tolerates benign duplicates (a circuit journaled twice) but treats
-// impossible sequences as corruption.
-func (j *Journal) apply(kind uint32, payload []byte) error {
-	switch kind {
-	case kindCircuit:
-		var p circuitPayload
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return fmt.Errorf("%w: circuit record: %v", ErrCorrupt, err)
-		}
-		j.circuits[p.CircuitID] = p.Spec
-	case kindAccept:
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return fmt.Errorf("%w: accept record: %v", ErrCorrupt, err)
-		}
-		r.State = StatePending
-		if old, ok := j.jobs[r.Key]; ok && old.State != StateFailed {
-			return fmt.Errorf("%w: duplicate accept for key %q", ErrCorrupt, r.Key)
-		} else if !ok {
-			j.order = append(j.order, r.Key)
-		}
-		j.jobs[r.Key] = &r
-	case kindComplete:
-		var p completePayload
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return fmt.Errorf("%w: complete record: %v", ErrCorrupt, err)
-		}
-		r, ok := j.jobs[p.Key]
-		if !ok {
-			return fmt.Errorf("%w: complete for unknown key %q", ErrCorrupt, p.Key)
-		}
-		r.State = StateDone
-		r.Proof = p.Proof
-	case kindFail:
-		var p failPayload
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return fmt.Errorf("%w: fail record: %v", ErrCorrupt, err)
-		}
-		r, ok := j.jobs[p.Key]
-		if !ok {
-			return fmt.Errorf("%w: fail for unknown key %q", ErrCorrupt, p.Key)
-		}
-		r.State = StateFailed
-		r.Error = p.Error
-	default:
-		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
-	}
-	return nil
+	rec := make([]byte, recHeaderSize, recHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], kind)
+	binary.LittleEndian.PutUint64(rec[8:16], recordCRC(kind, payload))
+	return append(rec, payload...), nil
 }
 
 func recordCRC(kind uint32, payload []byte) uint64 {
@@ -353,44 +233,154 @@ func recordCRC(kind uint32, payload []byte) uint64 {
 	return crc64.Update(crc, crcTable, payload)
 }
 
-// append frames, writes, and fsyncs one record. Caller holds j.mu. The
-// frame is written in two parts with a fault point between them so the
-// chaos harness can produce genuinely torn tails.
-func (j *Journal) append(kind uint32, payload []byte) error {
+// replay loads existing records, validating header and CRCs, truncating a
+// torn tail, and rebuilding the in-memory state through check and apply.
+func (j *Journal) replay() error {
+	data, err := io.ReadAll(j.f)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	if len(data) < fileHeaderSize {
+		// A new file, or a header torn by a crash during the very first
+		// create: nothing was journaled, start over.
+		if err := j.f.Truncate(0); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		if _, err := j.f.WriteAt(header(), 0); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		return j.syncFile()
+	}
+	if !bytes.Equal(data[:8], fileMagic[:]) {
+		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:12]); v != version {
+		return fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, version)
+	}
+	for off := int64(fileHeaderSize); off < int64(len(data)); {
+		rest := data[off:]
+		if len(rest) < recHeaderSize {
+			return j.truncate(off, len(rest)) // torn record header at the tail
+		}
+		payLen := int64(binary.LittleEndian.Uint32(rest[0:4]))
+		kind := binary.LittleEndian.Uint32(rest[4:8])
+		if payLen > maxPayload {
+			return fmt.Errorf("%w: record at %d claims %d payload bytes", ErrCorrupt, off, payLen)
+		}
+		if int64(len(rest)-recHeaderSize) < payLen {
+			return j.truncate(off, len(rest)) // torn payload at the tail
+		}
+		payload := rest[recHeaderSize : recHeaderSize+payLen]
+		if recordCRC(kind, payload) != binary.LittleEndian.Uint64(rest[8:16]) {
+			if recHeaderSize+payLen == int64(len(rest)) {
+				return j.truncate(off, len(rest)) // torn tail: half-written frame
+			}
+			return fmt.Errorf("%w: checksum mismatch at offset %d (not the tail)", ErrCorrupt, off)
+		}
+		var e entry
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return fmt.Errorf("%w: record at %d: %v", ErrCorrupt, off, err)
+		}
+		if err := j.check(kind, &e); err != nil {
+			return fmt.Errorf("%w: record at %d: %w", ErrCorrupt, off, err)
+		}
+		j.apply(kind, &e)
+		j.stats.Records++
+		off += recHeaderSize + payLen
+	}
+	return nil
+}
+
+// truncate cuts a torn tail and records how much was dropped.
+func (j *Journal) truncate(off int64, torn int) error {
+	if err := j.f.Truncate(off); err != nil {
+		return fmt.Errorf("journal: truncating torn tail: %w", err)
+	}
+	j.stats.TruncatedBytes = int64(torn)
+	return j.syncFile()
+}
+
+// check reports whether a record of kind may be applied to the current
+// state: the journal is open, an accept's key is new or failed, and a
+// complete or fail names an accepted key. A circuit recorded twice is
+// benign.
+func (j *Journal) check(kind uint32, e *entry) error {
 	if j.closed {
 		return ErrClosed
 	}
+	old, known := j.jobs[e.Key]
+	switch kind {
+	case kindCircuit:
+	case kindAccept:
+		if known && old.State != StateFailed {
+			return fmt.Errorf("%w: %q (%s)", ErrDuplicateKey, e.Key, old.State)
+		}
+	case kindComplete, kindFail:
+		if !known {
+			return fmt.Errorf("%w: %q", ErrUnknownKey, e.Key)
+		}
+	default:
+		return fmt.Errorf("unknown record kind %d", kind)
+	}
+	return nil
+}
+
+// apply folds one checked record into the in-memory state, copying the
+// bytes it keeps. It is the only code that adds to or changes circuits,
+// jobs and order.
+func (j *Journal) apply(kind uint32, e *entry) {
+	switch kind {
+	case kindCircuit:
+		j.circuits[e.CircuitID] = bytes.Clone(e.Spec)
+	case kindAccept:
+		if _, ok := j.jobs[e.Key]; !ok {
+			j.order = append(j.order, e.Key)
+		}
+		j.jobs[e.Key] = &Record{Key: e.Key, CircuitID: e.CircuitID, TimeoutMS: e.TimeoutMS}
+	case kindComplete:
+		r := j.jobs[e.Key]
+		r.State, r.Proof, r.Error = StateDone, bytes.Clone(e.Proof), ""
+	case kindFail:
+		r := j.jobs[e.Key]
+		r.State, r.Error = StateFailed, e.Error
+	}
+}
+
+// append frames, writes and fsyncs one checked record, then applies it.
+// Caller holds j.mu. The frame is written in two parts with a fault point
+// between them so the chaos harness can produce genuinely torn tails.
+func (j *Journal) append(kind uint32, e *entry) error {
 	if err := faultinject.Hit("journal.append"); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	frame := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], kind)
-	binary.LittleEndian.PutUint64(frame[8:16], recordCRC(kind, payload))
-	copy(frame[recHeaderSize:], payload)
-
+	rec, err := frame(kind, e)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
 	end, err := j.f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	half := len(frame) / 2
-	if _, err := j.f.Write(frame[:half]); err != nil {
-		j.f.Truncate(end)
-		return fmt.Errorf("journal: %w", err)
+	half := len(rec) / 2
+	if _, err = j.f.Write(rec[:half]); err == nil {
+		// A crash armed here leaves a half-written frame — the torn tail
+		// the replay path must cut. In error mode the half-frame is
+		// truncated away (a journal that cannot tell how much of a failed
+		// write landed must cut back to the last settled record) and the
+		// append fails.
+		if err = faultinject.Hit("journal.torn"); err == nil {
+			_, err = j.f.Write(rec[half:])
+		}
 	}
-	// A crash armed here leaves a half-written frame — the torn tail the
-	// replay path must cut. In error mode the half-frame is truncated away
-	// (a journal that cannot tell how much of a failed write landed must
-	// cut back to the last settled record) and the append fails.
-	if ferr := faultinject.Hit("journal.torn"); ferr != nil {
+	if err != nil {
 		j.f.Truncate(end)
-		return fmt.Errorf("journal: torn write: %w", ferr)
+		return fmt.Errorf("journal: write: %w", err)
 	}
-	if _, err := j.f.Write(frame[half:]); err != nil {
-		j.f.Truncate(end)
-		return fmt.Errorf("journal: %w", err)
+	if err := j.syncFile(); err != nil {
+		return err
 	}
-	return j.syncFile()
+	j.apply(kind, e)
+	return nil
 }
 
 func (j *Journal) syncFile() error {
@@ -411,21 +401,14 @@ func (j *Journal) syncFile() error {
 func (j *Journal) RecordCircuit(circuitID string, spec []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
+	e := &entry{CircuitID: circuitID, Spec: spec}
+	if err := j.check(kindCircuit, e); err != nil {
+		return err
 	}
 	if _, ok := j.circuits[circuitID]; ok {
 		return nil
 	}
-	payload, err := json.Marshal(circuitPayload{CircuitID: circuitID, Spec: spec})
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.append(kindCircuit, payload); err != nil {
-		return err
-	}
-	j.circuits[circuitID] = append([]byte(nil), spec...)
-	return nil
+	return j.append(kindCircuit, e)
 }
 
 // Accept durably records a prove job before it runs. The returned error
@@ -434,76 +417,36 @@ func (j *Journal) RecordCircuit(circuitID string, spec []byte) error {
 func (j *Journal) Accept(key, circuitID string, timeoutMS int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if old, ok := j.jobs[key]; ok && old.State != StateFailed {
-		return fmt.Errorf("%w: %q (%s)", ErrDuplicateKey, key, old.State)
+	e := &entry{Key: key, CircuitID: circuitID, TimeoutMS: timeoutMS}
+	if err := j.check(kindAccept, e); err != nil {
+		return err
 	}
 	if _, ok := j.circuits[circuitID]; !ok {
 		return fmt.Errorf("journal: accept %q: circuit %s not journaled", key, circuitID)
 	}
-	r := Record{Key: key, CircuitID: circuitID, TimeoutMS: timeoutMS}
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.append(kindAccept, payload); err != nil {
-		return err
-	}
-	if _, ok := j.jobs[key]; !ok {
-		j.order = append(j.order, key)
-	}
-	r.State = StatePending
-	j.jobs[key] = &r
-	return nil
+	return j.append(kindAccept, e)
 }
 
 // Complete marks a pending job done and stores its proof bytes.
 func (j *Journal) Complete(key string, proof []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	r, ok := j.jobs[key]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
-	}
-	payload, err := json.Marshal(completePayload{Key: key, Proof: proof})
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.append(kindComplete, payload); err != nil {
+	e := &entry{Key: key, Proof: proof}
+	if err := j.check(kindComplete, e); err != nil {
 		return err
 	}
-	r.State = StateDone
-	r.Proof = append([]byte(nil), proof...)
-	r.Error = ""
-	return nil
+	return j.append(kindComplete, e)
 }
 
 // Fail marks a pending job permanently failed with a reason.
 func (j *Journal) Fail(key, reason string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	r, ok := j.jobs[key]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
-	}
-	payload, err := json.Marshal(failPayload{Key: key, Error: reason})
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.append(kindFail, payload); err != nil {
+	e := &entry{Key: key, Error: reason}
+	if err := j.check(kindFail, e); err != nil {
 		return err
 	}
-	r.State = StateFailed
-	r.Error = reason
-	return nil
+	return j.append(kindFail, e)
 }
 
 // Lookup returns the journaled state of an idempotency key.
@@ -556,13 +499,6 @@ func (j *Journal) Spec(circuitID string) ([]byte, bool) {
 	return append([]byte(nil), spec...), true
 }
 
-// Len returns the number of journaled jobs (any state).
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.jobs)
-}
-
 func cloneRecord(r *Record) Record {
 	c := *r
 	c.Proof = append([]byte(nil), r.Proof...)
@@ -572,112 +508,75 @@ func cloneRecord(r *Record) Record {
 // Compact rewrites the journal to its live state: pending jobs and the
 // circuits they reference, plus done/failed entries (kept so client
 // retries of a settled idempotency key still answer from the journal).
-// The rewrite goes through a temp file and an atomic rename, so a crash
-// mid-compact leaves either the old journal or the new one, never a mix.
+// The state is framed in a fixed order — each needed circuit in the
+// accept order of the first pending job that needs it, then every job in
+// accept order — into a temp file in the journal's directory, which is
+// fsynced, renamed over the journal and kept as its handle; the directory
+// is then fsynced so the rename is durable. A crash mid-compact leaves
+// either the old journal or the new one, never a mix.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	dir, base := filepath.Split(j.path)
-	tmp, err := os.CreateTemp(dir, base+".compact-*")
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
+	live, needed := header(), make(map[string]bool)
+	var err error
+	add := func(kind uint32, e *entry) {
+		rec, ferr := frame(kind, e)
+		live, err = append(live, rec...), errors.Join(err, ferr)
 	}
-	defer os.Remove(tmp.Name())
-
-	w := func(kind uint32, payload []byte) error {
-		var rh [recHeaderSize]byte
-		binary.LittleEndian.PutUint32(rh[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(rh[4:8], kind)
-		binary.LittleEndian.PutUint64(rh[8:16], recordCRC(kind, payload))
-		if _, err := tmp.Write(rh[:]); err != nil {
-			return err
-		}
-		_, err := tmp.Write(payload)
-		return err
-	}
-
-	var hdr [fileHeaderSize]byte
-	copy(hdr[:8], fileMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], version)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	// Circuits still needed: those referenced by a pending job.
-	needed := make(map[string]bool)
 	for _, key := range j.order {
-		if r := j.jobs[key]; r.State == StatePending {
+		r := j.jobs[key]
+		if spec, ok := j.circuits[r.CircuitID]; ok && r.State == StatePending && !needed[r.CircuitID] {
 			needed[r.CircuitID] = true
-		}
-	}
-	for id := range needed {
-		payload, err := json.Marshal(circuitPayload{CircuitID: id, Spec: j.circuits[id]})
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: compact: %w", err)
-		}
-		if err := w(kindCircuit, payload); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: compact: %w", err)
+			add(kindCircuit, &entry{CircuitID: r.CircuitID, Spec: spec})
 		}
 	}
 	for _, key := range j.order {
 		r := j.jobs[key]
-		accept, err := json.Marshal(Record{Key: r.Key, CircuitID: r.CircuitID, TimeoutMS: r.TimeoutMS})
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: compact: %w", err)
-		}
-		if err := w(kindAccept, accept); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: compact: %w", err)
-		}
+		add(kindAccept, &entry{Key: key, CircuitID: r.CircuitID, TimeoutMS: r.TimeoutMS})
 		switch r.State {
 		case StateDone:
-			payload, err := json.Marshal(completePayload{Key: r.Key, Proof: r.Proof})
-			if err == nil {
-				err = w(kindComplete, payload)
-			}
-			if err != nil {
-				tmp.Close()
-				return fmt.Errorf("journal: compact: %w", err)
-			}
+			add(kindComplete, &entry{Key: key, Proof: r.Proof})
 		case StateFailed:
-			payload, err := json.Marshal(failPayload{Key: r.Key, Error: r.Error})
-			if err == nil {
-				err = w(kindFail, payload)
-			}
-			if err != nil {
-				tmp.Close()
-				return fmt.Errorf("journal: compact: %w", err)
-			}
+			add(kindFail, &entry{Key: key, Error: r.Error})
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	// Swap the handle to the new file; drop circuits no pending job needs.
-	old := j.f
-	f, err := os.OpenFile(j.path, os.O_RDWR, 0o600)
 	if err != nil {
-		return fmt.Errorf("journal: compact: reopening: %w", err)
+		return fmt.Errorf("journal: compact: %w", err)
 	}
-	j.f = f
-	old.Close()
+
+	dir := filepath.Dir(j.path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".compact-*")
+	if err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
+	}
+	if _, err = tmp.Write(live); err == nil {
+		if err = tmp.Sync(); err == nil {
+			err = os.Rename(tmp.Name(), j.path)
+		}
+	}
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("journal: compact: %w", err)
+	}
+	j.f.Close()
+	j.f = tmp
 	for id := range j.circuits {
 		if !needed[id] {
 			delete(j.circuits, id)
 		}
+	}
+	// POSIX makes the rename durable only once the directory is fsynced.
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("journal: compact: syncing %s: %w", dir, err)
 	}
 	return nil
 }

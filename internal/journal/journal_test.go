@@ -2,9 +2,14 @@ package journal
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"zkphire/internal/faultinject"
@@ -213,6 +218,10 @@ func TestCompactKeepsLiveState(t *testing.T) {
 	if after.Size() >= before.Size() {
 		t.Fatalf("compact did not shrink: %d -> %d", before.Size(), after.Size())
 	}
+	// Appends go to the renamed temp file itself, the file now at path.
+	if held, err := j.f.Stat(); err != nil || !os.SameFile(held, after) {
+		t.Fatalf("journal handle is not the file at its path after Compact (%v)", err)
+	}
 
 	// State must survive both the in-memory swap and a reopen.
 	check := func(j *Journal) {
@@ -289,4 +298,182 @@ func TestEmptyAndHeaderOnlyFiles(t *testing.T) {
 	if _, err := Open(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open(bad magic) = %v, want ErrCorrupt", err)
 	}
+}
+
+// pinnedOps drives the fixed op sequence whose bytes TestJournalBytesPinned
+// pins: a circuit, two accepts, a complete, a fail and the re-accept of the
+// failed key.
+func pinnedOps(t *testing.T, j *Journal) {
+	t.Helper()
+	for _, err := range []error{
+		j.RecordCircuit("c1", []byte(`{"program":[{"op":"secret","k":3},{"op":"mul","a":0,"b":0}]}`)),
+		j.Accept("job-a", "c1", 5000),
+		j.Accept("job-b", "c1", 0),
+		j.Complete("job-a", []byte("proof bytes \x00\xff")),
+		j.Fail("job-b", "witness exploded"),
+		j.Accept("job-b", "c1", 250),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func fileDigest(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(raw))
+}
+
+// TestJournalBytesPinned pins the on-disk bytes of a fixed op sequence and
+// of its (single-circuit) compaction, so journals written by earlier
+// builds keep reopening unchanged.
+func TestJournalBytesPinned(t *testing.T) {
+	j, path := openTemp(t)
+	defer j.Close()
+	pinnedOps(t, j)
+	const (
+		wantLog     = "9099e5e835f6865c20c393cbd2edfa0b038d6eaddc6bb05eeab367dde0ee0a1d"
+		wantCompact = "df250ffb7ddea91cb61db144b7dd03b971d9581105e2a5571a27cf004a78362a"
+	)
+	if got := fileDigest(t, path); got != wantLog {
+		t.Errorf("log digest = %s, want %s", got, wantLog)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileDigest(t, path); got != wantCompact {
+		t.Errorf("compacted digest = %s, want %s", got, wantCompact)
+	}
+}
+
+// TestCompactBarePath: a journal opened by a bare file name compacts
+// through a temp file in the working directory, not in $TMPDIR (a rename
+// across file systems fails).
+func TestCompactBarePath(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+	j, err := Open("jobs.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.SetSync(false)
+	pinnedOps(t, j)
+	if err := j.Compact(); err != nil {
+		t.Fatalf("Compact on a bare path: %v", err)
+	}
+	if p := j.Pending(); len(p) != 1 || p[0].Key != "job-b" {
+		t.Fatalf("pending after compact = %+v", p)
+	}
+}
+
+// TestCompactDeterministic: one live state always compacts to the same
+// bytes, whatever the map iteration order.
+func TestCompactDeterministic(t *testing.T) {
+	var first []byte
+	for run := 0; run < 4; run++ {
+		j, path := openTemp(t)
+		for i := 0; i < 8; i++ {
+			id := fmt.Sprintf("c%d", i)
+			if err := j.RecordCircuit(id, []byte(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Accept(fmt.Sprintf("job-%d", i), id, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Fatalf("run %d compacted to different bytes", run)
+		}
+	}
+}
+
+// rawFrame frames an arbitrary payload with a valid CRC, so fuzzed
+// records get past the framing checks and reach check and apply.
+func rawFrame(kind uint32, payload []byte) []byte {
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, kind)
+	rec = binary.LittleEndian.AppendUint64(rec, recordCRC(kind, payload))
+	return append(rec, payload...)
+}
+
+// canonicalSpec is a spec as the journal writes it: compacted JSON.
+func canonicalSpec(t *testing.T, spec []byte) string {
+	t.Helper()
+	out, err := json.Marshal(json.RawMessage(spec))
+	if err != nil {
+		t.Fatalf("journaled spec %q is not JSON: %v", spec, err)
+	}
+	return string(out)
+}
+
+// FuzzJournalReplay opens journals of three well-framed records of fuzzed
+// kind and payload. Open must succeed or fail with ErrCorrupt, never
+// panic; a journal that opens must keep its pending jobs and their specs
+// through Compact and a reopen.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add(uint8(kindCircuit), []byte(`{"circuit_id":"c","spec":{"v":1}}`),
+		uint8(kindAccept), []byte(`{"key":"k","circuit_id":"c","timeout_ms":9}`),
+		uint8(kindAccept), []byte(`{"key":"k2","circuit_id":"c"}`))
+	f.Add(uint8(kindCircuit), []byte(`{"circuit_id":"c","spec":[1, 2]}`),
+		uint8(kindAccept), []byte(`{"key":"k","circuit_id":"c"}`),
+		uint8(kindComplete), []byte(`{"key":"k","proof":"cHJvb2Y="}`))
+	f.Add(uint8(kindAccept), []byte(`{"key":"k","circuit_id":"c"}`),
+		uint8(kindFail), []byte(`{"key":"k","error":"boom"}`),
+		uint8(kindAccept), []byte(`{"key":"k","circuit_id":"c"}`))
+	f.Add(uint8(kindComplete), []byte(`{"key":"ghost"}`), uint8(9), []byte(`{}`), uint8(kindCircuit), []byte(`not json`))
+	f.Fuzz(func(t *testing.T, k1 uint8, p1 []byte, k2 uint8, p2 []byte, k3 uint8, p3 []byte) {
+		raw := header()
+		raw = append(raw, rawFrame(uint32(k1), p1)...)
+		raw = append(raw, rawFrame(uint32(k2), p2)...)
+		raw = append(raw, rawFrame(uint32(k3), p3)...)
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open = %v, want nil or ErrCorrupt", err)
+			}
+			return
+		}
+		j.SetSync(false)
+		specs := func(j *Journal, pending []Record) []string {
+			var out []string
+			for _, r := range pending {
+				spec, ok := j.Spec(r.CircuitID)
+				out = append(out, fmt.Sprint(ok, canonicalSpec(t, spec)))
+			}
+			return out
+		}
+		pending := j.Pending()
+		wantSpecs := specs(j, pending)
+		if err := j.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		j = reopen(t, j, path)
+		defer j.Close()
+		if got := j.Pending(); !reflect.DeepEqual(got, pending) {
+			t.Fatalf("pending after compact and reopen = %+v, want %+v", got, pending)
+		}
+		if got := specs(j, pending); !reflect.DeepEqual(got, wantSpecs) {
+			t.Fatalf("pending specs after compact and reopen = %q, want %q", got, wantSpecs)
+		}
+	})
 }

@@ -26,7 +26,8 @@ import (
 )
 
 // Policy shapes a retry loop. The zero value is usable: 3 attempts,
-// 10 ms base delay doubling to a 2 s cap, 20% jitter.
+// 10 ms base delay doubling to a 2 s cap, and no jitter (Jitter 0; a
+// negative Jitter means 20%).
 type Policy struct {
 	// MaxAttempts is the total number of tries (first attempt included);
 	// <= 0 means 3. 1 disables retries.
@@ -35,8 +36,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown delay (<= 0 means 2 s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay each attempt (< 1 means 2).
-	Multiplier float64
 	// Jitter is the random fraction added to each delay, in [0, 1]
 	// (negative means 0.2): delay × (1 + Jitter·U[0,1)). Jitter breaks
 	// retry synchronization between jobs that failed together.
@@ -53,9 +52,6 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
 	if p.Jitter < 0 {
 		p.Jitter = 0.2
 	}
@@ -68,7 +64,7 @@ func (p Policy) Delay(retry int) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.BaseDelay)
 	for i := 1; i < retry; i++ {
-		d *= p.Multiplier
+		d *= 2
 		if d >= float64(p.MaxDelay) {
 			break
 		}

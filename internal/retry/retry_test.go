@@ -14,7 +14,7 @@ import (
 )
 
 func TestDelayGrowsAndCaps(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2, Jitter: 0}
+	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
 		if got := p.Delay(i + 1); got != w*time.Millisecond {
