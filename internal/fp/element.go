@@ -11,7 +11,6 @@ package fp
 
 import (
 	"fmt"
-	"io"
 	"math/big"
 	"math/bits"
 )
@@ -202,17 +201,6 @@ func (z *Element) SetBytes(b []byte) *Element {
 	var v big.Int
 	v.SetBytes(b)
 	return z.SetBigInt(&v)
-}
-
-// SetRandom sets z to a uniform element from rng and returns z.
-func (z *Element) SetRandom(rng io.Reader) (*Element, error) {
-	var buf [64]byte
-	if _, err := io.ReadFull(rng, buf[:]); err != nil {
-		return nil, err
-	}
-	var v big.Int
-	v.SetBytes(buf[:])
-	return z.SetBigInt(&v), nil
 }
 
 // IsZero reports whether z == 0.

@@ -91,6 +91,3 @@ type SHA3Config struct{}
 
 // Area22 is the OpenCores SHA3 core.
 func (SHA3Config) Area22() float64 { return hw.SHA3Core }
-
-// HashCycles per absorbed block (Keccak-f is 24 rounds, pipelined).
-func (SHA3Config) HashCycles(blocks float64) float64 { return blocks * 24 }

@@ -35,13 +35,16 @@ type Config struct {
 // Prove only reads srs, idx and c, so many proofs of the same index may run
 // concurrently.
 //
-// Residency is decided before Prove runs — the SRS offload (pcs.Offload)
-// and the σ spill (PreprocessSpilled) — and Prove has no branch on it.
+// Residency is decided before Prove runs. The SRS offload (pcs.Offload)
+// is invisible to it; an index whose SigmaTabs is nil makes the three
+// steps that read σ rebuild it from c.Perm (prover.sigmas) — the only
+// place Prove looks at residency.
+//
 // Schedule invariance: worker counts and table residency never reach the
 // transcript. Group addition is exact and associative and FromJacobian is
 // canonical, so MSM segmentation cannot change a commitment; table
 // evaluation and SumCheck arithmetic never depend on how many workers ran
-// them or where the operands were loaded from.
+// them or where an operand came from (resident, streamed or rebuilt).
 func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg Config) (*Proof, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -160,12 +163,7 @@ func (p *prover) permCheck() (*mle.Table, []ff.Element, error) {
 	}
 	beta := p.tr.ChallengeScalar("perm/beta")
 	gamma := p.tr.ChallengeScalar("perm/gamma")
-	sigmas, err := loadSigmas(p.ctx, p.idx)
-	if err != nil {
-		return nil, nil, err
-	}
-	arg := perm.BuildWorkers(p.circ.Wires, sigmas, beta, gamma, p.workers)
-	sigmas = nil // the argument owns its buffers; drop a loaded σ copy
+	arg := perm.BuildWorkers(p.circ.Wires, p.sigmas(), beta, gamma, p.workers)
 	vComm, err := p.srs.CommitCtx(p.ctx, arg.V, p.workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hyperplonk: product-tree commit: %w", err)
@@ -209,10 +207,7 @@ func (p *prover) batchEvals(v *mle.Table, rPerm []ff.Element) error {
 	if err := p.ctx.Err(); err != nil {
 		return err
 	}
-	sigmas, err := loadSigmas(p.ctx, p.idx)
-	if err != nil {
-		return err
-	}
+	sigmas := p.sigmas()
 	proof, k := p.proof, p.idx.Wires
 	proof.WirePermEvals = make([]ff.Element, k)
 	proof.SigmaPermEvals = make([]ff.Element, k)
@@ -247,42 +242,27 @@ func (p *prover) openings(v *mle.Table, rGate, rPerm []ff.Element) error {
 	if err := p.ctx.Err(); err != nil {
 		return err
 	}
-	sigmas, err := loadSigmas(p.ctx, p.idx)
-	if err != nil {
-		return err
-	}
-	mainPolys := mainOrder(p.idx.SelectorTabs, p.circ.Wires, sigmas)
-	sigmas = nil
+	mainPolys := mainOrder(p.idx.SelectorTabs, p.circ.Wires, p.sigmas())
+	var err error
 	p.proof.OpenMain, err = p.openCheck("open/main", mainPolys, mainOpenSet(p.idx, p.proof, rGate, rPerm))
 	if err != nil {
 		return err
 	}
-	mainPolys = nil // a loaded σ copy dies here, before V's opening chain
+	mainPolys = nil // a rebuilt σ copy dies here, before V's opening chain
 	p.proof.OpenV, err = p.openCheck("open/v", []*mle.Table{v}, vOpenSet(p.proof, rPerm))
 	return err
 }
 
-// loadSigmas returns the σ tables for one protocol step: the resident ones
-// when the index is in core, a freshly loaded copy from the spill store when
-// it is spilled. Callers drop the returned slice when the step ends; the
-// table values are identical either way (the spill codec round-trips raw
-// Montgomery limbs), so the choice cannot affect proof bytes.
-func loadSigmas(ctx context.Context, idx *Index) ([]*mle.Table, error) {
-	if idx.SigmaTabs != nil {
-		return idx.SigmaTabs, nil
+// sigmas returns the σ tables for one protocol step: the index's resident
+// ones, or, when the index holds none (a memory-budgeted session), a copy
+// rebuilt from the circuit's permutation. Callers drop the returned slice
+// when the step ends; the values are identical either way, so the choice
+// cannot affect proof bytes.
+func (p *prover) sigmas() []*mle.Table {
+	if p.idx.SigmaTabs != nil {
+		return p.idx.SigmaTabs
 	}
-	if idx.SigmaSpill == nil {
-		return nil, fmt.Errorf("hyperplonk: index has neither resident nor spilled σ tables")
-	}
-	tabs := make([]*mle.Table, len(idx.SigmaSpill))
-	for i, h := range idx.SigmaSpill {
-		t, err := h.Load(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("hyperplonk: reload σ_%d: %w", i+1, err)
-		}
-		tabs[i] = t
-	}
-	return tabs, nil
+	return perm.SigmaTables(p.circ.Perm, p.circ.NumVars)
 }
 
 // --- shared helpers (used by both prover and verifier) ---

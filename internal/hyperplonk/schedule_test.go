@@ -11,12 +11,12 @@ import (
 	"zkphire/internal/ff"
 	"zkphire/internal/gates"
 	"zkphire/internal/pcs"
-	"zkphire/internal/spill"
 )
 
 // residency is one way of holding the prover's inputs: everything in core, or
-// the full bounded-memory stack (offloaded SRS, spilled σ tables). There is
-// one schedule; these are its two residency policies.
+// the full bounded-memory stack (offloaded SRS, σ rebuilt per step from the
+// circuit's permutation). There is one schedule; these are its two residency
+// policies.
 type residency struct {
 	name     string
 	budgeted bool
@@ -28,29 +28,21 @@ var residencies = []residency{{"in-core", false}, {"budgeted", true}}
 // SRS with testSRS's parameters because Offload is sticky.
 func (r residency) setup(t testing.TB, srsVars int, c *gates.Circuit) (*pcs.SRS, *Index, Config) {
 	t.Helper()
-	if !r.budgeted {
-		srs := testSRS
-		if srsVars != testSRS.MaxVars {
-			srs = pcs.SetupDeterministic(srsVars, 777)
-		}
-		idx, err := PreprocessWorkers(srs, c, 0)
-		if err != nil {
+	srs := testSRS
+	if r.budgeted || srsVars != testSRS.MaxVars {
+		srs = pcs.SetupDeterministic(srsVars, 777)
+	}
+	if r.budgeted {
+		if err := srs.Offload(t.TempDir(), 1); err != nil {
 			t.Fatal(err)
 		}
-		return srs, idx, Config{}
 	}
-	srs := pcs.SetupDeterministic(srsVars, 777)
-	if err := srs.Offload(t.TempDir(), 1); err != nil {
-		t.Fatal(err)
-	}
-	store, err := spill.NewStore(t.TempDir())
+	idx, err := PreprocessWorkers(srs, c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { store.Close() })
-	idx, err := PreprocessSpilled(srs, c, 0, store)
-	if err != nil {
-		t.Fatal(err)
+	if r.budgeted {
+		idx.SigmaTabs = nil
 	}
 	return srs, idx, Config{}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // TestProofBytesGoldenStreamed proves the PR 4 golden circuits through the
-// full bounded-memory stack — offloaded SRS, spilled σ tables — and expects
+// full bounded-memory stack — offloaded SRS, no resident σ tables (each
+// step that reads σ rebuilds it from the circuit) — and expects
 // the SAME sha256 digests as TestProofBytesGoldenPR4: the budgeted prover
 // must be byte-identical to the in-core one, and both must still match the
 // wire format captured two generations ago.
@@ -24,10 +25,7 @@ func TestProofBytesGoldenStreamed(t *testing.T) {
 			srs, idx, cfg := residency{"budgeted", true}.setup(t, testSRS.MaxVars, c)
 			cfg.Workers = 1
 			if idx.SigmaTabs != nil {
-				t.Fatal("spilled index still holds resident σ tables")
-			}
-			if len(idx.SigmaSpill) != idx.Wires {
-				t.Fatalf("%d spilled σ handles for %d wires", len(idx.SigmaSpill), idx.Wires)
+				t.Fatal("budgeted index still holds resident σ tables")
 			}
 
 			proof, err := Prove(context.Background(), srs, idx, c, cfg)

@@ -20,7 +20,6 @@ import (
 	"zkphire/internal/pcs"
 	"zkphire/internal/perm"
 	"zkphire/internal/poly"
-	"zkphire/internal/spill"
 	"zkphire/internal/sumcheck"
 )
 
@@ -31,18 +30,15 @@ type Index struct {
 	SelectorNames []string
 	SelectorTabs  []*mle.Table
 	SelectorComms []pcs.Commitment
-	SigmaTabs     []*mle.Table
-	SigmaComms    []pcs.Commitment
+	// SigmaTabs are the wiring-permutation tables, a pure function of the
+	// circuit's c.Perm. PreprocessWorkers fills them; a caller that sets
+	// them to nil (a memory-budgeted session does) makes Prove rebuild them
+	// from c.Perm in each step that reads them and drop that copy when the
+	// step ends. The values are identical either way.
+	SigmaTabs  []*mle.Table
+	SigmaComms []pcs.Commitment
 	// Gate is the circuit's constraint composite (without the eq factor).
 	Gate *poly.Composite
-	// SigmaSpill, when non-nil, holds the wiring-permutation tables parked
-	// on disk by PreprocessSpilled (SigmaTabs is nil then): the prover
-	// loads them only for the protocol steps that read them and drops each
-	// copy as soon as the step ends. Selector tables are never spilled —
-	// they alias the compiled circuit's own tables, which stay resident for
-	// the circuit's lifetime anyway, so a disk copy would add I/O without
-	// freeing a byte.
-	SigmaSpill []*spill.Table
 }
 
 // Proof is a complete HyperPlonk proof.
@@ -90,21 +86,6 @@ func Preprocess(srs *pcs.SRS, c *gates.Circuit) (*Index, error) {
 // GOMAXPROCS). The per-table commitments are independent and run
 // concurrently with the budget divided among them.
 func PreprocessWorkers(srs *pcs.SRS, c *gates.Circuit, workers int) (*Index, error) {
-	return preprocess(srs, c, workers, nil)
-}
-
-// PreprocessSpilled is PreprocessWorkers for a bounded-memory session: the
-// wiring-permutation tables are committed, then spilled into store and
-// freed (the prover reloads them step by step). Proofs from a spilled index
-// are byte-identical to an in-core one's.
-func PreprocessSpilled(srs *pcs.SRS, c *gates.Circuit, workers int, store *spill.Store) (*Index, error) {
-	if store == nil {
-		return nil, fmt.Errorf("hyperplonk: PreprocessSpilled needs a spill store")
-	}
-	return preprocess(srs, c, workers, store)
-}
-
-func preprocess(srs *pcs.SRS, c *gates.Circuit, workers int, store *spill.Store) (*Index, error) {
 	if c.NumVars+1 > srs.MaxVars {
 		return nil, fmt.Errorf("hyperplonk: SRS supports %d vars, circuit needs %d (+1 for the product tree)", srs.MaxVars, c.NumVars)
 	}
@@ -143,17 +124,5 @@ func preprocess(srs *pcs.SRS, c *gates.Circuit, workers int, store *spill.Store)
 	numSel := len(idx.SelectorTabs)
 	idx.SelectorComms = comms[:numSel:numSel]
 	idx.SigmaComms = comms[numSel:]
-
-	if store != nil {
-		idx.SigmaSpill = make([]*spill.Table, len(idx.SigmaTabs))
-		for j, tab := range idx.SigmaTabs {
-			h, err := spill.PutTable(nil, store, fmt.Sprintf("idx/sigma%d", j+1), tab)
-			if err != nil {
-				return nil, fmt.Errorf("hyperplonk: spill σ_%d: %w", j+1, err)
-			}
-			idx.SigmaSpill[j] = h
-		}
-		idx.SigmaTabs = nil
-	}
 	return idx, nil
 }

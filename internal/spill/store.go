@@ -1,7 +1,6 @@
 // Package spill is a small tmpfile-backed chunk store for out-of-core prover
-// state: preprocessed tables a memory-budgeted prover parks on disk
-// between protocol steps, and the offloaded SRS commitment-basis levels
-// (internal/pcs streams those back chunk by chunk).
+// state: the offloaded SRS commitment-basis levels, which internal/pcs
+// streams back chunk by chunk.
 //
 // Every object is one file of fixed-size checksummed pages:
 //

@@ -84,9 +84,9 @@ func ReadElementsRange(ctx context.Context, s *Store, key string, off int, dst [
 	return nil
 }
 
-// Table is a handle to a spilled mle.Table: the bounded-memory prover
-// parks preprocessed tables here and loads them back only for the protocol
-// steps that read them.
+// Table is a handle to a spilled mle.Table, loaded back into fresh memory
+// on demand. No prover path uses it; the benchmark's spill round-trip
+// probe does.
 type Table struct {
 	s       *Store
 	key     string

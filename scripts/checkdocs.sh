@@ -9,10 +9,11 @@
 #     does not exist — a deleted tool or record must take its mentions
 #     with it.
 #  3. A backticked `pkg.Ident` (or `pkg.Type.Method`) in README.md,
-#     DESIGN.md or ARCHITECTURE.md, where pkg is an internal/ package,
-#     names something that package's non-test files still declare. Only
-#     identifiers with an upper-case letter count: the all-lower-case
-#     dotted names in those files are metrics and fault points.
+#     DESIGN.md or ARCHITECTURE.md, where pkg is the root package (the
+#     public API, `zkphire`) or an internal/ package, names something
+#     that package's non-test files still declare. Only identifiers with
+#     an upper-case letter count: the all-lower-case dotted names in
+#     those files are metrics and fault points.
 #
 # Run from the repository root:  sh scripts/checkdocs.sh
 set -eu
@@ -65,7 +66,7 @@ if [ "$dangling" -ne 0 ]; then
 fi
 echo "doc references OK (cmd/ dirs, BENCH*.json, *.md, make targets)"
 
-pkgs=$(go list -f '{{.Name}} {{.Dir}}' ./internal/...)
+pkgs=$(go list -f '{{.Name}} {{.Dir}}' . ./internal/...)
 stale=0
 for f in README.md DESIGN.md ARCHITECTURE.md; do
     for ref in $(grep -o '`[^`]*`' "$f" | grep -oE '(^|[^A-Za-z0-9_.])[a-z][a-z0-9]*(\.[A-Za-z_][A-Za-z0-9_]*)+' | sed 's/^[^a-z]//' | sort -u); do
@@ -77,7 +78,9 @@ for f in README.md DESIGN.md ARCHITECTURE.md; do
             # grouped declaration (or a struct field).
             if ! cat $(ls "$dir"/*.go | grep -v '_test\.go$') |
                 grep -qE "^(func (\([^)]*\) )?|type |var |const )$id([^A-Za-z0-9_]|\$)|^	$id([ ,=]|\$)"; then
-                echo "$f: names \`$ref\`, but ${dir#"$PWD"/} declares no $id" >&2
+                where=${dir#"$PWD"/}
+                if [ "$dir" = "$PWD" ]; then where="the root package"; fi
+                echo "$f: names \`$ref\`, but $where declares no $id" >&2
                 stale=1
             fi
         done
@@ -87,4 +90,4 @@ if [ "$stale" -ne 0 ]; then
     echo "rename the reference, or delete it with the identifier it named." >&2
     exit 1
 fi
-echo "doc identifiers OK (backticked pkg.Ident of internal/ packages)"
+echo "doc identifiers OK (backticked pkg.Ident of the root and internal/ packages)"

@@ -8,7 +8,6 @@ import (
 	"zkphire/internal/gates"
 	"zkphire/internal/hyperplonk"
 	"zkphire/internal/parallel"
-	"zkphire/internal/spill"
 )
 
 // minLogGates is the smallest padded circuit size (2 rows) — the whole
@@ -107,10 +106,10 @@ func WithWorkers(n int) ProverOption {
 // WithMemoryBudget bounds the session's working set to roughly bytes of
 // live prover data. It decides residency once, in NewProver: the SRS keeps
 // its small commitment bases in RAM and moves the large ones to disk, and
-// the wiring-permutation tables park in a spill store (checksummed tmpfile
-// pages). Prove then runs the same five steps as an in-core session, with
-// spilled tables loaded only for the steps that read them and every MSM
-// against an offloaded basis streaming chunks through arena scratch.
+// the session keeps no wiring-permutation tables — each proof rebuilds
+// them from the circuit for the steps that read them. Prove then runs the
+// same five steps as an in-core session, with every MSM against an
+// offloaded basis streaming chunks through arena scratch.
 //
 // Proof bytes are identical to an in-core session's at every budget (the
 // conformance suite in streaming_test.go checks this). The budget bounds
@@ -119,9 +118,9 @@ func WithWorkers(n int) ProverOption {
 // Below 16 MiB the SRS share is clamped up to Offload's 2 MiB floor to keep
 // chunk geometry sane.
 //
-// A budgeted session owns tmpfiles: call Close when done with the Prover.
-// The SRS offload is sticky — the SRS keeps its disk backing (usable by
-// any session, budgeted or not) until pcs.SRS.CloseBacking.
+// The SRS offload is the only thing the option puts on disk, and it is
+// sticky: the SRS keeps its disk backing (usable by any session, budgeted
+// or not) until pcs.SRS.CloseBacking.
 func WithMemoryBudget(bytes int64) ProverOption {
 	return func(p *Prover) { p.memBudget = bytes }
 }
@@ -130,15 +129,13 @@ func WithMemoryBudget(bytes int64) ProverOption {
 // preprocessing (selector and wiring-permutation commitments) exactly once,
 // and every subsequent Prove or BatchProve call amortizes it. A Prover is
 // safe for concurrent use — all shared state is read-only after
-// construction (the spill store of a memory-budgeted session serves
-// concurrent readers behind its own lock).
+// construction.
 type Prover struct {
 	srs       *SRS
 	compiled  *CompiledCircuit
 	vk        *hyperplonk.Index
 	workers   int
 	memBudget int64
-	store     *spill.Store
 }
 
 // NewProver preprocesses the compiled circuit against the SRS and returns a
@@ -166,36 +163,25 @@ func NewProver(srs *SRS, compiled *CompiledCircuit, opts ...ProverOption) (*Prov
 		if err := srs.Offload("", p.memBudget/8); err != nil {
 			return nil, fmt.Errorf("zkphire: offload SRS: %w", err)
 		}
-		store, err := spill.NewStore("")
-		if err != nil {
-			return nil, fmt.Errorf("zkphire: open spill store: %w", err)
-		}
-		idx, err := hyperplonk.PreprocessSpilled(srs, compiled.circ, p.workers, store)
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		p.store = store
-		p.vk = idx
-		return p, nil
 	}
 	idx, err := hyperplonk.PreprocessWorkers(srs, compiled.circ, p.workers)
 	if err != nil {
 		return nil, err
 	}
+	if p.memBudget > 0 {
+		// σ is a pure function of the circuit's permutation, which the
+		// compiled circuit keeps resident anyway: each proof rebuilds it
+		// for the steps that read it instead of the session holding it.
+		idx.SigmaTabs = nil
+	}
 	p.vk = idx
 	return p, nil
 }
 
-// Close releases the tmpfile-backed spill store of a memory-budgeted
-// session. It is a no-op for in-core sessions; proofs already produced stay
-// valid, but a budgeted session cannot prove again after Close.
-func (p *Prover) Close() error {
-	if p.store == nil {
-		return nil
-	}
-	return p.store.Close()
-}
+// Close is a no-op: a session owns no files, budgeted or not — the SRS
+// offload's belong to the SRS (pcs.SRS.CloseBacking). Proofs stay valid and
+// the session can prove again after Close.
+func (p *Prover) Close() error { return nil }
 
 // VerifyingKey returns the preprocessed index proofs verify against.
 func (p *Prover) VerifyingKey() *VerifyingKey { return p.vk }
