@@ -28,7 +28,7 @@ var goldenStdout = map[string]string{
 	"table6":    "fa4c0fa4336ddad76fa7b3db34a559c3f5ccf6e0987bda0d64b94d23661b2ec7",
 	"table7":    "90787324f06ccf3604fba25a207b7ecf25d85fb4bf2531367cd6630081d76d46",
 	"table8":    "b6669ddd4684c30210120444d6fbe6331711106f0fb3230ba005ea04aeddb990",
-	"table9":    "98be068447869052ed46e5171aa5a54fc08f186ee65c01624b5dd9e008a596bb",
+	"table9":    "d171cd96e72eb7b72a404f10528398e5099bc0de704ca64ce9384e13c6260003",
 	"ablations": "67bed933a29f215a63fea43b4fab66e8bfff889ec31b0efcfb4bb394519bf9d7",
 }
 

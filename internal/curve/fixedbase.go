@@ -96,8 +96,9 @@ func NewFixedBaseTable(base G1Affine, window int) *FixedBaseTable {
 }
 
 // fixedBaseBatch is the lane count that shares one batch inversion per
-// window in MulManyWorkers: at 1024 lanes the Fermat inversion (~570
-// multiplications) costs each addition about half a multiplication.
+// window in MulManyWorkers: at 1024 lanes the inversion (a binary GCD,
+// about 100 multiplications' time) costs each addition about a tenth of a
+// multiplication.
 const fixedBaseBatch = 1024
 
 // MulManyWorkers returns k·base for every scalar on a worker budget (<= 0

@@ -600,11 +600,10 @@ func (z *Element) squareGeneric(x *Element) *Element {
 	return z
 }
 
-var pMinus2, sqrtExp *big.Int
+var sqrtExp *big.Int
 
 func init() {
 	pm, _ := new(big.Int).SetString(modulusHex, 16)
-	pMinus2 = new(big.Int).Sub(pm, big.NewInt(2))
 	if pm.Bit(0) != 1 || pm.Bit(1) != 1 {
 		panic("fp: p ≢ 3 (mod 4); Sqrt's exponent does not apply")
 	}
@@ -626,14 +625,6 @@ func (z *Element) Exp(x *Element, e *big.Int) *Element {
 	}
 	*z = res
 	return z
-}
-
-// Inverse sets z = 1/x (0 for x = 0) and returns z.
-func (z *Element) Inverse(x *Element) *Element {
-	if x.IsZero() {
-		return z.SetZero()
-	}
-	return z.Exp(x, pMinus2)
 }
 
 // Sqrt sets z to x^((p+1)/4) and returns true when that is a square root

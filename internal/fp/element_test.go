@@ -113,28 +113,6 @@ func TestThirdRootOne(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 30; i++ {
-		var a Element
-		a.SetBigInt(randBig(rng))
-		if a.IsZero() {
-			continue
-		}
-		var inv, prod Element
-		inv.Inverse(&a)
-		prod.Mul(&a, &inv)
-		if !prod.IsOne() {
-			t.Fatalf("inverse mismatch at %d", i)
-		}
-	}
-	var z Element
-	z.Inverse(&zero)
-	if !z.IsZero() {
-		t.Fatal("Inverse(0) != 0")
-	}
-}
-
 func TestQuickProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	gen := func() Element {

@@ -14,19 +14,6 @@ import (
 // every input, under every aliasing of the three operands, and every output
 // must be canonical (< p).
 
-// smallerThanModulus is the canonicity oracle: z < p as a 384-bit integer.
-func smallerThanModulus(z *Element) bool {
-	for i := Limbs - 1; i >= 0; i-- {
-		if z[i] < p[i] {
-			return true
-		}
-		if z[i] > p[i] {
-			return false
-		}
-	}
-	return false
-}
-
 // rInvBig is R⁻¹ mod p (lazily: pBig is set by an init function).
 var rInvBig = sync.OnceValue(func() *big.Int {
 	return new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 64*Limbs), pBig)
@@ -47,7 +34,7 @@ func montMulBig(x, y *Element) Element {
 // (< 2p), then subtract p once if needed.
 func reduceRaw(z *Element) {
 	z[5] &= 1<<61 - 1
-	if !smallerThanModulus(z) {
+	if !smallerThanP(z) {
 		var b uint64
 		for i := range z {
 			z[i], b = bits.Sub64(z[i], p[i], b)
@@ -90,7 +77,7 @@ func checkMulKernels(t testing.TB, x, y *Element) Element {
 	t.Helper()
 	var want Element
 	want.mulGeneric(x, y)
-	if !smallerThanModulus(&want) {
+	if !smallerThanP(&want) {
 		t.Fatalf("mulGeneric(%x, %x) = %x is not canonical", *x, *y, want)
 	}
 	if !hasADX {
@@ -146,7 +133,7 @@ func checkSquareKernels(t testing.TB, x *Element) {
 func TestMulKernelEdges(t *testing.T) {
 	edges := edgeElements()
 	for i := range edges {
-		if !smallerThanModulus(&edges[i]) {
+		if !smallerThanP(&edges[i]) {
 			t.Fatalf("edge %d (%x) is not below p", i, edges[i])
 		}
 		checkSquareKernels(t, &edges[i])

@@ -17,10 +17,9 @@ import (
 // is value-preserving, so a fast path must reproduce these EXACTLY.
 //
 // content is format-independent: sha256 over every scalar's 32 bytes and
-// every point's uncompressed x‖y, in wire order (contentDigest). It pins
-// the proofs these circuits have produced since commit a014b1b and moves
-// only when the protocol does — a new challenge, scalar or point. size
-// and sha pin the wire bytes, and move also when the encoding does.
+// every point's uncompressed x‖y, in wire order (contentDigest). It moves
+// only when the protocol does — a new challenge, scalar or point. size and
+// sha pin the wire bytes, and move also when the encoding does.
 //
 // If a future change intentionally alters the transcript or wire format,
 // recapture these with a printf in checkGolden.
@@ -33,12 +32,12 @@ type goldenProof struct {
 }
 
 var goldenProofs = []goldenProof{
-	{"vanilla", 4, 3554, "68b13b447524c70b297d0d03d7dfcc2af8cc3ad8550efd513e7bcd93bb79bc78",
-		"f38e3e8973ea0bbd8b23ddcc1d0ede550857b97d5ad89307178b3a095c830618"},
-	{"vanilla", 6, 4586, "36615b99f2e22e73c7d59e08d852dfbcdc2a45f48a892925b18e439d30842b2e",
-		"a3c931192854c3014d0098e5c3add19e3e0720549cfb0a3967d3e6aef48a009d"},
-	{"jellyfish", 5, 5800, "40c61a18af423d458946157b58735305d8e1332ffe4a919eb4e650b8289416c6",
-		"e3a646ef2c219bc318c897a1bddb3fc30ae133cca34f2c283cf5eec6f692d2f8"},
+	{"vanilla", 4, 3106, "0ab4552576071f0d2c8eb9eba6249dd197bced4d5f32aa94991fe1cd3739adb0",
+		"8703b76fea8ed2500a39429277e03eb12c89190ead788aa9ccfdc0425107f688"},
+	{"vanilla", 6, 4010, "618b5b315318aca33fc17bc934dd8655b0dedc091a9676c026e08739071fda33",
+		"349510d464a7e500d7d303761940b8660aeeffeb9ff090da31d9bc9e8d8e27bb"},
+	{"jellyfish", 5, 5288, "5d790409505643e38a0df6aca15dc1077a3712f71bd2722dab3dd52f2a353a7d",
+		"e265f828302a40051de5c0351faf9be449e858d856fd1c64b2d7e1584731ef51"},
 }
 
 // goldenVKs pins the verifying key of each goldenProofs circuit, in the
@@ -70,7 +69,6 @@ func contentDigest(p *Proof) string {
 		}
 	}
 	sc := func(s *sumcheck.Proof) {
-		scalars(s.Claim)
 		for _, r := range s.RoundEvals {
 			scalars(r...)
 		}
@@ -78,7 +76,6 @@ func contentDigest(p *Proof) string {
 	open := func(o *OpenProof) {
 		sc(o.Sumcheck)
 		scalars(o.PolyEvals...)
-		scalars(o.Opened)
 		points(o.PCS.Qs...)
 	}
 	for i := range p.WireComms {

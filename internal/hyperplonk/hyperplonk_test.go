@@ -182,6 +182,42 @@ func TestTamperedOpeningRejected(t *testing.T) {
 	}
 }
 
+// TestTamperedZeroCheckMessageRejected shifts q(0) of one round of each
+// ZeroCheck. The verifier derives q(1) from the running claim, so the
+// shifted message's implied s(0)+s(1) with the honest q(1) is not the
+// claim; the proof must fail both in memory and after a trip over the
+// wire.
+func TestTamperedZeroCheckMessageRejected(t *testing.T) {
+	oneE := ff.One()
+	for _, zc := range []struct {
+		name string
+		get  func(*Proof) *sumcheck.ZeroCheckProof
+	}{
+		{"gate", func(p *Proof) *sumcheck.ZeroCheckProof { return p.GateZC }},
+		{"perm", func(p *Proof) *sumcheck.ZeroCheckProof { return p.PermZC }},
+	} {
+		for _, round := range []int{0, 3} {
+			proof, idx := makeProof(t)
+			q := zc.get(proof).Inner.RoundEvals[round]
+			q[0].Add(&q[0], &oneE)
+			if err := Verify(testSRS, idx, proof); err == nil {
+				t.Fatalf("%s round %d: shifted q verified in memory", zc.name, round)
+			}
+			data, err := proof.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Proof
+			if err := back.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(testSRS, idx, &back); err == nil {
+				t.Fatalf("%s round %d: shifted q verified from the wire", zc.name, round)
+			}
+		}
+	}
+}
+
 func TestCopyConstraintViolationRejected(t *testing.T) {
 	// Build an honest circuit, then corrupt one wired slot so gates hold
 	// locally but copies do not.
@@ -246,7 +282,6 @@ func TestProofByteBudget(t *testing.T) {
 			}
 			list := func(n int) { uvarint(n); scalars += n }
 			zc := func(s *sumcheck.Proof) {
-				scalars++ // the claim
 				uvarint(len(s.RoundEvals))
 				for _, r := range s.RoundEvals {
 					list(len(r))
@@ -255,7 +290,6 @@ func TestProofByteBudget(t *testing.T) {
 			open := func(o *OpenProof) {
 				zc(o.Sumcheck)
 				list(len(o.PolyEvals))
-				scalars++ // Opened
 				uvarint(len(o.PCS.Qs))
 				points += len(o.PCS.Qs)
 			}

@@ -13,7 +13,7 @@ import (
 	"zkphire/internal/sumcheck"
 )
 
-// Binary proof serialization, wire format v2. Scalars are 32-byte
+// Binary proof serialization, wire format v3. Scalars are 32-byte
 // big-endian canonical encodings; points are 48-byte compressed G1
 // (curve.G1Affine.Compressed); list lengths and commitment sizes are
 // minimal uvarints. Each proof has exactly one encoding, and the decoder
@@ -26,11 +26,17 @@ import (
 // Each layout is written once, as a walk over its fields in wire order
 // (Proof.walk here, Index.walk in vk.go). The walk hands every field to a
 // codec: the encoder writes it, the decoder overwrites it.
+//
+// The proof carries only what the verifier cannot compute. A ZeroCheck
+// round is the eq-free factor q_ℓ (sumcheck.ZeroCheckProof), and no
+// SumCheck claim (0 for the ZeroChecks, recomputed for the OpenChecks) or
+// OpenProof.Opened (the β-combination of PolyEvals) is written; those
+// fields decode as zero and the verifier does not read them.
 
-const proofMagic = "zkphire/proof/v2"
+const proofMagic = "zkphire/proof/v3"
 
 // ErrWireFormat is wrapped by the proof and verifying-key decoders when the
-// input does not start with the current magic — v1 bytes included.
+// input does not start with the current magic — older versions included.
 var ErrWireFormat = errors.New("hyperplonk: unsupported wire format")
 
 // checkMagic consumes magic from the front of data.
@@ -85,20 +91,18 @@ func commitment(c codec, cm *pcs.Commitment) {
 	c.point(&cm.Point)
 }
 
-// sumcheckProof walks the claim and round polynomials only: the final
-// constituent evaluations are NOT on the wire — the protocol's batch
-// evaluation claims (GateEvals, VEvals, PolyEvals, …) are the canonical
-// carriers, and serializing FinalEvals too would add malleable redundant
-// bytes the verifier never reads.
+// sumcheckProof walks the round polynomials only. The claim is the
+// verifier's, and the final constituent evaluations are NOT on the wire —
+// the protocol's batch evaluation claims (GateEvals, VEvals, PolyEvals, …)
+// are the canonical carriers, and serializing FinalEvals too would add
+// malleable redundant bytes the verifier never reads.
 func sumcheckProof(c codec, p *sumcheck.Proof) {
-	c.scalar(&p.Claim)
 	list(c, &p.RoundEvals, scalars)
 }
 
 func (p *OpenProof) walk(c codec) {
 	sumcheckProof(c, part(&p.Sumcheck))
 	scalars(c, &p.PolyEvals)
-	c.scalar(&p.Opened)
 	list(c, &part(&p.PCS).Qs, codec.point)
 }
 

@@ -207,19 +207,22 @@ func TestUnmarshalRejectsPointEncodings(t *testing.T) {
 	}
 }
 
-// TestDecodersRejectV1 feeds both decoders their v1 magic: neither has a
-// v1 path, and both name the reason with ErrWireFormat.
+// TestDecodersRejectV1 feeds both decoders their v1 magic, and the proof
+// decoder its v2 magic: neither has an old-version path, and both name the
+// reason with ErrWireFormat.
 func TestDecodersRejectV1(t *testing.T) {
 	proof, idx := makeProof(t)
 	data, _ := proof.MarshalBinary()
 	vk, _ := idx.MarshalBinary()
-	v1 := func(b []byte, magic string) []byte {
-		return append([]byte(strings.Replace(magic, "/v2", "/v1", 1)), b[len(magic):]...)
+	version := func(b []byte, magic, v string) []byte {
+		return append([]byte(magic[:strings.LastIndex(magic, "/")+1]+v), b[len(magic):]...)
 	}
-	if err := new(Proof).UnmarshalBinary(v1(data, proofMagic)); !errors.Is(err, ErrWireFormat) {
-		t.Fatalf("v1 proof: %v, want ErrWireFormat", err)
+	for _, v := range []string{"v1", "v2"} {
+		if err := new(Proof).UnmarshalBinary(version(data, proofMagic, v)); !errors.Is(err, ErrWireFormat) {
+			t.Fatalf("%s proof: %v, want ErrWireFormat", v, err)
+		}
 	}
-	if _, err := UnmarshalVerifyingKey(v1(vk, vkMagic)); !errors.Is(err, ErrWireFormat) {
+	if _, err := UnmarshalVerifyingKey(version(vk, vkMagic, "v1")); !errors.Is(err, ErrWireFormat) {
 		t.Fatalf("v1 verifying key: %v, want ErrWireFormat", err)
 	}
 }
@@ -269,6 +272,37 @@ func FuzzUnmarshalProof(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("%d decoded bytes re-encode to %d different bytes", len(data), len(again))
+		}
+	})
+}
+
+// FuzzVerify: no input panics the decoder or the verifier, and an input
+// that decodes to bytes other than the valid seed proof's fails Verify.
+func FuzzVerify(f *testing.F) {
+	proof, idx := makeProof(f)
+	seed, err := proof.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Proof
+		if p.UnmarshalBinary(data) != nil {
+			return
+		}
+		again, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Verify(testSRS, idx, &p)
+		if bytes.Equal(again, seed) {
+			if err != nil {
+				t.Fatalf("the seed proof fails: %v", err)
+			}
+			return
+		}
+		if err == nil {
+			t.Fatalf("%d bytes that are not the seed proof verified", len(data))
 		}
 	})
 }

@@ -71,6 +71,7 @@ type OpenProof struct {
 	// OpenCheck's final point.
 	PolyEvals []ff.Element
 	// Opened is the value of the β-combined polynomial at the final point.
+	// It is not on the wire: the verifier computes it from PolyEvals.
 	Opened ff.Element
 	// PCS is the single batched opening proof.
 	PCS *pcs.OpeningProof

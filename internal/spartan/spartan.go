@@ -236,10 +236,7 @@ func Verify(tr *transcript.Transcript, r *R1CS, proof *Proof) error {
 
 	tau := tr.ChallengeScalars("spartan/tau", muX)
 	outer := outerComposite()
-	if !proof.Outer.Claim.IsZero() {
-		return fmt.Errorf("spartan: outer claim must be zero")
-	}
-	rx, outerWant, err := sumcheck.Verify(tr, outer, muX, proof.Outer)
+	rx, outerWant, err := sumcheck.Verify(tr, outer, muX, ff.Zero(), proof.Outer)
 	if err != nil {
 		return fmt.Errorf("spartan: outer: %w", err)
 	}
@@ -261,10 +258,7 @@ func Verify(tr *transcript.Transcript, r *R1CS, proof *Proof) error {
 		t.Mul(&rc[i], &proof.ABCEvals[i])
 		innerClaim.Add(&innerClaim, &t)
 	}
-	if !proof.Inner.Claim.Equal(&innerClaim) {
-		return fmt.Errorf("spartan: inner claim mismatch")
-	}
-	ry, innerWant, err := sumcheck.Verify(tr, inner, muY, proof.Inner)
+	ry, innerWant, err := sumcheck.Verify(tr, inner, muY, innerClaim, proof.Inner)
 	if err != nil {
 		return fmt.Errorf("spartan: inner: %w", err)
 	}

@@ -1,7 +1,7 @@
 package sumcheck
 
 // Equivalence coverage for the fast paths: the eq-factorized ZeroCheck
-// against the appended-table reference, and the blocked compiled round
+// against the appended-table construction, and the blocked compiled round
 // polynomial scan against a naive pair-by-pair tree-walk evaluation.
 
 import (
@@ -10,43 +10,76 @@ import (
 	"testing"
 
 	"zkphire/internal/ff"
-	"zkphire/internal/mle"
 	"zkphire/internal/poly"
 	"zkphire/internal/transcript"
 )
 
-func proofsEqual(t *testing.T, label string, a, b *Proof) {
+// checkAppendedOracle is the appended-table reference for a fast ZeroCheck
+// proof. It materializes eq(X, τ) as a constituent (BuildZeroCheckAssignment),
+// drives RoundPolynomial over the wrapped assignment with the fast prover's
+// challenges, and checks round by round that the wrapped round polynomial
+// is s_ℓ(t) = prefix·eq(t, τ_ℓ)·q_ℓ(t) at every t = 0..d+1, for the q_ℓ the
+// proof sends. The wrapped tables' final values must be the proof's
+// FinalEvals, eq(r, τ) included.
+func checkAppendedOracle(t *testing.T, a *Assignment, tau, challenges []ff.Element, proof *Proof, workers int) {
 	t.Helper()
-	if !a.Claim.Equal(&b.Claim) {
-		t.Fatalf("%s: claims differ", label)
+	wrapped, _ := BuildZeroCheckAssignment(a, tau, workers)
+	wrapped = wrapped.Clone()
+	d := a.Composite.Degree()
+	if len(proof.RoundEvals) != len(tau) || len(challenges) != len(tau) {
+		t.Fatalf("%d rounds and %d challenges for %d variables", len(proof.RoundEvals), len(challenges), len(tau))
 	}
-	if len(a.RoundEvals) != len(b.RoundEvals) {
-		t.Fatalf("%s: round counts differ (%d vs %d)", label, len(a.RoundEvals), len(b.RoundEvals))
-	}
-	for i := range a.RoundEvals {
-		if len(a.RoundEvals[i]) != len(b.RoundEvals[i]) {
-			t.Fatalf("%s: round %d lengths differ", label, i)
+	// The wrapped SumCheck's running claim, from the true hypercube sum: the
+	// random tables need not satisfy the gate.
+	claim := wrapped.SumAll()
+	prefix := ff.One()
+	for l, q := range proof.RoundEvals {
+		if len(q) != max(d, 1) {
+			t.Fatalf("round %d sends %d evals, want %d", l, len(q), max(d, 1))
 		}
-		for j := range a.RoundEvals[i] {
-			if !a.RoundEvals[i][j].Equal(&b.RoundEvals[i][j]) {
-				t.Fatalf("%s: round %d eval %d differs", label, i, j)
+		s := DecompressRound(RoundPolynomial(wrapped, workers), &claim) // s(0..d+1)
+		// q at 0..d: the message, with q(1) from s(1) = prefix·τ_ℓ·q(1).
+		qs := make([]ff.Element, d+1)
+		qs[0] = q[0]
+		copy(qs[2:], q[1:])
+		var inv ff.Element
+		inv.Mul(&prefix, &tau[l])
+		inv.Inverse(&inv)
+		qs[1].Mul(&s[1], &inv)
+		for tt := range s {
+			var x ff.Element
+			x.SetUint64(uint64(tt))
+			qt := ff.EvalFromPoints(qs[:max(d, 1)+1], &x)
+			eq := eqLinear(&x, &tau[l])
+			var want ff.Element
+			want.Mul(&prefix, &eq)
+			want.Mul(&want, &qt)
+			if !s[tt].Equal(&want) {
+				t.Fatalf("round %d: s(%d) ≠ prefix·eq(%d, τ)·q(%d)", l, tt, tt, tt)
 			}
 		}
+		r := challenges[l]
+		claim = ff.EvalFromPoints(s, &r)
+		for _, tab := range wrapped.Tables {
+			tab.FoldWorkers(&r, workers)
+		}
+		er := eqLinear(&r, &tau[l])
+		prefix.Mul(&prefix, &er)
 	}
-	if len(a.FinalEvals) != len(b.FinalEvals) {
-		t.Fatalf("%s: final eval counts differ", label)
+	if len(proof.FinalEvals) != len(wrapped.Tables) {
+		t.Fatalf("%d final evals for %d wrapped constituents", len(proof.FinalEvals), len(wrapped.Tables))
 	}
-	for i := range a.FinalEvals {
-		if !a.FinalEvals[i].Equal(&b.FinalEvals[i]) {
-			t.Fatalf("%s: final eval %d differs", label, i)
+	for i, tab := range wrapped.Tables {
+		if !tab.Evals[0].Equal(&proof.FinalEvals[i]) {
+			t.Fatalf("final eval %d differs from the folded wrapped table", i)
 		}
 	}
 }
 
 // TestEqFactoredMatchesAppended pins the eq-factorized ZeroCheck prover to
-// the appended-table reference: identical round polynomials, challenges, and
-// final evaluations — hence byte-identical proofs — at worker budgets 1, 2,
-// and GOMAXPROCS, across gate shapes and sizes.
+// the appended-table oracle — every round's s = prefix·eq·q, the final
+// evaluations, and the challenges the verifier re-derives — at worker
+// budgets 1, 2, and GOMAXPROCS, across gate shapes and sizes.
 func TestEqFactoredMatchesAppended(t *testing.T) {
 	budgets := []int{1, 2, runtime.GOMAXPROCS(0)}
 	cases := []struct {
@@ -66,30 +99,22 @@ func TestEqFactoredMatchesAppended(t *testing.T) {
 				rng := ff.NewRand(int64(tc.nv)*100 + int64(w))
 				a := buildAssignment(t, tc.comp, tc.nv, rng)
 
-				trFast := transcript.New("eqsplit")
-				fast, chalFast, err := ProveZero(trFast, a, Config{Workers: w})
+				proof, challenges, err := ProveZero(transcript.New("eqsplit"), a, Config{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
-				trRef := transcript.New("eqsplit")
-				ref, chalRef, err := ProveZeroAppended(trRef, a, Config{Workers: w})
+				tau := transcript.New("eqsplit").ChallengeScalars("zerocheck/tau", tc.nv)
+				checkAppendedOracle(t, a, tau, challenges, proof.Inner, w)
+
+				// The verifier re-derives the same challenges.
+				point, _, _, err := VerifyZero(transcript.New("eqsplit"), tc.comp, tc.nv, proof)
 				if err != nil {
 					t.Fatal(err)
 				}
-				proofsEqual(t, "fast vs appended", fast.Inner, ref.Inner)
-				if len(chalFast) != len(chalRef) {
-					t.Fatal("challenge counts differ")
-				}
-				for i := range chalFast {
-					if !chalFast[i].Equal(&chalRef[i]) {
-						t.Fatalf("challenge %d differs", i)
+				for i := range challenges {
+					if !point[i].Equal(&challenges[i]) {
+						t.Fatalf("challenge %d differs from the verifier's", i)
 					}
-				}
-				// Both transcripts must end in the same state.
-				f1 := trFast.ChallengeScalar("post")
-				f2 := trRef.ChallengeScalar("post")
-				if !f1.Equal(&f2) {
-					t.Fatal("transcript states diverged")
 				}
 			})
 		}
@@ -99,30 +124,9 @@ func TestEqFactoredMatchesAppended(t *testing.T) {
 // TestEqFactoredVerifies runs the full round trip: fast-path prover,
 // standard verifier.
 func TestEqFactoredVerifies(t *testing.T) {
-	// Satisfied Vanilla circuit: qM=1, qO=1, w3=w1·w2 everywhere.
-	c := poly.VanillaGate()
-	numVars := 6
-	n := 1 << uint(numVars)
-	rng := ff.NewRand(707)
-	tables := make([]*mle.Table, c.NumVars())
-	for i := range tables {
-		tables[i] = mle.New(numVars)
-	}
-	get := func(name string) *mle.Table { return tables[c.VarIndex(name)] }
-	for j := 0; j < n; j++ {
-		w1, w2 := rng.Element(), rng.Element()
-		var w3 ff.Element
-		w3.Mul(&w1, &w2)
-		get("qM").Evals[j] = ff.One()
-		get("qO").Evals[j] = ff.One()
-		get("w1").Evals[j] = w1
-		get("w2").Evals[j] = w2
-		get("w3").Evals[j] = w3
-	}
-	a, err := NewAssignment(c, tables)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const numVars = 6
+	a := satisfiedVanilla(t, numVars, ff.NewRand(707))
+	c := a.Composite
 	for _, w := range []int{1, 3} {
 		trP := transcript.New("zc-fast")
 		proof, _, err := ProveZero(trP, a, Config{Workers: w})
@@ -185,8 +189,8 @@ func naiveRoundPolynomial(a *Assignment, d int, weights []ff.Element) []ff.Eleme
 // reference for the six sumcheck_sweep16 gates, at sizes whose pair counts
 // (1, 4, 64, 1024, 4096) give a lone partial block, whole blocks, and — at
 // 3 workers over 4096 pairs — chunks of 1366 pairs that end mid-block; at
-// worker budgets 1, 2 and 3; unweighted (Prove's scan, degree d) and
-// weighted (the eq-factored ZeroCheck's scan, degree d+1).
+// worker budgets 1, 2 and 3; unweighted (Prove's scan) and weighted (the
+// eq-factored ZeroCheck's scan), both at the composite's degree d.
 func TestRoundPolynomialMatchesNaive(t *testing.T) {
 	alpha := ff.NewRand(799).Element()
 	comps := []*poly.Composite{
@@ -202,7 +206,7 @@ func TestRoundPolynomialMatchesNaive(t *testing.T) {
 			for _, weighted := range []bool{false, true} {
 				d, w := c.Degree(), []ff.Element(nil)
 				if weighted {
-					d, w = d+1, weights
+					w = weights
 				}
 				want := naiveRoundPolynomial(a, d, w)
 				for _, workers := range []int{1, 2, 3} {

@@ -79,8 +79,12 @@ func (a *Assignment) Clone() *Assignment {
 // reconstructs s_i(1) from the running claim (s_i(0)+s_i(1) must equal it),
 // which both shrinks the proof by one scalar per round and makes the
 // consistency check implicit — the standard SumCheck wire optimization the
-// paper's 4–5 KB proof sizes assume.
+// paper's 4–5 KB proof sizes assume. A ZeroCheck's rounds carry the eq-free
+// factor instead (ZeroCheckProof).
 type Proof struct {
+	// Claim is the sum the prover started from. It is not a message: the
+	// verifier supplies its own claim (Verify), so a wire format need not
+	// carry it.
 	Claim ff.Element
 	// RoundEvals[i] holds [s_i(0), s_i(2), ..., s_i(d)] (d entries).
 	RoundEvals [][]ff.Element
@@ -245,9 +249,7 @@ func (l *lazyWork) release() {
 //
 // When weights is non-nil (the eq-factorized ZeroCheck's suffix table,
 // indexed by pair), every program value is multiplied by weights[j] before
-// accumulating, and d may exceed the program's own degree (the eq factor
-// raises the round polynomial's degree by one, so one extra point is
-// evaluated).
+// accumulating.
 // A non-nil ctx is polled once per block; once it fires the scan returns
 // garbage, so the caller must check ctx.Err() and discard the result
 // (ProveCtx does).
@@ -337,12 +339,13 @@ func RoundPolynomial(a *Assignment, workers int) []ff.Element {
 	return roundPolynomialCompressed(nil, a, prog, a.Composite.Degree(), nil, parallel.Workers(workers))
 }
 
-// Verify replays the verifier side of the transcript. It checks each round's
-// consistency s_i(0)+s_i(1) = previous claim and returns the challenge point
-// and the value the composite must take there. The caller must still confirm
-// that value against trusted constituent evaluations (FinalCheck or PCS
+// Verify replays the verifier side of the transcript from the verifier's
+// own claim; proof.Claim is not read. It checks each round's consistency
+// s_i(0)+s_i(1) = previous claim and returns the challenge point and the
+// value the composite must take there. The caller must still confirm that
+// value against trusted constituent evaluations (FinalCheck or PCS
 // openings).
-func Verify(tr *transcript.Transcript, c *poly.Composite, numVars int, proof *Proof) ([]ff.Element, ff.Element, error) {
+func Verify(tr *transcript.Transcript, c *poly.Composite, numVars int, claim ff.Element, proof *Proof) ([]ff.Element, ff.Element, error) {
 	d := c.Degree()
 	k := d + 1
 	if len(proof.RoundEvals) != numVars {
@@ -351,9 +354,8 @@ func Verify(tr *transcript.Transcript, c *poly.Composite, numVars int, proof *Pr
 
 	tr.AppendUint64("sumcheck/numvars", uint64(numVars))
 	tr.AppendUint64("sumcheck/degree", uint64(d))
-	tr.AppendScalar("sumcheck/claim", &proof.Claim)
+	tr.AppendScalar("sumcheck/claim", &claim)
 
-	claim := proof.Claim
 	challenges := make([]ff.Element, 0, numVars)
 	for round := 0; round < numVars; round++ {
 		compressed := proof.RoundEvals[round]

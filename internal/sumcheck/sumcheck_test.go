@@ -2,6 +2,7 @@ package sumcheck
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"zkphire/internal/ff"
@@ -54,7 +55,7 @@ func proveAndVerify(t *testing.T, c *poly.Composite, numVars int, seed int64) {
 	}
 
 	trV := transcript.New("test")
-	point, want, err := Verify(trV, c, numVars, proof)
+	point, want, err := Verify(trV, c, numVars, claim, proof)
 	if err != nil {
 		t.Fatalf("verify failed: %v", err)
 	}
@@ -134,16 +135,15 @@ func TestCheatingProverRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tamper with the claim. With compressed rounds the per-round identity
-	// is implicit (s(1) is reconstructed from the claim), so the corruption
-	// surfaces at the final evaluation binding.
-	bad := *proof
-	var oneE ff.Element
+	// Verify against a wrong claim. With compressed rounds the per-round
+	// identity is implicit (s(1) is reconstructed from the claim), so the
+	// mismatch surfaces at the final evaluation binding.
+	var oneE, badClaim ff.Element
 	oneE.SetOne()
-	bad.Claim.Add(&bad.Claim, &oneE)
+	badClaim.Add(&claim, &oneE)
 	trV := transcript.New("test")
-	if _, want, err := Verify(trV, c, 6, &bad); err == nil {
-		if ferr := FinalCheck(c, bad.FinalEvals, &want); ferr == nil {
+	if _, want, err := Verify(trV, c, 6, badClaim, proof); err == nil {
+		if ferr := FinalCheck(c, proof.FinalEvals, &want); ferr == nil {
 			t.Fatal("verifier accepted tampered claim")
 		}
 	}
@@ -157,7 +157,7 @@ func TestCheatingProverRejected(t *testing.T) {
 	}
 	bad2.RoundEvals[3][1].Add(&bad2.RoundEvals[3][1], &oneE)
 	trV2 := transcript.New("test")
-	if _, want, err := Verify(trV2, c, 6, &bad2); err == nil {
+	if _, want, err := Verify(trV2, c, 6, claim, &bad2); err == nil {
 		if ferr := FinalCheck(c, bad2.FinalEvals, &want); ferr == nil {
 			t.Fatal("verifier accepted tampered round evaluation")
 		}
@@ -168,14 +168,14 @@ func TestCheatingProverRejected(t *testing.T) {
 	bad3.RoundEvals = append([][]ff.Element{}, proof.RoundEvals...)
 	bad3.RoundEvals[0] = bad3.RoundEvals[0][:1]
 	trV3b := transcript.New("test")
-	if _, _, err := Verify(trV3b, c, 6, &bad3); err == nil {
+	if _, _, err := Verify(trV3b, c, 6, claim, &bad3); err == nil {
 		t.Fatal("verifier accepted malformed round")
 	}
 
 	// Tamper with final evals: Verify passes (it cannot see them) but
 	// FinalCheck must fail.
 	trV3 := transcript.New("test")
-	_, want, err := Verify(trV3, c, 6, proof)
+	_, want, err := Verify(trV3, c, 6, claim, proof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestWrongTranscriptDomainRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	trV := transcript.New("domainB")
-	_, want, err := Verify(trV, c, 5, proof)
+	_, want, err := Verify(trV, c, 5, claim, proof)
 	if err == nil {
 		// Round checks may pass by chance structure; the final binding must
 		// not.
@@ -208,31 +208,9 @@ func TestWrongTranscriptDomainRejected(t *testing.T) {
 }
 
 func TestZeroCheckHonest(t *testing.T) {
-	// Build a satisfied Vanilla circuit: qM=1, qO=1, w3=w1·w2 everywhere.
-	c := poly.VanillaGate()
-	numVars := 6
-	n := 1 << uint(numVars)
-	rng := ff.NewRand(99)
-
-	tables := make([]*mle.Table, c.NumVars())
-	for i := range tables {
-		tables[i] = mle.New(numVars)
-	}
-	get := func(name string) *mle.Table { return tables[c.VarIndex(name)] }
-	for j := 0; j < n; j++ {
-		w1, w2 := rng.Element(), rng.Element()
-		var w3 ff.Element
-		w3.Mul(&w1, &w2)
-		get("qM").Evals[j] = ff.One()
-		get("qO").Evals[j] = ff.One()
-		get("w1").Evals[j] = w1
-		get("w2").Evals[j] = w2
-		get("w3").Evals[j] = w3
-	}
-	a, err := NewAssignment(c, tables)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const numVars = 6
+	a := satisfiedVanilla(t, numVars, ff.NewRand(99))
+	c := a.Composite
 
 	trP := transcript.New("zc")
 	proof, _, err := ProveZero(trP, a, Config{})
@@ -251,6 +229,80 @@ func TestZeroCheckHonest(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = point
+}
+
+// satisfiedVanilla returns a Vanilla gate assignment that holds on every
+// row: qM = qO = 1 and w3 = w1·w2.
+func satisfiedVanilla(t *testing.T, numVars int, rng *ff.Rand) *Assignment {
+	t.Helper()
+	c := poly.VanillaGate()
+	tables := make([]*mle.Table, c.NumVars())
+	for i := range tables {
+		tables[i] = mle.New(numVars)
+	}
+	get := func(name string) *mle.Table { return tables[c.VarIndex(name)] }
+	for j := 0; j < 1<<uint(numVars); j++ {
+		w1, w2 := rng.Element(), rng.Element()
+		var w3 ff.Element
+		w3.Mul(&w1, &w2)
+		get("qM").Evals[j] = ff.One()
+		get("qO").Evals[j] = ff.One()
+		get("w1").Evals[j] = w1
+		get("w2").Evals[j] = w2
+		get("w3").Evals[j] = w3
+	}
+	a, err := NewAssignment(c, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestZeroCheckRejectsInconsistentQ shifts one value of one round's q
+// message of an honest ZeroCheck. The verifier derives q(1) from the
+// running claim, so the shifted message's implied s(0)+s(1) with the
+// honest q(1) is not the claim; the reconstructed polynomial is not the
+// prover's, and the final binding must fail.
+func TestZeroCheckRejectsInconsistentQ(t *testing.T) {
+	const numVars = 5
+	a := satisfiedVanilla(t, numVars, ff.NewRand(31))
+	c := a.Composite
+	proof, _, err := ProveZero(transcript.New("zc-q"), a, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneE := ff.One()
+	for round := range proof.Inner.RoundEvals {
+		for slot := range proof.Inner.RoundEvals[round] {
+			bad := &ZeroCheckProof{Inner: &Proof{RoundEvals: make([][]ff.Element, numVars), FinalEvals: proof.Inner.FinalEvals}}
+			for i, r := range proof.Inner.RoundEvals {
+				bad.Inner.RoundEvals[i] = append([]ff.Element(nil), r...)
+			}
+			bad.Inner.RoundEvals[round][slot].Add(&bad.Inner.RoundEvals[round][slot], &oneE)
+			_, want, eqVal, err := VerifyZero(transcript.New("zc-q"), c, numVars, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if FinalCheckZero(c, bad.Inner.FinalEvals[:c.NumVars()], &eqVal, &want) == nil {
+				t.Fatalf("round %d: a q message shifted at slot %d verified", round, slot)
+			}
+		}
+	}
+}
+
+// TestZeroCheckRejectsZeroTau: the verifier's rounds divide by τ_ℓ to
+// recover q(1), so a zero τ_ℓ is rejected rather than inverted to 0.
+func TestZeroCheckRejectsZeroTau(t *testing.T) {
+	rng := ff.NewRand(32)
+	tau := rng.Elements(3)
+	rounds := [][]ff.Element{rng.Elements(3), rng.Elements(3), rng.Elements(3)}
+	if _, _, err := verifyZeroRounds(transcript.New("tau"), tau, 3, rounds); err != nil {
+		t.Fatalf("nonzero τ rejected: %v", err)
+	}
+	tau[1] = ff.Zero()
+	if _, _, err := verifyZeroRounds(transcript.New("tau"), tau, 3, rounds); err == nil || !strings.Contains(err.Error(), "τ_1 = 0") {
+		t.Fatalf("zero τ_1: %v, want a τ_1 = 0 error", err)
+	}
 }
 
 func TestZeroCheckCatchesCancellingErrors(t *testing.T) {
