@@ -20,24 +20,26 @@ type FixedBaseTable struct {
 // NewFixedBaseTableSized picks the window width from the expected number of
 // scalar multiplications the table will serve: wider windows cost more to
 // build (2^w points per window) but make each multiplication cheaper (fewer
-// windows). SRS setup sizes its table by its top level: width 13 at 2^17
-// multiplications, 14 from 2^18 up.
+// windows). SRS setup sizes its table by its top level: width 6 at 2^11
+// multiplications, 10 from 2^15 up.
 func NewFixedBaseTableSized(base G1Affine, expectedMuls int) *FixedBaseTable {
 	return NewFixedBaseTable(base, fixedBaseWindow(expectedMuls))
 }
 
-// fixedBaseWindow minimizes build + usage point-additions over the window
-// width: ceil(255/w)·(2^w − 1) build additions against expectedMuls·
-// ceil(255/w) per-use additions, with the width capped so the table stays a
-// few tens of MiB even for huge setups. A per-use addition is batch-affine
-// and costs about half a build addition, yet counting them alike still
-// picks within 5% of the best measured width at 2^17 and 2^19 (DESIGN §4).
+// fixedBaseWindow minimizes build + usage cost over the window width:
+// ceil(255/w)·(2^w − 1) Jacobian build additions against expectedMuls·
+// ceil(255/w) batch-affine per-use additions, a per-use addition weighted
+// at an eighth of a build addition (the fp.Lanes flush; measured 0.15–0.3,
+// growing with the table as its lookups leave cache), with the width
+// capped at 10 (a 2.7 MB table) because wider tables lost to those misses
+// at every size timed. It picks the fastest measured width at 2^11 and
+// 2^19 and one within the pass spread at 2^17 (DESIGN §4).
 func fixedBaseWindow(expectedMuls int) int {
 	const scalarBits = 255
-	best, bestCost := 8, int64(1)<<62
-	for w := 4; w <= 14; w++ {
+	best, bestCost := 4, int64(1)<<62
+	for w := 4; w <= 10; w++ {
 		numWindows := int64((scalarBits + w - 1) / w)
-		cost := numWindows*(1<<uint(w)-1) + int64(expectedMuls)*numWindows
+		cost := numWindows * (8*(1<<uint(w)-1) + int64(expectedMuls))
 		if cost < bestCost {
 			best, bestCost = w, cost
 		}
@@ -98,7 +100,8 @@ func NewFixedBaseTable(base G1Affine, window int) *FixedBaseTable {
 // fixedBaseBatch is the lane count that shares one batch inversion per
 // window in MulManyWorkers: at 1024 lanes the inversion (a binary GCD,
 // about 100 multiplications' time) costs each addition about a tenth of a
-// multiplication.
+// multiplication. A multiple of fp.LaneCount, so full batches fill every
+// lane group of addChords.
 const fixedBaseBatch = 1024
 
 // MulManyWorkers returns k·base for every scalar on a worker budget (<= 0
@@ -121,21 +124,21 @@ func (t *FixedBaseTable) MulManyWorkers(ks []ff.Element, workers int) []G1Affine
 
 // laneScratch holds one batch's scalars and queued chord additions.
 type laneScratch struct {
-	limbs    [][ff.Limbs]uint64
-	lane     []int32      // queued addition j adds into out[lane[j]]
-	digit    []uint32     // ... the window entry digit[j]
-	num, den []fp.Element // ... along the chord of slope num[j]/den[j]
-	inv      []fp.Element // batchInvertFp's prefix products
+	limbs                         [][ff.Limbs]uint64
+	lane                          []int32      // queued addition j adds into out[lane[j]]
+	num, den, x1, y1, x2, scratch []fp.Element // ... as addChords' arguments
 }
 
 func newLaneScratch(n int) laneScratch {
 	return laneScratch{
-		limbs: make([][ff.Limbs]uint64, n),
-		lane:  make([]int32, n),
-		digit: make([]uint32, n),
-		num:   make([]fp.Element, n),
-		den:   make([]fp.Element, n),
-		inv:   make([]fp.Element, n),
+		limbs:   make([][ff.Limbs]uint64, n),
+		lane:    make([]int32, n),
+		num:     make([]fp.Element, n),
+		den:     make([]fp.Element, n),
+		x1:      make([]fp.Element, n),
+		y1:      make([]fp.Element, n),
+		x2:      make([]fp.Element, n),
+		scratch: make([]fp.Element, n),
 	}
 }
 
@@ -153,23 +156,15 @@ func (t *FixedBaseTable) mulLanes(ks []ff.Element, out []G1Affine, s *laneScratc
 				continue
 			}
 			p, q := &out[i], &row[d-1]
-			s.lane[m], s.digit[m] = int32(i), d
+			s.lane[m] = int32(i)
 			s.num[m].Sub(&q.Y, &p.Y)
 			s.den[m].Sub(&q.X, &p.X)
+			s.x1[m], s.y1[m], s.x2[m] = p.X, p.Y, q.X
 			m++
 		}
-		batchInvertFp(s.den[:m], s.inv)
-		var lambda, x3, y3 fp.Element
-		for j := 0; j < m; j++ {
-			p, q := &out[s.lane[j]], &row[s.digit[j]-1]
-			lambda.Mul(&s.num[j], &s.den[j])
-			x3.Square(&lambda)
-			x3.Sub(&x3, &p.X)
-			x3.Sub(&x3, &q.X)
-			y3.Sub(&p.X, &x3)
-			y3.Mul(&y3, &lambda)
-			y3.Sub(&y3, &p.Y)
-			p.X, p.Y = x3, y3
+		addChords(s.num[:m], s.den[:m], s.x1[:m], s.y1[:m], s.x2[:m], s.scratch)
+		for j, i := range s.lane[:m] {
+			out[i].X, out[i].Y = s.x1[j], s.y1[j]
 		}
 	}
 }

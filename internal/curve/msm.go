@@ -274,6 +274,219 @@ func (t *bucketTable) release() {
 	*t = bucketTable{}
 }
 
+// maxBatch is the batch-affine queue length: one shared inversion per
+// maxBatch bucket additions. A multiple of fp.LaneCount, so a full flush
+// has no padded lane group.
+const maxBatch = 4096
+
+// minAmortize is the batch size below which a flush wastes the shared
+// field inversion; the drain loop's degenerate guard dumps what is left
+// into Jacobian overflow buckets rather than flushing nearly-empty
+// batches.
+// Conflicting additions themselves ALWAYS defer to `pend`: the earlier
+// scheme sent every conflict that arrived while the batch was short
+// through full Jacobian arithmetic, and because the signed-digit bucket
+// count (2^(c−1)) no longer exceeds maxBatch, queue occupancy — and with
+// it the conflict rate — is high at every window width; the profile
+// showed ~25% of all bucket additions taking that slow path. Pair-merging
+// in the drain loop handles the conflicts at amortized batch-affine cost
+// instead.
+const minAmortize = 192
+
+// bucketQueue is accumulate's working state for one window of one table.
+// Queued addition i adds the point with x-coordinate x2[i] to (x1[i],
+// y1[i]) along slope num[i]/den[i] (addChords); its sum lands in bucket
+// dst[i], or for a pair merge in pend slot −dst[i]−1. A bucket is in the
+// queue at most once (inQueue), since its queued slope read the bucket
+// at queue time.
+type bucketQueue struct {
+	t                    *bucketTable
+	add                  chordAdder
+	inQueue              []bool
+	dst                  []int32
+	num, den, x1, y1, x2 []fp.Element
+	scratch              []fp.Element
+	m                    int
+	pend                 []pendOp
+	nPend                int
+	head                 []int32 // drain round: bucket b's parked slot, or −1
+}
+
+// init sets q up for table t with its buffers from the arenas; release
+// returns them.
+func (q *bucketQueue) init(t *bucketTable) {
+	*q = bucketQueue{t: t, add: addChords}
+	numBuckets := len(t.buckets)
+	q.inQueue = boolArena.Get(numBuckets)
+	clear(q.inQueue)
+	q.head = int32Arena.Get(numBuckets)
+	q.dst = int32Arena.Get(maxBatch)
+	q.num = fpArena.Get(maxBatch)
+	q.den = fpArena.Get(maxBatch)
+	q.x1 = fpArena.Get(maxBatch)
+	q.y1 = fpArena.Get(maxBatch)
+	q.x2 = fpArena.Get(maxBatch)
+	q.scratch = fpArena.Get(maxBatch)
+	q.pend = pendArena.Get(maxBatch)
+}
+
+func (q *bucketQueue) release() {
+	boolArena.Put(q.inQueue)
+	int32Arena.Put(q.head)
+	int32Arena.Put(q.dst)
+	for _, b := range [][]fp.Element{q.num, q.den, q.x1, q.y1, q.x2, q.scratch} {
+		fpArena.Put(b)
+	}
+	pendArena.Put(q.pend)
+}
+
+// flush completes every queued addition and writes the sums back.
+func (q *bucketQueue) flush() {
+	m := q.m
+	q.add(q.num[:m], q.den[:m], q.x1[:m], q.y1[:m], q.x2[:m], q.scratch)
+	for i, b := range q.dst[:m] {
+		if b >= 0 {
+			q.t.buckets[b] = affPair{q.x1[i], q.y1[i]}
+			q.inQueue[b] = false
+		} else {
+			// Pair merge: the sum of two parked same-bucket additions
+			// lands back in the first operand's pend slot.
+			dst := &q.pend[-b-1]
+			dst.x, dst.y = q.x1[i], q.y1[i]
+		}
+	}
+	q.m = 0
+}
+
+// push queues the addition of (x2, y2) to (x1, y1) for destination dst,
+// or reports false when it needs no slope: x1 = x2 with y1 = −y2 (the sum
+// is the identity) or y1 = 0 (2-torsion, not reachable from subgroup
+// points). A full queue is flushed at once.
+func (q *bucketQueue) push(dst int32, x1, y1, x2, y2 *fp.Element) bool {
+	num, den := &q.num[q.m], &q.den[q.m]
+	if x1.Equal(x2) {
+		if !y1.Equal(y2) {
+			return false
+		}
+		// Doubling: λ = 3x² / 2y.
+		den.Double(y1)
+		if den.IsZero() {
+			return false
+		}
+		var twoX2 fp.Element
+		num.Square(x1)
+		twoX2.Double(num)
+		num.Add(num, &twoX2)
+	} else {
+		// Chord: λ = (y2−y1)/(x2−x1).
+		num.Sub(y2, y1)
+		den.Sub(x2, x1)
+	}
+	q.dst[q.m] = dst
+	q.x1[q.m], q.y1[q.m], q.x2[q.m] = *x1, *y1, *x2
+	q.m++
+	if q.m == maxBatch {
+		q.flush()
+	}
+	return true
+}
+
+// enqueue adds ±(px, py) to bucket b; py is already sign-adjusted by the
+// caller. px/py may point into pend[nPend] itself during a drain — the
+// only write through pend in here is the self-assignment re-pend, which
+// is harmless. The outer loops keep nPend < maxBatch−1 so the deferred
+// append never overflows.
+func (q *bucketQueue) enqueue(b int32, px, py *fp.Element) {
+	t := q.t
+	if !t.full[b] {
+		t.buckets[b] = affPair{*px, *py}
+		t.full[b] = true
+		return
+	}
+	if q.inQueue[b] {
+		q.pend[q.nPend] = pendOp{x: *px, y: *py, b: b}
+		q.nPend++
+		return
+	}
+	bk := &t.buckets[b]
+	// inQueue is set before push, which may flush and clear it again.
+	q.inQueue[b] = true
+	if !q.push(b, &bk.X, &bk.Y, px, py) {
+		// P + (−P): the bucket empties.
+		q.inQueue[b] = false
+		t.full[b] = false
+	}
+}
+
+// pairMerge queues e + pend[h] (two parked additions for the same bucket)
+// as an independent batch-affine addition whose result replaces pend[h].
+// The caller clears head[b] so nothing pairs with the in-flight slot
+// before the next flush finalizes it.
+func (q *bucketQueue) pairMerge(h int32, e *pendOp) {
+	e1 := &q.pend[h]
+	if !q.push(-h-1, &e1.x, &e1.y, &e.x, &e.y) {
+		// P + (−P): both entries annihilate.
+		e1.dead = true
+	}
+}
+
+// drain re-runs the deferred adds until none remain parked. Each round:
+// entries whose bucket is free enter the batch; the first still-
+// conflicting entry per bucket stays parked; every further entry for that
+// bucket pair-merges with the parked one. A k-deep cluster thus
+// tree-reduces in ⌈log₂k⌉ rounds at batch-affine cost. Every round
+// consumes at least one entry (the queue is empty right after a flush), so
+// the loop terminates; if a round still cannot assemble a batch worth
+// inverting, the remnant is genuinely degenerate and goes through the
+// Jacobian overflow buckets.
+func (q *bucketQueue) drain() {
+	t := q.t
+	for q.nPend > 0 {
+		q.flush()
+		for i := range q.head {
+			q.head[i] = -1
+		}
+		cnt := q.nPend
+		q.nPend = 0
+		for i := 0; i < cnt; i++ {
+			e := q.pend[i]
+			if e.dead {
+				continue
+			}
+			if !q.inQueue[e.b] {
+				q.enqueue(e.b, &e.x, &e.y)
+				continue
+			}
+			if h := q.head[e.b]; h >= 0 {
+				q.pairMerge(h, &e)
+				q.head[e.b] = -1
+				continue
+			}
+			q.pend[q.nPend] = e
+			q.head[e.b] = int32(q.nPend)
+			q.nPend++
+		}
+		if q.nPend > 0 && q.nPend < minAmortize && q.m < minAmortize {
+			if t.overflow == nil {
+				t.overflow = jacArena.Get(len(t.buckets))
+				for i := range t.overflow {
+					t.overflow[i].SetInfinity()
+				}
+			}
+			q.flush() // finalize in-flight pair merges before reading pend
+			var aff G1Affine
+			for _, e := range q.pend[:q.nPend] {
+				if e.dead {
+					continue
+				}
+				aff.X, aff.Y = e.x, e.y
+				t.overflow[e.b].AddMixed(&aff)
+			}
+			q.nPend = 0
+		}
+	}
+}
+
 // accumulate adds window wi of one point range into the buckets: each point
 // pair (Pᵢ, φ(Pᵢ)) contributes its two digits; |d| selects the bucket and
 // the digit sign (xor the half's sign) selects P or −P, negation being one
@@ -288,228 +501,10 @@ func (t *bucketTable) release() {
 // the same bucket is deferred to a follow-up pass instead of flushing, so
 // the inversion stays amortized over full batches even for narrow windows.
 func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, wi int) {
-	c, buckets, full := t.c, t.buckets, t.full
-	numBuckets := len(buckets)
-	inQueue := boolArena.Get(numBuckets)
-	clear(inQueue)
-	defer boolArena.Put(inQueue)
-
-	const maxBatch = 4096
-	opBucket := int32Arena.Get(maxBatch) // dst: bucket b, or pend slot −s−1 for pair merges
-	opX := fpArena.Get(maxBatch)         // addend x₂ (needed for x3)
-	opX1 := fpArena.Get(maxBatch)        // pair merges: first operand x₁
-	opY1 := fpArena.Get(maxBatch)        // pair merges: first operand y₁
-	opNum := fpArena.Get(maxBatch)       // slope numerator
-	opDen := fpArena.Get(maxBatch)       // slope denominator → batch inverted
-	invScratch := fpArena.Get(maxBatch)
-	defer int32Arena.Put(opBucket)
-	defer fpArena.Put(opX)
-	defer fpArena.Put(opX1)
-	defer fpArena.Put(opY1)
-	defer fpArena.Put(opNum)
-	defer fpArena.Put(opDen)
-	defer fpArena.Put(invScratch)
-	m := 0
-
-	pend := pendArena.Get(maxBatch)
-	defer pendArena.Put(pend)
-	nPend := 0
-
-	flush := func() {
-		batchInvertFp(opDen[:m], invScratch)
-		var lambda, tmp, x3, y3 fp.Element
-		for i := 0; i < m; i++ {
-			lambda.Mul(&opNum[i], &opDen[i])
-			x3.Square(&lambda)
-			if b := opBucket[i]; b >= 0 {
-				bk := &buckets[b]
-				x3.Sub(&x3, &bk.X)
-				x3.Sub(&x3, &opX[i])
-				tmp.Sub(&bk.X, &x3)
-				y3.Mul(&lambda, &tmp)
-				y3.Sub(&y3, &bk.Y)
-				bk.X, bk.Y = x3, y3
-				inQueue[b] = false
-			} else {
-				// Pair merge: the sum of two parked same-bucket additions
-				// lands back in the first operand's pend slot.
-				dst := &pend[-b-1]
-				x3.Sub(&x3, &opX1[i])
-				x3.Sub(&x3, &opX[i])
-				tmp.Sub(&opX1[i], &x3)
-				y3.Mul(&lambda, &tmp)
-				y3.Sub(&y3, &opY1[i])
-				dst.x, dst.y = x3, y3
-			}
-		}
-		m = 0
-	}
-
-	// minAmortize is the batch size below which a flush wastes the shared
-	// field inversion; the drain loop's degenerate guard below dumps what is
-	// left into Jacobian overflow buckets rather than flushing nearly-empty
-	// batches.
-	// Conflicting additions themselves ALWAYS defer to `pend`: the
-	// earlier scheme sent every conflict that arrived while the batch was
-	// short through full Jacobian arithmetic, and because the signed-digit
-	// bucket count (2^(c−1)) no longer exceeds maxBatch, queue occupancy —
-	// and with it the conflict rate — is high at every window width; the
-	// profile showed ~25% of all bucket additions taking that slow path.
-	// Pair-merging in the drain loop handles the conflicts at amortized
-	// batch-affine cost instead.
-	const minAmortize = 192
-
-	// enqueue adds ±(px, py) to bucket b; py is already sign-adjusted by the
-	// caller. px/py may point into pend[nPend] itself during a drain — the
-	// only write through pend in here is the self-assignment re-pend, which
-	// is harmless. The outer loops keep nPend < maxBatch−1 so the deferred
-	// append never overflows.
-	enqueue := func(b int32, px, py *fp.Element) {
-		if !full[b] {
-			buckets[b].X = *px
-			buckets[b].Y = *py
-			full[b] = true
-			return
-		}
-		if inQueue[b] {
-			pend[nPend] = pendOp{x: *px, y: *py, b: b}
-			nPend++
-			return
-		}
-		bk := &buckets[b]
-		var num, den fp.Element
-		if bk.X.Equal(px) {
-			if !bk.Y.Equal(py) {
-				// P + (−P): the bucket empties.
-				full[b] = false
-				return
-			}
-			// Doubling: λ = 3x² / 2y.
-			den.Double(py)
-			if den.IsZero() {
-				// 2-torsion input (not reachable from subgroup points).
-				full[b] = false
-				return
-			}
-			num.Square(px)
-			var twoX2 fp.Element
-			twoX2.Double(&num)
-			num.Add(&num, &twoX2)
-		} else {
-			// Chord: λ = (y2−y1)/(x2−x1).
-			num.Sub(py, &bk.Y)
-			den.Sub(px, &bk.X)
-		}
-		opBucket[m] = b
-		opX[m] = *px
-		opNum[m] = num
-		opDen[m] = den
-		inQueue[b] = true
-		m++
-		if m == maxBatch {
-			flush()
-		}
-	}
-
-	// pairMerge queues e + pend[h] (two parked additions for the same
-	// bucket) as an independent batch-affine addition whose result replaces
-	// pend[h]. The caller clears head[b] so nothing pairs with the in-flight
-	// slot before the next flush finalizes it.
-	pairMerge := func(h int32, e *pendOp) {
-		e1 := &pend[h]
-		var num, den fp.Element
-		if e1.x.Equal(&e.x) {
-			if !e1.y.Equal(&e.y) {
-				// P + (−P): both entries annihilate.
-				e1.dead = true
-				return
-			}
-			den.Double(&e1.y)
-			if den.IsZero() {
-				e1.dead = true
-				return
-			}
-			num.Square(&e1.x)
-			var twoX2 fp.Element
-			twoX2.Double(&num)
-			num.Add(&num, &twoX2)
-		} else {
-			num.Sub(&e.y, &e1.y)
-			den.Sub(&e.x, &e1.x)
-		}
-		opBucket[m] = -h - 1
-		opX[m] = e.x
-		opX1[m] = e1.x
-		opY1[m] = e1.y
-		opNum[m] = num
-		opDen[m] = den
-		m++
-		if m == maxBatch {
-			flush()
-		}
-	}
-
-	// head[b] is the slot of the one parked-and-not-in-flight entry for
-	// bucket b in the current drain round, or −1.
-	head := int32Arena.Get(numBuckets)
-	defer int32Arena.Put(head)
-
-	// drainLoop re-runs the deferred adds until none remain parked. Each
-	// round: entries whose bucket is free enter the batch; the first still-
-	// conflicting entry per bucket stays parked; every further entry for
-	// that bucket pair-merges with the parked one. A k-deep cluster thus
-	// tree-reduces in ⌈log₂k⌉ rounds at batch-affine cost. Every round
-	// consumes at least one entry (the queue is empty right after a flush),
-	// so the loop terminates; if a round still cannot assemble a batch worth
-	// inverting, the remnant is genuinely degenerate and goes through the
-	// Jacobian overflow buckets.
-	drainLoop := func() {
-		for nPend > 0 {
-			flush()
-			for i := range head[:numBuckets] {
-				head[i] = -1
-			}
-			cnt := nPend
-			nPend = 0
-			for i := 0; i < cnt; i++ {
-				e := pend[i]
-				if e.dead {
-					continue
-				}
-				if !inQueue[e.b] {
-					enqueue(e.b, &e.x, &e.y)
-					continue
-				}
-				if h := head[e.b]; h >= 0 {
-					pairMerge(h, &e)
-					head[e.b] = -1
-					continue
-				}
-				pend[nPend] = e
-				head[e.b] = int32(nPend)
-				nPend++
-			}
-			if nPend > 0 && nPend < minAmortize && m < minAmortize {
-				if t.overflow == nil {
-					t.overflow = jacArena.Get(numBuckets)
-					for i := range t.overflow {
-						t.overflow[i].SetInfinity()
-					}
-				}
-				flush() // finalize in-flight pair merges before reading pend
-				var aff G1Affine
-				for i := 0; i < nPend; i++ {
-					if pend[i].dead {
-						continue
-					}
-					aff.X, aff.Y = pend[i].x, pend[i].y
-					t.overflow[pend[i].b].AddMixed(&aff)
-				}
-				nPend = 0
-			}
-		}
-	}
-
+	var q bucketQueue
+	q.init(t)
+	defer q.release()
+	c := t.c
 	var yTmp fp.Element
 	for i := range splits {
 		// Cancellation poll: ~4k point pairs between checks keeps the
@@ -520,8 +515,8 @@ func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX [
 			break
 		}
 		s := &splits[i]
-		if nPend >= maxBatch-2 {
-			drainLoop()
+		if q.nPend >= maxBatch-2 {
+			q.drain()
 		}
 		// A 0 or 1 scalar has the all-zero split (splitScalars): skip it
 		// before touching its point.
@@ -538,7 +533,7 @@ func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX [
 				yTmp.Neg(py)
 				py = &yTmp
 			}
-			enqueue(int32(d-1), &points[i].X, py)
+			q.enqueue(int32(d-1), &points[i].X, py)
 		}
 		// The φ half shares y with the base point; only x differs (βx).
 		if d := glvDigit(&s.k2, wi, c); d != 0 {
@@ -551,11 +546,11 @@ func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX [
 				yTmp.Neg(py)
 				py = &yTmp
 			}
-			enqueue(int32(d-1), &endoX[i], py)
+			q.enqueue(int32(d-1), &endoX[i], py)
 		}
 	}
-	drainLoop()
-	flush()
+	q.drain()
+	q.flush()
 }
 
 // reduce forms the window's weighted sum Σ d·bucket[d] with a running
@@ -601,15 +596,16 @@ func extractDigit(words *[ff.Limbs]uint64, bit, width int) uint32 {
 // ceil(128/c): versus the pre-GLV model both the window count (255→128
 // bits) and the bucket count (2^c−1 → 2^(c−1)) are halved, so the same
 // cache footprint carries a one-bit-wider window and the reduction term
-// shrinks ~4×. Tiers re-checked with BenchmarkMSMWindowSweep (tier ±2, one
-// worker, alternating passes, 2-core runner) after fp.Mul moved to the ADX
-// kernel, which halves costAffine and costJac alike and leaves the memory
-// traffic where it was. None moved: at 2^16 c=13 (0.67–0.76 s) is ≥ 8% ahead
-// of c=12 and c=14 in every pass; at 2^10 c=8 (18–22 ms) ties c=9; at 2^15
-// c=12 (324–468 ms vs c=13's 298–471) and at 2^17 c=14 (1.34–1.53 s vs
-// c=15's 1.44–1.61) won some of five passes by 5–12% and lost or tied
-// others — short of "> 5% in every pass" on a runner that wanders by more.
-// The tiers from 2^18 up are PR 4's and were not re-measured.
+// shrinks ~4×. A tier moves only where a width beats it by more than 5% in
+// every pass of BenchmarkMSMWindowSweep (tier ±2, one worker, five
+// alternating passes, 2-core runner). Re-taken after the flush moved to
+// the fp.Lanes kernel, which cuts costAffine about 3× and leaves costJac
+// (reduce) scalar, so narrower windows gained: at 2^15 c=12 (236–252 ms)
+// beat c=13 (266–287) by 7–16% in every pass, and at 2^17 c=13 (766–931
+// ms) beat c=15 (857–1188) by 6–26% in ten of ten passes over two sweeps
+// (c=14 lost one). At 2^16 c=12 led c=13 in four passes of five but by
+// more than 5% in only two, and at 2^10 c=7 and c=9 (13–19 ms) tie c=8
+// (14–17 ms). The tiers from 2^18 up are PR 4's and were not re-measured.
 func windowSize(n int) int {
 	switch {
 	case n < 32:
@@ -620,12 +616,10 @@ func windowSize(n int) int {
 		return 8
 	case n < 1<<14:
 		return 10
-	case n < 1<<15:
+	case n < 1<<16:
 		return 12
-	case n < 1<<17:
-		return 13
 	case n < 1<<18:
-		return 15
+		return 13
 	default:
 		return 16
 	}

@@ -15,7 +15,10 @@ import (
 // where the one-shot MSM holds only the tables of its tasks in flight and
 // keeps the uncapped windowSize. On the memory-budgeted workload c = 13
 // moved proof latency by less than the run-to-run spread for twice the
-// resident tables (DESIGN.md §8 has the table).
+// resident tables (DESIGN.md §8 has the table). Re-checked after the
+// flush moved to the fp.Lanes kernel: at 2^16 points c=12 (442–479 ms)
+// led c=13 (442–494 ms) in four of five passes, by more than 5% in two,
+// so the cap still costs the stream nothing.
 const streamMaxWindow = 12
 
 // StreamMSM is the one Pippenger driver: a pass over a point set that

@@ -76,14 +76,14 @@ func streamChunked(ctx context.Context, points []G1Affine, scalars []ff.Element,
 
 // TestStreamMSMMatchesMSM: a streamed MSM equals an independent reference
 // for every chunking and budget, both below the window cap (n = 300,
-// against the naive sum) and above it (2^15 + 3 points size the one-shot
+// against the naive sum) and above it (2^16 + 3 points size the one-shot
 // window at 13, the stream's at the cap of 12; the reference is
 // multiplesOfGMSM, and the one-shot MSM must match it too).
 func TestStreamMSMMatchesMSM(t *testing.T) {
 	rng := ff.NewRand(41)
 	small := randomPoints(rng, 300)
 	smallScalars := withZerosAndOnes(rng.Elements(len(small)))
-	large := multiplesOfG(1<<15 + 3)
+	large := multiplesOfG(1<<16 + 3)
 	largeScalars := withZerosAndOnes(rng.Elements(len(large)))
 	cases := []struct {
 		points  []G1Affine

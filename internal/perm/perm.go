@@ -196,18 +196,15 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 	defer parallel.PutScratch(inv)
 	phi := mle.New(nv)
 	parallel.For(workers, n, func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			num[x] = a.NTabs[0].Evals[x]
-			den[x] = a.DTabs[0].Evals[x]
-			for j := 1; j < k; j++ {
-				num[x].Mul(&num[x], &a.NTabs[j].Evals[x])
-				den[x].Mul(&den[x], &a.DTabs[j].Evals[x])
-			}
+		nu, de := num[lo:hi], den[lo:hi]
+		copy(nu, a.NTabs[0].Evals[lo:hi])
+		copy(de, a.DTabs[0].Evals[lo:hi])
+		for j := 1; j < k; j++ {
+			ff.MulVec(nu, nu, a.NTabs[j].Evals[lo:hi])
+			ff.MulVec(de, de, a.DTabs[j].Evals[lo:hi])
 		}
-		ff.BatchInvertScratch(den[lo:hi], inv[lo:hi])
-		for x := lo; x < hi; x++ {
-			phi.Evals[x].Mul(&num[x], &den[x])
-		}
+		ff.BatchInvertScratch(de, inv[lo:hi])
+		ff.MulVec(phi.Evals[lo:hi], nu, de)
 	})
 	a.Phi = phi
 
@@ -222,9 +219,7 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 		// T[2·off .. 2·(off+width)).
 		off := n - 2*width
 		parallel.For(workers, width, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				tEvals[n+off+j].Mul(&tEvals[2*(off+j)], &tEvals[2*(off+j)+1])
-			}
+			mulPairs(tEvals[n+off+lo:n+off+hi], tEvals[2*(off+lo):2*(off+hi)])
 		})
 	}
 	tEvals[2*n-1] = ff.One()
@@ -277,4 +272,17 @@ func ViewPoints(r []ff.Element) (piPt, p1Pt, p2Pt, phiPt []ff.Element) {
 	p1Pt = append([]ff.Element{zeroE}, r...)
 	p2Pt = append([]ff.Element{oneE}, r...)
 	return
+}
+
+// mulPairs sets z[j] = x[2j]·x[2j+1] through ff.MulVec, deinterleaving
+// the pairs a stack block at a time.
+func mulPairs(z, x []ff.Element) {
+	var even, odd [64]ff.Element
+	for lo := 0; lo < len(z); lo += len(even) {
+		b := min(len(even), len(z)-lo)
+		for j := range b {
+			even[j], odd[j] = x[2*(lo+j)], x[2*(lo+j)+1]
+		}
+		ff.MulVec(z[lo:lo+b], even[:b], odd[:b])
+	}
 }
