@@ -33,7 +33,7 @@ vet:
 
 # Invariant gate: gofmt + go vet + the zkvet analyzer suite
 # (internal/analysis) over the whole module — determinism (proof path),
-# release (arena buffers and worker leases released by defer; one
+# release (arena buffers released by defer; one
 # recover), norawgo (raw goroutines), errorpath (Unmarshal panics, %w
 # wrapping). `go test ./...` runs the same
 # suite (TestModuleClean), so CI needs no separate lint step. See

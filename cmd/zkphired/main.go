@@ -21,10 +21,12 @@
 //	curl -s localhost:8080/metrics
 //
 // The worker budget (-workers, 0 = GOMAXPROCS) is shared by everything
-// the daemon runs: each of the -inflight concurrent proofs leases an even
-// share, so overlapping requests split the machine instead of
-// oversubscribing it. -queue bounds the waiting room; when it is full the
-// daemon answers 429 immediately rather than building a backlog.
+// the daemon runs: each of the -inflight concurrent proofs (at most one
+// per worker) runs with an even share, and a circuit registration takes
+// a proof's place while it preprocesses, so overlapping requests split
+// the machine instead of oversubscribing it. -queue bounds the waiting
+// room; when it is full the daemon answers 429 immediately rather than
+// building a backlog.
 //
 // The SRS is generated at startup: with -seed, deterministically (tests,
 // demos — proofs are reproducible across restarts); without, from system
@@ -65,6 +67,7 @@ import (
 	"zkphire/internal/cluster"
 	"zkphire/internal/faultinject"
 	"zkphire/internal/journal"
+	"zkphire/internal/parallel"
 	"zkphire/internal/pcs"
 	"zkphire/internal/service"
 )
@@ -269,9 +272,9 @@ func run(o options) error {
 		// Finish what the previous process started before taking traffic:
 		// replayed proofs are byte-identical to the uninterrupted run.
 		srv, replay = svc, func() (int, error) { return svc.RecoverJournal(nil) }
-		budget := svc.Budget().Total()
+		budget := parallel.Workers(o.workers)
 		log.Printf("zkphired %s on %s (budget %d workers, %d in-flight × %d workers/proof, queue %d, cache %d circuits)",
-			o.role, o.addr, budget, o.inflight, max(1, budget/max(1, o.inflight)), o.queue, o.cache)
+			o.role, o.addr, budget, svc.Slots(), parallel.Split(budget, svc.Slots()), o.queue, o.cache)
 		if o.role == "worker" {
 			agent, err = cluster.NewWorker(cluster.WorkerConfig{
 				Service:        svc,

@@ -9,8 +9,8 @@ import (
 // the prover stack. The worker-budget model — one budget chosen at the
 // session API, split across nested kernels, never oversubscribed — only
 // holds if nobody spawns goroutines behind the engine's back: a raw
-// `go` statement is invisible to parallel.Budget, and a spawn inside a
-// loop is unbounded by anything at all.
+// `go` statement is invisible to the budget it should share, and a
+// spawn inside a loop is unbounded by anything at all.
 //
 // Every `go` statement outside internal/parallel is therefore a
 // finding. The handful of legitimate sites (the daemon's HTTP listener
@@ -68,7 +68,7 @@ func inspectWithLoops(pass *Pass, root ast.Node) {
 				}
 			}
 			if inLoop {
-				pass.Reportf(n.Pos(), "goroutine spawned in a loop outside internal/parallel: unbounded concurrency escapes the worker-budget model; use parallel.For/Run or lease from parallel.Budget")
+				pass.Reportf(n.Pos(), "goroutine spawned in a loop outside internal/parallel: unbounded concurrency escapes the worker-budget model; use parallel.For/Run")
 			} else {
 				pass.Reportf(n.Pos(), "raw go statement outside internal/parallel: route concurrency through the engine so one worker budget governs the proof")
 			}

@@ -7,8 +7,7 @@ import (
 	"strings"
 )
 
-// parallelPath is the package that owns both pools: the scratch arenas
-// and the worker budget.
+// parallelPath is the package that owns the scratch arenas.
 const parallelPath = Module + "/internal/parallel"
 
 // A poolFunc names a function ("" receiver) or method of internal/parallel.
@@ -21,35 +20,31 @@ func (f poolFunc) String() string {
 	return f.recv + "." + f.name
 }
 
-// releaseOf pairs each acquire entry point of the two pools with the call
-// that returns what it hands out.
+// releaseOf pairs each acquire entry point of the arena pool with the
+// call that returns what it hands out.
 var releaseOf = map[poolFunc]poolFunc{
-	{"", "GetScratch"}:       {"", "PutScratch"},
-	{"Arena", "Get"}:         {"Arena", "Put"},
-	{"Budget", "Acquire"}:    {"Lease", "Release"},
-	{"Budget", "TryAcquire"}: {"Lease", "Release"},
+	{"", "GetScratch"}: {"", "PutScratch"},
+	{"Arena", "Get"}:   {"Arena", "Put"},
 }
 
-// Release enforces one rule for both pools: whatever is taken from a
-// scratch arena (parallel.GetScratch, Arena.Get) or the worker budget
-// (Budget.Acquire, TryAcquire) is returned by a defer in the function
-// that declares the variable holding it — `defer pool.Put(buf)` or
-// `defer lease.Release()` after the acquire, or a deferred func literal
-// that releases it (the form for a lazily taken buffer; Put(nil) is a
-// no-op) — or it is handed off by storing it into a field or index
-// expression. Anything else is a finding: an inline release, no release,
-// a result discarded into _ or never assigned. A deferred release runs on
-// every exit, early returns and panics included, so no path needs
-// simulating.
+// Release enforces one rule for the scratch arenas: whatever is taken
+// from one (parallel.GetScratch, Arena.Get) is returned by a defer in
+// the function that declares the variable holding it — `defer
+// pool.Put(buf)` after the acquire, or a deferred func literal that
+// releases it (the form for a lazily taken buffer; Put(nil) is a no-op)
+// — or it is handed off by storing it into a field or index expression.
+// Anything else is a finding: an inline release, no release, a result
+// discarded into _ or never assigned. A deferred release runs on every
+// exit, early returns and panics included, so no path needs simulating.
 //
 // The same panic argument fixes the one recover() in the module at
 // service.runGuarded, the job boundary: a recover anywhere else swallows
 // a panic before the boundary's accounting runs. internal/parallel
-// implements the pools and is exempt from the release rule, not from
-// the recover rule. See DESIGN.md §6.3.
+// implements the pool and is exempt from the release rule, not from the
+// recover rule. See DESIGN.md §6.3.
 var Release = &Analyzer{
 	Name: "release",
-	Doc:  "flag arena buffers and budget leases not released by a defer (or handed off to a field/index), and recover() outside service.runGuarded",
+	Doc:  "flag arena buffers not released by a defer (or handed off to a field/index), and recover() outside service.runGuarded",
 	Run:  runRelease,
 }
 
@@ -79,7 +74,7 @@ func checkRecover(pass *Pass, decl ast.Decl) {
 	ast.Inspect(decl, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "recover" && isBuiltin(pass.Info, id) {
-				pass.Reportf(call.Pos(), "recover() outside the designated job boundary (%s.runGuarded): a stray recover swallows the panic before the boundary releases leases and scratch; let it propagate", servicePath)
+				pass.Reportf(call.Pos(), "recover() outside the designated job boundary (%s.runGuarded): a stray recover swallows the panic before the boundary's accounting runs; let it propagate", servicePath)
 			}
 		}
 		return true
@@ -156,10 +151,10 @@ func (c *releaseCheck) walk(fn ast.Node) {
 func (c *releaseCheck) assign(lhs, rhs []ast.Expr) {
 	info := c.pass.Info
 	for i, r := range rhs {
-		l := ast.Unparen(lhs[0]) // a multi-value call (lease, err := Acquire) binds its resource first
-		if len(lhs) == len(rhs) {
-			l = ast.Unparen(lhs[i])
+		if len(lhs) != len(rhs) {
+			continue // every acquire returns one value
 		}
+		l := ast.Unparen(lhs[i])
 		handOff := false
 		switch l.(type) {
 		case *ast.SelectorExpr, *ast.IndexExpr:
@@ -189,16 +184,12 @@ func (c *releaseCheck) assign(lhs, rhs []ast.Expr) {
 }
 
 // noteRelease records d against the variable call releases, if it is a
-// release: pool.Put(v) or v.Release().
+// release: pool.Put(v).
 func (c *releaseCheck) noteRelease(call *ast.CallExpr, d deferral) {
 	if d.release = c.poolCall(call); d.release == (poolFunc{}) {
 		return
 	}
-	args := call.Args
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		args = append(args[:len(args):len(args)], sel.X)
-	}
-	for _, a := range args {
+	for _, a := range call.Args {
 		if id, ok := ast.Unparen(a).(*ast.Ident); ok {
 			obj := c.pass.Info.Uses[id]
 			c.deferred[obj] = append(c.deferred[obj], d)
@@ -223,8 +214,8 @@ func (c *releaseCheck) report() {
 	}
 }
 
-// poolCall returns the entry point of either pool that call invokes, or
-// the zero poolFunc.
+// poolCall returns the pool entry point that call invokes, or the zero
+// poolFunc.
 func (c *releaseCheck) poolCall(call *ast.CallExpr) poolFunc {
 	obj := calleeObj(c.pass.Info, call)
 	for acq, rel := range releaseOf {

@@ -101,22 +101,21 @@ func TestErrorWrapScope(t *testing.T) {
 	}
 }
 
-// TestRecoverscopeFlagged holds the release rule's lease half and the
-// recover boundary, loaded as the service layer itself — the findings
-// are the ones no package may contain.
+// TestRecoverscopeFlagged holds the release rule's recover boundary,
+// loaded as the service layer itself — the findings are the ones no
+// package may contain.
 func TestRecoverscopeFlagged(t *testing.T) {
 	analysistest.Run(t, one(analysis.Release), "testdata/recoverscope/flagged", "zkphire/internal/service")
 }
 
-// TestRecoverscopeClean: the sanctioned recover boundary and every
-// sanctioned lease form, also loaded as the service layer.
+// TestRecoverscopeClean: the sanctioned recover boundary, also loaded as
+// the service layer.
 func TestRecoverscopeClean(t *testing.T) {
 	analysistest.Run(t, one(analysis.Release), "testdata/recoverscope/clean", "zkphire/internal/service")
 }
 
 // TestRecoverscopeScope: the same clean fixture loaded anywhere else
-// loses runGuarded's exemption — its recover becomes the one finding —
-// while the lease forms stay clean.
+// loses runGuarded's exemption — its recover becomes the one finding.
 func TestRecoverscopeScope(t *testing.T) {
 	pkg := analysistest.Load(t, "testdata/recoverscope/clean", fixturePath)
 	diags, err := analysis.Run(pkg, one(analysis.Release))
@@ -128,8 +127,9 @@ func TestRecoverscopeScope(t *testing.T) {
 	}
 }
 
-// TestRecoverscopeParallelExempt: internal/parallel implements both pools
-// and is exempt from the release rule; recover is still policed there.
+// TestRecoverscopeParallelExempt: internal/parallel implements the arena
+// pool and is exempt from the release rule; recover is still policed
+// there.
 func TestRecoverscopeParallelExempt(t *testing.T) {
 	recovers := 0
 	for _, dir := range []string{"testdata/arenapair/flagged", "testdata/recoverscope/flagged"} {

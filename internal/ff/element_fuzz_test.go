@@ -204,8 +204,8 @@ func FuzzFFSquare(f *testing.F) {
 	})
 }
 
-// FuzzFFMulAdd drives the fused multiply-add kernel (the FoldVec/MulAccVec
-// core) against the two-step reference.
+// FuzzFFMulAdd drives the fused multiply-add kernel (the FoldVec core)
+// against the two-step reference.
 func FuzzFFMulAdd(f *testing.F) {
 	for _, s := range fuzzSeedBytes() {
 		f.Add(s)

@@ -377,24 +377,6 @@ func TestEvalFromPoints(t *testing.T) {
 	}
 }
 
-func TestExtendEvals(t *testing.T) {
-	// Linear p(x) = 4x + 1: evals 1, 5 -> extended 9, 13, ...
-	one4 := fromBig(big.NewInt(1))
-	five := fromBig(big.NewInt(5))
-	ext := ExtendEvals([]Element{one4, five}, 4)
-	for i := 0; i <= 4; i++ {
-		want := fromBig(big.NewInt(int64(4*i + 1)))
-		if !ext[i].Equal(&want) {
-			t.Fatalf("ExtendEvals[%d] mismatch", i)
-		}
-	}
-	// dNew <= d returns prefix
-	short := ExtendEvals(ext, 2)
-	if len(short) != 3 {
-		t.Fatal("ExtendEvals truncation length")
-	}
-}
-
 func BenchmarkAdd(b *testing.B) {
 	rng := NewRand(1)
 	x, y := rng.Element(), rng.Element()

@@ -70,22 +70,3 @@ func factorials(d int) []Element {
 	}
 	return out
 }
-
-// ExtendEvals extrapolates evaluations at 0..d to 0..dNew (dNew >= d) for the
-// same underlying polynomial, mirroring what an extension engine does when a
-// low-degree term must be evaluated at the composite polynomial's full set of
-// extension points.
-func ExtendEvals(evals []Element, dNew int) []Element {
-	d := len(evals) - 1
-	if dNew <= d {
-		return evals[:dNew+1]
-	}
-	out := make([]Element, dNew+1)
-	copy(out, evals)
-	for t := d + 1; t <= dNew; t++ {
-		var x Element
-		x.SetUint64(uint64(t))
-		out[t] = EvalFromPoints(evals, &x)
-	}
-	return out
-}

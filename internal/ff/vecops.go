@@ -7,8 +7,8 @@ import (
 
 // This file implements the slice kernels of the scalar-field hot loops:
 // MulVec and ScalarMulVec (the assembly multiply run over a whole slice),
-// and the lazy-reduction kernels SumVec, InnerProductVec, FoldVec, and
-// MulAccVec, plus the LazyAcc accumulator they are built on. The idea of
+// and the lazy-reduction kernels SumVec, InnerProductVec and FoldVec,
+// plus the LazyAcc accumulator they are built on. The idea of
 // the lazy ones is always the same — keep
 // an accumulator UNREDUCED across a whole chunk and pay the Montgomery
 // reduction (and its conditional subtractions) once at the chunk boundary
@@ -22,7 +22,7 @@ import (
 //     x̃·ỹ into a 576-bit accumulator: the per-element Montgomery reduction
 //     half of Mul (16 of its 32 word products) disappears entirely. Each
 //     product is < q² < 2^510, so ~2^66 products fit.
-//   - FoldVec and MulAccVec fuse a multiply and an add into one reduction:
+//   - FoldVec fuses a multiply and an add into one reduction:
 //     z = x·y + a is computed as a 512-bit value and reduced once, instead
 //     of Mul's reduction followed by Add's conditional subtraction.
 //
@@ -309,17 +309,6 @@ func FoldVec(dst, src []Element, r *Element) {
 		a0 := src[2*j]
 		diff.Sub(&src[2*j+1], &a0)
 		dst[j] = mulAddRed(r, &diff, &a0)
-	}
-}
-
-// MulAccVec sets acc[j] += c·v[j] with the multiply-add of every entry fused
-// into one reduction. It panics if lengths differ.
-func MulAccVec(acc []Element, c *Element, v []Element) {
-	if len(acc) != len(v) {
-		panic("ff: mulacc length mismatch")
-	}
-	for j := range acc {
-		acc[j] = mulAddRed(c, &v[j], &acc[j])
 	}
 }
 

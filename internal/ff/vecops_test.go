@@ -134,34 +134,6 @@ func TestFoldVecMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMulAccVecMatchesNaive(t *testing.T) {
-	rng := NewRand(24)
-	for _, m := range []int{1, 3, 600} {
-		v := rng.Elements(m)
-		base := rng.Elements(m)
-		for i, e := range edgeElements() {
-			if i < m {
-				v[i] = e
-			}
-		}
-		for _, c := range append(edgeElements(), rng.Element()) {
-			want := append([]Element(nil), base...)
-			var tmp Element
-			for j := range want {
-				tmp.Mul(&c, &v[j])
-				want[j].Add(&want[j], &tmp)
-			}
-			got := append([]Element(nil), base...)
-			MulAccVec(got, &c, v)
-			for j := range got {
-				if !got[j].Equal(&want[j]) {
-					t.Fatalf("MulAccVec entry %d mismatch (m=%d)", j, m)
-				}
-			}
-		}
-	}
-}
-
 func TestLazyAccMatchesNaive(t *testing.T) {
 	rng := NewRand(25)
 	for _, n := range []int{1, 2, 7, 33} {

@@ -18,10 +18,9 @@
 //     repeated proofs reuse the same table-sized buffers instead of
 //     churning the GC.
 //
-// For a static set of concurrent sub-tasks, Split divides a budget up
-// front; for a changing set of tenants (the proving service's overlapping
-// requests), Budget leases workers dynamically under the same global cap
-// — see Budget, Acquire, and Lease.
+// Concurrent sub-tasks share a budget through Split, which divides it up
+// front. The proving service does the same: its queue holds one slot per
+// share, so overlapping requests never exceed the global cap.
 package parallel
 
 import (
@@ -46,9 +45,9 @@ func Workers(n int) int {
 }
 
 // Split divides a worker budget among k concurrent sub-tasks, returning the
-// per-task budget (at least 1). BatchProve uses it to give each in-flight
-// proof its share of the machine, and the prover uses it when it runs
-// independent commitments concurrently.
+// per-task budget (at least 1). BatchProve and the proving service's queue
+// use it to give each in-flight proof its share of the machine, and the
+// prover uses it when it runs independent commitments concurrently.
 func Split(workers, k int) int {
 	workers = Workers(workers)
 	if k <= 1 {

@@ -26,7 +26,7 @@ import (
 // round seeds the fault RNG, arms a random subset of error/panic faults
 // across the journal and the job boundary, hammers the daemon with
 // concurrent keyed and unkeyed proves, and then checks the surviving
-// invariants — every lease back in the budget, no stuck goroutines, and
+// invariants — every queue slot handed back, no stuck goroutines, and
 // a clean prove that still produces the golden bytes.
 func TestChaosInProcess(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
@@ -93,8 +93,8 @@ func TestChaosInProcess(t *testing.T) {
 		wg.Wait()
 		faultinject.Reset()
 
-		if n := s.Budget().OutstandingLeases(); n != 0 {
-			t.Fatalf("seed %d: %d leases leaked", seed, n)
+		if n := s.local.queue.Running(); n != 0 {
+			t.Fatalf("seed %d: %d slots leaked", seed, n)
 		}
 		resp, pr, raw := proveOnce(t, ts.URL, ProveRequest{CircuitID: id})
 		if resp.StatusCode != http.StatusOK {
@@ -251,8 +251,8 @@ func TestChaosCrashReplayConformance(t *testing.T) {
 			if p := jnl.Pending(); len(p) != 0 {
 				t.Fatalf("%d jobs still pending after recovery: %+v", len(p), p)
 			}
-			if n := s2.Budget().OutstandingLeases(); n != 0 {
-				t.Fatalf("%d leases outstanding after recovery", n)
+			if n := s2.local.queue.Running(); n != 0 {
+				t.Fatalf("%d slots held after recovery", n)
 			}
 
 			// (c) An acknowledged or recovered job carries exactly the golden

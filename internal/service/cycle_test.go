@@ -20,10 +20,9 @@ import (
 // TestCycleBackToBaseline cycles a small single node far past its
 // capacity — one slot, a two-job waiting room, eight clients — with
 // unkeyed, keyed, abandoned and ProveHex jobs, then checks for drift:
-// goroutines, worker leases, the queue's counts and the front-end's job
-// table must all be back where the warm-up left them. A job that leaks
-// an admission, a slot, a lease or a table entry on some path shows up
-// as a residue here.
+// goroutines, the queue's counts and the front-end's job table must all
+// be back where the warm-up left them. A job that leaks an admission, a
+// slot or a table entry on some path shows up as a residue here.
 func TestCycleBackToBaseline(t *testing.T) {
 	const clients, perClient = 8, 50
 
@@ -112,9 +111,6 @@ func TestCycleBackToBaseline(t *testing.T) {
 
 	// Abandoned keyed jobs run on to settlement; wait for the last one.
 	waitUntil(t, "every job to settle", func() bool { return s.Unsettled() == 0 })
-	if n := s.Budget().OutstandingLeases(); n != 0 {
-		t.Fatalf("%d worker leases outstanding", n)
-	}
 	if r, d := s.local.queue.Running(), s.local.queue.Depth(); r != 0 || d != 0 {
 		t.Fatalf("queue running %d, waiting %d; want 0 and 0", r, d)
 	}

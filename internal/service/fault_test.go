@@ -48,8 +48,8 @@ func proveOnce(t *testing.T, url string, req ProveRequest) (*http.Response, Prov
 }
 
 // TestPanicIsolation pins the job-boundary guarantee: a panic inside a
-// prove job becomes a structured 500, the worker lease provably returns
-// to the budget, and the daemon keeps proving.
+// prove job becomes a structured 500, its queue slot provably comes
+// back, and the daemon keeps proving.
 func TestPanicIsolation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	id := registerCubic(t, ts.URL, 5)
@@ -69,8 +69,8 @@ func TestPanicIsolation(t *testing.T) {
 	if s.Metrics().ProofsPanicked.Load() != 1 {
 		t.Fatalf("ProofsPanicked = %d, want 1", s.Metrics().ProofsPanicked.Load())
 	}
-	if n := s.Budget().OutstandingLeases(); n != 0 {
-		t.Fatalf("%d leases leaked across a panic", n)
+	if n := s.local.queue.Running(); n != 0 {
+		t.Fatalf("%d slots leaked across a panic", n)
 	}
 
 	// The daemon survived: the next proof succeeds and verifies.
@@ -81,8 +81,8 @@ func TestPanicIsolation(t *testing.T) {
 	if pr.Proof == "" {
 		t.Fatal("empty proof after panic recovery")
 	}
-	if n := s.Budget().OutstandingLeases(); n != 0 {
-		t.Fatalf("%d leases outstanding after quiesce", n)
+	if n := s.local.queue.Running(); n != 0 {
+		t.Fatalf("%d slots held after quiesce", n)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestTransientFailureRetried(t *testing.T) {
 	if got := s.Metrics().ProofsRetried.Load(); got < 1 {
 		t.Fatalf("ProofsRetried = %d, want >= 1", got)
 	}
-	if n := s.Budget().OutstandingLeases(); n != 0 {
-		t.Fatalf("%d leases leaked across a retry", n)
+	if n := s.local.queue.Running(); n != 0 {
+		t.Fatalf("%d slots leaked across a retry", n)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestRecoverJournalReplaysPending(t *testing.T) {
 	if err := zkphire.Verify(testSRS, sess.Prover.VerifyingKey(), &proof); err != nil {
 		t.Fatalf("replayed proof does not verify: %v", err)
 	}
-	if leaks := s2.Budget().OutstandingLeases(); leaks != 0 {
-		t.Fatalf("%d leases outstanding after recovery", leaks)
+	if n := s2.local.queue.Running(); n != 0 {
+		t.Fatalf("%d slots held after recovery", n)
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 	"zkphire/internal/parallel"
 )
 
-// local is the single-node Backend: sessions come from a Registry, proofs
-// pass the Queue's admission gate, and both lease workers from one Budget.
+// local is the single-node Backend: sessions come from a Registry, and
+// proofs and preprocessing runs alike hold one of the Queue's slots.
 type local struct {
-	budget   *parallel.Budget
+	workers  int // the resolved worker budget, for zkphired_worker_budget
 	registry *Registry
 	queue    *Queue
 	metrics  *Metrics
@@ -38,14 +38,13 @@ func newLocal(cfg Config) *local {
 		cfg.CacheSize = 32
 	}
 	l := &local{
-		budget:  parallel.NewBudget(cfg.Workers),
+		workers: parallel.Workers(cfg.Workers),
 		metrics: &Metrics{},
 		start:   time.Now(),
 	}
-	l.queue = NewQueue(l.budget, cfg.MaxInflight, cfg.QueueDepth, l.metrics)
-	// Preprocessing leases the same per-job share the queue computed, and
-	// waits at most the server's deadline cap for it.
-	l.registry = NewRegistry(cfg.SRS, l.budget, cfg.CacheSize, l.queue.Workers(), maxTimeout, l.metrics)
+	l.queue = NewQueue(l.workers, cfg.MaxInflight, cfg.QueueDepth, l.metrics)
+	// Preprocessing waits at most the server's deadline cap for a slot.
+	l.registry = NewRegistry(cfg.SRS, l.queue, cfg.CacheSize, maxTimeout, l.metrics)
 	return l
 }
 
@@ -53,12 +52,9 @@ func newLocal(cfg Config) *local {
 // them).
 func (s *Server) Metrics() *Metrics { return s.local.metrics }
 
-// Budget exposes the shared worker budget; the fault and chaos tests
-// assert OutstandingLeases()==0 on it after every injected failure.
-func (s *Server) Budget() *parallel.Budget { return s.local.budget }
-
-// Slots is how many proofs run at once (Config.MaxInflight after its
-// default); a cluster worker advertises it as its placement capacity.
+// Slots is how many proofs run at once: Config.MaxInflight after its
+// default, capped at the worker budget. A cluster worker advertises it
+// as its placement capacity.
 func (s *Server) Slots() int { return s.local.queue.Slots() }
 
 // Close implements Backend: every job ran in its caller's goroutine, so
@@ -78,8 +74,8 @@ func (l *local) register(ctx context.Context, spec *CircuitSpec) (sess *Session,
 	switch {
 	case err == nil || ctx.Err() != nil:
 	case errors.Is(err, context.DeadlineExceeded):
-		// The preprocessing lease timed out waiting on a saturated worker
-		// budget — the registration analogue of the queue's 429.
+		// The preprocessing run timed out waiting for a slot — the
+		// registration analogue of the queue's 429.
 		err = Errorf(http.StatusServiceUnavailable, "register: %v", err)
 	default:
 		err = Errorf(http.StatusUnprocessableEntity, "register: %v", err)
@@ -134,7 +130,7 @@ func (l *local) VerifyingKey(_ context.Context, id string) (*zkphire.VerifyingKe
 }
 
 // Prove runs one proof of a cached session through the job queue
-// (admission control, worker lease, bounded retries of transient
+// (admission control, a slot, bounded retries of transient
 // failures) in the caller's goroutine, with timeout bounding queue wait
 // plus proving, and returns the serialized proof bytes. It records the
 // latency observation the Retry-After estimator feeds on.
@@ -218,8 +214,8 @@ func (l *local) Scrape() ([]Counter, []Series) {
 		gauge("zkphired_proof_latency_recent_seconds", m.RecentAvgProve().Seconds()),
 		gauge("zkphired_queue_depth", float64(l.queue.Depth())),
 		gauge("zkphired_uptime_seconds", time.Since(l.start).Seconds()),
-		gauge("zkphired_worker_budget", float64(l.budget.Total())),
-		gauge("zkphired_workers_in_use", float64(l.budget.InUse())),
+		gauge("zkphired_worker_budget", float64(l.workers)),
+		gauge("zkphired_workers_in_use", float64(l.queue.Running()*l.queue.Workers())),
 		gauge("zkphired_workers_per_job", float64(l.queue.Workers())),
 	}
 }

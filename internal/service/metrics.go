@@ -64,18 +64,6 @@ func (m *Metrics) ObserveProve(d time.Duration) {
 	m.winMu.Unlock()
 }
 
-// AvgProve returns the lifetime mean proof latency (0 before any proof).
-// Exposed for the /metrics summary; the Retry-After estimator uses
-// RecentAvgProve instead, because a lifetime mean never tracks current
-// load on a long-lived daemon.
-func (m *Metrics) AvgProve() time.Duration {
-	n := m.ProveCount.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(m.ProveNanos.Load() / n)
-}
-
 // RecentAvgProve returns the mean over the last ProveWindowSize proof
 // latencies (all observed ones while the window is still filling; 0
 // before any proof). Once ProveWindowSize fresh observations arrive, any

@@ -7,8 +7,7 @@ import (
 
 // TestRecentAvgProveWindow pins the sliding-window behavior behind
 // Retry-After: once ProveWindowSize fresh observations arrive, an older
-// latency regime has aged out of the estimate completely, while the
-// lifetime mean (AvgProve) still remembers it.
+// latency regime has aged out of the estimate completely.
 func TestRecentAvgProveWindow(t *testing.T) {
 	var m Metrics
 
@@ -39,12 +38,6 @@ func TestRecentAvgProveWindow(t *testing.T) {
 	}
 	if got := m.RecentAvgProve(); got != 10*time.Millisecond {
 		t.Fatalf("post-regime-change mean = %v, want exactly 10ms", got)
-	}
-
-	// The lifetime mean is still dominated by the slow era — the very
-	// property that made it wrong for Retry-After.
-	if life := m.AvgProve(); life < 100*time.Millisecond {
-		t.Fatalf("lifetime mean = %v, expected it to remember the slow era", life)
 	}
 
 	// One slow straggler moves the window by exactly its share.

@@ -23,21 +23,20 @@ var ErrQueueFull = errors.New("service: job queue full")
 // panic value rides along in the error text for the client and the log.
 var ErrJobPanicked = errors.New("service: job panicked")
 
-// Queue is the admission gate in front of the prover. It owns no
-// goroutines: a job runs in the goroutine that submits it, once it holds
-// one of `inflight` slots, under a worker lease from the shared
-// parallel.Budget (the global budget split evenly across the slots), so
-// overlapping requests never oversubscribe the machine. Beyond the
-// slot holders, at most `depth` jobs wait; further Submits fail fast with
-// ErrQueueFull.
+// Queue is the admission gate in front of the prover, and the local
+// backend's one concurrency limiter. It owns no goroutines: a job runs in
+// the goroutine that submits it, once it holds one of its slots, with an
+// even share of the worker budget, so overlapping requests never
+// oversubscribe the machine. Preprocessing runs take a slot the same way
+// (see acquire). Beyond the slot holders, at most `depth` jobs wait;
+// further Submits fail fast with ErrQueueFull.
 //
 // Every job carries its request context: a job whose context ends while
 // it waits for a slot is abandoned unrun, and one cancelled mid-run
 // aborts between protocol steps (the prover checks its context) and
-// hands its slot and worker lease to the next job.
+// hands its slot to the next job.
 type Queue struct {
-	budget *parallel.Budget
-	perJob int // worker lease request per job
+	perJob int // workers each slot holder runs with
 	m      *Metrics
 	// retry bounds a job's transient-failure retries: a job whose error
 	// classifies as transient (spill I/O wobble, an injected fault, an
@@ -49,48 +48,67 @@ type Queue struct {
 
 	// slots holds one token per job that may run; a full buffer parks
 	// further senders, and the runtime serves parked senders in arrival
-	// order. admitted counts jobs past admission (waiting or holding a
-	// slot), capped at capacity = inflight + depth.
+	// order. admitted counts proofs past admission (waiting or holding a
+	// slot), capped at capacity = slots + depth. waiting counts callers
+	// parked in acquire, proofs and preprocessing runs alike.
 	slots    chan struct{}
 	capacity int64
 	admitted atomic.Int64
+	waiting  atomic.Int64
 }
 
-// NewQueue builds a gate of `inflight` slots (< 1 means 1) and a waiting
-// room of `depth` jobs (< 0 means 0: no waiting room — a job is admitted
-// only if a slot is free). Each job leases budget.Total()/inflight
-// workers, so the slots exactly cover the budget.
-func NewQueue(budget *parallel.Budget, inflight, depth int, m *Metrics) *Queue {
-	if inflight < 1 {
-		inflight = 1
-	}
-	if depth < 0 {
-		depth = 0
-	}
+// NewQueue builds a gate over `workers` workers (<= 0 means GOMAXPROCS)
+// with min(inflight, workers) slots (inflight < 1 means 1), so every slot
+// holder runs with at least one worker of its own, and a waiting room of
+// `depth` jobs (< 0 means 0: no waiting room — a job is admitted only if
+// a slot is free). Each slot holder runs with parallel.Split(workers,
+// slots) workers, so the slots exactly cover the budget.
+func NewQueue(workers, inflight, depth int, m *Metrics) *Queue {
+	workers = parallel.Workers(workers)
+	slots := min(max(inflight, 1), workers)
 	return &Queue{
-		budget:   budget,
-		perJob:   parallel.Split(budget.Total(), inflight),
+		perJob:   parallel.Split(workers, slots),
 		m:        m,
 		retry:    retry.Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.2},
-		slots:    make(chan struct{}, inflight),
-		capacity: int64(inflight + depth),
+		slots:    make(chan struct{}, slots),
+		capacity: int64(slots + max(depth, 0)),
 	}
 }
 
-// Workers returns the per-job worker lease size.
+// Workers returns the number of workers each slot holder runs with.
 func (q *Queue) Workers() int { return q.perJob }
 
 // Slots returns how many jobs run at once.
 func (q *Queue) Slots() int { return cap(q.slots) }
 
-// Depth returns the number of jobs waiting for a slot. The two counts
-// are read apart, so a job passing between them is clamped, not negative.
-func (q *Queue) Depth() int { return max(int(q.admitted.Load())-q.Running(), 0) }
+// Depth returns the number of jobs waiting for a slot.
+func (q *Queue) Depth() int { return int(q.waiting.Load()) }
 
-// Running returns the number of jobs holding a slot — including ones
-// still waiting for their worker lease, so saturation is visible even
-// when every slot holder is parked in Acquire.
+// Running returns the number of slots held, by proofs and preprocessing
+// runs alike.
 func (q *Queue) Running() int { return len(q.slots) }
+
+// acquire takes a slot, waiting until one frees or ctx ends. On success
+// the caller must defer q.release(). A slot won in a race with the
+// cancellation is handed straight back.
+func (q *Queue) acquire(ctx context.Context) error {
+	q.waiting.Add(1)
+	select {
+	case q.slots <- struct{}{}:
+		q.waiting.Add(-1)
+	case <-ctx.Done():
+		q.waiting.Add(-1)
+		return ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		q.release()
+		return err
+	}
+	return nil
+}
+
+// release hands a slot acquired by acquire to the next waiter.
+func (q *Queue) release() { <-q.slots }
 
 // Submit runs run in the caller's goroutine once a slot frees, and
 // returns its error. It returns ErrQueueFull without blocking when the
@@ -106,25 +124,17 @@ func (q *Queue) Submit(ctx context.Context, run func(ctx context.Context, worker
 		return ErrQueueFull
 	}
 	defer q.admitted.Add(-1)
-	select {
-	case q.slots <- struct{}{}:
-		defer func() { <-q.slots }()
-	case <-ctx.Done():
-	}
-	// A slot won in a race with the cancellation does not run the job
-	// either.
-	if err := ctx.Err(); err != nil {
+	if err := q.acquire(ctx); err != nil {
 		q.m.JobsCancelled.Add(1)
 		return err
 	}
+	defer q.release()
 
 	attempt := 0
 	err := retry.Do(ctx, q.retry, func(ctx context.Context) error {
 		if attempt++; attempt > 1 {
 			q.m.ProofsRetried.Add(1)
 		}
-		// Each attempt leases afresh: holding workers across a backoff
-		// sleep would starve the jobs that could use them meanwhile.
 		return q.runGuarded(ctx, run)
 	})
 	switch {
@@ -138,19 +148,13 @@ func (q *Queue) Submit(ctx context.Context, run func(ctx context.Context, worker
 	return err
 }
 
-// runGuarded is the designated panic boundary: it leases workers for one
-// job attempt, runs it, and converts a panic anywhere below into
-// ErrJobPanicked instead of unwinding the caller (and with it the
-// daemon). The lease is acquired and its release deferred here, BEFORE
-// the job body runs, so it provably happens on every exit — normal
-// return, error, or panic — and the budget never shrinks from a crashed
-// job. recover() anywhere else in the module is a zkvet release finding.
+// runGuarded is the designated panic boundary: it runs one job attempt
+// and converts a panic anywhere below into ErrJobPanicked instead of
+// unwinding the caller (and with it the daemon). Submit's deferred slot
+// release then runs on every exit — normal return, error, or panic — so
+// a crashed job never shrinks the machine. recover() anywhere else in
+// the module is a zkvet release finding.
 func (q *Queue) runGuarded(ctx context.Context, run func(ctx context.Context, workers int) error) (err error) {
-	lease, err := q.budget.Acquire(ctx, q.perJob)
-	if err != nil {
-		return err
-	}
-	defer lease.Release()
 	defer func() {
 		if r := recover(); r != nil {
 			q.m.ProofsPanicked.Add(1)
@@ -160,5 +164,5 @@ func (q *Queue) runGuarded(ctx context.Context, run func(ctx context.Context, wo
 	if err := faultinject.Hit("queue.job"); err != nil {
 		return err
 	}
-	return run(ctx, lease.Workers())
+	return run(ctx, q.perJob)
 }

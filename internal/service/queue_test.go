@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"zkphire/internal/parallel"
 )
 
 // blockingJob returns a job that parks on release until the test frees it,
@@ -29,7 +27,7 @@ func blockingJob(release <-chan struct{}) (func(ctx context.Context, workers int
 
 func TestQueueAdmissionControl(t *testing.T) {
 	m := &Metrics{}
-	q := NewQueue(parallel.NewBudget(1), 1, 1, m)
+	q := NewQueue(1, 1, 1, m)
 
 	release := make(chan struct{})
 	defer close(release)
@@ -64,10 +62,11 @@ func TestQueueAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestQueueCancelFreesBudgetLease: a job cancelled mid-run hands its slot
+// (its share of the worker budget) back.
 func TestQueueCancelFreesBudgetLease(t *testing.T) {
-	budget := parallel.NewBudget(2)
 	m := &Metrics{}
-	q := NewQueue(budget, 1, 4, m)
+	q := NewQueue(2, 1, 4, m)
 
 	release := make(chan struct{})
 	defer close(release)
@@ -77,21 +76,21 @@ func TestQueueCancelFreesBudgetLease(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() { errc <- q.Submit(ctx, run) }()
 	<-started
-	if budget.InUse() == 0 {
-		t.Fatal("running job should hold a budget lease")
+	if q.Running() != 1 {
+		t.Fatal("running job should hold a slot")
 	}
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Submit = %v, want context.Canceled", err)
 	}
-	// The job aborts (its context is dead), releases the lease and counts
+	// The job aborts (its context is dead), releases the slot and counts
 	// the cancellation; poll both with the same deadline.
 	deadline := time.After(2 * time.Second)
-	for budget.InUse() != 0 || m.JobsCancelled.Load() != 1 {
+	for q.Running() != 0 || m.JobsCancelled.Load() != 1 {
 		select {
 		case <-deadline:
-			t.Fatalf("after cancellation: %d workers leased, JobsCancelled = %d (want 0 and 1)",
-				budget.InUse(), m.JobsCancelled.Load())
+			t.Fatalf("after cancellation: %d slots held, JobsCancelled = %d (want 0 and 1)",
+				q.Running(), m.JobsCancelled.Load())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -99,7 +98,7 @@ func TestQueueCancelFreesBudgetLease(t *testing.T) {
 
 func TestQueueSkipsDeadJobs(t *testing.T) {
 	m := &Metrics{}
-	q := NewQueue(parallel.NewBudget(1), 1, 2, m)
+	q := NewQueue(1, 1, 2, m)
 
 	release := make(chan struct{})
 	run1, started := blockingJob(release)
@@ -132,16 +131,33 @@ func TestQueueSkipsDeadJobs(t *testing.T) {
 }
 
 func TestQueueWorkerSplit(t *testing.T) {
-	q := NewQueue(parallel.NewBudget(8), 4, 0, &Metrics{})
+	q := NewQueue(8, 4, 0, &Metrics{})
 	if q.Workers() != 2 {
 		t.Fatalf("per-job workers = %d, want 8/4 = 2", q.Workers())
+	}
+}
+
+// TestSlotsCappedAtWorkers: a node never advertises more slots than it
+// has workers to run them with, so a cluster worker joins with the
+// capacity it really has.
+func TestSlotsCappedAtWorkers(t *testing.T) {
+	s, err := New(Config{SRS: testSRS, Workers: 1, MaxInflight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Slots(); got != 1 {
+		t.Fatalf("Slots() = %d with 1 worker and MaxInflight 2, want 1", got)
+	}
+	if got := s.local.queue.Workers(); got != 1 {
+		t.Fatalf("per-job workers = %d, want 1", got)
 	}
 }
 
 // TestQueueRunsWaitingJobsInArrivalOrder: while the one slot is held, jobs
 // submitted A, B, C wait; once it frees they run in that order.
 func TestQueueRunsWaitingJobsInArrivalOrder(t *testing.T) {
-	q := NewQueue(parallel.NewBudget(1), 1, 3, &Metrics{})
+	q := NewQueue(1, 1, 3, &Metrics{})
 	release := make(chan struct{})
 	hold, started := blockingJob(release)
 	go q.Submit(context.Background(), hold)

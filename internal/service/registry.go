@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"zkphire"
-	"zkphire/internal/parallel"
 )
 
 // Session is a cached proving session: the preprocessed prover plus the
@@ -42,12 +41,11 @@ type flight struct {
 // live on the server's shared SRS, so they survive even LRU eviction and
 // amortize across every circuit at the same size.
 type Registry struct {
-	srs     *zkphire.SRS
-	budget  *parallel.Budget
-	workers int // lease request per preprocessing run
+	srs   *zkphire.SRS
+	queue *Queue // preprocessing runs hold one of its slots
 	// leaseTimeout bounds how long a preprocessing run may wait for its
-	// worker lease (0 = forever). Without it, a burst of distinct
-	// circuits against a saturated budget would park handler goroutines
+	// slot (0 = forever). Without it, a burst of distinct circuits
+	// against a saturated queue would park handler goroutines
 	// indefinitely.
 	leaseTimeout time.Duration
 	cap          int
@@ -60,18 +58,17 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry caching up to capacity sessions
-// (capacity < 1 is treated as 1). Preprocessing runs lease `workers`
-// workers from budget — waiting at most leaseTimeout for them (0 = no
-// bound) — so registration traffic and in-flight proofs share one
-// machine-wide cap.
-func NewRegistry(srs *zkphire.SRS, budget *parallel.Budget, capacity, workers int, leaseTimeout time.Duration, m *Metrics) *Registry {
+// (capacity < 1 is treated as 1). A preprocessing run holds one of
+// queue's slots — waiting at most leaseTimeout for it (0 = no bound) —
+// so registration traffic and in-flight proofs share one machine-wide
+// cap.
+func NewRegistry(srs *zkphire.SRS, queue *Queue, capacity int, leaseTimeout time.Duration, m *Metrics) *Registry {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Registry{
 		srs:          srs,
-		budget:       budget,
-		workers:      workers,
+		queue:        queue,
 		leaseTimeout: leaseTimeout,
 		cap:          capacity,
 		metrics:      m,
@@ -122,12 +119,12 @@ func (r *Registry) Register(ctx context.Context, compiled *zkphire.CompiledCircu
 	return f.sess, false, f.err
 }
 
-// preprocess runs the one NewProver call for a circuit under a worker
-// lease. It deliberately ignores the originating request's context: by the
+// preprocess runs the one NewProver call for a circuit in a queue slot.
+// It deliberately ignores the originating request's context: by the
 // time it runs, the result is wanted by every request parked on the
 // flight, and a finished session goes into the cache even if the client
-// has gone away. The lease wait is still bounded by leaseTimeout so a
-// saturated budget turns into an error, not a parked goroutine per
+// has gone away. The slot wait is still bounded by leaseTimeout so a
+// saturated queue turns into an error, not a parked goroutine per
 // circuit.
 func (r *Registry) preprocess(h zkphire.CircuitHash, compiled *zkphire.CompiledCircuit) (*Session, error) {
 	ctx := context.Background()
@@ -136,14 +133,13 @@ func (r *Registry) preprocess(h zkphire.CircuitHash, compiled *zkphire.CompiledC
 		ctx, cancel = context.WithTimeout(ctx, r.leaseTimeout)
 		defer cancel()
 	}
-	lease, err := r.budget.Acquire(ctx, r.workers)
-	if err != nil {
-		return nil, fmt.Errorf("prover busy, no workers freed within %v: %w", r.leaseTimeout, err)
+	if err := r.queue.acquire(ctx); err != nil {
+		return nil, fmt.Errorf("prover busy, no slot freed within %v: %w", r.leaseTimeout, err)
 	}
-	defer lease.Release()
+	defer r.queue.release()
 	r.metrics.Preprocesses.Add(1)
 
-	prover, err := zkphire.NewProver(r.srs, compiled, zkphire.WithWorkers(lease.Workers()))
+	prover, err := zkphire.NewProver(r.srs, compiled, zkphire.WithWorkers(r.queue.Workers()))
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: %w", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"zkphire"
-	"zkphire/internal/parallel"
 )
 
 // testSRS is shared by the package's tests: generating the deterministic
@@ -42,7 +41,7 @@ func compileSpec(t *testing.T, spec *CircuitSpec) *zkphire.CompiledCircuit {
 
 func TestRegistrySingleFlight(t *testing.T) {
 	m := &Metrics{}
-	reg := NewRegistry(testSRS, parallel.NewBudget(2), 4, 1, 0, m)
+	reg := NewRegistry(testSRS, NewQueue(2, 2, 0, m), 4, 0, m)
 	compiled := compileSpec(t, cubicSpec(5))
 
 	const clients = 8
@@ -84,7 +83,7 @@ func TestRegistrySingleFlight(t *testing.T) {
 
 func TestRegistryHitAndDeterministicHash(t *testing.T) {
 	m := &Metrics{}
-	reg := NewRegistry(testSRS, parallel.NewBudget(1), 4, 1, 0, m)
+	reg := NewRegistry(testSRS, NewQueue(1, 1, 0, m), 4, 0, m)
 
 	s1, cached, err := reg.Register(context.Background(), compileSpec(t, cubicSpec(5)))
 	if err != nil {
@@ -113,7 +112,7 @@ func TestRegistryHitAndDeterministicHash(t *testing.T) {
 
 func TestRegistryLRUEviction(t *testing.T) {
 	m := &Metrics{}
-	reg := NewRegistry(testSRS, parallel.NewBudget(1), 2, 1, 0, m)
+	reg := NewRegistry(testSRS, NewQueue(1, 1, 0, m), 2, 0, m)
 
 	a := compileSpec(t, cubicSpec(1))
 	b := compileSpec(t, cubicSpec(2))
@@ -147,7 +146,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 
 func TestRegistryRejectsOversizedCircuit(t *testing.T) {
 	m := &Metrics{}
-	reg := NewRegistry(testSRS, parallel.NewBudget(1), 2, 1, 0, m)
+	reg := NewRegistry(testSRS, NewQueue(1, 1, 0, m), 2, 0, m)
 	spec := cubicSpec(5)
 	spec.LogGates = testSRS.MaxVars // needs MaxVars+1 SRS variables
 	compiled := compileSpec(t, spec)
@@ -161,23 +160,68 @@ func TestRegistryRejectsOversizedCircuit(t *testing.T) {
 }
 
 func TestRegistryPreprocessLeaseTimeout(t *testing.T) {
-	budget := parallel.NewBudget(1)
 	m := &Metrics{}
-	reg := NewRegistry(testSRS, budget, 2, 1, 20*time.Millisecond, m)
+	q := NewQueue(1, 1, 0, m)
+	reg := NewRegistry(testSRS, q, 2, 20*time.Millisecond, m)
 
-	// Saturate the budget so the preprocessing leader cannot get a lease.
-	lease, err := budget.Acquire(context.Background(), 1)
-	if err != nil {
+	// Hold the only slot so the preprocessing leader cannot get one.
+	if err := q.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = reg.Register(context.Background(), compileSpec(t, cubicSpec(5)))
+	_, _, err := reg.Register(context.Background(), compileSpec(t, cubicSpec(5)))
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Register on a saturated budget = %v, want DeadlineExceeded", err)
+		t.Fatalf("Register on a saturated queue = %v, want DeadlineExceeded", err)
 	}
-	// The failed flight left nothing behind; freeing the budget lets the
+	// The failed flight left nothing behind; freeing the slot lets the
 	// same circuit register normally.
-	lease.Release()
+	q.release()
 	if _, cached, err := reg.Register(context.Background(), compileSpec(t, cubicSpec(5))); err != nil || cached {
 		t.Fatalf("post-timeout registration: cached=%v err=%v", cached, err)
+	}
+}
+
+// TestRegistryWaitsForProofSlot: preprocessing and proving share the
+// queue's slots, so a registration waits (and counts in the queue's
+// depth) while a proof holds the only slot, then preprocesses once the
+// proof hands it back.
+func TestRegistryWaitsForProofSlot(t *testing.T) {
+	m := &Metrics{}
+	q := NewQueue(1, 1, 0, m)
+	reg := NewRegistry(testSRS, q, 2, 0, m)
+
+	release := make(chan struct{})
+	run, started := blockingJob(release)
+	proved := make(chan error, 1)
+	go func() { proved <- q.Submit(context.Background(), run) }()
+	<-started
+
+	compiled := compileSpec(t, cubicSpec(5))
+	registered := make(chan error, 1)
+	go func() {
+		_, _, err := reg.Register(context.Background(), compiled)
+		registered <- err
+	}()
+	waitUntil(t, "the registration to wait for the slot", func() bool { return q.Depth() == 1 })
+	select {
+	case err := <-registered:
+		t.Fatalf("registration finished (err %v) while a proof held the only slot", err)
+	default:
+	}
+	if got := m.Preprocesses.Load(); got != 0 {
+		t.Fatalf("Preprocesses = %d while the slot was held, want 0", got)
+	}
+
+	close(release)
+	if err := <-proved; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-registered; err != nil {
+		t.Fatalf("registration after the slot freed: %v", err)
+	}
+	if got := m.Preprocesses.Load(); got != 1 {
+		t.Fatalf("Preprocesses = %d, want 1", got)
+	}
+	if n := q.Running(); n != 0 {
+		t.Fatalf("%d slots held after both finished", n)
 	}
 }

@@ -13,8 +13,8 @@
 //     (New): Registry, an LRU cache of proving sessions keyed by circuit
 //     content hash with single-flight preprocessing, and Queue, an
 //     admission gate that runs each proof in the goroutine submitting it
-//     once one of its in-flight slots frees, under an even share of one
-//     parallel.Budget, and whose full waiting room rejects immediately
+//     once one of its in-flight slots frees, with an even share of the
+//     worker budget, and whose full waiting room rejects immediately
 //     (HTTP 429). internal/cluster holds the remote one: a leased worker
 //     pool behind the same front-end.
 //
@@ -95,8 +95,9 @@ type Config struct {
 	// proving (0 = GOMAXPROCS).
 	Workers int
 	// MaxInflight is the number of proofs running concurrently
-	// (0 = 2, a latency/throughput middle ground; each in-flight proof
-	// leases Workers/MaxInflight workers).
+	// (0 = 2, a latency/throughput middle ground), capped at Workers;
+	// each in-flight proof or preprocessing run holds one of these slots
+	// and runs with an even share of Workers.
 	MaxInflight int
 	// QueueDepth is the waiting room beyond the in-flight proofs
 	// (0 = 4×MaxInflight; set -1 for no waiting room).
@@ -115,8 +116,8 @@ type Config struct {
 	Journal *journal.Journal
 }
 
-// maxTimeout caps client-requested job deadlines and the wait for a
-// preprocessing lease.
+// maxTimeout caps client-requested job deadlines and a preprocessing
+// run's wait for a slot.
 const maxTimeout = 10 * time.Minute
 
 // awaitSlack is how long past a job's own timeout a request stays parked
@@ -165,8 +166,8 @@ type proofJob struct {
 	err     error
 }
 
-// New builds the single-node server: the front-end over a local Registry,
-// Queue and Budget.
+// New builds the single-node server: the front-end over a local Registry
+// and Queue.
 func New(cfg Config) (*Server, error) {
 	if cfg.SRS == nil {
 		return nil, fmt.Errorf("service: Config.SRS is required")
@@ -584,7 +585,7 @@ type ProveResponse struct {
 	Proof      string  `json:"proof"` // base64 MarshalBinary
 	ProofBytes int     `json:"proof_bytes"`
 	DurationMS float64 `json:"duration_ms"`
-	Workers    int     `json:"workers"` // leased for this proof
+	Workers    int     `json:"workers"` // this proof ran with
 	// Replayed marks a proof served from the journal rather than proved
 	// for this request (idempotent retry or restart recovery).
 	Replayed bool `json:"replayed,omitempty"`

@@ -196,8 +196,8 @@ func (p *Prover) Compiled() *CompiledCircuit { return p.compiled }
 
 // ProveWorkers generates one proof under an explicit worker budget,
 // overriding the session's WithWorkers setting for this call only. A
-// dispatcher that leases workers from a shared parallel.Budget uses this
-// to run each in-flight proof at exactly its leased share.
+// dispatcher that divides a shared worker budget among concurrent proofs
+// uses this to run each one at exactly its share.
 func (p *Prover) ProveWorkers(ctx context.Context, workers int) (*Proof, error) {
 	return p.prove(ctx, workers)
 }
