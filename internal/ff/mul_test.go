@@ -173,8 +173,19 @@ func TestMulAsmVsGeneric(t *testing.T) {
 	}
 }
 
-// TestDispatch pins the public methods to whichever kernel hasADX selects.
+// TestDispatch pins the public methods to whichever kernel hasADX selects,
+// and logs the kernels this CPU selected (CI runs it with -v).
 func TestDispatch(t *testing.T) {
+	switch {
+	case hasADX && hasIFMA:
+		t.Log("kernels: ADX + IFMA (mulADX, Lanes)")
+	case hasADX:
+		t.Log("kernels: ADX (mulADX; no Lanes: " + noIFMA + ")")
+	case hasIFMA:
+		t.Log("kernels: generic + IFMA (mulGeneric, Lanes)")
+	default:
+		t.Log("kernels: generic (mulGeneric; no Lanes)")
+	}
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 1000; i++ {
 		x, y := randRaw(rng), randRaw(rng)

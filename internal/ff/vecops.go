@@ -7,7 +7,8 @@ import (
 
 // This file implements the slice kernels of the scalar-field hot loops:
 // MulVec and ScalarMulVec (the assembly multiply run over a whole slice),
-// and the lazy-reduction kernels SumVec, InnerProductVec and FoldVec,
+// FoldVec (on the Lanes kernel where the CPU has it), and the
+// lazy-reduction kernels SumVec, InnerProductVec and FoldVec's scalar path,
 // plus the LazyAcc accumulator they are built on. The idea of
 // the lazy ones is always the same — keep
 // an accumulator UNREDUCED across a whole chunk and pay the Montgomery
@@ -297,19 +298,53 @@ func (z *Element) MulAdd(x, y, a *Element) *Element {
 //
 //	dst[j] = src[2j] + r·(src[2j+1] − src[2j])
 //
-// with the multiply and add of every entry fused into one reduction. dst may
-// alias the first half of src (the in-place MLE fold): entry j is written
-// only after pair (2j, 2j+1) is read, and j < 2j for every j > 0.
+// Where the CPU has the Lanes kernel, whole groups of eight entries run on
+// it (foldLanes); the rest, and every entry elsewhere, take mulAddRed, the
+// multiply and add fused into one reduction. dst may alias the first half
+// of src (the in-place MLE fold): entry j is written only after pair
+// (2j, 2j+1) is read, and j < 2j for every j > 0.
 func FoldVec(dst, src []Element, r *Element) {
 	if len(src) != 2*len(dst) {
 		panic("ff: fold length mismatch")
 	}
+	j := 0
+	if hasIFMA {
+		j = foldLanes(dst, src, r)
+	}
 	var diff Element
-	for j := range dst {
+	for ; j < len(dst); j++ {
 		a0 := src[2*j]
 		diff.Sub(&src[2*j+1], &a0)
 		dst[j] = mulAddRed(r, &diff, &a0)
 	}
+}
+
+// foldGroups is how many Lanes values foldLanes packs per pass.
+const foldGroups = 8
+
+// foldLanes folds dst's first 8·⌊len(dst)/8⌋ entries on the Lanes kernel
+// and returns that count: per pass it packs the a0 and a1 rows of up to
+// foldGroups·8 pairs, forms a0 + r·(a1 − a0) lane-wise and unpacks. A pass
+// reads all its pairs before it writes its entries, and writes only
+// entries below its first pair or inside its own pairs, so the in-place
+// aliasing FoldVec allows holds.
+func foldLanes(dst, src []Element, r *Element) int {
+	n := len(dst) &^ (LaneCount - 1)
+	var rl Lanes
+	rl.Broadcast(r)
+	var a0, a1 [foldGroups]Lanes
+	for j := 0; j < n; j += foldGroups * LaneCount {
+		m := min(foldGroups*LaneCount, n-j)
+		x0, x1 := a0[:m/LaneCount], a1[:m/LaneCount]
+		pairs := src[2*j : 2*(j+m)]
+		PackLanesEven(x0, pairs)
+		PackLanesEven(x1, pairs[1:])
+		SubLanes(x1, x1, x0)
+		ScalarMulLanes(x1, x1, &rl)
+		AddLanes(x1, x1, x0)
+		UnpackLanes(dst[j:j+m], x1)
+	}
+	return n
 }
 
 // MulVec sets z[i] = x[i]·y[i] for every i. On amd64 with BMI2+ADX the

@@ -99,7 +99,7 @@ func TestInnerProductVecMatchesNaive(t *testing.T) {
 
 func TestFoldVecMatchesNaive(t *testing.T) {
 	rng := NewRand(23)
-	for _, m := range []int{1, 2, 5, 512} {
+	for _, m := range []int{1, 2, 5, 8, 9, 65, 512} {
 		src := rng.Elements(2 * m)
 		for i, e := range edgeElements() {
 			if i < len(src) {

@@ -2,6 +2,8 @@ package poly
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"zkphire/internal/ff"
@@ -12,17 +14,20 @@ import (
 // composite at every hypercube point for every extension point t — runs a
 // flat op list over a register file instead of walking terms, factors, and
 // power loops per point. Compilation hoists the power chains: if several
-// terms share w1², it is squared once per point, not once per term; powers
-// are built by square-and-multiply; coefficient multiplications are emitted
-// only for coefficients ≠ 1.
+// terms share w1², it is squared once per point, not once per term; each
+// variable's powers come from one shortest addition chain through the
+// powers its terms use (powerChain); coefficient multiplications are
+// emitted only for coefficients ≠ 1.
 //
 // Register layout: registers [0, NumInputs) are the per-point values of the
 // constituent MLEs, in VarNames order — the caller loads them and the
 // program never writes them. Registers [NumInputs, NumRegs) hold hoisted
 // powers and one term scratch slot. The evaluation result is a separate
 // accumulator, so a program evaluation is a pure function of the input
-// registers. The program runs over a block of points at once (EvalBlock):
-// every register is a row of BlockWidth values, one per point.
+// registers. The program runs over a block of points at once: every
+// register is a row of BlockWidth values, one per point (EvalBlock), or of
+// LaneRows ff.Lanes values holding the same points eight to a value
+// (EvalLanes).
 
 // OpKind discriminates the compiled instruction set.
 type OpKind uint8
@@ -58,6 +63,9 @@ type Program struct {
 	Consts []ff.Element
 	// Ops is the instruction list, executed in order.
 	Ops []Op
+
+	// laneConsts[i] is Consts[i] in every lane, for EvalLanes.
+	laneConsts []ff.Lanes
 }
 
 // Compile lowers the composite into a straight-line program. The result is
@@ -79,18 +87,16 @@ func compile(c *Composite) *Program {
 	nv := len(c.VarNames)
 	p := &Program{NumInputs: nv}
 
-	// Highest power needed per variable across all terms.
-	maxPow := make([]int, nv)
+	// The powers each variable's terms use, then one addition chain per
+	// variable through all of them; every chain entry gets a register.
+	need := make([][]int, nv)
 	for _, t := range c.Terms {
 		for _, f := range t.Factors {
-			if f.Power > maxPow[f.Var] {
-				maxPow[f.Var] = f.Power
+			if f.Power > 1 && !slices.Contains(need[f.Var], f.Power) {
+				need[f.Var] = append(need[f.Var], f.Power)
 			}
 		}
 	}
-
-	// Allocate registers for powers 2..maxPow of each variable and emit the
-	// chains (square for even powers, multiply-by-base for odd).
 	next := uint16(nv)
 	powReg := make(map[[2]int]uint16, nv)
 	regOf := func(v, pow int) uint16 {
@@ -100,14 +106,14 @@ func compile(c *Composite) *Program {
 		return powReg[[2]int{v, pow}]
 	}
 	for v := 0; v < nv; v++ {
-		for pow := 2; pow <= maxPow[v]; pow++ {
+		for _, st := range powerChain(need[v]) {
 			dst := next
 			next++
-			powReg[[2]int{v, pow}] = dst
-			if pow%2 == 0 {
-				p.Ops = append(p.Ops, Op{Kind: OpSquare, Dst: dst, A: regOf(v, pow/2)})
+			powReg[[2]int{v, st.sum}] = dst
+			if st.a == st.b {
+				p.Ops = append(p.Ops, Op{Kind: OpSquare, Dst: dst, A: regOf(v, st.a)})
 			} else {
-				p.Ops = append(p.Ops, Op{Kind: OpMul, Dst: dst, A: regOf(v, pow-1), B: uint16(v)})
+				p.Ops = append(p.Ops, Op{Kind: OpMul, Dst: dst, A: regOf(v, st.a), B: regOf(v, st.b)})
 			}
 		}
 	}
@@ -142,17 +148,100 @@ func compile(c *Composite) *Program {
 		}
 		p.Ops = append(p.Ops, Op{Kind: OpAcc, A: cur})
 	}
+	p.laneConsts = make([]ff.Lanes, len(p.Consts))
+	for i := range p.Consts {
+		p.laneConsts[i].Broadcast(&p.Consts[i])
+	}
 	return p
 }
 
-// BlockWidth is the number of points one EvalBlock call evaluates: each
-// register is a row of BlockWidth elements, so every op is one slice-kernel
-// call over up to BlockWidth points instead of one dispatch per point.
-// Widths 8 through 128 timed alike on the six sumcheck_sweep16 gates (a
-// 2^15 single-worker ZeroCheck of each, medians 0.95–1.08 s, inside the
-// 2-core test host's ±10% spread); 64 keeps the per-op call a small share
-// of each op, and the scan's block buffer is then 36–108 KiB on those
-// gates (Vanilla to Jellyfish), well inside L2.
+// chainStep is one addition-chain step: x^sum = x^a · x^b, a squaring when
+// a == b.
+type chainStep struct{ sum, a, b int }
+
+// chainSearchBudget caps powerChain's search (nodes visited); past it the
+// chain is every power up to the largest, so compiling stays cheap for any
+// exponent set a circuit may bring.
+const chainSearchBudget = 1 << 16
+
+// powerChain returns the steps of a shortest star addition chain (each
+// step adds the previous entry to some entry, 1 being the first) that
+// passes through every power in need (all ≥ 2), in order; nil for none.
+// It is found by iterative deepening, trying the largest step first, so
+// x¹⁵ comes out as 2, 3, 6, 12, 15 (five products where square-and-
+// multiply takes six). If the search outruns chainSearchBudget it falls
+// back to every power from 2 to the largest.
+func powerChain(need []int) []chainStep {
+	if len(need) == 0 {
+		return nil
+	}
+	top := slices.Max(need)
+	chain := []int{1}
+	steps := []chainStep{}
+	nodes := 0
+	var search func(depth int) bool
+	search = func(depth int) bool {
+		if nodes++; nodes > chainSearchBudget {
+			return false
+		}
+		last := chain[len(chain)-1]
+		missing := 0
+		for _, k := range need {
+			if !slices.Contains(chain, k) {
+				if k < last {
+					return false // the chain ascends: k is out of reach
+				}
+				missing++
+			}
+		}
+		if missing == 0 {
+			return true
+		}
+		if missing > depth || depth < bits.UintSize-1 && last<<uint(depth) < top {
+			return false
+		}
+		for i := len(chain) - 1; i >= 0; i-- {
+			k := last + chain[i]
+			if k > top {
+				continue
+			}
+			chain = append(chain, k)
+			steps = append(steps, chainStep{k, last, chain[i]})
+			if search(depth - 1) {
+				return true
+			}
+			chain, steps = chain[:len(chain)-1], steps[:len(steps)-1]
+		}
+		return false
+	}
+	for depth := bits.Len(uint(top)) - 1; nodes <= chainSearchBudget; depth++ {
+		if search(depth) {
+			return steps
+		}
+	}
+	// Every power from 2 to top: x^k is x^(k/2) squared or x^(k−1)·x.
+	for k := 2; k <= top; k++ {
+		if k%2 == 0 {
+			steps = append(steps, chainStep{k, k / 2, k / 2})
+		} else {
+			steps = append(steps, chainStep{k, k - 1, 1})
+		}
+	}
+	return steps
+}
+
+// BlockWidth is the number of points one EvalBlock or EvalLanes call
+// evaluates: each register is a row of BlockWidth elements (LaneRows lane
+// values), so every op is one slice-kernel call over up to BlockWidth
+// points instead of one dispatch per point. It must be a multiple of
+// ff.LaneCount. On the lane scan, widths 16 through 256 timed alike on the
+// six sumcheck_sweep16 gates (a 2^15 single-worker ZeroCheck of each, three
+// runs per width on a 2-core IFMA host: 16 0.27–0.29 s, 32 0.29–0.32 s,
+// 64 0.27–0.32 s, 128 0.28–0.35 s, 256 0.27–0.28 s, against 1.12–1.24 s
+// for the scalar scan at 64), as the scalar scan's widths 8 through 128
+// did before. 64 keeps the per-op call a small share of each op, and the
+// lane scan's buffer is then 55–143 KiB on those gates (Vanilla to
+// Jellyfish), inside L2.
 const BlockWidth = 64
 
 // EvalBlock runs the program at n ≤ BlockWidth points at once and writes
@@ -193,6 +282,54 @@ func (p *Program) EvalBlock(regs []ff.Element, n int, out []ff.Element) {
 			c := &p.Consts[op.B]
 			for j := range out {
 				out[j].Add(&out[j], c)
+			}
+		}
+	}
+}
+
+// LaneRows is the number of ff.Lanes values in one register row of
+// EvalLanes: BlockWidth points, eight to a value.
+const LaneRows = BlockWidth / ff.LaneCount
+
+// BlockWidth must fill whole lane rows.
+const _ = uint(-(BlockWidth % ff.LaneCount))
+
+// EvalLanes is EvalBlock on the ff.Lanes kernel, for 8·ng ≤ BlockWidth
+// points: the register file is NumRegs rows of LaneRows values (len(regs)
+// >= NumRegs·LaneRows), row r is regs[r·LaneRows:], and value g of a row
+// holds points 8g..8g+7. It writes the composite's values to out[:ng].
+// OpMul/OpSquare are ff.MulLanes over the row, OpMulConst ff.ScalarMulLanes
+// by the constant in every lane, and the accumulating ops ff lane adds.
+// The caller must check ff.HasLanes. Every lane of out equals EvalBlock's
+// value at its point, constant terms included, so a lane that holds no
+// point must not be summed.
+func (p *Program) EvalLanes(regs []ff.Lanes, ng int, out []ff.Lanes) {
+	if ng > LaneRows {
+		panic("poly: EvalLanes block size out of range")
+	}
+	regs = regs[:p.NumRegs*LaneRows]
+	out = out[:ng]
+	row := func(r uint16) []ff.Lanes {
+		o := int(r) * LaneRows
+		return regs[o : o+ng]
+	}
+	clear(out)
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		switch op.Kind {
+		case OpMul:
+			ff.MulLanes(row(op.Dst), row(op.A), row(op.B))
+		case OpSquare:
+			a := row(op.A)
+			ff.MulLanes(row(op.Dst), a, a)
+		case OpMulConst:
+			ff.ScalarMulLanes(row(op.Dst), row(op.A), &p.laneConsts[op.B])
+		case OpAcc:
+			ff.AddLanes(out, out, row(op.A))
+		case OpAccConst:
+			c := &p.laneConsts[op.B]
+			for g := range out {
+				out[g].Add(&out[g], c)
 			}
 		}
 	}

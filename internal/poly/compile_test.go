@@ -169,6 +169,89 @@ func TestCompileHoistsPowers(t *testing.T) {
 	}
 }
 
+// TestCompileOpCounts pins each program's length and its multiplications
+// (OpMul, OpSquare, OpMulConst) per point for every registry composite and
+// the sweep's high-degree gates. Each variable's powers come from one
+// shortest addition chain through the powers its terms use: HighDegree(16)
+// builds w¹⁵ in five steps (2, 3, 6, 12, 15), HighDegree(8) w⁷ in four,
+// and each Jellyfish w⁵ in three (2, 4, 5).
+func TestCompileOpCounts(t *testing.T) {
+	want := map[string][2]int{ // name: {ops, muls}
+		"VerifiableASICs": {7, 4}, "Spartan1": {6, 4}, "Spartan2": {2, 1},
+		"NonzeroPointCheck": {10, 7}, "XGatedCurveCheck": {12, 9}, "YGatedCurveCheck": {13, 10},
+		"IncompleteAdd1": {39, 29}, "IncompleteAdd2": {21, 15},
+		"CompleteAdd1": {27, 20}, "CompleteAdd2": {30, 24}, "CompleteAdd3": {30, 24},
+		"CompleteAdd4": {41, 33}, "CompleteAdd5": {45, 37}, "CompleteAdd6": {49, 41},
+		"CompleteAdd7": {14, 10}, "CompleteAdd8": {14, 10}, "CompleteAdd9": {14, 10},
+		"CompleteAdd10": {14, 10}, "CompleteAdd11": {21, 16}, "CompleteAdd12": {21, 16},
+		"VanillaZeroCheck": {16, 11}, "VanillaPermCheck": {17, 13},
+		"JellyfishZeroCheck": {56, 43}, "JellyfishPermCheck": {21, 17}, "OpenCheck": {12, 6},
+		"HighDegree8": {12, 8}, "HighDegree16": {13, 9},
+	}
+	comps := []*Composite{HighDegree(8), HighDegree(16)}
+	for id := 0; id < NumRegistered; id++ {
+		comps = append(comps, Registered(id))
+	}
+	for _, c := range comps {
+		prog := c.Compile()
+		muls := 0
+		for _, op := range prog.Ops {
+			if op.Kind == OpMul || op.Kind == OpSquare || op.Kind == OpMulConst {
+				muls++
+			}
+		}
+		w, ok := want[c.Name]
+		if !ok {
+			t.Fatalf("no pinned op count for %s (%d ops, %d muls)", c.Name, len(prog.Ops), muls)
+		}
+		if got := [2]int{len(prog.Ops), muls}; got != w {
+			t.Errorf("%s: {ops, muls} = %v, want %v:\n%s", c.Name, got, w, prog.String())
+		}
+	}
+}
+
+// TestPowerChain checks powerChain's chains are valid and as short as
+// pinned, and that an exponent set past the search budget still gets a
+// valid square-and-multiply chain.
+func TestPowerChain(t *testing.T) {
+	for _, tc := range []struct {
+		need  []int
+		steps int
+	}{
+		{nil, 0}, {[]int{2}, 1}, {[]int{5}, 3}, {[]int{7}, 4}, {[]int{15}, 5},
+		{[]int{12}, 4}, {[]int{29}, 7}, {[]int{3, 5}, 3}, {[]int{2, 5, 7}, 4},
+		{seq(3, 20), 19},
+		{[]int{1000, 777, 123}, -1}, // past the budget: only validity is checked
+		{seq(2, 80), 79},            // a step per power, deeper than a shift's width
+	} {
+		steps := powerChain(tc.need)
+		have := map[int]bool{1: true}
+		for _, st := range steps {
+			if !have[st.a] || !have[st.b] || st.a+st.b != st.sum {
+				t.Fatalf("powerChain(%v): invalid step %+v in %+v", tc.need, st, steps)
+			}
+			have[st.sum] = true
+		}
+		for _, k := range tc.need {
+			if !have[k] {
+				t.Fatalf("powerChain(%v) misses %d: %+v", tc.need, k, steps)
+			}
+		}
+		if tc.steps >= 0 && len(steps) != tc.steps {
+			t.Errorf("powerChain(%v) has %d steps, want %d: %+v", tc.need, len(steps), tc.steps, steps)
+		}
+	}
+}
+
+// seq returns lo, lo+1, …, hi.
+func seq(lo, hi int) []int {
+	s := []int{}
+	for k := lo; k <= hi; k++ {
+		s = append(s, k)
+	}
+	return s
+}
+
 // TestCompileCaching: Compile must return the same program pointer on reuse.
 func TestCompileCaching(t *testing.T) {
 	c := VanillaGate()

@@ -233,19 +233,14 @@ func (l *lazyWork) release() {
 // because the wire format drops it (the verifier reconstructs it from the
 // running claim), which saves one of the d+1 composite evaluations per pair.
 //
-// The scan runs over blocks of poly.BlockWidth pairs. Each block's a0 =
-// tab[2j] and diff = tab[2j+1] − tab[2j] rows are loaded once; the
-// constituents' extensions then advance incrementally across the points
-// (ext(t+1) = ext(t) + diff; the skipped t=1 point is bridged by adding the
-// delta twice), and at each point the composite's compiled program runs over
-// the whole block (poly.EvalBlock, every op one ff slice kernel) — the
-// paper's Fig. 1 dataflow, with the pairs streaming through one program. A
-// block's values fold into the point's slot with one lazy reduction
-// (ff.SumVec, or ff.InnerProductVec against the weights). The scan is
-// chunked over the pair index through the shared engine, and the merge adds
-// partial accumulators in ascending chunk order, so the round polynomial is
-// identical for every budget (and bit-identical to the tree-walk evaluation,
-// since field arithmetic is exact).
+// The scan is chunked over the pair index through the shared engine, and
+// the merge adds partial accumulators in ascending chunk order, so the round
+// polynomial is identical for every budget (and bit-identical to the
+// tree-walk evaluation, since field arithmetic is exact). Where the CPU has
+// the ff.Lanes kernel a chunk's whole groups of eight pairs run
+// lane-resident (scanLanes) and its last few pairs, if any, take the scalar
+// scan (scanBlocks); elsewhere scanBlocks runs the whole chunk. Both add
+// into the same per-point sums.
 //
 // When weights is non-nil (the eq-factorized ZeroCheck's suffix table,
 // indexed by pair), every program value is multiplied by weights[j] before
@@ -254,9 +249,7 @@ func (l *lazyWork) release() {
 // garbage, so the caller must check ctx.Err() and discard the result
 // (ProveCtx does).
 func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Program, d int, weights []ff.Element, workers int) []ff.Element {
-	const bw = poly.BlockWidth
 	half := a.Tables[0].Size() / 2
-	nv := len(a.Tables)
 	nPts := d // t = 0, 2, ..., d
 	if nPts < 1 {
 		nPts = 1
@@ -264,62 +257,10 @@ func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Pr
 
 	return parallel.MapReduce(workers, half, func(lo, hi int) []ff.Element {
 		acc := make([]ff.Element, nPts)
-		// One flat arena buffer: the program's register file (its first nv
-		// rows are the extensions), the per-constituent delta rows, and the
-		// block's program values.
-		scratch := parallel.GetScratch((prog.NumRegs + nv + 1) * bw)
-		defer parallel.PutScratch(scratch)
-		regs := scratch[:prog.NumRegs*bw]
-		diffs := scratch[prog.NumRegs*bw : (prog.NumRegs+nv)*bw]
-		vals := scratch[(prog.NumRegs+nv)*bw:]
-		for b0 := lo; b0 < hi; b0 += bw {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
-			n := min(bw, hi-b0)
-			var w []ff.Element
-			if weights != nil {
-				w = weights[b0 : b0+n]
-			}
-			accumulate := func(slot int) {
-				prog.EvalBlock(regs, n, vals)
-				var s ff.Element
-				if w != nil {
-					s = ff.InnerProductVec(vals[:n], w)
-				} else {
-					s = ff.SumVec(vals[:n])
-				}
-				acc[slot].Add(&acc[slot], &s)
-			}
-			// step advances every extension row by its delta row.
-			step := func() {
-				for v := 0; v < nv; v++ {
-					ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
-					for i := range ext {
-						ext[i].Add(&ext[i], &dv[i])
-					}
-				}
-			}
-			for v := 0; v < nv; v++ {
-				e := a.Tables[v].Evals[2*b0 : 2*(b0+n)]
-				ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
-				for i := range ext {
-					ext[i] = e[2*i]
-					dv[i].Sub(&e[2*i+1], &ext[i])
-				}
-			}
-			accumulate(0) // t = 0
-			if d >= 2 {
-				// Bridge over the skipped t=1 by stepping the delta twice.
-				step()
-				step()
-				accumulate(1) // t = 2
-				for t := 3; t <= d; t++ {
-					step()
-					accumulate(t - 1)
-				}
-			}
+		if ff.HasLanes() {
+			lo = scanLanes(ctx, a, prog, d, weights, lo, hi, acc)
 		}
+		scanBlocks(ctx, a, prog, d, weights, lo, hi, acc)
 		return acc
 	}, func(a, b []ff.Element) []ff.Element {
 		for t := range a {
@@ -327,6 +268,160 @@ func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Pr
 		}
 		return a
 	})
+}
+
+// scanBlocks adds pairs [lo, hi)'s contributions to acc (one sum per point
+// t = 0, 2, ..., d) on the scalar kernels. It runs over blocks of
+// poly.BlockWidth pairs. Each block's a0 = tab[2j] and diff = tab[2j+1] −
+// tab[2j] rows are loaded once; the constituents' extensions then advance
+// incrementally across the points (ext(t+1) = ext(t) + diff; the skipped
+// t=1 point is bridged by adding the delta twice), and at each point the
+// composite's compiled program runs over the whole block (poly.EvalBlock,
+// every op one ff slice kernel) — the paper's Fig. 1 dataflow, with the
+// pairs streaming through one program. A block's values fold into the
+// point's slot with one lazy reduction (ff.SumVec, or ff.InnerProductVec
+// against the weights). It is the path without IFMA and the reference the
+// lane scan is tested against.
+func scanBlocks(ctx context.Context, a *Assignment, prog *poly.Program, d int, weights []ff.Element, lo, hi int, acc []ff.Element) {
+	const bw = poly.BlockWidth
+	if lo >= hi {
+		return
+	}
+	nv := len(a.Tables)
+	// One flat arena buffer: the program's register file (its first nv
+	// rows are the extensions), the per-constituent delta rows, and the
+	// block's program values.
+	scratch := parallel.GetScratch((prog.NumRegs + nv + 1) * bw)
+	defer parallel.PutScratch(scratch)
+	regs := scratch[:prog.NumRegs*bw]
+	diffs := scratch[prog.NumRegs*bw : (prog.NumRegs+nv)*bw]
+	vals := scratch[(prog.NumRegs+nv)*bw:]
+	for b0 := lo; b0 < hi; b0 += bw {
+		if ctx != nil && ctx.Err() != nil {
+			break
+		}
+		n := min(bw, hi-b0)
+		var w []ff.Element
+		if weights != nil {
+			w = weights[b0 : b0+n]
+		}
+		accumulate := func(slot int) {
+			prog.EvalBlock(regs, n, vals)
+			var s ff.Element
+			if w != nil {
+				s = ff.InnerProductVec(vals[:n], w)
+			} else {
+				s = ff.SumVec(vals[:n])
+			}
+			acc[slot].Add(&acc[slot], &s)
+		}
+		// step advances every extension row by its delta row.
+		step := func() {
+			for v := 0; v < nv; v++ {
+				ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
+				for i := range ext {
+					ext[i].Add(&ext[i], &dv[i])
+				}
+			}
+		}
+		for v := 0; v < nv; v++ {
+			e := a.Tables[v].Evals[2*b0 : 2*(b0+n)]
+			ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
+			for i := range ext {
+				ext[i] = e[2*i]
+				dv[i].Sub(&e[2*i+1], &ext[i])
+			}
+		}
+		walkPoints(d, step, accumulate)
+	}
+}
+
+// walkPoints runs accumulate at t = 0, 2, ..., d (slot 0, 1, ..., d−1),
+// advancing the extensions with step between points; the skipped t = 1 is
+// bridged by stepping twice.
+func walkPoints(d int, step func(), accumulate func(slot int)) {
+	accumulate(0)
+	if d >= 2 {
+		step()
+		step()
+		accumulate(1)
+		for t := 3; t <= d; t++ {
+			step()
+			accumulate(t - 1)
+		}
+	}
+}
+
+// laneArena recycles scanLanes' register files.
+var laneArena parallel.Arena[ff.Lanes]
+
+// scanLanes is scanBlocks on the ff.Lanes kernel for the pairs
+// [lo, lo + 8·⌊(hi−lo)/8⌋), and returns where it stopped; the caller scans
+// the rest. Pair j of a block sits in lane j mod 8 of value j/8 of every
+// row: a block's a0 and delta rows are packed once, the extension steps are
+// lane adds, the program runs through poly.EvalLanes, and each point's
+// values (times the packed weights, for a ZeroCheck) are lane-added into
+// that point's row of sums. Every lane holds a real pair, so no padding
+// value — which would still carry the composite's constant term — is ever
+// summed. The sums are unpacked and reduced once per chunk.
+func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, weights []ff.Element, lo, hi int, acc []ff.Element) int {
+	const bw, gw = poly.BlockWidth, poly.LaneRows
+	end := lo + (hi-lo)&^(ff.LaneCount-1)
+	if end == lo {
+		return lo
+	}
+	nv := len(a.Tables)
+	nPts := len(acc)
+	// The register file (its first nv rows are the extensions), the delta
+	// rows, the program values, the packed weights, and one row of sums
+	// per point.
+	buf := laneArena.Get((prog.NumRegs + nv + 2 + nPts) * gw)
+	defer laneArena.Put(buf)
+	regs := buf[:prog.NumRegs*gw]
+	deltas := buf[prog.NumRegs*gw : (prog.NumRegs+nv)*gw]
+	vals := buf[(prog.NumRegs+nv)*gw : (prog.NumRegs+nv+1)*gw]
+	w := buf[(prog.NumRegs+nv+1)*gw : (prog.NumRegs+nv+2)*gw]
+	sums := buf[(prog.NumRegs+nv+2)*gw:]
+	clear(sums)
+	for b0 := lo; b0 < end; b0 += bw {
+		if ctx != nil && ctx.Err() != nil {
+			break
+		}
+		ng := min(bw, end-b0) / ff.LaneCount
+		accumulate := func(slot int) {
+			prog.EvalLanes(regs, ng, vals)
+			if weights != nil {
+				ff.MulLanes(vals[:ng], vals[:ng], w[:ng])
+			}
+			s := sums[slot*gw : slot*gw+ng]
+			ff.AddLanes(s, s, vals[:ng])
+		}
+		step := func() {
+			for v := 0; v < nv; v++ {
+				ext := regs[v*gw : v*gw+ng]
+				ff.AddLanes(ext, ext, deltas[v*gw:v*gw+ng])
+			}
+		}
+		for v := 0; v < nv; v++ {
+			e := a.Tables[v].Evals[2*b0 : 2*(b0+ng*ff.LaneCount)]
+			ext, dv := regs[v*gw:v*gw+ng], deltas[v*gw:v*gw+ng]
+			ff.PackLanesEven(ext, e)
+			ff.PackLanesEven(dv, e[1:])
+			ff.SubLanes(dv, dv, ext)
+		}
+		if weights != nil {
+			ff.PackLanes(w[:ng], weights[b0:b0+ng*ff.LaneCount])
+		}
+		walkPoints(d, step, accumulate)
+	}
+	out := parallel.GetScratch(bw)
+	defer parallel.PutScratch(out)
+	for t := range acc {
+		ff.UnpackLanes(out, sums[t*gw:(t+1)*gw])
+		s := ff.SumVec(out)
+		acc[t].Add(&acc[t], &s)
+	}
+	return end
 }
 
 // RoundPolynomial computes the compressed round polynomial
