@@ -8,16 +8,18 @@ build:
 test:
 	$(GO) test ./...
 
-# The reference leg: -tags purego compiles the amd64 kernels out — fp.Mul
-# (internal/fp/mul_amd64.s), the fp.Lanes AVX-512 IFMA kernel behind the
-# curve layer's batch-affine additions (internal/fp/lanes_amd64.s), ff's
-# Mul/MulVec/ScalarMulVec (internal/ff/mul_amd64.s) and the ff.Lanes IFMA
-# kernel behind the SumCheck scan and FoldVec (internal/ff/lanes_amd64.s) —
-# so both fields, the curve/pcs layers and the SumCheck scan (poly's block
-# evaluator, mle, sumcheck) on top of them, and the golden proof-byte pins
-# in hyperplonk run on the portable Go path.
+# The reference leg: -tags purego compiles all five assembly files out —
+# fp.Mul (internal/fp/mul_amd64.s), the fp.Lanes AVX-512 IFMA kernel behind
+# the curve layer's batch-affine additions (internal/fp/lanes_amd64.s), ff's
+# Mul/MulVec/ScalarMulVec (internal/ff/mul_amd64.s), the ff.Lanes IFMA
+# kernel behind the SumCheck scan and FoldVec (internal/ff/lanes_amd64.s)
+# and the one CPUID/XGETBV probe that picks them (internal/cpu/cpu_amd64.s,
+# whose ADX and IFMA become the constant false) — so both fields, with
+# Square as mulGeneric(x, x), the curve/pcs layers and the SumCheck scan
+# (poly's block evaluator, mle, sumcheck) on top of them, and the golden
+# proof-byte pins in hyperplonk run on the portable Go path.
 test-purego:
-	$(GO) test -tags purego ./internal/fp ./internal/ff ./internal/poly ./internal/mle ./internal/sumcheck ./internal/curve ./internal/pcs ./internal/hyperplonk
+	$(GO) test -tags purego ./internal/cpu ./internal/fp ./internal/ff ./internal/poly ./internal/mle ./internal/sumcheck ./internal/curve ./internal/pcs ./internal/hyperplonk
 
 # The non-amd64 fallback must keep compiling.
 cross-build:

@@ -15,6 +15,8 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
+
+	"zkphire/internal/cpu"
 )
 
 // Limbs is the number of 64-bit limbs in an Element.
@@ -42,9 +44,9 @@ var q = Element{
 const modulusHex = "73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001"
 
 // Modulus limbs and the Montgomery constant as untyped constants so the
-// unrolled mulGeneric/squareGeneric/Add/Sub/Neg below fold them into
-// immediates instead of burning four registers; init cross-checks them
-// against modulusHex (the single trusted literal) and panics on mismatch.
+// unrolled mulGeneric/Add/Sub/Neg below fold them into immediates instead
+// of burning four registers; init cross-checks them against modulusHex
+// (the single trusted literal) and panics on mismatch.
 // The amd64 kernel reads the same values from the checked variables q and
 // qInvNeg.
 const (
@@ -378,13 +380,13 @@ func madd0(a, b, c uint64) uint64 {
 	return hi + carry
 }
 
-// Mul sets z = x*y mod q and returns z. On amd64 CPUs with BMI2+ADX it is
-// the assembly kernel in mul_amd64.s; everywhere else (and under -tags
-// purego) it is mulGeneric. The two compute the same fully reduced value.
-// Slice loops should call MulVec/ScalarMulVec, which keep the whole loop
-// inside the kernel.
+// Mul sets z = x*y mod q and returns z. On amd64 CPUs with BMI2+ADX
+// (cpu.ADX) it is the assembly kernel in mul_amd64.s; everywhere else (and
+// under -tags purego) it is mulGeneric. The two compute the same fully
+// reduced value. Slice loops should call MulVec/ScalarMulVec, which keep
+// the whole loop inside the kernel.
 func (z *Element) Mul(x, y *Element) *Element {
-	if hasADX {
+	if cpu.ADX {
 		mulADX(z, x, y)
 		return z
 	}
@@ -476,113 +478,10 @@ func (z *Element) mulGeneric(x, y *Element) *Element {
 	return z
 }
 
-// Square sets z = x² mod q and returns z; see Mul for the dispatch.
-func (z *Element) Square(x *Element) *Element {
-	if hasADX {
-		mulADX(z, x, x)
-		return z
-	}
-	return z.squareGeneric(x)
-}
-
-// squareGeneric is the portable Square. Dedicated SOS squaring: the 8-word
-// square needs only 10 word products (6 doubled cross terms + 4 diagonals)
-// against mulGeneric's 16, followed by a 4-round Montgomery reduction.
-func (z *Element) squareGeneric(x *Element) *Element {
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-
-	// Upper-triangle products Σ_{i<j} x_i·x_j·2^{64(i+j)} in w1..w6, all in
-	// scalar locals so the whole square stays in registers.
-	var w0, w1, w2, w3, w4, w5, w6, w7 uint64
-	var hi, lo, c uint64
-
-	// row i=0: x0·x1..x0·x3 → w1..w3, top into w4
-	hi, w1 = bits.Mul64(x0, x1)
-	hi, w2 = madd(x0, x2, hi, 0)
-	hi, w3 = madd(x0, x3, hi, 0)
-	w4 = hi
-	// row i=1: x1·x2, x1·x3 added at w3..w4, carry into w5
-	hi, lo = bits.Mul64(x1, x2)
-	w3, c = bits.Add64(w3, lo, 0)
-	hi, lo = madd(x1, x3, hi, c)
-	w4, c = bits.Add64(w4, lo, 0)
-	w5 = hi + c
-	// row i=2: x2·x3 added at w5..w6
-	hi, lo = bits.Mul64(x2, x3)
-	w5, c = bits.Add64(w5, lo, 0)
-	w6 = hi + c
-
-	// Double the triangle and add the diagonals x_i²·2^{128i}.
-	w7 = w6 >> 63
-	w6 = w6<<1 | w5>>63
-	w5 = w5<<1 | w4>>63
-	w4 = w4<<1 | w3>>63
-	w3 = w3<<1 | w2>>63
-	w2 = w2<<1 | w1>>63
-	w1 <<= 1
-	hi, w0 = bits.Mul64(x0, x0)
-	w1, c = bits.Add64(w1, hi, 0)
-	hi, lo = bits.Mul64(x1, x1)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w2, c = bits.Add64(w2, lo, 0)
-	w3, c = bits.Add64(w3, hi, c)
-	hi, lo = bits.Mul64(x2, x2)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w4, c = bits.Add64(w4, lo, 0)
-	w5, c = bits.Add64(w5, hi, c)
-	hi, lo = bits.Mul64(x3, x3)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w6, c = bits.Add64(w6, lo, 0)
-	w7, _ = bits.Add64(w7, hi, c)
-
-	// Montgomery reduction: four rounds of w += m·q·2^{64i} with
-	// m = w_i·(−q⁻¹), then shift down by 2^256. The per-round carry out of
-	// word i+4 is accumulated separately (the m of later rounds never reads
-	// a word a deferred carry lands on, so adding them at the end commutes).
-	var cr0, cr1, cr2, cr3 uint64
-	m := w0 * qInvNegC
-	cr0 = madd0(m, qc0, w0)
-	cr0, w1 = madd(m, qc1, w1, cr0)
-	cr0, w2 = madd(m, qc2, w2, cr0)
-	cr0, w3 = madd(m, qc3, w3, cr0)
-	m = w1 * qInvNegC
-	cr1 = madd0(m, qc0, w1)
-	cr1, w2 = madd(m, qc1, w2, cr1)
-	cr1, w3 = madd(m, qc2, w3, cr1)
-	cr1, w4 = madd(m, qc3, w4, cr1)
-	m = w2 * qInvNegC
-	cr2 = madd0(m, qc0, w2)
-	cr2, w3 = madd(m, qc1, w3, cr2)
-	cr2, w4 = madd(m, qc2, w4, cr2)
-	cr2, w5 = madd(m, qc3, w5, cr2)
-	m = w3 * qInvNegC
-	cr3 = madd0(m, qc0, w3)
-	cr3, w4 = madd(m, qc1, w4, cr3)
-	cr3, w5 = madd(m, qc2, w5, cr3)
-	cr3, w6 = madd(m, qc3, w6, cr3)
-	// Fold the deferred carries into the top half: carry i lands at word i+4.
-	var t0, t1, t2, t3 uint64
-	t0, c = bits.Add64(w4, cr0, 0)
-	t1, c = bits.Add64(w5, cr1, c)
-	t2, c = bits.Add64(w6, cr2, c)
-	t3, _ = bits.Add64(w7, cr3, c)
-
-	var b uint64
-	var s0, s1, s2, s3 uint64
-	s0, b = bits.Sub64(t0, qc0, 0)
-	s1, b = bits.Sub64(t1, qc1, b)
-	s2, b = bits.Sub64(t2, qc2, b)
-	s3, b = bits.Sub64(t3, qc3, b)
-	if b == 0 { // t >= q
-		z[0], z[1], z[2], z[3] = s0, s1, s2, s3
-	} else {
-		z[0], z[1], z[2], z[3] = t0, t1, t2, t3
-	}
-	return z
-}
+// Square sets z = x² mod q and returns z. It is Mul(x, x) on every path:
+// mulADX(x, x) beat a dedicated squaring, and one algorithm per
+// instruction set is less to keep correct.
+func (z *Element) Square(x *Element) *Element { return z.Mul(x, x) }
 
 // Exp sets z = x^e mod q (e as a big.Int, e >= 0) and returns z.
 func (z *Element) Exp(x *Element, e *big.Int) *Element {
@@ -639,31 +538,7 @@ func (z *Element) Inverse(x *Element) *Element {
 // BatchInvert inverts every nonzero element of a in place using Montgomery's
 // batching trick (one inversion plus 3(n-1) multiplications). Zero entries
 // are left as zero.
-func BatchInvert(a []Element) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	prefix := make([]Element, n)
-	acc := one
-	for i := 0; i < n; i++ {
-		prefix[i] = acc
-		if !a[i].IsZero() {
-			acc.Mul(&acc, &a[i])
-		}
-	}
-	var inv Element
-	inv.Inverse(&acc)
-	for i := n - 1; i >= 0; i-- {
-		if a[i].IsZero() {
-			continue
-		}
-		var ai Element
-		ai.Mul(&inv, &prefix[i])
-		inv.Mul(&inv, &a[i])
-		a[i] = ai
-	}
-}
+func BatchInvert(a []Element) { BatchInvertScratch(a, make([]Element, len(a))) }
 
 // Halve sets z = x/2 and returns z.
 func (z *Element) Halve(x *Element) *Element {

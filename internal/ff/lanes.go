@@ -1,22 +1,24 @@
 package ff
 
+import "zkphire/internal/cpu"
+
 // Eight-lane vector kernel (lanes_amd64.s) on AVX-512 IFMA: internal/fp's
 // Lanes resized to the scalar field. A Lanes value holds eight independent
 // elements limb-major in radix 2^52: Lanes[j][l] is bits 52j..52j+51 of
 // lane l's Montgomery limbs, so one zmm register holds one limb of all
 // eight lanes. Five limbs hold 260 bits; canonical elements are below
-// q < 2^255, so the top limb is below 2^47. Mul, Sub and Add are lane-wise
-// and bit-identical to Element's Mul, Sub and Add on every lane: the
+// q < 2^255, so the top limb is below 2^47. The products, differences and
+// sums are lane-wise and bit-identical to Element's Mul, Sub and Add: the
 // product reduces by 4×52 + 48 bits, so its Montgomery radix is 2^256 as
 // for Element. Inputs must be canonical (packed elements below q, an
 // earlier result, or Broadcast of a canonical element), and so is every
 // output.
 //
 // The row functions (PackLanes, MulLanes, …) run a whole slice inside one
-// assembly call; the methods are the one-value forms. The kernel is chosen
-// like mulADX, by CPUID alone: HasLanes reports it, and everything here
-// except Broadcast panics where it is absent (other CPUs, other
-// architectures, -tags purego). A caller keeps a scalar path for that case.
+// assembly call. The kernel is chosen like mulADX, by the CPU alone
+// (cpu.IFMA): HasLanes reports it, and everything here except Broadcast
+// panics where it is absent (other CPUs, other architectures, -tags
+// purego). A caller keeps a scalar path for that case.
 
 // LaneCount is the number of elements a Lanes value holds.
 const LaneCount = 8
@@ -30,7 +32,7 @@ type Lanes [laneLimbs][LaneCount]uint64
 
 // HasLanes reports whether this CPU runs the vector kernel (AVX512F and
 // AVX512IFMA, with ZMM state enabled by the OS).
-func HasLanes() bool { return hasIFMA }
+func HasLanes() bool { return cpu.IFMA }
 
 // Broadcast sets every lane of z to c. It runs on every CPU.
 func (z *Lanes) Broadcast(c *Element) {
@@ -40,36 +42,6 @@ func (z *Lanes) Broadcast(c *Element) {
 			z[j][k] = l[j]
 		}
 	}
-}
-
-// Pack sets z's lanes to x.
-func (z *Lanes) Pack(x *[LaneCount]Element) {
-	needLanes()
-	packLanes(z, &x[0], 1)
-}
-
-// Unpack writes z's lanes to x.
-func (z *Lanes) Unpack(x *[LaneCount]Element) {
-	needLanes()
-	unpackLanes(&x[0], z, 1)
-}
-
-// Mul sets z = x·y lane-wise.
-func (z *Lanes) Mul(x, y *Lanes) {
-	needLanes()
-	mulLanes(z, x, y, 1, 0)
-}
-
-// Sub sets z = x − y lane-wise.
-func (z *Lanes) Sub(x, y *Lanes) {
-	needLanes()
-	subLanes(z, x, y, 1)
-}
-
-// Add sets z = x + y lane-wise.
-func (z *Lanes) Add(x, y *Lanes) {
-	needLanes()
-	addLanes(z, x, y, 1)
 }
 
 // PackLanes sets lane l of z[k] to x[8k+l]; len(x) must be 8·len(z).
@@ -160,7 +132,7 @@ func SubLanes(z, x, y []Lanes) {
 const laneBytes = laneLimbs * LaneCount * 8
 
 func needLanes() {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		panic("ff: Lanes arithmetic without AVX-512 IFMA (check HasLanes)")
 	}
 }

@@ -5,24 +5,26 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"zkphire/internal/cpu"
 )
 
-// Differential tests for the Lanes kernel: every lane of Mul, Sub and Add
-// must equal Element's Mul, Sub and Add on the same inputs under every
-// aliasing of the result, Pack and Unpack must round-trip through the
-// 52-bit limb layout, and the row functions must equal the one-value
-// methods group by group.
+// Differential tests for the Lanes kernel: every lane of MulLanes, SubLanes
+// and AddLanes must equal Element's Mul, Sub and Add on the same inputs
+// under every aliasing of the result, on one-value rows and on longer ones,
+// and PackLanes and UnpackLanes must round-trip through the 52-bit limb
+// layout.
 
 const noIFMA = "no AVX512IFMA (with AVX512F and OS-enabled ZMM state) on this CPU, or built with -tags purego or off amd64"
 
 var laneOps = []struct {
 	name   string
-	vec    func(z, x, y *Lanes)
+	vec    func(z, x, y []Lanes)
 	scalar func(z, x, y *Element) *Element
 }{
-	{"Mul", (*Lanes).Mul, (*Element).Mul},
-	{"Sub", (*Lanes).Sub, (*Element).Sub},
-	{"Add", (*Lanes).Add, (*Element).Add},
+	{"Mul", MulLanes, (*Element).Mul},
+	{"Sub", SubLanes, (*Element).Sub},
+	{"Add", AddLanes, (*Element).Add},
 }
 
 // laneEdges are the edge elements plus values whose 52-bit limbs sit at
@@ -44,25 +46,25 @@ func laneEdges() []Element {
 	return edges
 }
 
-// checkLanes runs eight (x, y) pairs through the kernel and compares every
-// lane with the scalar methods.
+// checkLanes runs eight (x, y) pairs through the kernel as one-value rows
+// and compares every lane with the scalar methods.
 func checkLanes(t testing.TB, x, y *[LaneCount]Element) {
 	t.Helper()
-	var X, Y Lanes
-	X.Pack(x)
-	Y.Pack(y)
+	var X, Y [1]Lanes
+	PackLanes(X[:], x[:])
+	PackLanes(Y[:], y[:])
 	for l := range x {
 		want := limbs52(&x[l])
 		for j := range want {
-			if X[j][l] != want[j] {
-				t.Fatalf("Pack lane %d limb %d: got %x, want %x (x=%x)", l, j, X[j][l], want[j], x[l])
+			if X[0][j][l] != want[j] {
+				t.Fatalf("PackLanes lane %d limb %d: got %x, want %x (x=%x)", l, j, X[0][j][l], want[j], x[l])
 			}
 		}
 	}
 	var back [LaneCount]Element
-	X.Unpack(&back)
+	UnpackLanes(back[:], X[:])
 	if back != *x {
-		t.Fatalf("Unpack(Pack(x)) = %x, want %x", back, *x)
+		t.Fatalf("UnpackLanes(PackLanes(x)) = %x, want %x", back, *x)
 	}
 	for _, op := range laneOps {
 		var want [LaneCount]Element
@@ -70,22 +72,22 @@ func checkLanes(t testing.TB, x, y *[LaneCount]Element) {
 			op.scalar(&want[l], &x[l], &y[l])
 		}
 		for _, alias := range []string{"z distinct", "z==x", "z==y"} {
-			var Z Lanes
+			var Z [1]Lanes
 			switch alias {
 			case "z distinct":
-				op.vec(&Z, &X, &Y)
+				op.vec(Z[:], X[:], Y[:])
 			case "z==x":
 				Z = X
-				op.vec(&Z, &Z, &Y)
+				op.vec(Z[:], Z[:], Y[:])
 			case "z==y":
 				Z = Y
-				op.vec(&Z, &X, &Z)
+				op.vec(Z[:], X[:], Z[:])
 			}
 			var got [LaneCount]Element
-			Z.Unpack(&got)
+			UnpackLanes(got[:], Z[:])
 			for l := range got {
 				if got[l] != want[l] {
-					t.Fatalf("Lanes.%s %s lane %d: x=%x y=%x got %x, Element.%s %x", op.name, alias, l, x[l], y[l], got[l], op.name, want[l])
+					t.Fatalf("%sLanes %s lane %d: x=%x y=%x got %x, want %x", op.name, alias, l, x[l], y[l], got[l], want[l])
 				}
 			}
 		}
@@ -111,7 +113,7 @@ func TestLanesConstants(t *testing.T) {
 // TestLanesEdges runs every ordered pair of edge elements, eight pairs per
 // call.
 func TestLanesEdges(t *testing.T) {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		t.Skip(noIFMA)
 	}
 	edges := laneEdges()
@@ -134,7 +136,7 @@ func TestLanesEdges(t *testing.T) {
 // TestLanesRandom is the bulk differential: 10⁵ seeded random lane pairs
 // (10⁴ with -short).
 func TestLanesRandom(t *testing.T) {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		t.Skip(noIFMA)
 	}
 	n := 100_000 / LaneCount
@@ -151,12 +153,12 @@ func TestLanesRandom(t *testing.T) {
 	}
 }
 
-// TestLaneRows checks the row functions against the one-value methods and
-// Element arithmetic at row lengths 0, 1, 2, 7 and 64, with the result
-// aliasing an input, ScalarMulLanes against a Broadcast multiplier, and
-// PackLanesEven over both halves of a pair table.
+// TestLaneRows checks the row functions against Element arithmetic at row
+// lengths 0, 1, 2, 7 and 64, with the result aliasing an input,
+// ScalarMulLanes against a Broadcast multiplier, and PackLanesEven over
+// both halves of a pair table.
 func TestLaneRows(t *testing.T) {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		t.Skip(noIFMA)
 	}
 	rng := rand.New(rand.NewSource(40))
@@ -251,7 +253,7 @@ func FuzzLanes(f *testing.F) {
 				t.Fatalf("Sub(%x, %x) = %x, math/big %v", x[l], y[l], sub, d)
 			}
 		}
-		if !hasIFMA {
+		if !cpu.IFMA {
 			t.Skip(noIFMA)
 		}
 		checkLanes(t, &x, &y)
@@ -259,12 +261,12 @@ func FuzzLanes(f *testing.F) {
 }
 
 // BenchmarkLanes reports the kernel's cost per product (and per add and
-// sub) beside BenchmarkMul's ff.Mul, both for one Lanes value per call
+// sub) beside BenchmarkMul's ff.Mul, both for a one-value row per call
 // (chained, as BenchmarkMul does) and for a 64-value row per call:
 //
 //	go test -run '^$' -bench 'Lanes|Mul' ./internal/ff
 func BenchmarkLanes(b *testing.B) {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		b.Skip(noIFMA)
 	}
 	rng := rand.New(rand.NewSource(41))
@@ -272,14 +274,13 @@ func BenchmarkLanes(b *testing.B) {
 	for l := range x {
 		x[l] = randRaw(rng)
 	}
-	var X, Y Lanes
-	X.Pack(&x)
-	Y = X
+	var X [1]Lanes
+	PackLanes(X[:], x[:])
 	for _, op := range laneOps {
 		b.Run(op.name, func(b *testing.B) {
 			Z := X
 			for i := 0; i < b.N; i++ {
-				op.vec(&Z, &Z, &Y)
+				op.vec(Z[:], Z[:], X[:])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*LaneCount), "ns/elem")
 		})
@@ -287,7 +288,7 @@ func BenchmarkLanes(b *testing.B) {
 	const rowLen = 64
 	row := make([]Lanes, rowLen)
 	for i := range row {
-		row[i] = X
+		row[i] = X[0]
 	}
 	elems := make([]Element, LaneCount*rowLen)
 	for _, op := range []struct {

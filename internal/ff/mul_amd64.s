@@ -182,25 +182,3 @@ loop:
 
 done:
 	RET
-
-// func cpuHasADX() bool
-//
-// CPUID leaf 7, sub-leaf 0: EBX bit 8 is BMI2 (MULX), bit 19 is ADX
-// (ADCX/ADOX). Both are plain integer instructions, so no OS-support
-// (XGETBV) check is needed.
-TEXT ·cpuHasADX(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $(1<<8 | 1<<19), BX
-	CMPL BX, $(1<<8 | 1<<19)
-	SETEQ ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET

@@ -3,13 +3,9 @@
 package ff
 
 // Without the amd64 kernels (other architectures, or -tags purego) Mul,
-// Square, MulVec and ScalarMulVec are mulGeneric and squareGeneric, and the
-// Lanes kernel is absent; the constants let the compiler drop the dispatch
-// branches.
-const (
-	hasADX  = false
-	hasIFMA = false
-)
+// Square, MulVec and ScalarMulVec are mulGeneric, and the Lanes kernel is
+// absent: cpu.ADX and cpu.IFMA are the constant false, so the compiler
+// drops the dispatch branches and these stubs are never called.
 
 func mulADX(z, x, y *Element) { panic("ff: mulADX without the amd64 kernel") }
 

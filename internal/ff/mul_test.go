@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"zkphire/internal/cpu"
 )
 
 // Differential tests for the multiplication kernels: the assembly mulADX,
-// mulVec and scalarMulVec, the portable mulGeneric/squareGeneric, and a
-// math/big oracle must agree on every input, under every aliasing of the
-// operands, and every output must be canonical (< q).
+// mulVec and scalarMulVec, the portable mulGeneric, and a math/big oracle
+// must agree on every input, under every aliasing of the operands, and
+// every output must be canonical (< q).
 
 // rInvBig is R⁻¹ mod q (lazily: qBig is set by an init function).
 var rInvBig = sync.OnceValue(func() *big.Int {
@@ -80,7 +82,7 @@ func checkMulKernels(t testing.TB, x, y *Element) Element {
 	if !smallerThanModulus(&want) {
 		t.Fatalf("mulGeneric(%x, %x) = %x is not canonical", *x, *y, want)
 	}
-	if !hasADX {
+	if !cpu.ADX {
 		return want
 	}
 	run := func(name string, got Element) {
@@ -105,17 +107,12 @@ func checkMulKernels(t testing.TB, x, y *Element) Element {
 func checkSquareKernels(t testing.TB, x *Element) {
 	t.Helper()
 	want := checkMulKernels(t, x, x)
-	var sq Element
-	sq.squareGeneric(x)
+	sq := *x
+	sq.mulGeneric(&sq, &sq)
 	if sq != want {
-		t.Fatalf("squareGeneric(%x) = %x, mulGeneric %x", *x, sq, want)
+		t.Fatalf("mulGeneric z==x==y: x=%x got %x, want %x", *x, sq, want)
 	}
-	sq = *x
-	sq.squareGeneric(&sq)
-	if sq != want {
-		t.Fatalf("squareGeneric in place (%x) = %x, want %x", *x, sq, want)
-	}
-	if !hasADX {
+	if !cpu.ADX {
 		return
 	}
 	var z Element
@@ -144,8 +141,8 @@ func TestMulKernelEdges(t *testing.T) {
 			}
 		}
 	}
-	if !hasADX {
-		t.Log("no BMI2+ADX (or -tags purego): only mulGeneric/squareGeneric checked against math/big")
+	if !cpu.ADX {
+		t.Log("no BMI2+ADX (or -tags purego): only mulGeneric checked against math/big")
 	}
 }
 
@@ -153,7 +150,7 @@ func TestMulKernelEdges(t *testing.T) {
 // (10⁵ with -short), each under all aliasings, with math/big as a third
 // opinion on every 16th pair.
 func TestMulAsmVsGeneric(t *testing.T) {
-	if !hasADX {
+	if !cpu.ADX {
 		t.Skip("no BMI2+ADX on this CPU (or built with -tags purego): nothing to compare mulGeneric against")
 	}
 	n := 1_000_000
@@ -173,19 +170,9 @@ func TestMulAsmVsGeneric(t *testing.T) {
 	}
 }
 
-// TestDispatch pins the public methods to whichever kernel hasADX selects,
-// and logs the kernels this CPU selected (CI runs it with -v).
+// TestDispatch pins the public methods to whichever kernel cpu.ADX selects;
+// internal/cpu's TestFeatures logs which one that is.
 func TestDispatch(t *testing.T) {
-	switch {
-	case hasADX && hasIFMA:
-		t.Log("kernels: ADX + IFMA (mulADX, Lanes)")
-	case hasADX:
-		t.Log("kernels: ADX (mulADX; no Lanes: " + noIFMA + ")")
-	case hasIFMA:
-		t.Log("kernels: generic + IFMA (mulGeneric, Lanes)")
-	default:
-		t.Log("kernels: generic (mulGeneric; no Lanes)")
-	}
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 1000; i++ {
 		x, y := randRaw(rng), randRaw(rng)
@@ -193,9 +180,9 @@ func TestDispatch(t *testing.T) {
 		viaMul.Mul(&x, &y)
 		viaSquare.Square(&x)
 		wantMul.mulGeneric(&x, &y)
-		wantSquare.squareGeneric(&x)
+		wantSquare.mulGeneric(&x, &x)
 		if viaMul != wantMul || viaSquare != wantSquare {
-			t.Fatalf("hasADX=%v: Mul/Square disagree with the generic path on x=%x y=%x", hasADX, x, y)
+			t.Fatalf("cpu.ADX=%v: Mul/Square disagree with the generic path on x=%x y=%x", cpu.ADX, x, y)
 		}
 	}
 }
@@ -301,7 +288,7 @@ func BenchmarkMul(b *testing.B) {
 	y.SetUint64(0xfeedface)
 	y.Inverse(&y)
 	b.Run("asm", func(b *testing.B) {
-		if !hasADX {
+		if !cpu.ADX {
 			b.Skip("no BMI2+ADX on this CPU (or built with -tags purego)")
 		}
 		x := x
@@ -322,7 +309,7 @@ func BenchmarkSquare(b *testing.B) {
 	x.SetUint64(0xfeedface)
 	x.Inverse(&x)
 	b.Run("asm", func(b *testing.B) {
-		if !hasADX {
+		if !cpu.ADX {
 			b.Skip("no BMI2+ADX on this CPU (or built with -tags purego)")
 		}
 		x := x
@@ -333,7 +320,7 @@ func BenchmarkSquare(b *testing.B) {
 	b.Run("generic", func(b *testing.B) {
 		x := x
 		for i := 0; i < b.N; i++ {
-			x.squareGeneric(&x)
+			x.mulGeneric(&x, &x)
 		}
 	})
 }
@@ -346,7 +333,7 @@ func BenchmarkMulVec(b *testing.B) {
 		x[i], y[i] = randRaw(rng), randRaw(rng)
 	}
 	b.Run("asm", func(b *testing.B) {
-		if !hasADX {
+		if !cpu.ADX {
 			b.Skip("no BMI2+ADX on this CPU (or built with -tags purego)")
 		}
 		for i := 0; i < b.N; i++ {

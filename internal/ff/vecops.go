@@ -3,6 +3,8 @@ package ff
 import (
 	"math/big"
 	"math/bits"
+
+	"zkphire/internal/cpu"
 )
 
 // This file implements the slice kernels of the scalar-field hot loops:
@@ -308,7 +310,7 @@ func FoldVec(dst, src []Element, r *Element) {
 		panic("ff: fold length mismatch")
 	}
 	j := 0
-	if hasIFMA {
+	if cpu.IFMA {
 		j = foldLanes(dst, src, r)
 	}
 	var diff Element
@@ -347,10 +349,10 @@ func foldLanes(dst, src []Element, r *Element) int {
 	return n
 }
 
-// MulVec sets z[i] = x[i]·y[i] for every i. On amd64 with BMI2+ADX the
-// whole loop runs inside the assembly kernel (mulVec in mul_amd64.s), one
-// call per slice instead of one per element; elsewhere it is a mulGeneric
-// loop. z may alias x or y (index for index). It panics if lengths differ.
+// MulVec sets z[i] = x[i]·y[i] for every i. On amd64 with BMI2+ADX
+// (cpu.ADX) the whole loop runs inside the assembly kernel (mulVec in
+// mul_amd64.s), one call per slice instead of one per element; elsewhere it
+// is a mulGeneric loop. z may alias x or y (index for index). It panics if lengths differ.
 func MulVec(z, x, y []Element) {
 	if len(x) != len(z) || len(y) != len(z) {
 		panic("ff: mul vec length mismatch")
@@ -358,7 +360,7 @@ func MulVec(z, x, y []Element) {
 	if len(z) == 0 {
 		return
 	}
-	if hasADX {
+	if cpu.ADX {
 		mulVec(&z[0], &x[0], &y[0], len(z))
 		return
 	}
@@ -377,7 +379,7 @@ func ScalarMulVec(z, x []Element, c *Element) {
 	if len(z) == 0 {
 		return
 	}
-	if hasADX {
+	if cpu.ADX {
 		scalarMulVec(&z[0], &x[0], c, len(z))
 		return
 	}

@@ -150,13 +150,16 @@ func TestLazyAccMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestBatchInvertScratchMatchesBatchInvert runs BatchInvertScratch on a
+// reused buffer, longer than a and full of stale values, against
+// BatchInvert's fresh one (TestBatchInvert checks that against Inverse).
 func TestBatchInvertScratchMatchesBatchInvert(t *testing.T) {
 	rng := NewRand(26)
 	a := rng.Elements(257)
 	a[0].SetZero()
 	a[100].SetZero()
 	b := append([]Element(nil), a...)
-	scratch := make([]Element, len(a))
+	scratch := rng.Elements(len(a) + 3)
 	BatchInvert(a)
 	BatchInvertScratch(b, scratch)
 	for i := range a {

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+
+	"zkphire/internal/cpu"
 )
 
 // Limbs is the number of 64-bit limbs in an Element.
@@ -310,26 +312,20 @@ func madd0(a, b, c uint64) uint64 {
 // Mul sets z = x*y mod p and returns z. This is the prover's single hottest
 // instruction sequence — every curve-point operation in an MSM runs through
 // it — so on amd64 CPUs with BMI2+ADX it is the assembly kernel in
-// mul_amd64.s; everywhere else (and under -tags purego) it is mulGeneric.
-// The two compute the same fully reduced value.
+// mul_amd64.s (cpu.ADX); everywhere else (and under -tags purego) it is
+// mulGeneric. The two compute the same fully reduced value.
 func (z *Element) Mul(x, y *Element) *Element {
-	if hasADX {
+	if cpu.ADX {
 		mulADX(z, x, y)
 		return z
 	}
 	return z.mulGeneric(x, y)
 }
 
-// Square sets z = x² and returns z; see Mul for the dispatch. The kernel has
-// no dedicated squaring: mulADX(x, x) already beats squareGeneric's 21-product
-// SOS form (BenchmarkSquare).
-func (z *Element) Square(x *Element) *Element {
-	if hasADX {
-		mulADX(z, x, x)
-		return z
-	}
-	return z.squareGeneric(x)
-}
+// Square sets z = x² and returns z. It is Mul(x, x) on every path:
+// mulADX(x, x) beat a dedicated 21-product SOS squaring, and one algorithm
+// per instruction set is less to keep correct.
+func (z *Element) Square(x *Element) *Element { return z.Mul(x, x) }
 
 // mulGeneric is the portable Mul: Montgomery CIOS, fused "no-carry" variant.
 // Because the top limb of p is < 2^62, the intermediate accumulator never
@@ -456,134 +452,6 @@ func (z *Element) mulGeneric(x, y *Element) *Element {
 	}
 
 	// Final conditional subtraction, branch-free: compute r - p and select.
-	var b uint64
-	var s0, s1, s2, s3, s4, s5 uint64
-	s0, b = bits.Sub64(t0, pc0, 0)
-	s1, b = bits.Sub64(t1, pc1, b)
-	s2, b = bits.Sub64(t2, pc2, b)
-	s3, b = bits.Sub64(t3, pc3, b)
-	s4, b = bits.Sub64(t4, pc4, b)
-	s5, b = bits.Sub64(t5, pc5, b)
-	if b == 0 { // t >= p
-		z[0], z[1], z[2], z[3], z[4], z[5] = s0, s1, s2, s3, s4, s5
-	} else {
-		z[0], z[1], z[2], z[3], z[4], z[5] = t0, t1, t2, t3, t4, t5
-	}
-	return z
-}
-
-// squareGeneric is the portable Square. Dedicated SOS squaring: the 12-word
-// square needs only 21 word products (15 doubled cross terms + 6 diagonals)
-// against mulGeneric's 36, followed by a 6-round Montgomery reduction — ~20%
-// fewer single-word multiplies on the squaring-heavy Jacobian formulas.
-func (z *Element) squareGeneric(x *Element) *Element {
-	x0, x1, x2, x3, x4, x5 := x[0], x[1], x[2], x[3], x[4], x[5]
-
-	// Upper-triangle products Σ_{i<j} x_i·x_j·2^{64(i+j)} in w[1..10].
-	var w [12]uint64
-	var hi, lo, c uint64
-
-	// row i=0: x0·x1..x0·x5 → w[1..6]
-	hi, w[1] = bits.Mul64(x0, x1)
-	hi, lo = madd(x0, x2, hi, 0)
-	w[2] = lo
-	hi, lo = madd(x0, x3, hi, 0)
-	w[3] = lo
-	hi, lo = madd(x0, x4, hi, 0)
-	w[4] = lo
-	hi, lo = madd(x0, x5, hi, 0)
-	w[5] = lo
-	w[6] = hi
-	// row i=1: x1·x2..x1·x5 added at w[3..6], carry into w[7]
-	hi, lo = bits.Mul64(x1, x2)
-	w[3], c = bits.Add64(w[3], lo, 0)
-	hi, lo = madd(x1, x3, hi, c)
-	w[4], c = bits.Add64(w[4], lo, 0)
-	hi, lo = madd(x1, x4, hi, c)
-	w[5], c = bits.Add64(w[5], lo, 0)
-	hi, lo = madd(x1, x5, hi, c)
-	w[6], c = bits.Add64(w[6], lo, 0)
-	w[7] = hi + c
-	// row i=2: x2·x3..x2·x5 added at w[5..7], carry into w[8]
-	hi, lo = bits.Mul64(x2, x3)
-	w[5], c = bits.Add64(w[5], lo, 0)
-	hi, lo = madd(x2, x4, hi, c)
-	w[6], c = bits.Add64(w[6], lo, 0)
-	hi, lo = madd(x2, x5, hi, c)
-	w[7], c = bits.Add64(w[7], lo, 0)
-	w[8] = hi + c
-	// row i=3: x3·x4, x3·x5 added at w[7..8], carry into w[9]
-	hi, lo = bits.Mul64(x3, x4)
-	w[7], c = bits.Add64(w[7], lo, 0)
-	hi, lo = madd(x3, x5, hi, c)
-	w[8], c = bits.Add64(w[8], lo, 0)
-	w[9] = hi + c
-	// row i=4: x4·x5 added at w[9..10]
-	hi, lo = bits.Mul64(x4, x5)
-	w[9], c = bits.Add64(w[9], lo, 0)
-	w[10] = hi + c
-
-	// Double the triangle and add the diagonals x_i²·2^{128i}.
-	w[11] = w[10] >> 63
-	for i := 10; i > 0; i-- {
-		w[i] = w[i]<<1 | w[i-1]>>63
-	}
-	hi, lo = bits.Mul64(x0, x0)
-	w[0] = lo
-	w[1], c = bits.Add64(w[1], hi, 0)
-	hi, lo = bits.Mul64(x1, x1)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w[2], c = bits.Add64(w[2], lo, 0)
-	w[3], c = bits.Add64(w[3], hi, c)
-	hi, lo = bits.Mul64(x2, x2)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w[4], c = bits.Add64(w[4], lo, 0)
-	w[5], c = bits.Add64(w[5], hi, c)
-	hi, lo = bits.Mul64(x3, x3)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w[6], c = bits.Add64(w[6], lo, 0)
-	w[7], c = bits.Add64(w[7], hi, c)
-	hi, lo = bits.Mul64(x4, x4)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w[8], c = bits.Add64(w[8], lo, 0)
-	w[9], c = bits.Add64(w[9], hi, c)
-	hi, lo = bits.Mul64(x5, x5)
-	lo, c = bits.Add64(lo, 0, c)
-	hi += c
-	w[10], c = bits.Add64(w[10], lo, 0)
-	w[11], _ = bits.Add64(w[11], hi, c)
-
-	// Montgomery reduction: six rounds of w += m·p·2^{64i} with
-	// m = w[i]·(−p⁻¹), then shift down by 2^384. The per-round carry out of
-	// word i+6 is accumulated separately (words above i+6 are only touched
-	// through this chain, so a single deferred carry word per round
-	// suffices).
-	var carries [6]uint64
-	for i := 0; i < 6; i++ {
-		m := w[i] * pInvNegC
-		var cr uint64
-		cr = madd0(m, pc0, w[i])
-		cr, w[i+1] = madd(m, pc1, w[i+1], cr)
-		cr, w[i+2] = madd(m, pc2, w[i+2], cr)
-		cr, w[i+3] = madd(m, pc3, w[i+3], cr)
-		cr, w[i+4] = madd(m, pc4, w[i+4], cr)
-		cr, w[i+5] = madd(m, pc5, w[i+5], cr)
-		carries[i] = cr
-	}
-	// Fold the deferred carries into the top half: carry i lands at word
-	// i+6.
-	var t0, t1, t2, t3, t4, t5 uint64
-	t0, c = bits.Add64(w[6], carries[0], 0)
-	t1, c = bits.Add64(w[7], carries[1], c)
-	t2, c = bits.Add64(w[8], carries[2], c)
-	t3, c = bits.Add64(w[9], carries[3], c)
-	t4, c = bits.Add64(w[10], carries[4], c)
-	t5, _ = bits.Add64(w[11], carries[5], c)
-
 	var b uint64
 	var s0, s1, s2, s3, s4, s5 uint64
 	s0, b = bits.Sub64(t0, pc0, 0)

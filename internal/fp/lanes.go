@@ -1,5 +1,7 @@
 package fp
 
+import "zkphire/internal/cpu"
+
 // Eight-lane vector kernel (lanes_amd64.s) on AVX-512 IFMA. A Lanes value
 // holds eight independent elements limb-major in radix 2^52: Lanes[j][l] is
 // bits 52j..52j+51 of lane l's Montgomery limbs, so one zmm register holds
@@ -10,9 +12,10 @@ package fp
 // must be canonical (Pack of elements below p, or an earlier result), and
 // so is every output.
 //
-// The kernel is chosen like mulADX, by CPUID alone: HasLanes reports it,
-// and Mul, Sub and Add panic where it is absent (other CPUs, other
-// architectures, -tags purego). A caller keeps a scalar path for that case.
+// The kernel is chosen like mulADX, by the CPU alone (cpu.IFMA): HasLanes
+// reports it, and Mul, Sub and Add panic where it is absent (other CPUs,
+// other architectures, -tags purego). A caller keeps a scalar path for that
+// case.
 
 // LaneCount is the number of elements a Lanes value holds.
 const LaneCount = 8
@@ -25,7 +28,7 @@ type Lanes [laneLimbs][LaneCount]uint64
 
 // HasLanes reports whether this CPU runs the vector kernel (AVX512F and
 // AVX512IFMA, with ZMM state enabled by the OS).
-func HasLanes() bool { return hasIFMA }
+func HasLanes() bool { return cpu.IFMA }
 
 // Pack sets z's lanes to x. It panics without the vector kernel.
 func (z *Lanes) Pack(x *[LaneCount]Element) {
@@ -58,7 +61,7 @@ func (z *Lanes) Add(x, y *Lanes) {
 }
 
 func needLanes() {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		panic("fp: Lanes arithmetic without AVX-512 IFMA (check HasLanes)")
 	}
 }

@@ -439,35 +439,3 @@ TEXT ·unpackLanesIFMA(SB), NOSPLIT, $0-16
 	VPSCATTERQQ Z13, K1, 40(DX)(Z31*1)
 	VZEROUPPER
 	RET
-
-// func cpuHasIFMA() bool
-//
-// The OS must save AVX-512 state: CPUID leaf 1 ECX bit 27 (OSXSAVE), then
-// XCR0 bits 1, 2, 5, 6, 7 (SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM). Then
-// CPUID leaf 7, sub-leaf 0: EBX bit 16 is AVX512F, bit 21 AVX512IFMA.
-TEXT ·cpuHasIFMA(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $(1<<27), CX
-	JZ   no
-	XORL CX, CX
-	XGETBV
-	ANDL $0xe6, AX
-	CMPL AX, $0xe6
-	JNE  no
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL  $(1<<16 | 1<<21), BX
-	CMPL  BX, $(1<<16 | 1<<21)
-	SETEQ ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET

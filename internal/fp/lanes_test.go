@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"zkphire/internal/cpu"
 )
 
 // Differential tests for the Lanes kernel: every lane of Mul, Sub and Add
@@ -88,7 +90,7 @@ func TestLanesConstants(t *testing.T) {
 // TestLanesEdges runs every ordered pair of edge elements, eight pairs per
 // call.
 func TestLanesEdges(t *testing.T) {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		t.Skip(noIFMA)
 	}
 	edges := edgeElements()
@@ -111,7 +113,7 @@ func TestLanesEdges(t *testing.T) {
 // TestLanesRandom is the bulk differential: 10⁵ seeded random lane pairs
 // (10⁴ with -short).
 func TestLanesRandom(t *testing.T) {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		t.Skip(noIFMA)
 	}
 	n := 100_000 / LaneCount
@@ -170,7 +172,7 @@ func FuzzLanes(f *testing.F) {
 				t.Fatalf("Sub(%x, %x) = %x, math/big %v", x[l], y[l], sub, d)
 			}
 		}
-		if !hasIFMA {
+		if !cpu.IFMA {
 			t.Skip(noIFMA)
 		}
 		checkLanes(t, &x, &y)
@@ -184,7 +186,7 @@ func FuzzLanes(f *testing.F) {
 //
 // Both chain each result into the next call, as BenchmarkMul does.
 func BenchmarkLanes(b *testing.B) {
-	if !hasIFMA {
+	if !cpu.IFMA {
 		b.Skip(noIFMA)
 	}
 	rng := rand.New(rand.NewSource(38))

@@ -327,9 +327,9 @@ func (p *Program) EvalLanes(regs []ff.Lanes, ng int, out []ff.Lanes) {
 		case OpAcc:
 			ff.AddLanes(out, out, row(op.A))
 		case OpAccConst:
-			c := &p.laneConsts[op.B]
+			c := p.laneConsts[op.B : op.B+1]
 			for g := range out {
-				out[g].Add(&out[g], c)
+				ff.AddLanes(out[g:g+1], out[g:g+1], c)
 			}
 		}
 	}
