@@ -2,7 +2,6 @@ package curve
 
 import (
 	"zkphire/internal/ff"
-	"zkphire/internal/fp"
 	"zkphire/internal/parallel"
 )
 
@@ -101,19 +100,21 @@ func NewFixedBaseTable(base G1Affine, window int) *FixedBaseTable {
 // window in MulManyWorkers: at 1024 lanes the inversion (a binary GCD,
 // about 100 multiplications' time) costs each addition about a tenth of a
 // multiplication. A multiple of fp.LaneCount, so full batches fill every
-// lane group of addChords.
+// lane group of the chord queue.
 const fixedBaseBatch = 1024
 
 // MulManyWorkers returns k·base for every scalar on a worker budget (<= 0
 // means GOMAXPROCS). Lanes accumulate in affine coordinates, one window at
-// a time: every lane that needs a chord in window w queues its slope
-// denominator, and one batch inversion (batchInvertFp) serves the whole
-// queue, as in the MSM's bucket accumulation. Affine points are unique, so
-// the result is identical across budgets and batchings.
+// a time: every lane that needs a chord in window w queues it in a
+// chordQueue, and one batch inversion serves the whole queue, as in the
+// MSM's bucket accumulation. Affine points are unique, so the result is
+// identical across budgets and batchings.
 func (t *FixedBaseTable) MulManyWorkers(ks []ff.Element, workers int) []G1Affine {
 	out := make([]G1Affine, len(ks))
 	parallel.ForGrain(workers, len(ks), pointGrain, func(lo, hi int) {
-		s := newLaneScratch(min(hi-lo, fixedBaseBatch))
+		var s laneScratch
+		s.chords.init(fixedBaseBatch)
+		defer s.chords.release()
 		for b := lo; b < hi; b += fixedBaseBatch {
 			e := min(b+fixedBaseBatch, hi)
 			t.mulLanes(ks[b:e], out[b:e], &s)
@@ -124,22 +125,9 @@ func (t *FixedBaseTable) MulManyWorkers(ks []ff.Element, workers int) []G1Affine
 
 // laneScratch holds one batch's scalars and queued chord additions.
 type laneScratch struct {
-	limbs                         [][ff.Limbs]uint64
-	lane                          []int32      // queued addition j adds into out[lane[j]]
-	num, den, x1, y1, x2, scratch []fp.Element // ... as addChords' arguments
-}
-
-func newLaneScratch(n int) laneScratch {
-	return laneScratch{
-		limbs:   make([][ff.Limbs]uint64, n),
-		lane:    make([]int32, n),
-		num:     make([]fp.Element, n),
-		den:     make([]fp.Element, n),
-		x1:      make([]fp.Element, n),
-		y1:      make([]fp.Element, n),
-		x2:      make([]fp.Element, n),
-		scratch: make([]fp.Element, n),
-	}
+	limbs  [fixedBaseBatch][ff.Limbs]uint64
+	lane   [fixedBaseBatch]int32 // queued addition j adds into out[lane[j]]
+	chords chordQueue
 }
 
 // mulLanes sets out[i] = ks[i]·base for one batch of lanes.
@@ -149,22 +137,17 @@ func (t *FixedBaseTable) mulLanes(ks []ff.Element, out []G1Affine, s *laneScratc
 		out[i].SetInfinity()
 	}
 	for w, row := range t.entries {
-		m := 0
 		for i := range ks {
 			d := extractDigit(&s.limbs[i], w*t.window, t.window)
 			if d == 0 || addDirect(&out[i], &row[d-1]) {
 				continue
 			}
 			p, q := &out[i], &row[d-1]
-			s.lane[m] = int32(i)
-			s.num[m].Sub(&q.Y, &p.Y)
-			s.den[m].Sub(&q.X, &p.X)
-			s.x1[m], s.y1[m], s.x2[m] = p.X, p.Y, q.X
-			m++
+			s.lane[s.chords.m] = int32(i)
+			s.chords.push(&p.X, &p.Y, &q.X, &q.Y, false)
 		}
-		addChords(s.num[:m], s.den[:m], s.x1[:m], s.y1[:m], s.x2[:m], s.scratch)
-		for j, i := range s.lane[:m] {
-			out[i].X, out[i].Y = s.x1[j], s.y1[j]
+		for j, i := range s.lane[:s.chords.flush()] {
+			s.chords.sum(j, &out[i].X, &out[i].Y)
 		}
 	}
 }

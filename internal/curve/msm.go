@@ -294,68 +294,55 @@ const maxBatch = 4096
 const minAmortize = 192
 
 // bucketQueue is accumulate's working state for one window of one table.
-// Queued addition i adds the point with x-coordinate x2[i] to (x1[i],
-// y1[i]) along slope num[i]/den[i] (addChords); its sum lands in bucket
-// dst[i], or for a pair merge in pend slot −dst[i]−1. A bucket is in the
-// queue at most once (inQueue), since its queued slope read the bucket
-// at queue time.
+// Queued addition i (a chordQueue entry) adds a point to a bucket's value
+// read at queue time; its sum lands in bucket dst[i], or for a pair merge
+// in pend slot −dst[i]−1. A bucket is in the queue at most once (inQueue),
+// since its queued addition read the bucket at queue time.
 type bucketQueue struct {
-	t                    *bucketTable
-	add                  chordAdder
-	inQueue              []bool
-	dst                  []int32
-	num, den, x1, y1, x2 []fp.Element
-	scratch              []fp.Element
-	m                    int
-	pend                 []pendOp
-	nPend                int
-	head                 []int32 // drain round: bucket b's parked slot, or −1
+	t       *bucketTable
+	chords  chordQueue
+	inQueue []bool
+	dst     []int32
+	pend    []pendOp
+	nPend   int
+	head    []int32 // drain round: bucket b's parked slot, or −1
 }
 
 // init sets q up for table t with its buffers from the arenas; release
 // returns them.
 func (q *bucketQueue) init(t *bucketTable) {
-	*q = bucketQueue{t: t, add: addChords}
+	*q = bucketQueue{t: t}
+	q.chords.init(maxBatch)
 	numBuckets := len(t.buckets)
 	q.inQueue = boolArena.Get(numBuckets)
 	clear(q.inQueue)
 	q.head = int32Arena.Get(numBuckets)
 	q.dst = int32Arena.Get(maxBatch)
-	q.num = fpArena.Get(maxBatch)
-	q.den = fpArena.Get(maxBatch)
-	q.x1 = fpArena.Get(maxBatch)
-	q.y1 = fpArena.Get(maxBatch)
-	q.x2 = fpArena.Get(maxBatch)
-	q.scratch = fpArena.Get(maxBatch)
 	q.pend = pendArena.Get(maxBatch)
 }
 
 func (q *bucketQueue) release() {
+	q.chords.release()
 	boolArena.Put(q.inQueue)
 	int32Arena.Put(q.head)
 	int32Arena.Put(q.dst)
-	for _, b := range [][]fp.Element{q.num, q.den, q.x1, q.y1, q.x2, q.scratch} {
-		fpArena.Put(b)
-	}
 	pendArena.Put(q.pend)
 }
 
 // flush completes every queued addition and writes the sums back.
 func (q *bucketQueue) flush() {
-	m := q.m
-	q.add(q.num[:m], q.den[:m], q.x1[:m], q.y1[:m], q.x2[:m], q.scratch)
-	for i, b := range q.dst[:m] {
+	for i, b := range q.dst[:q.chords.flush()] {
 		if b >= 0 {
-			q.t.buckets[b] = affPair{q.x1[i], q.y1[i]}
+			bk := &q.t.buckets[b]
+			q.chords.sum(i, &bk.X, &bk.Y)
 			q.inQueue[b] = false
 		} else {
 			// Pair merge: the sum of two parked same-bucket additions
 			// lands back in the first operand's pend slot.
 			dst := &q.pend[-b-1]
-			dst.x, dst.y = q.x1[i], q.y1[i]
+			q.chords.sum(i, &dst.x, &dst.y)
 		}
 	}
-	q.m = 0
 }
 
 // push queues the addition of (x2, y2) to (x1, y1) for destination dst,
@@ -363,39 +350,23 @@ func (q *bucketQueue) flush() {
 // is the identity) or y1 = 0 (2-torsion, not reachable from subgroup
 // points). A full queue is flushed at once.
 func (q *bucketQueue) push(dst int32, x1, y1, x2, y2 *fp.Element) bool {
-	num, den := &q.num[q.m], &q.den[q.m]
-	if x1.Equal(x2) {
-		if !y1.Equal(y2) {
-			return false
-		}
-		// Doubling: λ = 3x² / 2y.
-		den.Double(y1)
-		if den.IsZero() {
-			return false
-		}
-		var twoX2 fp.Element
-		num.Square(x1)
-		twoX2.Double(num)
-		num.Add(num, &twoX2)
-	} else {
-		// Chord: λ = (y2−y1)/(x2−x1).
-		num.Sub(y2, y1)
-		den.Sub(x2, x1)
+	double := x1.Equal(x2)
+	if double && (!y1.Equal(y2) || y1.IsZero()) {
+		return false
 	}
-	q.dst[q.m] = dst
-	q.x1[q.m], q.y1[q.m], q.x2[q.m] = *x1, *y1, *x2
-	q.m++
-	if q.m == maxBatch {
+	q.dst[q.chords.m] = dst
+	q.chords.push(x1, y1, x2, y2, double)
+	if q.chords.m == maxBatch {
 		q.flush()
 	}
 	return true
 }
 
 // enqueue adds ±(px, py) to bucket b; py is already sign-adjusted by the
-// caller. px/py may point into pend[nPend] itself during a drain — the
-// only write through pend in here is the self-assignment re-pend, which
-// is harmless. The outer loops keep nPend < maxBatch−1 so the deferred
-// append never overflows.
+// caller. During a drain px/py point into pend[i] with i ≥ nPend: a
+// re-park copies the entry onto itself or a lower slot, and a flush
+// inside push writes only slots below nPend. The outer loops keep
+// nPend < maxBatch−1 so the deferred append never overflows.
 func (q *bucketQueue) enqueue(b int32, px, py *fp.Element) {
 	t := q.t
 	if !t.full[b] {
@@ -449,7 +420,7 @@ func (q *bucketQueue) drain() {
 		cnt := q.nPend
 		q.nPend = 0
 		for i := 0; i < cnt; i++ {
-			e := q.pend[i]
+			e := &q.pend[i]
 			if e.dead {
 				continue
 			}
@@ -458,15 +429,17 @@ func (q *bucketQueue) drain() {
 				continue
 			}
 			if h := q.head[e.b]; h >= 0 {
-				q.pairMerge(h, &e)
+				q.pairMerge(h, e)
 				q.head[e.b] = -1
 				continue
 			}
-			q.pend[q.nPend] = e
+			if q.nPend != i {
+				q.pend[q.nPend] = *e
+			}
 			q.head[e.b] = int32(q.nPend)
 			q.nPend++
 		}
-		if q.nPend > 0 && q.nPend < minAmortize && q.m < minAmortize {
+		if q.nPend > 0 && q.nPend < minAmortize && q.chords.m < minAmortize {
 			if t.overflow == nil {
 				t.overflow = jacArena.Get(len(t.buckets))
 				for i := range t.overflow {
@@ -475,7 +448,8 @@ func (q *bucketQueue) drain() {
 			}
 			q.flush() // finalize in-flight pair merges before reading pend
 			var aff G1Affine
-			for _, e := range q.pend[:q.nPend] {
+			for i := range q.pend[:q.nPend] {
+				e := &q.pend[i]
 				if e.dead {
 					continue
 				}
@@ -553,24 +527,233 @@ func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX [
 	q.flush()
 }
 
-// reduce forms the window's weighted sum Σ d·bucket[d] with a running
-// suffix sum over the 2^(c−1) buckets.
+// reduce forms the window's weighted sum Σ d·bucket[d] (d = b+1 for
+// bucket b) with running suffix sums, on fp.Lanes. The buckets are cut
+// into segments of w = max(1, 2^(c−1)/8) consecutive buckets, segment s in
+// lane s, and each lane runs the running sum over its own segment from the
+// top: per bucket, run += bucket is a Jacobian mixed addition, run +=
+// overflow bucket (where the table has one) and acc += run full ones, all
+// with AddMixed's, AddAssign's and Double's formulas. Their exceptions
+// are masks (addTo): a lane with an empty bucket is left alone, one whose
+// run or acc is still at infinity takes its addend whole, and one whose
+// addition meets H = 0 doubles or becomes the identity as the scalar
+// addition would. Lanes past the last segment stay at infinity and are
+// never read. A lane ends with R_s, its segment's bucket sum, and S_s,
+// the segment's sum weighted from 1, so with d = (b − s·w + 1) + s·w
+//
+//	Σ d·bucket[d] = Σ S_s + w·Σ s·R_s,
+//
+// which eight Jacobian additions, a second running sum over the R_s and
+// log₂ w doublings finish in scalar code.
 func (t *bucketTable) reduce() G1Jac {
-	var running, sum G1Jac
-	var aff G1Affine
-	running.SetInfinity()
+	var sum G1Jac
 	sum.SetInfinity()
-	for b := len(t.buckets) - 1; b >= 0; b-- {
-		if t.full[b] {
-			aff.X, aff.Y = t.buckets[b].X, t.buckets[b].Y
-			running.AddMixed(&aff)
-		}
-		if t.overflow != nil && !t.overflow[b].IsInfinity() {
-			running.AddAssign(&t.overflow[b])
-		}
-		sum.AddAssign(&running)
+	nb := len(t.buckets)
+	if nb == 0 {
+		return sum
 	}
-	return sum
+	w := max(1, nb/fp.LaneCount)
+	var run, acc, pt jacLanes
+	oneFp := fp.One()
+	pt[2].Broadcast(&oneFp) // buckets are affine: Z = 1
+	// runInf and accInf are the lanes whose run and acc are at infinity;
+	// their coordinates are meaningless.
+	var runInf, accInf uint8 = 0xff, 0xff
+	for i := w - 1; i >= 0; i-- {
+		var full, over uint8
+		for s, b := 0, i; s < fp.LaneCount && b < nb; s, b = s+1, b+w {
+			if t.full[b] {
+				full |= 1 << s
+				pt[0].Set(s, &t.buckets[b].X)
+				pt[1].Set(s, &t.buckets[b].Y)
+			}
+			if t.overflow != nil && !t.overflow[b].IsInfinity() {
+				over |= 1 << s
+			}
+		}
+		if full != 0 {
+			fp.PackLanes(pt[:2])
+			runInf = run.addTo(&pt, full, runInf, true)
+		}
+		if over != 0 {
+			var ov jacLanes
+			for s := range fp.LaneCount {
+				if over&(1<<s) != 0 {
+					j := &t.overflow[s*w+i]
+					ov[0].Set(s, &j.X)
+					ov[1].Set(s, &j.Y)
+					ov[2].Set(s, &j.Z)
+				}
+			}
+			fp.PackLanes(ov[:])
+			runInf = run.addTo(&ov, over, runInf, false)
+		}
+		accInf = acc.addTo(&run, ^runInf, accInf, false)
+	}
+
+	fp.UnpackLanes(run[:])
+	fp.UnpackLanes(acc[:])
+	lane := func(p *jacLanes, inf uint8, s int) (j G1Jac) {
+		if inf&(1<<s) != 0 {
+			return *j.SetInfinity()
+		}
+		p[0].Get(s, &j.X)
+		p[1].Get(s, &j.Y)
+		p[2].Get(s, &j.Z)
+		return j
+	}
+	var runS, weighted G1Jac
+	runS.SetInfinity()
+	weighted.SetInfinity()
+	for s := fp.LaneCount - 1; s >= 0; s-- {
+		r, a := lane(&run, runInf, s), lane(&acc, accInf, s)
+		sum.AddAssign(&a)
+		if s > 0 {
+			runS.AddAssign(&r)
+			weighted.AddAssign(&runS)
+		}
+	}
+	for k := 1; k < w; k <<= 1 {
+		weighted.Double(&weighted)
+	}
+	return *sum.AddAssign(&weighted)
+}
+
+// jacLanes is eight Jacobian points, one per lane, as X, Y and Z rows in
+// fp.Lanes' arithmetic form; whether a lane is at infinity is the
+// caller's mask, not Z = 0.
+type jacLanes [3]fp.Lanes
+
+func (p *jacLanes) x() []fp.Lanes { return p[0:1] }
+func (p *jacLanes) y() []fp.Lanes { return p[1:2] }
+func (p *jacLanes) z() []fp.Lanes { return p[2:3] }
+
+// blend copies the lanes of q in mask into p.
+func (p *jacLanes) blend(mask uint8, q *jacLanes) {
+	for i := range p {
+		p[i].Blend(mask, &q[i])
+	}
+}
+
+// addTo adds q to p on the lanes in mask, where inf marks p's lanes at
+// infinity and q's lanes in mask are finite, and returns p's new infinity
+// mask. mixed takes q as affine (its Z lanes are one) and uses AddMixed's
+// formula, else AddAssign's. Like those, a lane at infinity takes q whole,
+// and a lane where H = 0 doubles (r = 0: p = q) or becomes the identity
+// (p = −q).
+func (p *jacLanes) addTo(q *jacLanes, mask, inf uint8, mixed bool) uint8 {
+	add, start := mask&^inf, mask&inf
+	if add != 0 {
+		var sum jacLanes
+		var h, r uint8
+		if mixed {
+			h, r = sum.addMixed(p, q)
+		} else {
+			h, r = sum.add(p, q)
+		}
+		p.blend(add&^h, &sum)
+		if dbl := add & h & r; dbl != 0 {
+			sum.double(p)
+			p.blend(dbl, &sum)
+		}
+		inf |= add & h &^ r
+	}
+	p.blend(start, q)
+	return inf &^ start
+}
+
+// addMixed sets z = p + q lane-wise, q affine, by AddMixed's formula
+// (madd-2007-bl), and returns the lanes where H = 0 and where r = 0
+// (there z is meaningless). z must be neither p nor q.
+func (z *jacLanes) addMixed(p, q *jacLanes) (h, r uint8) {
+	var z1z1, u2, s2, hl, hh, i, j, rl, v, t [1]fp.Lanes
+	fp.MulLanes(z1z1[:], p.z(), p.z())
+	fp.MulLanes(u2[:], q.x(), z1z1[:])
+	fp.MulLanes(s2[:], q.y(), p.z())
+	fp.MulLanes(s2[:], s2[:], z1z1[:])
+	fp.SubLanes(hl[:], u2[:], p.x())
+	fp.MulLanes(hh[:], hl[:], hl[:])
+	fp.AddLanes(i[:], hh[:], hh[:])
+	fp.AddLanes(i[:], i[:], i[:])
+	fp.MulLanes(j[:], hl[:], i[:])
+	fp.SubLanes(rl[:], s2[:], p.y())
+	fp.AddLanes(rl[:], rl[:], rl[:])
+	fp.MulLanes(v[:], p.x(), i[:])
+	z.chord(p.y(), rl[:], j[:], v[:], t[:])
+	fp.AddLanes(z.z(), p.z(), hl[:])
+	fp.MulLanes(z.z(), z.z(), z.z())
+	fp.SubLanes(z.z(), z.z(), z1z1[:])
+	fp.SubLanes(z.z(), z.z(), hh[:])
+	return hl[0].ZeroMask(), rl[0].ZeroMask()
+}
+
+// add sets z = p + q lane-wise by AddAssign's formula (add-2007-bl) and
+// returns the lanes where H = 0 and where r = 0, as addMixed does.
+func (z *jacLanes) add(p, q *jacLanes) (h, r uint8) {
+	var z1z1, z2z2, u1, u2, s1, s2, hl, i, j, rl, v [1]fp.Lanes
+	fp.MulLanes(z1z1[:], p.z(), p.z())
+	fp.MulLanes(z2z2[:], q.z(), q.z())
+	fp.MulLanes(u1[:], p.x(), z2z2[:])
+	fp.MulLanes(u2[:], q.x(), z1z1[:])
+	fp.MulLanes(s1[:], p.y(), q.z())
+	fp.MulLanes(s1[:], s1[:], z2z2[:])
+	fp.MulLanes(s2[:], q.y(), p.z())
+	fp.MulLanes(s2[:], s2[:], z1z1[:])
+	fp.SubLanes(hl[:], u2[:], u1[:])
+	fp.AddLanes(i[:], hl[:], hl[:])
+	fp.MulLanes(i[:], i[:], i[:])
+	fp.MulLanes(j[:], hl[:], i[:])
+	fp.SubLanes(rl[:], s2[:], s1[:])
+	fp.AddLanes(rl[:], rl[:], rl[:])
+	fp.MulLanes(v[:], u1[:], i[:])
+	z.chord(s1[:], rl[:], j[:], v[:], u2[:])
+	fp.AddLanes(z.z(), p.z(), q.z())
+	fp.MulLanes(z.z(), z.z(), z.z())
+	fp.SubLanes(z.z(), z.z(), z1z1[:])
+	fp.SubLanes(z.z(), z.z(), z2z2[:])
+	fp.MulLanes(z.z(), z.z(), hl[:])
+	return hl[0].ZeroMask(), rl[0].ZeroMask()
+}
+
+// chord sets z's X = r² − j − 2v and Y = r·(v − X) − 2·y·j, the tail
+// both additions share; t is scratch.
+func (z *jacLanes) chord(y, r, j, v, t []fp.Lanes) {
+	fp.MulLanes(z.x(), r, r)
+	fp.SubLanes(z.x(), z.x(), j)
+	fp.SubLanes(z.x(), z.x(), v)
+	fp.SubLanes(z.x(), z.x(), v)
+	fp.SubLanes(t, v, z.x())
+	fp.MulLanes(z.y(), r, t)
+	fp.MulLanes(t, y, j)
+	fp.AddLanes(t, t, t)
+	fp.SubLanes(z.y(), z.y(), t)
+}
+
+// double sets z = 2p lane-wise by Double's formula (dbl-2009-l). z must
+// not be p.
+func (z *jacLanes) double(p *jacLanes) {
+	var a, b, c, d, e, t [1]fp.Lanes
+	fp.MulLanes(a[:], p.x(), p.x())
+	fp.MulLanes(b[:], p.y(), p.y())
+	fp.MulLanes(c[:], b[:], b[:])
+	fp.AddLanes(d[:], p.x(), b[:])
+	fp.MulLanes(d[:], d[:], d[:])
+	fp.SubLanes(d[:], d[:], a[:])
+	fp.SubLanes(d[:], d[:], c[:])
+	fp.AddLanes(d[:], d[:], d[:])
+	fp.AddLanes(e[:], a[:], a[:])
+	fp.AddLanes(e[:], e[:], a[:])
+	fp.MulLanes(z.x(), e[:], e[:])
+	fp.SubLanes(z.x(), z.x(), d[:])
+	fp.SubLanes(z.x(), z.x(), d[:])
+	fp.SubLanes(t[:], d[:], z.x())
+	fp.MulLanes(z.y(), e[:], t[:])
+	fp.AddLanes(c[:], c[:], c[:])
+	fp.AddLanes(c[:], c[:], c[:])
+	fp.AddLanes(c[:], c[:], c[:])
+	fp.SubLanes(z.y(), z.y(), c[:])
+	fp.MulLanes(z.z(), p.y(), p.z())
+	fp.AddLanes(z.z(), z.z(), z.z())
 }
 
 // extractDigit reads a width-bit window starting at bit `bit` from
@@ -598,14 +781,14 @@ func extractDigit(words *[ff.Limbs]uint64, bit, width int) uint32 {
 // cache footprint carries a one-bit-wider window and the reduction term
 // shrinks ~4×. A tier moves only where a width beats it by more than 5% in
 // every pass of BenchmarkMSMWindowSweep (tier ±2, one worker, five
-// alternating passes, 2-core runner). Re-taken after the flush moved to
-// the fp.Lanes kernel, which cuts costAffine about 3× and leaves costJac
-// (reduce) scalar, so narrower windows gained: at 2^15 c=12 (236–252 ms)
-// beat c=13 (266–287) by 7–16% in every pass, and at 2^17 c=13 (766–931
-// ms) beat c=15 (857–1188) by 6–26% in ten of ten passes over two sweeps
-// (c=14 lost one). At 2^16 c=12 led c=13 in four passes of five but by
-// more than 5% in only two, and at 2^10 c=7 and c=9 (13–19 ms) tie c=8
-// (14–17 ms). The tiers from 2^18 up are PR 4's and were not re-measured.
+// alternating passes, 2-core runner). Last re-taken after the chord queue
+// was staged in lane layout and the reduction moved to fp.Lanes, which
+// cut costJac about 4× and costAffine a little: no width won every pass,
+// so the tiers stayed. At 2^15 c=13 (212–256 ms) led c=12 (214–260) in
+// four passes by 1–2%; at 2^16 c=13 (383–445) led c=12 (399–440) in three
+// passes of five; at 2^17 c=13 (745–960) and c=14 (732–986) traded the
+// lead; at 2^10 c=8, 9 and 10 (12–22 ms) were within the spread. The
+// tiers from 2^18 up date from the GLV rewrite and were not re-measured.
 func windowSize(n int) int {
 	switch {
 	case n < 32:

@@ -16,9 +16,11 @@ import (
 // keeps the uncapped windowSize. On the memory-budgeted workload c = 13
 // moved proof latency by less than the run-to-run spread for twice the
 // resident tables (DESIGN.md §8 has the table). Re-checked after the
-// flush moved to the fp.Lanes kernel: at 2^16 points c=12 (442–479 ms)
-// led c=13 (442–494 ms) in four of five passes, by more than 5% in two,
-// so the cap still costs the stream nothing.
+// flush moved to the fp.Lanes kernel (at 2^16 points c=12, 442–479 ms,
+// led c=13, 442–494 ms, in four of five passes) and again after the
+// reduction did (windowSize's sweep: c=12 and c=13 within 5% at 2^15,
+// c=13 ahead in three passes of five at 2^16), so the cap still costs the
+// stream little and keeps its tables half the size.
 const streamMaxWindow = 12
 
 // StreamMSM is the one Pippenger driver: a pass over a point set that

@@ -579,6 +579,3 @@ func (z *Element) Cmp(x *Element) int {
 	}
 	return 0
 }
-
-// AddAssign sets z += x and returns z.
-func (z *Element) AddAssign(x *Element) *Element { return z.Add(z, x) }

@@ -55,16 +55,16 @@ func PackLanes(z []Lanes, x []Element) {
 	}
 }
 
-// PackLanesEven sets lane l of z[k] to x[2(8k+l)], the even entries of x:
-// for a table of (even, odd) pairs, x = pairs packs the evens and
-// x = pairs[1:] the odds. len(x) must be 16·len(z) or one less.
-func PackLanesEven(z []Lanes, x []Element) {
+// PackLanesPairs splits a table of (even, odd) pairs into two rows: lane l
+// of even[k] is x[2(8k+l)] and lane l of odd[k] is x[2(8k+l)+1]. len(x)
+// must be 16·len(even), and len(odd) = len(even).
+func PackLanesPairs(even, odd []Lanes, x []Element) {
 	needLanes()
-	if n := 2 * LaneCount * len(z); len(x) != n && len(x) != n-1 {
-		panic("ff: PackLanesEven length mismatch")
+	if len(odd) != len(even) || len(x) != 2*LaneCount*len(even) {
+		panic("ff: PackLanesPairs length mismatch")
 	}
-	if len(z) > 0 {
-		packLanesEven(&z[0], &x[0], len(z))
+	if len(even) > 0 {
+		packLanesPairs(&even[0], &odd[0], &x[0], len(even))
 	}
 }
 

@@ -287,7 +287,7 @@ addDone:
 	RET
 
 // Element offsets within eight consecutive Elements: the gather/scatter
-// index vector. Scale 2 reads every other Element instead.
+// index vector.
 DATA laneIdx<>+0(SB)/8, $0
 DATA laneIdx<>+8(SB)/8, $32
 DATA laneIdx<>+16(SB)/8, $64
@@ -298,18 +298,18 @@ DATA laneIdx<>+48(SB)/8, $192
 DATA laneIdx<>+56(SB)/8, $224
 GLOBL laneIdx<>(SB), RODATA|NOPTR, $64
 
-// Gathers word k of eight elements at SI (index vector Z31, the given
-// scale) into Z0..Z3, cuts the four 64-bit words into five 52-bit limbs
-// and stores them to the Lanes at DX.
-#define PACK(scale) \
+// Gathers word k of eight elements at SI (index vector Z31) into Z0..Z3,
+// cuts the four 64-bit words into five 52-bit limbs and stores them to
+// the Lanes at DX.
+#define PACK \
 	KXNORW K1, K1, K1 \
-	VPGATHERQQ 0(SI)(Z31*scale), K1, Z0 \
+	VPGATHERQQ 0(SI)(Z31*1), K1, Z0 \
 	KXNORW K1, K1, K1 \
-	VPGATHERQQ 8(SI)(Z31*scale), K1, Z1 \
+	VPGATHERQQ 8(SI)(Z31*1), K1, Z1 \
 	KXNORW K1, K1, K1 \
-	VPGATHERQQ 16(SI)(Z31*scale), K1, Z2 \
+	VPGATHERQQ 16(SI)(Z31*1), K1, Z2 \
 	KXNORW K1, K1, K1 \
-	VPGATHERQQ 24(SI)(Z31*scale), K1, Z3 \
+	VPGATHERQQ 24(SI)(Z31*1), K1, Z3 \
 	VPANDQ M52, Z0, Z5 \
 	VPSRLQ $52, Z0, Z6 \
 	VPSLLQ $12, Z1, TMP \
@@ -343,7 +343,7 @@ TEXT ·packLanes(SB), NOSPLIT, $0-24
 	VPBROADCASTQ ·laneConst+48(SB), M52
 
 packLoop:
-	PACK(1)
+	PACK
 	ADDQ $LaneBytes, DX
 	ADDQ $256, SI
 	DECQ CX
@@ -353,27 +353,91 @@ packLoop:
 packDone:
 	RET
 
-// func packLanesEven(z *Lanes, x *Element, n int)
+// Cuts four 64-bit words (w0..w3, one per register) into five 52-bit
+// limbs and stores them to the Lanes at dst; Z0..Z4 are scratch.
+#define CUT(w0, w1, w2, w3, dst) \
+	VPANDQ M52, w0, Z0 \
+	VPSRLQ $52, w0, Z1 \
+	VPSLLQ $12, w1, TMP \
+	VPORQ TMP, Z1, Z1 \
+	VPANDQ M52, Z1, Z1 \
+	VPSRLQ $40, w1, Z2 \
+	VPSLLQ $24, w2, TMP \
+	VPORQ TMP, Z2, Z2 \
+	VPANDQ M52, Z2, Z2 \
+	VPSRLQ $28, w2, Z3 \
+	VPSLLQ $36, w3, TMP \
+	VPORQ TMP, Z3, Z3 \
+	VPANDQ M52, Z3, Z3 \
+	VPSRLQ $16, w3, Z4 \
+	VMOVDQU64 Z0, 0(dst) \
+	VMOVDQU64 Z1, 64(dst) \
+	VMOVDQU64 Z2, 128(dst) \
+	VMOVDQU64 Z3, 192(dst) \
+	VMOVDQU64 Z4, 256(dst)
+
+// func packLanesPairs(even, odd *Lanes, x *Element, n int)
 //
-// z[k] lane l = x[2(8k+l)] for k < n: the even entries of 16n elements.
-TEXT ·packLanesEven(SB), NOSPLIT, $0-24
-	MOVQ z+0(FP), DX
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
+// even[k] lane l = x[2(8k+l)] and odd[k] lane l = x[2(8k+l)+1] for k < n.
+// Pair l of a block (elements 2(8k+l) and 2(8k+l)+1, 64 bytes) is one
+// contiguous load into Z_l, so word w of the pair's even element is qword
+// w of Z_l and word w of its odd element qword 4+w. An 8×8 qword
+// transpose — VPUNPCKLQDQ/VPUNPCKHQDQ within 128-bit blocks, then two
+// rounds of VSHUFI64X2 across them — turns the eight pairs into eight
+// registers T_w holding qword w of every pair: T0..T3 are the even row's
+// words and T4..T7 the odd row's.
+TEXT ·packLanesPairs(SB), NOSPLIT, $0-32
+	MOVQ even+0(FP), DX
+	MOVQ odd+8(FP), R8
+	MOVQ x+16(FP), SI
+	MOVQ n+24(FP), CX
 	TESTQ CX, CX
-	JEQ  evenDone
-	VMOVDQU64 laneIdx<>(SB), Z31
+	JEQ  pairsDone
 	VPBROADCASTQ ·laneConst+48(SB), M52
 
-evenLoop:
-	PACK(2)
+pairsLoop:
+	VMOVDQU64 0(SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VMOVDQU64 128(SI), Z2
+	VMOVDQU64 192(SI), Z3
+	VMOVDQU64 256(SI), Z4
+	VMOVDQU64 320(SI), Z5
+	VMOVDQU64 384(SI), Z6
+	VMOVDQU64 448(SI), Z7
+	VPUNPCKLQDQ Z1, Z0, Z8
+	VPUNPCKHQDQ Z1, Z0, Z9
+	VPUNPCKLQDQ Z3, Z2, Z10
+	VPUNPCKHQDQ Z3, Z2, Z11
+	VPUNPCKLQDQ Z5, Z4, Z12
+	VPUNPCKHQDQ Z5, Z4, Z13
+	VPUNPCKLQDQ Z7, Z6, Z14
+	VPUNPCKHQDQ Z7, Z6, Z15
+	VSHUFI64X2 $0x88, Z10, Z8, Z0
+	VSHUFI64X2 $0xdd, Z10, Z8, Z1
+	VSHUFI64X2 $0x88, Z11, Z9, Z2
+	VSHUFI64X2 $0xdd, Z11, Z9, Z3
+	VSHUFI64X2 $0x88, Z14, Z12, Z4
+	VSHUFI64X2 $0xdd, Z14, Z12, Z5
+	VSHUFI64X2 $0x88, Z15, Z13, Z6
+	VSHUFI64X2 $0xdd, Z15, Z13, Z7
+	VSHUFI64X2 $0x88, Z4, Z0, Z8
+	VSHUFI64X2 $0xdd, Z4, Z0, Z12
+	VSHUFI64X2 $0x88, Z5, Z1, Z10
+	VSHUFI64X2 $0xdd, Z5, Z1, Z14
+	VSHUFI64X2 $0x88, Z6, Z2, Z9
+	VSHUFI64X2 $0xdd, Z6, Z2, Z13
+	VSHUFI64X2 $0x88, Z7, Z3, Z11
+	VSHUFI64X2 $0xdd, Z7, Z3, Z15
+	CUT(Z8, Z9, Z10, Z11, DX)
+	CUT(Z12, Z13, Z14, Z15, R8)
 	ADDQ $LaneBytes, DX
+	ADDQ $LaneBytes, R8
 	ADDQ $512, SI
 	DECQ CX
-	JNE  evenLoop
+	JNE  pairsLoop
 	VZEROUPPER
 
-evenDone:
+pairsDone:
 	RET
 
 // func unpackLanes(x *Element, z *Lanes, n int)

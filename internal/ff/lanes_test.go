@@ -155,17 +155,17 @@ func TestLanesRandom(t *testing.T) {
 
 // TestLaneRows checks the row functions against Element arithmetic at row
 // lengths 0, 1, 2, 7 and 64, with the result aliasing an input,
-// ScalarMulLanes against a Broadcast multiplier, and PackLanesEven over
-// both halves of a pair table.
+// ScalarMulLanes against a Broadcast multiplier, and PackLanesPairs over
+// a pair table and over one that starts at an odd offset (x = pairs[1:]).
 func TestLaneRows(t *testing.T) {
 	if !cpu.IFMA {
 		t.Skip(noIFMA)
 	}
 	rng := rand.New(rand.NewSource(40))
 	edges := laneEdges()
-	for _, n := range []int{0, 1, 2, 7, 64} {
+	for _, n := range []int{0, 1, 2, 3, 7, 64} {
 		m := LaneCount * n
-		x, y, pairs := make([]Element, m), make([]Element, m), make([]Element, 2*m)
+		x, y, pairs := make([]Element, m), make([]Element, m), make([]Element, 2*m+1)
 		for i := range x {
 			x[i], y[i] = randRaw(rng), edges[i%len(edges)]
 		}
@@ -202,12 +202,13 @@ func TestLaneRows(t *testing.T) {
 		copy(Z, X)
 		SubLanes(Z, Z, Y)
 		check("SubLanes z==x", Z, func(i int) Element { return *e.Sub(&x[i], &y[i]) })
-		PackLanesEven(Z, pairs)
-		check("PackLanesEven evens", Z, func(i int) Element { return pairs[2*i] })
-		if n > 0 {
-			PackLanesEven(Z, pairs[1:])
-			check("PackLanesEven odds", Z, func(i int) Element { return pairs[2*i+1] })
-		}
+		W := make([]Lanes, n)
+		PackLanesPairs(Z, W, pairs[:2*m])
+		check("PackLanesPairs evens", Z, func(i int) Element { return pairs[2*i] })
+		check("PackLanesPairs odds", W, func(i int) Element { return pairs[2*i+1] })
+		PackLanesPairs(Z, W, pairs[1:])
+		check("PackLanesPairs evens of pairs[1:]", Z, func(i int) Element { return pairs[2*i+1] })
+		check("PackLanesPairs odds of pairs[1:]", W, func(i int) Element { return pairs[2*i+2] })
 	}
 }
 
@@ -307,4 +308,12 @@ func BenchmarkLanes(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*LaneCount*rowLen), "ns/elem")
 		})
 	}
+	// A pair table's two rows in one pass, per pair.
+	odd, pairs := make([]Lanes, rowLen), make([]Element, 2*LaneCount*rowLen)
+	b.Run("PackPairsRow", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PackLanesPairs(row, odd, pairs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*LaneCount*rowLen), "ns/pair")
+	})
 }

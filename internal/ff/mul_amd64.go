@@ -19,7 +19,7 @@ func mulVec(z, x, y *Element, n int)
 //go:noescape
 func scalarMulVec(z, x, c *Element, n int)
 
-// mulLanes, subLanes, addLanes, packLanes, packLanesEven and unpackLanes
+// mulLanes, subLanes, addLanes, packLanes, packLanesPairs and unpackLanes
 // are the Lanes row kernels (lanes_amd64.s). Callers must check cpu.IFMA
 // and pass n ≥ 0 values behind each pointer (mulLanes reads one y when
 // yStep is 0).
@@ -37,7 +37,7 @@ func addLanes(z, x, y *Lanes, n int)
 func packLanes(z *Lanes, x *Element, n int)
 
 //go:noescape
-func packLanesEven(z *Lanes, x *Element, n int)
+func packLanesPairs(even, odd *Lanes, x *Element, n int)
 
 //go:noescape
 func unpackLanes(x *Element, z *Lanes, n int)

@@ -21,8 +21,8 @@ func addLanes(z, x, y *Lanes, n int) { panic("ff: addLanes without the amd64 ker
 
 func packLanes(z *Lanes, x *Element, n int) { panic("ff: packLanes without the amd64 kernel") }
 
-func packLanesEven(z *Lanes, x *Element, n int) {
-	panic("ff: packLanesEven without the amd64 kernel")
+func packLanesPairs(even, odd *Lanes, x *Element, n int) {
+	panic("ff: packLanesPairs without the amd64 kernel")
 }
 
 func unpackLanes(x *Element, z *Lanes, n int) { panic("ff: unpackLanes without the amd64 kernel") }

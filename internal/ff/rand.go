@@ -65,11 +65,5 @@ func (r *RandReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Uint64 returns the next pseudo-random 64-bit value.
-func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
-
 // Intn returns a pseudo-random int in [0, n).
 func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }

@@ -339,8 +339,7 @@ func foldLanes(dst, src []Element, r *Element) int {
 		m := min(foldGroups*LaneCount, n-j)
 		x0, x1 := a0[:m/LaneCount], a1[:m/LaneCount]
 		pairs := src[2*j : 2*(j+m)]
-		PackLanesEven(x0, pairs)
-		PackLanesEven(x1, pairs[1:])
+		PackLanesPairs(x0, x1, pairs)
 		SubLanes(x1, x1, x0)
 		ScalarMulLanes(x1, x1, &rl)
 		AddLanes(x1, x1, x0)

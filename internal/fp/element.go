@@ -145,9 +145,6 @@ func (z *Element) SetZero() *Element { *z = zero; return z }
 // SetOne sets z to 1 and returns z.
 func (z *Element) SetOne() *Element { *z = one; return z }
 
-// Set sets z to x and returns z.
-func (z *Element) Set(x *Element) *Element { *z = *x; return z }
-
 // SetUint64 sets z to v and returns z.
 func (z *Element) SetUint64(v uint64) *Element {
 	*z = Element{v}

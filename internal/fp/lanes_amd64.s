@@ -9,7 +9,11 @@
 // products into 64-bit accumulators. Accumulators carry lazily: a limb
 // takes at most four products per round, so 64 bits hold every sum.
 //
-// mulLanesIFMA is operand-scanning Montgomery: rounds 0..6 add x·y[i] and
+// Every routine is a row kernel: it runs over n consecutive Lanes values
+// inside one call, as ff's lane kernel does, and keeps the constants in
+// registers across the row.
+//
+// mulLanes is operand-scanning Montgomery: rounds 0..6 add x·y[i] and
 // one 52-bit reduction step m·p (m = t0·(−p⁻¹) mod 2^52), which clears t0;
 // round 7 adds x·y[7] and a 20-bit step m′·p (m′ = t0·(−p⁻¹) mod 2^20)
 // instead, so the product is x·y·2^−(7·52+20) = x·y·R⁻¹ with R = 2^384,
@@ -43,6 +47,9 @@
 #define B Z20
 #define TMP Z21
 #define M20 Z30
+
+// LaneBytes is sizeof(Lanes): eight limbs of eight words.
+#define LaneBytes 512
 
 #define LOAD_P \
 	VPBROADCASTQ ·laneConst+0(SB), Z22  \
@@ -202,19 +209,24 @@
 	VMOVDQU64 Z4, 256(DX) \
 	VMOVDQU64 Z5, 320(DX) \
 	VMOVDQU64 Z6, 384(DX) \
-	VMOVDQU64 Z7, 448(DX) \
-	VZEROUPPER
+	VMOVDQU64 Z7, 448(DX)
 
-// func mulLanesIFMA(z, x, y *Lanes)
+// func mulLanes(z, x, y *Lanes, n int)
 //
-// z = x·y·2^−384 mod p lane-wise; z is written after the last read of x
-// and y, so aliasing is fine.
-TEXT ·mulLanesIFMA(SB), NOSPLIT, $0-24
+// z[k] = x[k]·y[k]·2^−384 mod p lane-wise for k < n. z[k] is written after
+// the last read of x[k] and y[k], so z may alias x or y (index for index).
+TEXT ·mulLanes(SB), NOSPLIT, $0-32
+	MOVQ z+0(FP), DX
 	MOVQ x+8(FP), DI
 	MOVQ y+16(FP), SI
+	MOVQ n+24(FP), CX
+	TESTQ CX, CX
+	JEQ  mulDone
 	LOAD_P
 	VPBROADCASTQ ·laneConst+64(SB), PINV
 	VPBROADCASTQ ·laneConst+80(SB), M20
+
+mulLoop:
 	VMOVDQU64 0(DI), Z0
 	VMOVDQU64 64(DI), Z1
 	VMOVDQU64 128(DI), Z2
@@ -259,16 +271,30 @@ TEXT ·mulLanesIFMA(SB), NOSPLIT, $0-24
 	VPSUBQ Z27, Z11, Z5
 	VPSUBQ Z28, Z12, Z6
 	VPSUBQ Z29, Z13, Z7
-	MOVQ z+0(FP), DX
 	SUBTAIL
+	ADDQ $LaneBytes, DX
+	ADDQ $LaneBytes, DI
+	ADDQ $LaneBytes, SI
+	DECQ CX
+	JNE  mulLoop
+	VZEROUPPER
+
+mulDone:
 	RET
 
-// func subLanesIFMA(z, x, y *Lanes)
-TEXT ·subLanesIFMA(SB), NOSPLIT, $0-24
+// func subLanes(z, x, y *Lanes, n int)
+//
+// z[k] = x[k] − y[k] lane-wise for k < n; z may alias x or y.
+TEXT ·subLanes(SB), NOSPLIT, $0-32
 	MOVQ z+0(FP), DX
 	MOVQ x+8(FP), DI
 	MOVQ y+16(FP), SI
+	MOVQ n+24(FP), CX
+	TESTQ CX, CX
+	JEQ  subDone
 	LOAD_P
+
+subLoop:
 	VMOVDQU64 0(DI), Z0
 	VPSUBQ 0(SI), Z0, Z0
 	VMOVDQU64 64(DI), Z1
@@ -286,14 +312,29 @@ TEXT ·subLanesIFMA(SB), NOSPLIT, $0-24
 	VMOVDQU64 448(DI), Z7
 	VPSUBQ 448(SI), Z7, Z7
 	SUBTAIL
+	ADDQ $LaneBytes, DX
+	ADDQ $LaneBytes, DI
+	ADDQ $LaneBytes, SI
+	DECQ CX
+	JNE  subLoop
+	VZEROUPPER
+
+subDone:
 	RET
 
-// func addLanesIFMA(z, x, y *Lanes)
-TEXT ·addLanesIFMA(SB), NOSPLIT, $0-24
+// func addLanes(z, x, y *Lanes, n int)
+//
+// z[k] = x[k] + y[k] lane-wise for k < n; z may alias x or y.
+TEXT ·addLanes(SB), NOSPLIT, $0-32
 	MOVQ z+0(FP), DX
 	MOVQ x+8(FP), DI
 	MOVQ y+16(FP), SI
+	MOVQ n+24(FP), CX
+	TESTQ CX, CX
+	JEQ  addDone
 	LOAD_P
+
+addLoop:
 	VMOVDQU64 0(DI), Z0
 	VPADDQ 0(SI), Z0, Z0
 	VPSUBQ Z22, Z0, Z0
@@ -319,95 +360,131 @@ TEXT ·addLanesIFMA(SB), NOSPLIT, $0-24
 	VPADDQ 448(SI), Z7, Z7
 	VPSUBQ Z29, Z7, Z7
 	SUBTAIL
-	RET
-
-
-// Element offsets within a [8]Element: the gather/scatter index vector.
-DATA laneIdx<>+0(SB)/8, $0
-DATA laneIdx<>+8(SB)/8, $48
-DATA laneIdx<>+16(SB)/8, $96
-DATA laneIdx<>+24(SB)/8, $144
-DATA laneIdx<>+32(SB)/8, $192
-DATA laneIdx<>+40(SB)/8, $240
-DATA laneIdx<>+48(SB)/8, $288
-DATA laneIdx<>+56(SB)/8, $336
-GLOBL laneIdx<>(SB), RODATA|NOPTR, $64
-
-// func packLanesIFMA(z *Lanes, x *[8]Element)
-//
-// Gathers word k of the eight elements into Z0..Z5, then cuts the six
-// 64-bit words into eight 52-bit limbs.
-TEXT ·packLanesIFMA(SB), NOSPLIT, $0-16
-	MOVQ z+0(FP), DX
-	MOVQ x+8(FP), SI
-	VMOVDQU64 laneIdx<>(SB), Z31
-	VPBROADCASTQ ·laneConst+72(SB), M52
-	KXNORW K1, K1, K1
-	VPGATHERQQ 0(SI)(Z31*1), K1, Z0
-	KXNORW K1, K1, K1
-	VPGATHERQQ 8(SI)(Z31*1), K1, Z1
-	KXNORW K1, K1, K1
-	VPGATHERQQ 16(SI)(Z31*1), K1, Z2
-	KXNORW K1, K1, K1
-	VPGATHERQQ 24(SI)(Z31*1), K1, Z3
-	KXNORW K1, K1, K1
-	VPGATHERQQ 32(SI)(Z31*1), K1, Z4
-	KXNORW K1, K1, K1
-	VPGATHERQQ 40(SI)(Z31*1), K1, Z5
-	VPANDQ M52, Z0, Z8
-	VPSRLQ $52, Z0, Z9
-	VPSLLQ $12, Z1, TMP
-	VPORQ TMP, Z9, Z9
-	VPANDQ M52, Z9, Z9
-	VPSRLQ $40, Z1, Z10
-	VPSLLQ $24, Z2, TMP
-	VPORQ TMP, Z10, Z10
-	VPANDQ M52, Z10, Z10
-	VPSRLQ $28, Z2, Z11
-	VPSLLQ $36, Z3, TMP
-	VPORQ TMP, Z11, Z11
-	VPANDQ M52, Z11, Z11
-	VPSRLQ $16, Z3, Z12
-	VPSLLQ $48, Z4, TMP
-	VPORQ TMP, Z12, Z12
-	VPANDQ M52, Z12, Z12
-	VPSRLQ $4, Z4, Z13
-	VPANDQ M52, Z13, Z13
-	VPSRLQ $56, Z4, Z14
-	VPSLLQ $8, Z5, TMP
-	VPORQ TMP, Z14, Z14
-	VPANDQ M52, Z14, Z14
-	VPSRLQ $44, Z5, Z15
-	VMOVDQU64 Z8, 0(DX)
-	VMOVDQU64 Z9, 64(DX)
-	VMOVDQU64 Z10, 128(DX)
-	VMOVDQU64 Z11, 192(DX)
-	VMOVDQU64 Z12, 256(DX)
-	VMOVDQU64 Z13, 320(DX)
-	VMOVDQU64 Z14, 384(DX)
-	VMOVDQU64 Z15, 448(DX)
+	ADDQ $LaneBytes, DX
+	ADDQ $LaneBytes, DI
+	ADDQ $LaneBytes, SI
+	DECQ CX
+	JNE  addLoop
 	VZEROUPPER
+
+addDone:
 	RET
 
-// func unpackLanesIFMA(z *Lanes, x *[8]Element)
+// An 8×8 qword transpose: qword w of i_l goes to qword l of o_w. Within
+// 128-bit blocks VPUNPCKLQDQ/VPUNPCKHQDQ interleave pairs of rows into
+// Z24..Z31, then two rounds of VSHUFI64X2 move the blocks across (the
+// first back into i0..i7, which it clobbers).
+#define TRANSPOSE(i0, i1, i2, i3, i4, i5, i6, i7, o0, o1, o2, o3, o4, o5, o6, o7) \
+	VPUNPCKLQDQ i1, i0, Z24 \
+	VPUNPCKHQDQ i1, i0, Z25 \
+	VPUNPCKLQDQ i3, i2, Z26 \
+	VPUNPCKHQDQ i3, i2, Z27 \
+	VPUNPCKLQDQ i5, i4, Z28 \
+	VPUNPCKHQDQ i5, i4, Z29 \
+	VPUNPCKLQDQ i7, i6, Z30 \
+	VPUNPCKHQDQ i7, i6, Z31 \
+	VSHUFI64X2 $0x88, Z26, Z24, i0 \
+	VSHUFI64X2 $0xdd, Z26, Z24, i1 \
+	VSHUFI64X2 $0x88, Z27, Z25, i2 \
+	VSHUFI64X2 $0xdd, Z27, Z25, i3 \
+	VSHUFI64X2 $0x88, Z30, Z28, i4 \
+	VSHUFI64X2 $0xdd, Z30, Z28, i5 \
+	VSHUFI64X2 $0x88, Z31, Z29, i6 \
+	VSHUFI64X2 $0xdd, Z31, Z29, i7 \
+	VSHUFI64X2 $0x88, i4, i0, o0 \
+	VSHUFI64X2 $0xdd, i4, i0, o4 \
+	VSHUFI64X2 $0x88, i5, i1, o2 \
+	VSHUFI64X2 $0xdd, i5, i1, o6 \
+	VSHUFI64X2 $0x88, i6, i2, o1 \
+	VSHUFI64X2 $0xdd, i6, i2, o5 \
+	VSHUFI64X2 $0x88, i7, i3, o3 \
+	VSHUFI64X2 $0xdd, i7, i3, o7
+
+// func packLanes(z *Lanes, n int)
 //
-// Joins the eight 52-bit limbs into six 64-bit words per lane, then
-// scatters word k of each lane to its element.
-TEXT ·unpackLanesIFMA(SB), NOSPLIT, $0-16
-	MOVQ z+0(FP), SI
-	MOVQ x+8(FP), DX
-	VMOVDQU64 laneIdx<>(SB), Z31
-	VMOVDQU64 0(SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VMOVDQU64 128(SI), Z2
-	VMOVDQU64 192(SI), Z3
-	VMOVDQU64 256(SI), Z4
-	VMOVDQU64 320(SI), Z5
-	VMOVDQU64 384(SI), Z6
-	VMOVDQU64 448(SI), Z7
-	VMOVDQA64 Z0, Z8
+// Turns z[k] for k < n from the staged form (row l holds lane l's six
+// Montgomery words, as Set writes them) into the limb-major radix-2^52
+// form in place: a transpose gives word w of every lane in Z8+w, and
+// shifts cut the six words into eight 52-bit limbs.
+TEXT ·packLanes(SB), NOSPLIT, $0-16
+	MOVQ z+0(FP), DX
+	MOVQ n+8(FP), CX
+	TESTQ CX, CX
+	JEQ  packDone
+	VPBROADCASTQ ·laneConst+72(SB), M52
+
+packLoop:
+	VMOVDQU64 0(DX), Z0
+	VMOVDQU64 64(DX), Z1
+	VMOVDQU64 128(DX), Z2
+	VMOVDQU64 192(DX), Z3
+	VMOVDQU64 256(DX), Z4
+	VMOVDQU64 320(DX), Z5
+	VMOVDQU64 384(DX), Z6
+	VMOVDQU64 448(DX), Z7
+	TRANSPOSE(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	VPANDQ M52, Z8, Z0
+	VPSRLQ $52, Z8, Z1
+	VPSLLQ $12, Z9, TMP
+	VPORQ TMP, Z1, Z1
+	VPANDQ M52, Z1, Z1
+	VPSRLQ $40, Z9, Z2
+	VPSLLQ $24, Z10, TMP
+	VPORQ TMP, Z2, Z2
+	VPANDQ M52, Z2, Z2
+	VPSRLQ $28, Z10, Z3
+	VPSLLQ $36, Z11, TMP
+	VPORQ TMP, Z3, Z3
+	VPANDQ M52, Z3, Z3
+	VPSRLQ $16, Z11, Z4
+	VPSLLQ $48, Z12, TMP
+	VPORQ TMP, Z4, Z4
+	VPANDQ M52, Z4, Z4
+	VPSRLQ $4, Z12, Z5
+	VPANDQ M52, Z5, Z5
+	VPSRLQ $56, Z12, Z6
+	VPSLLQ $8, Z13, TMP
+	VPORQ TMP, Z6, Z6
+	VPANDQ M52, Z6, Z6
+	VPSRLQ $44, Z13, Z7
+	VMOVDQU64 Z0, 0(DX)
+	VMOVDQU64 Z1, 64(DX)
+	VMOVDQU64 Z2, 128(DX)
+	VMOVDQU64 Z3, 192(DX)
+	VMOVDQU64 Z4, 256(DX)
+	VMOVDQU64 Z5, 320(DX)
+	VMOVDQU64 Z6, 384(DX)
+	VMOVDQU64 Z7, 448(DX)
+	ADDQ $LaneBytes, DX
+	DECQ CX
+	JNE  packLoop
+	VZEROUPPER
+
+packDone:
+	RET
+
+// func unpackLanes(z *Lanes, n int)
+//
+// packLanes backwards: joins the eight limbs into six words per lane
+// (words 6 and 7 of each row become zero) and transposes them back into
+// one row per lane.
+TEXT ·unpackLanes(SB), NOSPLIT, $0-16
+	MOVQ z+0(FP), DX
+	MOVQ n+8(FP), CX
+	TESTQ CX, CX
+	JEQ  unpackDone
+
+unpackLoop:
+	VMOVDQU64 0(DX), Z0
+	VMOVDQU64 64(DX), Z1
+	VMOVDQU64 128(DX), Z2
+	VMOVDQU64 192(DX), Z3
+	VMOVDQU64 256(DX), Z4
+	VMOVDQU64 320(DX), Z5
+	VMOVDQU64 384(DX), Z6
+	VMOVDQU64 448(DX), Z7
 	VPSLLQ $52, Z1, TMP
-	VPORQ TMP, Z8, Z8
+	VPORQ TMP, Z0, Z8
 	VPSRLQ $12, Z1, Z9
 	VPSLLQ $40, Z2, TMP
 	VPORQ TMP, Z9, Z9
@@ -425,17 +502,21 @@ TEXT ·unpackLanesIFMA(SB), NOSPLIT, $0-16
 	VPSRLQ $8, Z6, Z13
 	VPSLLQ $44, Z7, TMP
 	VPORQ TMP, Z13, Z13
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z8, K1, 0(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z9, K1, 8(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z10, K1, 16(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z11, K1, 24(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z12, K1, 32(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z13, K1, 40(DX)(Z31*1)
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	TRANSPOSE(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	VMOVDQU64 Z0, 0(DX)
+	VMOVDQU64 Z1, 64(DX)
+	VMOVDQU64 Z2, 128(DX)
+	VMOVDQU64 Z3, 192(DX)
+	VMOVDQU64 Z4, 256(DX)
+	VMOVDQU64 Z5, 320(DX)
+	VMOVDQU64 Z6, 384(DX)
+	VMOVDQU64 Z7, 448(DX)
+	ADDQ $LaneBytes, DX
+	DECQ CX
+	JNE  unpackLoop
 	VZEROUPPER
+
+unpackDone:
 	RET

@@ -7,21 +7,21 @@ package fp
 //go:noescape
 func mulADX(z, x, y *Element)
 
-// mulLanesIFMA, subLanesIFMA, addLanesIFMA, packLanesIFMA and
-// unpackLanesIFMA are Lanes' methods (lanes_amd64.s). Callers must check
-// cpu.IFMA.
+// mulLanes, subLanes, addLanes, packLanes and unpackLanes are the IFMA
+// body's row kernels (lanes_amd64.s). Callers must check cpu.IFMA and pass
+// n ≥ 0 values behind each pointer.
 //
 //go:noescape
-func mulLanesIFMA(z, x, y *Lanes)
+func mulLanes(z, x, y *Lanes, n int)
 
 //go:noescape
-func subLanesIFMA(z, x, y *Lanes)
+func subLanes(z, x, y *Lanes, n int)
 
 //go:noescape
-func addLanesIFMA(z, x, y *Lanes)
+func addLanes(z, x, y *Lanes, n int)
 
 //go:noescape
-func packLanesIFMA(z *Lanes, x *[LaneCount]Element)
+func packLanes(z *Lanes, n int)
 
 //go:noescape
-func unpackLanesIFMA(z *Lanes, x *[LaneCount]Element)
+func unpackLanes(z *Lanes, n int)

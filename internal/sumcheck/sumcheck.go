@@ -405,8 +405,7 @@ func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, we
 		for v := 0; v < nv; v++ {
 			e := a.Tables[v].Evals[2*b0 : 2*(b0+ng*ff.LaneCount)]
 			ext, dv := regs[v*gw:v*gw+ng], deltas[v*gw:v*gw+ng]
-			ff.PackLanesEven(ext, e)
-			ff.PackLanesEven(dv, e[1:])
+			ff.PackLanesPairs(ext, dv, e)
 			ff.SubLanes(dv, dv, ext)
 		}
 		if weights != nil {

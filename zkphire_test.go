@@ -98,6 +98,53 @@ func TestCompileAutoSizesLogGates(t *testing.T) {
 	}
 }
 
+// TestSetupRandomTau runs the production setup, Setup with system
+// randomness, end to end at a small size: Setup → Compile → NewProver →
+// Prove → Verify. Two setups must draw different trapdoors, so their
+// first-level points differ (Levels[0] is G whatever τ is: eq over no
+// variables is 1), and an out-of-range size is an error, not a panic.
+func TestSetupRandomTau(t *testing.T) {
+	srs, err := Setup(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewCircuitBuilder()
+	buildCubic(b)
+	compiled, err := Compile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prover, err := NewProver(srs, compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := prover.Prove(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(srs, prover.VerifyingKey(), proof); err != nil {
+		t.Fatal(err)
+	}
+
+	other, err := Setup(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srs.Levels[0][0].Equal(&other.Levels[0][0]) {
+		t.Fatal("level 0 is not the generator in both setups")
+	}
+	for k := 1; k <= srs.MaxVars; k++ {
+		if srs.Levels[k][0].Equal(&other.Levels[k][0]) {
+			t.Fatalf("two setups share the first level-%d point: τ was not redrawn", k)
+		}
+	}
+	for _, n := range []int{-1, 0, 27} {
+		if _, err := Setup(n); err == nil {
+			t.Fatalf("Setup(%d) returned no error", n)
+		}
+	}
+}
+
 func TestCompileRejectsBadWitness(t *testing.T) {
 	for _, kind := range []Arithmetization{Vanilla, Jellyfish} {
 		b := NewBuilder(kind)
