@@ -17,10 +17,11 @@ test:
 # probe that picks them (internal/cpu/cpu_amd64.s, whose ADX and IFMA
 # become the constant false) — so both fields, with Square as
 # mulGeneric(x, x), fp.Lanes' portable body (which the curve lane tests,
-# TestFlushLanesMatchesScalar and TestReduceTablesMatchesScalar, run here
-# instead of skipping), the curve/pcs layers and the SumCheck scan (poly's
-# block evaluator, mle, sumcheck) on top of them, and the golden
-# proof-byte pins in hyperplonk run on the portable Go path.
+# TestFlushLanesMatchesScalar, TestReduceMatchesScalar and
+# TestMSMGridShapes, run here instead of skipping), the curve/pcs layers
+# and the SumCheck scan (poly's block evaluator, mle, sumcheck) on top of
+# them, and the golden proof-byte pins in hyperplonk run on the portable
+# Go path.
 test-purego:
 	$(GO) test -tags purego ./internal/cpu ./internal/fp ./internal/ff ./internal/poly ./internal/mle ./internal/sumcheck ./internal/curve ./internal/pcs ./internal/hyperplonk
 

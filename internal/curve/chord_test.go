@@ -22,7 +22,7 @@ type queueResult struct {
 // eighth, flushes it, and returns the table and the parked slots. want[i]
 // is the sum the i-th addition must leave, by Jacobian arithmetic.
 func runQueue(pts []G1Affine, m int) (res queueResult, want []G1Affine) {
-	tab := newBucketTable(14)
+	tab := newBucketTable(14, 1)
 	defer tab.release()
 	var q bucketQueue
 	q.init(&tab)

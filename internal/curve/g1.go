@@ -439,17 +439,16 @@ func BatchFromJacobianWorkers(in []G1Jac, workers int) []G1Affine {
 
 // PairSumsWorkers returns the sums of adjacent pairs, out[i] = in[2i] +
 // in[2i+1] for len(in) even, on a worker budget (<= 0 means GOMAXPROCS):
-// one mixed addition per sum, then one BatchFromJacobianWorkers pass.
+// batch-affine chord additions, one inversion per maxBatch sums.
 func PairSumsWorkers(in []G1Affine, workers int) []G1Affine {
-	sums := jacArena.Get(len(in) / 2)
-	defer jacArena.Put(sums)
-	parallel.ForGrain(workers, len(sums), pointGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sums[i].FromAffine(&in[2*i])
-			sums[i].AddMixed(&in[2*i+1])
-		}
+	out := make([]G1Affine, len(in)/2)
+	parallel.ForGrain(workers, len(out), pointGrain, func(lo, hi int) {
+		var a pairAdder
+		a.init(maxBatch)
+		defer a.release()
+		a.sums(out[lo:hi], in[2*lo:2*hi])
 	})
-	return BatchFromJacobianWorkers(sums, workers)
+	return out
 }
 
 // batchInvertFp inverts every nonzero entry of a in place with one field

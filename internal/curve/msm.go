@@ -25,9 +25,10 @@ import (
 // cross-window doubling) is the same computation the hardware performs.
 
 // Scratch arenas for the MSM working state (bucket tables, occupancy maps,
-// batch-affine queues, digit decompositions). Pooling them keeps repeated
-// proofs allocation-free in steady state.
+// batch-affine queues, digit decompositions, the ones' pair sums). Pooling
+// them keeps repeated proofs allocation-free in steady state.
 var (
+	affArena   parallel.Arena[G1Affine]
 	jacArena   parallel.Arena[G1Jac]
 	fpArena    parallel.Arena[fp.Element]
 	pairArena  parallel.Arena[affPair]
@@ -154,8 +155,9 @@ func msmGLVCtx(ctx context.Context, points []G1Affine, endoX []fp.Element, scala
 // returns the sum of the points whose scalar is one and the count of
 // scalars that are neither 0 nor 1. A 0 or 1 scalar gets the all-zero
 // split, so no window adds its point: zeros drop out and the ones never
-// pile into window 0's first bucket. This is the zkPHIRE Sparse MSM rule,
-// and every MSM here runs it.
+// pile into window 0's first bucket, but are summed in a tree of
+// batch-affine pair sums (affineSum). This is the zkPHIRE Sparse MSM
+// rule, and every MSM here runs it.
 func splitScalars(workers int, points []G1Affine, scalars []ff.Element, splits []glvSplit) (ones G1Jac, count int) {
 	if len(scalars) == 0 {
 		return *ones.SetInfinity(), 0
@@ -166,7 +168,7 @@ func splitScalars(workers int, points []G1Affine, scalars []ff.Element, splits [
 	}
 	r := parallel.MapReduce(workers, len(scalars), func(lo, hi int) part {
 		var p part
-		p.ones.SetInfinity()
+		var sum affineSum
 		for i := lo; i < hi; i++ {
 			s := &splits[i]
 			if bucketScalar(&scalars[i]) {
@@ -175,10 +177,11 @@ func splitScalars(workers int, points []G1Affine, scalars []ff.Element, splits [
 				continue
 			}
 			*s = glvSplit{}
-			if scalars[i].IsOne() {
-				p.ones.AddMixed(&points[i])
+			if scalars[i].IsOne() && !points[i].Infinity {
+				sum.add(&points[i])
 			}
 		}
+		p.ones = sum.sum()
 		return p
 	}, func(a, b part) part {
 		a.ones.AddAssign(&b.ones)
@@ -241,22 +244,21 @@ func glvDigit(k *[2]uint64, wi, c int) int {
 	return d
 }
 
-// bucketTable is one (window, lane) cell of a StreamMSM: 2^(c−1) affine
-// buckets with their occupancy flags, plus the Jacobian overflow buckets
-// allocated lazily for degenerate remnants. accumulate leaves nothing
-// parked when it returns, so the table between chunks is buckets, flags and
-// overflow, and reduce adds all three. The zero value is a table no chunk
-// has reached: it reduces to the identity.
+// bucketTable is one (window group, lane) cell of a StreamMSM: for each
+// of its windows, 2^(c−1) affine buckets with their occupancy flags,
+// window k's at k·2^(c−1). accumulate leaves nothing parked when it
+// returns, so the table between chunks is buckets and flags, and reduce
+// adds them. The zero value is a table no chunk has reached: it reduces
+// to the identity.
 type bucketTable struct {
-	c        int
-	buckets  []affPair
-	full     []bool
-	overflow []G1Jac // nil until a drain meets a degenerate remnant
+	c, windows int
+	buckets    []affPair
+	full       []bool
 }
 
-func newBucketTable(c int) bucketTable {
-	numBuckets := 1 << uint(c-1)
-	t := bucketTable{c: c}
+func newBucketTable(c, windows int) bucketTable {
+	numBuckets := windows << uint(c-1)
+	t := bucketTable{c: c, windows: windows}
 	// The bucket table stores bare (X, Y) pairs — 96 bytes per bucket, no
 	// Infinity-flag padding — so at c=16 the accumulation loop's random
 	// accesses walk a 3 MiB table of adjacent-line pairs.
@@ -270,34 +272,26 @@ func newBucketTable(c int) bucketTable {
 func (t *bucketTable) release() {
 	pairArena.Put(t.buckets)
 	boolArena.Put(t.full)
-	jacArena.Put(t.overflow)
 	*t = bucketTable{}
 }
 
 // maxBatch is the batch-affine queue length: one shared inversion per
 // maxBatch bucket additions. A multiple of fp.LaneCount, so a full flush
-// has no padded lane group.
+// has no padded lane group. It is also the most buckets a table holds
+// (newStreamMSM sizes the window groups by it), so a table's whole
+// bucket range fits one queue.
 const maxBatch = 4096
 
-// minAmortize is the batch size below which a flush wastes the shared
-// field inversion; the drain loop's degenerate guard dumps what is left
-// into Jacobian overflow buckets rather than flushing nearly-empty
-// batches.
-// Conflicting additions themselves ALWAYS defer to `pend`: the earlier
-// scheme sent every conflict that arrived while the batch was short
-// through full Jacobian arithmetic, and because the signed-digit bucket
-// count (2^(c−1)) no longer exceeds maxBatch, queue occupancy — and with
-// it the conflict rate — is high at every window width; the profile
-// showed ~25% of all bucket additions taking that slow path. Pair-merging
-// in the drain loop handles the conflicts at amortized batch-affine cost
-// instead.
-const minAmortize = 192
-
-// bucketQueue is accumulate's working state for one window of one table.
-// Queued addition i (a chordQueue entry) adds a point to a bucket's value
-// read at queue time; its sum lands in bucket dst[i], or for a pair merge
-// in pend slot −dst[i]−1. A bucket is in the queue at most once (inQueue),
-// since its queued addition read the bucket at queue time.
+// bucketQueue is accumulate's working state for one table. Queued
+// addition i (a chordQueue entry) adds a point to a bucket's value read
+// at queue time; its sum lands in bucket dst[i], or for a pair merge in
+// pend slot −dst[i]−1. A bucket is in the queue at most once (inQueue),
+// since its queued addition read the bucket at queue time. A conflicting
+// addition always parks in pend rather than flushing a short batch:
+// since the signed-digit bucket count no longer exceeds maxBatch, queue
+// occupancy, and with it the conflict rate, is high at every window
+// width, and pair-merging in the drain loop handles the conflicts at
+// batch-affine cost.
 type bucketQueue struct {
 	t       *bucketTable
 	chords  chordQueue
@@ -346,16 +340,13 @@ func (q *bucketQueue) flush() {
 }
 
 // push queues the addition of (x2, y2) to (x1, y1) for destination dst,
-// or reports false when it needs no slope: x1 = x2 with y1 = −y2 (the sum
-// is the identity) or y1 = 0 (2-torsion, not reachable from subgroup
-// points). A full queue is flushed at once.
+// or reports false when the sum is the identity (chordQueue.add). A full
+// queue is flushed at once.
 func (q *bucketQueue) push(dst int32, x1, y1, x2, y2 *fp.Element) bool {
-	double := x1.Equal(x2)
-	if double && (!y1.Equal(y2) || y1.IsZero()) {
+	q.dst[q.chords.m] = dst
+	if !q.chords.add(x1, y1, x2, y2) {
 		return false
 	}
-	q.dst[q.chords.m] = dst
-	q.chords.push(x1, y1, x2, y2, double)
 	if q.chords.m == maxBatch {
 		q.flush()
 	}
@@ -365,8 +356,8 @@ func (q *bucketQueue) push(dst int32, x1, y1, x2, y2 *fp.Element) bool {
 // enqueue adds ±(px, py) to bucket b; py is already sign-adjusted by the
 // caller. During a drain px/py point into pend[i] with i ≥ nPend: a
 // re-park copies the entry onto itself or a lower slot, and a flush
-// inside push writes only slots below nPend. The outer loops keep
-// nPend < maxBatch−1 so the deferred append never overflows.
+// inside push writes only slots below nPend. accumulate drains before a
+// point could park past the end of pend.
 func (q *bucketQueue) enqueue(b int32, px, py *fp.Element) {
 	t := q.t
 	if !t.full[b] {
@@ -407,11 +398,9 @@ func (q *bucketQueue) pairMerge(h int32, e *pendOp) {
 // bucket pair-merges with the parked one. A k-deep cluster thus
 // tree-reduces in ⌈log₂k⌉ rounds at batch-affine cost. Every round
 // consumes at least one entry (the queue is empty right after a flush), so
-// the loop terminates; if a round still cannot assemble a batch worth
-// inverting, the remnant is genuinely degenerate and goes through the
-// Jacobian overflow buckets.
+// the loop terminates. A degenerate remnant costs a few short flushes,
+// once per table: the table spans its group's windows.
 func (q *bucketQueue) drain() {
-	t := q.t
 	for q.nPend > 0 {
 		q.flush()
 		for i := range q.head {
@@ -439,32 +428,14 @@ func (q *bucketQueue) drain() {
 			q.head[e.b] = int32(q.nPend)
 			q.nPend++
 		}
-		if q.nPend > 0 && q.nPend < minAmortize && q.chords.m < minAmortize {
-			if t.overflow == nil {
-				t.overflow = jacArena.Get(len(t.buckets))
-				for i := range t.overflow {
-					t.overflow[i].SetInfinity()
-				}
-			}
-			q.flush() // finalize in-flight pair merges before reading pend
-			var aff G1Affine
-			for i := range q.pend[:q.nPend] {
-				e := &q.pend[i]
-				if e.dead {
-					continue
-				}
-				aff.X, aff.Y = e.x, e.y
-				t.overflow[e.b].AddMixed(&aff)
-			}
-			q.nPend = 0
-		}
 	}
 }
 
-// accumulate adds window wi of one point range into the buckets: each point
-// pair (Pᵢ, φ(Pᵢ)) contributes its two digits; |d| selects the bucket and
-// the digit sign (xor the half's sign) selects P or −P, negation being one
-// fp.Neg of y.
+// accumulate adds the table's windows, w0 and the t.windows − 1 after
+// it, of one point range into the buckets: each point pair (Pᵢ, φ(Pᵢ))
+// is read once and contributes its two digits per window; |d| selects
+// the bucket within the window's 2^(c−1) and the digit sign (xor the
+// half's sign) selects P or −P, negation being one fp.Neg of y.
 //
 // Buckets are kept in AFFINE coordinates and updated with batch-affine
 // additions: each addition needs one field inversion for its slope, and one
@@ -474,125 +445,96 @@ func (q *bucketQueue) drain() {
 // queued slope reads the bucket value at queue time); a second addition to
 // the same bucket is deferred to a follow-up pass instead of flushing, so
 // the inversion stays amortized over full batches even for narrow windows.
-func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, wi int) {
+func (t *bucketTable) accumulate(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, w0 int) {
 	var q bucketQueue
 	q.init(t)
 	defer q.release()
-	c := t.c
-	var yTmp fp.Element
+	c, perWindow := t.c, int32(1)<<uint(t.c-1)
+	// A point parks at most two additions per window.
+	parkLimit := maxBatch - 2*t.windows
+	// Cancellation poll: ~4k visits of a point pair to a window between
+	// checks keeps the mid-MSM cancel latency in the low milliseconds at
+	// zero measurable cost. A cancelled table is left as it stands, parked
+	// additions and all: the ctx-aware entry points discard its sum.
+	pollEvery := max(1, 4096/t.windows)
+	var yNeg fp.Element
 	for i := range splits {
-		// Cancellation poll: ~4k point pairs between checks keeps the
-		// mid-MSM cancel latency in the low milliseconds at zero measurable
-		// cost. The partial sum returned after a break is discarded by the
-		// ctx-aware entry points.
-		if i&4095 == 0 && ctx != nil && ctx.Err() != nil {
-			break
+		if i%pollEvery == 0 && ctx != nil && ctx.Err() != nil {
+			return
 		}
 		s := &splits[i]
-		if q.nPend >= maxBatch-2 {
+		if q.nPend > parkLimit {
 			q.drain()
 		}
 		// A 0 or 1 scalar has the all-zero split (splitScalars): skip it
 		// before touching its point.
-		if s.k1 == [2]uint64{} && s.k2 == [2]uint64{} || points[i].Infinity {
+		p := &points[i]
+		if s.k1 == [2]uint64{} && s.k2 == [2]uint64{} || p.Infinity {
 			continue
 		}
-		if d := glvDigit(&s.k1, wi, c); d != 0 {
-			neg := s.neg1
-			if d < 0 {
-				d, neg = -d, !neg
+		yNeg.Neg(&p.Y)
+		for k, off := 0, int32(0); k < t.windows; k, off = k+1, off+perWindow {
+			if d := glvDigit(&s.k1, w0+k, c); d != 0 {
+				neg := s.neg1
+				if d < 0 {
+					d, neg = -d, !neg
+				}
+				py := &p.Y
+				if neg {
+					py = &yNeg
+				}
+				q.enqueue(off+int32(d-1), &p.X, py)
 			}
-			py := &points[i].Y
-			if neg {
-				yTmp.Neg(py)
-				py = &yTmp
+			// The φ half shares y with the base point; only x differs (βx).
+			if d := glvDigit(&s.k2, w0+k, c); d != 0 {
+				neg := s.neg2
+				if d < 0 {
+					d, neg = -d, !neg
+				}
+				py := &p.Y
+				if neg {
+					py = &yNeg
+				}
+				q.enqueue(off+int32(d-1), &endoX[i], py)
 			}
-			q.enqueue(int32(d-1), &points[i].X, py)
-		}
-		// The φ half shares y with the base point; only x differs (βx).
-		if d := glvDigit(&s.k2, wi, c); d != 0 {
-			neg := s.neg2
-			if d < 0 {
-				d, neg = -d, !neg
-			}
-			py := &points[i].Y
-			if neg {
-				yTmp.Neg(py)
-				py = &yTmp
-			}
-			q.enqueue(int32(d-1), &endoX[i], py)
 		}
 	}
 	q.drain()
 	q.flush()
 }
 
-// reduce forms the window's weighted sum Σ d·bucket[d] (d = b+1 for
-// bucket b) with running suffix sums, on fp.Lanes. The buckets are cut
-// into segments of w = max(1, 2^(c−1)/8) consecutive buckets, segment s in
-// lane s, and each lane runs the running sum over its own segment from the
-// top: per bucket, run += bucket is a Jacobian mixed addition, run +=
-// overflow bucket (where the table has one) and acc += run full ones, all
-// with AddMixed's, AddAssign's and Double's formulas. Their exceptions
-// are masks (addTo): a lane with an empty bucket is left alone, one whose
-// run or acc is still at infinity takes its addend whole, and one whose
+// reduce sets sums[k] to window k's weighted sum Σ d·bucket[d] (d = b+1
+// for bucket b of the window) for each of the table's windows, with
+// running suffix sums on fp.Lanes. The buckets are cut into segments of w
+// consecutive buckets that never cross a window: a whole window per
+// segment when the table has eight windows or more, else 8/windows
+// segments per window, w = max(1, 2^(c−1)·windows/8). Each lane pass
+// runs eight segments, segment s in lane s, and each lane runs the
+// running sum over its own segment from the top: per bucket, run +=
+// bucket is a Jacobian mixed addition and acc += run a full one, with
+// AddMixed's, AddAssign's and Double's formulas. Their exceptions are
+// masks (addTo): a lane with an empty bucket is left alone, one whose run
+// or acc is still at infinity takes its addend whole, and one whose
 // addition meets H = 0 doubles or becomes the identity as the scalar
 // addition would. Lanes past the last segment stay at infinity and are
 // never read. A lane ends with R_s, its segment's bucket sum, and S_s,
-// the segment's sum weighted from 1, so with d = (b − s·w + 1) + s·w
+// the segment's sum weighted from 1, so for a window of segments s with
+// d = (b − s·w + 1) + s·w
 //
 //	Σ d·bucket[d] = Σ S_s + w·Σ s·R_s,
 //
-// which eight Jacobian additions, a second running sum over the R_s and
-// log₂ w doublings finish in scalar code.
-func (t *bucketTable) reduce() G1Jac {
-	var sum G1Jac
-	sum.SetInfinity()
+// which a window's combine finishes in scalar code: its S_s, a second
+// running sum over its R_s and log₂ w doublings, or S_0 alone for a
+// window that is one segment.
+func (t *bucketTable) reduce(sums []G1Jac) {
 	nb := len(t.buckets)
 	if nb == 0 {
-		return sum
+		return
 	}
-	w := max(1, nb/fp.LaneCount)
-	var run, acc, pt jacLanes
-	oneFp := fp.One()
-	pt[2].Broadcast(&oneFp) // buckets are affine: Z = 1
-	// runInf and accInf are the lanes whose run and acc are at infinity;
-	// their coordinates are meaningless.
-	var runInf, accInf uint8 = 0xff, 0xff
-	for i := w - 1; i >= 0; i-- {
-		var full, over uint8
-		for s, b := 0, i; s < fp.LaneCount && b < nb; s, b = s+1, b+w {
-			if t.full[b] {
-				full |= 1 << s
-				pt[0].Set(s, &t.buckets[b].X)
-				pt[1].Set(s, &t.buckets[b].Y)
-			}
-			if t.overflow != nil && !t.overflow[b].IsInfinity() {
-				over |= 1 << s
-			}
-		}
-		if full != 0 {
-			fp.PackLanes(pt[:2])
-			runInf = run.addTo(&pt, full, runInf, true)
-		}
-		if over != 0 {
-			var ov jacLanes
-			for s := range fp.LaneCount {
-				if over&(1<<s) != 0 {
-					j := &t.overflow[s*w+i]
-					ov[0].Set(s, &j.X)
-					ov[1].Set(s, &j.Y)
-					ov[2].Set(s, &j.Z)
-				}
-			}
-			fp.PackLanes(ov[:])
-			runInf = run.addTo(&ov, over, runInf, false)
-		}
-		accInf = acc.addTo(&run, ^runInf, accInf, false)
-	}
-
-	fp.UnpackLanes(run[:])
-	fp.UnpackLanes(acc[:])
+	perWindow := nb / t.windows
+	segs := max(1, fp.LaneCount/t.windows)
+	w := max(1, perWindow/segs)
+	segs = perWindow / w
 	lane := func(p *jacLanes, inf uint8, s int) (j G1Jac) {
 		if inf&(1<<s) != 0 {
 			return *j.SetInfinity()
@@ -602,21 +544,64 @@ func (t *bucketTable) reduce() G1Jac {
 		p[2].Get(s, &j.Z)
 		return j
 	}
-	var runS, weighted G1Jac
-	runS.SetInfinity()
-	weighted.SetInfinity()
-	for s := fp.LaneCount - 1; s >= 0; s-- {
-		r, a := lane(&run, runInf, s), lane(&acc, accInf, s)
-		sum.AddAssign(&a)
-		if s > 0 {
-			runS.AddAssign(&r)
-			weighted.AddAssign(&runS)
+	for base := 0; base < nb; base += fp.LaneCount * w {
+		run, acc, runInf, accInf := t.lanePass(base, w)
+		// Lane s holds segment base/w + s; a window's segs segments are
+		// lanes lo..lo+segs−1.
+		first := base / w
+		for lo := 0; lo < fp.LaneCount && first+lo < nb/w; lo += segs {
+			var sum, runS, weighted G1Jac
+			sum.SetInfinity()
+			runS.SetInfinity()
+			weighted.SetInfinity()
+			for s := lo + segs - 1; s >= lo; s-- {
+				a := lane(&acc, accInf, s)
+				sum.AddAssign(&a)
+				if s > lo {
+					r := lane(&run, runInf, s)
+					runS.AddAssign(&r)
+					weighted.AddAssign(&runS)
+				}
+			}
+			if segs > 1 {
+				for k := 1; k < w; k <<= 1 {
+					weighted.Double(&weighted)
+				}
+				sum.AddAssign(&weighted)
+			}
+			sums[(first+lo)/segs] = sum
 		}
 	}
-	for k := 1; k < w; k <<= 1 {
-		weighted.Double(&weighted)
+}
+
+// lanePass runs the running sums of the eight w-bucket segments from
+// bucket base up, segment s in lane s, and returns each lane's run (R_s)
+// and acc (S_s), unpacked, with the masks of the lanes where they are at
+// infinity (their coordinates are meaningless).
+func (t *bucketTable) lanePass(base, w int) (run, acc jacLanes, runInf, accInf uint8) {
+	nb := len(t.buckets)
+	var pt jacLanes
+	oneFp := fp.One()
+	pt[2].Broadcast(&oneFp) // buckets are affine: Z = 1
+	runInf, accInf = 0xff, 0xff
+	for i := w - 1; i >= 0; i-- {
+		var full uint8
+		for s, b := 0, base+i; s < fp.LaneCount && b < nb; s, b = s+1, b+w {
+			if t.full[b] {
+				full |= 1 << s
+				pt[0].Set(s, &t.buckets[b].X)
+				pt[1].Set(s, &t.buckets[b].Y)
+			}
+		}
+		if full != 0 {
+			fp.PackLanes(pt[:2])
+			runInf = run.addTo(&pt, full, runInf, true)
+		}
+		accInf = acc.addTo(&run, ^runInf, accInf, false)
 	}
-	return *sum.AddAssign(&weighted)
+	fp.UnpackLanes(run[:])
+	fp.UnpackLanes(acc[:])
+	return run, acc, runInf, accInf
 }
 
 // jacLanes is eight Jacobian points, one per lane, as X, Y and Z rows in
@@ -789,6 +774,13 @@ func extractDigit(words *[ff.Limbs]uint64, bit, width int) uint32 {
 // passes of five; at 2^17 c=13 (745–960) and c=14 (732–986) traded the
 // lead; at 2^10 c=8, 9 and 10 (12–22 ms) were within the spread. The
 // tiers from 2^18 up date from the GLV rewrite and were not re-measured.
+// The tiers below 2^12 were fitted with one table per window; once a
+// table spanned its group of windows they were re-taken at 2^4–2^12 by
+// the same rule, and again no width won every pass, so none moved. The
+// nearest were c=4 at 2^5 (0.81–1.01 ms against the tier's 0.84–1.45,
+// ahead by >5% in four passes of five) and c=5 at 2^6 (three of five);
+// at 2^8–2^12 the tier led or sat within a run-to-run spread of up to 2×
+// on this shared host.
 func windowSize(n int) int {
 	switch {
 	case n < 32:

@@ -134,10 +134,10 @@ func TestMSMBatchAffineEdgeCases(t *testing.T) {
 
 // TestMSMFlushPathsAtScale runs a 2^13-point MSM, large enough that the
 // batch-affine queue hits both mid-stream flush triggers (queue full at
-// maxBatch, conflict at minAmortize) that small tests never reach. Three
-// very different window decompositions of the same sum must agree — a bug
-// in either flush branch cannot produce the same wrong point under all
-// three digit groupings.
+// maxBatch, parked additions near the end of pend) that small tests never
+// reach. Three very different window decompositions of the same sum must
+// agree — a bug in either flush branch cannot produce the same wrong
+// point under all three digit groupings.
 func TestMSMFlushPathsAtScale(t *testing.T) {
 	rng := ff.NewRand(36)
 	n := 1 << 13
@@ -152,11 +152,50 @@ func TestMSMFlushPathsAtScale(t *testing.T) {
 	points := BatchFromJacobianWorkers(jacs, 0)
 	scalars := rng.Elements(n)
 
-	ref := msmGLVCtx(nil, points, nil, scalars, 1, 5) // overflow-heavy narrow windows
+	ref := msmGLVCtx(nil, points, nil, scalars, 1, 5) // narrow windows, deep drains
 	for _, c := range []int{9, 13} {                  // 13: queue reaches maxBatch
 		got := msmGLVCtx(nil, points, nil, scalars, 1, c)
 		if !got.Equal(&ref) {
 			t.Fatalf("c=%d disagrees with c=5 on the same sum", c)
+		}
+	}
+}
+
+// TestOnesSumDegenerate sums 3000 one-scalar points through the ones'
+// pair-sum tree: three base points repeated, negated and mixed with the
+// identity, so that its first round meets P + P, P + (−P), identity
+// operands and chords, its later rounds meet them again, and its buffer
+// fills and halves before the last log rounds. One dense
+// scalar makes the buckets run beside it. The reference is MSMNaive.
+func TestOnesSumDegenerate(t *testing.T) {
+	base := randomPoints(ff.NewRand(37), 3)
+	var inf G1Affine
+	inf.SetInfinity()
+	points := make([]G1Affine, 3000)
+	scalars := make([]ff.Element, len(points))
+	for i := range points {
+		j := i / 2 // the pair of the first round
+		points[i] = base[j%3]
+		if i%2 == 1 {
+			switch j % 4 {
+			case 1: // P + (−P)
+				points[i].Neg(&points[i])
+			case 2: // P + identity
+				points[i] = inf
+			case 3: // a chord
+				points[i] = base[(j+1)%3]
+			} // j%4 == 0: P + P
+		}
+		if i%17 == 0 {
+			points[i] = inf
+		}
+		scalars[i] = ff.One()
+	}
+	scalars[5] = ff.NewRand(38).Element()
+	want := MSMNaive(points, scalars)
+	for _, w := range []int{1, 2} {
+		if got := MSMWorkers(points, scalars, w); !got.Equal(&want) {
+			t.Fatalf("workers=%d: MSM differs from MSMNaive", w)
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 // streamMaxWindow caps the window NewStreamMSM picks. A multi-chunk stream
 // keeps every table it has touched alive from the first chunk to Sum —
-// 2^(c−1) 96-byte affine buckets each and, once a drain needs them, as many
-// 144-byte Jacobian overflow buckets: 2.2 + 3.2 MB per lane at c = 12 —
+// 2^(c−1) 96-byte affine buckets per window, 2.2 MB per lane at c = 12 —
 // where the one-shot MSM holds only the tables of its tasks in flight and
 // keeps the uncapped windowSize. On the memory-budgeted workload c = 13
 // moved proof latency by less than the run-to-run spread for twice the
@@ -32,11 +31,15 @@ const streamMaxWindow = 12
 // arrive in any order. As in every MSM here, 0 and 1 scalars never reach a
 // bucket, and a chunk with no other scalar runs no table task.
 //
-// The tables form a (window × lane) grid, one task per table per chunk:
-// each chunk is cut into one slice per lane. Lanes fill the workers the
-// windows leave idle, ⌈workers ÷ windows⌉, capped so every lane amortizes
-// its 2^(c−1)-bucket reduction over at least as many point pairs; they are
-// 1 whenever workers ≤ windows. A table is created by the first chunk that
+// The tables form a (window group × lane) grid, one task per table per
+// chunk. A group is up to g = max(1, min(maxBatch >> (c−1),
+// ⌈windows ÷ workers⌉)) consecutive windows sharing one table, one queue
+// and one lane reduction, so no table outgrows a flush, a small MSM pays
+// its flushes and reduction once per group instead of once per window,
+// and from c = 13 up g = 1. Each chunk is cut into one slice per lane.
+// Lanes fill the workers the groups leave idle, ⌈workers ÷ groups⌉,
+// capped so every lane amortizes its 2^(c−1) buckets per window over at
+// least as many point pairs. A table is created by the first chunk that
 // reaches it; Sum adds the lane sums in one Horner pass over the windows.
 //
 // Add may be called from one goroutine at a time; after an Add error the
@@ -44,7 +47,8 @@ const streamMaxWindow = 12
 // arenas.
 type StreamMSM struct {
 	c, workers, lanes int
-	tables            []bucketTable // window wi, lane li at wi·lanes+li
+	windows, group    int           // windows, and windows per group
+	tables            []bucketTable // group gi, lane li at gi·lanes+li
 	ones              G1Jac
 }
 
@@ -59,9 +63,11 @@ func NewStreamMSM(n, workers int) *StreamMSM {
 // newStreamMSM lays out the grid for count bucketed points at width c.
 func newStreamMSM(c, count, workers int) *StreamMSM {
 	w := parallel.Workers(workers)
-	numWindows := (glvScalarBits + c - 1) / c
-	lanes := max(1, min((w+numWindows-1)/numWindows, (2*count)>>uint(c-1)))
-	m := &StreamMSM{c: c, workers: w, lanes: lanes, tables: make([]bucketTable, numWindows*lanes)}
+	windows := (glvScalarBits + c - 1) / c
+	group := max(1, min(maxBatch>>uint(c-1), (windows+w-1)/w))
+	groups := (windows + group - 1) / group
+	lanes := max(1, min((w+groups-1)/groups, (2*count)>>uint(c-1)))
+	m := &StreamMSM{c: c, workers: w, lanes: lanes, windows: windows, group: group, tables: make([]bucketTable, groups*lanes)}
 	m.ones.SetInfinity()
 	return m
 }
@@ -87,26 +93,33 @@ func (m *StreamMSM) Add(ctx context.Context, points []G1Affine, endoX []fp.Eleme
 }
 
 // pass runs one chunk through the grid. With final set, each task then
-// reduces its table and releases it, so a one-chunk MSM holds only the
-// tables of the tasks in flight, and pass returns the reductions.
+// reduces its table (unless ctx fired: the sum is discarded) and releases
+// it, so a one-chunk MSM holds only the tables of the tasks in flight,
+// and pass returns the window sums, lane li's window wi at li·windows+wi.
 func (m *StreamMSM) pass(ctx context.Context, points []G1Affine, endoX []fp.Element, splits []glvSplit, final bool) (sums []G1Jac) {
 	n := len(points)
 	laneLen := (n + m.lanes - 1) / m.lanes
 	if final {
-		sums = make([]G1Jac, len(m.tables))
+		sums = make([]G1Jac, m.windows*m.lanes)
+		for i := range sums {
+			sums[i].SetInfinity()
+		}
 	}
 	parallel.Run(m.workers, len(m.tables), func(task int) {
 		t := &m.tables[task]
-		lo := min(task%m.lanes*laneLen, n)
+		li, w0 := task%m.lanes, task/m.lanes*m.group
+		lo := min(li*laneLen, n)
 		hi := min(lo+laneLen, n)
 		if lo < hi && (ctx == nil || ctx.Err() == nil) {
 			if t.buckets == nil {
-				*t = newBucketTable(m.c)
+				*t = newBucketTable(m.c, min(m.group, m.windows-w0))
 			}
-			t.accumulate(ctx, points[lo:hi], endoX[lo:hi], splits[lo:hi], task/m.lanes)
+			t.accumulate(ctx, points[lo:hi], endoX[lo:hi], splits[lo:hi], w0)
 		}
 		if final {
-			sums[task] = t.reduce()
+			if ctx == nil || ctx.Err() == nil {
+				t.reduce(sums[li*m.windows+w0:])
+			}
 			t.release()
 		}
 	})
@@ -123,12 +136,12 @@ func (m *StreamMSM) Sum() G1Jac {
 func (m *StreamMSM) combine(sums []G1Jac) G1Jac {
 	var res G1Jac
 	res.SetInfinity()
-	for wi := len(sums)/m.lanes - 1; wi >= 0; wi-- {
+	for wi := m.windows - 1; wi >= 0; wi-- {
 		for k := 0; k < m.c; k++ {
 			res.Double(&res)
 		}
 		for li := range m.lanes {
-			res.AddAssign(&sums[wi*m.lanes+li])
+			res.AddAssign(&sums[li*m.windows+wi])
 		}
 	}
 	return *res.AddAssign(&m.ones)

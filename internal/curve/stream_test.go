@@ -118,10 +118,11 @@ func TestStreamMSMMatchesMSM(t *testing.T) {
 // TestStreamMSMDegenerate feeds one or three base points, repeated and
 // negated, under two scalars plus zeros and ones: every window's additions
 // pile into a few buckets, so the stream runs the doubling and P + (−P)
-// paths (a lone base point meets itself in its bucket), parks deep conflict
-// clusters and sends their remnants to the Jacobian overflow, which then
-// lives across chunks until Sum. The reference groups the scalars by base
-// point, so it shares nothing with the bucket code.
+// paths (a lone base point meets itself in its bucket) and parks deep
+// conflict clusters, which each chunk's drain tree-reduces to the last
+// pair before its buckets live on to the next chunk and to Sum. The
+// reference groups the scalars by base point, so it shares nothing with
+// the bucket code.
 func TestStreamMSMDegenerate(t *testing.T) {
 	rng := ff.NewRand(42)
 	ks := rng.Elements(2)
@@ -216,20 +217,33 @@ func FuzzStreamMSMChunking(f *testing.F) {
 }
 
 // TestStreamMSMLanes pins the grid's shape. A streamed 2^16 MSM (c = 12,
-// 11 windows) at 32 workers has 11 × 3 = 33 tables, so each chunk offers
-// at least 32 runnable tasks; whenever workers ≤ windows there is one lane,
-// so the stream keeps one table per window. This is the many-core scaling
-// claim, stated structurally: no test host has more cores than windows.
+// 11 windows) at 32 workers has one window per group and 11 × 3 = 33
+// tables, so each chunk offers at least 32 runnable tasks: the many-core
+// scaling claim, stated structurally, since no test host has more cores
+// than windows. At every size and budget, streamed and one-shot, the
+// groups cover the windows, no table outgrows one flush, a group holds at
+// most ⌈windows ÷ workers⌉ windows (one from c = 13 up, where the grid
+// is one table per window and lane), and the grid offers a task per
+// worker unless the lane cap holds it back.
 func TestStreamMSMLanes(t *testing.T) {
-	if m := NewStreamMSM(1<<16, 32); m.lanes != 3 || len(m.tables) < 32 {
-		t.Fatalf("2^16 at 32 workers: %d lanes, %d tasks; want 3 lanes, >= 32 tasks", m.lanes, len(m.tables))
+	if m := NewStreamMSM(1<<16, 32); m.group != 1 || m.lanes != 3 || len(m.tables) < 32 {
+		t.Fatalf("2^16 at 32 workers: %d windows per group, %d lanes, %d tasks; want 1, 3, >= 32", m.group, m.lanes, len(m.tables))
 	}
 	for _, n := range []int{1, 300, 1 << 12, 1 << 16, 1 << 20} {
-		c := min(windowSize(n), streamMaxWindow)
-		windows := (glvScalarBits + c - 1) / c
-		for w := 1; w <= windows; w++ {
-			if m := NewStreamMSM(n, w); m.lanes != 1 || len(m.tables) != windows {
-				t.Fatalf("n=%d workers=%d <= %d windows: %d lanes, %d tables", n, w, windows, m.lanes, len(m.tables))
+		for w := 1; w <= 40; w++ {
+			for _, m := range []*StreamMSM{NewStreamMSM(n, w), newStreamMSM(windowSize(n), n, w)} {
+				groups := len(m.tables) / m.lanes
+				capped := (2*n)>>uint(m.c-1) < (w+groups-1)/groups
+				switch {
+				case groups != (m.windows+m.group-1)/m.group:
+					t.Fatalf("n=%d workers=%d: %d groups of %d for %d windows", n, w, groups, m.group, m.windows)
+				case m.group<<uint(m.c-1) > maxBatch && m.group > 1:
+					t.Fatalf("n=%d workers=%d c=%d: %d windows per table outgrow a flush", n, w, m.c, m.group)
+				case m.group > (m.windows+w-1)/w || m.c >= 13 && m.group != 1:
+					t.Fatalf("n=%d workers=%d c=%d: %d windows per group", n, w, m.c, m.group)
+				case len(m.tables) < w && !capped:
+					t.Fatalf("n=%d workers=%d: %d tasks", n, w, len(m.tables))
+				}
 			}
 		}
 	}

@@ -286,72 +286,61 @@ addLoop:
 addDone:
 	RET
 
-// Element offsets within eight consecutive Elements: the gather/scatter
-// index vector.
-DATA laneIdx<>+0(SB)/8, $0
-DATA laneIdx<>+8(SB)/8, $32
-DATA laneIdx<>+16(SB)/8, $64
-DATA laneIdx<>+24(SB)/8, $96
-DATA laneIdx<>+32(SB)/8, $128
-DATA laneIdx<>+40(SB)/8, $160
-DATA laneIdx<>+48(SB)/8, $192
-DATA laneIdx<>+56(SB)/8, $224
-GLOBL laneIdx<>(SB), RODATA|NOPTR, $64
+// VPERMT2Q index vectors for the 4×8 transpose below: from a pair of
+// registers holding elements (a, b) and (c, d), transLo takes words 0 and
+// 1 of each, [a0 b0 c0 d0 a1 b1 c1 d1], and transHi words 2 and 3. The
+// same permutations take such rows back to element order.
+DATA transLo<>+0(SB)/8, $0
+DATA transLo<>+8(SB)/8, $4
+DATA transLo<>+16(SB)/8, $8
+DATA transLo<>+24(SB)/8, $12
+DATA transLo<>+32(SB)/8, $1
+DATA transLo<>+40(SB)/8, $5
+DATA transLo<>+48(SB)/8, $9
+DATA transLo<>+56(SB)/8, $13
+GLOBL transLo<>(SB), RODATA|NOPTR, $64
+DATA transHi<>+0(SB)/8, $2
+DATA transHi<>+8(SB)/8, $6
+DATA transHi<>+16(SB)/8, $10
+DATA transHi<>+24(SB)/8, $14
+DATA transHi<>+32(SB)/8, $3
+DATA transHi<>+40(SB)/8, $7
+DATA transHi<>+48(SB)/8, $11
+DATA transHi<>+56(SB)/8, $15
+GLOBL transHi<>(SB), RODATA|NOPTR, $64
 
-// Gathers word k of eight elements at SI (index vector Z31) into Z0..Z3,
-// cuts the four 64-bit words into five 52-bit limbs and stores them to
-// the Lanes at DX.
-#define PACK \
-	KXNORW K1, K1, K1 \
-	VPGATHERQQ 0(SI)(Z31*1), K1, Z0 \
-	KXNORW K1, K1, K1 \
-	VPGATHERQQ 8(SI)(Z31*1), K1, Z1 \
-	KXNORW K1, K1, K1 \
-	VPGATHERQQ 16(SI)(Z31*1), K1, Z2 \
-	KXNORW K1, K1, K1 \
-	VPGATHERQQ 24(SI)(Z31*1), K1, Z3 \
-	VPANDQ M52, Z0, Z5 \
-	VPSRLQ $52, Z0, Z6 \
-	VPSLLQ $12, Z1, TMP \
-	VPORQ TMP, Z6, Z6 \
-	VPANDQ M52, Z6, Z6 \
-	VPSRLQ $40, Z1, Z7 \
-	VPSLLQ $24, Z2, TMP \
-	VPORQ TMP, Z7, Z7 \
-	VPANDQ M52, Z7, Z7 \
-	VPSRLQ $28, Z2, Z8 \
-	VPSLLQ $36, Z3, TMP \
-	VPORQ TMP, Z8, Z8 \
-	VPANDQ M52, Z8, Z8 \
-	VPSRLQ $16, Z3, Z9 \
-	VMOVDQU64 Z5, 0(DX) \
-	VMOVDQU64 Z6, 64(DX) \
-	VMOVDQU64 Z7, 128(DX) \
-	VMOVDQU64 Z8, 192(DX) \
-	VMOVDQU64 Z9, 256(DX)
+// A 4×8 qword transpose: i0..i3 hold eight elements in order, two per
+// register; o_w gets word w of every element. VPERMT2Q gathers words
+// 0–1 and 2–3 of four elements per pair of registers (Z24..Z27), then
+// VSHUFI64X2 joins the halves: o0 = words 0 of elements 0–3 and 4–7.
+// Clobbers i0 and i2.
+#define TRANSPOSE4(i0, i1, i2, i3, o0, o1, o2, o3) \
+	VMOVDQA64 i0, Z24 \
+	VPERMT2Q i1, Z30, Z24 \
+	VPERMT2Q i1, Z31, i0 \
+	VMOVDQA64 i2, Z25 \
+	VPERMT2Q i3, Z30, Z25 \
+	VPERMT2Q i3, Z31, i2 \
+	VSHUFI64X2 $0x44, Z25, Z24, o0 \
+	VSHUFI64X2 $0xee, Z25, Z24, o1 \
+	VSHUFI64X2 $0x44, i2, i0, o2 \
+	VSHUFI64X2 $0xee, i2, i0, o3
 
-// func packLanes(z *Lanes, x *Element, n int)
-//
-// z[k] lane l = x[8k+l] for k < n.
-TEXT ·packLanes(SB), NOSPLIT, $0-24
-	MOVQ z+0(FP), DX
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	TESTQ CX, CX
-	JEQ  packDone
-	VMOVDQU64 laneIdx<>(SB), Z31
-	VPBROADCASTQ ·laneConst+48(SB), M52
-
-packLoop:
-	PACK
-	ADDQ $LaneBytes, DX
-	ADDQ $256, SI
-	DECQ CX
-	JNE  packLoop
-	VZEROUPPER
-
-packDone:
-	RET
+// TRANSPOSE4 backwards: word rows w0..w3 back to eight elements in order
+// in o0..o3. Clobbers Z24..Z27.
+#define UNTRANSPOSE4(w0, w1, w2, w3, o0, o1, o2, o3) \
+	VSHUFI64X2 $0x44, w1, w0, Z24 \
+	VSHUFI64X2 $0xee, w1, w0, Z25 \
+	VSHUFI64X2 $0x44, w3, w2, Z26 \
+	VSHUFI64X2 $0xee, w3, w2, Z27 \
+	VMOVDQA64 Z24, o0 \
+	VPERMT2Q Z26, Z30, o0 \
+	VMOVDQA64 Z24, o1 \
+	VPERMT2Q Z26, Z31, o1 \
+	VMOVDQA64 Z25, o2 \
+	VPERMT2Q Z27, Z30, o2 \
+	VMOVDQA64 Z25, o3 \
+	VPERMT2Q Z27, Z31, o3
 
 // Cuts four 64-bit words (w0..w3, one per register) into five 52-bit
 // limbs and stores them to the Lanes at dst; Z0..Z4 are scratch.
@@ -375,6 +364,41 @@ packDone:
 	VMOVDQU64 Z2, 128(dst) \
 	VMOVDQU64 Z3, 192(dst) \
 	VMOVDQU64 Z4, 256(dst)
+
+// Loads eight elements at SI with four contiguous loads, transposes them
+// into word rows Z5..Z8, cuts the four 64-bit words into five 52-bit
+// limbs and stores them to the Lanes at DX.
+#define PACK \
+	VMOVDQU64 0(SI), Z0 \
+	VMOVDQU64 64(SI), Z1 \
+	VMOVDQU64 128(SI), Z2 \
+	VMOVDQU64 192(SI), Z3 \
+	TRANSPOSE4(Z0, Z1, Z2, Z3, Z5, Z6, Z7, Z8) \
+	CUT(Z5, Z6, Z7, Z8, DX)
+
+// func packLanes(z *Lanes, x *Element, n int)
+//
+// z[k] lane l = x[8k+l] for k < n.
+TEXT ·packLanes(SB), NOSPLIT, $0-24
+	MOVQ z+0(FP), DX
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	TESTQ CX, CX
+	JEQ  packDone
+	VMOVDQU64 transLo<>(SB), Z30
+	VMOVDQU64 transHi<>(SB), Z31
+	VPBROADCASTQ ·laneConst+48(SB), M52
+
+packLoop:
+	PACK
+	ADDQ $LaneBytes, DX
+	ADDQ $256, SI
+	DECQ CX
+	JNE  packLoop
+	VZEROUPPER
+
+packDone:
+	RET
 
 // func packLanesPairs(even, odd *Lanes, x *Element, n int)
 //
@@ -443,14 +467,16 @@ pairsDone:
 // func unpackLanes(x *Element, z *Lanes, n int)
 //
 // x[8k+l] = z[k] lane l for k < n: joins the five 52-bit limbs into four
-// 64-bit words per lane, then scatters word w of each lane to its element.
+// 64-bit words per lane, transposes the word rows back into eight
+// elements and stores them with four contiguous stores.
 TEXT ·unpackLanes(SB), NOSPLIT, $0-24
 	MOVQ x+0(FP), DX
 	MOVQ z+8(FP), SI
 	MOVQ n+16(FP), CX
 	TESTQ CX, CX
 	JEQ  unpackDone
-	VMOVDQU64 laneIdx<>(SB), Z31
+	VMOVDQU64 transLo<>(SB), Z30
+	VMOVDQU64 transHi<>(SB), Z31
 
 unpackLoop:
 	VMOVDQU64 0(SI), Z0
@@ -469,14 +495,11 @@ unpackLoop:
 	VPSRLQ $36, Z3, Z8
 	VPSLLQ $16, Z4, TMP
 	VPORQ TMP, Z8, Z8
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z5, K1, 0(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z6, K1, 8(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z7, K1, 16(DX)(Z31*1)
-	KXNORW K1, K1, K1
-	VPSCATTERQQ Z8, K1, 24(DX)(Z31*1)
+	UNTRANSPOSE4(Z5, Z6, Z7, Z8, Z0, Z1, Z2, Z3)
+	VMOVDQU64 Z0, 0(DX)
+	VMOVDQU64 Z1, 64(DX)
+	VMOVDQU64 Z2, 128(DX)
+	VMOVDQU64 Z3, 192(DX)
 	ADDQ $256, DX
 	ADDQ $LaneBytes, SI
 	DECQ CX
