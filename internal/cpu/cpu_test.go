@@ -8,13 +8,13 @@ import "testing"
 func TestFeatures(t *testing.T) {
 	switch {
 	case ADX && IFMA:
-		t.Log("kernels in fp and ff: ADX + IFMA (mulADX, Lanes)")
+		t.Log("kernels in fp and ff: ADX + IFMA (mulADX, the IFMA Lanes body)")
 	case ADX:
-		t.Log("kernels in fp and ff: ADX (mulADX; no Lanes)")
+		t.Log("kernels in fp and ff: ADX (mulADX, the portable Lanes body)")
 	case IFMA:
-		t.Log("kernels in fp and ff: generic + IFMA (mulGeneric, Lanes)")
+		t.Log("kernels in fp and ff: generic + IFMA (mulGeneric, the IFMA Lanes body)")
 	default:
-		t.Log("kernels in fp and ff: generic (mulGeneric; no Lanes)")
+		t.Log("kernels in fp and ff: generic (mulGeneric, the portable Lanes body)")
 	}
 	checkFeatures(t)
 }

@@ -1,6 +1,6 @@
 //go:build !purego
 
-package curve
+package cputest
 
 import (
 	"testing"
@@ -8,10 +8,11 @@ import (
 	"zkphire/internal/cpu"
 )
 
-// eachLaneBody runs f once per Lanes body this host has: the IFMA body if
+// EachLaneBody runs f once per Lanes body this host has: the IFMA body if
 // the CPU has it, then the portable body, forced by clearing cpu.IFMA for
-// the duration (no test that calls it runs in parallel).
-func eachLaneBody(t *testing.T, f func(t *testing.T)) {
+// the duration. No test that calls it may run in parallel with another
+// test of its package.
+func EachLaneBody(t *testing.T, f func(t *testing.T)) {
 	ifma := cpu.IFMA
 	defer func() { cpu.IFMA = ifma }()
 	if ifma {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"zkphire/internal/cpu/cputest"
 	"zkphire/internal/fp"
 )
 
@@ -83,7 +84,7 @@ func TestFlushLanesMatchesScalar(t *testing.T) {
 	pts := multiplesOfG(2*maxBatch + maxBatch/8 + 8)
 	for _, m := range []int{1, 7, 8, 9, maxBatch} {
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
-			eachLaneBody(t, func(t *testing.T) {
+			cputest.EachLaneBody(t, func(t *testing.T) {
 				res, want := runQueue(pts, m)
 				// Additions land in order: even i in the next bucket, odd i
 				// in the next parked slot, each annihilation emptying one of

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"zkphire/internal/cpu/cputest"
 	"zkphire/internal/ff"
 	"zkphire/internal/parallel"
 )
@@ -57,7 +58,7 @@ func TestMSMGridShapes(t *testing.T) {
 			kd.want = append(kd.want, acc)
 		}
 	})
-	eachLaneBody(t, func(t *testing.T) {
+	cputest.EachLaneBody(t, func(t *testing.T) {
 		for _, kd := range kinds {
 			for j, n := range sizes {
 				pts, scalars, want := points[:n], kd.scalars[:n], &kd.want[j]

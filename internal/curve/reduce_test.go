@@ -3,6 +3,8 @@ package curve
 import (
 	"fmt"
 	"testing"
+
+	"zkphire/internal/cpu/cputest"
 )
 
 // scalarReduce is each window's sum of a table by the definition: a
@@ -88,7 +90,7 @@ func TestReduceMatchesScalar(t *testing.T) {
 	pts := multiplesOfG(1 << 10)
 	for _, c := range []int{3, 4, 5, 7} {
 		t.Run(fmt.Sprintf("c=%d", c), func(t *testing.T) {
-			eachLaneBody(t, func(t *testing.T) {
+			cputest.EachLaneBody(t, func(t *testing.T) {
 				next := 0
 				for _, windows := range []int{1, 2, 3, 8, 11} {
 					for k := range 16 {

@@ -300,17 +300,6 @@ func TestVectorOps(t *testing.T) {
 		t.Fatal("inner product mismatch")
 	}
 
-	c := rng.Element()
-	v2 := make([]Element, len(v))
-	ScalarMulVec(v2, v, &c)
-	for i := range v {
-		var w2 Element
-		w2.Mul(&v[i], &c)
-		if !v2[i].Equal(&w2) {
-			t.Fatal("scale mismatch")
-		}
-	}
-
 	sum := SumVec(v)
 	var s Element
 	for i := range v {

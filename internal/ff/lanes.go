@@ -2,23 +2,24 @@ package ff
 
 import "zkphire/internal/cpu"
 
-// Eight-lane vector kernel (lanes_amd64.s) on AVX-512 IFMA: internal/fp's
-// Lanes resized to the scalar field. A Lanes value holds eight independent
-// elements limb-major in radix 2^52: Lanes[j][l] is bits 52j..52j+51 of
-// lane l's Montgomery limbs, so one zmm register holds one limb of all
-// eight lanes. Five limbs hold 260 bits; canonical elements are below
-// q < 2^255, so the top limb is below 2^47. The products, differences and
-// sums are lane-wise and bit-identical to Element's Mul, Sub and Add: the
-// product reduces by 4×52 + 48 bits, so its Montgomery radix is 2^256 as
-// for Element. Inputs must be canonical (packed elements below q, an
-// earlier result, or Broadcast of a canonical element), and so is every
-// output.
+// Lanes holds eight independent elements; the row functions (MulLanes,
+// ScalarMulLanes, AddLanes, SubLanes) run one operation on every lane of a
+// whole slice of them per call, bit-identical to Element's Mul, Add and
+// Sub. Lanes has two bodies, chosen by cpu.IFMA:
 //
-// The row functions (PackLanes, MulLanes, …) run a whole slice inside one
-// assembly call. The kernel is chosen like mulADX, by the CPU alone
-// (cpu.IFMA): HasLanes reports it, and everything here except Broadcast
-// panics where it is absent (other CPUs, other architectures, -tags
-// purego). A caller keeps a scalar path for that case.
+//   - the IFMA body (lanes_amd64.s): Lanes[j][l] is bits 52j..52j+51 of
+//     lane l's Montgomery limbs, so one zmm register holds one limb of all
+//     eight lanes (five limbs; a canonical top limb is below 2^47). The
+//     product reduces by 4×52 + 48 bits, so R is 2^256 as for Element;
+//   - the portable body, everywhere else (other CPUs and architectures,
+//     -tags purego): rows 0–3 hold the eight Elements two to a row (pair),
+//     and each row function calls Element's method lane by lane.
+//
+// PackLanes, PackLanesPairs and UnpackLanes move elements between a slice
+// and the body's form. A slice whose length is not a multiple of eight
+// fills its last value partly: the lanes past its end pack as zero and
+// unpack nowhere. Inputs must be canonical (packed elements below q,
+// earlier results, or a LaneConst), and so is every output.
 
 // LaneCount is the number of elements a Lanes value holds.
 const LaneCount = 8
@@ -26,55 +27,133 @@ const LaneCount = 8
 // laneLimbs is the number of 52-bit limbs per lane: 5·52 = 260 ≥ 255.
 const laneLimbs = 5
 
-// Lanes is LaneCount elements in the vector kernel's layout (see above).
-// The zero value is eight zeros.
+// Lanes is LaneCount elements in the form of the body this CPU runs (see
+// above). The zero value is eight zeros in either.
 type Lanes [laneLimbs][LaneCount]uint64
 
-// HasLanes reports whether this CPU runs the vector kernel (AVX512F and
-// AVX512IFMA, with ZMM state enabled by the OS).
-func HasLanes() bool { return cpu.IFMA }
+// pair is lanes 2r and 2r+1 of z in the portable body's form (constant
+// offsets: no index arithmetic or bounds check per lane).
+func (z *Lanes) pair(r int) (even, odd *Element) {
+	return (*Element)(z[r][:Limbs]), (*Element)(z[r][Limbs:])
+}
 
-// Broadcast sets every lane of z to c. It runs on every CPU.
-func (z *Lanes) Broadcast(c *Element) {
-	l := limbs52(c)
-	for j := range z {
-		for k := range z[j] {
-			z[j][k] = l[j]
+// laneGroups is the number of Lanes values n elements fill.
+func laneGroups(n int) int { return (n + LaneCount - 1) / LaneCount }
+
+// LaneConst is one element in every lane in the forms of both bodies, so
+// a value built once (a compiled program's constant) serves whichever body
+// runs it, also after a test switches bodies.
+type LaneConst struct{ ifma, portable [1]Lanes }
+
+// NewLaneConst returns c in every lane.
+func NewLaneConst(c *Element) (k LaneConst) {
+	for j, limb := range limbs52(c) {
+		for l := range LaneCount {
+			k.ifma[0][j][l] = limb
 		}
+	}
+	for r := range LaneCount / 2 {
+		even, odd := k.portable[0].pair(r)
+		*even, *odd = *c, *c
+	}
+	return k
+}
+
+// Row returns k as a one-value row in the form of the body this CPU runs.
+func (k *LaneConst) Row() []Lanes {
+	if cpu.IFMA {
+		return k.ifma[:]
+	}
+	return k.portable[:]
+}
+
+// PackLanes sets lane l of z[k] to x[8k+l], and the lanes past the end of
+// x to zero; len(z) must be ⌈len(x)/8⌉.
+func PackLanes(z []Lanes, x []Element) {
+	if len(z) != laneGroups(len(x)) {
+		panic("ff: PackLanes length mismatch")
+	}
+	n := len(x) / LaneCount
+	packWhole(z[:n], x[:LaneCount*n])
+	if n < len(z) {
+		var pad [LaneCount]Element
+		copy(pad[:], x[LaneCount*n:])
+		packWhole(z[n:], pad[:])
 	}
 }
 
-// PackLanes sets lane l of z[k] to x[8k+l]; len(x) must be 8·len(z).
-func PackLanes(z []Lanes, x []Element) {
-	needLanes()
-	if len(x) != LaneCount*len(z) {
-		panic("ff: PackLanes length mismatch")
-	}
-	if len(z) > 0 {
+// packWhole is PackLanes for len(x) = 8·len(z).
+func packWhole(z []Lanes, x []Element) {
+	if !cpu.IFMA {
+		for k := range z {
+			for r := range LaneCount / 2 {
+				even, odd := z[k].pair(r)
+				*even, *odd = x[LaneCount*k+2*r], x[LaneCount*k+2*r+1]
+			}
+		}
+	} else if len(z) > 0 {
 		packLanes(&z[0], &x[0], len(z))
 	}
 }
 
 // PackLanesPairs splits a table of (even, odd) pairs into two rows: lane l
-// of even[k] is x[2(8k+l)] and lane l of odd[k] is x[2(8k+l)+1]. len(x)
-// must be 16·len(even), and len(odd) = len(even).
+// of even[k] is x[2(8k+l)] and lane l of odd[k] is x[2(8k+l)+1], and the
+// lanes past the last pair are zero. len(x) must be even, len(even)
+// ⌈len(x)/16⌉, and len(odd) = len(even).
 func PackLanesPairs(even, odd []Lanes, x []Element) {
-	needLanes()
-	if len(odd) != len(even) || len(x) != 2*LaneCount*len(even) {
+	if len(x)%2 != 0 || len(even) != laneGroups(len(x)/2) || len(odd) != len(even) {
 		panic("ff: PackLanesPairs length mismatch")
 	}
-	if len(even) > 0 {
+	n := len(x) / (2 * LaneCount)
+	packPairsWhole(even[:n], odd[:n], x[:2*LaneCount*n])
+	if n < len(even) {
+		var pad [2 * LaneCount]Element
+		copy(pad[:], x[2*LaneCount*n:])
+		packPairsWhole(even[n:], odd[n:], pad[:])
+	}
+}
+
+// packPairsWhole is PackLanesPairs for len(x) = 16·len(even).
+func packPairsWhole(even, odd []Lanes, x []Element) {
+	if !cpu.IFMA {
+		for k := range even {
+			for r := range LaneCount / 2 {
+				e0, e1 := even[k].pair(r)
+				o0, o1 := odd[k].pair(r)
+				i := 2 * (LaneCount*k + 2*r)
+				*e0, *o0, *e1, *o1 = x[i], x[i+1], x[i+2], x[i+3]
+			}
+		}
+	} else if len(even) > 0 {
 		packLanesPairs(&even[0], &odd[0], &x[0], len(even))
 	}
 }
 
-// UnpackLanes sets x[8k+l] to lane l of z[k]; len(x) must be 8·len(z).
+// UnpackLanes sets x[8k+l] to lane l of z[k] for every index of x, so the
+// lanes past the end of x are dropped; len(z) must be ⌈len(x)/8⌉.
 func UnpackLanes(x []Element, z []Lanes) {
-	needLanes()
-	if len(x) != LaneCount*len(z) {
+	if len(z) != laneGroups(len(x)) {
 		panic("ff: UnpackLanes length mismatch")
 	}
-	if len(z) > 0 {
+	n := len(x) / LaneCount
+	unpackWhole(x[:LaneCount*n], z[:n])
+	if n < len(z) {
+		var pad [LaneCount]Element
+		unpackWhole(pad[:], z[n:])
+		copy(x[LaneCount*n:], pad[:])
+	}
+}
+
+// unpackWhole is UnpackLanes for len(x) = 8·len(z).
+func unpackWhole(x []Element, z []Lanes) {
+	if !cpu.IFMA {
+		for k := range z {
+			for r := range LaneCount / 2 {
+				even, odd := z[k].pair(r)
+				x[LaneCount*k+2*r], x[LaneCount*k+2*r+1] = *even, *odd
+			}
+		}
+	} else if len(z) > 0 {
 		unpackLanes(&x[0], &z[0], len(z))
 	}
 }
@@ -82,35 +161,39 @@ func UnpackLanes(x []Element, z []Lanes) {
 // MulLanes sets z[k] = x[k]·y[k] lane-wise. z may alias x or y (index for
 // index). It panics if lengths differ.
 func MulLanes(z, x, y []Lanes) {
-	needLanes()
 	if len(x) != len(z) || len(y) != len(z) {
 		panic("ff: MulLanes length mismatch")
 	}
-	if len(z) > 0 {
+	if !cpu.IFMA {
+		lanewise(z, x, y, 1, laneMul)
+	} else if len(z) > 0 {
 		mulLanes(&z[0], &x[0], &y[0], len(z), laneBytes)
 	}
 }
 
-// ScalarMulLanes sets z[k] = x[k]·c lane-wise. z may alias x (index for
-// index). It panics if lengths differ.
-func ScalarMulLanes(z, x []Lanes, c *Lanes) {
-	needLanes()
-	if len(x) != len(z) {
+// ScalarMulLanes sets z[k] = x[k]·c[0] lane-wise, for c a one-value row
+// holding one element in every lane (LaneConst.Row). z may alias x (index
+// for index). It panics if lengths differ.
+func ScalarMulLanes(z, x, c []Lanes) {
+	if len(x) != len(z) || len(c) != 1 {
 		panic("ff: ScalarMulLanes length mismatch")
 	}
-	if len(z) > 0 {
-		mulLanes(&z[0], &x[0], c, len(z), 0)
+	if !cpu.IFMA {
+		lanewise(z, x, c, 0, laneMul)
+	} else if len(z) > 0 {
+		mulLanes(&z[0], &x[0], &c[0], len(z), 0)
 	}
 }
 
 // AddLanes sets z[k] = x[k] + y[k] lane-wise. z may alias x or y (index for
 // index). It panics if lengths differ.
 func AddLanes(z, x, y []Lanes) {
-	needLanes()
 	if len(x) != len(z) || len(y) != len(z) {
 		panic("ff: AddLanes length mismatch")
 	}
-	if len(z) > 0 {
+	if !cpu.IFMA {
+		lanewise(z, x, y, 1, laneAdd)
+	} else if len(z) > 0 {
 		addLanes(&z[0], &x[0], &y[0], len(z))
 	}
 }
@@ -118,12 +201,45 @@ func AddLanes(z, x, y []Lanes) {
 // SubLanes sets z[k] = x[k] − y[k] lane-wise. z may alias x or y (index for
 // index). It panics if lengths differ.
 func SubLanes(z, x, y []Lanes) {
-	needLanes()
 	if len(x) != len(z) || len(y) != len(z) {
 		panic("ff: SubLanes length mismatch")
 	}
-	if len(z) > 0 {
+	if !cpu.IFMA {
+		lanewise(z, x, y, 1, laneSub)
+	} else if len(z) > 0 {
 		subLanes(&z[0], &x[0], &y[0], len(z))
+	}
+}
+
+// laneOp is the operation lanewise runs.
+type laneOp uint8
+
+const (
+	laneMul laneOp = iota
+	laneAdd
+	laneSub
+)
+
+// lanewise is the portable body of the row functions: lane l of z[k]
+// becomes lane l of x[k] op lane l of y[k·yStep].
+func lanewise(z, x, y []Lanes, yStep int, op laneOp) {
+	for k := range z {
+		for r := range LaneCount / 2 {
+			z0, z1 := z[k].pair(r)
+			x0, x1 := x[k].pair(r)
+			y0, y1 := y[k*yStep].pair(r)
+			switch op {
+			case laneMul:
+				z0.Mul(x0, y0)
+				z1.Mul(x1, y1)
+			case laneAdd:
+				z0.Add(x0, y0)
+				z1.Add(x1, y1)
+			case laneSub:
+				z0.Sub(x0, y0)
+				z1.Sub(x1, y1)
+			}
+		}
 	}
 }
 
@@ -131,13 +247,7 @@ func SubLanes(z, x, y []Lanes) {
 // multipliers.
 const laneBytes = laneLimbs * LaneCount * 8
 
-func needLanes() {
-	if !cpu.IFMA {
-		panic("ff: Lanes arithmetic without AVX-512 IFMA (check HasLanes)")
-	}
-}
-
-// laneConst is the kernel's constant table, read by lanes_amd64.s: q in
+// laneConst is the IFMA body's constant table, read by lanes_amd64.s: q in
 // 52-bit limbs, −q⁻¹ mod 2^52, and the 52- and 48-bit limb masks.
 var laneConst [laneLimbs + 3]uint64
 
@@ -150,7 +260,7 @@ func init() {
 	laneConst[laneLimbs+2] = 1<<48 - 1
 }
 
-// limbs52 cuts x into the kernel's 52-bit limbs: limb j is bits
+// limbs52 cuts x into the IFMA body's 52-bit limbs: limb j is bits
 // 52j..52j+51.
 func limbs52(x *Element) (l [laneLimbs]uint64) {
 	for j := range l {

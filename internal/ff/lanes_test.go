@@ -7,15 +7,14 @@ import (
 	"testing"
 
 	"zkphire/internal/cpu"
+	"zkphire/internal/cpu/cputest"
 )
 
-// Differential tests for the Lanes kernel: every lane of MulLanes, SubLanes
-// and AddLanes must equal Element's Mul, Sub and Add on the same inputs
-// under every aliasing of the result, on one-value rows and on longer ones,
-// and PackLanes and UnpackLanes must round-trip through the 52-bit limb
-// layout.
-
-const noIFMA = "no AVX512IFMA (with AVX512F and OS-enabled ZMM state) on this CPU, or built with -tags purego or off amd64"
+// Differential tests for both Lanes bodies: every lane of MulLanes,
+// SubLanes and AddLanes must equal Element's Mul, Sub and Add on the same
+// inputs under every aliasing of the result, on one-value rows and on
+// longer ones, and PackLanes and UnpackLanes must round-trip (through the
+// 52-bit limb layout on the IFMA body).
 
 var laneOps = []struct {
 	name   string
@@ -46,14 +45,17 @@ func laneEdges() []Element {
 	return edges
 }
 
-// checkLanes runs eight (x, y) pairs through the kernel as one-value rows
-// and compares every lane with the scalar methods.
+// checkLanes runs eight (x, y) pairs through the selected body as
+// one-value rows and compares every lane with the scalar methods.
 func checkLanes(t testing.TB, x, y *[LaneCount]Element) {
 	t.Helper()
 	var X, Y [1]Lanes
 	PackLanes(X[:], x[:])
 	PackLanes(Y[:], y[:])
 	for l := range x {
+		if !cpu.IFMA {
+			break // the radix-2^52 layout is the IFMA body's
+		}
 		want := limbs52(&x[l])
 		for j := range want {
 			if X[0][j][l] != want[j] {
@@ -113,103 +115,156 @@ func TestLanesConstants(t *testing.T) {
 // TestLanesEdges runs every ordered pair of edge elements, eight pairs per
 // call.
 func TestLanesEdges(t *testing.T) {
-	if !cpu.IFMA {
-		t.Skip(noIFMA)
-	}
 	edges := laneEdges()
-	var x, y [LaneCount]Element
-	l := 0
-	for i := range edges {
-		for j := range edges {
-			x[l], y[l] = edges[i], edges[j]
-			if l++; l == LaneCount {
-				checkLanes(t, &x, &y)
-				l = 0
+	cputest.EachLaneBody(t, func(t *testing.T) {
+		var x, y [LaneCount]Element
+		l := 0
+		for i := range edges {
+			for j := range edges {
+				x[l], y[l] = edges[i], edges[j]
+				if l++; l == LaneCount {
+					checkLanes(t, &x, &y)
+					l = 0
+				}
 			}
 		}
-	}
-	if l > 0 {
-		checkLanes(t, &x, &y)
-	}
+		if l > 0 {
+			checkLanes(t, &x, &y)
+		}
+	})
 }
 
 // TestLanesRandom is the bulk differential: 10⁵ seeded random lane pairs
 // (10⁴ with -short).
 func TestLanesRandom(t *testing.T) {
-	if !cpu.IFMA {
-		t.Skip(noIFMA)
-	}
 	n := 100_000 / LaneCount
 	if testing.Short() {
 		n /= 10
 	}
-	rng := rand.New(rand.NewSource(39))
-	var x, y [LaneCount]Element
-	for i := 0; i < n; i++ {
-		for l := range x {
-			x[l], y[l] = randRaw(rng), randRaw(rng)
+	cputest.EachLaneBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(39))
+		var x, y [LaneCount]Element
+		for i := 0; i < n; i++ {
+			for l := range x {
+				x[l], y[l] = randRaw(rng), randRaw(rng)
+			}
+			checkLanes(t, &x, &y)
 		}
-		checkLanes(t, &x, &y)
-	}
+	})
 }
 
 // TestLaneRows checks the row functions against Element arithmetic at row
-// lengths 0, 1, 2, 7 and 64, with the result aliasing an input,
-// ScalarMulLanes against a Broadcast multiplier, and PackLanesPairs over
-// a pair table and over one that starts at an odd offset (x = pairs[1:]).
+// lengths 0, 1, 2, 3, 7 and 64, with the result aliasing an input,
+// ScalarMulLanes and MulLanes by a LaneConst, and PackLanesPairs over a
+// pair table and over one that starts at an odd offset (x = pairs[1:]);
+// then partial rows: PackLanes, PackLanesPairs and UnpackLanes on 1–17
+// elements or pairs, whose last value's dead lanes must pack as zero and
+// unpack nowhere.
 func TestLaneRows(t *testing.T) {
-	if !cpu.IFMA {
-		t.Skip(noIFMA)
-	}
-	rng := rand.New(rand.NewSource(40))
-	edges := laneEdges()
-	for _, n := range []int{0, 1, 2, 3, 7, 64} {
-		m := LaneCount * n
-		x, y, pairs := make([]Element, m), make([]Element, m), make([]Element, 2*m+1)
-		for i := range x {
-			x[i], y[i] = randRaw(rng), edges[i%len(edges)]
-		}
-		for i := range pairs {
-			pairs[i] = randRaw(rng)
-		}
-		c := randRaw(rng)
-		X, Y := make([]Lanes, n), make([]Lanes, n)
-		PackLanes(X, x)
-		PackLanes(Y, y)
-		var C Lanes
-		C.Broadcast(&c)
+	cputest.EachLaneBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(40))
+		edges := laneEdges()
+		for _, n := range []int{0, 1, 2, 3, 7, 64} {
+			m := LaneCount * n
+			x, y, pairs := make([]Element, m), make([]Element, m), make([]Element, 2*m+1)
+			for i := range x {
+				x[i], y[i] = randRaw(rng), edges[i%len(edges)]
+			}
+			for i := range pairs {
+				pairs[i] = randRaw(rng)
+			}
+			c := randRaw(rng)
+			C := NewLaneConst(&c)
+			X, Y := make([]Lanes, n), make([]Lanes, n)
+			PackLanes(X, x)
+			PackLanes(Y, y)
 
-		check := func(name string, got []Lanes, want func(i int) Element) {
-			t.Helper()
-			out := make([]Element, m)
-			UnpackLanes(out, got)
+			check := func(name string, got []Lanes, want func(i int) Element) {
+				t.Helper()
+				out := make([]Element, m)
+				UnpackLanes(out, got)
+				for i := range out {
+					if w := want(i); out[i] != w {
+						t.Fatalf("n=%d %s entry %d: got %x, want %x", n, name, i, out[i], w)
+					}
+				}
+			}
+			var e Element
+			Z := make([]Lanes, n)
+			MulLanes(Z, X, Y)
+			check("MulLanes", Z, func(i int) Element { return *e.Mul(&x[i], &y[i]) })
+			copy(Z, X)
+			ScalarMulLanes(Z, Z, C.Row())
+			check("ScalarMulLanes z==x", Z, func(i int) Element { return *e.Mul(&x[i], &c) })
+			copy(Z, Y)
+			AddLanes(Z, X, Z)
+			check("AddLanes z==y", Z, func(i int) Element { return *e.Add(&x[i], &y[i]) })
+			copy(Z, X)
+			SubLanes(Z, Z, Y)
+			check("SubLanes z==x", Z, func(i int) Element { return *e.Sub(&x[i], &y[i]) })
+			for k := range Z {
+				MulLanes(Z[k:k+1], X[k:k+1], C.Row())
+			}
+			check("MulLanes by LaneConst", Z, func(i int) Element { return *e.Mul(&x[i], &c) })
+			W := make([]Lanes, n)
+			PackLanesPairs(Z, W, pairs[:2*m])
+			check("PackLanesPairs evens", Z, func(i int) Element { return pairs[2*i] })
+			check("PackLanesPairs odds", W, func(i int) Element { return pairs[2*i+1] })
+			PackLanesPairs(Z, W, pairs[1:])
+			check("PackLanesPairs evens of pairs[1:]", Z, func(i int) Element { return pairs[2*i+1] })
+			check("PackLanesPairs odds of pairs[1:]", W, func(i int) Element { return pairs[2*i+2] })
+		}
+
+		// Partial rows, packed over values that held other elements.
+		for m := 1; m <= 17; m++ {
+			g := (m + LaneCount - 1) / LaneCount
+			x, pairs := make([]Element, m), make([]Element, 2*m)
+			for i := range x {
+				x[i] = randRaw(rng)
+			}
+			for i := range pairs {
+				pairs[i] = randRaw(rng)
+			}
+			stale := make([]Element, LaneCount*g)
+			for i := range stale {
+				stale[i] = randRaw(rng)
+			}
+			check := func(name string, got []Lanes, want func(i int) Element) {
+				t.Helper()
+				out := make([]Element, LaneCount*g)
+				UnpackLanes(out, got)
+				for i := range out {
+					w := Element{}
+					if i < m {
+						w = want(i)
+					}
+					if out[i] != w {
+						t.Fatalf("m=%d %s entry %d: got %x, want %x", m, name, i, out[i], w)
+					}
+				}
+			}
+			X, Y := make([]Lanes, g), make([]Lanes, g)
+			PackLanes(X, stale)
+			PackLanes(Y, stale)
+			PackLanes(X, x)
+			check("PackLanes", X, func(i int) Element { return x[i] })
+			PackLanes(X, stale)
+			PackLanesPairs(X, Y, pairs)
+			check("PackLanesPairs evens", X, func(i int) Element { return pairs[2*i] })
+			check("PackLanesPairs odds", Y, func(i int) Element { return pairs[2*i+1] })
+			out := append([]Element(nil), stale...)
+			UnpackLanes(out[:m], Y)
 			for i := range out {
-				if w := want(i); out[i] != w {
-					t.Fatalf("n=%d %s entry %d: got %x, want %x", n, name, i, out[i], w)
+				w := stale[i]
+				if i < m {
+					w = pairs[2*i+1]
+				}
+				if out[i] != w {
+					t.Fatalf("m=%d UnpackLanes(x[:%d]) entry %d: got %x, want %x", m, m, i, out[i], w)
 				}
 			}
 		}
-		var e Element
-		Z := make([]Lanes, n)
-		MulLanes(Z, X, Y)
-		check("MulLanes", Z, func(i int) Element { return *e.Mul(&x[i], &y[i]) })
-		copy(Z, X)
-		ScalarMulLanes(Z, Z, &C)
-		check("ScalarMulLanes z==x", Z, func(i int) Element { return *e.Mul(&x[i], &c) })
-		copy(Z, Y)
-		AddLanes(Z, X, Z)
-		check("AddLanes z==y", Z, func(i int) Element { return *e.Add(&x[i], &y[i]) })
-		copy(Z, X)
-		SubLanes(Z, Z, Y)
-		check("SubLanes z==x", Z, func(i int) Element { return *e.Sub(&x[i], &y[i]) })
-		W := make([]Lanes, n)
-		PackLanesPairs(Z, W, pairs[:2*m])
-		check("PackLanesPairs evens", Z, func(i int) Element { return pairs[2*i] })
-		check("PackLanesPairs odds", W, func(i int) Element { return pairs[2*i+1] })
-		PackLanesPairs(Z, W, pairs[1:])
-		check("PackLanesPairs evens of pairs[1:]", Z, func(i int) Element { return pairs[2*i+1] })
-		check("PackLanesPairs odds of pairs[1:]", W, func(i int) Element { return pairs[2*i+2] })
-	}
+	})
 }
 
 // FuzzLanes decodes up to sixteen elements (eight x, eight y) from the
@@ -254,22 +309,16 @@ func FuzzLanes(f *testing.F) {
 				t.Fatalf("Sub(%x, %x) = %x, math/big %v", x[l], y[l], sub, d)
 			}
 		}
-		if !cpu.IFMA {
-			t.Skip(noIFMA)
-		}
-		checkLanes(t, &x, &y)
+		cputest.EachLaneBody(t, func(t *testing.T) { checkLanes(t, &x, &y) })
 	})
 }
 
-// BenchmarkLanes reports the kernel's cost per product (and per add and
-// sub) beside BenchmarkMul's ff.Mul, both for a one-value row per call
+// BenchmarkLanes reports the selected body's cost per product (and per add
+// and sub) beside BenchmarkMul's ff.Mul, both for a one-value row per call
 // (chained, as BenchmarkMul does) and for a 64-value row per call:
 //
 //	go test -run '^$' -bench 'Lanes|Mul' ./internal/ff
 func BenchmarkLanes(b *testing.B) {
-	if !cpu.IFMA {
-		b.Skip(noIFMA)
-	}
 	rng := rand.New(rand.NewSource(41))
 	var x [LaneCount]Element
 	for l := range x {

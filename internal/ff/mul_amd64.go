@@ -13,12 +13,6 @@ func mulADX(z, x, y *Element)
 //go:noescape
 func mulVec(z, x, y *Element, n int)
 
-// scalarMulVec sets z[i] = x[i]*c for i < n (mul_amd64.s). Callers must
-// check cpu.ADX and pass n ≥ 0 elements behind z and x.
-//
-//go:noescape
-func scalarMulVec(z, x, c *Element, n int)
-
 // mulLanes, subLanes, addLanes, packLanes, packLanesPairs and unpackLanes
 // are the Lanes row kernels (lanes_amd64.s). Callers must check cpu.IFMA
 // and pass n ≥ 0 values behind each pointer (mulLanes reads one y when

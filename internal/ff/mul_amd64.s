@@ -20,10 +20,10 @@
 //	AX        low product word / zero for flushing the chains
 //	BX        high word of m·q[0]
 //	CX        A, the carry word out of the x·y[i] pass
-//	R12, R13  the slice loops' z pointer and remaining count
+//	R12, R13  the slice loop's z pointer and remaining count
 //
 // The final subtraction reuses AX, BX, CX, DX, so DI and SI survive one
-// product and the slice loops only advance them. The modulus limbs are
+// product and the slice loop only advances them. The modulus limbs are
 // memory operands on ·q and −q⁻¹ mod 2^64 is ·qInvNeg, the variables init()
 // derives from modulusHex and cross-checks against the qc0..qc3 / qInvNegC
 // immediates the generic path uses.
@@ -153,29 +153,6 @@ loop:
 	STORE(R12)
 	ADDQ $32, DI
 	ADDQ $32, SI
-	ADDQ $32, R12
-	DECQ R13
-	JNE  loop
-
-done:
-	RET
-
-// func scalarMulVec(z, x, c *Element, n int)
-//
-// z[i] = x[i]·c for i < n: the same body with SI parked on c. z may alias x
-// (index for index).
-TEXT ·scalarMulVec(SB), NOSPLIT, $0-32
-	MOVQ z+0(FP), R12
-	MOVQ x+8(FP), DI
-	MOVQ c+16(FP), SI
-	MOVQ n+24(FP), R13
-	TESTQ R13, R13
-	JEQ  done
-
-loop:
-	MUL_BODY()
-	STORE(R12)
-	ADDQ $32, DI
 	ADDQ $32, R12
 	DECQ R13
 	JNE  loop

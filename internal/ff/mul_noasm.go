@@ -3,15 +3,13 @@
 package ff
 
 // Without the amd64 kernels (other architectures, or -tags purego) Mul,
-// Square, MulVec and ScalarMulVec are mulGeneric, and the Lanes kernel is
-// absent: cpu.ADX and cpu.IFMA are the constant false, so the compiler
-// drops the dispatch branches and these stubs are never called.
+// Square and MulVec are mulGeneric, and Lanes runs its portable body:
+// cpu.ADX and cpu.IFMA are the constant false, so the compiler drops the
+// dispatch branches and these stubs are never called.
 
 func mulADX(z, x, y *Element) { panic("ff: mulADX without the amd64 kernel") }
 
 func mulVec(z, x, y *Element, n int) { panic("ff: mulVec without the amd64 kernel") }
-
-func scalarMulVec(z, x, c *Element, n int) { panic("ff: scalarMulVec without the amd64 kernel") }
 
 func mulLanes(z, x, y *Lanes, n, yStep int) { panic("ff: mulLanes without the amd64 kernel") }
 

@@ -11,8 +11,8 @@ import (
 	"zkphire/internal/cpu"
 )
 
-// Differential tests for the multiplication kernels: the assembly mulADX,
-// mulVec and scalarMulVec, the portable mulGeneric, and a math/big oracle
+// Differential tests for the multiplication kernels: the assembly mulADX
+// and mulVec, the portable mulGeneric, and a math/big oracle
 // must agree on every input, under every aliasing of the operands, and
 // every output must be canonical (< q).
 
@@ -187,9 +187,9 @@ func TestDispatch(t *testing.T) {
 	}
 }
 
-// TestMulVecKernels checks MulVec and ScalarMulVec against per-element
-// mulGeneric at lengths around the block width the SumCheck scan uses, with
-// the destination distinct from and aliasing each input.
+// TestMulVecKernels checks MulVec against per-element mulGeneric at
+// lengths 0, 1, 63, 64, 65 and 1000, with the destination distinct from
+// and aliasing each input.
 func TestMulVecKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	edges := edgeLimbs()
@@ -201,11 +201,9 @@ func TestMulVecKernels(t *testing.T) {
 				x[i], y[i] = edges[i], edges[len(edges)-1-i]
 			}
 		}
-		c := randRaw(rng)
-		wantMul, wantScale := make([]Element, n), make([]Element, n)
+		wantMul := make([]Element, n)
 		for i := range x {
 			wantMul[i].mulGeneric(&x[i], &y[i])
-			wantScale[i].mulGeneric(&x[i], &c)
 		}
 		check := func(name string, got, want []Element) {
 			t.Helper()
@@ -226,13 +224,6 @@ func TestMulVecKernels(t *testing.T) {
 		z = clone(y)
 		MulVec(z, x, z)
 		check("MulVec z==y", z, wantMul)
-
-		z = make([]Element, n)
-		ScalarMulVec(z, x, &c)
-		check("ScalarMulVec z distinct", z, wantScale)
-		z = clone(x)
-		ScalarMulVec(z, z, &c)
-		check("ScalarMulVec z==x", z, wantScale)
 	}
 }
 

@@ -8,14 +8,13 @@ import (
 )
 
 // This file implements the slice kernels of the scalar-field hot loops:
-// MulVec and ScalarMulVec (the assembly multiply run over a whole slice),
-// FoldVec (on the Lanes kernel where the CPU has it), and the
-// lazy-reduction kernels SumVec, InnerProductVec and FoldVec's scalar path,
-// plus the LazyAcc accumulator they are built on. The idea of
-// the lazy ones is always the same — keep
-// an accumulator UNREDUCED across a whole chunk and pay the Montgomery
-// reduction (and its conditional subtractions) once at the chunk boundary
-// instead of once per element:
+// MulVec (the assembly multiply run over a whole slice), FoldVec (on the
+// Lanes rows), and the lazy-reduction kernels SumVec and InnerProductVec,
+// plus the LazyAcc accumulator they are built on and the fused
+// multiply-add behind Element.MulAdd. The idea of the lazy ones is always
+// the same — keep an accumulator UNREDUCED across a whole chunk and pay
+// the Montgomery reduction (and its conditional subtractions) once at the
+// chunk boundary instead of once per element:
 //
 //   - SumVec adds raw 4-limb Montgomery representations into a 320-bit
 //     accumulator (each addend is < q < 2^255, so ~2^65 adds fit before the
@@ -25,7 +24,7 @@ import (
 //     x̃·ỹ into a 576-bit accumulator: the per-element Montgomery reduction
 //     half of Mul (16 of its 32 word products) disappears entirely. Each
 //     product is < q² < 2^510, so ~2^66 products fit.
-//   - FoldVec fuses a multiply and an add into one reduction:
+//   - MulAdd fuses a multiply and an add into one reduction:
 //     z = x·y + a is computed as a 512-bit value and reduced once, instead
 //     of Mul's reduction followed by Add's conditional subtraction.
 //
@@ -300,53 +299,29 @@ func (z *Element) MulAdd(x, y, a *Element) *Element {
 //
 //	dst[j] = src[2j] + r·(src[2j+1] − src[2j])
 //
-// Where the CPU has the Lanes kernel, whole groups of eight entries run on
-// it (foldLanes); the rest, and every entry elsewhere, take mulAddRed, the
-// multiply and add fused into one reduction. dst may alias the first half
-// of src (the in-place MLE fold): entry j is written only after pair
-// (2j, 2j+1) is read, and j < 2j for every j > 0.
+// on the Lanes rows, up to foldGroups·8 pairs per pass. dst may alias the
+// first half of src (the in-place MLE fold): a pass reads all its pairs
+// before it writes its entries, which lie below its first pair or inside
+// its own pairs.
 func FoldVec(dst, src []Element, r *Element) {
 	if len(src) != 2*len(dst) {
 		panic("ff: fold length mismatch")
 	}
-	j := 0
-	if cpu.IFMA {
-		j = foldLanes(dst, src, r)
-	}
-	var diff Element
-	for ; j < len(dst); j++ {
-		a0 := src[2*j]
-		diff.Sub(&src[2*j+1], &a0)
-		dst[j] = mulAddRed(r, &diff, &a0)
-	}
-}
-
-// foldGroups is how many Lanes values foldLanes packs per pass.
-const foldGroups = 8
-
-// foldLanes folds dst's first 8·⌊len(dst)/8⌋ entries on the Lanes kernel
-// and returns that count: per pass it packs the a0 and a1 rows of up to
-// foldGroups·8 pairs, forms a0 + r·(a1 − a0) lane-wise and unpacks. A pass
-// reads all its pairs before it writes its entries, and writes only
-// entries below its first pair or inside its own pairs, so the in-place
-// aliasing FoldVec allows holds.
-func foldLanes(dst, src []Element, r *Element) int {
-	n := len(dst) &^ (LaneCount - 1)
-	var rl Lanes
-	rl.Broadcast(r)
+	rl := NewLaneConst(r)
 	var a0, a1 [foldGroups]Lanes
-	for j := 0; j < n; j += foldGroups * LaneCount {
-		m := min(foldGroups*LaneCount, n-j)
-		x0, x1 := a0[:m/LaneCount], a1[:m/LaneCount]
-		pairs := src[2*j : 2*(j+m)]
-		PackLanesPairs(x0, x1, pairs)
+	for j := 0; j < len(dst); j += foldGroups * LaneCount {
+		m := min(foldGroups*LaneCount, len(dst)-j)
+		x0, x1 := a0[:laneGroups(m)], a1[:laneGroups(m)]
+		PackLanesPairs(x0, x1, src[2*j:2*(j+m)])
 		SubLanes(x1, x1, x0)
-		ScalarMulLanes(x1, x1, &rl)
+		ScalarMulLanes(x1, x1, rl.Row())
 		AddLanes(x1, x1, x0)
 		UnpackLanes(dst[j:j+m], x1)
 	}
-	return n
 }
+
+// foldGroups is how many Lanes values FoldVec packs per pass.
+const foldGroups = 8
 
 // MulVec sets z[i] = x[i]·y[i] for every i. On amd64 with BMI2+ADX
 // (cpu.ADX) the whole loop runs inside the assembly kernel (mulVec in
@@ -365,25 +340,6 @@ func MulVec(z, x, y []Element) {
 	}
 	for i := range z {
 		z[i].mulGeneric(&x[i], &y[i])
-	}
-}
-
-// ScalarMulVec sets z[i] = x[i]·c for every i, with the same dispatch as
-// MulVec. z may alias x (index for index); c is read once per element, so
-// it must not point into z. It panics if lengths differ.
-func ScalarMulVec(z, x []Element, c *Element) {
-	if len(x) != len(z) {
-		panic("ff: scalar mul vec length mismatch")
-	}
-	if len(z) == 0 {
-		return
-	}
-	if cpu.ADX {
-		scalarMulVec(&z[0], &x[0], c, len(z))
-		return
-	}
-	for i := range z {
-		z[i].mulGeneric(&x[i], c)
 	}
 }
 

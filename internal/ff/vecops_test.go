@@ -3,7 +3,10 @@ package ff
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"zkphire/internal/cpu/cputest"
 )
 
 // naiveSum / naiveInner are the pre-lazy reference chains the batch kernels
@@ -97,41 +100,58 @@ func TestInnerProductVecMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestFoldVecMatchesNaive folds tables of m = 0–17, 64, 65 and 512 pairs
+// (whole lane groups, partial ones, and more than one pass) on both Lanes
+// bodies, out of place and in place, against Element arithmetic.
 func TestFoldVecMatchesNaive(t *testing.T) {
-	rng := NewRand(23)
-	for _, m := range []int{1, 2, 5, 8, 9, 65, 512} {
-		src := rng.Elements(2 * m)
-		for i, e := range edgeElements() {
-			if i < len(src) {
-				src[i] = e
-			}
+	cputest.EachLaneBody(t, func(t *testing.T) {
+		rng := NewRand(23)
+		sizes := []int{64, 65, 512}
+		for m := 0; m <= 17; m++ {
+			sizes = append(sizes, m)
 		}
-		for _, r := range append(edgeElements(), rng.Element()) {
-			want := make([]Element, m)
-			var diff Element
-			for j := 0; j < m; j++ {
-				a0 := src[2*j]
-				diff.Sub(&src[2*j+1], &a0)
-				diff.Mul(&diff, &r)
-				want[j].Add(&a0, &diff)
-			}
-			dst := make([]Element, m)
-			FoldVec(dst, src, &r)
-			for j := range dst {
-				if !dst[j].Equal(&want[j]) {
-					t.Fatalf("FoldVec entry %d mismatch (m=%d)", j, m)
+		for _, m := range sizes {
+			src := rng.Elements(2 * m)
+			for i, e := range edgeElements() {
+				if i < len(src) {
+					src[i] = e
 				}
 			}
-			// Aliased in-place fold (dst = first half of src).
-			inPlace := append([]Element(nil), src...)
-			FoldVec(inPlace[:m], inPlace, &r)
-			for j := 0; j < m; j++ {
-				if !inPlace[j].Equal(&want[j]) {
-					t.Fatalf("aliased FoldVec entry %d mismatch (m=%d)", j, m)
+			for _, r := range append(edgeElements(), rng.Element()) {
+				want := make([]Element, m)
+				var diff Element
+				for j := 0; j < m; j++ {
+					a0 := src[2*j]
+					diff.Sub(&src[2*j+1], &a0)
+					diff.Mul(&diff, &r)
+					want[j].Add(&a0, &diff)
+				}
+				dst := make([]Element, m+1)
+				sentinel := NewElement(0xdead)
+				dst[m] = sentinel
+				FoldVec(dst[:m], src, &r)
+				for j := range want {
+					if !dst[j].Equal(&want[j]) {
+						t.Fatalf("FoldVec entry %d mismatch (m=%d)", j, m)
+					}
+				}
+				if !dst[m].Equal(&sentinel) {
+					t.Fatalf("FoldVec wrote past dst (m=%d)", m)
+				}
+				// Aliased in-place fold (dst = first half of src).
+				inPlace := append([]Element(nil), src...)
+				FoldVec(inPlace[:m], inPlace, &r)
+				for j := 0; j < m; j++ {
+					if !inPlace[j].Equal(&want[j]) {
+						t.Fatalf("aliased FoldVec entry %d mismatch (m=%d)", j, m)
+					}
+				}
+				if !slices.Equal(inPlace[m:], src[m:]) {
+					t.Fatalf("aliased FoldVec wrote past dst (m=%d)", m)
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestLazyAccMatchesNaive(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"zkphire/internal/cpu"
+	"zkphire/internal/cpu/cputest"
 )
 
 // Differential tests for Lanes, on every body this host has: every lane of
@@ -123,7 +124,7 @@ func TestLanesEdges(t *testing.T) {
 	for len(x)%LaneCount != 0 {
 		x, y = append(x, edges[0]), append(y, edges[len(x)%len(edges)])
 	}
-	eachLaneBody(t, func(t *testing.T) { checkLanes(t, x, y) })
+	cputest.EachLaneBody(t, func(t *testing.T) { checkLanes(t, x, y) })
 }
 
 // TestLanesRandom is the bulk differential: 10⁵ seeded random lane pairs
@@ -133,7 +134,7 @@ func TestLanesRandom(t *testing.T) {
 	if testing.Short() {
 		n /= 10
 	}
-	eachLaneBody(t, func(t *testing.T) {
+	cputest.EachLaneBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(37))
 		for done, r := 0, 0; done < n; r++ {
 			m := LaneCount * []int{1, 2, 3, 7}[r%4]
@@ -151,7 +152,7 @@ func TestLanesRandom(t *testing.T) {
 // that ZeroMask finds exactly the zero lanes and that Broadcast fills every
 // lane.
 func TestLanesBlendZeroMask(t *testing.T) {
-	eachLaneBody(t, func(t *testing.T) {
+	cputest.EachLaneBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(39))
 		var a, b [LaneCount]Element
 		for l := range a {
@@ -235,7 +236,7 @@ func FuzzLanes(f *testing.F) {
 				t.Fatalf("Sub(%x, %x) = %x, math/big %v", x[l], y[l], sub, d)
 			}
 		}
-		eachLaneBody(t, func(t *testing.T) { checkLanes(t, x, y) })
+		cputest.EachLaneBody(t, func(t *testing.T) { checkLanes(t, x, y) })
 	})
 }
 

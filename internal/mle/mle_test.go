@@ -131,7 +131,9 @@ func TestArithmeticOps(t *testing.T) {
 
 	c := rng.Element()
 	scaled := New(3)
-	ff.ScalarMulVec(scaled.Evals, a.Evals, &c)
+	for i := range scaled.Evals {
+		scaled.Evals[i].Mul(&a.Evals[i], &c)
+	}
 	gotScaled := scaled.Evaluate(point)
 	var wantScaled ff.Element
 	wantScaled.Mul(&va, &c)

@@ -24,10 +24,9 @@ import (
 // program never writes them. Registers [NumInputs, NumRegs) hold hoisted
 // powers and one term scratch slot. The evaluation result is a separate
 // accumulator, so a program evaluation is a pure function of the input
-// registers. The program runs over a block of points at once: every
-// register is a row of BlockWidth values, one per point (EvalBlock), or of
-// LaneRows ff.Lanes values holding the same points eight to a value
-// (EvalLanes).
+// registers. The program runs over a block of points at once (EvalLanes):
+// every register is a row of LaneRows ff.Lanes values holding BlockWidth
+// points eight to a value.
 
 // OpKind discriminates the compiled instruction set.
 type OpKind uint8
@@ -65,7 +64,7 @@ type Program struct {
 	Ops []Op
 
 	// laneConsts[i] is Consts[i] in every lane, for EvalLanes.
-	laneConsts []ff.Lanes
+	laneConsts []ff.LaneConst
 }
 
 // Compile lowers the composite into a straight-line program. The result is
@@ -148,9 +147,9 @@ func compile(c *Composite) *Program {
 		}
 		p.Ops = append(p.Ops, Op{Kind: OpAcc, A: cur})
 	}
-	p.laneConsts = make([]ff.Lanes, len(p.Consts))
+	p.laneConsts = make([]ff.LaneConst, len(p.Consts))
 	for i := range p.Consts {
-		p.laneConsts[i].Broadcast(&p.Consts[i])
+		p.laneConsts[i] = ff.NewLaneConst(&p.Consts[i])
 	}
 	return p
 }
@@ -230,62 +229,14 @@ func powerChain(need []int) []chainStep {
 	return steps
 }
 
-// BlockWidth is the number of points one EvalBlock or EvalLanes call
-// evaluates: each register is a row of BlockWidth elements (LaneRows lane
-// values), so every op is one slice-kernel call over up to BlockWidth
-// points instead of one dispatch per point. It must be a multiple of
-// ff.LaneCount. On the lane scan, widths 16 through 256 timed alike on the
-// six sumcheck_sweep16 gates (a 2^15 single-worker ZeroCheck of each, three
-// runs per width on a 2-core IFMA host: 16 0.27–0.29 s, 32 0.29–0.32 s,
-// 64 0.27–0.32 s, 128 0.28–0.35 s, 256 0.27–0.28 s, against 1.12–1.24 s
-// for the scalar scan at 64), as the scalar scan's widths 8 through 128
-// did before. 64 keeps the per-op call a small share of each op, and the
-// lane scan's buffer is then 55–143 KiB on those gates (Vanilla to
-// Jellyfish), inside L2.
+// BlockWidth is the number of points one EvalLanes call evaluates, so
+// every op is one ff.Lanes row call over up to BlockWidth points. It must
+// be a multiple of ff.LaneCount. On the IFMA body widths 16 through 256
+// timed alike (a 2^15 single-worker ZeroCheck of each sumcheck_sweep16
+// gate, three runs per width on a 2-core IFMA host: 0.27–0.35 s at every
+// width); 64 keeps the per-op call a small share of each op, and the
+// scan's buffer is then 55–143 KiB on those gates, inside L2.
 const BlockWidth = 64
-
-// EvalBlock runs the program at n ≤ BlockWidth points at once and writes
-// the composite's value at point i to out[i]. The register file is NumRegs
-// rows of BlockWidth elements (len(regs) >= NumRegs·BlockWidth): row r is
-// regs[r·BlockWidth:], and the first n entries of the first NumInputs rows
-// hold the constituent values, which the program never writes; the other
-// rows are scratch it overwrites. Each op is one ff slice kernel over the
-// n points (OpMul/OpSquare MulVec, OpMulConst ScalarMulVec), and the
-// accumulating ops add into out[:n].
-func (p *Program) EvalBlock(regs []ff.Element, n int, out []ff.Element) {
-	if n > BlockWidth {
-		panic("poly: EvalBlock block size out of range")
-	}
-	regs = regs[:p.NumRegs*BlockWidth]
-	out = out[:n]
-	row := func(r uint16) []ff.Element {
-		o := int(r) * BlockWidth
-		return regs[o : o+n]
-	}
-	clear(out)
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		switch op.Kind {
-		case OpMul:
-			ff.MulVec(row(op.Dst), row(op.A), row(op.B))
-		case OpSquare:
-			a := row(op.A)
-			ff.MulVec(row(op.Dst), a, a)
-		case OpMulConst:
-			ff.ScalarMulVec(row(op.Dst), row(op.A), &p.Consts[op.B])
-		case OpAcc:
-			a := row(op.A)
-			for j := range out {
-				out[j].Add(&out[j], &a[j])
-			}
-		case OpAccConst:
-			c := &p.Consts[op.B]
-			for j := range out {
-				out[j].Add(&out[j], c)
-			}
-		}
-	}
-}
 
 // LaneRows is the number of ff.Lanes values in one register row of
 // EvalLanes: BlockWidth points, eight to a value.
@@ -294,15 +245,14 @@ const LaneRows = BlockWidth / ff.LaneCount
 // BlockWidth must fill whole lane rows.
 const _ = uint(-(BlockWidth % ff.LaneCount))
 
-// EvalLanes is EvalBlock on the ff.Lanes kernel, for 8·ng ≤ BlockWidth
-// points: the register file is NumRegs rows of LaneRows values (len(regs)
-// >= NumRegs·LaneRows), row r is regs[r·LaneRows:], and value g of a row
-// holds points 8g..8g+7. It writes the composite's values to out[:ng].
-// OpMul/OpSquare are ff.MulLanes over the row, OpMulConst ff.ScalarMulLanes
-// by the constant in every lane, and the accumulating ops ff lane adds.
-// The caller must check ff.HasLanes. Every lane of out equals EvalBlock's
-// value at its point, constant terms included, so a lane that holds no
-// point must not be summed.
+// EvalLanes runs the program at the points of ng ≤ LaneRows lane values and
+// writes the composite's values to out[:ng]. The register file is NumRegs
+// rows of LaneRows values (len(regs) >= NumRegs·LaneRows): row r is
+// regs[r·LaneRows:], value g of a row holds points 8g..8g+7, and the first
+// ng values of the first NumInputs rows hold the constituent values, which
+// the program never writes. Each op is one ff.Lanes row call. Every lane of
+// out is the composite at that lane's inputs, constant terms included, so
+// a lane that holds no point (a zero-padded lane) must not be summed.
 func (p *Program) EvalLanes(regs []ff.Lanes, ng int, out []ff.Lanes) {
 	if ng > LaneRows {
 		panic("poly: EvalLanes block size out of range")
@@ -323,11 +273,11 @@ func (p *Program) EvalLanes(regs []ff.Lanes, ng int, out []ff.Lanes) {
 			a := row(op.A)
 			ff.MulLanes(row(op.Dst), a, a)
 		case OpMulConst:
-			ff.ScalarMulLanes(row(op.Dst), row(op.A), &p.laneConsts[op.B])
+			ff.ScalarMulLanes(row(op.Dst), row(op.A), p.laneConsts[op.B].Row())
 		case OpAcc:
 			ff.AddLanes(out, out, row(op.A))
 		case OpAccConst:
-			c := p.laneConsts[op.B : op.B+1]
+			c := p.laneConsts[op.B].Row()
 			for g := range out {
 				ff.AddLanes(out[g:g+1], out[g:g+1], c)
 			}

@@ -4,42 +4,51 @@ import (
 	"fmt"
 	"testing"
 
+	"zkphire/internal/cpu/cputest"
 	"zkphire/internal/expr"
 	"zkphire/internal/ff"
 )
 
 // evalBoth runs the tree-walk interpreter at each assignment and the
-// compiled program over all of them as one block, and fails on any
-// divergence. Both sides are exact field arithmetic, so equality is limb
-// equality.
+// compiled program over all of them as one block of lane values, the last
+// one partial when len(assigns) is not a multiple of eight, and fails on
+// any divergence. Both sides are exact field arithmetic, so equality is
+// limb equality.
 func evalBoth(t *testing.T, c *Composite, assigns ...[]ff.Element) {
 	t.Helper()
 	prog := c.Compile()
 	n := len(assigns)
-	regs := make([]ff.Element, prog.NumRegs*BlockWidth)
-	for i, assign := range assigns {
-		for v := range assign {
-			regs[v*BlockWidth+i] = assign[v]
+	ng := (n + ff.LaneCount - 1) / ff.LaneCount
+	regs := make([]ff.Lanes, prog.NumRegs*LaneRows)
+	col := make([]ff.Element, n)
+	for v := 0; v < prog.NumInputs; v++ {
+		for i, assign := range assigns {
+			col[i] = assign[v]
 		}
+		ff.PackLanes(regs[v*LaneRows:v*LaneRows+ng], col)
 	}
-	inputs := append([]ff.Element(nil), regs[:prog.NumInputs*BlockWidth]...)
-	out := make([]ff.Element, BlockWidth+1)
-	sentinel := ff.NewElement(0xdead)
-	out[n] = sentinel
-	prog.EvalBlock(regs, n, out)
+	inputs := append([]ff.Lanes(nil), regs[:prog.NumInputs*LaneRows]...)
+	out := make([]ff.Lanes, LaneRows+1)
+	dead := ff.NewElement(0xdead)
+	deadLanes := ff.NewLaneConst(&dead)
+	sentinel := deadLanes.Row()[0]
+	out[ng] = sentinel
+	prog.EvalLanes(regs, ng, out)
+	got := make([]ff.Element, n)
+	ff.UnpackLanes(got, out[:ng])
 	for i, assign := range assigns {
-		if want := c.Evaluate(assign); !out[i].Equal(&want) {
+		if want := c.Evaluate(assign); !got[i].Equal(&want) {
 			t.Fatalf("compiled evaluator diverges on %s at point %d of %d:\n%s", c.Name, i, n, prog.String())
 		}
 	}
-	if !out[n].Equal(&sentinel) {
-		t.Fatalf("EvalBlock(n=%d) wrote past out[:n] on %s", n, c.Name)
+	if out[ng] != sentinel {
+		t.Fatalf("EvalLanes(ng=%d) wrote past out[:ng] on %s", ng, c.Name)
 	}
 	// Inputs must survive evaluation (the SumCheck scan steps them
 	// incrementally between calls).
 	for i := range inputs {
-		if !regs[i].Equal(&inputs[i]) {
-			t.Fatalf("program clobbered input register %d, point %d of %s", i/BlockWidth, i%BlockWidth, c.Name)
+		if regs[i] != inputs[i] {
+			t.Fatalf("program clobbered input register %d, value %d of %s", i/LaneRows, i%LaneRows, c.Name)
 		}
 	}
 }
@@ -54,7 +63,6 @@ func randomBlock(rng *ff.Rand, c *Composite, n int) [][]ff.Element {
 }
 
 func TestCompiledMatchesEvaluateRegistry(t *testing.T) {
-	rng := ff.NewRand(41)
 	comps := []*Composite{}
 	for id := 0; id < NumRegistered; id++ {
 		comps = append(comps, Registered(id))
@@ -62,12 +70,15 @@ func TestCompiledMatchesEvaluateRegistry(t *testing.T) {
 	for _, d := range []int{2, 5, 13, 30} {
 		comps = append(comps, HighDegree(d))
 	}
-	for _, c := range comps {
-		// A single point, a full block, and a ragged tail block.
-		for _, n := range []int{1, BlockWidth, 5} {
-			evalBoth(t, c, randomBlock(rng, c, n)...)
+	cputest.EachLaneBody(t, func(t *testing.T) {
+		rng := ff.NewRand(41)
+		for _, c := range comps {
+			// A single point, a full block, and a ragged tail block.
+			for _, n := range []int{1, BlockWidth, 5} {
+				evalBoth(t, c, randomBlock(rng, c, n)...)
+			}
 		}
-	}
+	})
 }
 
 // randomExpr builds a random expression over the given variables exercising
@@ -105,27 +116,29 @@ func randomExpr(rng *ff.Rand, vars []string, depth int) expr.Expr {
 }
 
 func TestCompiledMatchesEvaluateRandomExpr(t *testing.T) {
-	rng := ff.NewRand(42)
-	vars := []string{"w1", "w2", "q1", "z"}
-	built := 0
-	for trial := 0; built < 60; trial++ {
-		e := randomExpr(rng, vars, 3)
-		monos := expr.Expand(e)
-		if len(monos) == 0 {
-			continue // expression collapsed to zero
+	cputest.EachLaneBody(t, func(t *testing.T) {
+		rng := ff.NewRand(42)
+		vars := []string{"w1", "w2", "q1", "z"}
+		built := 0
+		for trial := 0; built < 60; trial++ {
+			e := randomExpr(rng, vars, 3)
+			monos := expr.Expand(e)
+			if len(monos) == 0 {
+				continue // expression collapsed to zero
+			}
+			c := FromExpr(fmt.Sprintf("rand%d", trial), -1, e, nil)
+			built++
+			// Five random points and the edge assignments all zeros and
+			// all ones, as one block.
+			block := randomBlock(rng, c, 5)
+			zeros := make([]ff.Element, c.NumVars())
+			ones := make([]ff.Element, c.NumVars())
+			for i := range ones {
+				ones[i] = ff.One()
+			}
+			evalBoth(t, c, append(block, zeros, ones)...)
 		}
-		c := FromExpr(fmt.Sprintf("rand%d", trial), -1, e, nil)
-		built++
-		// Five random points and the edge assignments all zeros and all
-		// ones, as one block.
-		block := randomBlock(rng, c, 5)
-		zeros := make([]ff.Element, c.NumVars())
-		ones := make([]ff.Element, c.NumVars())
-		for i := range ones {
-			ones[i] = ff.One()
-		}
-		evalBoth(t, c, append(block, zeros, ones)...)
-	}
+	})
 }
 
 // TestCompiledNestedPow pins deep power nesting: ((x²)³)² = x¹² must expand
@@ -137,7 +150,6 @@ func TestCompiledNestedPow(t *testing.T) {
 	if got := c.Degree(); got != 12 {
 		t.Fatalf("nested pow degree = %d, want 12", got)
 	}
-	evalBoth(t, c, randomBlock(rng, c, 20)...)
 	// Mixed: x¹²·y + 7·y³ − x.
 	e2 := expr.Sum(
 		expr.Prod(expr.P(expr.P(expr.V("x"), 4), 3), expr.V("y")),
@@ -145,7 +157,10 @@ func TestCompiledNestedPow(t *testing.T) {
 		expr.Neg{Operand: expr.V("x")},
 	)
 	c2 := FromExpr("mixed-pow", -1, e2, nil)
-	evalBoth(t, c2, randomBlock(rng, c2, 20)...)
+	cputest.EachLaneBody(t, func(t *testing.T) {
+		evalBoth(t, c, randomBlock(rng, c, 20)...)
+		evalBoth(t, c2, randomBlock(rng, c2, 20)...)
+	})
 }
 
 // TestCompileHoistsPowers checks the compiler's shared-power hoisting: a

@@ -152,13 +152,13 @@ func TestEqFactoredVerifies(t *testing.T) {
 	}
 }
 
-// naiveRoundPolynomial is the scan's independent reference: pair by pair,
-// each constituent extended to x(t) = tab[2j] + t·(tab[2j+1] − tab[2j]) by
-// a multiplication (not the scan's incremental steps), the composite
-// interpreted per point by the tree walk, and the value weighted by
-// weights[j] when weights is non-nil — s(t) at t = 0, 2, .., d.
-func naiveRoundPolynomial(a *Assignment, d int, weights []ff.Element) []ff.Element {
-	half := a.Tables[0].Size() / 2
+// naiveRoundPolynomial is the scan's independent reference over pairs
+// [lo, hi): pair by pair, each constituent extended to
+// x(t) = tab[2j] + t·(tab[2j+1] − tab[2j]) by a multiplication (not the
+// scan's incremental steps), the composite interpreted per point by the
+// tree walk, and the value weighted by weights[j] when weights is non-nil
+// — s(t) at t = 0, 2, .., d.
+func naiveRoundPolynomial(a *Assignment, d int, weights []ff.Element, lo, hi int) []ff.Element {
 	ts := []int{0}
 	for tt := 2; tt <= d; tt++ {
 		ts = append(ts, tt)
@@ -166,7 +166,7 @@ func naiveRoundPolynomial(a *Assignment, d int, weights []ff.Element) []ff.Eleme
 	want := make([]ff.Element, len(ts))
 	assign := make([]ff.Element, len(a.Tables))
 	var diff, step ff.Element
-	for j := 0; j < half; j++ {
+	for j := lo; j < hi; j++ {
 		for ti, tt := range ts {
 			for v, tab := range a.Tables {
 				evals := tab.Evals
@@ -208,7 +208,7 @@ func TestRoundPolynomialMatchesNaive(t *testing.T) {
 				if weighted {
 					w = weights
 				}
-				want := naiveRoundPolynomial(a, d, w)
+				want := naiveRoundPolynomial(a, d, w, 0, a.Tables[0].Size()/2)
 				for _, workers := range []int{1, 2, 3} {
 					got := roundPolynomialCompressed(nil, a, prog, d, w, workers)
 					if len(got) != len(want) {
@@ -226,7 +226,7 @@ func TestRoundPolynomialMatchesNaive(t *testing.T) {
 	}
 	// RoundPolynomial is the same scan, unweighted at the composite's degree.
 	a := buildAssignment(t, poly.JellyfishGate(), 6, ff.NewRand(798))
-	got, want := RoundPolynomial(a, 2), naiveRoundPolynomial(a, a.Composite.Degree(), nil)
+	got, want := RoundPolynomial(a, 2), naiveRoundPolynomial(a, a.Composite.Degree(), nil, 0, a.Tables[0].Size()/2)
 	for i := range want {
 		if !got[i].Equal(&want[i]) {
 			t.Fatalf("RoundPolynomial point %d differs from the reference", i)

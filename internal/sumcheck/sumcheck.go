@@ -233,14 +233,11 @@ func (l *lazyWork) release() {
 // because the wire format drops it (the verifier reconstructs it from the
 // running claim), which saves one of the d+1 composite evaluations per pair.
 //
-// The scan is chunked over the pair index through the shared engine, and
-// the merge adds partial accumulators in ascending chunk order, so the round
-// polynomial is identical for every budget (and bit-identical to the
-// tree-walk evaluation, since field arithmetic is exact). Where the CPU has
-// the ff.Lanes kernel a chunk's whole groups of eight pairs run
-// lane-resident (scanLanes) and its last few pairs, if any, take the scalar
-// scan (scanBlocks); elsewhere scanBlocks runs the whole chunk. Both add
-// into the same per-point sums.
+// The scan is chunked over the pair index through the shared engine, each
+// chunk running scanLanes, and the merge adds partial accumulators in
+// ascending chunk order, so the round polynomial is identical for every
+// budget and for both ff.Lanes bodies (and bit-identical to the tree-walk
+// evaluation, since field arithmetic is exact).
 //
 // When weights is non-nil (the eq-factorized ZeroCheck's suffix table,
 // indexed by pair), every program value is multiplied by weights[j] before
@@ -257,10 +254,7 @@ func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Pr
 
 	return parallel.MapReduce(workers, half, func(lo, hi int) []ff.Element {
 		acc := make([]ff.Element, nPts)
-		if ff.HasLanes() {
-			lo = scanLanes(ctx, a, prog, d, weights, lo, hi, acc)
-		}
-		scanBlocks(ctx, a, prog, d, weights, lo, hi, acc)
+		scanLanes(ctx, a, prog, d, weights, lo, hi, acc)
 		return acc
 	}, func(a, b []ff.Element) []ff.Element {
 		for t := range a {
@@ -268,72 +262,6 @@ func roundPolynomialCompressed(ctx context.Context, a *Assignment, prog *poly.Pr
 		}
 		return a
 	})
-}
-
-// scanBlocks adds pairs [lo, hi)'s contributions to acc (one sum per point
-// t = 0, 2, ..., d) on the scalar kernels. It runs over blocks of
-// poly.BlockWidth pairs. Each block's a0 = tab[2j] and diff = tab[2j+1] −
-// tab[2j] rows are loaded once; the constituents' extensions then advance
-// incrementally across the points (ext(t+1) = ext(t) + diff; the skipped
-// t=1 point is bridged by adding the delta twice), and at each point the
-// composite's compiled program runs over the whole block (poly.EvalBlock,
-// every op one ff slice kernel) — the paper's Fig. 1 dataflow, with the
-// pairs streaming through one program. A block's values fold into the
-// point's slot with one lazy reduction (ff.SumVec, or ff.InnerProductVec
-// against the weights). It is the path without IFMA and the reference the
-// lane scan is tested against.
-func scanBlocks(ctx context.Context, a *Assignment, prog *poly.Program, d int, weights []ff.Element, lo, hi int, acc []ff.Element) {
-	const bw = poly.BlockWidth
-	if lo >= hi {
-		return
-	}
-	nv := len(a.Tables)
-	// One flat arena buffer: the program's register file (its first nv
-	// rows are the extensions), the per-constituent delta rows, and the
-	// block's program values.
-	scratch := parallel.GetScratch((prog.NumRegs + nv + 1) * bw)
-	defer parallel.PutScratch(scratch)
-	regs := scratch[:prog.NumRegs*bw]
-	diffs := scratch[prog.NumRegs*bw : (prog.NumRegs+nv)*bw]
-	vals := scratch[(prog.NumRegs+nv)*bw:]
-	for b0 := lo; b0 < hi; b0 += bw {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
-		n := min(bw, hi-b0)
-		var w []ff.Element
-		if weights != nil {
-			w = weights[b0 : b0+n]
-		}
-		accumulate := func(slot int) {
-			prog.EvalBlock(regs, n, vals)
-			var s ff.Element
-			if w != nil {
-				s = ff.InnerProductVec(vals[:n], w)
-			} else {
-				s = ff.SumVec(vals[:n])
-			}
-			acc[slot].Add(&acc[slot], &s)
-		}
-		// step advances every extension row by its delta row.
-		step := func() {
-			for v := 0; v < nv; v++ {
-				ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
-				for i := range ext {
-					ext[i].Add(&ext[i], &dv[i])
-				}
-			}
-		}
-		for v := 0; v < nv; v++ {
-			e := a.Tables[v].Evals[2*b0 : 2*(b0+n)]
-			ext, dv := regs[v*bw:v*bw+n], diffs[v*bw:v*bw+n]
-			for i := range ext {
-				ext[i] = e[2*i]
-				dv[i].Sub(&e[2*i+1], &ext[i])
-			}
-		}
-		walkPoints(d, step, accumulate)
-	}
 }
 
 // walkPoints runs accumulate at t = 0, 2, ..., d (slot 0, 1, ..., d−1),
@@ -355,20 +283,25 @@ func walkPoints(d int, step func(), accumulate func(slot int)) {
 // laneArena recycles scanLanes' register files.
 var laneArena parallel.Arena[ff.Lanes]
 
-// scanLanes is scanBlocks on the ff.Lanes kernel for the pairs
-// [lo, lo + 8·⌊(hi−lo)/8⌋), and returns where it stopped; the caller scans
-// the rest. Pair j of a block sits in lane j mod 8 of value j/8 of every
-// row: a block's a0 and delta rows are packed once, the extension steps are
-// lane adds, the program runs through poly.EvalLanes, and each point's
-// values (times the packed weights, for a ZeroCheck) are lane-added into
-// that point's row of sums. Every lane holds a real pair, so no padding
-// value — which would still carry the composite's constant term — is ever
-// summed. The sums are unpacked and reduced once per chunk.
-func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, weights []ff.Element, lo, hi int, acc []ff.Element) int {
+// scanLanes adds pairs [lo, hi)'s contributions to acc (one sum per point
+// t = 0, 2, ..., d) on the ff.Lanes rows, a block of poly.BlockWidth pairs
+// at a time, pair j of a block in lane j mod 8 of value j/8 of every row.
+// A block's a0 = tab[2j] and delta = tab[2j+1] − tab[2j] rows are packed
+// once; the extensions then advance across the points by lane adds (the
+// skipped t=1 is bridged by adding the delta twice), and at each point the
+// compiled program runs over the block (poly.EvalLanes) — the paper's
+// Fig. 1 dataflow. Each point's values (times the packed weights, for a
+// ZeroCheck) are lane-added into its row of sums, reduced once per chunk.
+//
+// A chunk whose pair count is not a multiple of eight ends in a partial
+// value. Its dead lanes are packed as zero, but the program still adds the
+// composite's constant term there, so they are never summed: a ZeroCheck's
+// weights are zero in them, and a plain SumCheck multiplies that value by
+// a mask of ones over its live lanes.
+func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, weights []ff.Element, lo, hi int, acc []ff.Element) {
 	const bw, gw = poly.BlockWidth, poly.LaneRows
-	end := lo + (hi-lo)&^(ff.LaneCount-1)
-	if end == lo {
-		return lo
+	if lo >= hi {
+		return
 	}
 	nv := len(a.Tables)
 	nPts := len(acc)
@@ -383,15 +316,27 @@ func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, we
 	w := buf[(prog.NumRegs+nv+1)*gw : (prog.NumRegs+nv+2)*gw]
 	sums := buf[(prog.NumRegs+nv+2)*gw:]
 	clear(sums)
-	for b0 := lo; b0 < end; b0 += bw {
+	for b0 := lo; b0 < hi; b0 += bw {
 		if ctx != nil && ctx.Err() != nil {
 			break
 		}
-		ng := min(bw, end-b0) / ff.LaneCount
+		n := min(bw, hi-b0)
+		ng := (n + ff.LaneCount - 1) / ff.LaneCount
+		var mask []ff.Lanes
+		if live := n % ff.LaneCount; weights == nil && live != 0 {
+			var ones [ff.LaneCount]ff.Element
+			for l := range live {
+				ones[l] = ff.One()
+			}
+			mask = w[:1] // a plain SumCheck leaves the weights row free
+			ff.PackLanes(mask, ones[:live])
+		}
 		accumulate := func(slot int) {
 			prog.EvalLanes(regs, ng, vals)
 			if weights != nil {
 				ff.MulLanes(vals[:ng], vals[:ng], w[:ng])
+			} else if mask != nil {
+				ff.MulLanes(vals[ng-1:ng], vals[ng-1:ng], mask)
 			}
 			s := sums[slot*gw : slot*gw+ng]
 			ff.AddLanes(s, s, vals[:ng])
@@ -403,13 +348,12 @@ func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, we
 			}
 		}
 		for v := 0; v < nv; v++ {
-			e := a.Tables[v].Evals[2*b0 : 2*(b0+ng*ff.LaneCount)]
 			ext, dv := regs[v*gw:v*gw+ng], deltas[v*gw:v*gw+ng]
-			ff.PackLanesPairs(ext, dv, e)
+			ff.PackLanesPairs(ext, dv, a.Tables[v].Evals[2*b0:2*(b0+n)])
 			ff.SubLanes(dv, dv, ext)
 		}
 		if weights != nil {
-			ff.PackLanes(w[:ng], weights[b0:b0+ng*ff.LaneCount])
+			ff.PackLanes(w[:ng], weights[b0:b0+n])
 		}
 		walkPoints(d, step, accumulate)
 	}
@@ -420,7 +364,6 @@ func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, we
 		s := ff.SumVec(out)
 		acc[t].Add(&acc[t], &s)
 	}
-	return end
 }
 
 // RoundPolynomial computes the compressed round polynomial
