@@ -1,6 +1,10 @@
 package ff
 
-import "zkphire/internal/cpu"
+import (
+	"math/bits"
+
+	"zkphire/internal/cpu"
+)
 
 // Lanes holds eight independent elements; the row functions (MulLanes,
 // ScalarMulLanes, AddLanes, SubLanes) run one operation on every lane of a
@@ -12,8 +16,9 @@ import "zkphire/internal/cpu"
 //     eight lanes (five limbs; a canonical top limb is below 2^47). The
 //     product reduces by 4×52 + 48 bits, so R is 2^256 as for Element;
 //   - the portable body, everywhere else (other CPUs and architectures,
-//     -tags purego): rows 0–3 hold the eight Elements two to a row (pair),
-//     and each row function calls Element's method lane by lane.
+//     -tags purego): rows 0–3 hold the eight Elements two to a row (pair);
+//     MulLanes calls Element.Mul lane by lane, and AddLanes and SubLanes
+//     run Element.Add's and Sub's four-limb arithmetic inline.
 //
 // PackLanes, PackLanesPairs and UnpackLanes move elements between a slice
 // and the body's form. A slice whose length is not a multiple of eight
@@ -165,7 +170,7 @@ func MulLanes(z, x, y []Lanes) {
 		panic("ff: MulLanes length mismatch")
 	}
 	if !cpu.IFMA {
-		lanewise(z, x, y, 1, laneMul)
+		mulRows(z, x, y, 1)
 	} else if len(z) > 0 {
 		mulLanes(&z[0], &x[0], &y[0], len(z), laneBytes)
 	}
@@ -179,7 +184,7 @@ func ScalarMulLanes(z, x, c []Lanes) {
 		panic("ff: ScalarMulLanes length mismatch")
 	}
 	if !cpu.IFMA {
-		lanewise(z, x, c, 0, laneMul)
+		mulRows(z, x, c, 0)
 	} else if len(z) > 0 {
 		mulLanes(&z[0], &x[0], &c[0], len(z), 0)
 	}
@@ -192,7 +197,7 @@ func AddLanes(z, x, y []Lanes) {
 		panic("ff: AddLanes length mismatch")
 	}
 	if !cpu.IFMA {
-		lanewise(z, x, y, 1, laneAdd)
+		addRows(z, x, y)
 	} else if len(z) > 0 {
 		addLanes(&z[0], &x[0], &y[0], len(z))
 	}
@@ -205,41 +210,93 @@ func SubLanes(z, x, y []Lanes) {
 		panic("ff: SubLanes length mismatch")
 	}
 	if !cpu.IFMA {
-		lanewise(z, x, y, 1, laneSub)
+		subRows(z, x, y)
 	} else if len(z) > 0 {
 		subLanes(&z[0], &x[0], &y[0], len(z))
 	}
 }
 
-// laneOp is the operation lanewise runs.
-type laneOp uint8
-
-const (
-	laneMul laneOp = iota
-	laneAdd
-	laneSub
-)
-
-// lanewise is the portable body of the row functions: lane l of z[k]
-// becomes lane l of x[k] op lane l of y[k·yStep].
-func lanewise(z, x, y []Lanes, yStep int, op laneOp) {
+// mulRows is MulLanes' and ScalarMulLanes' portable body: lane l of z[k]
+// becomes lane l of x[k] times lane l of y[k·yStep].
+func mulRows(z, x, y []Lanes, yStep int) {
 	for k := range z {
 		for r := range LaneCount / 2 {
 			z0, z1 := z[k].pair(r)
 			x0, x1 := x[k].pair(r)
 			y0, y1 := y[k*yStep].pair(r)
-			switch op {
-			case laneMul:
-				z0.Mul(x0, y0)
-				z1.Mul(x1, y1)
-			case laneAdd:
-				z0.Add(x0, y0)
-				z1.Add(x1, y1)
-			case laneSub:
-				z0.Sub(x0, y0)
-				z1.Sub(x1, y1)
-			}
+			z0.Mul(x0, y0)
+			z1.Mul(x1, y1)
 		}
+	}
+}
+
+// addRows is AddLanes' portable body: Element.Add on every lane, written
+// out because Element.Add is too large to inline. It subtracts q from
+// x + y and adds q back under a mask where that borrows, so no branch
+// depends on the data (x + y ≥ q in half the lanes of random inputs).
+func addRows(z, x, y []Lanes) {
+	x, y = x[:len(z)], y[:len(z)]
+	for i := range LaneCount / 2 * len(z) {
+		k, r := i/(LaneCount/2), i%(LaneCount/2)
+		zr, xr, yr := &z[k][r], &x[k][r], &y[k][r]
+		t0, c := bits.Add64(xr[0], yr[0], 0)
+		t1, c := bits.Add64(xr[1], yr[1], c)
+		t2, c := bits.Add64(xr[2], yr[2], c)
+		t3, _ := bits.Add64(xr[3], yr[3], c)
+		t0, c = bits.Sub64(t0, qc0, 0)
+		t1, c = bits.Sub64(t1, qc1, c)
+		t2, c = bits.Sub64(t2, qc2, c)
+		t3, c = bits.Sub64(t3, qc3, c)
+		m := -c // all ones where x + y < q: add q back
+		t0, c = bits.Add64(t0, qc0&m, 0)
+		t1, c = bits.Add64(t1, qc1&m, c)
+		t2, c = bits.Add64(t2, qc2&m, c)
+		t3, _ = bits.Add64(t3, qc3&m, c)
+		zr[0], zr[1], zr[2], zr[3] = t0, t1, t2, t3
+		t0, c = bits.Add64(xr[4], yr[4], 0)
+		t1, c = bits.Add64(xr[5], yr[5], c)
+		t2, c = bits.Add64(xr[6], yr[6], c)
+		t3, _ = bits.Add64(xr[7], yr[7], c)
+		t0, c = bits.Sub64(t0, qc0, 0)
+		t1, c = bits.Sub64(t1, qc1, c)
+		t2, c = bits.Sub64(t2, qc2, c)
+		t3, c = bits.Sub64(t3, qc3, c)
+		m = -c
+		t0, c = bits.Add64(t0, qc0&m, 0)
+		t1, c = bits.Add64(t1, qc1&m, c)
+		t2, c = bits.Add64(t2, qc2&m, c)
+		t3, _ = bits.Add64(t3, qc3&m, c)
+		zr[4], zr[5], zr[6], zr[7] = t0, t1, t2, t3
+	}
+}
+
+// subRows is SubLanes' portable body: Element.Sub on every lane, written
+// out as addRows is, with q added back under the mask of the borrow.
+func subRows(z, x, y []Lanes) {
+	x, y = x[:len(z)], y[:len(z)]
+	for i := range LaneCount / 2 * len(z) {
+		k, r := i/(LaneCount/2), i%(LaneCount/2)
+		zr, xr, yr := &z[k][r], &x[k][r], &y[k][r]
+		t0, c := bits.Sub64(xr[0], yr[0], 0)
+		t1, c := bits.Sub64(xr[1], yr[1], c)
+		t2, c := bits.Sub64(xr[2], yr[2], c)
+		t3, c := bits.Sub64(xr[3], yr[3], c)
+		m := -c // all ones where x < y: add q back
+		t0, c = bits.Add64(t0, qc0&m, 0)
+		t1, c = bits.Add64(t1, qc1&m, c)
+		t2, c = bits.Add64(t2, qc2&m, c)
+		t3, _ = bits.Add64(t3, qc3&m, c)
+		zr[0], zr[1], zr[2], zr[3] = t0, t1, t2, t3
+		t0, c = bits.Sub64(xr[4], yr[4], 0)
+		t1, c = bits.Sub64(xr[5], yr[5], c)
+		t2, c = bits.Sub64(xr[6], yr[6], c)
+		t3, c = bits.Sub64(xr[7], yr[7], c)
+		m = -c
+		t0, c = bits.Add64(t0, qc0&m, 0)
+		t1, c = bits.Add64(t1, qc1&m, c)
+		t2, c = bits.Add64(t2, qc2&m, c)
+		t3, _ = bits.Add64(t3, qc3&m, c)
+		zr[4], zr[5], zr[6], zr[7] = t0, t1, t2, t3
 	}
 }
 

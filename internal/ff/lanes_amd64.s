@@ -27,17 +27,25 @@
 // in round 4, so that round writes all six accumulator limbs and the sixth
 // folds into limb 4 whole.
 //
+// One round of one row is a chain of dependent IFMA latencies (m waits for
+// t0, and the next round for m·q), so mulLanes runs two rows per iteration,
+// each with its own accumulator ring, round by round, and the rings fill
+// each other's latency. The x limbs are read as memory operands of the
+// products, which leaves registers for both rings.
+//
 // Register plan:
 //
-//	Z0..Z4     x limbs, then u − q in the final subtraction
-//	Z5..Z10    the accumulator, a ring of six: round i's limb j is
+//	Z0..Z4     u − q in the final subtraction (add and sub keep their
+//	           operands here too; pack and unpack have their own plan)
+//	Z5..Z10    row a's accumulator, a ring of six: round i's limb j is
 //	           register 5 + (i+j) mod 6; the register cleared by a 52-bit
 //	           step is the next round's top limb
+//	Z22..Z27   row b's accumulator ring, laid out the same way
 //	Z11..Z15   q limbs (broadcast)
 //	Z16, Z17   −q⁻¹ mod 2^52, the 52-bit mask (broadcast)
-//	Z18        m
-//	Z19        y[i]
-//	Z20        scratch
+//	Z18, Z28   m of rows a and b
+//	Z19, Z29   y[i] of rows a and b
+//	Z20, Z30   scratch of rows a and b
 //	Z21        the 48-bit mask (broadcast)
 //
 // Constants come from ·laneConst (lanes.go): q[0..4], −q⁻¹, masks.
@@ -45,7 +53,6 @@
 #define PINV Z16
 #define M52 Z17
 #define MM Z18
-#define B Z19
 #define TMP Z20
 #define M48 Z21
 
@@ -60,63 +67,64 @@
 	VPBROADCASTQ ·laneConst+32(SB), Z15 \
 	VPBROADCASTQ ·laneConst+48(SB), M52
 
-// t_j += lo(x_j·y[i]) and t_{j+1} += hi(x_j·y[i]) for y[i] at off(SI).
-#define MULADD(off, t0, t1, t2, t3, t4, t5) \
-	VMOVDQU64   off(SI), B \
-	VPMADD52LUQ B, Z0, t0 \
-	VPMADD52HUQ B, Z0, t1 \
-	VPMADD52LUQ B, Z1, t1 \
-	VPMADD52HUQ B, Z1, t2 \
-	VPMADD52LUQ B, Z2, t2 \
-	VPMADD52HUQ B, Z2, t3 \
-	VPMADD52LUQ B, Z3, t3 \
-	VPMADD52HUQ B, Z3, t4 \
-	VPMADD52LUQ B, Z4, t4 \
-	VPMADD52HUQ B, Z4, t5
+// t_j += lo(x_j·y[i]) and t_{j+1} += hi(x_j·y[i]) for y[i] at off(yp) and
+// the x limbs at xp, with y[i] in b.
+#define MULADD(off, yp, xp, b, t0, t1, t2, t3, t4, t5) \
+	VMOVDQU64   off(yp), b \
+	VPMADD52LUQ 0(xp), b, t0 \
+	VPMADD52HUQ 0(xp), b, t1 \
+	VPMADD52LUQ 64(xp), b, t1 \
+	VPMADD52HUQ 64(xp), b, t2 \
+	VPMADD52LUQ 128(xp), b, t2 \
+	VPMADD52HUQ 128(xp), b, t3 \
+	VPMADD52LUQ 192(xp), b, t3 \
+	VPMADD52HUQ 192(xp), b, t4 \
+	VPMADD52LUQ 256(xp), b, t4 \
+	VPMADD52HUQ 256(xp), b, t5
 
-// t += m·q for the m in MM.
-#define ADDMQ(t0, t1, t2, t3, t4, t5) \
-	VPMADD52LUQ Z11, MM, t0 \
-	VPMADD52HUQ Z11, MM, t1 \
-	VPMADD52LUQ Z12, MM, t1 \
-	VPMADD52HUQ Z12, MM, t2 \
-	VPMADD52LUQ Z13, MM, t2 \
-	VPMADD52HUQ Z13, MM, t3 \
-	VPMADD52LUQ Z14, MM, t3 \
-	VPMADD52HUQ Z14, MM, t4 \
-	VPMADD52LUQ Z15, MM, t4 \
-	VPMADD52HUQ Z15, MM, t5
+// t += m·q for the m in mm.
+#define ADDMQ(mm, t0, t1, t2, t3, t4, t5) \
+	VPMADD52LUQ Z11, mm, t0 \
+	VPMADD52HUQ Z11, mm, t1 \
+	VPMADD52LUQ Z12, mm, t1 \
+	VPMADD52HUQ Z12, mm, t2 \
+	VPMADD52LUQ Z13, mm, t2 \
+	VPMADD52HUQ Z13, mm, t3 \
+	VPMADD52LUQ Z14, mm, t3 \
+	VPMADD52HUQ Z14, mm, t4 \
+	VPMADD52LUQ Z15, mm, t4 \
+	VPMADD52HUQ Z15, mm, t5
 
 // The 52-bit step: m = t0·(−q⁻¹) mod 2^52, t += m·q, so t0 ≡ 0 mod 2^52;
 // t0's carry moves to t1 and t0 is cleared.
-#define REDUCE52(t0, t1, t2, t3, t4, t5) \
-	VPXORQ      MM, MM, MM \
-	VPMADD52LUQ PINV, t0, MM \
-	ADDMQ(t0, t1, t2, t3, t4, t5) \
-	VPSRLQ      $52, t0, TMP \
-	VPADDQ      TMP, t1, t1 \
+#define REDUCE52(mm, tmp, t0, t1, t2, t3, t4, t5) \
+	VPXORQ      mm, mm, mm \
+	VPMADD52LUQ PINV, t0, mm \
+	ADDMQ(mm, t0, t1, t2, t3, t4, t5) \
+	VPSRLQ      $52, t0, tmp \
+	VPADDQ      tmp, t1, t1 \
 	VPXORQ      t0, t0, t0
 
 // The 48-bit step: m′ = t0·(−q⁻¹) mod 2^48, t += m′·q, then t /= 2^48
 // limb by limb into t0..t4 (t5 lands in t4 whole, shifted up by 4).
-#define SHIFT48(a, b) \
+#define SHIFT48(tmp, a, b) \
 	VPSRLQ $48, a, a     \
-	VPSLLQ $16, b, TMP   \
-	VPSRLQ $12, TMP, TMP \
-	VPADDQ TMP, a, a
+	VPSLLQ $16, b, tmp   \
+	VPSRLQ $12, tmp, tmp \
+	VPADDQ tmp, a, a
 
-#define REDUCE48(t0, t1, t2, t3, t4, t5) \
-	VPXORQ      MM, MM, MM \
-	VPMADD52LUQ PINV, t0, MM \
-	VPANDQ      M48, MM, MM \
-	ADDMQ(t0, t1, t2, t3, t4, t5) \
-	SHIFT48(t0, t1) \
-	SHIFT48(t1, t2) \
-	SHIFT48(t2, t3) \
-	SHIFT48(t3, t4) \
+#define REDUCE48(mm, tmp, t0, t1, t2, t3, t4, t5) \
+	VPXORQ      mm, mm, mm \
+	VPMADD52LUQ PINV, t0, mm \
+	VPANDQ      M48, mm, mm \
+	ADDMQ(mm, t0, t1, t2, t3, t4, t5) \
+	SHIFT48(tmp, t0, t1) \
+	SHIFT48(tmp, t1, t2) \
+	SHIFT48(tmp, t2, t3) \
+	SHIFT48(tmp, t3, t4) \
 	VPSRLQ      $48, t4, t4 \
-	VPSLLQ      $4, t5, TMP \
-	VPADDQ      TMP, t4, t4
+	VPSLLQ      $4, t5, tmp \
+	VPADDQ      tmp, t4, t4
 
 // Carry from limb a into limb b, unsigned (CARRY) or signed (SCARRY).
 #define CARRY(a, b) \
@@ -131,8 +139,8 @@
 
 // Z0..Z4 hold d = x − y (or x + y − q, or a product minus q) in
 // unnormalized limbs, d ∈ [−q, q): normalize with signed carries, add q
-// back in the lanes where d < 0 (K1), carry again, and store to z at DX.
-#define SUBTAIL \
+// back in the lanes where d < 0 (K1), carry again, and store to z at zp.
+#define SUBTAIL(zp) \
 	SCARRY(Z0, Z1) \
 	SCARRY(Z1, Z2) \
 	SCARRY(Z2, Z3) \
@@ -148,18 +156,37 @@
 	CARRY(Z1, Z2) \
 	CARRY(Z2, Z3) \
 	CARRY(Z3, Z4) \
-	VMOVDQU64 Z0, 0(DX) \
-	VMOVDQU64 Z1, 64(DX) \
-	VMOVDQU64 Z2, 128(DX) \
-	VMOVDQU64 Z3, 192(DX) \
-	VMOVDQU64 Z4, 256(DX)
+	VMOVDQU64 Z0, 0(zp) \
+	VMOVDQU64 Z1, 64(zp) \
+	VMOVDQU64 Z2, 128(zp) \
+	VMOVDQU64 Z3, 192(zp) \
+	VMOVDQU64 Z4, 256(zp)
+
+// A product u below 1.46q, in the ring t (round 4's limb order):
+// subtract q, and SUBTAIL adds it back where u < q and stores u to zp.
+#define MULTAIL(zp, t0, t1, t2, t3, t4) \
+	VPSUBQ Z11, t0, Z0 \
+	VPSUBQ Z12, t1, Z1 \
+	VPSUBQ Z13, t2, Z2 \
+	VPSUBQ Z14, t3, Z3 \
+	VPSUBQ Z15, t4, Z4 \
+	SUBTAIL(zp)
+
+// One round of both rows: row a (x at DI, y at SI, ring a0..a5) and row b
+// (x at R9, y at R10, ring b0..b5).
+#define ROUND52(off, a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5) \
+	MULADD(off, SI, DI, Z19, a0, a1, a2, a3, a4, a5) \
+	MULADD(off, R10, R9, Z29, b0, b1, b2, b3, b4, b5) \
+	REDUCE52(MM, TMP, a0, a1, a2, a3, a4, a5) \
+	REDUCE52(Z28, Z30, b0, b1, b2, b3, b4, b5)
 
 // func mulLanes(z, x, y *Lanes, n, yStep int)
 //
 // z[k] = x[k]·y·2^−256 mod q lane-wise for k < n, where y advances yStep
 // bytes per k: LaneBytes for a row of multipliers, 0 for one multiplier.
-// z[k] is written after the last read of x[k] and its y, so z may alias x
-// or y (index for index).
+// Rows k and k+1 run together (rows a and b); an odd last row runs as both.
+// Both rows are stored after the last read of their x and y, so z may
+// alias x or y (index for index).
 TEXT ·mulLanes(SB), NOSPLIT, $0-40
 	MOVQ z+0(FP), DX
 	MOVQ x+8(FP), DI
@@ -173,41 +200,41 @@ TEXT ·mulLanes(SB), NOSPLIT, $0-40
 	VPBROADCASTQ ·laneConst+56(SB), M48
 
 mulLoop:
-	VMOVDQU64 0(DI), Z0
-	VMOVDQU64 64(DI), Z1
-	VMOVDQU64 128(DI), Z2
-	VMOVDQU64 192(DI), Z3
-	VMOVDQU64 256(DI), Z4
+	// Row b is row k+1, or row k again when it is the last.
+	LEAQ LaneBytes(DX), R11
+	LEAQ LaneBytes(DI), R9
+	LEAQ (SI)(R8*1), R10
+	CMPQ CX, $1
+	CMOVQEQ DX, R11
+	CMOVQEQ DI, R9
+	CMOVQEQ SI, R10
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
 	VPXORQ Z8, Z8, Z8
 	VPXORQ Z9, Z9, Z9
 	VPXORQ Z10, Z10, Z10
-	MULADD(0, Z5, Z6, Z7, Z8, Z9, Z10)
-	REDUCE52(Z5, Z6, Z7, Z8, Z9, Z10)
-	MULADD(64, Z6, Z7, Z8, Z9, Z10, Z5)
-	REDUCE52(Z6, Z7, Z8, Z9, Z10, Z5)
-	MULADD(128, Z7, Z8, Z9, Z10, Z5, Z6)
-	REDUCE52(Z7, Z8, Z9, Z10, Z5, Z6)
-	MULADD(192, Z8, Z9, Z10, Z5, Z6, Z7)
-	REDUCE52(Z8, Z9, Z10, Z5, Z6, Z7)
-	MULADD(256, Z9, Z10, Z5, Z6, Z7, Z8)
-	REDUCE48(Z9, Z10, Z5, Z6, Z7, Z8)
-
-	// u is below 1.46q in unnormalized limbs: subtract q, and SUBTAIL
-	// adds it back where u < q.
-	VPSUBQ Z11, Z9, Z0
-	VPSUBQ Z12, Z10, Z1
-	VPSUBQ Z13, Z5, Z2
-	VPSUBQ Z14, Z6, Z3
-	VPSUBQ Z15, Z7, Z4
-	SUBTAIL
-	ADDQ $LaneBytes, DX
-	ADDQ $LaneBytes, DI
-	ADDQ R8, SI
-	DECQ CX
-	JNE  mulLoop
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	ROUND52(0, Z5, Z6, Z7, Z8, Z9, Z10, Z22, Z23, Z24, Z25, Z26, Z27)
+	ROUND52(64, Z6, Z7, Z8, Z9, Z10, Z5, Z23, Z24, Z25, Z26, Z27, Z22)
+	ROUND52(128, Z7, Z8, Z9, Z10, Z5, Z6, Z24, Z25, Z26, Z27, Z22, Z23)
+	ROUND52(192, Z8, Z9, Z10, Z5, Z6, Z7, Z25, Z26, Z27, Z22, Z23, Z24)
+	MULADD(256, SI, DI, Z19, Z9, Z10, Z5, Z6, Z7, Z8)
+	MULADD(256, R10, R9, Z29, Z26, Z27, Z22, Z23, Z24, Z25)
+	REDUCE48(MM, TMP, Z9, Z10, Z5, Z6, Z7, Z8)
+	REDUCE48(Z28, Z30, Z26, Z27, Z22, Z23, Z24, Z25)
+	MULTAIL(DX, Z9, Z10, Z5, Z6, Z7)
+	MULTAIL(R11, Z26, Z27, Z22, Z23, Z24)
+	ADDQ $(2*LaneBytes), DX
+	ADDQ $(2*LaneBytes), DI
+	LEAQ (SI)(R8*2), SI
+	SUBQ $2, CX
+	JGT  mulLoop
 	VZEROUPPER
 
 mulDone:
@@ -236,7 +263,7 @@ subLoop:
 	VPSUBQ 192(SI), Z3, Z3
 	VMOVDQU64 256(DI), Z4
 	VPSUBQ 256(SI), Z4, Z4
-	SUBTAIL
+	SUBTAIL(DX)
 	ADDQ $LaneBytes, DX
 	ADDQ $LaneBytes, DI
 	ADDQ $LaneBytes, SI
@@ -275,7 +302,7 @@ addLoop:
 	VMOVDQU64 256(DI), Z4
 	VPADDQ 256(SI), Z4, Z4
 	VPSUBQ Z15, Z4, Z4
-	SUBTAIL
+	SUBTAIL(DX)
 	ADDQ $LaneBytes, DX
 	ADDQ $LaneBytes, DI
 	ADDQ $LaneBytes, SI

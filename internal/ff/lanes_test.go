@@ -96,6 +96,55 @@ func checkLanes(t testing.TB, x, y *[LaneCount]Element) {
 	}
 }
 
+// mulRowLens are the row lengths checkMulRows drives: one value, a pair,
+// a pair and an odd last row, whole pairs, and odd last rows after them.
+var mulRowLens = []int{1, 2, 3, 8, 9, 17}
+
+// checkMulRows runs MulLanes and ScalarMulLanes through the selected body
+// over rows of every length in mulRowLens and compares every lane with
+// Element.Mul: MulLanes with z distinct, aliasing x, aliasing y, and
+// aliasing both (a square); ScalarMulLanes with z distinct and aliasing x.
+// Lane l of value k holds xs[(l+k) mod 8] in x and ys[(l+3k) mod 8] in y,
+// so neighbouring values differ wherever xs and ys do, and a product
+// stored to the wrong row, or taken with the wrong row's multiplier,
+// shows.
+func checkMulRows(t testing.TB, xs, ys *[LaneCount]Element) {
+	t.Helper()
+	c := NewLaneConst(&ys[0])
+	for _, n := range mulRowLens {
+		x, y := make([]Element, LaneCount*n), make([]Element, LaneCount*n)
+		for i := range x {
+			l, k := i%LaneCount, i/LaneCount
+			x[i], y[i] = xs[(l+k)%LaneCount], ys[(l+3*k)%LaneCount]
+		}
+		X, Y, Z := make([]Lanes, n), make([]Lanes, n), make([]Lanes, n)
+		PackLanes(X, x)
+		PackLanes(Y, y)
+		got := make([]Element, LaneCount*n)
+		var e Element
+		for _, tc := range []struct {
+			name string
+			run  func()
+			want func(i int) *Element
+		}{
+			{"MulLanes", func() { MulLanes(Z, X, Y) }, func(i int) *Element { return e.Mul(&x[i], &y[i]) }},
+			{"MulLanes z==x", func() { copy(Z, X); MulLanes(Z, Z, Y) }, func(i int) *Element { return e.Mul(&x[i], &y[i]) }},
+			{"MulLanes z==y", func() { copy(Z, Y); MulLanes(Z, X, Z) }, func(i int) *Element { return e.Mul(&x[i], &y[i]) }},
+			{"MulLanes z==x==y", func() { copy(Z, X); MulLanes(Z, Z, Z) }, func(i int) *Element { return e.Mul(&x[i], &x[i]) }},
+			{"ScalarMulLanes", func() { ScalarMulLanes(Z, X, c.Row()) }, func(i int) *Element { return e.Mul(&x[i], &ys[0]) }},
+			{"ScalarMulLanes z==x", func() { copy(Z, X); ScalarMulLanes(Z, Z, c.Row()) }, func(i int) *Element { return e.Mul(&x[i], &ys[0]) }},
+		} {
+			tc.run()
+			UnpackLanes(got, Z)
+			for i := range got {
+				if w := tc.want(i); got[i] != *w {
+					t.Fatalf("n=%d %s value %d lane %d: got %x, want %x", n, tc.name, i/LaneCount, i%LaneCount, got[i], *w)
+				}
+			}
+		}
+	}
+}
+
 func TestLanesConstants(t *testing.T) {
 	var ql big.Int
 	for j := laneLimbs - 1; j >= 0; j-- {
@@ -153,16 +202,22 @@ func TestLanesRandom(t *testing.T) {
 	})
 }
 
-// TestLaneRows checks the row functions against Element arithmetic at row
-// lengths 0, 1, 2, 3, 7 and 64, with the result aliasing an input,
-// ScalarMulLanes and MulLanes by a LaneConst, and PackLanesPairs over a
-// pair table and over one that starts at an odd offset (x = pairs[1:]);
-// then partial rows: PackLanes, PackLanesPairs and UnpackLanes on 1–17
-// elements or pairs, whose last value's dead lanes must pack as zero and
-// unpack nowhere.
+// TestLaneRows checks the row functions against Element arithmetic:
+// MulLanes and ScalarMulLanes through checkMulRows; then at row lengths 0,
+// 1, 2, 3, 7 and 64 AddLanes and SubLanes with the result aliasing an
+// input, MulLanes by a LaneConst, and PackLanesPairs over a pair table
+// and over one that starts at an odd offset (x = pairs[1:]); then partial
+// rows: PackLanes, PackLanesPairs and UnpackLanes on 1–17 elements or
+// pairs, whose last value's dead lanes must pack as zero and unpack
+// nowhere.
 func TestLaneRows(t *testing.T) {
 	cputest.EachLaneBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(40))
+		var xs, ys [LaneCount]Element
+		for l := range xs {
+			xs[l], ys[l] = randRaw(rng), randRaw(rng)
+		}
+		checkMulRows(t, &xs, &ys)
 		edges := laneEdges()
 		for _, n := range []int{0, 1, 2, 3, 7, 64} {
 			m := LaneCount * n
@@ -191,11 +246,6 @@ func TestLaneRows(t *testing.T) {
 			}
 			var e Element
 			Z := make([]Lanes, n)
-			MulLanes(Z, X, Y)
-			check("MulLanes", Z, func(i int) Element { return *e.Mul(&x[i], &y[i]) })
-			copy(Z, X)
-			ScalarMulLanes(Z, Z, C.Row())
-			check("ScalarMulLanes z==x", Z, func(i int) Element { return *e.Mul(&x[i], &c) })
 			copy(Z, Y)
 			AddLanes(Z, X, Z)
 			check("AddLanes z==y", Z, func(i int) Element { return *e.Add(&x[i], &y[i]) })
@@ -270,7 +320,8 @@ func TestLaneRows(t *testing.T) {
 // FuzzLanes decodes up to sixteen elements (eight x, eight y) from the
 // input, filling what it does not cover with edge elements. The scalar
 // half checks Element.Mul and Sub against math/big; the vector half checks
-// every lane of Lanes against them.
+// every lane of Lanes against them, on one-value rows and on the rows of
+// checkMulRows.
 func FuzzLanes(f *testing.F) {
 	edges := laneEdges()
 	for i := range edges {
@@ -309,7 +360,10 @@ func FuzzLanes(f *testing.F) {
 				t.Fatalf("Sub(%x, %x) = %x, math/big %v", x[l], y[l], sub, d)
 			}
 		}
-		cputest.EachLaneBody(t, func(t *testing.T) { checkLanes(t, &x, &y) })
+		cputest.EachLaneBody(t, func(t *testing.T) {
+			checkLanes(t, &x, &y)
+			checkMulRows(t, &x, &y)
+		})
 	})
 }
 

@@ -130,7 +130,9 @@ func (c *pollCtx) Err() error {
 // not at the next step boundary. Afterwards no goroutine may be left behind
 // by the kernels that were interrupted.
 func TestCancellationMidStep(t *testing.T) {
-	const nv, workers = 11, 2
+	// At 2^13 gates step 1 takes 60–80 ms on a 2-core host, so a quarter
+	// of it stays well above the 6–8 ms a scheduler outlier can add.
+	const nv, workers = 13, 2
 	c := buildDenseCircuit(t, nv)
 	for _, r := range residencies {
 		t.Run(r.name, func(t *testing.T) {

@@ -1,7 +1,9 @@
 package poly
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"zkphire/internal/cpu/cputest"
@@ -163,8 +165,9 @@ func TestCompiledNestedPow(t *testing.T) {
 	})
 }
 
-// TestCompileHoistsPowers checks the compiler's shared-power hoisting: a
-// composite where three terms use w² must square w once per evaluation.
+// TestCompileHoistsPowers checks that shared powers are built once per
+// point: q1·w² + q2·w² + q3·w² costs at most two products (a compiler
+// that squared w once per term would spend six).
 func TestCompileHoistsPowers(t *testing.T) {
 	e := expr.Sum(
 		expr.Prod(expr.V("q1"), expr.P(expr.V("w"), 2)),
@@ -172,57 +175,208 @@ func TestCompileHoistsPowers(t *testing.T) {
 		expr.Prod(expr.V("q3"), expr.P(expr.V("w"), 2)),
 	)
 	c := FromExpr("hoist", -1, e, nil)
-	prog := c.Compile()
-	squares := 0
-	for _, op := range prog.Ops {
-		if op.Kind == OpSquare {
-			squares++
-		}
-	}
-	if squares != 1 {
-		t.Fatalf("expected 1 hoisted square, got %d:\n%s", squares, prog.String())
+	if prog := c.Compile(); prog.muls() > 2 {
+		t.Fatalf("%d products per point, want at most 2:\n%s", prog.muls(), prog.String())
 	}
 }
 
-// TestCompileOpCounts pins each program's length and its multiplications
-// (OpMul, OpSquare, OpMulConst) per point for every registry composite and
-// the sweep's high-degree gates. Each variable's powers come from one
-// shortest addition chain through the powers its terms use: HighDegree(16)
-// builds w¹⁵ in five steps (2, 3, 6, 12, 15), HighDegree(8) w⁷ in four,
-// and each Jellyfish w⁵ in three (2, 4, 5).
-func TestCompileOpCounts(t *testing.T) {
-	want := map[string][2]int{ // name: {ops, muls}
-		"VerifiableASICs": {7, 4}, "Spartan1": {6, 4}, "Spartan2": {2, 1},
-		"NonzeroPointCheck": {10, 7}, "XGatedCurveCheck": {12, 9}, "YGatedCurveCheck": {13, 10},
-		"IncompleteAdd1": {39, 29}, "IncompleteAdd2": {21, 15},
-		"CompleteAdd1": {27, 20}, "CompleteAdd2": {30, 24}, "CompleteAdd3": {30, 24},
-		"CompleteAdd4": {41, 33}, "CompleteAdd5": {45, 37}, "CompleteAdd6": {49, 41},
-		"CompleteAdd7": {14, 10}, "CompleteAdd8": {14, 10}, "CompleteAdd9": {14, 10},
-		"CompleteAdd10": {14, 10}, "CompleteAdd11": {21, 16}, "CompleteAdd12": {21, 16},
-		"VanillaZeroCheck": {16, 11}, "VanillaPermCheck": {17, 13},
-		"JellyfishZeroCheck": {56, 43}, "JellyfishPermCheck": {21, 17}, "OpenCheck": {12, 6},
-		"HighDegree8": {12, 8}, "HighDegree16": {13, 9},
+// termByTerm returns the products per point and the register count of
+// the term-by-term program for c: one addition chain per variable through
+// the powers its terms use, then each term's factors multiplied in turn
+// and by its coefficient if that is not 1, in one product register.
+func termByTerm(c *Composite) (muls, regs int) {
+	need := make([][]int, c.NumVars())
+	for _, t := range c.Terms {
+		if len(t.Factors) == 0 {
+			continue
+		}
+		muls += len(t.Factors) - 1
+		if !t.Coeff.IsOne() {
+			muls++
+		}
+		for _, f := range t.Factors {
+			if f.Power > 1 && !slices.Contains(need[f.Var], f.Power) {
+				need[f.Var] = append(need[f.Var], f.Power)
+			}
+		}
 	}
-	comps := []*Composite{HighDegree(8), HighDegree(16)}
+	regs = c.NumVars() + 1
+	for _, ks := range need {
+		n := len(powerChain(ks))
+		muls, regs = muls+n, regs+n
+	}
+	return muls, regs
+}
+
+// sweepGates are the six gates of the SumCheck sweep benchmark.
+func sweepGates() []*Composite {
+	alpha := ff.NewElement(0x9e3779b97f4a7c15)
+	return []*Composite{VanillaGate(), JellyfishGate(), HighDegree(8), HighDegree(16), PermCheckK(3, alpha), PermCheckK(5, alpha)}
+}
+
+// TestCompileOpCounts pins each program's length, its multiplications
+// per point (OpMul, OpSquare, OpMulConst, OpAccMul) and its register count
+// for every registry composite and the sweep's gates, and checks that the
+// factored program never costs more products or registers than the
+// term-by-term one. Factoring turns Jellyfish's q·w + q_H·w⁵ into
+// w·(q + q_H·w⁴), which builds w⁴ in two squarings, and every ZeroCheck
+// composite's f_r multiplies once, after the sum.
+func TestCompileOpCounts(t *testing.T) {
+	want := map[string][3]int{ // name: {ops, muls, regs}
+		"VanillaGate": {10, 5, 9}, "JellyfishGate": {35, 22, 23},
+		"HighDegree8": {11, 7, 8}, "HighDegree16": {12, 8, 8},
+		"PermCheck3": {14, 10, 12}, "PermCheck5": {18, 14, 16},
+		"VerifiableASICs": {6, 3, 5}, "Spartan1": {5, 3, 5}, "Spartan2": {2, 1, 3},
+		"NonzeroPointCheck": {8, 5, 5}, "XGatedCurveCheck": {9, 6, 5}, "YGatedCurveCheck": {9, 6, 5},
+		"IncompleteAdd1": {24, 14, 9}, "IncompleteAdd2": {14, 8, 8},
+		"CompleteAdd1": {15, 8, 8}, "CompleteAdd2": {21, 15, 8}, "CompleteAdd3": {15, 9, 8},
+		"CompleteAdd4": {19, 11, 9}, "CompleteAdd5": {20, 12, 10}, "CompleteAdd6": {21, 13, 10},
+		"CompleteAdd7": {9, 5, 6}, "CompleteAdd8": {9, 5, 6}, "CompleteAdd9": {9, 5, 6},
+		"CompleteAdd10": {9, 5, 6}, "CompleteAdd11": {13, 8, 9}, "CompleteAdd12": {13, 8, 9},
+		"VanillaZeroCheck": {11, 6, 10}, "VanillaPermCheck": {14, 10, 12},
+		"JellyfishZeroCheck": {36, 23, 24}, "JellyfishPermCheck": {18, 14, 16}, "OpenCheck": {12, 6, 13},
+	}
+	comps := sweepGates()
 	for id := 0; id < NumRegistered; id++ {
 		comps = append(comps, Registered(id))
 	}
 	for _, c := range comps {
 		prog := c.Compile()
-		muls := 0
-		for _, op := range prog.Ops {
-			if op.Kind == OpMul || op.Kind == OpSquare || op.Kind == OpMulConst {
-				muls++
-			}
-		}
+		got := [3]int{len(prog.Ops), prog.muls(), prog.NumRegs}
 		w, ok := want[c.Name]
 		if !ok {
-			t.Fatalf("no pinned op count for %s (%d ops, %d muls)", c.Name, len(prog.Ops), muls)
+			t.Fatalf("no pinned op count for %s: {ops, muls, regs} = %v", c.Name, got)
 		}
-		if got := [2]int{len(prog.Ops), muls}; got != w {
-			t.Errorf("%s: {ops, muls} = %v, want %v:\n%s", c.Name, got, w, prog.String())
+		if got != w {
+			t.Errorf("%s: {ops, muls, regs} = %v, want %v:\n%s", c.Name, got, w, prog.String())
+		}
+		if muls, regs := termByTerm(c); got[1] > muls || got[2] > regs {
+			t.Errorf("%s: %d products and %d registers, term by term %d and %d", c.Name, got[1], got[2], muls, regs)
 		}
 	}
+}
+
+// encodeComposite writes c in FuzzCompile's input format: the variable
+// count, then per term its factor count, its coefficient (a kind byte: 0,
+// 1, −1, a small integer, or ± eight bytes of one word) and one (variable,
+// power) byte pair per factor.
+func encodeComposite(c *Composite) []byte {
+	data := []byte{byte(c.NumVars() - 1)}
+	minusOne := ff.NewInt64(-1)
+	for _, t := range c.Terms {
+		data = append(data, byte(len(t.Factors)))
+		var neg ff.Element
+		neg.Neg(&t.Coeff)
+		switch {
+		case t.Coeff.IsZero():
+			data = append(data, 0)
+		case t.Coeff.IsOne():
+			data = append(data, 1)
+		case t.Coeff.Equal(&minusOne):
+			data = append(data, 2)
+		default:
+			kind := byte(3)
+			w, ok := t.Coeff.Uint64()
+			if !ok {
+				kind = 4
+				w, _ = neg.Uint64()
+			}
+			data = append(data, kind)
+			data = binary.LittleEndian.AppendUint64(data, w)
+		}
+		for _, f := range t.Factors {
+			data = append(data, byte(f.Var), byte(f.Power-1))
+		}
+	}
+	return data
+}
+
+// decodeComposite reads FuzzCompile's input: up to 32 variables and 24
+// terms of up to seven factors, powers 1–17; a variable that repeats
+// within a term is skipped, and a truncated term ends the input.
+func decodeComposite(data []byte) *Composite {
+	if len(data) == 0 {
+		return nil
+	}
+	c := &Composite{Name: "fuzz", ID: -1}
+	nv := 1 + int(data[0])%32
+	for v := range nv {
+		c.VarNames = append(c.VarNames, fmt.Sprintf("v%d", v))
+		c.Roles = append(c.Roles, RoleDense)
+	}
+	data = data[1:]
+	for len(data) >= 2 && len(c.Terms) < 24 {
+		nf, kind := int(data[0])%8, data[1]%8
+		data = data[2:]
+		var t Term
+		switch kind {
+		case 0:
+		case 1:
+			t.Coeff = ff.One()
+		case 2:
+			t.Coeff = ff.NewInt64(-1)
+		case 3, 4:
+			if len(data) < 8 {
+				return c
+			}
+			t.Coeff = ff.NewElement(binary.LittleEndian.Uint64(data))
+			if kind == 4 {
+				t.Coeff.Neg(&t.Coeff)
+			}
+			data = data[8:]
+		default:
+			t.Coeff = ff.NewElement(uint64(kind))
+		}
+		if len(data) < 2*nf {
+			return c
+		}
+		for i := range nf {
+			v, pow := int(data[2*i])%nv, 1+int(data[2*i+1])%17
+			if !slices.ContainsFunc(t.Factors, func(f Factor) bool { return f.Var == v }) {
+				t.Factors = append(t.Factors, Factor{Var: v, Power: pow})
+			}
+		}
+		data = data[2*nf:]
+		if len(t.Factors) > 0 || !t.Coeff.IsZero() {
+			c.Terms = append(c.Terms, t)
+		}
+	}
+	return c
+}
+
+// FuzzCompile compiles random composites — constant terms, variables
+// shared across terms, powers 1–17, coefficients 0, 1, −1 and others — and
+// checks on both Lanes bodies that EvalLanes equals Composite.Evaluate at
+// random points, and that the factored program costs no more products and
+// registers than the term-by-term one. The seeds are the sweep's six gates
+// and a·w¹⁶ + b·w, where factoring w out would need a longer chain.
+func FuzzCompile(f *testing.F) {
+	w16w := FromExpr("w16+w", -1, expr.Sum(
+		expr.Prod(expr.V("a"), expr.P(expr.V("w"), 16)),
+		expr.Prod(expr.V("b"), expr.V("w")),
+	), nil)
+	for _, c := range append(sweepGates(), w16w) {
+		data := encodeComposite(c)
+		if !slices.EqualFunc(decodeComposite(data).Terms, c.Terms, func(a, b Term) bool {
+			return a.Coeff.Equal(&b.Coeff) && slices.Equal(a.Factors, b.Factors)
+		}) {
+			f.Fatalf("%s does not survive its encoding", c.Name)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := decodeComposite(data)
+		if c == nil || len(c.Terms) == 0 {
+			return
+		}
+		prog := c.Compile()
+		if muls, regs := termByTerm(c); prog.muls() > muls || prog.NumRegs > regs {
+			t.Fatalf("%d products and %d registers, term by term %d and %d:\n%s\n%s", prog.muls(), prog.NumRegs, muls, regs, c, prog)
+		}
+		cputest.EachLaneBody(t, func(t *testing.T) {
+			evalBoth(t, c, randomBlock(ff.NewRand(44), c, 9)...)
+		})
+	})
 }
 
 // TestPowerChain checks powerChain's chains are valid and as short as
