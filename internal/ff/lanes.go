@@ -234,6 +234,8 @@ func mulRows(z, x, y []Lanes, yStep int) {
 // out because Element.Add is too large to inline. It subtracts q from
 // x + y and adds q back under a mask where that borrows, so no branch
 // depends on the data (x + y ≥ q in half the lanes of random inputs).
+// Both elements of a pair row are written out in one iteration: looping
+// over them, or over single lanes, measured 15–30% slower per element.
 func addRows(z, x, y []Lanes) {
 	x, y = x[:len(z)], y[:len(z)]
 	for i := range LaneCount / 2 * len(z) {

@@ -96,9 +96,10 @@ func checkLanes(t testing.TB, x, y *[LaneCount]Element) {
 	}
 }
 
-// mulRowLens are the row lengths checkMulRows drives: one value, a pair,
-// a pair and an odd last row, whole pairs, and odd last rows after them.
-var mulRowLens = []int{1, 2, 3, 8, 9, 17}
+// mulRowLens are the row lengths checkMulRows drives: an empty row, one
+// value, a pair, a pair and an odd last row, whole pairs, and odd last
+// rows after them.
+var mulRowLens = []int{0, 1, 2, 3, 8, 9, 17, 64}
 
 // checkMulRows runs MulLanes and ScalarMulLanes through the selected body
 // over rows of every length in mulRowLens and compares every lane with
