@@ -11,18 +11,18 @@ test:
 # The reference leg: -tags purego compiles all five assembly files out —
 # fp.Mul (internal/fp/mul_amd64.s), the fp.Lanes AVX-512 IFMA body behind
 # the curve layer's chord queue and window reduction
-# (internal/fp/lanes_amd64.s), ff's Mul/MulVec (internal/ff/mul_amd64.s),
-# the ff.Lanes IFMA body behind the SumCheck scan and FoldVec
-# (internal/ff/lanes_amd64.s) and the one CPUID/XGETBV probe that picks
-# them (internal/cpu/cpu_amd64.s, whose ADX and IFMA become the constant
-# false) — so both fields, with Square as mulGeneric(x, x), the portable
-# bodies of fp.Lanes and ff.Lanes (the lane tests of fp, ff, poly,
-# sumcheck and curve run them here instead of skipping), the curve/pcs
-# layers and the SumCheck scan (poly's lane evaluator, mle, sumcheck) on
-# top of them, and the golden proof-byte pins in hyperplonk run on the
-# portable Go path.
+# (internal/fp/lanes_amd64.s), ff's Mul (internal/ff/mul_amd64.s), the
+# ff.Lanes IFMA body behind the SumCheck scan, FoldVec, the permutation
+# build and the table combination (internal/ff/lanes_amd64.s) and the one
+# CPUID/XGETBV probe that picks them (internal/cpu/cpu_amd64.s, whose ADX
+# and IFMA become the constant false) — so both fields, with Square as
+# mulGeneric(x, x), the portable bodies of fp.Lanes and ff.Lanes (the lane
+# tests of fp, ff, poly, sumcheck, perm and curve run them here instead of
+# skipping), the curve/pcs layers, the permutation argument and the
+# SumCheck scan (poly's lane evaluator, mle, sumcheck) on top of them, and
+# the golden proof-byte pins in hyperplonk run on the portable Go path.
 test-purego:
-	$(GO) test -tags purego ./internal/cpu ./internal/fp ./internal/ff ./internal/poly ./internal/mle ./internal/sumcheck ./internal/curve ./internal/pcs ./internal/hyperplonk
+	$(GO) test -tags purego ./internal/cpu ./internal/fp ./internal/ff ./internal/poly ./internal/mle ./internal/sumcheck ./internal/perm ./internal/curve ./internal/pcs ./internal/hyperplonk
 
 # The non-amd64 fallback must keep compiling: the build, and go vet, which
 # also compiles the test files behind !amd64 build tags.

@@ -383,8 +383,7 @@ func madd0(a, b, c uint64) uint64 {
 // Mul sets z = x*y mod q and returns z. On amd64 CPUs with BMI2+ADX
 // (cpu.ADX) it is the assembly kernel in mul_amd64.s; everywhere else (and
 // under -tags purego) it is mulGeneric. The two compute the same fully
-// reduced value. Slice loops should call MulVec, which keeps the whole
-// loop inside the kernel.
+// reduced value. Slice loops should run on the Lanes rows (MulLanes).
 func (z *Element) Mul(x, y *Element) *Element {
 	if cpu.ADX {
 		mulADX(z, x, y)

@@ -201,28 +201,3 @@ func FuzzFFSquare(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFFMulAdd drives the fused multiply-add kernel (the FoldVec core)
-// against the two-step reference.
-func FuzzFFMulAdd(f *testing.F) {
-	for _, s := range fuzzSeedBytes() {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 96 {
-			// Reuse shorter inputs by zero-extending.
-			data = append(append([]byte(nil), data...), make([]byte, 96)...)
-		}
-		var x, y, a Element
-		x.SetBigInt(new(big.Int).SetBytes(data[:32]))
-		y.SetBigInt(new(big.Int).SetBytes(data[32:64]))
-		a.SetBigInt(new(big.Int).SetBytes(data[64:96]))
-		var got, want Element
-		got.MulAdd(&x, &y, &a)
-		want.Mul(&x, &y)
-		want.Add(&want, &a)
-		if !got.Equal(&want) {
-			t.Fatal("MulAdd != Mul+Add")
-		}
-	})
-}

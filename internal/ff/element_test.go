@@ -284,32 +284,6 @@ func TestQuickAlgebra(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	rng := NewRand(23)
-	v := rng.Elements(16)
-	w := rng.Elements(16)
-
-	ip := InnerProductVec(v, w)
-	var want Element
-	for i := range v {
-		var t2 Element
-		t2.Mul(&v[i], &w[i])
-		want.Add(&want, &t2)
-	}
-	if !ip.Equal(&want) {
-		t.Fatal("inner product mismatch")
-	}
-
-	sum := SumVec(v)
-	var s Element
-	for i := range v {
-		s.Add(&s, &v[i])
-	}
-	if !sum.Equal(&s) {
-		t.Fatal("sum mismatch")
-	}
-}
-
 func TestSparseElements(t *testing.T) {
 	rng := NewRand(31)
 	elems := rng.SparseElements(4096, 0.1)

@@ -7,12 +7,6 @@ package ff
 //go:noescape
 func mulADX(z, x, y *Element)
 
-// mulVec sets z[i] = x[i]*y[i] for i < n (mul_amd64.s). Callers must check
-// cpu.ADX and pass n ≥ 0 elements behind each pointer.
-//
-//go:noescape
-func mulVec(z, x, y *Element, n int)
-
 // mulLanes, subLanes, addLanes, packLanes, packLanesPairs and unpackLanes
 // are the Lanes row kernels (lanes_amd64.s). Callers must check cpu.IFMA
 // and pass n ≥ 0 values behind each pointer (mulLanes reads one y when

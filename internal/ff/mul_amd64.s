@@ -11,7 +11,7 @@
 // flags alone, so every round runs two independent carry chains — ADCX on
 // CF, ADOX on OF — instead of one serialised ADC chain.
 //
-// Register plan (12 live, so neither BP nor a stack frame is needed, and
+// Register plan (11 live, so neither BP nor a stack frame is needed, and
 // R14/R15 — g and the dynlink GOT scratch — are left alone):
 //
 //	DI, SI    x, y pointers (x limbs are MULX memory operands)
@@ -20,10 +20,9 @@
 //	AX        low product word / zero for flushing the chains
 //	BX        high word of m·q[0]
 //	CX        A, the carry word out of the x·y[i] pass
-//	R12, R13  the slice loop's z pointer and remaining count
+//	R12       the z pointer, loaded after the last read of x and y
 //
-// The final subtraction reuses AX, BX, CX, DX, so DI and SI survive one
-// product and the slice loop only advances them. The modulus limbs are
+// The final subtraction reuses AX, BX, CX, DX. The modulus limbs are
 // memory operands on ·q and −q⁻¹ mod 2^64 is ·qInvNeg, the variables init()
 // derives from modulusHex and cross-checks against the qc0..qc3 / qInvNegC
 // immediates the generic path uses.
@@ -134,28 +133,4 @@ TEXT ·mulADX(SB), NOSPLIT, $0-24
 	MUL_BODY()
 	MOVQ z+0(FP), R12
 	STORE(R12)
-	RET
-
-// func mulVec(z, x, y *Element, n int)
-//
-// z[i] = x[i]·y[i] for i < n. Element i of z is written only after element
-// i of x and y is read, so z may alias x or y (index for index).
-TEXT ·mulVec(SB), NOSPLIT, $0-32
-	MOVQ z+0(FP), R12
-	MOVQ x+8(FP), DI
-	MOVQ y+16(FP), SI
-	MOVQ n+24(FP), R13
-	TESTQ R13, R13
-	JEQ  done
-
-loop:
-	MUL_BODY()
-	STORE(R12)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, R12
-	DECQ R13
-	JNE  loop
-
-done:
 	RET

@@ -2,14 +2,12 @@
 
 package ff
 
-// Without the amd64 kernels (other architectures, or -tags purego) Mul,
-// Square and MulVec are mulGeneric, and Lanes runs its portable body:
+// Without the amd64 kernels (other architectures, or -tags purego) Mul
+// and Square are mulGeneric, and Lanes runs its portable body:
 // cpu.ADX and cpu.IFMA are the constant false, so the compiler drops the
 // dispatch branches and these stubs are never called.
 
 func mulADX(z, x, y *Element) { panic("ff: mulADX without the amd64 kernel") }
-
-func mulVec(z, x, y *Element, n int) { panic("ff: mulVec without the amd64 kernel") }
 
 func mulLanes(z, x, y *Lanes, n, yStep int) { panic("ff: mulLanes without the amd64 kernel") }
 

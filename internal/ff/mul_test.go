@@ -187,46 +187,6 @@ func TestDispatch(t *testing.T) {
 	}
 }
 
-// TestMulVecKernels checks MulVec against per-element mulGeneric at
-// lengths 0, 1, 63, 64, 65 and 1000, with the destination distinct from
-// and aliasing each input.
-func TestMulVecKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	edges := edgeLimbs()
-	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-		x, y := make([]Element, n), make([]Element, n)
-		for i := range x {
-			x[i], y[i] = randRaw(rng), randRaw(rng)
-			if i < len(edges) {
-				x[i], y[i] = edges[i], edges[len(edges)-1-i]
-			}
-		}
-		wantMul := make([]Element, n)
-		for i := range x {
-			wantMul[i].mulGeneric(&x[i], &y[i])
-		}
-		check := func(name string, got, want []Element) {
-			t.Helper()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s n=%d: element %d got %x, mulGeneric %x", name, n, i, got[i], want[i])
-				}
-			}
-		}
-		clone := func(v []Element) []Element { return append([]Element(nil), v...) }
-
-		z := make([]Element, n)
-		MulVec(z, x, y)
-		check("MulVec z distinct", z, wantMul)
-		z = clone(x)
-		MulVec(z, z, y)
-		check("MulVec z==x", z, wantMul)
-		z = clone(y)
-		MulVec(z, x, z)
-		check("MulVec z==y", z, wantMul)
-	}
-}
-
 func FuzzMulAsmVsGeneric(f *testing.F) {
 	seed := func(x, y Element) {
 		var buf [2 * Bytes]byte
@@ -256,13 +216,6 @@ func FuzzMulAsmVsGeneric(f *testing.F) {
 		if want := montMulBig(&x, &y); got != want {
 			t.Fatalf("x=%x y=%x got %x, math/big %x", x, y, got, want)
 		}
-		xs, ys := []Element{x, y, x}, []Element{y, x, y}
-		MulVec(xs, xs, ys)
-		for i := range xs {
-			if xs[i] != got {
-				t.Fatalf("MulVec element %d: x=%x y=%x got %x, want %x", i, x, y, xs[i], got)
-			}
-		}
 	})
 }
 
@@ -272,7 +225,6 @@ func FuzzMulAsmVsGeneric(f *testing.F) {
 //
 // "asm" is the public method on a CPU where it dispatches to mulADX (what
 // the callers pay, dispatch included); "generic" is the portable body.
-// BenchmarkMulVec is the slice kernel per element at the scan's block width.
 func BenchmarkMul(b *testing.B) {
 	var x, y Element
 	x.SetUint64(0xdeadbeef)
@@ -313,31 +265,5 @@ func BenchmarkSquare(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			x.mulGeneric(&x, &x)
 		}
-	})
-}
-
-func BenchmarkMulVec(b *testing.B) {
-	rng := rand.New(rand.NewSource(26))
-	const n = 64
-	x, y := make([]Element, n), make([]Element, n)
-	for i := range x {
-		x[i], y[i] = randRaw(rng), randRaw(rng)
-	}
-	b.Run("asm", func(b *testing.B) {
-		if !cpu.ADX {
-			b.Skip("no BMI2+ADX on this CPU (or built with -tags purego)")
-		}
-		for i := 0; i < b.N; i++ {
-			MulVec(x, x, y)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
-	})
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range x {
-				x[j].mulGeneric(&x[j], &y[j])
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 	})
 }

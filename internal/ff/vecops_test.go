@@ -2,35 +2,14 @@ package ff
 
 import (
 	"math/big"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"zkphire/internal/cpu/cputest"
 )
 
-// naiveSum / naiveInner are the pre-lazy reference chains the batch kernels
-// must match bit-for-bit (both sides are fully reduced, so field equality is
-// limb equality).
-func naiveSum(v []Element) Element {
-	var s Element
-	for i := range v {
-		s.Add(&s, &v[i])
-	}
-	return s
-}
-
-func naiveInner(a, b []Element) Element {
-	var s, t Element
-	for i := range a {
-		t.Mul(&a[i], &b[i])
-		s.Add(&s, &t)
-	}
-	return s
-}
-
-// edgeElements returns the values most likely to trip unreduced accumulator
-// carry chains: 0, 1, q−1, q−2, 1/2, and saturated-limb patterns.
+// edgeElements returns the values most likely to trip carry chains: 0, 1,
+// q−1, q−2, 1/2, and saturated-limb patterns.
 func edgeElements() []Element {
 	var out []Element
 	var e Element
@@ -41,63 +20,6 @@ func edgeElements() []Element {
 	out = append(out, TwoInv())
 	out = append(out, *e.SetBigInt(new(big.Int).Rsh(qBig, 1)))
 	return out
-}
-
-func TestSumVecMatchesNaive(t *testing.T) {
-	rng := NewRand(21)
-	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000, 4097} {
-		v := rng.Elements(n)
-		// Splice edge values in so the 5th-limb carry path is exercised.
-		for i, e := range edgeElements() {
-			if i < len(v) {
-				v[i] = e
-			}
-		}
-		got, want := SumVec(v), naiveSum(v)
-		if !got.Equal(&want) {
-			t.Fatalf("SumVec(%d) = %s, want %s", n, got.String(), want.String())
-		}
-	}
-	// All-(q−1) vector: maximal per-element magnitude.
-	var max Element
-	max.SetBigInt(new(big.Int).Sub(qBig, big.NewInt(1)))
-	v := make([]Element, 5000)
-	for i := range v {
-		v[i] = max
-	}
-	got, want := SumVec(v), naiveSum(v)
-	if !got.Equal(&want) {
-		t.Fatal("SumVec saturated vector mismatch")
-	}
-}
-
-func TestInnerProductVecMatchesNaive(t *testing.T) {
-	rng := NewRand(22)
-	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000, 4097} {
-		a, b := rng.Elements(n), rng.Elements(n)
-		for i, e := range edgeElements() {
-			if i < len(a) {
-				a[i] = e
-			}
-			if i+1 < len(b) {
-				b[i+1] = e
-			}
-		}
-		got, want := InnerProductVec(a, b), naiveInner(a, b)
-		if !got.Equal(&want) {
-			t.Fatalf("InnerProductVec(%d) mismatch", n)
-		}
-	}
-	var max Element
-	max.SetBigInt(new(big.Int).Sub(qBig, big.NewInt(1)))
-	a := make([]Element, 3000)
-	for i := range a {
-		a[i] = max
-	}
-	got, want := InnerProductVec(a, a), naiveInner(a, a)
-	if !got.Equal(&want) {
-		t.Fatal("InnerProductVec saturated mismatch")
-	}
 }
 
 // TestFoldVecMatchesNaive folds tables of m = 0–17, 64, 65 and 512 pairs
@@ -154,22 +76,6 @@ func TestFoldVecMatchesNaive(t *testing.T) {
 	})
 }
 
-func TestLazyAccMatchesNaive(t *testing.T) {
-	rng := NewRand(25)
-	for _, n := range []int{1, 2, 7, 33} {
-		a, b := rng.Elements(n), rng.Elements(n)
-		var acc LazyAcc
-		for i := range a {
-			acc.MulAcc(&a[i], &b[i])
-		}
-		got := acc.Reduce()
-		want := naiveInner(a, b)
-		if !got.Equal(&want) {
-			t.Fatalf("LazyAcc(%d) mismatch", n)
-		}
-	}
-}
-
 // TestBatchInvertScratchMatchesBatchInvert runs BatchInvertScratch on a
 // reused buffer, longer than a and full of stale values, against
 // BatchInvert's fresh one (TestBatchInvert checks that against Inverse).
@@ -186,61 +92,6 @@ func TestBatchInvertScratchMatchesBatchInvert(t *testing.T) {
 		if !a[i].Equal(&b[i]) {
 			t.Fatalf("BatchInvertScratch entry %d mismatch", i)
 		}
-	}
-}
-
-// TestMulAddRedRandomBig drives the fused multiply-add against big.Int over
-// random and adversarial operands, hammering the top-bit carry-out path.
-func TestMulAddRedRandomBig(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	randBig := func() *big.Int {
-		buf := make([]byte, 40)
-		for i := range buf {
-			buf[i] = byte(rng.Intn(256))
-		}
-		v := new(big.Int).SetBytes(buf)
-		return v.Mod(v, qBig)
-	}
-	qm1 := new(big.Int).Sub(qBig, big.NewInt(1))
-	cases := [][3]*big.Int{
-		{qm1, qm1, qm1},
-		{qm1, qm1, big.NewInt(0)},
-		{big.NewInt(0), big.NewInt(0), qm1},
-		{big.NewInt(1), qm1, qm1},
-	}
-	for i := 0; i < 500; i++ {
-		cases = append(cases, [3]*big.Int{randBig(), randBig(), randBig()})
-	}
-	for i, tc := range cases {
-		var x, y, add Element
-		x.SetBigInt(tc[0])
-		y.SetBigInt(tc[1])
-		add.SetBigInt(tc[2])
-		got := mulAddRed(&x, &y, &add)
-		var want Element
-		want.Mul(&x, &y)
-		want.Add(&want, &add)
-		if !got.Equal(&want) {
-			t.Fatalf("mulAddRed case %d mismatch", i)
-		}
-	}
-}
-
-func BenchmarkInnerProductVec(b *testing.B) {
-	rng := NewRand(9)
-	u, v := rng.Elements(1<<12), rng.Elements(1<<12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		InnerProductVec(u, v)
-	}
-}
-
-func BenchmarkInnerProductNaive(b *testing.B) {
-	rng := NewRand(9)
-	u, v := rng.Elements(1<<12), rng.Elements(1<<12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naiveInner(u, v)
 	}
 }
 

@@ -130,11 +130,15 @@ func openCheckComposite(tr *transcript.Transcript, label string, numPolys int, s
 func betaCombine(tr *transcript.Transcript, label string, evals []ff.Element) ([]ff.Element, ff.Element) {
 	beta := tr.ChallengeScalar(label + "/beta")
 	coeffs := make([]ff.Element, len(evals))
-	coeffs[0] = ff.One()
-	for i := 1; i < len(coeffs); i++ {
-		coeffs[i].Mul(&coeffs[i-1], &beta)
+	var sum, t ff.Element
+	coeff := ff.One()
+	for i := range coeffs {
+		coeffs[i] = coeff
+		t.Mul(&coeff, &evals[i])
+		sum.Add(&sum, &t)
+		coeff.Mul(&coeff, &beta)
 	}
-	return coeffs, ff.InnerProductVec(coeffs, evals)
+	return coeffs, sum
 }
 
 // openCheck proves one OpenCheck end to end: the SumCheck that reduces the

@@ -73,7 +73,7 @@ func (t *Table) FoldWorkers(r *ff.Element, workers int) {
 	}
 	half := len(t.Evals) / 2
 	if parallel.Workers(workers) == 1 || !parallel.WorthSplitting(half) {
-		foldSerialInPlace(t.Evals, r)
+		ff.FoldVec(t.Evals[:half], t.Evals, r)
 	} else {
 		dst := parallel.GetScratch(half)
 		defer parallel.PutScratch(dst)
@@ -87,18 +87,12 @@ func (t *Table) FoldWorkers(r *ff.Element, workers int) {
 	t.NumVars--
 }
 
-// foldSerialInPlace performs the fold of evals (length 2m) into its own
-// first half (ff.FoldVec supports exactly this aliasing).
-func foldSerialInPlace(evals []ff.Element, r *ff.Element) {
-	ff.FoldVec(evals[:len(evals)/2], evals, r)
-}
-
 // foldInto writes the r-fold of src (length 2m) into dst (length m):
-// dst[j] = src[2j] + r·(src[2j+1] − src[2j]), through the fused
-// multiply-add fold kernel. dst must not alias src (except as the first
-// half of src, which the serial path permits). The serial case calls the
-// kernel directly rather than through parallel.For so that no closure is
-// materialized — this is what keeps EvaluateWorkers allocation-free.
+// dst[j] = src[2j] + r·(src[2j+1] − src[2j]), through ff.FoldVec. dst
+// must not alias src (except as the first half of src, which the serial
+// path permits). The serial case calls the kernel directly rather than
+// through parallel.For so that no closure is materialized — this is what
+// keeps EvaluateWorkers allocation-free.
 func foldInto(dst, src []ff.Element, r *ff.Element, workers int) {
 	if parallel.Workers(workers) == 1 || !parallel.WorthSplitting(len(dst)) {
 		ff.FoldVec(dst, src, r)
@@ -111,11 +105,11 @@ func foldInto(dst, src []ff.Element, r *ff.Element, workers int) {
 
 // FoldInto writes the r-fold of src (length 2m) into dst (length m):
 // dst[j] = src[2j] + r·(src[2j+1] − src[2j]) — the exact update
-// FoldWorkers applies in place, through the same fused multiply-add
-// kernel, so a caller folding a source table into fresh storage gets
-// bit-identical results. dst must not alias src (except as src's first
-// half). The SumCheck prover uses this to materialize its working tables
-// at HALF size on the first fold instead of cloning them full-size.
+// FoldWorkers applies in place, through the same ff.FoldVec kernel, so a
+// caller folding a source table into fresh storage gets bit-identical
+// results. dst must not alias src (except as src's first half). The
+// SumCheck prover uses this to materialize its working tables at HALF size
+// on the first fold instead of cloning them full-size.
 func FoldInto(dst, src []ff.Element, r *ff.Element, workers int) {
 	if len(src) != 2*len(dst) {
 		panic("mle: FoldInto length mismatch")

@@ -84,7 +84,10 @@ func TestEqTable(t *testing.T) {
 		t.Fatal("eq table size")
 	}
 	// Σ_x eq(x,r) = 1
-	sum := ff.SumVec(eq.Evals)
+	var sum ff.Element
+	for i := range eq.Evals {
+		sum.Add(&sum, &eq.Evals[i])
+	}
 	if !sum.IsOne() {
 		t.Fatal("eq table does not sum to 1")
 	}

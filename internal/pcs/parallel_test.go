@@ -67,26 +67,36 @@ func TestOpenWorkersBudgetIndependentAndVerifies(t *testing.T) {
 	}
 }
 
+// TestCombineTablesWorkersMatchesSerial checks the lane-row combination
+// against Σ coeffs[i]·tables[i] computed entry by entry with Element ops,
+// on tables shorter than one lane group, of one partial block, and of
+// 2^12 entries, where budget 3 ends chunks inside lane groups.
 func TestCombineTablesWorkersMatchesSerial(t *testing.T) {
 	rng := ff.NewRand(45)
-	tables := []*mle.Table{
-		mle.FromEvals(rng.Elements(1 << 12)),
-		mle.FromEvals(rng.Elements(1 << 12)),
-		mle.FromEvals(rng.Elements(1 << 12)),
-	}
-	coeffs := rng.Elements(3)
-	want, err := CombineTables(tables, coeffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 0} {
-		got, err := CombineTablesWorkers(tables, coeffs, w)
-		if err != nil {
-			t.Fatal(err)
+	for _, nv := range []int{0, 2, 5, 12} {
+		tables := []*mle.Table{
+			mle.FromEvals(rng.Elements(1 << nv)),
+			mle.FromEvals(rng.Elements(1 << nv)),
+			mle.FromEvals(rng.Elements(1 << nv)),
 		}
-		for i := range want.Evals {
-			if !got.Evals[i].Equal(&want.Evals[i]) {
-				t.Fatalf("workers=%d: mismatch at %d", w, i)
+		coeffs := rng.Elements(3)
+		want := make([]ff.Element, 1<<nv)
+		for i, tab := range tables {
+			for j := range want {
+				var term ff.Element
+				term.Mul(&coeffs[i], &tab.Evals[j])
+				want[j].Add(&want[j], &term)
+			}
+		}
+		for _, w := range []int{1, 2, 3, 0} {
+			got, err := CombineTablesWorkers(tables, coeffs, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !got.Evals[i].Equal(&want[i]) {
+					t.Fatalf("nv=%d workers=%d: mismatch at %d", nv, w, i)
+				}
 			}
 		}
 	}

@@ -318,17 +318,10 @@ func CombineCommitments(cs []Commitment, coeffs []ff.Element) (Commitment, error
 	return Commitment{Point: aff, NumVars: k}, nil
 }
 
-// CombineTables returns Σ coeffs[i]·tables[i] as a new table.
-func CombineTables(tables []*mle.Table, coeffs []ff.Element) (*mle.Table, error) {
-	return CombineTablesWorkers(tables, coeffs, 1)
-}
-
-// CombineTablesWorkers is CombineTables with a worker budget; entries are
-// independent, so the combination chunks over the evaluation index. Within a
-// chunk each output entry is one lazy-reduction inner product across the
-// tables: the raw 512-bit products Σᵢ coeffsᵢ·tablesᵢ[j] accumulate
-// unreduced and pay a single Montgomery reduction per entry instead of one
-// per (table, entry) pair.
+// CombineTablesWorkers returns Σ coeffs[i]·tables[i] as a new table on a
+// worker budget. Entries are independent, so the combination chunks over
+// the evaluation index; within a chunk each block of at most 64 entries
+// accumulates the scaled tables in ff.Lanes rows and unpacks once.
 func CombineTablesWorkers(tables []*mle.Table, coeffs []ff.Element, workers int) (*mle.Table, error) {
 	if len(tables) == 0 || len(tables) != len(coeffs) {
 		return nil, fmt.Errorf("pcs: bad combination arity")
@@ -339,21 +332,26 @@ func CombineTablesWorkers(tables []*mle.Table, coeffs []ff.Element, workers int)
 			return nil, fmt.Errorf("pcs: mixed arity in table combination")
 		}
 	}
+	cs := make([]ff.LaneConst, len(coeffs))
+	for i := range coeffs {
+		cs[i] = ff.NewLaneConst(&coeffs[i])
+	}
+	const groups = 8
 	parallel.For(workers, out.Size(), func(lo, hi int) {
-		cols := make([][]ff.Element, len(tables))
-		for i, t := range tables {
-			cols[i] = t.Evals
-		}
-		for j := lo; j < hi; j++ {
-			// One accumulator gathers len(tables) 512-bit products
-			// before its single Reduce; tables is a Go slice, so the
-			// count stays below 2^63 — inside the 2^66-product window
-			// (DESIGN.md §5).
-			var acc ff.LazyAcc
-			for i := range cols {
-				acc.MulAcc(&coeffs[i], &cols[i][j])
+		var acc, term [groups]ff.Lanes
+		for b := lo; b < hi; b += groups * ff.LaneCount {
+			m := min(groups*ff.LaneCount, hi-b)
+			g := (m + ff.LaneCount - 1) / ff.LaneCount
+			for i, t := range tables {
+				ff.PackLanes(term[:g], t.Evals[b:b+m])
+				if i == 0 {
+					ff.ScalarMulLanes(acc[:g], term[:g], cs[i].Row())
+					continue
+				}
+				ff.ScalarMulLanes(term[:g], term[:g], cs[i].Row())
+				ff.AddLanes(acc[:g], acc[:g], term[:g])
 			}
-			out.Evals[j] = acc.Reduce()
+			ff.UnpackLanes(out.Evals[b:b+m], acc[:g])
 		}
 	})
 	return out, nil

@@ -120,7 +120,7 @@ func TestBatchedSinglePointOpening(t *testing.T) {
 	for i := 1; i < k; i++ {
 		coeffs[i].Mul(&coeffs[i-1], &beta)
 	}
-	combTab, err := CombineTables(tables, coeffs)
+	combTab, err := CombineTablesWorkers(tables, coeffs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

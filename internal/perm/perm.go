@@ -141,17 +141,14 @@ type Argument struct {
 	Pi, P1, P2 *mle.Table
 }
 
-// Build constructs the argument for the given wires, σ tables, and
-// challenges. wires and sigmaTabs must have one table per column.
-func Build(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element) *Argument {
-	return BuildWorkers(wires, sigmaTabs, beta, gamma, 1)
-}
-
-// BuildWorkers is Build with a worker budget (<= 0 means GOMAXPROCS). The
-// numerator/denominator tables, the batched inversion (one Montgomery batch
-// per chunk), ϕ, each product-tree level, and the index-mapped views all
-// chunk over the row index; every intermediate is identical to the serial
-// construction.
+// BuildWorkers constructs the argument for the given wires, σ tables, and
+// challenges on a worker budget (<= 0 means GOMAXPROCS); wires and
+// sigmaTabs must have one table per column. The numerator/denominator
+// tables, ϕ, each product-tree level, and the index-mapped views all chunk
+// over the row index, and their products run on the ff.Lanes rows a block
+// of at most blockLen values at a time; the batched inversion runs one
+// Montgomery batch per chunk. Field arithmetic is exact, so every table is
+// the same on every budget.
 func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers int) *Argument {
 	k := len(wires)
 	if k == 0 || len(sigmaTabs) != k {
@@ -167,53 +164,77 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 		a.NTabs[j] = mle.New(nv)
 		a.DTabs[j] = mle.New(nv)
 	}
-	parallel.For(workers, n, func(lo, hi int) {
-		var base, id ff.Element
-		for j := 0; j < k; j++ {
-			wj, sj := wires[j].Evals, sigmaTabs[j].Evals
-			nt, dt := a.NTabs[j].Evals, a.DTabs[j].Evals
-			for x := lo; x < hi; x++ {
-				// id_j(x) = j·N + x, computed inline instead of
-				// materializing the identity table. Both β·id + (w+γ) and
-				// β·σ + (w+γ) run through the fused multiply-add, halving
-				// the reduction count of the table build.
-				id.SetUint64(uint64(j*n + x))
-				base.Add(&wj[x], &gamma)
-				nt[x].MulAdd(&beta, &id, &base)
-				dt[x].MulAdd(&beta, &sj[x], &base)
-			}
-		}
-	})
-
-	// ϕ = ΠN / ΠD; the inversion runs one Montgomery batch per chunk, with
-	// its prefix-product table in arena scratch instead of a per-chunk
-	// allocation.
-	num := parallel.GetScratch(n)
+	phi := mle.New(nv)
+	tEvals := make([]ff.Element, 2*n)
+	// ΠD and the inversion's prefix products live in arena scratch; ϕ's
+	// table holds ΠN until the inversion.
 	den := parallel.GetScratch(n)
 	inv := parallel.GetScratch(n)
-	defer parallel.PutScratch(num)
 	defer parallel.PutScratch(den)
 	defer parallel.PutScratch(inv)
-	phi := mle.New(nv)
+	var step ff.Element
+	step.SetUint64(ff.LaneCount)
+	step.Mul(&step, &beta)
+	betaL, gammaL, stepL := ff.NewLaneConst(&beta), ff.NewLaneConst(&gamma), ff.NewLaneConst(&step)
 	parallel.For(workers, n, func(lo, hi int) {
-		nu, de := num[lo:hi], den[lo:hi]
-		copy(nu, a.NTabs[0].Evals[lo:hi])
-		copy(de, a.DTabs[0].Evals[lo:hi])
-		for j := 1; j < k; j++ {
-			ff.MulVec(nu, nu, a.NTabs[j].Evals[lo:hi])
-			ff.MulVec(de, de, a.DTabs[j].Evals[lo:hi])
+		// ids[j] holds β·id_j(x) = β·(j·N + x) for the eight rows of the
+		// next lane group, and advances by 8β per group.
+		ids := make([]ff.Lanes, k)
+		for j := range ids {
+			var v [ff.LaneCount]ff.Element
+			for l := range v {
+				v[l].SetUint64(uint64(j*n + lo + l))
+				v[l].Mul(&v[l], &beta)
+			}
+			ff.PackLanes(ids[j:j+1], v[:])
 		}
-		ff.BatchInvertScratch(de, inv[lo:hi])
-		ff.MulVec(phi.Evals[lo:hi], nu, de)
+		var gam, w, nl, dl, nProd, dProd [blockGroups]ff.Lanes
+		for i := range gam {
+			gam[i] = gammaL.Row()[0]
+		}
+		for b := lo; b < hi; b += blockLen {
+			m := min(blockLen, hi-b)
+			g := laneGroups(m)
+			for j := 0; j < k; j++ {
+				// N_j = β·id_j + (w_j + γ), D_j = β·σ_j + (w_j + γ).
+				ff.PackLanes(w[:g], wires[j].Evals[b:b+m])
+				ff.AddLanes(w[:g], w[:g], gam[:g])
+				for i := range g {
+					ff.AddLanes(nl[i:i+1], ids[j:j+1], w[i:i+1])
+					ff.AddLanes(ids[j:j+1], ids[j:j+1], stepL.Row())
+				}
+				ff.PackLanes(dl[:g], sigmaTabs[j].Evals[b:b+m])
+				ff.ScalarMulLanes(dl[:g], dl[:g], betaL.Row())
+				ff.AddLanes(dl[:g], dl[:g], w[:g])
+				ff.UnpackLanes(a.NTabs[j].Evals[b:b+m], nl[:g])
+				ff.UnpackLanes(a.DTabs[j].Evals[b:b+m], dl[:g])
+				if j == 0 {
+					copy(nProd[:g], nl[:g])
+					copy(dProd[:g], dl[:g])
+				} else {
+					ff.MulLanes(nProd[:g], nProd[:g], nl[:g])
+					ff.MulLanes(dProd[:g], dProd[:g], dl[:g])
+				}
+			}
+			ff.UnpackLanes(phi.Evals[b:b+m], nProd[:g])
+			ff.UnpackLanes(den[b:b+m], dProd[:g])
+		}
+		// ϕ = ΠN / ΠD.
+		ff.BatchInvertScratch(den[lo:hi], inv[lo:hi])
+		for b := lo; b < hi; b += blockLen {
+			m := min(blockLen, hi-b)
+			g := laneGroups(m)
+			ff.PackLanes(nProd[:g], phi.Evals[b:b+m])
+			ff.PackLanes(dProd[:g], den[b:b+m])
+			ff.MulLanes(nProd[:g], nProd[:g], dProd[:g])
+			ff.UnpackLanes(phi.Evals[b:b+m], nProd[:g])
+		}
+		copy(tEvals[lo:hi], phi.Evals[lo:hi])
 	})
 	a.Phi = phi
 
 	// Product tree T of size 2N, built level by level; within a level every
 	// node is independent.
-	tEvals := make([]ff.Element, 2*n)
-	parallel.For(workers, n, func(lo, hi int) {
-		copy(tEvals[lo:hi], phi.Evals[lo:hi])
-	})
 	for width := n / 2; width >= 1; width /= 2 {
 		// This level's nodes are T[n+off .. n+off+width) with children at
 		// T[2·off .. 2·(off+width)).
@@ -274,15 +295,25 @@ func ViewPoints(r []ff.Element) (piPt, p1Pt, p2Pt, phiPt []ff.Element) {
 	return
 }
 
-// mulPairs sets z[j] = x[2j]·x[2j+1] through ff.MulVec, deinterleaving
-// the pairs a stack block at a time.
+// blockGroups is how many ff.Lanes values a block of BuildWorkers packs
+// per row, and blockLen the block's length in values.
+const (
+	blockGroups = 8
+	blockLen    = blockGroups * ff.LaneCount
+)
+
+// laneGroups is the number of ff.Lanes values m values fill.
+func laneGroups(m int) int { return (m + ff.LaneCount - 1) / ff.LaneCount }
+
+// mulPairs sets z[j] = x[2j]·x[2j+1] on the ff.Lanes rows, a block of at
+// most blockLen pairs at a time.
 func mulPairs(z, x []ff.Element) {
-	var even, odd [64]ff.Element
-	for lo := 0; lo < len(z); lo += len(even) {
-		b := min(len(even), len(z)-lo)
-		for j := range b {
-			even[j], odd[j] = x[2*(lo+j)], x[2*(lo+j)+1]
-		}
-		ff.MulVec(z[lo:lo+b], even[:b], odd[:b])
+	var even, odd [blockGroups]ff.Lanes
+	for lo := 0; lo < len(z); lo += blockLen {
+		m := min(blockLen, len(z)-lo)
+		g := laneGroups(m)
+		ff.PackLanesPairs(even[:g], odd[:g], x[2*lo:2*(lo+m)])
+		ff.MulLanes(even[:g], even[:g], odd[:g])
+		ff.UnpackLanes(z[lo:lo+m], even[:g])
 	}
 }

@@ -75,7 +75,7 @@ func TestHonestGrandProductIsOne(t *testing.T) {
 	}
 	sigma := SigmaTables(p, 4)
 	beta, gamma := rng.Element(), rng.Element()
-	a := Build(wires, sigma, beta, gamma)
+	a := BuildWorkers(wires, sigma, beta, gamma, 1)
 	root := a.Root()
 	if !root.IsOne() {
 		t.Fatal("grand product != 1 for satisfied copy constraints")
@@ -87,7 +87,7 @@ func TestViolatedGrandProductNotOne(t *testing.T) {
 	wires, p := makeCopyScenario(rng, 3, 4, false)
 	sigma := SigmaTables(p, 4)
 	beta, gamma := rng.Element(), rng.Element()
-	a := Build(wires, sigma, beta, gamma)
+	a := BuildWorkers(wires, sigma, beta, gamma, 1)
 	root := a.Root()
 	if root.IsOne() {
 		t.Fatal("grand product is 1 despite violated copy constraint")
@@ -98,7 +98,7 @@ func TestTreeIdentityHoldsEverywhere(t *testing.T) {
 	rng := ff.NewRand(4)
 	wires, p := makeCopyScenario(rng, 3, 4, true)
 	sigma := SigmaTables(p, 4)
-	a := Build(wires, sigma, rng.Element(), rng.Element())
+	a := BuildWorkers(wires, sigma, rng.Element(), rng.Element(), 1)
 	n := 1 << 4
 	// π[x] = p1[x]·p2[x] for every x, including the root slot x = N−1.
 	for x := 0; x < n; x++ {
@@ -128,7 +128,7 @@ func TestViewPointsMatchViews(t *testing.T) {
 	rng := ff.NewRand(5)
 	wires, p := makeCopyScenario(rng, 3, 4, true)
 	sigma := SigmaTables(p, 4)
-	a := Build(wires, sigma, rng.Element(), rng.Element())
+	a := BuildWorkers(wires, sigma, rng.Element(), rng.Element(), 1)
 
 	r := rng.Elements(4)
 	piPt, p1Pt, p2Pt, phiPt := ViewPoints(r)
@@ -150,7 +150,7 @@ func TestTwoColumnScenario(t *testing.T) {
 	rng := ff.NewRand(6)
 	wires, p := makeCopyScenario(rng, 2, 3, true)
 	sigma := SigmaTables(p, 3)
-	a := Build(wires, sigma, rng.Element(), rng.Element())
+	a := BuildWorkers(wires, sigma, rng.Element(), rng.Element(), 1)
 	root := a.Root()
 	if !root.IsOne() {
 		t.Fatal("2-column grand product != 1")
@@ -167,7 +167,7 @@ func TestIdentityPermutationAlwaysSatisfied(t *testing.T) {
 	}
 	p := Identity(3, 16)
 	sigma := SigmaTables(p, 4)
-	a := Build(wires, sigma, rng.Element(), rng.Element())
+	a := BuildWorkers(wires, sigma, rng.Element(), rng.Element(), 1)
 	root := a.Root()
 	if !root.IsOne() {
 		t.Fatal("identity permutation should always hold")

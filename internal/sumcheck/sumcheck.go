@@ -291,7 +291,8 @@ var laneArena parallel.Arena[ff.Lanes]
 // skipped t=1 is bridged by adding the delta twice), and at each point the
 // compiled program runs over the block (poly.EvalLanes) — the paper's
 // Fig. 1 dataflow. Each point's values (times the packed weights, for a
-// ZeroCheck) are lane-added into its row of sums, reduced once per chunk.
+// ZeroCheck) are lane-added into its row of sums, which each chunk halves
+// down to one Lanes value and adds lane by lane into acc.
 //
 // A chunk whose pair count is not a multiple of eight ends in a partial
 // value. Its dead lanes are packed as zero, but the program still adds the
@@ -357,12 +358,16 @@ func scanLanes(ctx context.Context, a *Assignment, prog *poly.Program, d int, we
 		}
 		walkPoints(d, step, accumulate)
 	}
-	out := parallel.GetScratch(bw)
-	defer parallel.PutScratch(out)
 	for t := range acc {
-		ff.UnpackLanes(out, sums[t*gw:(t+1)*gw])
-		s := ff.SumVec(out)
-		acc[t].Add(&acc[t], &s)
+		s := sums[t*gw : (t+1)*gw]
+		for h := gw / 2; h >= 1; h /= 2 { // gw is a power of two
+			ff.AddLanes(s[:h], s[:h], s[h:2*h])
+		}
+		var out [ff.LaneCount]ff.Element
+		ff.UnpackLanes(out[:], s[:1])
+		for l := range out {
+			acc[t].Add(&acc[t], &out[l])
+		}
 	}
 }
 
