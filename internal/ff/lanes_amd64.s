@@ -11,8 +11,8 @@
 // five rounds, so 64 bits hold every sum.
 //
 // Every routine is a row kernel: it runs over n consecutive Lanes values
-// (or n groups of eight elements) inside one call, as mulVec does for
-// Element, and keeps the constants in registers across the row.
+// (or n groups of eight elements) inside one call, and keeps the constants
+// in registers across the row.
 //
 // mulLanes is operand-scanning Montgomery: rounds 0..3 add x·y[i] and one
 // 52-bit reduction step m·q (m = t0·(−q⁻¹) mod 2^52), which clears t0;

@@ -11,10 +11,10 @@ import (
 	"zkphire/internal/cpu"
 )
 
-// Differential tests for the multiplication kernels: the assembly mulADX
-// and mulVec, the portable mulGeneric, and a math/big oracle
-// must agree on every input, under every aliasing of the operands, and
-// every output must be canonical (< q).
+// Differential tests for the multiplication kernels: the assembly mulADX,
+// the portable mulGeneric, and a math/big oracle must agree on every
+// input, under every aliasing of the operands, and every output must be
+// canonical (< q).
 
 // rInvBig is R⁻¹ mod q (lazily: qBig is set by an init function).
 var rInvBig = sync.OnceValue(func() *big.Int {
