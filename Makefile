@@ -70,7 +70,8 @@ bench-smoke:
 
 # Memory-budget regression: the test at its checked-in 2^18 gates, where
 # the streamed peak must stay within the budget and under half the in-core
-# peak. GOMEMLIMIT is set per-row by the harness
+# peak, and the steady-state allocation pin (a warm proof, in core and
+# budgeted, allocates at most a few tables' worth). GOMEMLIMIT is set per-row by the harness
 # (membench.SampleUnderLimit); the ulimit is a 4 GiB hard
 # address-space backstop so a prover that ignores its budget fails fast
 # with an allocation error instead of paging the runner or waking the OOM
@@ -78,7 +79,7 @@ bench-smoke:
 # above any resident peak, so the backstop is loose by design.)
 mem-smoke:
 	ulimit -v 4194304 && \
-	$(GO) test -run TestMemoryBudgetRegression -v -count=1 .
+	$(GO) test -run 'TestMemoryBudgetRegression|TestProveSteadyStateAllocs' -v -count=1 .
 
 # Chaos smoke: the whole internal/service suite under the race detector
 # (no -run list to fall out of date) — the in-process randomized fault

@@ -148,16 +148,26 @@ func betaCombine(tr *transcript.Transcript, label string, evals []ff.Element) ([
 // absorbed; a mismatch is a prover fault.
 func (p *prover) openCheck(label string, polys []*mle.Table, set openSet) (*OpenProof, error) {
 	comp, claim := openCheckComposite(p.tr, label, len(polys), set)
-	tabs := make([]*mle.Table, 0, len(polys)+len(set.points))
-	tabs = append(tabs, polys...)
-	for _, pt := range set.points {
-		tabs = append(tabs, mle.EqWorkers(pt, p.workers))
+	eqs := make([]*mle.Table, len(set.points))
+	for i, pt := range set.points {
+		eqs[i] = mle.EqWorkers(pt, p.workers)
 	}
+	// The eq tables are arena tables the SumCheck reads until its first
+	// fold; they go back then, or at the latest when this OpenCheck ends.
+	releaseEqs := func() {
+		for _, t := range eqs {
+			t.Release()
+		}
+	}
+	defer releaseEqs()
+	tabs := append(append(make([]*mle.Table, 0, len(polys)+len(eqs)), polys...), eqs...)
 	assign, err := sumcheck.NewAssignment(comp, tabs)
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: %s: %w", label, err)
 	}
-	inner, rStar, err := sumcheck.ProveCtx(p.ctx, p.tr, assign, claim, p.scCfg())
+	cfg := p.scCfg()
+	cfg.ReleaseSources = releaseEqs
+	inner, rStar, err := sumcheck.ProveCtx(p.ctx, p.tr, assign, claim, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: %s sumcheck: %w", label, err)
 	}
@@ -172,6 +182,7 @@ func (p *prover) openCheck(label string, polys []*mle.Table, set openSet) (*Open
 	if err != nil {
 		return nil, err
 	}
+	defer combined.Release()
 	op.Opened, op.PCS, err = p.srs.OpenWorkersCtx(p.ctx, combined, rStar, p.workers)
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: %s opening: %w", label, err)

@@ -67,14 +67,16 @@ func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg 
 	if err != nil {
 		return fail(err)
 	}
-	v, rPerm, err := p.permCheck()
+	arg, rPerm, err := p.permCheck()
 	if err != nil {
 		return fail(err)
 	}
-	if err := p.batchEvals(v, rPerm); err != nil {
+	// V is read through step 5; then it goes back to the arena.
+	defer arg.Release()
+	if err := p.batchEvals(arg.V, rPerm); err != nil {
 		return fail(err)
 	}
-	if err := p.openings(v, rGate, rPerm); err != nil {
+	if err := p.openings(arg.V, rGate, rPerm); err != nil {
 		return fail(err)
 	}
 	return p.proof, nil
@@ -155,15 +157,19 @@ func (p *prover) gateZeroCheck() ([]ff.Element, error) {
 }
 
 // permCheck is Step 3: the wire identity — build the permutation argument,
-// commit its product tree V, and run the PermCheck ZeroCheck. It returns V
-// (the only argument table steps 4–5 read) and the ZeroCheck point.
-func (p *prover) permCheck() (*mle.Table, []ff.Element, error) {
+// commit its product tree V, and run the PermCheck ZeroCheck. It returns
+// the argument, holding only V (the one table steps 4–5 read) by then, and
+// the ZeroCheck point; the caller releases the argument. A failed step
+// leaves its tables to the collector.
+func (p *prover) permCheck() (*perm.Argument, []ff.Element, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	beta := p.tr.ChallengeScalar("perm/beta")
 	gamma := p.tr.ChallengeScalar("perm/gamma")
-	arg := perm.BuildWorkers(p.circ.Wires, p.sigmas(), beta, gamma, p.workers)
+	sigmas, doneSigmas := p.sigmas()
+	arg := perm.BuildWorkers(p.circ.Wires, sigmas, beta, gamma, p.workers)
+	doneSigmas()
 	vComm, err := p.srs.CommitCtx(p.ctx, arg.V, p.workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hyperplonk: product-tree commit: %w", err)
@@ -181,10 +187,11 @@ func (p *prover) permCheck() (*mle.Table, []ff.Element, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// The (2k+4)·N check tables are the proof's peak residency. Once the
-	// SumCheck's first fold materializes its half-size working tables it
-	// never reads them again, so free them mid-SumCheck rather than after:
-	// steps 4–5 evaluate and open only V, which the drop preserves.
+	// The 2(k+1)·N check tables beside V are the proof's peak residency.
+	// Once the SumCheck's first fold materializes its half-size working
+	// tables it never reads them again, so return them to the arena
+	// mid-SumCheck rather than after: steps 4–5 evaluate and open only V,
+	// which the drop preserves.
 	cfg := p.scCfg()
 	cfg.ReleaseSources = func() {
 		arg.DropCheckTables()
@@ -197,7 +204,7 @@ func (p *prover) permCheck() (*mle.Table, []ff.Element, error) {
 		return nil, nil, fmt.Errorf("hyperplonk: perm zerocheck: %w", err)
 	}
 	p.proof.PermZC = zc
-	return arg.V, rPerm, nil
+	return arg, rPerm, nil
 }
 
 // batchEvals is Step 4: the batch evaluations (Multifunction Forest in
@@ -207,7 +214,8 @@ func (p *prover) batchEvals(v *mle.Table, rPerm []ff.Element) error {
 	if err := p.ctx.Err(); err != nil {
 		return err
 	}
-	sigmas := p.sigmas()
+	sigmas, doneSigmas := p.sigmas()
+	defer doneSigmas()
 	proof, k := p.proof, p.idx.Wires
 	proof.WirePermEvals = make([]ff.Element, k)
 	proof.SigmaPermEvals = make([]ff.Element, k)
@@ -242,27 +250,32 @@ func (p *prover) openings(v *mle.Table, rGate, rPerm []ff.Element) error {
 	if err := p.ctx.Err(); err != nil {
 		return err
 	}
-	mainPolys := mainOrder(p.idx.SelectorTabs, p.circ.Wires, p.sigmas())
+	sigmas, doneSigmas := p.sigmas()
 	var err error
-	p.proof.OpenMain, err = p.openCheck("open/main", mainPolys, mainOpenSet(p.idx, p.proof, rGate, rPerm))
+	p.proof.OpenMain, err = p.openCheck("open/main", mainOrder(p.idx.SelectorTabs, p.circ.Wires, sigmas), mainOpenSet(p.idx, p.proof, rGate, rPerm))
+	doneSigmas() // a rebuilt σ copy goes back here, before V's opening chain
 	if err != nil {
 		return err
 	}
-	mainPolys = nil // a rebuilt σ copy dies here, before V's opening chain
 	p.proof.OpenV, err = p.openCheck("open/v", []*mle.Table{v}, vOpenSet(p.proof, rPerm))
 	return err
 }
 
-// sigmas returns the σ tables for one protocol step: the index's resident
-// ones, or, when the index holds none (a memory-budgeted session), a copy
-// rebuilt from the circuit's permutation. Callers drop the returned slice
-// when the step ends; the values are identical either way, so the choice
-// cannot affect proof bytes.
-func (p *prover) sigmas() []*mle.Table {
+// sigmas returns the σ tables for one protocol step and the call that ends
+// their use: the index's resident ones, or, when the index holds none (a
+// memory-budgeted session), a copy rebuilt from the circuit's permutation
+// in arena tables, which done returns. The values are identical either
+// way, so the choice cannot affect proof bytes.
+func (p *prover) sigmas() (tabs []*mle.Table, done func()) {
 	if p.idx.SigmaTabs != nil {
-		return p.idx.SigmaTabs
+		return p.idx.SigmaTabs, func() {}
 	}
-	return perm.SigmaTables(p.circ.Perm, p.circ.NumVars)
+	tabs = perm.SigmaTables(p.circ.Perm, p.circ.NumVars)
+	return tabs, func() {
+		for _, t := range tabs {
+			t.Release()
+		}
+	}
 }
 
 // --- shared helpers (used by both prover and verifier) ---

@@ -156,16 +156,16 @@ func TestCancellationMidStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, rPerm, err := p.permCheck()
+			arg, rPerm, err := p.permCheck()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.batchEvals(v, rPerm); err != nil {
+			if err := p.batchEvals(arg.V, rPerm); err != nil {
 				t.Fatal(err)
 			}
 			step5From := ref.polls.Load()
 			start = time.Now()
-			if err := p.openings(v, rGate, rPerm); err != nil {
+			if err := p.openings(arg.V, rGate, rPerm); err != nil {
 				t.Fatal(err)
 			}
 			step5Polls, step5Time := ref.polls.Load()-step5From, time.Since(start)

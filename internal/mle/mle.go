@@ -30,6 +30,30 @@ func New(numVars int) *Table {
 	return &Table{Evals: make([]ff.Element, 1<<uint(numVars)), NumVars: numVars}
 }
 
+// NewScratch returns a table over numVars variables whose evaluations come
+// from the shared arena (parallel.GetScratch): its contents are arbitrary,
+// so the caller overwrites every entry before reading. The caller owns the
+// buffer and returns it with Release once nothing reads the table; a table
+// that is never released is ordinary garbage.
+func NewScratch(numVars int) *Table {
+	if numVars < 0 || numVars > 40 {
+		panic(fmt.Sprintf("mle: unreasonable variable count %d", numVars))
+	}
+	t := &Table{NumVars: numVars}
+	t.Evals = parallel.GetScratch(1 << uint(numVars))
+	return t
+}
+
+// Release returns the table's evaluations to the shared arena and empties
+// the table, so a second Release is a no-op. Only the table's owner may
+// call it, and only on a table that owns its buffer: never on a view into
+// another table's evaluations (FromEvals of a sub-slice), whose capacity
+// reaches past its own entries.
+func (t *Table) Release() {
+	parallel.PutScratch(t.Evals)
+	t.Evals = nil
+}
+
 // FromEvals wraps an evaluation slice (length must be a power of two).
 func FromEvals(evals []ff.Element) *Table {
 	n := len(evals)
@@ -172,10 +196,11 @@ func Eq(r []ff.Element) *Table {
 // EqWorkers is Eq with a worker budget (<= 0 means GOMAXPROCS). Each
 // expansion step reads entry j and writes entries j and j+size, so the
 // entries of one step are independent and the large trailing steps
-// parallelize cleanly.
+// parallelize cleanly. Every entry is written, so the table comes from the
+// arena (NewScratch): a caller done with it may Release it.
 func EqWorkers(r []ff.Element, workers int) *Table {
 	nv := len(r)
-	t := New(nv)
+	t := NewScratch(nv)
 	t.Evals[0] = ff.One()
 	size := 1
 	// Extend one variable at a time. Variable i has index weight 2^i, so the

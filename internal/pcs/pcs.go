@@ -212,10 +212,12 @@ func (s *SRS) OpenWorkers(t *mle.Table, z []ff.Element, workers int) (ff.Element
 }
 
 // OpenWorkersCtx is OpenWorkers with mid-MSM cancellation: every level's
-// witness MSM polls ctx (nil means never cancelled). The quotient tables
-// live in pooled arena scratch (no per-level allocation), the quotient
-// construction and folds are chunked, and each level's witness MSM runs on
-// the same budget.
+// witness MSM polls ctx (nil means never cancelled). The caller's table is
+// only read: the first level folds it into a half-size arena buffer, and
+// later levels ping-pong between that buffer and a quarter-size one, as
+// mle.EvaluateWorkers does; the quotient table shares one more half-size
+// buffer across levels. The quotient construction and folds are chunked,
+// and each level's witness MSM runs on the same budget.
 func (s *SRS) OpenWorkersCtx(ctx context.Context, t *mle.Table, z []ff.Element, workers int) (ff.Element, *OpeningProof, error) {
 	k := t.NumVars
 	if len(z) != k {
@@ -227,25 +229,21 @@ func (s *SRS) OpenWorkersCtx(ctx context.Context, t *mle.Table, z []ff.Element, 
 	if k == 0 {
 		return t.Evals[0], &OpeningProof{}, nil
 	}
-	// Working copy of the evaluations in arena scratch (the fold below is
-	// destructive); q shares a second scratch buffer across levels.
-	work := parallel.GetScratch(t.Size())
-	qBuf := parallel.GetScratch(t.Size() / 2)
-	defer parallel.PutScratch(work)
+	half := t.Size() / 2
+	qBuf := parallel.GetScratch(half)
+	bufA := parallel.GetScratch(half)
+	bufB := parallel.GetScratch(half / 2)
 	defer parallel.PutScratch(qBuf)
+	defer parallel.PutScratch(bufA)
+	defer parallel.PutScratch(bufB)
 
-	src := t.Evals
-	parallel.For(workers, len(src), func(lo, hi int) {
-		copy(work[lo:hi], src[lo:hi])
-	})
-
-	cur := mle.FromEvals(work)
+	cur := t.Evals
 	proof := &OpeningProof{Qs: make([]curve.G1Affine, k)}
 	for i := 0; i < k; i++ {
-		half := cur.Size() / 2
-		q := qBuf[:half]
-		evals := cur.Evals
-		parallel.For(workers, half, func(lo, hi int) {
+		m := len(cur) / 2
+		q := qBuf[:m]
+		evals := cur
+		parallel.For(workers, m, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				q[j].Sub(&evals[2*j+1], &evals[2*j])
 			}
@@ -255,9 +253,14 @@ func (s *SRS) OpenWorkersCtx(ctx context.Context, t *mle.Table, z []ff.Element, 
 			return ff.Element{}, nil, err
 		}
 		proof.Qs[i].FromJacobian(&acc)
-		cur.FoldWorkers(&z[i], workers)
+		dst := bufA[:m]
+		if i%2 == 1 {
+			dst = bufB[:m]
+		}
+		mle.FoldInto(dst, cur, &z[i], workers)
+		cur = dst
 	}
-	return cur.Evals[0], proof, nil
+	return cur[0], proof, nil
 }
 
 // ErrVerify reports an invalid opening.
@@ -318,20 +321,21 @@ func CombineCommitments(cs []Commitment, coeffs []ff.Element) (Commitment, error
 	return Commitment{Point: aff, NumVars: k}, nil
 }
 
-// CombineTablesWorkers returns Σ coeffs[i]·tables[i] as a new table on a
-// worker budget. Entries are independent, so the combination chunks over
-// the evaluation index; within a chunk each block of at most 64 entries
-// accumulates the scaled tables in ff.Lanes rows and unpacks once.
+// CombineTablesWorkers returns Σ coeffs[i]·tables[i] as a new arena table
+// (mle.NewScratch; the caller may Release it) on a worker budget. Entries
+// are independent, so the combination chunks over the evaluation index;
+// within a chunk each block of at most 64 entries accumulates the scaled
+// tables in ff.Lanes rows and unpacks once.
 func CombineTablesWorkers(tables []*mle.Table, coeffs []ff.Element, workers int) (*mle.Table, error) {
 	if len(tables) == 0 || len(tables) != len(coeffs) {
 		return nil, fmt.Errorf("pcs: bad combination arity")
 	}
-	out := mle.New(tables[0].NumVars)
 	for _, t := range tables {
-		if t.NumVars != out.NumVars {
+		if t.NumVars != tables[0].NumVars {
 			return nil, fmt.Errorf("pcs: mixed arity in table combination")
 		}
 	}
+	out := mle.NewScratch(tables[0].NumVars)
 	cs := make([]ff.LaneConst, len(coeffs))
 	for i := range coeffs {
 		cs[i] = ff.NewLaneConst(&coeffs[i])

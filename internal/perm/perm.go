@@ -110,14 +110,16 @@ func IDEval(j int, r []ff.Element) ff.Element {
 }
 
 // SigmaTables materializes σ_j as MLE tables with the same encoding as
-// IDTable. These are preprocessed (committed in the index).
+// IDTable. These are preprocessed (committed in the index). The tables come
+// from the arena (mle.NewScratch), so a caller that rebuilds σ per step
+// releases them when the step ends.
 func SigmaTables(p *Permutation, numVars int) []*mle.Table {
 	if p.Rows != 1<<uint(numVars) {
 		panic("perm: row count does not match numVars")
 	}
 	out := make([]*mle.Table, p.Columns)
 	for j := 0; j < p.Columns; j++ {
-		t := mle.New(numVars)
+		t := mle.NewScratch(numVars)
 		for x := 0; x < p.Rows; x++ {
 			t.Evals[x].SetUint64(uint64(p.Sigma[j][x]))
 		}
@@ -133,11 +135,13 @@ type Argument struct {
 	// intermediate N_1..k / D_1..k MLEs of the paper, produced in hardware by
 	// the Permutation Quotient Generator).
 	NTabs, DTabs []*mle.Table
-	// Phi = ΠN / ΠD, computed with batched modular inversion.
+	// Phi = ΠN / ΠD, computed with batched modular inversion. It is the
+	// view T[0, N) of V's evaluations.
 	Phi *mle.Table
 	// V is the (µ+1)-variable product-tree MLE (committed).
 	V *mle.Table
-	// Pi, P1, P2 are the µ-variable index views of V.
+	// Pi, P1, P2 are the µ-variable index views of V: Pi is the view
+	// T[N, 2N), P1 and P2 the even and odd entries, copied.
 	Pi, P1, P2 *mle.Table
 }
 
@@ -149,6 +153,10 @@ type Argument struct {
 // of at most blockLen values at a time; the batched inversion runs one
 // Montgomery batch per chunk. Field arithmetic is exact, so every table is
 // the same on every budget.
+//
+// Every table comes from the arena (mle.NewScratch) and belongs to the
+// argument: DropCheckTables returns the PermCheck-only ones, Release the
+// rest. ϕ and π are views of V's evaluations, not tables of their own.
 func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers int) *Argument {
 	k := len(wires)
 	if k == 0 || len(sigmaTabs) != k {
@@ -161,13 +169,14 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 	a.NTabs = make([]*mle.Table, k)
 	a.DTabs = make([]*mle.Table, k)
 	for j := 0; j < k; j++ {
-		a.NTabs[j] = mle.New(nv)
-		a.DTabs[j] = mle.New(nv)
+		a.NTabs[j] = mle.NewScratch(nv)
+		a.DTabs[j] = mle.NewScratch(nv)
 	}
-	phi := mle.New(nv)
-	tEvals := make([]ff.Element, 2*n)
-	// ΠD and the inversion's prefix products live in arena scratch; ϕ's
-	// table holds ΠN until the inversion.
+	a.V = mle.NewScratch(nv + 1)
+	tEvals := a.V.Evals
+	// ϕ is built in place as T's leaves: they hold ΠN until the inversion.
+	phi := tEvals[:n]
+	// ΠD and the inversion's prefix products live in arena scratch.
 	den := parallel.GetScratch(n)
 	inv := parallel.GetScratch(n)
 	defer parallel.PutScratch(den)
@@ -216,7 +225,7 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 					ff.MulLanes(dProd[:g], dProd[:g], dl[:g])
 				}
 			}
-			ff.UnpackLanes(phi.Evals[b:b+m], nProd[:g])
+			ff.UnpackLanes(phi[b:b+m], nProd[:g])
 			ff.UnpackLanes(den[b:b+m], dProd[:g])
 		}
 		// ϕ = ΠN / ΠD.
@@ -224,14 +233,12 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 		for b := lo; b < hi; b += blockLen {
 			m := min(blockLen, hi-b)
 			g := laneGroups(m)
-			ff.PackLanes(nProd[:g], phi.Evals[b:b+m])
+			ff.PackLanes(nProd[:g], phi[b:b+m])
 			ff.PackLanes(dProd[:g], den[b:b+m])
 			ff.MulLanes(nProd[:g], nProd[:g], dProd[:g])
-			ff.UnpackLanes(phi.Evals[b:b+m], nProd[:g])
+			ff.UnpackLanes(phi[b:b+m], nProd[:g])
 		}
-		copy(tEvals[lo:hi], phi.Evals[lo:hi])
 	})
-	a.Phi = phi
 
 	// Product tree T of size 2N, built level by level; within a level every
 	// node is independent.
@@ -244,36 +251,54 @@ func BuildWorkers(wires, sigmaTabs []*mle.Table, beta, gamma ff.Element, workers
 		})
 	}
 	tEvals[2*n-1] = ff.One()
-	a.V = mle.FromEvals(tEvals)
 
-	// Views.
-	pi := make([]ff.Element, n)
-	p1 := make([]ff.Element, n)
-	p2 := make([]ff.Element, n)
+	// Views: ϕ and π alias T; p₁ and p₂ take its even and odd entries.
+	a.Phi = mle.FromEvals(phi)
+	a.Pi = mle.FromEvals(tEvals[n:])
+	a.P1 = mle.NewScratch(nv)
+	a.P2 = mle.NewScratch(nv)
+	p1, p2 := a.P1.Evals, a.P2.Evals
 	parallel.For(workers, n, func(lo, hi int) {
-		copy(pi[lo:hi], tEvals[n+lo:n+hi])
 		for x := lo; x < hi; x++ {
 			p1[x] = tEvals[2*x]
 			p2[x] = tEvals[2*x+1]
 		}
 	})
-	a.Pi = mle.FromEvals(pi)
-	a.P1 = mle.FromEvals(p1)
-	a.P2 = mle.FromEvals(p2)
 	return a
 }
 
-// DropCheckTables releases every table the argument only needs through the
-// PermCheck ZeroCheck — the per-column numerators/denominators, ϕ, and the
-// π/p₁/p₂ views. The committed product tree V (and the challenges) survive:
-// the remaining protocol steps evaluate and open only V. The prover calls
-// this once the PermCheck SumCheck stops reading them, shedding ~(2k+4)·N
-// field elements at the peak step; safe because the argument owns every
-// buffer BuildWorkers allocated.
+// DropCheckTables returns to the arena every table the argument only needs
+// through the PermCheck ZeroCheck — the per-column numerators/denominators
+// and the p₁/p₂ copies — and forgets the ϕ and π views. The committed
+// product tree V (and the challenges) survive: the remaining protocol
+// steps evaluate and open only V. The prover calls this once the PermCheck
+// SumCheck stops reading them, shedding 2(k+1)·N field elements at the
+// peak step; safe because the argument owns every buffer BuildWorkers
+// allocated. A second call does nothing.
 func (a *Argument) DropCheckTables() {
+	for _, t := range a.NTabs {
+		t.Release()
+	}
+	for _, t := range a.DTabs {
+		t.Release()
+	}
+	if a.P1 != nil {
+		a.P1.Release()
+		a.P2.Release()
+	}
 	a.NTabs, a.DTabs = nil, nil
 	a.Phi = nil
 	a.Pi, a.P1, a.P2 = nil, nil, nil
+}
+
+// Release returns every table the argument still holds to the arena, V
+// included. Nothing may read the argument afterwards.
+func (a *Argument) Release() {
+	a.DropCheckTables()
+	if a.V != nil {
+		a.V.Release()
+		a.V = nil
+	}
 }
 
 // Root returns the grand product Π_x ϕ(x) (T[2N−2]).

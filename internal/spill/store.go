@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"zkphire/internal/faultinject"
+	"zkphire/internal/parallel"
 )
 
 const (
@@ -330,18 +331,24 @@ func (s *Store) ReadAt(ctx context.Context, key string, off int64, dst []byte) e
 
 // Reader reads one object front to back from a start offset: one open and
 // one header check, one page frame reused for every page, and every page
-// read and checksummed once however the reads straddle it. A Reader is not
-// safe for concurrent use; after an error only Close is meaningful.
+// read and checksummed once however the reads straddle it. The frame comes
+// from an arena and Close returns it, so a steady stream of Readers
+// allocates no frames. A Reader is not safe for concurrent use; after an
+// error only Close is meaningful.
 type Reader struct {
 	key   string
 	f     *os.File
 	total int64 // payload length
 	off   int64 // next payload byte to deliver
 	ps    int64
-	frame []byte // page header + payload, reused for every page
-	page  int64  // index of the page whose verified payload is in frame, or −1
-	pay   []byte // that payload
+	hdr   [pageHeaderSize]byte // the loaded page's header
+	frame []byte               // page payload, reused for every page
+	page  int64                // index of the page whose verified payload is in frame, or −1
+	pay   []byte               // that payload
 }
+
+// frameArena recycles Reader page frames.
+var frameArena parallel.Arena[byte]
 
 // OpenReader opens the object stored under key for sequential reads
 // starting at payload byte off.
@@ -365,8 +372,9 @@ func (s *Store) OpenReader(ctx context.Context, key string, off int64) (*Reader,
 		return nil, err
 	}
 	ps := int64(s.pageSize)
-	return &Reader{key: key, f: f, total: total, off: off, ps: ps,
-		frame: make([]byte, pageHeaderSize+min(ps, total)), page: -1}, nil
+	r := &Reader{key: key, f: f, total: total, off: off, ps: ps, page: -1}
+	r.frame = frameArena.Get(int(min(ps, total)))
+	return r, nil
 }
 
 // ReadFull fills dst with the next len(dst) payload bytes, polling ctx
@@ -402,22 +410,29 @@ func (r *Reader) loadPage(ctx context.Context, idx int64) error {
 	r.page = -1
 	payLen := min(r.ps, r.total-idx*r.ps)
 	fileOff := int64(fileHeaderSize) + idx*(pageHeaderSize+r.ps)
-	frame := r.frame[:pageHeaderSize+payLen]
-	if _, err := r.f.ReadAt(frame, fileOff); err != nil {
+	pay := r.frame[:payLen]
+	if _, err := r.f.ReadAt(r.hdr[:], fileOff); err != nil {
 		return fmt.Errorf("%w: %s: page %d: %v", ErrCorrupt, r.key, idx, err)
 	}
-	if gotLen := binary.LittleEndian.Uint32(frame[0:4]); int64(gotLen) != payLen {
+	if _, err := r.f.ReadAt(pay, fileOff+pageHeaderSize); err != nil {
+		return fmt.Errorf("%w: %s: page %d: %v", ErrCorrupt, r.key, idx, err)
+	}
+	if gotLen := binary.LittleEndian.Uint32(r.hdr[0:4]); int64(gotLen) != payLen {
 		return fmt.Errorf("%w: %s: page %d: length %d, want %d", ErrCorrupt, r.key, idx, gotLen, payLen)
 	}
-	if crc64.Checksum(frame[pageHeaderSize:], crcTable) != binary.LittleEndian.Uint64(frame[8:16]) {
+	if crc64.Checksum(pay, crcTable) != binary.LittleEndian.Uint64(r.hdr[8:16]) {
 		return fmt.Errorf("%w: %s: page %d: checksum mismatch", ErrCorrupt, r.key, idx)
 	}
-	r.page, r.pay = idx, frame[pageHeaderSize:]
+	r.page, r.pay = idx, pay
 	return nil
 }
 
-// Close releases the reader's file.
-func (r *Reader) Close() error { return r.f.Close() }
+// Close releases the reader's file and returns its frame to the arena.
+func (r *Reader) Close() error {
+	frameArena.Put(r.frame)
+	r.frame, r.pay, r.page = nil, nil, -1
+	return r.f.Close()
+}
 
 // checkHeader validates the file header against the registered length.
 func (s *Store) checkHeader(f *os.File, key string, total int64) error {

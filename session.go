@@ -103,13 +103,15 @@ func WithWorkers(n int) ProverOption {
 	return func(p *Prover) { p.workers = n }
 }
 
-// WithMemoryBudget bounds the session's working set to roughly bytes of
-// live prover data. It decides residency once, in NewProver: the SRS keeps
-// its small commitment bases in RAM and moves the large ones to disk, and
-// the session keeps no wiring-permutation tables — each proof rebuilds
-// them from the circuit for the steps that read them. Prove then runs the
-// same five steps as an in-core session, with every MSM against an
-// offloaded basis streaming chunks through arena scratch.
+// WithMemoryBudget decides the session's residency once, in NewProver,
+// from a byte budget: the SRS keeps the commitment bases that fit an
+// eighth of it in RAM and moves the larger ones to disk, and the session
+// keeps no wiring-permutation tables — each proof rebuilds them from the
+// circuit for the steps that read them. Prove then runs the same five
+// steps as an in-core session, with every MSM against an offloaded basis
+// streaming chunks through arena scratch. The budget bounds the SRS and
+// σ, not the proof's own tables (wires, permutation argument, SumCheck
+// working copies), which scale with the circuit.
 //
 // Proof bytes are identical to an in-core session's at every budget (the
 // conformance suite in streaming_test.go checks this). The budget bounds
